@@ -96,8 +96,8 @@ def test_ext_softftc(benchmark, capsys):
 
 
 def test_ext_fullscale(benchmark, capsys):
-    """The batch engine at a sizeable population: Figure 5/9 shapes with
-    negligible sampling error and no per-page loop."""
+    """The full-chip page study at a sizeable population: Figure 5/9
+    shapes with negligible sampling error."""
     result = once(benchmark, lambda: run_experiment("ext-fullscale", n_pages=512, seed=2013))
     show(result, capsys)
     faults = dict(zip(result.column("Scheme"), result.column("Faults/page")))

@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--spares", type=int, default=16, help="spare blocks per shard")
     serve_cmd.add_argument(
         "--scheme",
-        choices=("aegis-9x61", "aegis-17x31", "aegis-rw-9x61", "ecp6", "safer64"),
+        choices=SERVICE_SCHEMES,
         default="aegis-9x61",
     )
     serve_cmd.add_argument(
@@ -771,20 +771,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     from repro.pcm.lifetime import NormalLifetime
     from repro.service import run_load
+    from repro.service.telemetry import DEFAULT_EVENT_CAP
     from repro.sim.context import ExecContext
-    from repro.sim.roster import aegis_rw_spec, aegis_spec, ecp_spec, safer_spec
     from repro.util.tables import render_table
 
-    spec_factories = {
-        "aegis-9x61": lambda: aegis_spec(9, 61, 512),
-        "aegis-17x31": lambda: aegis_spec(17, 31, 512),
-        "aegis-rw-9x61": lambda: aegis_rw_spec(9, 61, 512),
-        "ecp6": lambda: ecp_spec(6, 512),
-        "safer64": lambda: safer_spec(64, 512),
-    }
-    from repro.service.telemetry import DEFAULT_EVENT_CAP
-
-    spec = spec_factories[args.scheme]()
+    spec = _service_spec(args.scheme)
     ctx = ExecContext.from_args(args)
     workload_params = {"alpha": args.alpha} if args.workload == "zipf" else None
     series_bucket = args.series_bucket

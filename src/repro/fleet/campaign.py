@@ -350,11 +350,20 @@ def read_checkpoint(path: str) -> tuple[dict, CampaignAggregate]:
     meta: dict | None = None
     state: dict = {}
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"checkpoint {path} line {lineno} is not valid JSON: {exc.msg}"
+                ) from exc
+            if not isinstance(record, dict):
+                raise ConfigurationError(
+                    f"checkpoint {path} line {lineno} is not a JSON object"
+                )
             kind = record.pop("record", None)
             if kind == "meta":
                 meta = record

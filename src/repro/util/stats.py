@@ -147,62 +147,6 @@ class RunningMean:
         return MeanEstimate(mean=self._mean, half_width=z * sem, n=self.n)
 
 
-#: coefficients of Acklam's rational approximation to the normal inverse CDF
-_NDTRI_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-            1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NDTRI_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-            6.680131188771972e+01, -1.328068155288572e+01)
-_NDTRI_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-            -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NDTRI_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-            3.754408661907416e+00)
-
-
-def ndtri_approx(p: np.ndarray | float) -> np.ndarray:
-    """Normal inverse CDF via Acklam's rational approximation plus one
-    Halley refinement step — a numpy-only stand-in for
-    ``scipy.special.ndtri`` (relative error ~1e-9 in the far tails, near
-    machine precision centrally), used by :mod:`repro.sim.batch` when
-    scipy is not installed.
-
-    >>> float(abs(ndtri_approx(0.975) - 1.959963984540054)) < 1e-12
-    True
-    """
-    p = np.asarray(p, dtype=np.float64)
-    out = np.full(p.shape, np.nan)
-    out[p == 0.0] = -np.inf
-    out[p == 1.0] = np.inf
-    low, high = 0.02425, 1 - 0.02425
-    a, b, c, d = _NDTRI_A, _NDTRI_B, _NDTRI_C, _NDTRI_D
-    with np.errstate(divide="ignore", invalid="ignore"):
-        central = (low <= p) & (p <= high)
-        q = p - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out = np.where(central, q * num / den, out)
-        lower = (0.0 < p) & (p < low)
-        upper = (high < p) & (p < 1.0)
-        q_tail = np.sqrt(-2.0 * np.log(np.where(lower, p, np.where(upper, 1.0 - p, 0.5))))
-        num_t = ((((c[0] * q_tail + c[1]) * q_tail + c[2]) * q_tail + c[3]) * q_tail + c[4]) * q_tail + c[5]
-        den_t = (((d[0] * q_tail + d[1]) * q_tail + d[2]) * q_tail + d[3]) * q_tail + 1.0
-        tail = num_t / den_t
-        out = np.where(lower, tail, out)
-        out = np.where(upper, -tail, out)
-        # one Halley step against the exact CDF (erf is available in numpy
-        # via vectorised math.erf equivalents below)
-        finite = np.isfinite(out) & (0.0 < p) & (p < 1.0)
-        x = np.where(finite, out, 0.0)
-        err = 0.5 * _erfc_vec(-x / math.sqrt(2.0)) - p
-        u = err * math.sqrt(2.0 * math.pi) * np.exp(x * x / 2.0)
-        refined = x - u / (1.0 + x * u / 2.0)
-        out = np.where(finite, refined, out)
-    return out
-
-
-_erfc_vec = np.vectorize(math.erfc, otypes=[np.float64])
-
-
 def survival_curve(death_times: np.ndarray | list[float], grid: np.ndarray) -> np.ndarray:
     """Empirical survival fraction ``P(T > t)`` evaluated on ``grid``.
 

@@ -152,19 +152,18 @@ class TestWorkerLadderDeterminism:
             ("ext-pairing", {"n_pages": 6}),
             ("ext-payg", {"n_pages": 4, "pool_fractions": (0.25, 1.0)}),
             ("ext-freep", {"n_pages": 4, "spare_counts": (0, 2)}),
+            ("ext-fullscale", {"n_pages": 4}),
         ],
     )
     def test_rendered_tables_identical(self, experiment_id, options):
+        contexts = [ExecContext(seed=31, workers=workers) for workers in (1, 2, 4)]
+        contexts.append(ExecContext(seed=31, engine="scalar"))
         rendered = []
-        for workers in (1, 2, 4):
+        for ctx in contexts:
             clear_study_cache()
-            result = run_experiment(
-                experiment_id,
-                ctx=ExecContext(seed=31, workers=workers),
-                **options,
-            )
+            result = run_experiment(experiment_id, ctx=ctx, **options)
             rendered.append(result.render())
-        assert rendered[0] == rendered[1] == rendered[2]
+        assert all(table == rendered[0] for table in rendered)
 
     def test_engine_flag_transparent_for_scalar_only_sims(self):
         # the migrated sims have no batch kernels: any engine choice must

@@ -294,10 +294,18 @@ class TestCheckpointResume:
         assert aggregate2.digest() == aggregate.digest()
 
     def test_checkpoint_version_gate(self, tmp_path):
-        path = tmp_path / "old.ckpt"
-        path.write_text(json.dumps({"record": "meta", "version": 999}) + "\n")
-        with pytest.raises(ConfigurationError, match="version"):
-            read_checkpoint(str(path))
+        """Stale versions and corrupt lines are refused with a typed error."""
+        meta = json.dumps({"record": "meta", "version": 999})
+        cases = (
+            (meta + "\n", "version"),
+            (meta + "\n" + meta[:-7] + "\n", "line 2 is not valid JSON"),
+            ("[1, 2]\n", "line 1 is not a JSON object"),
+        )
+        path = tmp_path / "bad.ckpt"
+        for text, message in cases:
+            path.write_text(text)
+            with pytest.raises(ConfigurationError, match=message):
+                read_checkpoint(str(path))
 
 
 class TestKillDrill:

@@ -10,7 +10,6 @@ from repro.util.stats import (
     geometric_mean,
     half_life,
     mean_ci,
-    ndtri_approx,
     survival_curve,
 )
 
@@ -110,38 +109,6 @@ class TestRunningMean:
             acc.push(2.5)
         assert acc.variance == pytest.approx(0.0, abs=1e-15)
         assert acc.estimate().half_width == pytest.approx(0.0, abs=1e-12)
-
-
-class TestNdtriApprox:
-    """numpy-only fallback for scipy.special.ndtri."""
-
-    def test_known_quantiles(self):
-        assert ndtri_approx(0.5) == pytest.approx(0.0, abs=1e-12)
-        assert ndtri_approx(0.975) == pytest.approx(1.959963984540054, rel=1e-9)
-        assert ndtri_approx(0.841344746068543) == pytest.approx(1.0, rel=1e-9)
-
-    def test_symmetry(self):
-        for p in (0.01, 0.1, 0.3, 0.45):
-            assert ndtri_approx(p) == pytest.approx(-ndtri_approx(1 - p), rel=1e-9)
-
-    def test_matches_scipy_when_available(self):
-        scipy_special = pytest.importorskip("scipy.special")
-        p = np.linspace(1e-12, 1 - 1e-12, 2001)
-        ours = ndtri_approx(p)
-        theirs = scipy_special.ndtri(p)
-        assert np.allclose(ours, theirs, rtol=1e-8, atol=1e-10)
-
-    def test_vectorised_and_edges(self):
-        out = ndtri_approx(np.array([0.0, 0.5, 1.0]))
-        assert out[0] == -math.inf
-        assert out[1] == pytest.approx(0.0, abs=1e-12)
-        assert out[2] == math.inf
-
-    def test_roundtrip_through_cdf(self):
-        p = np.array([1e-9, 1e-4, 0.2, 0.8, 1 - 1e-4])
-        x = ndtri_approx(p)
-        cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2)) for v in x])
-        assert np.allclose(cdf, p, rtol=1e-7)
 
 
 class TestGeometricMean:
