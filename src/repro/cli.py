@@ -40,6 +40,27 @@ def _service_spec(name: str):
     return factories[name]()
 
 
+def _add_exec_flags(
+    cmd: argparse.ArgumentParser,
+    *,
+    workers: str,
+    engine: str,
+    fault_model: str,
+    seed: str | None = None,
+) -> None:
+    """Declare the :class:`~repro.sim.context.ExecContext` flags
+    (``--seed/--workers/--engine/--fault-model``) on ``cmd``; the
+    arguments are each subcommand's help texts."""
+    from repro.sim.context import ENGINE_CHOICES, FAULT_MODEL_CHOICES
+
+    cmd.add_argument("--seed", type=int, default=2013, help=seed)
+    cmd.add_argument("--workers", type=int, default=None, metavar="N", help=workers)
+    cmd.add_argument("--engine", choices=ENGINE_CHOICES, default="auto", help=engine)
+    cmd.add_argument(
+        "--fault-model", choices=FAULT_MODEL_CHOICES, default="hard", help=fault_model
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aegis-repro",
@@ -47,37 +68,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
+    sub.add_parser("list", help="list available experiments").set_defaults(
+        handler=lambda args: _cmd_list()
+    )
 
     run_cmd = sub.add_parser("run", help="regenerate paper tables/figures")
+    run_cmd.set_defaults(handler=_cmd_run)
     run_cmd.add_argument("experiments", nargs="+", help="experiment ids or 'all'")
     run_cmd.add_argument("--pages", type=int, default=128, help="pages per Monte Carlo study")
     run_cmd.add_argument("--trials", type=int, default=2000, help="trials for block-level studies")
-    run_cmd.add_argument("--seed", type=int, default=2013, help="simulation seed")
     run_cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
-    run_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for page-level Monte Carlo fan-out "
+    _add_exec_flags(
+        run_cmd,
+        seed="simulation seed",
+        workers="worker processes for page-level Monte Carlo fan-out "
         "(default: all CPU cores; 1 disables the pool); results are "
         "bit-identical for every worker count",
-    )
-    run_cmd.add_argument(
-        "--engine",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="Monte Carlo execution path: 'vector' advances whole trial "
+        engine="Monte Carlo execution path: 'vector' advances whole trial "
         "populations per numpy call, 'scalar' walks each trial through "
         "the incremental checkers, 'auto' (default) picks the batch "
         "kernel whenever the scheme has one; results are bit-identical",
-    )
-    run_cmd.add_argument(
-        "--fault-model",
-        choices=("hard", "partial", "drift"),
-        default="hard",
-        help="cell fault statistics: 'hard' (default) is the paper's "
+        fault_model="cell fault statistics: 'hard' (default) is the paper's "
         "hard stuck-at model, 'partial' adds maskable partially-stuck "
         "cells, 'drift' clusters arrivals into resistance-drift bursts; "
         "each model is bit-identical across --workers and --engine "
@@ -109,48 +120,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "(informational; never part of the deterministic results)",
     )
 
-    sub.add_parser("demo", help="run the quickstart fault-recovery demo")
+    sub.add_parser("demo", help="run the quickstart fault-recovery demo").set_defaults(
+        handler=lambda args: _cmd_demo()
+    )
     sub.add_parser(
         "check",
         help="self-verify the mathematical foundations (Theorems 1-2, Table 1)",
-    )
+    ).set_defaults(handler=lambda args: _cmd_check())
 
     report_cmd = sub.add_parser(
         "report", help="regenerate every artefact into one Markdown report"
     )
+    report_cmd.set_defaults(handler=_cmd_report)
     report_cmd.add_argument("-o", "--output", default="report.md", metavar="PATH")
     report_cmd.add_argument(
         "experiments", nargs="*", help="experiment ids (default: all)"
     )
     report_cmd.add_argument("--pages", type=int, default=64)
     report_cmd.add_argument("--trials", type=int, default=500)
-    report_cmd.add_argument("--seed", type=int, default=2013)
     report_cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
     report_cmd.add_argument("--no-charts", action="store_true")
-    report_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for page-level Monte Carlo fan-out "
+    _add_exec_flags(
+        report_cmd,
+        workers="worker processes for page-level Monte Carlo fan-out "
         "(default: all CPU cores)",
-    )
-    report_cmd.add_argument(
-        "--engine",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="Monte Carlo execution path (see 'run --engine')",
-    )
-    report_cmd.add_argument(
-        "--fault-model",
-        choices=("hard", "partial", "drift"),
-        default="hard",
-        help="cell fault statistics (see 'run --fault-model')",
+        engine="Monte Carlo execution path (see 'run --engine')",
+        fault_model="cell fault statistics (see 'run --fault-model')",
     )
 
     schemes_cmd = sub.add_parser(
         "schemes", help="catalogue every evaluated scheme configuration"
     )
+    schemes_cmd.set_defaults(handler=_cmd_schemes)
     schemes_cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
 
     serve_cmd = sub.add_parser(
@@ -164,31 +165,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "snapshot is bit-identical for every --workers value."
         ),
     )
+    serve_cmd.set_defaults(handler=_cmd_serve_bench)
     serve_cmd.add_argument("--ops", type=int, default=20000, help="total operations")
     serve_cmd.add_argument(
         "--workload", choices=("uniform", "zipf", "hotcold"), default="zipf"
     )
     serve_cmd.add_argument("--alpha", type=float, default=1.0, help="Zipf exponent")
-    serve_cmd.add_argument("--seed", type=int, default=2013)
     serve_cmd.add_argument("--shards", type=int, default=4, help="independent arrays")
-    serve_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: all cores; never changes the numbers)",
-    )
-    serve_cmd.add_argument(
-        "--engine",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="write-drain path: 'vector' services each buffer drain as one "
+    _add_exec_flags(
+        serve_cmd,
+        workers="worker processes (default: all cores; never changes the numbers)",
+        engine="write-drain path: 'vector' services each buffer drain as one "
         "numpy batch, 'scalar' walks it row by row, 'auto' (default) "
         "batches whenever the scheme has a service kernel; snapshots, "
         "traces and telemetry are bit-identical either way",
-    )
-    serve_cmd.add_argument(
-        "--fault-model",
-        choices=("hard", "partial", "drift"),
-        default="hard",
-        help="cell fault statistics the arrays wear under "
+        fault_model="cell fault statistics the arrays wear under "
         "(see 'run --fault-model' and docs/fault_models.md)",
     )
     serve_cmd.add_argument(
@@ -271,6 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "repartition/remap timeline as markdown."
         ),
     )
+    obs_cmd.set_defaults(handler=_cmd_obs_report)
     obs_cmd.add_argument(
         "--trace", metavar="PATH", default=None,
         help="trace JSONL (optional when --metrics is given)",
@@ -296,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "charts as markdown."
         ),
     )
+    slo_cmd.set_defaults(handler=_cmd_slo_report)
     slo_cmd.add_argument(
         "--series", metavar="PATH", required=True,
         help="time-series/SLO JSONL export (write_series_jsonl output)",
@@ -321,26 +314,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "bit-identical for every --workers / --engine value."
         ),
     )
+    cluster_cmd.set_defaults(handler=_cmd_cluster_bench)
     cluster_cmd.add_argument("--ops", type=int, default=2000, help="total operations")
     cluster_cmd.add_argument("--arrays", type=int, default=3, help="arrays in the cluster")
     cluster_cmd.add_argument(
         "--tenants", type=int, default=4,
         help="tenant count (even indices interactive, odd bulk)",
     )
-    cluster_cmd.add_argument("--seed", type=int, default=2013)
-    cluster_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="workers for stream pre-generation (never changes the numbers)",
-    )
-    cluster_cmd.add_argument(
-        "--engine", choices=("auto", "vector", "scalar"), default="auto",
-        help="write-drain path per array (results are bit-identical either way)",
-    )
-    cluster_cmd.add_argument(
-        "--fault-model",
-        choices=("hard", "partial", "drift"),
-        default="hard",
-        help="cell fault statistics every array wears under "
+    _add_exec_flags(
+        cluster_cmd,
+        workers="workers for stream pre-generation (never changes the numbers)",
+        engine="write-drain path per array (results are bit-identical either way)",
+        fault_model="cell fault statistics every array wears under "
         "(see 'run --fault-model' and docs/fault_models.md)",
     )
     cluster_cmd.add_argument(
@@ -423,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "across --checkpoint kill/resume."
         ),
     )
+    fleet_cmd.set_defaults(handler=_cmd_fleet_bench)
     fleet_cmd.add_argument(
         "--schemes", default=",".join(("aegis-9x61", "ecp6", "safer64")),
         help="comma-separated campaign scheme keys (see repro.fleet.FLEET_SCHEMES)",
@@ -438,20 +424,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "overhead: the shard is constant-size, so the IPC reduction "
         "ratio scales with this)",
     )
-    fleet_cmd.add_argument("--seed", type=int, default=2013)
-    fleet_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (never changes the campaign digest)",
-    )
-    fleet_cmd.add_argument(
-        "--engine", choices=("auto", "vector", "scalar"), default="auto",
-        help="simulation path per chunk (digest-identical either way)",
-    )
-    fleet_cmd.add_argument(
-        "--fault-model",
-        choices=("hard", "partial", "drift"),
-        default="hard",
-        help="cell fault statistics the campaign ages under "
+    _add_exec_flags(
+        fleet_cmd,
+        workers="worker processes (never changes the campaign digest)",
+        engine="simulation path per chunk (digest-identical either way)",
+        fault_model="cell fault statistics the campaign ages under "
         "(see 'run --fault-model' and docs/fault_models.md)",
     )
     fleet_cmd.add_argument(
@@ -531,6 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "client and exits."
         ),
     )
+    serve_front.set_defaults(handler=_cmd_serve)
     serve_front.add_argument("--host", default="127.0.0.1")
     serve_front.add_argument(
         "--port", type=int, default=0, help="0 picks a free port (printed on start)"
@@ -1197,31 +1175,7 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "demo":
-        return _cmd_demo()
-    if args.command == "check":
-        return _cmd_check()
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "schemes":
-        return _cmd_schemes(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
-    if args.command == "cluster-bench":
-        return _cmd_cluster_bench(args)
-    if args.command == "fleet-bench":
-        return _cmd_fleet_bench(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "obs-report":
-        return _cmd_obs_report(args)
-    if args.command == "slo-report":
-        return _cmd_slo_report(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

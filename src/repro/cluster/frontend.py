@@ -190,10 +190,20 @@ class ClusterFrontend:
                         key = (tenant_id, address)
                         if self._pending.get(key) is payload:
                             del self._pending[key]
-            except ReproError:
-                # a lost write surfaces through telemetry (writes_lost);
-                # the drainer must keep draining for every other key
-                pass
+            except ReproError as error:
+                # the write was acknowledged as queued, so its loss must be
+                # counted; the drainer keeps draining for every other key
+                telemetry = self.cluster.telemetry
+                kind = type(error).__name__
+                telemetry.metrics.inc("frontend_drain_errors_total", error=kind)
+                telemetry.emit(
+                    "drain_error",
+                    op=self.cluster.clock,
+                    array=name,
+                    tenant=tenant_id,
+                    address=address,
+                    error=kind,
+                )
             finally:
                 queue.task_done()
 

@@ -51,7 +51,6 @@ from repro.sim.parallel import (
     PageTask,
     SimExecutor,
     _chunked,
-    simulate_task_page,
     simulate_task_pages,
 )
 
@@ -139,7 +138,7 @@ def warm_fleet_caches(
             inversion_wear_rate=DEFAULT_INVERSION_WEAR,
             engine=engine,
         )
-        simulate_task_page(task, 0)
+        simulate_task_pages(task, (0,))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The scalar engines in :mod:`repro.sim.block_sim` and
 :mod:`repro.sim.page_sim` walk one trial and one fault arrival at a time
 through Python-level :meth:`~repro.sim.checkers.BlockChecker.add_fault`
-calls.  For the *static* schemes — plain Aegis, ECP, SAFER and the
+calls.  For the *static* schemes — plain Aegis, SAFER, Hamming and the
 unprotected baseline, whose survival is a pure set property of the fault
 locations — the per-arrival state update is a handful of integer
 operations, so an entire ``(trials, n_bits)`` block population can be
@@ -40,7 +40,9 @@ Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
 its ``kernel`` tag; :func:`resolve_engine` maps the public
 ``engine="auto"|"vector"|"scalar"`` switch to the path actually taken.
 Sampled (data-dependent) schemes — Aegis-rw variants, SAFER-cache,
-RDIS — carry no tag and always take the scalar path.
+RDIS — carry no tag and always take the scalar path.  So does ECP: its
+checker is one counter compare per arrival, and the scalar page loop
+beats a lock-step kernel on every page-study call shape.
 """
 
 from __future__ import annotations
@@ -286,22 +288,6 @@ class _AegisBatch(_BatchChecker):
         return self._members[slope, self._part[slope, offsets]]
 
 
-class _EcpBatch(_BatchChecker):
-    """Vectorized :class:`~repro.sim.checkers.EcpChecker`: every trial
-    dies on arrival ``pointers + 1`` (arrival counts advance in lock step,
-    so the counter is shared)."""
-
-    def __init__(self, pointers: int, n_bits: int, n_trials: int) -> None:
-        super().__init__(n_bits, n_trials)
-        self.pointers = pointers
-
-    def add_faults(self, offsets: np.ndarray, active: np.ndarray) -> np.ndarray:
-        self._push(offsets)
-        if self._count > self.pointers:
-            self.alive &= ~active
-        return self.alive
-
-
 class _NoneBatch(_BatchChecker):
     """The unprotected baseline: the first fault is fatal."""
 
@@ -421,7 +407,6 @@ class _SaferExhaustiveBatch(_BatchChecker):
 
 _BUILDERS = {
     "aegis": lambda tag, n_bits, n_trials: _AegisBatch(tag[1], tag[2], n_bits, n_trials),
-    "ecp": lambda tag, n_bits, n_trials: _EcpBatch(tag[1], n_bits, n_trials),
     "safer-incremental": lambda tag, n_bits, n_trials: _SaferIncrementalBatch(
         tag[1], n_bits, n_trials
     ),

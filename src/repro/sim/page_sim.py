@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,57 +144,17 @@ def simulate_page(
     ``engine`` and ``workers``.  The hard default takes exactly the
     historical code path.
     """
-    if not 0 < write_probability <= 1:
-        raise ConfigurationError("write probability must be in (0, 1]")
-    model = lifetime_model if lifetime_model is not None else NormalLifetime()
-    fmodel = fault_model_for(fault_model)
-    hard = isinstance(fmodel, HardStuckAt)
-    if observer is None and kernels.resolve_engine(engine, spec) == "vector":
-        endurance = model.sample(blocks_per_page * spec.n_bits, rng)
-        base_death = endurance / write_probability
-        if hard:
-            shaped, masked = base_death, None
-        else:
-            shaped, masked = fmodel.transform_base_death(
-                base_death, spec.n_bits, rng
-            )
-        outcome = None
-        if kernels.tie_fraction(shaped) <= kernels.HEAVY_TIE_FRACTION:
-            outcome = _pages_from_endurances(
-                spec,
-                blocks_per_page,
-                [(shaped, base_death, masked)],
-                write_probability,
-                inversion_wear_rate,
-            )[0]
-        if outcome is not None:
-            return outcome
-        # pathologically tied sample, or cell deaths tying the page death
-        # time exactly (the one case the batched fault count cannot
-        # resolve): replay the scalar scheduler on the already-drawn
-        # sample (``rng`` is positioned exactly as if the scalar path had
-        # sampled and transformed it)
-        return _simulate_page_scalar(
-            spec,
-            blocks_per_page,
-            rng,
-            model,
-            write_probability,
-            inversion_wear_rate,
-            None,
-            endurance=endurance,
-            transformed=None if hard else (shaped, masked),
-        )
-    return _simulate_page_scalar(
+    return _simulate_rngs(
         spec,
         blocks_per_page,
-        rng,
-        model,
-        write_probability,
-        inversion_wear_rate,
-        observer,
-        fault_model=None if isinstance(fmodel, HardStuckAt) else fmodel,
-    )
+        [rng],
+        lifetime_model=lifetime_model,
+        write_probability=write_probability,
+        inversion_wear_rate=inversion_wear_rate,
+        observer=observer,
+        engine=engine,
+        fault_model=fault_model,
+    )[0]
 
 
 def _simulate_page_scalar(
@@ -370,42 +331,89 @@ def simulate_pages(
 ) -> list[PageResult]:
     """Simulate a run of pages, each drawing from ``rng_for(seed, index)``.
 
-    The batched counterpart of calling :func:`simulate_page` per index:
-    with a vector-capable scheme, the pages' endurance samples are drawn
-    per-page from their own substreams (preserving the parallel layer's
-    reproducibility contract), fault-model transforms applied from the
-    same substream positions, and then simulated together in batches of
-    at most :data:`MAX_BATCH_CELLS` cells.  The rare pages the batch
+    The batched counterpart of calling :func:`simulate_page` per index,
+    and bit-identical to it: both run :func:`_simulate_rngs`, which draws
+    each page from its own substream (the parallel layer's
+    reproducibility contract) and simulates a vector-capable scheme's
+    pages together.
+    """
+    return _simulate_rngs(
+        spec,
+        blocks_per_page,
+        [rng_for(seed, index) for index in page_indices],
+        lifetime_model=lifetime_model,
+        write_probability=write_probability,
+        inversion_wear_rate=inversion_wear_rate,
+        engine=engine,
+        fault_model=fault_model,
+    )
+
+
+def _simulate_rngs(
+    spec: SchemeSpec,
+    blocks_per_page: int,
+    rngs: Sequence[np.random.Generator],
+    *,
+    lifetime_model: LifetimeModel | None,
+    write_probability: float,
+    inversion_wear_rate: float,
+    engine: str,
+    fault_model: "FaultModel | str | None",
+    observer: FaultObserver | None = None,
+) -> list[PageResult]:
+    """Simulate one page per generator in ``rngs``, results in order.
+
+    The one page-batch path behind :func:`simulate_page` and
+    :func:`simulate_pages`.  With a vector-capable scheme (and no
+    ``observer``), each page's endurance sample is drawn from its own
+    generator, fault-model transforms are applied from the same
+    generator position, and the pages are simulated together in batches
+    of at most :data:`MAX_BATCH_CELLS` cells.  The rare pages the batch
     cannot resolve exactly (pathologically tied samples, or a death tying
     the page's own death time — routine under drift bursts, whose whole
-    point is simultaneous deaths) are replayed on the scalar scheduler,
-    so the returned list is bit-identical for every engine.
+    point is simultaneous deaths) are replayed on the scalar scheduler
+    from the already-drawn sample, so the result is bit-identical for
+    every engine.
     """
     if not 0 < write_probability <= 1:
         raise ConfigurationError("write probability must be in (0, 1]")
     model = lifetime_model if lifetime_model is not None else NormalLifetime()
     fmodel = fault_model_for(fault_model)
     hard = isinstance(fmodel, HardStuckAt)
-    scalar_model = None if hard else fmodel
-    indices = list(page_indices)
-    if kernels.resolve_engine(engine, spec) != "vector":
+    if observer is not None or kernels.resolve_engine(engine, spec) != "vector":
         return [
             _simulate_page_scalar(
                 spec,
                 blocks_per_page,
-                rng_for(seed, index),
+                rng,
                 model,
                 write_probability,
                 inversion_wear_rate,
-                None,
-                fault_model=scalar_model,
+                observer,
+                fault_model=None if hard else fmodel,
             )
-            for index in indices
+            for rng in rngs
         ]
     n_cells = blocks_per_page * spec.n_bits
-    results: list[PageResult | None] = [None] * len(indices)
+    results: list[PageResult | None] = [None] * len(rngs)
     pending: list[tuple[int, tuple, np.ndarray, np.random.Generator]] = []
     batch_pages = max(1, MAX_BATCH_CELLS // max(n_cells, 1))
+
+    def replay(rng, endurance, shaped, masked) -> PageResult:
+        # the scalar scheduler on the already-drawn sample: ``rng`` is
+        # positioned exactly as if the scalar path had sampled and
+        # transformed it
+        return _simulate_page_scalar(
+            spec,
+            blocks_per_page,
+            rng,
+            model,
+            write_probability,
+            inversion_wear_rate,
+            None,
+            endurance=endurance,
+            transformed=None if hard else (shaped, masked),
+        )
 
     def flush() -> None:
         if not pending:
@@ -419,24 +427,13 @@ def simulate_pages(
         )
         for (position, prepared, sample, rng), outcome in zip(pending, outcomes):
             if outcome is None:
-                # a death ties the page's death time exactly: replay on
-                # the scalar scheduler for the paper-exact fault count
-                outcome = _simulate_page_scalar(
-                    spec,
-                    blocks_per_page,
-                    rng,
-                    model,
-                    write_probability,
-                    inversion_wear_rate,
-                    None,
-                    endurance=sample,
-                    transformed=None if hard else (prepared[0], prepared[2]),
-                )
+                # a death ties the page's death time exactly: replay for
+                # the paper-exact fault count
+                outcome = replay(rng, sample, prepared[0], prepared[2])
             results[position] = outcome
         pending.clear()
 
-    for position, index in enumerate(indices):
-        rng = rng_for(seed, index)
+    for position, rng in enumerate(rngs):
         endurance = model.sample(n_cells, rng)
         base_death = endurance / write_probability
         if hard:
@@ -445,25 +442,29 @@ def simulate_pages(
             shaped, masked = fmodel.transform_base_death(
                 base_death, spec.n_bits, rng
             )
-        prepared = (shaped, base_death, masked)
         if kernels.tie_fraction(shaped) > kernels.HEAVY_TIE_FRACTION:
-            results[position] = _simulate_page_scalar(
-                spec,
-                blocks_per_page,
-                rng,
-                model,
-                write_probability,
-                inversion_wear_rate,
-                None,
-                endurance=endurance,
-                transformed=None if hard else (shaped, masked),
-            )
+            results[position] = replay(rng, endurance, shaped, masked)
         else:
-            pending.append((position, prepared, endurance, rng))
+            pending.append((position, (shaped, base_death, masked), endurance, rng))
             if len(pending) >= batch_pages:
                 flush()
     flush()
     return results
+
+
+def _observed_page(observer: FaultObserver, task: PageTask, index: int) -> PageResult:
+    """Page ``index`` of ``task`` with every fault reported to ``observer``."""
+    return simulate_page(
+        task.spec,
+        task.blocks_per_page,
+        rng_for(task.seed, index),
+        lifetime_model=task.lifetime_model,
+        write_probability=task.write_probability,
+        inversion_wear_rate=task.inversion_wear_rate,
+        observer=observer,
+        engine=task.engine,
+        fault_model=task.fault_model,
+    )
 
 
 def run_page_study(
@@ -545,63 +546,44 @@ def run_page_study(
         estimate = faults_acc.estimate()
         return estimate.half_width <= target_relative_ci * max(estimate.mean, 1e-12)
 
+    # callbacks cannot cross process boundaries or batched steps: an
+    # observed study maps observed pages on a serial runner, one page per
+    # wave, so the observer never sees a page the stopping rule discards
+    runner = StudyRunner(
+        "page",
+        ExecContext(seed=seed, workers=workers if observer is None else 1, engine=engine),
+    )
+    if observer is None:
+        simulate = partial(runner.map_pages, task)
+        wave_pages = max(runner.workers * 2, 8)
+    else:
+        simulate = partial(
+            runner.executor.map_indices, partial(_observed_page, observer), task
+        )
+        wave_pages = 1
     # study-phase spans go to the process-wide tracer (``repro run
     # --trace``); they are recorded parent-side only, so the exported
     # trace stays worker-count invariant like the study itself
     tracer = get_tracer()
-    runner = (
-        StudyRunner("page", ExecContext(seed=seed, workers=workers, engine=engine))
-        if observer is None
-        else None
-    )
-    with tracer.span("page_study", spec=spec.key, n_pages=n_pages) as study_span:
-        if runner is not None:
-            with runner:
-                # phase 1: the fixed block of pages every study simulates
-                with tracer.span("page_sim", phase="fixed_block"):
-                    for result in runner.map_pages(task, range(n_pages)):
-                        accept(result)
-                # phase 2: sequential stopping, reproduced exactly —
-                # speculative waves are walked in page order and truncated
-                # at the page where the serial loop would have stopped
-                with tracer.span("sequential_stopping"):
-                    while (
-                        target_relative_ci is not None
-                        and len(results) < max_pages
-                        and not precise_enough()
-                    ):
-                        wave = range(
-                            len(results),
-                            min(
-                                max_pages,
-                                len(results) + max(runner.workers * 2, 8),
-                            ),
-                        )
-                        for result in runner.map_pages(task, wave):
-                            if len(results) >= max_pages or precise_enough():
-                                break  # discard the speculative tail
-                            accept(result)
-        else:
-            with tracer.span("page_sim", phase="serial"):
-                page_index = 0
-                while page_index < n_pages or (
-                    target_relative_ci is not None
-                    and page_index < max_pages
-                    and not precise_enough()
-                ):
-                    accept(
-                        simulate_page(
-                            spec,
-                            blocks_per_page,
-                            rng_for(seed, page_index),
-                            lifetime_model=lifetime_model,
-                            write_probability=write_probability,
-                            inversion_wear_rate=inversion_wear_rate,
-                            observer=observer,
-                            fault_model=fmodel,
-                        )
-                    )
-                    page_index += 1
+    with runner, tracer.span("page_study", spec=spec.key, n_pages=n_pages) as study_span:
+        # phase 1: the fixed block of pages every study simulates
+        with tracer.span("page_sim", phase="fixed_block"):
+            for result in simulate(range(n_pages)):
+                accept(result)
+        # phase 2: sequential stopping, reproduced exactly — speculative
+        # waves are walked in page order and truncated at the page where
+        # a page-at-a-time loop would have stopped
+        with tracer.span("sequential_stopping"):
+            while (
+                target_relative_ci is not None
+                and len(results) < max_pages
+                and not precise_enough()
+            ):
+                wave = range(len(results), min(max_pages, len(results) + wave_pages))
+                for result in simulate(wave):
+                    if len(results) >= max_pages or precise_enough():
+                        break  # discard the speculative tail
+                    accept(result)
         study_span.cost(pages=len(results))
         registry = get_metrics()
         if registry is not None:

@@ -27,7 +27,7 @@ Design notes
   process boundary), or when the platform refuses to start a pool — the
   results are identical either way, only wall-clock changes.
 * An opt-in :class:`repro.obs.profiler.Profiler` (explicit or installed
-  process-wide via ``--profile``) times the scatter/gather/serial phases;
+  process-wide via ``--profile``) times the gather and serial phases;
   the timings are wall-clock and never touch the deterministic results.
 """
 
@@ -37,6 +37,7 @@ import os
 from collections.abc import Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -44,7 +45,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.profiler import NullProfiler, Profiler, get_profiler
 from repro.obs.tracer import get_tracer
 from repro.sim.context import ExecContext
-from repro.sim.rng import rng_for
 from repro.util.stats import MeanEstimate, mean_ci
 
 try:  # pragma: no cover - alias is version-dependent
@@ -95,30 +95,16 @@ class PageTask:
     fault_model: "FaultModel | str" = "hard"
 
 
-def simulate_task_page(task: PageTask, page_index: int) -> "PageResult":
-    """Simulate one page of a task — the unit of work on both paths."""
-    from repro.sim.page_sim import simulate_page
-
-    return simulate_page(
-        task.spec,
-        task.blocks_per_page,
-        rng_for(task.seed, page_index),
-        lifetime_model=task.lifetime_model,
-        write_probability=task.write_probability,
-        inversion_wear_rate=task.inversion_wear_rate,
-        engine=task.engine,
-        fault_model=task.fault_model,
-    )
-
-
-def simulate_task_pages(task: PageTask, page_indices: tuple[int, ...]) -> list:
+def simulate_task_pages(
+    task: PageTask, page_indices: tuple[int, ...]
+) -> "list[PageResult]":
     """Simulate a run of a task's pages in one call.
 
     The chunk-level unit of work: with a vector-capable scheme the whole
     run advances through the batch kernels together
     (:func:`repro.sim.page_sim.simulate_pages`), so worker processes and
     in-process batching multiply.  Per-page substreams keep the result
-    equal to mapping :func:`simulate_task_page` over the indices.
+    independent of how the indices are split into runs.
     """
     from repro.sim.page_sim import simulate_pages
 
@@ -136,8 +122,13 @@ def simulate_task_pages(task: PageTask, page_indices: tuple[int, ...]) -> list:
 
 
 def _run_chunk(fn, task, indices: tuple[int, ...]) -> list:
-    """Generic worker entry point: apply ``fn(task, index)`` over a chunk."""
+    """Worker entry point of :meth:`SimExecutor.map_indices`: apply
+    ``fn(task, index)`` over a chunk."""
     return [fn(task, index) for index in indices]
+
+
+def _flatten(chunk_results) -> list:
+    return [result for chunk in chunk_results for result in chunk]
 
 
 def _chunked(indices: Sequence[int], chunk_pages: int) -> list[tuple[int, ...]]:
@@ -273,124 +264,75 @@ class SimExecutor:
     def run_pages(self, task: PageTask, page_indices: Sequence[int]) -> list:
         """Simulate ``page_indices`` and return results in index order.
 
-        Unlike the per-index :meth:`map_indices`, pages are dispatched in
-        chunk-sized batches of :func:`simulate_task_pages` so the vector
-        kernels amortise across a worker's whole chunk; on the serial path
-        the entire request becomes one batched call.  Results are
-        identical either way — batching is purely an execution strategy.
+        Pages are dispatched in chunk-sized batches of
+        :func:`simulate_task_pages` so the vector kernels amortise across
+        a worker's whole chunk; without a pool the entire request is one
+        chunk, i.e. one batched call.  Results are identical either way —
+        batching is purely an execution strategy.
         """
-        indices = list(page_indices)
+        indices = tuple(page_indices)
         if not indices:
             return []
-        profiler = self._profiler()
-        chunks = _chunked(indices, self.chunk_pages)
-        pool = self._ensure_pool(len(chunks))
-        if pool is None:
-            with profiler.phase("executor.serial"):
-                return simulate_task_pages(task, tuple(indices))
-        try:
-            with profiler.phase("executor.gather"):
-                results: list = []
-                for chunk_results in self._gather_windowed(
-                    lambda i: pool.submit(simulate_task_pages, task, chunks[i]),
-                    len(chunks),
-                ):
-                    results.extend(chunk_results)
-            return results
-        except (OSError, RuntimeError, BrokenProcessPoolError):
-            # a dead pool (killed worker, fork failure) must not lose the
-            # study: recompute serially — determinism makes this safe
-            self._pool_broken = True
-            self.close()
-            with profiler.phase("executor.serial"):
-                return simulate_task_pages(task, tuple(indices))
+        chunks = _chunked(indices, self.chunk_pages) if self.parallel else [indices]
+        return _flatten(self.imap_chunks(simulate_task_pages, task, chunks))
 
     def map_indices(self, fn, task, indices: Sequence[int]) -> list:
         """Apply ``fn(task, index)`` over ``indices``, results in index order.
 
-        The generic fan-out behind :meth:`run_pages`, also used by the
-        service layer's load generator (:mod:`repro.service.loadgen`).
-        ``fn`` must be a module-level callable and ``task`` picklable so
-        chunks can cross the process boundary; ``fn(task, index)`` must be a
-        pure function of its arguments, which is what makes every worker
-        count produce identical results.
+        The per-index fan-out used by :class:`StudyRunner` and the service
+        and cluster load generators.  ``fn`` must be a module-level
+        callable and ``task`` picklable so chunks can cross the process
+        boundary; ``fn(task, index)`` must be a pure function of its
+        arguments, which is what makes every worker count produce
+        identical results.
         """
-        indices = list(indices)
-        if not indices:
-            return []
-        profiler = self._profiler()
-        chunks = _chunked(indices, self.chunk_pages)
-        pool = self._ensure_pool(len(chunks))
-        if pool is None:
-            with profiler.phase("executor.serial"):
-                return [fn(task, index) for index in indices]
-        try:
-            with profiler.phase("executor.gather"):
-                results: list = []
-                for chunk_results in self._gather_windowed(
-                    lambda i: pool.submit(_run_chunk, fn, task, chunks[i]),
-                    len(chunks),
-                ):
-                    results.extend(chunk_results)
-            return results
-        except (OSError, RuntimeError, BrokenProcessPoolError):
-            # a dead pool (killed worker, fork failure) must not lose the
-            # study: recompute serially — determinism makes this safe
-            self._pool_broken = True
-            self.close()
-            with profiler.phase("executor.serial"):
-                return [fn(task, index) for index in indices]
+        chunks = _chunked(list(indices), self.chunk_pages)
+        return _flatten(self.imap_chunks(partial(_run_chunk, fn), task, chunks))
 
     def imap_chunks(self, fn, task, chunks: Sequence[tuple[int, ...]]) -> Iterator:
         """Stream ``fn(task, chunk)`` per chunk, in chunk order.
 
-        The out-of-core primitive behind the fleet campaign engine
-        (:mod:`repro.fleet`): unlike :meth:`run_pages`/:meth:`map_indices`
-        nothing is accumulated here — each chunk's result is yielded as
-        soon as every earlier chunk has been emitted, so a caller folding
-        results into a running aggregate holds O(window) chunk results at
-        peak, never O(study).  ``fn`` must be a module-level callable and
-        ``fn(task, chunk)`` a pure function of its arguments; chunks are
-        dispatched under the bounded in-flight window and emitted in
-        deterministic chunk order, so the caller's fold order — and any
-        digest over it — is identical for every worker count.
+        The executor's one scatter/gather loop: :meth:`run_pages` and
+        :meth:`map_indices` flatten it, and the fleet campaign engine
+        (:mod:`repro.fleet`) folds it as a stream — each chunk's result is
+        yielded as soon as every earlier chunk has been emitted, so a
+        caller folding results into a running aggregate holds O(window)
+        chunk results at peak, never O(study).  ``fn`` must be a
+        module-level callable and ``fn(task, chunk)`` a pure function of
+        its arguments; chunks are dispatched under the bounded in-flight
+        window and emitted in deterministic chunk order, so the caller's
+        fold order — and any digest over it — is identical for every
+        worker count.
 
         A pool that breaks mid-stream does not lose the campaign: chunks
         not yet emitted are recomputed serially (already-yielded results
         stay valid — purity makes the recompute bit-identical).
         """
         chunks = [tuple(chunk) for chunk in chunks]
-        if not chunks:
-            return
         profiler = self._profiler()
         pool = self._ensure_pool(len(chunks))
-        if pool is None:
-            for chunk in chunks:
-                with profiler.phase("executor.serial"):
-                    result = fn(task, chunk)
-                yield result
-            return
         emitted = 0
-        gather = self._gather_windowed(
-            lambda i: pool.submit(fn, task, chunks[i]), len(chunks)
-        )
-        while True:
-            # next() is wrapped — not the yield — so a consumer exception
-            # thrown into the generator is never mistaken for a dead pool
-            try:
-                result = next(gather)
-            except StopIteration:
-                return
-            except (OSError, RuntimeError, BrokenProcessPoolError):
-                # recompute only the tail the pool never delivered
-                self._pool_broken = True
-                self.close()
-                for chunk in chunks[emitted:]:
-                    with profiler.phase("executor.serial"):
-                        result = fn(task, chunk)
-                    yield result
-                return
-            emitted += 1
+        if pool is not None:
+            gather = self._gather_windowed(
+                lambda i: pool.submit(fn, task, chunks[i]), len(chunks)
+            )
+            while emitted < len(chunks):
+                # next() is wrapped — not the yield — so a consumer exception
+                # thrown into the generator is never mistaken for a dead pool
+                try:
+                    with profiler.phase("executor.gather"):
+                        result = next(gather)
+                except (OSError, RuntimeError, BrokenProcessPoolError):
+                    # a dead pool (killed worker, fork failure): recompute
+                    # only the tail it never delivered
+                    self._pool_broken = True
+                    self.close()
+                    break
+                emitted += 1
+                yield result
+        for chunk in chunks[emitted:]:
+            with profiler.phase("executor.serial"):
+                result = fn(task, chunk)
             yield result
 
 
@@ -451,10 +393,6 @@ class StudyRunner:
         pools outlive the studies that share them)."""
         if self._owns_executor:
             self.executor.close()
-
-    def map(self, fn, task, indices: Sequence[int]) -> list:
-        """Bare deterministic fan-out (no spans): results in index order."""
-        return self.executor.map_indices(fn, task, indices)
 
     def map_pages(self, task: PageTask, indices: Sequence[int]) -> list:
         """Bare page-batch fan-out, for :class:`PageTask`-shaped work."""

@@ -107,3 +107,20 @@ class TestParser:
     def test_invalid_block_bits(self):
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--block-bits", "300"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "fig5"], ["report"], ["serve-bench"], ["cluster-bench"], ["fleet-bench"]],
+        ids=lambda command: command[0],
+    )
+    def test_exec_flags_parse_to_one_context(self, command):
+        from repro.cli import _build_parser
+        from repro.sim.context import ExecContext
+
+        args = _build_parser().parse_args(
+            command
+            + ["--seed", "7", "--workers", "2", "--engine", "scalar", "--fault-model", "drift"]
+        )
+        assert ExecContext.from_args(args) == ExecContext(
+            seed=7, workers=2, engine="scalar", fault_model="drift"
+        )

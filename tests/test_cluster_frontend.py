@@ -154,6 +154,47 @@ class TestBulkQueueing:
 
         asyncio.run(with_frontend(scenario))
 
+    def test_drain_error_on_full_cluster_is_counted(self):
+        """Two new-key bulk writes are queued while one free address is
+        left; the second finds the cluster full when it drains, and that
+        acknowledged-then-lost write must be counted, not swallowed."""
+        cluster = ClusterService(
+            1,
+            aegis_spec(5, 13, BITS),
+            n_addresses=4,
+            spares=2,
+            buffer_capacity=4,
+            seed=7,
+            lifetime_model=FixedLifetime(10**9),
+        )
+        cluster.register_tenant(TenantSpec("vip", QoSClass.INTERACTIVE, 1))
+        cluster.register_tenant(TenantSpec("batch", QoSClass.BULK, 1))
+        for address in range(3):  # three keys placed, buffer at the watermark
+            cluster.write("vip", address, bits_of(address + 1))
+        assert cluster.nodes[0].occupancy >= cluster.bulk_watermark
+
+        async def scenario():
+            frontend = ClusterFrontend(cluster, maintenance_interval=60.0)
+            await frontend.start()
+            try:
+                for address in (0, 1):
+                    response = await frontend._handle_write(
+                        {"address": address, "payload": encode_payload(bits_of(9))},
+                        "batch",
+                    )
+                    assert response["status"] == "queued", response
+                await frontend.join_queues()
+            finally:
+                await frontend.stop()
+
+        asyncio.run(scenario())
+        telemetry = cluster.telemetry
+        assert telemetry.metrics.counter_value(
+            "frontend_drain_errors_total", error="ClusterCapacityError"
+        ) == 1
+        errors = [e for e in telemetry.events if e["event"] == "drain_error"]
+        assert [(e["tenant"], e["address"]) for e in errors] == [("batch", 1)]
+
     def test_loopback_selftest_is_clean(self):
         cluster = make_cluster()
         summary = asyncio.run(loopback_selftest(cluster, ops_per_tenant=12))

@@ -19,7 +19,6 @@ import repro
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.fleet import (
-    CampaignAggregate,
     CampaignSpec,
     SchemeAggregate,
     default_fleet_slos,

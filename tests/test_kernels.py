@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime
-from repro.sim import kernels
 from repro.sim.block_sim import (
     block_lifetime,
     block_lifetime_study,
@@ -49,21 +48,28 @@ KERNEL_SPECS = [
     aegis_spec(17, 31, 512),
     aegis_spec(23, 23, 512),
     aegis_spec(9, 31, 256),
-    ecp_spec(6, 512),
-    ecp_spec(2, 256),
     safer_spec(64, 512),
     safer_spec(32, 512, policy="exhaustive"),
     hamming_spec(512),
     no_protection_spec(512),
 ]
 
-#: schemes no kernel covers: sampled/stateful checkers, out-of-range Aegis
+#: ECP has no kernel: its scalar loop outruns a lock-step batch
+ECP_SPECS = [ecp_spec(6, 512), ecp_spec(2, 256)]
+
+#: schemes no kernel covers: sampled/stateful checkers, out-of-range
+#: Aegis, and ECP
 FALLBACK_SPECS = [
     aegis_spec(8, 71, 512),  # 71 slopes exceed the uint64 poisoned bitset
+    *ECP_SPECS,
     aegis_rw_p_spec(9, 61, 9, 512),
     safer_cache_spec(64, 512),
     rdis_spec(512),
 ]
+
+#: the engine switch must stay bit-identical on these end to end: every
+#: kernel family, plus the Fig. 5 roster's kernel-less ECP rows
+ENGINE_SPECS = KERNEL_SPECS + ECP_SPECS
 
 _IDS = lambda s: s.key  # noqa: E731
 
@@ -97,7 +103,7 @@ class TestEngineResolution:
 
 
 class TestFailureCurveEquivalence:
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_IDS)
+    @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=_IDS)
     @pytest.mark.parametrize("seed", [2013, 77])
     def test_curves_are_bit_identical(self, spec, seed):
         scalar = failure_curve(spec, trials=40, seed=seed, engine="scalar")
@@ -112,7 +118,7 @@ class TestFailureCurveEquivalence:
 
     @pytest.mark.parametrize(
         "spec",
-        [aegis_spec(9, 61, 512), ecp_spec(6, 512), safer_spec(64, 512)],
+        [aegis_spec(9, 61, 512), safer_spec(64, 512)],
         ids=_IDS,
     )
     def test_death_histogram_matches_scalar_loop(self, spec):
@@ -129,7 +135,7 @@ class TestFailureCurveEquivalence:
 
 
 class TestLifetimeEquivalence:
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_IDS)
+    @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=_IDS)
     def test_study_is_bit_identical(self, spec):
         scalar = block_lifetime_study(spec, trials=25, seed=3, engine="scalar")
         vector = block_lifetime_study(spec, trials=25, seed=3, engine="vector")
@@ -157,7 +163,7 @@ class TestLifetimeEquivalence:
 
 
 class TestPageEquivalence:
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_IDS)
+    @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=_IDS)
     @pytest.mark.parametrize("seed", [17, 2013])
     def test_page_study_is_bit_identical(self, spec, seed):
         scalar = run_page_study(
@@ -234,7 +240,6 @@ class TestCompaction:
         "spec",
         [
             aegis_spec(9, 61, 512),
-            ecp_spec(6, 512),
             safer_spec(64, 512),
             safer_spec(32, 512, policy="exhaustive"),
             hamming_spec(512),

@@ -23,7 +23,6 @@ from repro.sim.parallel import (
     StudyRunner,
     _chunked,
     resolve_workers,
-    simulate_task_page,
     simulate_task_pages,
 )
 from repro.sim.rng import rng_for
@@ -88,7 +87,7 @@ class TestSpecPicklability:
             inversion_wear_rate=0.25,
         )
         clone = pickle.loads(pickle.dumps(task))
-        assert simulate_task_page(clone, 0) == simulate_task_page(task, 0)
+        assert simulate_task_pages(clone, (0,))[0] == simulate_task_pages(task, (0,))[0]
 
 
 class TestWorkerResolution:
@@ -126,8 +125,27 @@ class TestExecutorOrdering:
         indices = list(range(3 * DEFAULT_CHUNK_PAGES + 1))
         with SimExecutor(2) as executor:
             pooled = executor.run_pages(task, indices)
-        serial = [simulate_task_page(task, i) for i in indices]
+        serial = [simulate_task_pages(task, (i,))[0] for i in indices]
         assert pooled == serial
+
+    def test_serial_request_is_one_batched_call(self, monkeypatch):
+        """Without a pool the whole request is one chunk: the page batch
+        kernels see every page at once."""
+        import repro.sim.parallel as parallel_mod
+
+        calls = []
+
+        def counting(task, indices):
+            calls.append(indices)
+            return simulate_task_pages(task, indices)
+
+        monkeypatch.setattr(parallel_mod, "simulate_task_pages", counting)
+        task = _page_task(seed=4, blocks=2)
+        indices = range(3 * DEFAULT_CHUNK_PAGES + 1)
+        with SimExecutor(1) as executor:
+            results = executor.run_pages(task, indices)
+        assert calls == [tuple(indices)]
+        assert results == simulate_task_pages(task, tuple(indices))
 
     def test_empty_index_list(self):
         task = PageTask(
@@ -195,6 +213,19 @@ class TestObserverForcesSerial:
         assert len(fatal) == 4
         total_faults = sum(r.faults_recovered for r in study.results)
         assert len(events) == total_faults + 4
+
+    def test_observer_sees_only_accepted_pages_under_stopping(self):
+        """Sequential stopping with an observer: the observer hears about
+        exactly the pages the study keeps, never a discarded wave tail."""
+        kwargs = dict(
+            n_pages=8, blocks_per_page=4, seed=13, target_relative_ci=0.15, max_pages=64
+        )
+        events = []
+        observed = run_page_study(ecp_spec(2, 512), observer=events.append, **kwargs)
+        plain = run_page_study(ecp_spec(2, 512), workers=2, **kwargs)
+        assert 8 < len(observed.results) < 64
+        assert observed.results == plain.results
+        assert sum(event.fatal for event in events) == len(observed.results)
 
     def test_observer_run_matches_unobserved_run(self):
         plain = run_page_study(
@@ -304,7 +335,7 @@ class TestImapChunks:
         task = _page_task()
         chunks = [(0, 1), (2, 3, 4), (5,), (6, 7)]
         expected = [
-            [simulate_task_page(task, index) for index in chunk] for chunk in chunks
+            [simulate_task_pages(task, (index,))[0] for index in chunk] for chunk in chunks
         ]
         with SimExecutor(1) as serial:
             assert (
@@ -390,7 +421,7 @@ class TestPersistentPool:
             pooled = executor.run_pages(task, range(4))
             executor.run_pages(task, range(4))
             started = executor._pool is not None
-        assert pooled == [simulate_task_page(task, index) for index in range(4)]
+        assert pooled == [simulate_task_pages(task, (index,))[0] for index in range(4)]
         if started:
             marks = list(tmp_path.iterdir())
             # one marker per worker process, never per scatter or per chunk
@@ -403,4 +434,4 @@ class TestPersistentPool:
         runner.close()
         # the borrowed executor must still be usable after the study closes
         task = _page_task(seed=2, blocks=2)
-        assert executor.run_pages(task, [0]) == [simulate_task_page(task, 0)]
+        assert executor.run_pages(task, [0]) == [simulate_task_pages(task, (0,))[0]]

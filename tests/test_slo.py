@@ -7,8 +7,6 @@ migrations, and every series/verdict/alert surface is bit-identical
 across worker counts and drain engines.
 """
 
-import json
-
 import pytest
 
 from repro.errors import ConfigurationError

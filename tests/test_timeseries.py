@@ -9,7 +9,6 @@ drain engines.
 import itertools
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
