@@ -18,10 +18,13 @@ Two families exist:
   slope, so the block lives while fewer than ``B`` slopes are poisoned.
 * **sampled** checkers, for schemes whose recoverability depends on the
   written data (Aegis-rw/-rw-p, SAFER-cache, RDIS, Hamming): each fault
-  arrival draws ``samples`` random data patterns at the fault positions —
-  standing in for the millions of real writes that hit the block before
-  the next fault arrives — and the block dies on the first unrecoverable
-  pattern, exactly the paper's failure criterion.
+  arrival draws ``samples`` random data patterns at the fault positions in
+  one generator call — standing in for the millions of real writes that hit
+  the block before the next fault arrives — and the block dies if any
+  pattern is unrecoverable, exactly the paper's failure criterion.  An
+  arrival's patterns are decided as a whole, in numpy passes (Aegis-rw
+  poisoned sets are ``ceil(B / 64)``-word bitsets, so ``B > 63`` works);
+  draws never run ahead of the arrival, as callers share the generator.
 
 Every checker is cross-validated against its bit-accurate controller in
 ``tests/test_checkers.py``.
@@ -35,7 +38,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.collision import NO_COLLISION, collision_rom_for
+from repro.core.collision import NO_COLLISION, CollisionROM, collision_rom_for
 from repro.core.geometry import Rectangle
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
@@ -58,11 +61,22 @@ class BlockChecker(Protocol):
         Empty for schemes without group inversion."""
 
 
-def _draw_patterns(
-    rng: np.random.Generator, samples: int, n_faults: int
-) -> np.ndarray:
+def _draw_patterns(rng: np.random.Generator, samples: int, n_faults: int) -> np.ndarray:
     """Random data bits at the fault positions, shape ``(samples, n_faults)``."""
     return rng.integers(0, 2, size=(samples, n_faults), dtype=np.uint8)
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:  # no draws, no failing pattern: an immortal block
+        raise ConfigurationError(f"a sampled checker needs samples >= 1, got {samples}")
+
+
+@lru_cache(maxsize=64)
+def _pair_indices(n: int) -> np.ndarray:
+    """Cached, sealed ``np.triu_indices(n, k=1)``: it outweighs a small pattern check."""
+    pairs = np.array(np.triu_indices(n, k=1))
+    pairs.flags.writeable = False
+    return pairs
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +177,7 @@ class AegisRwChecker:
         rng: np.random.Generator,
         samples: int = DEFAULT_SAMPLES,
     ) -> None:
+        _check_samples(samples)
         self.rect = rect
         self.rng = rng
         self.samples = samples
@@ -170,10 +185,6 @@ class AegisRwChecker:
         self._partition = partition_for(rect)
         self.fault_offsets: list[int] = []
         self.alive = True
-
-    def _pair_matrix(self) -> np.ndarray:
-        offs = np.asarray(self.fault_offsets, dtype=np.int64)
-        return self._rom._table[np.ix_(offs, offs)]
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
@@ -184,9 +195,10 @@ class AegisRwChecker:
         # max cross pairs over any W/R split; below B no pattern can fail
         if (f // 2) * ((f + 1) // 2) < b:
             return True
-        matrix = self._pair_matrix()
         wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
-        self.alive = not _any_pattern_covers_all_slopes(matrix, wrong, b)
+        poisoned = _poisoned_slopes(self._rom, self.fault_offsets, wrong)
+        # a pattern fails when its split poisons all B slopes
+        self.alive = not (np.bitwise_count(poisoned).sum(axis=1) == b).any()
         return self.alive
 
     def group_members(self, offset: int) -> np.ndarray:
@@ -194,22 +206,21 @@ class AegisRwChecker:
         return np.empty(0, dtype=np.int64)
 
 
-def _any_pattern_covers_all_slopes(
-    matrix: np.ndarray, wrong: np.ndarray, b_size: int
-) -> bool:
-    """True when some sampled W/R split poisons every slope.
-
-    ``matrix`` is the f x f pairwise collision-slope table; ``wrong`` is a
-    (samples, f) boolean W-mask per pattern.
-    """
-    cross = wrong[:, :, None] ^ wrong[:, None, :]
-    valid = matrix >= 0
-    k_idx, i_idx, j_idx = np.nonzero(cross & valid[None, :, :])
-    if k_idx.size == 0:
-        return False
-    poisoned = np.zeros((wrong.shape[0], b_size), dtype=bool)
-    poisoned[k_idx, matrix[i_idx, j_idx]] = True
-    return bool(poisoned.all(axis=1).any())
+def _poisoned_slopes(rom: CollisionROM, offsets: list[int], wrong: np.ndarray) -> np.ndarray:
+    """Poisoned-slope bitsets, ``(samples, ceil(B / 64))`` ``uint64`` words, of
+    the W/R splits ``wrong`` (``(samples, f)``): the OR of ``1 << slope`` over a
+    split's ``i < j`` cross pairs (Theorem 2; the ROM is symmetric)."""
+    offs = np.asarray(offsets, dtype=np.int64)
+    i, j = _pair_indices(offs.size)
+    slopes = rom._table[offs[i], offs[j]]  # NO_COLLISION (-1) lands in no word
+    by_fault = wrong.T.copy()  # row gathers beat column gathers
+    cross = by_fault[i] != by_fault[j]  # (pairs, samples)
+    bits = np.uint64(1) << (slopes & 63).astype(np.uint64)
+    words = np.empty((wrong.shape[0], -(-rom.rect.b_size // 64)), dtype=np.uint64)
+    for word in range(words.shape[1]):
+        in_word = np.where(slopes >> 6 == word, bits, np.uint64(0))
+        words[:, word] = np.bitwise_or.reduce(cross * in_word[:, None], axis=0)
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +228,7 @@ def _any_pattern_covers_all_slopes(
 # ---------------------------------------------------------------------------
 
 
-class AegisRwPChecker:
+class AegisRwPChecker(AegisRwChecker):
     """Sampled survival for Aegis-rw-p with a ``p``-pointer budget.
 
     A pattern is recoverable iff some unpoisoned slope exists at which the
@@ -236,14 +247,8 @@ class AegisRwPChecker:
     ) -> None:
         if pointers < 1:
             raise ConfigurationError("Aegis-rw-p needs at least one pointer")
-        self.rect = rect
+        super().__init__(rect, rng, samples)
         self.pointers = pointers
-        self.rng = rng
-        self.samples = samples
-        self._rom = collision_rom_for(rect)
-        self._partition = partition_for(rect)
-        self.fault_offsets: list[int] = []
-        self.alive = True
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
@@ -253,51 +258,28 @@ class AegisRwPChecker:
         b = self.rect.b_size
         if f <= self.pointers and (f // 2) * ((f + 1) // 2) < b:
             return True  # every split fits the budget and leaves a free slope
-        offs = np.asarray(self.fault_offsets, dtype=np.int64)
-        matrix = self._rom._table[np.ix_(offs, offs)]
-        # fault group IDs under every slope: (B, f)
-        groups = self._partition._table[:, offs]
         wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
-        for pattern in wrong:
-            if not self._pattern_recoverable(matrix, groups, pattern, b):
-                self.alive = False
-                return False
-        return True
-
-    def _pattern_recoverable(
-        self,
-        matrix: np.ndarray,
-        groups: np.ndarray,
-        wrong: np.ndarray,
-        b_size: int,
-    ) -> bool:
-        f_w = int(wrong.sum())
-        f_r = wrong.size - f_w
-        if f_w == 0:
-            return True  # nothing to invert
-        # poisoned slopes of this split
-        cross = wrong[:, None] ^ wrong[None, :]
-        slopes = matrix[cross & (matrix >= 0)]
-        poisoned = np.zeros(b_size, dtype=bool)
-        poisoned[slopes] = True
-        unpoisoned = np.flatnonzero(~poisoned)
-        if unpoisoned.size == 0:
-            return False
-        if min(f_w, f_r) <= self.pointers:
-            return True  # any unpoisoned slope fits
-        # count distinct W groups and R groups per unpoisoned slope
-        w_groups = groups[np.ix_(unpoisoned, np.flatnonzero(wrong))]
-        r_groups = groups[np.ix_(unpoisoned, np.flatnonzero(~wrong))]
-        for w_row, r_row in zip(w_groups, r_groups):
-            if len(np.unique(w_row)) <= self.pointers:
-                return True
-            if len(np.unique(r_row)) <= self.pointers:
-                return True
-        return False
-
-    def group_members(self, offset: int) -> np.ndarray:
-        """Single-pass writes: no extra inversion wear."""
-        return np.empty(0, dtype=np.int64)
+        poisoned = _poisoned_slopes(self._rom, self.fault_offsets, wrong)
+        recoverable = np.bitwise_count(poisoned).sum(axis=1) < b
+        # min(f_W, f_R) <= p (f_W == 0 included, as p >= 1) fits at any free
+        # slope; only the other patterns need per-slope group counts
+        f_w = wrong.sum(axis=1)
+        hard = recoverable & (np.minimum(f_w, f - f_w) > self.pointers)
+        if hard.any() and recoverable.all():
+            slopes = np.arange(b)
+            free = (poisoned[hard][:, slopes >> 6] >> (slopes & 63).astype(np.uint64)) & 1 == 0
+            # name groups by their first fault; one matmul with the one-hot
+            # (fault, name * B + slope) table counts W, then R, faults per group
+            groups = self._partition._table[:, self.fault_offsets]
+            first = (groups[:, :, None] == groups[:, None, :]).argmax(axis=2)
+            onehot = np.zeros((f, f * b), dtype=np.float32)
+            onehot[np.arange(f)[None, :], first * b + slopes[:, None]] = 1
+            counts = np.concatenate([wrong[hard], ~wrong[hard]]).astype(np.float32) @ onehot
+            distinct = (counts.reshape(-1, f, b) > 0).sum(axis=1, dtype=np.int16)
+            fits = (distinct <= self.pointers).reshape(2, -1, b).any(axis=0)
+            recoverable[hard] = (fits & free).any(axis=1)
+        self.alive = bool(recoverable.all())
+        return self.alive
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +397,9 @@ class SaferCacheChecker:
             raise ConfigurationError(
                 f"SAFER group count must be a power of two >= 2, got {group_count}"
             )
+        if group_count > n_bits:
+            raise ConfigurationError("SAFER cannot use more groups than block bits")
+        _check_samples(samples)
         self.n_bits = n_bits
         self.group_count = group_count
         self.rng = rng
@@ -433,16 +418,29 @@ class SaferCacheChecker:
         # no early-out even at small f: the vector must grow in response to
         # the sampled traffic, exactly as the hardware's would
         wrong_masks = _draw_patterns(self.rng, self.samples, f).astype(bool)
-        for wrong_mask in wrong_masks:
-            wrong = [o for o, w in zip(self.fault_offsets, wrong_mask) if w]
-            right = [o for o, w in zip(self.fault_offsets, wrong_mask) if not w]
+        offs = np.asarray(self.fault_offsets, dtype=np.int64)
+        start = 0
+        while start < self.samples:
+            # a pattern without W/R mixing leaves the vector as it is, so
+            # only the first mixing pattern from ``start`` can grow it
+            positions = np.asarray(self.positions, dtype=np.int64)
+            ids = ((offs[:, None] >> positions) & 1) @ (1 << np.arange(positions.size))
+            onehot = (ids[:, None] == np.arange(1 << positions.size)).astype(np.float32)
+            w_count = wrong_masks[start:].astype(np.float32) @ onehot
+            mixing = ((w_count > 0) & (w_count < onehot.sum(axis=0))).any(axis=1)
+            if not mixing.any():
+                break
+            start += int(mixing.argmax())
+            wrong = wrong_masks[start]
             grown = grow_vector_for_mixing(
-                self.positions, wrong, right, self.max_positions, self.addr_bits
+                self.positions, offs[wrong].tolist(), offs[~wrong].tolist(),
+                self.max_positions, self.addr_bits,
             )
             if grown is None:
                 self.alive = False
                 return False
             self.positions = grown
+            start += 1
         return True
 
     def group_members(self, offset: int) -> np.ndarray:
@@ -500,6 +498,7 @@ class RdisChecker:
             raise ConfigurationError("RdisChecker bitmask fast path caps dims at 63")
         if depth < 2:
             raise ConfigurationError("RDIS needs depth >= 2")
+        _check_samples(samples)
         self.n_bits = n_bits
         self.rows = rows
         self.cols = cols
@@ -650,6 +649,7 @@ class AegisDynamicChecker:
         rng: np.random.Generator,
         samples: int = 32,
     ) -> None:
+        _check_samples(samples)
         self.rect = rect
         self.rng = rng
         self.samples = samples

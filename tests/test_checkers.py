@@ -16,29 +16,38 @@ compare verdicts:
   fault sets.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core.aegis import AegisScheme
 from repro.core.aegis_rw import AegisRwScheme
+from repro.core.collision import collision_rom_for
 from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
-from repro.errors import UncorrectableError
+from repro.core.partition import partition_for
+from repro.errors import ConfigurationError, UncorrectableError
 from repro.pcm.cell import CellArray
 from repro.schemes.rdis import rdis_mask
-from repro.schemes.safer import SaferScheme
+from repro.schemes.safer import SaferScheme, grow_vector_for_mixing
+from repro.sim import roster
 from repro.sim.checkers import (
     AegisChecker,
     AegisDynamicChecker,
     AegisRwChecker,
+    AegisRwPChecker,
     EcpChecker,
     HammingChecker,
     NoProtectionChecker,
+    RdisChecker,
     SaferCacheChecker,
     SaferChecker,
     SaferIncrementalChecker,
     _any_rdis_failure,
+    _poisoned_slopes,
 )
+from repro.sim.page_sim import run_page_study
 from tests.conftest import random_data
 
 
@@ -202,15 +211,12 @@ class TestSampledCheckers:
         offsets = [int(o) for o in rng.choice(512, size=18, replace=False)]
         for offset in offsets:
             checker.add_fault(offset, 0)
-        from repro.core.collision import collision_rom_for
-        from repro.sim.checkers import _any_pattern_covers_all_slopes
-
         rom = collision_rom_for(rect)
         offs = np.asarray(checker.fault_offsets)
-        matrix = rom._table[np.ix_(offs, offs)]
         for _ in range(30):
             wrong = rng.integers(0, 2, size=(1, offs.size), dtype=np.uint8).astype(bool)
-            fails = _any_pattern_covers_all_slopes(matrix, wrong, rect.b_size)
+            poisoned = _poisoned_slopes(rom, checker.fault_offsets, wrong)
+            fails = int(np.bitwise_count(poisoned).sum()) == rect.b_size
             w = [int(o) for o, flag in zip(offs, wrong[0]) if flag]
             r = [int(o) for o, flag in zip(offs, wrong[0]) if not flag]
             assert fails == (rom.find_rw_slope(w, r) is None)
@@ -220,8 +226,6 @@ class TestSampledCheckers:
         form = formation(23, 23, 512)
         offsets = [int(o) for o in rng.choice(512, size=16, replace=False)]
         stuck = {o: int(rng.integers(0, 2)) for o in offsets}
-        from repro.core.collision import collision_rom_for
-
         rom = collision_rom_for(form.rect)
         for _ in range(20):
             data = random_data(rng, 512)
@@ -291,8 +295,6 @@ class TestSaferCacheChecker:
     def test_agrees_with_controller_per_pattern(self, rng):
         """Feed the same faults; when the checker dies, the controller with
         the same grown vector must fail on some sampled data pattern."""
-        from repro.schemes.safer import grow_vector_for_mixing
-
         for trial in range(5):
             stream = np.random.default_rng(600 + trial)
             checker = SaferCacheChecker(
@@ -366,3 +368,254 @@ class TestDynamicAblation:
             assert d_static is not None
             if d_dynamic is not None:
                 assert d_dynamic >= d_static
+
+
+# ---------------------------------------------------------------------------
+# Whole-sample verdicts against per-pattern oracles
+# ---------------------------------------------------------------------------
+
+#: the Aegis-rw(-p) rectangles and pointer budgets of Figs. 11-13; 8x71
+#: has more slopes than one uint64 word holds
+RW_RECTANGLES = roster.RW_P_CHOICES
+_RECT_IDS = [f"{a}x{b}" for a, b, _ in RW_RECTANGLES]
+
+
+def fault_feed(seed: int, n_bits: int = 512) -> list[tuple[int, int]]:
+    stream = np.random.default_rng(seed)
+    offsets = stream.permutation(n_bits).tolist()
+    return list(zip(offsets, stream.integers(0, 2, size=n_bits).tolist()))
+
+
+def replay_draws(checker, faults):
+    """Feed ``faults`` to a sampled checker until it dies.  For every
+    arrival that drew patterns, yield ``(alive, offsets, wrong)``: the
+    verdict, the fault offsets so far, and the arrival's ``(samples, f)``
+    W-masks redrawn from a copy of the generator taken before it."""
+    for offset, stuck in faults:
+        mirror = copy.deepcopy(checker.rng)
+        alive = checker.add_fault(offset, stuck)
+        if checker.rng.bit_generator.state != mirror.bit_generator.state:
+            shape = (checker.samples, len(checker.fault_offsets))
+            wrong = mirror.integers(0, 2, size=shape, dtype=np.uint8).astype(bool)
+            assert mirror.bit_generator.state == checker.rng.bit_generator.state
+            yield alive, list(checker.fault_offsets), wrong
+        if not alive:
+            return
+    raise AssertionError("the block outlived every fault")
+
+
+def split(offsets, wrong_row):
+    wrong = [o for o, w in zip(offsets, wrong_row) if w]
+    right = [o for o, w in zip(offsets, wrong_row) if not w]
+    return wrong, right
+
+
+def reference_rw_p_recoverable(rect, pointers, offsets, wrong) -> bool:
+    """Aegis-rw-p predicate for one W-mask, decided slope by slope: some
+    unpoisoned slope where the W groups or the R groups fit ``pointers``."""
+    offs = np.asarray(offsets, dtype=np.int64)
+    matrix = collision_rom_for(rect)._table[np.ix_(offs, offs)]
+    groups = partition_for(rect)._table[:, offs]
+    f_w = int(wrong.sum())
+    f_r = wrong.size - f_w
+    if f_w == 0:
+        return True
+    cross = wrong[:, None] ^ wrong[None, :]
+    poisoned = np.zeros(rect.b_size, dtype=bool)
+    poisoned[matrix[cross & (matrix >= 0)]] = True
+    unpoisoned = np.flatnonzero(~poisoned)
+    if unpoisoned.size == 0:
+        return False
+    if min(f_w, f_r) <= pointers:
+        return True
+    w_groups = groups[np.ix_(unpoisoned, np.flatnonzero(wrong))]
+    r_groups = groups[np.ix_(unpoisoned, np.flatnonzero(~wrong))]
+    return any(
+        len(np.unique(w_row)) <= pointers or len(np.unique(r_row)) <= pointers
+        for w_row, r_row in zip(w_groups, r_groups)
+    )
+
+
+class TestWholeSampleVerdicts:
+    @pytest.mark.parametrize("a_size,b_size,_", RW_RECTANGLES, ids=_RECT_IDS)
+    def test_aegis_rw_poisoned_sets_match_rom(self, a_size, b_size, _):
+        """Every pattern's poisoned bitset is the ROM's W x R slope set, at
+        fault counts from just below the analytic threshold (the first
+        count whose best split has ``B`` cross pairs) to well past it."""
+        rect = formation(a_size, b_size, 512).rect
+        rom = collision_rom_for(rect)
+        threshold = next(f for f in range(2, 512) if (f // 2) * ((f + 1) // 2) >= b_size)
+        stream = np.random.default_rng(b_size)
+        verdicts = set()
+        for f in (threshold - 1, threshold, 2 * threshold, 3 * threshold):
+            offsets = stream.permutation(512)[:f].tolist()
+            wrong = stream.integers(0, 2, size=(48, f), dtype=np.uint8).astype(bool)
+            words = _poisoned_slopes(rom, offsets, wrong)
+            assert words.shape == (48, -(-b_size // 64))
+            for row, pattern in zip(words, wrong):
+                w, r = split(offsets, pattern)
+                got = [s for s in range(b_size) if int(row[s // 64]) >> (s % 64) & 1]
+                assert got == rom.poisoned_slopes(w, r).tolist()
+                dead = rom.find_rw_slope(w, r) is None
+                assert dead == (len(got) == b_size)
+                verdicts.add(dead)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("a_size,b_size,_", RW_RECTANGLES, ids=_RECT_IDS)
+    def test_aegis_rw_checker_matches_find_rw_slope(self, a_size, b_size, _):
+        rect = formation(a_size, b_size, 512).rect
+        rom = collision_rom_for(rect)
+        for seed in range(3):
+            checker = AegisRwChecker(rect, np.random.default_rng(seed), samples=32)
+            for alive, offsets, wrong in replay_draws(checker, fault_feed(100 + seed)):
+                oracle = all(rom.find_rw_slope(*split(offsets, row)) is not None for row in wrong)
+                assert alive == oracle
+
+    @pytest.mark.parametrize("a_size,b_size,pointers", RW_RECTANGLES, ids=_RECT_IDS)
+    def test_aegis_rw_p_checker_matches_reference(self, a_size, b_size, pointers):
+        """Both verdicts occur per pattern, and the group-counting stage
+        (both sides over the pointer budget) is reached."""
+        rect = formation(a_size, b_size, 512).rect
+        pattern_verdicts, counted = set(), False
+        for seed in range(3):
+            checker = AegisRwPChecker(rect, pointers, np.random.default_rng(seed), samples=32)
+            for alive, offsets, wrong in replay_draws(checker, fault_feed(200 + seed)):
+                per_pattern = [
+                    reference_rw_p_recoverable(rect, pointers, offsets, row) for row in wrong
+                ]
+                assert alive == all(per_pattern)
+                pattern_verdicts.update(per_pattern)
+                f_w = wrong.sum(axis=1)
+                counted |= bool((np.minimum(f_w, len(offsets) - f_w) > pointers).any())
+        assert pattern_verdicts == {True, False}
+        assert counted
+
+    @pytest.mark.parametrize("group_count", [32, 64, 128])
+    def test_safer_cache_checker_matches_sequential_growth(self, group_count):
+        """The vector and the verdict equal a grow_vector_for_mixing call
+        per pattern, in pattern order."""
+        max_positions, addr_bits = group_count.bit_length() - 1, 9
+        for seed in range(4):
+            checker = SaferCacheChecker(512, group_count, np.random.default_rng(seed))
+            positions, grew = (), 0
+            for alive, offsets, wrong in replay_draws(checker, fault_feed(300 + seed)):
+                oracle = True
+                for row in wrong:
+                    grown = grow_vector_for_mixing(
+                        positions, *split(offsets, row), max_positions, addr_bits
+                    )
+                    if grown is None:
+                        oracle = False
+                        break
+                    grew += grown != positions
+                    positions = grown
+                assert alive == oracle
+                if alive:
+                    assert checker.positions == positions
+            assert grew >= 2
+
+    def test_consecutive_mixing_patterns_each_grow_the_vector(self):
+        """Pattern 0 mixes faults 4 and 2 (grow bit 1); under (1,) pattern 1
+        still mixes faults 0 and 4 (grow bit 2).  Random draws almost never
+        line two growths up back to back, so they are scripted here."""
+
+        class ScriptedDraws:
+            def __init__(self, patterns):
+                self.patterns = iter(patterns)
+
+            def integers(self, low, high, size, dtype):
+                pattern = np.asarray(next(self.patterns), dtype=dtype)
+                assert pattern.shape == size
+                return pattern
+
+        draws = ScriptedDraws([[[0], [0]], [[0, 0], [0, 0]], [[1, 0, 1], [1, 1, 0]]])
+        checker = SaferCacheChecker(512, 64, draws, samples=2)
+        assert feed_faults(checker, [(0, 0), (2, 0), (4, 0)]) is None
+        assert checker.positions == (1, 2)
+
+
+class TestSampledCheckerConfiguration:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: AegisRwChecker(rectangle_for(512, 31), rng, samples=0),
+            lambda rng: AegisRwPChecker(rectangle_for(512, 61), 9, rng, samples=0),
+            lambda rng: SaferCacheChecker(512, 64, rng, samples=0),
+            lambda rng: RdisChecker(512, 23, 23, 3, rng, samples=0),
+            lambda rng: AegisDynamicChecker(rectangle_for(512, 23), rng, samples=-1),
+        ],
+        ids=["aegis-rw", "aegis-rw-p", "safer-cache", "rdis", "aegis-dynamic"],
+    )
+    def test_samples_below_one_rejected(self, make):
+        with pytest.raises(ConfigurationError, match="samples >= 1"):
+            make(np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            roster.aegis_rw_spec(17, 31, 512, samples=0),
+            roster.rdis_spec(512, samples=0),
+            roster.safer_cache_spec(64, 512, samples=0),
+        ],
+        ids=lambda spec: spec.key,
+    )
+    def test_page_study_with_zero_samples_raises_typed_error(self, spec):
+        """No draws would make an immortal block; the study must say so
+        instead of running the page loop out."""
+        with pytest.raises(ConfigurationError):
+            run_page_study(spec, n_pages=1, blocks_per_page=1, seed=1, workers=1)
+
+    def test_safer_cache_rejects_more_groups_than_bits(self):
+        with pytest.raises(ConfigurationError, match="more groups than block bits"):
+            SaferCacheChecker(64, 128, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Pinned draws: the checkers' generator use is part of the results contract
+# ---------------------------------------------------------------------------
+
+PINNED_SPECS = {
+    "aegis-rw-17x31": lambda: roster.aegis_rw_spec(17, 31, 512),
+    "aegis-rw-9x61": lambda: roster.aegis_rw_spec(9, 61, 512),
+    "aegis-rw-8x71": lambda: roster.aegis_rw_spec(8, 71, 512),
+    "aegis-rw-p-23x23-p4": lambda: roster.aegis_rw_p_spec(23, 23, 4, 512),
+    "aegis-rw-p-9x61-p9": lambda: roster.aegis_rw_p_spec(9, 61, 9, 512),
+    "aegis-rw-p-8x71-p9": lambda: roster.aegis_rw_p_spec(8, 71, 9, 512),
+    "rdis-3": lambda: roster.rdis_spec(512),
+    "safer64-cache": lambda: roster.safer_cache_spec(64, 512),
+    "safer128-cache": lambda: roster.safer_cache_spec(128, 512),
+}
+
+#: (index of the fatal fault, PCG64 state afterwards) for
+#: ``fault_feed(2013)`` into a checker on ``default_rng(14)``, recorded from
+#: the per-pattern checkers; a changed draw order or count changes these
+PINNED_DRAWS = {
+    "aegis-rw-17x31": (18, 0x22B3DE1C32E5DE97F717CAC395CB909A),
+    "aegis-rw-9x61": (25, 0xD7B98B42A616E25BBCE8ED5C81C1AC2A),
+    "aegis-rw-8x71": (30, 0x1C93F10D17285E33228397BC4B2C32DA),
+    "aegis-rw-p-23x23-p4": (10, 0xD7CC49CAB05781C8863217823DF2E1DA),
+    "aegis-rw-p-9x61-p9": (22, 0xD7B98B42A616E25BBCE8ED5C81C1AC2A),
+    "aegis-rw-p-8x71-p9": (22, 0xD7B98B42A616E25BBCE8ED5C81C1AC2A),
+    "rdis-3": (18, 0x46274FCB244EF35E34491D22B62F39DA),
+    "safer64-cache": (10, 0x6C6EF047C67A60C0B5942C4C752B80BA),
+    "safer128-cache": (14, 0xAD77FB691897C8CE438375D901710DDA),
+}
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("key", sorted(PINNED_DRAWS))
+    def test_generator_state_after_fixed_feed(self, key):
+        rng = np.random.default_rng(14)
+        checker = PINNED_SPECS[key]().make_checker(rng)
+        death = feed_faults(checker, fault_feed(2013))
+        assert (death, rng.bit_generator.state["state"]["state"]) == PINNED_DRAWS[key]
+
+    def test_sampled_canaries_match_recorded_scalar_digests(self):
+        """The stack benchmark's canary study (2 pages x 8 blocks, seed
+        2013) for every ``study-sampled`` scheme, on both engines, against
+        the digests recorded in ``perfbench/scalar_digests.json``."""
+        from perfbench import study
+
+        for key, factory in study.SAMPLED.items():
+            for engine in ("scalar", "auto"):
+                assert study.canary_digest(factory(), engine) == study.RECORDED[key], (key, engine)

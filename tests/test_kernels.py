@@ -33,6 +33,7 @@ from repro.sim.page_sim import run_page_study, simulate_page, simulate_pages
 from repro.sim.rng import rng_for
 from repro.sim.roster import (
     aegis_rw_p_spec,
+    aegis_rw_spec,
     aegis_spec,
     ecp_spec,
     hamming_spec,
@@ -62,7 +63,10 @@ ECP_SPECS = [ecp_spec(6, 512), ecp_spec(2, 256)]
 FALLBACK_SPECS = [
     aegis_spec(8, 71, 512),  # 71 slopes exceed the uint64 poisoned bitset
     *ECP_SPECS,
+    aegis_rw_spec(9, 61, 512),
+    aegis_rw_spec(8, 71, 512),
     aegis_rw_p_spec(9, 61, 9, 512),
+    aegis_rw_p_spec(8, 71, 9, 512),
     safer_cache_spec(64, 512),
     rdis_spec(512),
 ]
