@@ -8,7 +8,7 @@ Three contracts are asserted and recorded to ``BENCH_cluster.json``:
 * **worker invariance** — the audit digest and snapshot digest must be
   bit-identical across the worker ladder (stream pre-generation is the
   only parallel stage; the drive loop is clocked by the schedule);
-* **engine invariance** — scalar and vector drains must produce the
+* **engine invariance** — the scalar and auto engines must produce the
   identical digests;
 * **audit integrity** — zero read-after-write audit failures even though
   one array is drained mid-run and its keys live-migrate.

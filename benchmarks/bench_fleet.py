@@ -132,7 +132,6 @@ def _digest_ladder(pages: int, tmp_dir: Path) -> dict:
         ("workers=2", ExecContext(seed=SEED, workers=2)),
         ("workers=4", ExecContext(seed=SEED, workers=4)),
         ("engine=scalar", ExecContext(seed=SEED, workers=1, engine="scalar")),
-        ("engine=vector", ExecContext(seed=SEED, workers=1, engine="vector")),
     ):
         report = run_campaign(spec, ctx)
         runs.append({"run": label, "digest": report.digest})

@@ -9,9 +9,9 @@ so the serving path's performance trajectory is tracked from PR to PR:
   healthy blocks; this is the service layer's kernel contract, gated the
   same way ``bench_sim.py`` gates its 3x kernel floor;
 * an **engine ladder** — the full ``run_load`` generator at ``workers=1``
-  with ``engine="scalar"`` vs ``engine="vector"``, asserting the two
-  engines produce byte-identical telemetry snapshots *and* sampled trace
-  span trees;
+  with ``engine="scalar"`` vs ``engine="auto"`` (the worker ladder's
+  ``workers=1`` run), asserting the two engines produce byte-identical
+  telemetry snapshots *and* sampled trace span trees;
 * a **worker ladder** — ``engine="auto"`` fanned over a process pool,
   asserting every worker count merges to the same snapshot and trace.
 
@@ -180,11 +180,11 @@ def _drain_rate(
 
 def _drain_ladder(spec: SchemeSpec, rounds: int) -> dict:
     scalar_rate, scalar_metrics, _ = _drain_rate(spec, "scalar", rounds)
-    vector_rate, vector_metrics, _ = _drain_rate(spec, "vector", rounds)
+    vector_rate, vector_metrics, _ = _drain_rate(spec, "auto", rounds)
     # recorder-on leg: same vector pipeline with per-flush time-series
     # sampling; the recorder must not perturb the metrics it observes
     sampled_rate, sampled_metrics, overhead = _drain_rate(
-        spec, "vector", rounds, series_bucket=DRAIN_CAPACITY
+        spec, "auto", rounds, series_bucket=DRAIN_CAPACITY
     )
     return {
         "rounds": rounds,
@@ -210,14 +210,17 @@ def run_benchmark(
     records = []
     for key, make_spec in BENCH_SPECS:
         spec = make_spec()
-        # engine ladder at workers=1: scalar vs vector over the full
-        # generator, the end-to-end statement of engine equivalence
+        # engine ladder at workers=1: scalar vs auto over the full
+        # generator, the end-to-end statement of engine equivalence; the
+        # auto leg is the workers=1 run of the default-engine ladder
         scalar_snapshot, scalar_trace, scalar_seconds = _load(
             spec, ops, shards, 1, "scalar"
         )
-        vector_snapshot, vector_trace, vector_seconds = _load(
-            spec, ops, shards, 1, "vector"
-        )
+        auto_runs = {
+            workers: _load(spec, ops, shards, workers, "auto")
+            for workers in dict.fromkeys((1, *worker_ladder))
+        }
+        vector_snapshot, vector_trace, vector_seconds = auto_runs[1]
         engines_identical = (
             vector_snapshot == scalar_snapshot and vector_trace == scalar_trace
         )
@@ -229,7 +232,7 @@ def run_benchmark(
                 "ops_per_second": round(ops / scalar_seconds, 3),
             },
             {
-                "engine": "vector",
+                "engine": "auto",
                 "workers": 1,
                 "seconds": round(vector_seconds, 4),
                 "ops_per_second": round(ops / vector_seconds, 3),
@@ -242,7 +245,7 @@ def run_benchmark(
         trace_deterministic = True
         integrity_ok = True
         for workers in worker_ladder:
-            snapshot, trace, elapsed = _load(spec, ops, shards, workers, "auto")
+            snapshot, trace, elapsed = auto_runs[workers]
             if snapshot != scalar_snapshot:
                 deterministic = False
             if trace != scalar_trace:

@@ -4,9 +4,10 @@ Two ladders per representative spec, recorded to ``BENCH_sim.json`` so the
 performance trajectory of the engine is tracked from PR to PR:
 
 * an **engine ladder** — ``run_page_study`` at ``workers=1`` with the
-  scalar checker loop vs the batch kernels (:mod:`repro.sim.kernels`),
-  plus a ``failure_curve`` timing for kernel-capable specs; asserts the
-  two engines agree bit for bit;
+  scalar checker loop vs ``engine="auto"``, which takes the batch kernels
+  (:mod:`repro.sim.kernels`) where they cover the spec (this leg is the
+  worker ladder's ``workers=1`` run), plus a ``failure_curve`` timing for
+  kernel-capable specs; asserts the two engines agree bit for bit;
 * a **worker ladder** — the ``engine="auto"`` study fanned out over a
   process pool, asserting every worker count reproduces the serial study;
 * an **extension ladder** — the pairing study (representative of the
@@ -92,7 +93,7 @@ def _curve_ladder(spec: SchemeSpec, trials: int) -> dict:
     scalar = failure_curve(spec, trials=trials, seed=2013, engine="scalar")
     scalar_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    vector = failure_curve(spec, trials=trials, seed=2013, engine="vector")
+    vector = failure_curve(spec, trials=trials, seed=2013, engine="auto")
     vector_seconds = time.perf_counter() - start
     return {
         "trials": trials,
@@ -157,17 +158,20 @@ def run_benchmark(
     for key, make_spec in BENCH_SPECS:
         spec = make_spec()
         has_kernel = kernels.kernel_supported(spec)
-        deterministic = True
 
-        # engine ladder at workers=1: the kernel-vs-scalar contract
+        # engine ladder at workers=1: the kernel-vs-scalar contract; its
+        # kernel leg is the workers=1 run of the default-engine ladder
         scalar_study, scalar_seconds = _study(
             spec, n_pages, blocks_per_page, 1, "scalar"
         )
-        vector_study, vector_seconds = _study(
-            spec, n_pages, blocks_per_page, 1, "vector"
+        auto_runs = {
+            workers: _study(spec, n_pages, blocks_per_page, workers, "auto")
+            for workers in dict.fromkeys((1, *worker_ladder))
+        }
+        deterministic = all(
+            study.results == scalar_study.results for study, _ in auto_runs.values()
         )
-        if vector_study.results != scalar_study.results:
-            deterministic = False
+        vector_seconds = auto_runs[1][1]
         engine_runs = [
             {
                 "engine": "scalar",
@@ -176,7 +180,7 @@ def run_benchmark(
                 "pages_per_second": round(n_pages / scalar_seconds, 3),
             },
             {
-                "engine": "vector",
+                "engine": "auto",
                 "workers": 1,
                 "seconds": round(vector_seconds, 4),
                 "pages_per_second": round(n_pages / vector_seconds, 3),
@@ -186,9 +190,7 @@ def run_benchmark(
         # worker ladder with the default engine selection
         runs = []
         for workers in worker_ladder:
-            study, elapsed = _study(spec, n_pages, blocks_per_page, workers, "auto")
-            if study.results != scalar_study.results:
-                deterministic = False
+            elapsed = auto_runs[workers][1]
             runs.append(
                 {
                     "workers": workers,

@@ -84,10 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
         workers="worker processes for page-level Monte Carlo fan-out "
         "(default: all CPU cores; 1 disables the pool); results are "
         "bit-identical for every worker count",
-        engine="Monte Carlo execution path: 'vector' advances whole trial "
-        "populations per numpy call, 'scalar' walks each trial through "
-        "the incremental checkers, 'auto' (default) picks the batch "
-        "kernel whenever the scheme has one; results are bit-identical",
+        engine="Monte Carlo execution path: 'auto' (default) advances whole "
+        "trial populations per numpy call whenever the scheme has a batch "
+        "kernel, 'scalar' walks each trial through the incremental "
+        "checkers; results are bit-identical",
         fault_model="cell fault statistics: 'hard' (default) is the paper's "
         "hard stuck-at model, 'partial' adds maskable partially-stuck "
         "cells, 'drift' clusters arrivals into resistance-drift bursts; "
@@ -175,10 +175,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_exec_flags(
         serve_cmd,
         workers="worker processes (default: all cores; never changes the numbers)",
-        engine="write-drain path: 'vector' services each buffer drain as one "
-        "numpy batch, 'scalar' walks it row by row, 'auto' (default) "
-        "batches whenever the scheme has a service kernel; snapshots, "
-        "traces and telemetry are bit-identical either way",
+        engine="write-drain path: 'auto' (default) services each buffer "
+        "drain as one numpy batch whenever the scheme has a service "
+        "kernel, 'scalar' walks it row by row; snapshots, traces and "
+        "telemetry are bit-identical either way",
         fault_model="cell fault statistics the arrays wear under "
         "(see 'run --fault-model' and docs/fault_models.md)",
     )
@@ -249,17 +249,19 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--series", metavar="PATH", default=None,
         help="export the merged time series plus default service SLO "
-        "verdicts as JSONL (the `repro slo-report` input)",
+        "verdicts as JSONL (the `repro obs-report --series` input)",
     )
 
     obs_cmd = sub.add_parser(
         "obs-report",
-        help="render trace/metrics artifacts into a markdown report",
+        help="render trace/metrics/series artifacts into a markdown report",
         description=(
-            "Read a --trace JSONL (and optionally a --metrics exposition "
-            "file) produced by serve-bench or run, and render the slowest "
-            "spans, the per-scheme stage-cost breakdown and the "
-            "repartition/remap timeline as markdown."
+            "Read a --trace JSONL, a --metrics exposition file and/or a "
+            "--series time-series/SLO JSONL produced by run, serve-bench, "
+            "cluster-bench or fleet-bench, and render the slowest spans, "
+            "the per-scheme stage-cost breakdown, the repartition/remap "
+            "timeline, the error-budget table, the alert timeline and the "
+            "burn-rate/retention charts as markdown."
         ),
     )
     obs_cmd.set_defaults(handler=_cmd_obs_report)
@@ -273,31 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also fold a time-series/SLO JSONL export into the report",
     )
     obs_cmd.add_argument("--top", type=int, default=10, help="spans per ranking")
+    obs_cmd.add_argument("--title", default="Observability report")
     obs_cmd.add_argument(
-        "-o", "--output", metavar="PATH", default=None,
-        help="write the report here instead of stdout",
-    )
-
-    slo_cmd = sub.add_parser(
-        "slo-report",
-        help="render a time-series/SLO JSONL export into a markdown report",
-        description=(
-            "Read the --series JSONL written by serve-bench, cluster-bench "
-            "or the library exporters, and render the error-budget table, "
-            "the alert timeline, burn-rate curves and capacity-retention "
-            "charts as markdown."
-        ),
-    )
-    slo_cmd.set_defaults(handler=_cmd_slo_report)
-    slo_cmd.add_argument(
-        "--series", metavar="PATH", required=True,
-        help="time-series/SLO JSONL export (write_series_jsonl output)",
-    )
-    slo_cmd.add_argument(
-        "--top", type=int, default=10, help="counter series in the top table"
-    )
-    slo_cmd.add_argument("--title", default="SLO report")
-    slo_cmd.add_argument(
         "-o", "--output", metavar="PATH", default=None,
         help="write the report here instead of stdout",
     )
@@ -375,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_cmd.add_argument(
         "--series", metavar="PATH", default=None,
         help="export the time series plus SLO verdicts/alerts as JSONL "
-        "(the `repro slo-report` input)",
+        "(the `repro obs-report --series` input)",
     )
     cluster_cmd.add_argument(
         "--check", action="store_true",
@@ -485,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_cmd.add_argument(
         "--series", metavar="PATH", default=None,
         help="export the retention time series plus SLO verdicts/alerts "
-        "as JSONL (the `repro slo-report` input)",
+        "as JSONL (the `repro obs-report --series` input)",
     )
     fleet_cmd.add_argument(
         "--json", metavar="PATH", default=None,
@@ -564,8 +543,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if wanted == ["all"]:
         wanted = all_experiment_ids()
     # the one place the execution plane is assembled: every --seed/--workers/
-    # --engine/--trace/--metrics/--profile flag (and any future ExecContext
-    # field with a same-named CLI flag) reaches every driver through this ctx
+    # --engine/--fault-model flag (and any future ExecContext field with a
+    # same-named CLI flag) reaches every driver through this ctx; tracing,
+    # metrics and profiling go through the process-global sinks below
     ctx = ExecContext.from_args(args)
     tracer = Tracer() if args.trace else None
     registry = MetricsRegistry() if args.metrics else None
@@ -956,7 +936,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     failed = report.audit_failures > 0
     if args.check:
         alt_workers = 2 if (report.workers or 1) == 1 else 1
-        alt_engine = "vector" if ctx.engine == "scalar" else "scalar"
+        alt_engine = "auto" if ctx.engine == "scalar" else "scalar"
         for label, check_kwargs in (
             (f"workers={alt_workers}", dict(engine=ctx.engine, workers=alt_workers)),
             (f"engine={alt_engine}", dict(engine=alt_engine, workers=ctx.workers)),
@@ -1061,7 +1041,7 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
     )
     failed = False
     if args.check and report.completed:
-        alt_engine = "vector" if ctx.engine == "scalar" else "scalar"
+        alt_engine = "auto" if ctx.engine == "scalar" else "scalar"
         drills = [
             ("workers=2", ctx.with_options(workers=2)),
             ("workers=4", ctx.with_options(workers=4)),
@@ -1147,29 +1127,16 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     if args.output:
         write_obs_report(
             args.output, args.trace, metrics_path=args.metrics,
-            series_path=args.series, top=args.top,
+            series_path=args.series, top=args.top, title=args.title,
         )
         print(f"wrote observability report to {args.output}")
     else:
         print(
             render_obs_report(
                 args.trace, metrics_path=args.metrics,
-                series_path=args.series, top=args.top,
+                series_path=args.series, top=args.top, title=args.title,
             )
         )
-    return 0
-
-
-def _cmd_slo_report(args: argparse.Namespace) -> int:
-    from repro.obs import render_slo_report, write_slo_report
-
-    if args.output:
-        write_slo_report(
-            args.output, args.series, top=args.top, title=args.title
-        )
-        print(f"wrote SLO report to {args.output}")
-    else:
-        print(render_slo_report(args.series, top=args.top, title=args.title))
     return 0
 
 

@@ -166,7 +166,7 @@ class ClusterBenchReport:
 
     def write_series_jsonl(self, path: str) -> int:
         """Export the time series (plus SLO verdicts and alerts when a
-        roster was evaluated) as the ``repro slo-report`` JSONL input."""
+        roster was evaluated) as the ``repro obs-report --series`` JSONL input."""
         recorder = self.telemetry.timeseries
         if recorder is None:
             raise ConfigurationError(
@@ -360,11 +360,11 @@ def _drive(
             try:
                 got = cluster.read(spec.tenant_id, address)
             except RetiredBlockError:
-                telemetry.count("bench_dead_reads")
+                telemetry.metrics.inc("bench_dead_reads")
                 return
             expected = shadow.get(key)
             if expected is not None and not np.array_equal(got, expected):
-                telemetry.count("integrity_failures")
+                telemetry.metrics.inc("integrity_failures")
             return
         delay = attempt_write(tenant_index, op_index, admit=True)
         if delay is not None:

@@ -583,7 +583,7 @@ class ClusterService:
             target.controller.write(new_local, data)
         self._placement[key] = (target.index, new_local)
         source.free_local(local)
-        self.telemetry.count("cluster_migrations")
+        self.telemetry.metrics.inc("cluster_migrations")
         self.telemetry.metrics.inc(
             "migrations_total",
             scheme=source.array.scheme_name,
@@ -635,7 +635,7 @@ class ClusterService:
             physical = array.physical_of(local)
             if physical is not None:
                 array.health.degrade(physical, op=array.op_clock, reason="drained")
-        self.telemetry.count("arrays_draining")
+        self.telemetry.metrics.inc("arrays_draining")
         self.telemetry.emit("array_draining", op=array.op_clock, array=node.name)
         moved = 0
         for key in [node.owners[local] for local in sorted(node.owners)]:
@@ -699,7 +699,7 @@ class ClusterService:
 
     def write_slo_jsonl(self, path: str) -> int:
         """Export the time series + SLO verdicts + alerts as one JSONL
-        artifact (the ``repro slo-report`` input); returns the line count."""
+        artifact (the ``repro obs-report --series`` input); returns the line count."""
         if self.slo_engine is None:
             raise ConfigurationError(
                 "time series were not recorded (pass series_bucket >= 1)"

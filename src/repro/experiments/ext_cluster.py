@@ -65,7 +65,7 @@ def run(
             workers=ctx.workers,
         )
         metrics = report.telemetry.metrics
-        counters = report.telemetry.counters
+        counters = report.telemetry.metrics.flat_counters()
         migrations = metrics.counter_total("migrations_total", kind="cross_array")
         backpressure = metrics.counter_total("tenant_backpressure_total")
         interactive_bp = metrics.counter_total(

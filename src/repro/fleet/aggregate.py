@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import Histogram
@@ -184,13 +184,6 @@ class SchemeAggregate:
     def lifetime_estimate(self, confidence: float = 0.95) -> MeanEstimate:
         return self.lifetime.estimate(confidence)
 
-    def improvement_estimate(self, confidence: float = 0.95) -> MeanEstimate:
-        """Moments of the *per-page* ratio — heavy-tailed (a page whose
-        unprotected baseline lands in the endurance distribution's far
-        left tail contributes an enormous ratio), so reports should
-        prefer :attr:`improvement_ratio`."""
-        return self.improvement.estimate(confidence)
-
     @property
     def improvement_ratio(self) -> float:
         """Ratio of mean lifetimes — the paper's Figure 6 definition,
@@ -268,10 +261,3 @@ class CampaignAggregate:
         canonical = {name: agg.digest_state() for name, agg in sorted(self.schemes.items())}
         blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def fold_results(agg: SchemeAggregate, results: Iterable) -> SchemeAggregate:
-    """Fold an iterable of page results into ``agg`` (page order)."""
-    for result in results:
-        agg.push(result)
-    return agg

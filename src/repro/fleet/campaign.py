@@ -415,7 +415,7 @@ class CampaignReport:
 
     def write_series(self, path: str) -> int:
         """Export the retention time series + SLO verdicts as JSONL (the
-        artifact ``repro slo-report`` renders)."""
+        artifact ``repro obs-report --series`` renders)."""
         return write_slo_jsonl(path, self.recorder, self.slo_specs())
 
     def rows(self) -> list[dict]:

@@ -11,14 +11,14 @@ counters, benchmark numbers); this package answers *why* and *where*:
 :mod:`repro.obs.metrics`
     :class:`MetricsRegistry` — counters, gauges and histograms keyed by
     ``(name, labels)``, with commutative merge, a deterministic snapshot
-    and Prometheus text exposition.  Absorbs the service layer's flat
-    counters behind a compatibility shim.
+    and Prometheus text exposition.  The service layer's flat counters
+    are its label-less series.
 :mod:`repro.obs.profiler`
     Opt-in ``perf_counter`` phase timing for the executor and service
     stages — wall-clock by nature, therefore kept strictly outside every
     deterministic snapshot and reported on its own channel.
 :mod:`repro.obs.report`
-    ``aegis-repro obs-report`` / ``slo-report`` — renders a run's trace,
+    ``aegis-repro obs-report`` — renders a run's trace,
     metrics and time-series artifacts into markdown reports (slowest
     spans, per-scheme stage cost, error-budget tables, retention curves).
 :mod:`repro.obs.timeseries`
@@ -45,12 +45,7 @@ from repro.obs.metrics import (
     set_metrics,
 )
 from repro.obs.profiler import NullProfiler, Profiler, get_profiler, set_profiler
-from repro.obs.report import (
-    render_obs_report,
-    render_slo_report,
-    write_obs_report,
-    write_slo_report,
-)
+from repro.obs.report import render_obs_report, write_obs_report
 from repro.obs.slo import (
     AlertEvent,
     SLOEngine,
@@ -95,12 +90,10 @@ __all__ = [
     "read_slo_jsonl",
     "read_trace_jsonl",
     "render_obs_report",
-    "render_slo_report",
     "render_series",
     "set_metrics",
     "set_profiler",
     "set_tracer",
     "write_obs_report",
     "write_slo_jsonl",
-    "write_slo_report",
 ]

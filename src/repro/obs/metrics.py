@@ -286,8 +286,8 @@ class MetricsRegistry:
 
     def flat_counters(self) -> dict[str, int]:
         """The label-less counters as a plain name→value dict (the
-        compatibility surface :class:`~repro.service.telemetry
-        .ServiceTelemetry` exposes as ``.counters``)."""
+        ``counters`` block of a
+        :meth:`~repro.service.telemetry.ServiceTelemetry.snapshot`)."""
         return {
             name: value for (name, items), value in self.counters.items() if not items
         }

@@ -253,7 +253,7 @@ def _metrics_section(series: dict[str, float], top: int) -> str:
     )
 
 
-# -- SLO / time-series sections (the ``slo-report`` subcommand) -------------
+# -- SLO / time-series sections (``obs-report --series``) -------------------
 
 
 def _budget_table(slos: list[dict]) -> str:
@@ -363,7 +363,7 @@ def _burn_chart(meta: dict, slos: list[dict]) -> str | None:
 
 
 def _series_sections(series_path: str, top: int) -> list[str]:
-    """The SLO/time-series sections shared by obs-report and slo-report."""
+    """The SLO/time-series sections of an obs-report ``--series`` artifact."""
     from repro.obs.timeseries import read_series_jsonl
 
     data = read_series_jsonl(series_path)
@@ -407,33 +407,6 @@ def _series_sections(series_path: str, top: int) -> list[str]:
     return sections
 
 
-def render_slo_report(
-    series_path: str,
-    *,
-    top: int = 10,
-    title: str = "SLO report",
-) -> str:
-    """Render the error-budget / alert / retention report from a series
-    JSONL artifact (``write_slo_jsonl`` or a recorder export)."""
-    sections = [f"# {title}", ""]
-    sections.extend(_series_sections(series_path, top))
-    return "\n".join(sections).rstrip() + "\n"
-
-
-def write_slo_report(
-    output_path: str,
-    series_path: str,
-    *,
-    top: int = 10,
-    title: str = "SLO report",
-) -> int:
-    """Write the rendered SLO report to ``output_path``; returns its size."""
-    text = render_slo_report(series_path, top=top, title=title)
-    with open(output_path, "w") as handle:
-        handle.write(text)
-    return len(text)
-
-
 def render_obs_report(
     trace_path: str | None,
     metrics_path: str | None = None,
@@ -447,7 +420,7 @@ def render_obs_report(
     Any artifact may be omitted: a metrics-only report (the
     ``cluster-bench`` smoke path, which traces nothing) renders the
     per-tenant SLO and metrics sections alone; a series artifact adds
-    the error-budget/retention sections from ``slo-report``.
+    the error-budget, alert, burn-rate and retention sections.
     """
     sections = [f"# {title}", ""]
     if trace_path is not None:

@@ -27,8 +27,7 @@ and :meth:`SLOEngine.poll` gives the cluster control plane the same
 rising edges incrementally, which is what lets ``maintenance()`` *act*
 on an alert deterministically.
 
-:func:`parse_slo` accepts the spec grammar used by ``repro slo-report
---slo`` (see docs/observability.md for the syntax).
+:func:`parse_slo` accepts the spec grammar of docs/observability.md.
 """
 
 from __future__ import annotations
@@ -482,7 +481,7 @@ def write_slo_jsonl(
     path: str, recorder: TimeSeriesRecorder, specs: tuple[SLOSpec, ...]
 ) -> int:
     """Write the series export plus SLO verdicts and alerts as one JSONL
-    artifact (the file ``repro slo-report`` consumes); returns the line
+    artifact (the file ``repro obs-report --series`` consumes); returns the line
     count."""
     engine = SLOEngine(recorder, specs)
     report = engine.evaluate()

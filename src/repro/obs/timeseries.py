@@ -29,8 +29,8 @@ Sampling records three kinds of per-bucket data:
   estimate per-bucket quantiles (the SLO layer's latency objectives).
 
 The exporter writes one JSONL record per series (plus a meta header) and
-a flat CSV; :func:`read_series_jsonl` is the inverse the ``slo-report``
-renderer consumes.
+a flat CSV; :func:`read_series_jsonl` is the inverse the ``obs-report
+--series`` renderer consumes.
 """
 
 from __future__ import annotations

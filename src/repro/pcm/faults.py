@@ -36,7 +36,7 @@ stack:
     scalar and vector engines stay bit-identical automatically.
 
 All model randomness is drawn *before* engine dispatch from the caller's
-substream in a fixed order, which is what keeps ``--engine vector`` and
+substream in a fixed order, which is what keeps ``--engine auto`` and
 ``--engine scalar`` (and every ``--workers`` count) bit-identical for the
 new models; the vectorized transforms themselves live in
 :mod:`repro.sim.kernels`.

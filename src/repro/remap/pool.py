@@ -45,9 +45,6 @@ class SparePool:
         """Free blocks left in the pool."""
         return int(self._free.sum())
 
-    def is_free(self, index: int) -> bool:
-        return bool(self._free[index])
-
     def allocate(
         self,
         logical: int,

@@ -190,17 +190,6 @@ class SaferScheme(RecoveryScheme):
             seen[value] = offset
         raise AssertionError("no collision among separated faults")  # pragma: no cover
 
-    def _distinguishing_position(
-        self, positions: tuple[int, ...], offset1: int, offset2: int
-    ) -> int | None:
-        differing = offset1 ^ offset2
-        for position in range(self.addr_bits):
-            if position in positions:
-                continue
-            if (differing >> position) & 1:
-                return position
-        return None
-
     # -- data path -----------------------------------------------------------
 
     def _encode_write(self, data: np.ndarray) -> WriteReceipt:

@@ -18,16 +18,16 @@ degradation:
 :mod:`repro.service.telemetry`
     :class:`ServiceTelemetry` — counters, service-cost/latency histograms
     built from the controllers' write receipts, health snapshots, and a
-    bounded JSONL event log; since the observability layer landed it is a
-    compatibility shim over :class:`repro.obs.MetricsRegistry` and can
+    bounded JSONL event log; its counters live in a
+    :class:`repro.obs.MetricsRegistry` (``telemetry.metrics``) and it can
     carry a :class:`repro.obs.Tracer` through worker processes (see
     ``docs/observability.md``).
 :mod:`repro.service.kernels`
     The vectorized drain plane — numpy batch kernels that service a whole
     write-buffer drain at once (:func:`drain_vector`), the columnar
     :class:`BlockStore` views behind them, and the
-    :func:`resolve_engine`/:func:`kernel_for` dispatch that decides when
-    ``engine="auto"`` can take the batched path.  Bit-identical to the
+    :func:`kernel_for` lookup that decides when ``engine="auto"`` can
+    take the batched path.  Bit-identical to the
     scalar pipeline by construction (``tests/test_service_kernels.py``).
 :mod:`repro.service.health`
     The per-block health state machine.
@@ -51,7 +51,6 @@ from repro.service.kernels import (
     BlockStore,
     drain_vector,
     kernel_for,
-    resolve_engine,
     validate_engine,
 )
 from repro.service.loadgen import (
@@ -91,7 +90,6 @@ __all__ = [
     "default_policy_options",
     "drain_vector",
     "kernel_for",
-    "resolve_engine",
     "run_load",
     "run_shard",
     "validate_engine",

@@ -76,9 +76,9 @@ class MemoryArray:
     telemetry:
         Optional :class:`ServiceTelemetry` sink for counters and events.
     engine:
-        Default drain engine (``"auto"``/``"vector"``/``"scalar"``) for
-        controllers built over this array; resolved per controller by
-        :func:`repro.service.kernels.resolve_engine`.
+        Drain engine (``"auto"``/``"scalar"``) for controllers built over
+        this array; ``"auto"`` batches drains whenever
+        :func:`repro.service.kernels.kernel_for` covers the scheme.
     name:
         Identity of this array in a multi-array deployment; carried on
         every :class:`~repro.errors.RetiredBlockError` so cluster routers
@@ -241,7 +241,7 @@ class MemoryArray:
         physical = self.pool.allocate(address, self.wear_leveling, self.rng)
         if physical is None:
             self._dead.add(address)
-            self.telemetry.count("addresses_lost")
+            self.telemetry.metrics.inc("addresses_lost")
             self.telemetry.metrics.inc(
                 "writes_total", scheme=self.scheme_name, outcome="lost"
             )
@@ -321,7 +321,7 @@ class MemoryArray:
         self._map[address] = -1
         # raises (with the failed block's identity) when the pool is dry
         physical = self._allocate(address, failed_block=failed_physical)
-        self.telemetry.count("remaps")
+        self.telemetry.metrics.inc("remaps")
         self.telemetry.metrics.inc("remaps_total", scheme=self.scheme_name)
         self.telemetry.emit(
             "remap",
@@ -373,7 +373,7 @@ class MemoryArray:
         self._map[address] = -1
         fresh = self._allocate(address)
         self.blocks[fresh].write(data)
-        self.telemetry.count("migrations")
+        self.telemetry.metrics.inc("migrations")
         self.telemetry.metrics.inc("migrations_total", scheme=self.scheme_name)
         self.telemetry.emit(
             "migrate", op=self.op_clock, address=address, from_block=physical, to_block=fresh
@@ -411,7 +411,7 @@ class MemoryArray:
             self.write(address, data)
         except RetiredBlockError:
             return False
-        self.telemetry.count("scheme_switches")
+        self.telemetry.metrics.inc("scheme_switches")
         self.telemetry.emit(
             "scheme_switch",
             op=self.op_clock,

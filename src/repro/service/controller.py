@@ -40,7 +40,7 @@ wraps a ``fail_cache_consult`` child (batch consult statistics) and a
 with the rare escalation spans (``proactive_migration``, ``spare_remap``,
 ``repartition``) nested inside in row order.  Both engines emit exactly
 this sequence, which is what keeps trace JSONL and telemetry snapshots
-byte-identical across ``engine="vector"``/``"scalar"`` and any worker
+byte-identical across ``engine="auto"``/``"scalar"`` and any worker
 count.  Every serviced write still lands in the cost/latency histograms —
 the quantitative version of the paper's §2.4/§3.2 service-cost narrative.
 """
@@ -61,6 +61,7 @@ from repro.service.policy import (
     validate_policy,
 )
 from repro.service.telemetry import ServiceTelemetry
+from repro.sim.kernels import resolve_engine
 
 
 class ServiceController:
@@ -69,7 +70,8 @@ class ServiceController:
     Parameters
     ----------
     array:
-        The array to serve; the controller shares its telemetry sink.
+        The array to serve; the controller shares its telemetry sink and
+        takes its drain engine from ``array.engine``.
     buffer_capacity:
         Write-buffer entries before an automatic drain.
     proactive_migration:
@@ -78,13 +80,6 @@ class ServiceController:
     strict:
         Re-raise :class:`RetiredBlockError` from buffered flushes instead
         of recording the loss and continuing.
-    engine:
-        Drain engine: ``"vector"`` batches each drain through the numpy
-        kernels, ``"scalar"`` services row by row, ``"auto"`` (and
-        ``None``, the default) picks vector when a kernel covers the
-        array's scheme.  ``None`` inherits the array's ``engine`` field.
-        The resolved choice is exposed as :attr:`engine`; results are
-        identical either way.
     policy:
         ``"fixed"`` (default) keeps every block on the array's base
         scheme — the historical behavior, byte-identical.  ``"adaptive"``
@@ -113,7 +108,6 @@ class ServiceController:
         buffer_capacity: int = 32,
         proactive_migration: bool = False,
         strict: bool = False,
-        engine: str | None = None,
         policy: str = "fixed",
         policy_engine: SchemePolicyEngine | None = None,
         policy_interval: int = 4,
@@ -123,8 +117,10 @@ class ServiceController:
         self.buffer = WriteBuffer(buffer_capacity, n_bits=array.block_bits)
         self.proactive_migration = proactive_migration
         self.strict = strict
-        requested = array.engine if engine is None else engine
-        self.engine = service_kernels.resolve_engine(requested, array)
+        #: drain path resolved from the array's ``engine`` switch:
+        #: ``"vector"`` batches each drain through the numpy kernels,
+        #: ``"scalar"`` services row by row; results are identical
+        self.engine = resolve_engine(array.engine, array, service_kernels.kernel_for)
         self._vector = self.engine == "vector"
         self.policy = validate_policy(policy)
         self._adaptive = self.policy == "adaptive"
@@ -421,7 +417,7 @@ class ServiceController:
         try:
             receipt = array.write(address, payload)
         except RetiredBlockError as error:
-            self.telemetry.count("writes_lost")
+            self.telemetry.metrics.inc("writes_lost")
             # the typed context (array/block/scheme) is what a cluster
             # router keys migration decisions on — surface it as a
             # structured event rather than a string

@@ -78,7 +78,7 @@ class HealthTracker:
         if state is BlockHealth.HEALTHY and fault_count >= self.degrade_threshold:
             self._states[block_index] = BlockHealth.DEGRADED
             if self.telemetry is not None:
-                self.telemetry.count("blocks_degraded")
+                self.telemetry.metrics.inc("blocks_degraded")
                 self.telemetry.metrics.inc("health_transitions_total", to="degraded")
                 self.telemetry.emit(
                     "degrade", op=op, block=block_index, faults=fault_count
@@ -94,7 +94,7 @@ class HealthTracker:
             return
         self._states[block_index] = BlockHealth.DEGRADED
         if self.telemetry is not None:
-            self.telemetry.count("blocks_degraded")
+            self.telemetry.metrics.inc("blocks_degraded")
             self.telemetry.metrics.inc(
                 "health_transitions_total", to="degraded", reason=reason
             )
@@ -106,7 +106,7 @@ class HealthTracker:
             return
         self._states[block_index] = BlockHealth.RETIRED
         if self.telemetry is not None:
-            self.telemetry.count("blocks_retired")
+            self.telemetry.metrics.inc("blocks_retired")
             self.telemetry.metrics.inc(
                 "health_transitions_total", to="retired", reason=reason
             )

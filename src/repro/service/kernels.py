@@ -67,18 +67,15 @@ from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.safer import SaferScheme
 from repro.service.health import BlockHealth
 from repro.sim.kernels import (
-    ENGINES,
     pack_rows_u64,
     popcount_rows_u64,
     validate_engine,
 )
 
 __all__ = [
-    "ENGINES",
     "BlockStore",
     "drain_vector",
     "kernel_for",
-    "resolve_engine",
     "validate_engine",
 ]
 
@@ -131,10 +128,6 @@ class BlockStore:
             cells._stuck_value = self.stuck_value[index]
             cells._write_counts = self.write_counts[index]
             block.endurance = self.endurance[index]
-
-    def fault_words(self, physical: np.ndarray) -> np.ndarray:
-        """Per-block uint64 fault bitsets for the given physical rows."""
-        return pack_rows_u64(self.stuck[physical])
 
     def fault_counts(self, physical: np.ndarray) -> np.ndarray:
         """Stuck-cell counts for the given physical rows."""
@@ -395,20 +388,6 @@ def kernel_for(array):
     return kernel
 
 
-def resolve_engine(engine: str, array) -> str:
-    """Map the public engine switch to the drain path actually taken.
-
-    Mirrors :func:`repro.sim.kernels.resolve_engine` one layer up:
-    ``"scalar"`` always runs the per-row pipeline; ``"vector"`` and
-    ``"auto"`` take the batched drain when a kernel covers the array's
-    scheme and fall back transparently otherwise.
-    """
-    validate_engine(engine)
-    if engine == "scalar":
-        return "scalar"
-    return "vector" if kernel_for(array) is not None else "scalar"
-
-
 # ---------------------------------------------------------------------------
 # The batched drain driver
 # ---------------------------------------------------------------------------
@@ -575,8 +554,8 @@ def _commit_segment(
     )
     telemetry.service_cost.observe_many(cell_writes)
     telemetry.latency.observe_repeat(2, count)  # 1 pass + 1 verification read
-    telemetry.count("cell_writes_total", cell_writes_total)
-    telemetry.count("verification_reads_total", count)
-    telemetry.count("repartitions_total", 0)
-    telemetry.count("inversion_writes_total", 0)
+    telemetry.metrics.inc("cell_writes_total", cell_writes_total)
+    telemetry.metrics.inc("verification_reads_total", count)
+    telemetry.metrics.inc("repartitions_total", 0)
+    telemetry.metrics.inc("inversion_writes_total", 0)
     return cell_writes_total

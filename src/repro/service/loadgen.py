@@ -101,7 +101,7 @@ class ShardTask:
     use_fail_cache: bool
     proactive_migration: bool
     snapshot_interval: int
-    #: drain engine for every shard ("auto" | "vector" | "scalar"); never
+    #: drain engine for every shard ("auto" | "scalar"); never
     #: part of the snapshot because results are engine-invariant
     engine: str = "auto"
     #: trace every N-th root span (0 disables tracing entirely)
@@ -195,13 +195,13 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
             address = workload.next_logical_page(task.n_addresses, rng)
             is_read = rng.random() < task.read_fraction
             if array.is_dead(address):
-                telemetry.count("ops_rejected")
+                telemetry.metrics.inc("ops_rejected")
                 continue
             if is_read:
                 got = controller.read(address)
                 expected = shadow.get(address)
                 if expected is not None and not np.array_equal(got, expected):
-                    telemetry.count("integrity_failures")
+                    telemetry.metrics.inc("integrity_failures")
             else:
                 payload = rng.integers(0, 2, task.spec.n_bits, dtype=np.uint8)
                 controller.write(address, payload)
@@ -216,13 +216,13 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
         for address in sorted(shadow):
             if array.is_dead(address):
                 continue
-            telemetry.count("integrity_checked")
+            telemetry.metrics.inc("integrity_checked")
             if not np.array_equal(array.read(address), shadow[address]):
-                telemetry.count("integrity_failures")
+                telemetry.metrics.inc("integrity_failures")
     if fail_cache is not None:
-        telemetry.count("fail_cache_hits", fail_cache.hits)
-        telemetry.count("fail_cache_misses", fail_cache.misses)
-        telemetry.count("fail_cache_evictions", fail_cache.evictions)
+        telemetry.metrics.inc("fail_cache_hits", fail_cache.hits)
+        telemetry.metrics.inc("fail_cache_misses", fail_cache.misses)
+        telemetry.metrics.inc("fail_cache_evictions", fail_cache.evictions)
     if recorder is not None:
         # catch-up sample: fold counters bumped outside the drain path
         # (audit, fail-cache totals) into the final bucket
@@ -339,7 +339,7 @@ def run_load(
     ``n_addresses``/``spares`` are per shard (total logical capacity is
     ``shards * n_addresses``).  ``workers`` only changes wall-clock; the
     returned :attr:`LoadReport.snapshot` is worker-count invariant.
-    ``engine`` picks the drain path (``"vector"``/``"scalar"``/``"auto"``)
+    ``engine`` picks the drain path (``"auto"``/``"scalar"``)
     for every shard; like ``workers`` it only changes wall-clock, so it is
     deliberately absent from the snapshot's ``config`` block.
 

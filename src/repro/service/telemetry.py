@@ -16,11 +16,10 @@ service layer that surface:
   structured event log (remaps, retirements, degradations, periodic health
   snapshots) suitable for JSONL export.
 
-``ServiceTelemetry`` is now a compatibility shim over
-:class:`repro.obs.metrics.MetricsRegistry`: the historical flat counters
-(``count``/``.counters``) are the registry's label-less series, while new
-call sites record labeled series (``writes_total{scheme=..., outcome=...}``)
-through :attr:`ServiceTelemetry.metrics` directly.  A
+Counters live in :attr:`ServiceTelemetry.metrics`, a
+:class:`repro.obs.metrics.MetricsRegistry`: call sites bump the flat
+counters (``metrics.inc("remaps")``) as label-less series and the labeled
+ones (``writes_total{scheme=..., outcome=...}``) with labels.  A
 :class:`repro.obs.tracer.Tracer` can be attached so the pipeline's span
 instrumentation rides the same object through worker processes.
 
@@ -124,16 +123,7 @@ class ServiceTelemetry:
         self.timeseries = recorder
         return recorder
 
-    @property
-    def counters(self) -> dict[str, int]:
-        """The historical flat-counter view: the registry's label-less
-        counter series as a plain dict (read-only compatibility surface)."""
-        return self.metrics.flat_counters()
-
     # -- recording ----------------------------------------------------------
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.metrics.inc(name, amount)
 
     def record_receipt(self, receipt: WriteReceipt) -> None:
         """Fold one serviced write's receipt into the cost/latency view."""
@@ -144,10 +134,11 @@ class ServiceTelemetry:
             + receipt.repartitions
             + receipt.inversion_writes
         )
-        self.count("cell_writes_total", receipt.cell_writes)
-        self.count("verification_reads_total", receipt.verification_reads)
-        self.count("repartitions_total", receipt.repartitions)
-        self.count("inversion_writes_total", receipt.inversion_writes)
+        inc = self.metrics.inc
+        inc("cell_writes_total", receipt.cell_writes)
+        inc("verification_reads_total", receipt.verification_reads)
+        inc("repartitions_total", receipt.repartitions)
+        inc("inversion_writes_total", receipt.inversion_writes)
 
     def emit(self, event: str, **fields: object) -> None:
         """Append a structured event (stamped by the caller, not the clock)."""
@@ -205,7 +196,7 @@ class ServiceTelemetry:
         addresses, or anything else execution-dependent.
         """
         registry = self.metrics.snapshot()
-        flat = self.counters
+        flat = self.metrics.flat_counters()
         labeled = {
             series: value
             for series, value in registry["counters"].items()

@@ -97,10 +97,10 @@ def failure_curve(
     """Estimate P(block failed | f faults present) for f = 1..max_faults.
 
     ``engine`` selects the execution path: ``"scalar"`` walks each trial
-    through the incremental checker, ``"vector"`` advances the whole trial
+    through the incremental checker, ``"auto"`` advances the whole trial
     population per fault arrival with the batch kernels of
-    :mod:`repro.sim.kernels` (falling back to scalar for schemes without a
-    kernel), ``"auto"`` picks the kernel whenever one exists.  Both paths
+    :mod:`repro.sim.kernels` whenever one covers the scheme (and walks
+    the checker otherwise).  Both paths
     consume the same ``rng_for(seed, trial)`` substreams and return
     bit-identical curves.  ``fault_model`` selects the arrival statistics
     (:mod:`repro.pcm.faults`); the hard default takes exactly the

@@ -7,7 +7,7 @@ per-page loop, and every experiment driver re-declared the same knobs.
 Adding one execution flag meant editing a dozen drivers.
 
 :class:`ExecContext` is the single carrier of *how* a study executes —
-seed, worker count, engine selection, observability switches — created
+seed, worker count, engine selection, fault model — created
 once (``repro.cli`` builds it from the parsed arguments) and threaded
 through ``repro.experiments`` into every simulator.  Two properties make
 the plane uniform:
@@ -25,6 +25,10 @@ the plane uniform:
   :attr:`cache_key` — the *full* context — so mixed-engine or
   mixed-worker invocations can never alias a cached artefact that was
   produced under different settings.
+
+Tracing, metrics and profiling are not context fields: the CLI installs
+the process-global tracer, metrics registry and profiler of
+:mod:`repro.obs`, and the simulators read those directly.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigurationError
 
-#: the public engine switch values (mirrors repro.sim.kernels.ENGINES,
-#: duplicated here so this module stays import-light and cycle-free)
-ENGINE_CHOICES = ("auto", "vector", "scalar")
+#: the public engine switch values (repro.sim.kernels and the CLI import
+#: this tuple): ``"auto"`` takes a batch kernel wherever one covers the
+#: scheme, ``"scalar"`` never does
+ENGINE_CHOICES = ("auto", "scalar")
 
 #: the public fault-model switch values (mirrors
 #: repro.pcm.faults.FAULT_MODEL_CHOICES, duplicated for the same reason)
@@ -44,7 +49,7 @@ FAULT_MODEL_CHOICES = ("hard", "partial", "drift")
 
 @dataclass(frozen=True)
 class ExecContext:
-    """How a study executes: seed, fan-out, engine, observability.
+    """How a study executes: seed, fan-out, engine, fault model.
 
     Frozen and picklable; every field has a default so ``ExecContext()``
     is the serial, auto-engine context the tests use.  ``workers=None``
@@ -55,9 +60,6 @@ class ExecContext:
     workers: int | None = 1
     engine: str = "auto"
     fault_model: str = "hard"
-    trace: bool = False
-    metrics: bool = False
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_CHOICES:
@@ -79,8 +81,8 @@ class ExecContext:
         """Build a context from an ``argparse.Namespace``.
 
         Fields are matched to argument attributes *by name*, boolean
-        fields by truthiness (so a ``--trace PATH`` option maps onto the
-        ``trace`` flag).  Attributes the namespace lacks keep their
+        fields by truthiness (so a path-valued option would map onto a
+        boolean flag of the same name).  Attributes the namespace lacks keep their
         defaults, which is what lets a new field reach every driver by
         editing only this class and the CLI parser.
         """

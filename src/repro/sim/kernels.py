@@ -38,7 +38,7 @@ probability zero.
 
 Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
 its ``kernel`` tag; :func:`resolve_engine` maps the public
-``engine="auto"|"vector"|"scalar"`` switch to the path actually taken.
+``engine="auto"|"scalar"`` switch to the path actually taken.
 Sampled (data-dependent) schemes — Aegis-rw variants, SAFER-cache,
 RDIS — carry no tag and always take the scalar path.  So does ECP: its
 checker is one counter compare per arrival, and the scalar page loop
@@ -58,10 +58,8 @@ from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
+from repro.sim.context import ENGINE_CHOICES
 from repro.util.bitops import ceil_log2
-
-#: valid values of the public ``engine`` switch
-ENGINES = ("auto", "vector", "scalar")
 
 #: the Aegis kernel tracks poisoned slopes in a per-trial uint64 bitset
 MAX_SLOPE_BITS = 63
@@ -90,24 +88,25 @@ def validate_engine(engine: str) -> str:
     their scalar path transparently, exactly like :func:`resolve_engine`
     does for kernel-less schemes.
     """
-    if engine not in ENGINES:
+    if engine not in ENGINE_CHOICES:
         raise ConfigurationError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
+            f"engine must be one of {ENGINE_CHOICES}, got {engine!r}"
         )
     return engine
 
 
-def resolve_engine(engine: str, spec) -> str:
+def resolve_engine(engine: str, target, covers=kernel_supported) -> str:
     """Map the public engine switch to the path actually taken.
 
-    ``"scalar"`` always runs the checker loop; ``"vector"`` and ``"auto"``
-    use the batch kernel when one covers the spec and fall back to the
-    scalar path transparently otherwise.
+    Returns ``"vector"`` for ``"auto"`` when ``covers(target)`` is truthy
+    and ``"scalar"`` otherwise; ``"scalar"`` never consults ``covers``.
+    The simulators pass a spec and the default :func:`kernel_supported`;
+    the service layer passes an array and
+    :func:`repro.service.kernels.kernel_for`.
     """
-    validate_engine(engine)
-    if engine == "scalar":
-        return "scalar"
-    return "vector" if kernel_supported(spec) else "scalar"
+    if validate_engine(engine) == "auto" and covers(target):
+        return "vector"
+    return "scalar"
 
 
 # ---------------------------------------------------------------------------

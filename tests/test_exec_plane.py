@@ -20,13 +20,18 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro import cli
+from repro.cluster.bench import run_cluster_bench
 from repro.errors import ConfigurationError
 from repro.experiments import clear_study_cache, run_experiment
 from repro.experiments.base import ACCEPTED_OPTIONS, REGISTRY, dispatch
 from repro.pairing.sim import pairing_study
 from repro.payg.sim import payg_page_study
 from repro.remap.sim import remap_page_study
+from repro.service import MemoryArray, run_load
+from repro.sim.block_sim import failure_curve
 from repro.sim.context import ExecContext
+from repro.sim.page_sim import run_page_study
 from repro.sim.parallel import StudyRunner
 from repro.sim.roster import aegis_spec, ecp_spec
 from repro.core.formations import formation
@@ -43,7 +48,7 @@ class TestExecContext:
     def test_defaults_are_serial_auto(self):
         ctx = ExecContext()
         assert (ctx.seed, ctx.workers, ctx.engine) == (2013, 1, "auto")
-        assert not (ctx.trace or ctx.metrics or ctx.profile)
+        assert ctx.fault_model == "hard"
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError, match="engine"):
@@ -63,20 +68,12 @@ class TestExecContext:
 
     def test_cache_key_covers_every_field(self):
         names = [name for name, _ in ExecContext().cache_key]
-        assert names == [
-            "seed",
-            "workers",
-            "engine",
-            "fault_model",
-            "trace",
-            "metrics",
-            "profile",
-        ]
+        assert names == ["seed", "workers", "engine", "fault_model"]
         assert ExecContext(seed=1).cache_key != ExecContext(seed=2).cache_key
         # workers/engine never change numbers but must not alias caches
         assert ExecContext(workers=1).cache_key != ExecContext(workers=4).cache_key
         assert (
-            ExecContext(engine="vector").cache_key
+            ExecContext(engine="auto").cache_key
             != ExecContext(engine="scalar").cache_key
         )
 
@@ -96,8 +93,8 @@ class TestExecContext:
         )
         ctx = ExecContext.from_args(args)
         assert (ctx.seed, ctx.workers, ctx.engine) == (11, 2, "scalar")
-        # path-valued observability flags coerce to booleans
-        assert ctx.trace is True and ctx.metrics is False and ctx.profile is True
+        # observability flags are process-global sinks, not context fields
+        assert ctx == ExecContext(seed=11, workers=2, engine="scalar")
 
     def test_from_args_missing_attributes_keep_defaults(self):
         # the report subcommand has no --trace/--metrics/--profile flags
@@ -170,16 +167,56 @@ class TestWorkerLadderDeterminism:
         # fall back to the scalar path without changing a single number
         base = pairing_study(ecp_spec(2, 512), n_pages=4, blocks_per_page=4,
                              ctx=ExecContext(seed=9))
-        for engine in ("vector", "scalar"):
-            other = pairing_study(
-                ecp_spec(2, 512), n_pages=4, blocks_per_page=4,
-                ctx=ExecContext(seed=9, engine=engine),
-            )
-            assert other == base
+        other = pairing_study(
+            ecp_spec(2, 512), n_pages=4, blocks_per_page=4,
+            ctx=ExecContext(seed=9, engine="scalar"),
+        )
+        assert other == base
 
     def test_invalid_engine_rejected_before_simulation(self):
         with pytest.raises(ConfigurationError, match="engine"):
             ExecContext(engine="nope")
+
+
+def _parse(*argv):
+    return cli._build_parser().parse_args(argv)
+
+
+#: every public surface that takes an engine name, called with "vector",
+#: which is not an engine value ("auto" takes the batch kernels); the CLI
+#: parser exits instead of raising
+VECTOR_ENGINE_SURFACES = {
+    "ExecContext": lambda: ExecContext(engine="vector"),
+    "failure_curve": lambda: failure_curve(
+        aegis_spec(9, 61, 512), trials=1, engine="vector"
+    ),
+    "run_page_study": lambda: run_page_study(
+        aegis_spec(9, 61, 512), n_pages=1, engine="vector"
+    ),
+    "MemoryArray": lambda: MemoryArray(
+        2, 512, aegis_spec(9, 61, 512).make_controller, engine="vector"
+    ),
+    "run_load": lambda: run_load(aegis_spec(9, 61, 512), ops=8, engine="vector"),
+    "run_cluster_bench": lambda: run_cluster_bench(
+        aegis_spec(9, 61, 512), ops=8, engine="vector"
+    ),
+    "cli-run": lambda: _parse("run", "fig5", "--engine", "vector"),
+    "cli-report": lambda: _parse("report", "--engine", "vector"),
+    "cli-serve-bench": lambda: _parse("serve-bench", "--engine", "vector"),
+    "cli-cluster-bench": lambda: _parse("cluster-bench", "--engine", "vector"),
+    "cli-fleet-bench": lambda: _parse("fleet-bench", "--engine", "vector"),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(VECTOR_ENGINE_SURFACES))
+def test_vector_is_not_an_engine_value(surface, capsys):
+    if surface.startswith("cli-"):
+        with pytest.raises(SystemExit):
+            VECTOR_ENGINE_SURFACES[surface]()
+        assert "invalid choice: 'vector'" in capsys.readouterr().err
+    else:
+        with pytest.raises(ConfigurationError, match="engine"):
+            VECTOR_ENGINE_SURFACES[surface]()
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,7 @@ class TestEngineInvariance:
                 engine=engine,
                 fault_model=fault_model,
             )
-            for engine in ("vector", "scalar")
+            for engine in ("auto", "scalar")
         ]
         assert list(curves[0].probabilities) == list(curves[1].probabilities)
 
@@ -223,7 +223,7 @@ class TestEngineInvariance:
             block_lifetime_study(
                 spec, trials=16, seed=2013, engine=engine, fault_model=fault_model
             )
-            for engine in ("vector", "scalar")
+            for engine in ("auto", "scalar")
         ]
         assert studies[0].lifetime.mean == studies[1].lifetime.mean
         assert studies[0].faults.mean == studies[1].faults.mean
@@ -247,7 +247,7 @@ class TestEngineInvariance:
                 ).telemetry.snapshot()
             )
             for workers in (1, 2)
-            for engine in ("vector", "scalar")
+            for engine in ("auto", "scalar")
         }
         assert len(digests) == 1
 
@@ -270,7 +270,7 @@ class TestGoldenHardRegression:
             trials=64,
             max_faults=40,
             seed=2013,
-            engine="vector",
+            engine="auto",
         )
         assert (
             _digest(list(curve.probabilities))
@@ -292,7 +292,7 @@ class TestGoldenHardRegression:
 
     def test_simulated_pages_aegis(self):
         pages = simulate_pages(
-            roster.aegis_spec(9, 61, 512), 8, range(12), 2013, engine="vector"
+            roster.aegis_spec(9, 61, 512), 8, range(12), 2013, engine="auto"
         )
         payload = [
             [p.lifetime_writes, p.faults_recovered, p.baseline_lifetime]
@@ -305,7 +305,7 @@ class TestGoldenHardRegression:
 
     def test_block_lifetime_ecp(self):
         study = block_lifetime_study(
-            roster.ecp_spec(6, 512), trials=24, seed=2013, engine="vector"
+            roster.ecp_spec(6, 512), trials=24, seed=2013, engine="auto"
         )
         assert (
             _digest([study.lifetime.mean, study.faults.mean])
@@ -322,7 +322,7 @@ class TestGoldenHardRegression:
             n_addresses=16,
             spares=6,
             lifetime_model=NormalLifetime(mean_lifetime=60.0),
-            engine="vector",
+            engine="auto",
         )
         assert (
             _digest(report.telemetry.snapshot())
@@ -343,7 +343,7 @@ class TestGoldenHardRegression:
             spec.config_digest(2013)
             == "e32c4eb4eafb70d7bbd9bc66e89bcd384a610229bc694573b7b3b7cd80647e34"
         )
-        report = run_campaign(spec, ExecContext(seed=2013, workers=1, engine="vector"))
+        report = run_campaign(spec, ExecContext(seed=2013, workers=1, engine="auto"))
         assert (
             report.digest
             == "5629feeb327229f4a5206bd92f8c170516100dd312d57c928d64b1ba11c40199"

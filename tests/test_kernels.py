@@ -1,6 +1,6 @@
 """Tests for the batch Monte Carlo kernels (`repro/sim/kernels.py`).
 
-The headline property: ``engine="vector"`` is a pure performance knob.
+The headline property: ``engine="auto"`` is a pure performance knob.
 For every covered scheme the batched population advance returns results
 bit-identical to the scalar checker loop — same death counts, same
 lifetimes, same page studies — because both engines consume the same
@@ -90,13 +90,11 @@ class TestEngineResolution:
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_IDS)
     def test_covered_specs_resolve_to_vector(self, spec):
         assert kernel_supported(spec)
-        assert resolve_engine("vector", spec) == "vector"
         assert resolve_engine("auto", spec) == "vector"
 
     @pytest.mark.parametrize("spec", FALLBACK_SPECS, ids=_IDS)
     def test_uncovered_specs_fall_back_to_scalar(self, spec):
         assert not kernel_supported(spec)
-        assert resolve_engine("vector", spec) == "scalar"
         assert resolve_engine("auto", spec) == "scalar"
 
     def test_wide_aegis_exceeds_slope_bitset(self):
@@ -111,13 +109,13 @@ class TestFailureCurveEquivalence:
     @pytest.mark.parametrize("seed", [2013, 77])
     def test_curves_are_bit_identical(self, spec, seed):
         scalar = failure_curve(spec, trials=40, seed=seed, engine="scalar")
-        vector = failure_curve(spec, trials=40, seed=seed, engine="vector")
+        vector = failure_curve(spec, trials=40, seed=seed, engine="auto")
         assert vector == scalar
 
     @pytest.mark.parametrize("spec", FALLBACK_SPECS, ids=_IDS)
     def test_fallback_specs_match_scalar_trivially(self, spec):
         scalar = failure_curve(spec, trials=10, seed=5, engine="scalar")
-        vector = failure_curve(spec, trials=10, seed=5, engine="vector")
+        vector = failure_curve(spec, trials=10, seed=5, engine="auto")
         assert vector == scalar
 
     @pytest.mark.parametrize(
@@ -142,14 +140,14 @@ class TestLifetimeEquivalence:
     @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=_IDS)
     def test_study_is_bit_identical(self, spec):
         scalar = block_lifetime_study(spec, trials=25, seed=3, engine="scalar")
-        vector = block_lifetime_study(spec, trials=25, seed=3, engine="vector")
+        vector = block_lifetime_study(spec, trials=25, seed=3, engine="auto")
         assert vector == scalar
 
     @pytest.mark.parametrize("seed", [0, 9, 41])
     def test_single_block_matches_scalar(self, seed):
         spec = aegis_spec(9, 61, 512)
         scalar = block_lifetime(spec, rng_for(seed, 0), engine="scalar")
-        vector = block_lifetime(spec, rng_for(seed, 0), engine="vector")
+        vector = block_lifetime(spec, rng_for(seed, 0), engine="auto")
         assert vector == scalar
 
     def test_fixed_lifetime_ties_stay_identical(self):
@@ -161,7 +159,7 @@ class TestLifetimeEquivalence:
                 spec, trials=6, seed=1, lifetime_model=model, engine="scalar"
             )
             vector = block_lifetime_study(
-                spec, trials=6, seed=1, lifetime_model=model, engine="vector"
+                spec, trials=6, seed=1, lifetime_model=model, engine="auto"
             )
             assert vector == scalar
 
@@ -174,7 +172,7 @@ class TestPageEquivalence:
             spec, n_pages=4, blocks_per_page=4, seed=seed, engine="scalar"
         )
         vector = run_page_study(
-            spec, n_pages=4, blocks_per_page=4, seed=seed, engine="vector"
+            spec, n_pages=4, blocks_per_page=4, seed=seed, engine="auto"
         )
         assert vector.results == scalar.results
         assert vector.lifetime == scalar.lifetime
@@ -185,7 +183,7 @@ class TestPageEquivalence:
         spec = aegis_spec(9, 61, 512)
         for seed in (1, 2, 3):
             scalar = simulate_page(spec, 6, rng_for(seed, 0), engine="scalar")
-            vector = simulate_page(spec, 6, rng_for(seed, 0), engine="vector")
+            vector = simulate_page(spec, 6, rng_for(seed, 0), engine="auto")
             assert vector == scalar
 
     def test_batched_pages_match_per_page_calls(self):
@@ -201,7 +199,7 @@ class TestPageEquivalence:
             spec, n_pages=6, blocks_per_page=4, seed=29, workers=1, engine="scalar"
         )
         pooled = run_page_study(
-            spec, n_pages=6, blocks_per_page=4, seed=29, workers=3, engine="vector"
+            spec, n_pages=6, blocks_per_page=4, seed=29, workers=3, engine="auto"
         )
         assert pooled.results == reference.results
 
@@ -222,7 +220,7 @@ class TestPageEquivalence:
             blocks_per_page=3,
             seed=11,
             lifetime_model=model,
-            engine="vector",
+            engine="auto",
         )
         assert vector.results == scalar.results
 

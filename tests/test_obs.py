@@ -349,7 +349,7 @@ class TestServiceObservability:
 
     def test_counters_property_still_flat(self):
         report = _small_load(1)
-        counters = report.telemetry.counters
+        counters = report.telemetry.snapshot()["counters"]
         assert isinstance(counters, dict)
         assert all("{" not in name for name in counters)
 

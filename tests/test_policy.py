@@ -183,7 +183,7 @@ class TestAdaptiveDrill:
         )
 
     def test_switches_surface_in_labeled_counters(self):
-        snapshot = self._run("vector", 1).telemetry.snapshot()
+        snapshot = self._run("auto", 1).telemetry.snapshot()
         switches = {
             key: count
             for key, count in snapshot["labeled_counters"].items()
@@ -196,7 +196,7 @@ class TestAdaptiveDrill:
     def test_snapshot_engine_and_worker_invariant(self):
         digests = {
             _digest(self._run(engine, workers).telemetry.snapshot())
-            for engine in ("vector", "scalar")
+            for engine in ("auto", "scalar")
             for workers in (1, 2)
         }
         assert len(digests) == 1
@@ -211,7 +211,7 @@ class TestAdaptiveDrill:
             n_addresses=12,
             spares=4,
             lifetime_model=NormalLifetime(mean_lifetime=40.0),
-            engine="vector",
+            engine="auto",
             fault_model="drift",
             policy="fixed",
         )

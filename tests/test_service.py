@@ -169,14 +169,14 @@ class TestServiceTelemetry:
             cell_writes=40, verification_reads=2, repartitions=1, inversion_writes=1
         )
         telemetry.record_receipt(receipt)
-        assert telemetry.counters["cell_writes_total"] == 40
+        assert telemetry.metrics.counter_value("cell_writes_total") == 40
         assert telemetry.service_cost.total == 1
         assert telemetry.latency.mean == pytest.approx(5.0)  # 1 + 2 + 1 + 1
 
     def test_merge_is_order_insensitive_for_snapshot_counts(self):
         def shard(n):
             t = ServiceTelemetry()
-            t.count("writes", n)
+            t.metrics.inc("writes", n)
             t.service_cost.observe(10 * n)
             t.emit("remap", op=n)
             return t
@@ -194,7 +194,7 @@ class TestServiceTelemetry:
 
     def test_snapshot_has_no_wallclock(self):
         telemetry = ServiceTelemetry()
-        telemetry.count("writes")
+        telemetry.metrics.inc("writes")
         flat = json.dumps(telemetry.snapshot())
         assert "time" not in flat and "elapsed" not in flat
 
@@ -245,7 +245,7 @@ class TestHealthTracker:
         assert tracker.observe_faults(0, 0) is BlockHealth.RETIRED  # never heals
         tracker.retire(0)  # idempotent
         assert tracker.observe_faults(1, 5) is BlockHealth.DEGRADED
-        assert telemetry.counters == {"blocks_degraded": 2, "blocks_retired": 1}
+        assert telemetry.metrics.flat_counters() == {"blocks_degraded": 2, "blocks_retired": 1}
         assert tracker.summary() == {"healthy": 1, "degraded": 1, "retired": 1}
 
 
@@ -303,7 +303,7 @@ class TestMemoryArray:
         assert after != before
         assert np.array_equal(array.read(0), ones())
         assert array.health.state_of(before) is BlockHealth.RETIRED
-        assert array.telemetry.counters["remaps"] == 1
+        assert array.telemetry.metrics.counter_value("remaps") == 1
         assert receipt.cell_writes > 0  # replay accounted on the merged receipt
 
     def test_pool_exhaustion_kills_only_that_address(self, rng):
@@ -380,10 +380,11 @@ class TestServiceController:
         payload = patterned(rng)
         controller.write(0, payload)
         assert np.array_equal(controller.read(0), payload)  # forwarded
-        assert controller.telemetry.counters["buffer_read_hits"] == 1
-        assert "writes_serviced" not in controller.telemetry.counters  # still pending
+        assert controller.telemetry.metrics.counter_value("buffer_read_hits") == 1
+        # still pending
+        assert "writes_serviced" not in controller.telemetry.metrics.flat_counters()
         controller.close()
-        assert controller.telemetry.counters["writes_serviced"] == 1
+        assert controller.telemetry.metrics.counter_value("writes_serviced") == 1
         assert np.array_equal(array.read(0), payload)
 
     def test_coalescing_reduces_serviced_writes(self):
@@ -392,7 +393,7 @@ class TestServiceController:
         for _ in range(5):
             controller.write(1, ones())
         controller.close()
-        counters = controller.telemetry.counters
+        counters = controller.telemetry.metrics.flat_counters()
         assert counters["write_requests"] == 5
         assert counters["writes_serviced"] == 1
 
@@ -401,7 +402,7 @@ class TestServiceController:
         controller = ServiceController(array, buffer_capacity=2)
         controller.write(0, patterned(rng))
         controller.write(1, patterned(rng))  # hits capacity -> drain
-        assert controller.telemetry.counters["writes_serviced"] == 2
+        assert controller.telemetry.metrics.counter_value("writes_serviced") == 2
         assert len(controller.buffer) == 0
 
     def test_lost_write_absorbed_unless_strict(self, rng):
@@ -421,7 +422,7 @@ class TestServiceController:
         controller.write(0, ones())
         controller.write(1, ones())
         controller.close()  # dead address must not stall the drain
-        counters = controller.telemetry.counters
+        counters = controller.telemetry.metrics.flat_counters()
         assert counters["writes_lost"] == 1
         assert np.array_equal(array.read(1), ones())
         strict = ServiceController(array, buffer_capacity=4, strict=True)

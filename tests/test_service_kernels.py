@@ -1,7 +1,7 @@
 """Tests for the vectorized service drain (`repro/service/kernels.py`).
 
 The headline property, mirroring ``tests/test_kernels.py`` one layer up:
-``engine="vector"`` is a pure performance knob for the serving path.  For
+``engine="auto"`` is a pure performance knob for the serving path.  For
 every covered scheme the batched drain leaves the array, the telemetry
 snapshot, and the sampled trace span trees byte-identical to the scalar
 per-row pipeline — across seeds, worker counts, and drains where some
@@ -19,10 +19,14 @@ from repro.service import (
     MemoryArray,
     ServiceController,
     kernel_for,
-    resolve_engine,
     run_load,
 )
-from repro.sim.kernels import pack_rows_u64, popcount_rows_u64, xor_popcount_rows
+from repro.sim.kernels import (
+    pack_rows_u64,
+    popcount_rows_u64,
+    resolve_engine,
+    xor_popcount_rows,
+)
 from repro.sim.rng import rng_for
 from repro.sim.roster import (
     aegis_rw_spec,
@@ -134,21 +138,21 @@ class TestEngineResolution:
             _make_array(spec, engine="gpu")
         array = _make_array(spec, engine="auto")
         with pytest.raises(ConfigurationError):
-            resolve_engine("gpu", array)
+            resolve_engine("gpu", array, kernel_for)
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_IDS)
     def test_auto_takes_the_kernel_when_covered(self, spec):
         array = _make_array(spec, engine="auto")
         assert kernel_for(array) is not None
-        assert resolve_engine("auto", array) == "vector"
-        assert resolve_engine("scalar", array) == "scalar"
+        assert resolve_engine("auto", array, kernel_for) == "vector"
+        assert resolve_engine("scalar", array, kernel_for) == "scalar"
         assert ServiceController(array).engine == "vector"
 
     @pytest.mark.parametrize("spec", FALLBACK_SPECS, ids=_IDS)
     def test_uncovered_schemes_fall_back_to_scalar(self, spec):
         array = _make_array(spec, engine="auto")
         assert kernel_for(array) is None
-        assert resolve_engine("vector", array) == "scalar"
+        assert resolve_engine("auto", array, kernel_for) == "scalar"
         assert ServiceController(array).engine == "scalar"
 
     def test_kernel_is_memoised_per_array(self):
@@ -158,7 +162,6 @@ class TestEngineResolution:
     def test_controller_inherits_the_array_engine(self):
         array = _make_array(aegis_spec(9, 61, 512), engine="scalar")
         assert ServiceController(array).engine == "scalar"
-        assert ServiceController(array, engine="vector").engine == "vector"
 
 
 def _drive(spec, engine, *, lifetime, ops=900, buffer_capacity=16, **kwargs):
@@ -191,7 +194,7 @@ class TestDrainEquivalence:
     def test_healthy_traffic_is_bit_identical(self, spec):
         lifetime = FixedLifetime(10**9)
         scalar = _drive(spec, "scalar", lifetime=lifetime)
-        vector = _drive(spec, "vector", lifetime=lifetime)
+        vector = _drive(spec, "auto", lifetime=lifetime)
         assert ServiceController(vector).engine == "vector"
         _assert_same_state(scalar, vector)
 
@@ -205,7 +208,7 @@ class TestDrainEquivalence:
             spec, "scalar", lifetime=lifetime, proactive_migration=proactive
         )
         vector = _drive(
-            spec, "vector", lifetime=lifetime, proactive_migration=proactive
+            spec, "auto", lifetime=lifetime, proactive_migration=proactive
         )
         counters = scalar.telemetry.metrics.snapshot()["counters"]
         escalations = (
@@ -238,7 +241,7 @@ class TestDrainEquivalence:
                 controller.close()
             return array
 
-        _assert_same_state(run("scalar"), run("vector"))
+        _assert_same_state(run("scalar"), run("auto"))
 
 
 class TestLoadGeneratorSweep:
@@ -281,13 +284,13 @@ class TestLoadGeneratorSweep:
     def test_vector_serial_matches_scalar(self, spec, seed, tmp_path):
         snapshot, trace = self._reference_for(spec, seed, tmp_path)
         got_snapshot, got_trace = self._run(
-            spec, seed, "vector", 1, tmp_path, "vector"
+            spec, seed, "auto", 1, tmp_path, "auto"
         )
         assert got_snapshot == snapshot
         assert got_trace == trace
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_IDS)
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_fanout_matches_serial_scalar(
         self, spec, engine, workers, tmp_path
@@ -303,7 +306,7 @@ class TestLoadGeneratorSweep:
         spec = aegis_rw_spec(9, 61, 512)
         snapshot, trace = self._reference_for(spec, 2013, tmp_path)
         got_snapshot, got_trace = self._run(
-            spec, 2013, "vector", 1, tmp_path, "fallback"
+            spec, 2013, "auto", 1, tmp_path, "fallback"
         )
         assert got_snapshot == snapshot
         assert got_trace == trace

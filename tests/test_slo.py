@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, TimeSeriesRecorder
-from repro.obs.report import render_slo_report
+from repro.obs.report import render_obs_report
 from repro.obs.slo import (
     SLOEngine,
     SLOSpec,
@@ -238,7 +238,7 @@ def drill_reports():
         (workers, engine): run_cluster_bench(
             spec, workers=workers, engine=engine, **DRILL
         )
-        for workers, engine in [(1, "vector"), (2, "scalar"), (4, "vector")]
+        for workers, engine in [(1, "auto"), (2, "scalar"), (4, "auto")]
     }
 
 
@@ -252,7 +252,7 @@ class TestDegradeDrill:
         assert all(r.audit_failures == 0 for r in drill_reports.values())
 
     def test_alert_fires_and_triggers_maintenance_migration(self, drill_reports):
-        report = drill_reports[(1, "vector")]
+        report = drill_reports[(1, "auto")]
         metrics = report.telemetry.metrics
         assert metrics.counter_total("slo_alerts_total", slo="degrade_burst") >= 1
         assert metrics.counter_total("migrations_total", kind="alert") >= 1
@@ -266,7 +266,7 @@ class TestDegradeDrill:
         assert any(event["slo"] == "degrade_burst" for event in events)
 
     def test_slo_sections_inside_digested_snapshot(self, drill_reports):
-        report = drill_reports[(1, "vector")]
+        report = drill_reports[(1, "auto")]
         snapshot = report.snapshot
         assert "timeseries" in snapshot
         assert snapshot["timeseries"]["samples"] > 0
@@ -276,13 +276,14 @@ class TestDegradeDrill:
     def test_series_export_and_report_surface_the_alert(
         self, drill_reports, tmp_path
     ):
-        report = drill_reports[(1, "vector")]
+        report = drill_reports[(1, "auto")]
         path = tmp_path / "series.jsonl"
         report.write_series_jsonl(str(path))
         data = read_slo_jsonl(str(path))
         assert any(slo["name"] == "degrade_burst" for slo in data["slos"])
         assert any(alert["slo"] == "degrade_burst" for alert in data["alerts"])
-        rendered = render_slo_report(str(path), title="Drill")
+        rendered = render_obs_report(None, series_path=str(path), title="Drill")
+        assert rendered.startswith("# Drill\n\n")
         assert "degrade_burst" in rendered
         assert "## Alert timeline" in rendered
         assert "migrate" in rendered

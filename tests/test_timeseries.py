@@ -200,7 +200,7 @@ class TestExport:
 class TestLoadDeterminism:
     def test_series_identical_across_workers_and_engines(self):
         snapshots = {}
-        for workers, engine in [(1, "vector"), (2, "scalar"), (2, "vector")]:
+        for workers, engine in [(1, "auto"), (2, "scalar"), (2, "auto")]:
             report = run_load(
                 aegis_spec(9, 61, 512),
                 ops=400,
