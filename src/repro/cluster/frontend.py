@@ -14,6 +14,9 @@ protocol (one request object per line, one response object per line):
     array's drainer task; when the queue itself is full the client gets
     ``{"ok": false, "error": "backpressure", "retry_after": N}`` and must
     back off — the two-level backpressure the cluster design calls for.
+    A write to a key whose older bulk write still waits in a queue is
+    queued behind it on that array's queue (or refused with
+    ``backpressure`` when the queue is full), never applied ahead of it.
 ``{"cmd": "read", "address": 3}``
     Read-your-writes: queued-but-unapplied bulk writes are forwarded from
     the pending table, then the cluster (whose write buffers forward
@@ -120,8 +123,9 @@ class ClusterFrontend:
         self._watch_cond = asyncio.Condition()
         self._sample_count = 0
         self._queues: dict[str, asyncio.Queue] = {}
-        #: queued-but-unapplied bulk payloads, for read-your-writes
-        self._pending: dict[tuple[str, int], np.ndarray] = {}
+        #: newest queued-but-unapplied bulk write per key, as (array,
+        #: payload): read-your-writes, and the queue a rewrite must follow
+        self._pending: dict[tuple[str, int], tuple[str, np.ndarray]] = {}
         self._tasks: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
 
@@ -188,7 +192,8 @@ class ClusterFrontend:
                         self.cluster.write(tenant_id, address, payload, admit=False)
                     finally:
                         key = (tenant_id, address)
-                        if self._pending.get(key) is payload:
+                        pending = self._pending.get(key)
+                        if pending is not None and pending[1] is payload:
                             del self._pending[key]
             except ReproError as error:
                 # the write was acknowledged as queued, so its loss must be
@@ -362,25 +367,35 @@ class ClusterFrontend:
             )
         except (KeyError, TypeError, ValueError, ConfigurationError) as error:
             return {"ok": False, "error": "bad_request", "detail": str(error)}
+        key = (tenant_id, address)
         async with self._lock:
-            try:
-                self.cluster.write(tenant_id, address, payload)
-                return {"ok": True, "status": "serviced"}
-            except BackpressureError as error:
-                saturated = error.array
-                retry_after = error.retry_after
-            except ReproError as error:
-                return {"ok": False, "error": "rejected", "detail": str(error)}
-        queue = self._queues[saturated]
-        if queue.full():
-            return {
-                "ok": False,
-                "error": "backpressure",
-                "array": saturated,
-                "retry_after": retry_after,
-            }
-        self._pending[(tenant_id, address)] = payload
-        queue.put_nowait((tenant_id, address, payload))
+            # looked up under the lock: a drainer or another connection may
+            # have queued or applied a write to this key while we waited
+            pending = self._pending.get(key)
+            if pending is not None:
+                # an older write to this key still waits in a bulk queue:
+                # queue this one behind it, so the drainer applies them in order
+                saturated = pending[0]
+                retry_after = self._queues[saturated].qsize()
+            else:
+                try:
+                    self.cluster.write(tenant_id, address, payload)
+                    return {"ok": True, "status": "serviced"}
+                except BackpressureError as error:
+                    saturated = error.array
+                    retry_after = error.retry_after
+                except ReproError as error:
+                    return {"ok": False, "error": "rejected", "detail": str(error)}
+            queue = self._queues[saturated]
+            if queue.full():
+                return {
+                    "ok": False,
+                    "error": "backpressure",
+                    "array": saturated,
+                    "retry_after": retry_after,
+                }
+            self._pending[key] = (saturated, payload)
+            queue.put_nowait((tenant_id, address, payload))
         return {"ok": True, "status": "queued", "array": saturated}
 
     async def _handle_read(self, request: dict, tenant_id: str) -> dict:
@@ -388,9 +403,9 @@ class ClusterFrontend:
             address = int(request["address"])
         except (KeyError, TypeError, ValueError) as error:
             return {"ok": False, "error": "bad_request", "detail": str(error)}
-        forwarded = self._pending.get((tenant_id, address))
-        if forwarded is not None:
-            return {"ok": True, "payload": encode_payload(forwarded), "source": "queued"}
+        pending = self._pending.get((tenant_id, address))
+        if pending is not None:
+            return {"ok": True, "payload": encode_payload(pending[1]), "source": "queued"}
         async with self._lock:
             try:
                 bits = self.cluster.read(tenant_id, address)

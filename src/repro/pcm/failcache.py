@@ -115,12 +115,20 @@ class DirectMappedFailCache:
         return known
 
     def record(self, cells: CellArray, offset: int, stuck_value: int) -> None:
-        """Insert a fault discovered by a verification read."""
+        """Insert a fault discovered by a verification read.
+
+        Re-recording a resident fault is a no-op: a stuck value never
+        changes, so the entry, the eviction count and the hit/miss
+        statistics would not move.
+        """
         block_key = self._key_of(cells)
         index = self._index(block_key, offset)
         existing = self._entries.get(index)
-        if existing is not None and (existing.block_key, existing.offset) != (block_key, offset):
-            self.evictions += 1
+        if existing is not None:
+            if existing.block_key != block_key or existing.offset != offset:
+                self.evictions += 1
+            elif existing.stuck_value == stuck_value:
+                return
         self._entries[index] = _Entry(block_key, offset, int(stuck_value))
 
     # -- statistics -----------------------------------------------------------

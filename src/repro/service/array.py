@@ -262,8 +262,10 @@ class MemoryArray:
         if self.fail_cache is None:
             return
         cells = self.blocks[physical].cells
-        for offset in cells.fault_offsets:
-            self.fail_cache.record(cells, offset, cells.stuck_value_of(offset))
+        offsets = np.flatnonzero(self.store.stuck[physical])
+        values = self.store.stuck_value[physical, offsets]
+        for offset, stuck_value in zip(offsets.tolist(), values.tolist()):
+            self.fail_cache.record(cells, offset, stuck_value)
 
     def write(self, address: int, payload: np.ndarray) -> WriteReceipt:
         """Store ``payload`` at ``address``, surviving block failures.

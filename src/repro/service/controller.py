@@ -19,11 +19,12 @@ the pieces the reproduction already models bit-accurately):
    or row by row under the scalar engine; either way exactly the device
    model's semantics (only differing cells are programmed; every write
    verifies).
-4. **Retry-with-repartition escalation** — rows that cannot complete in
-   one clean pass (repartition walks, spare remaps, proactive
-   migrations, first-touch allocations) fall out of the batch to the
-   scalar per-row pipeline, in row order, so the rare path stays
-   bit-identical whatever the engine.
+4. **Retry-with-repartition escalation** — rows the batch cannot prove
+   finish in one clean pass or, under Aegis, after one inversion flip
+   (repartition walks, spare remaps, proactive migrations, first-touch
+   allocations) fall out of the batch to the scalar per-row pipeline,
+   in row order, so the rare path stays bit-identical whatever the
+   engine.
 5. **Typed failure** — only a write that finds the pool exhausted raises
    :class:`~repro.errors.RetiredBlockError`.  During a buffered flush the
    controller absorbs it into telemetry (``writes_lost``) so one dead

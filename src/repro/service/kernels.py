@@ -1,11 +1,10 @@
 """Vectorized service data plane: batch kernels for the write pipeline.
 
-PR 4 proved the batch-kernel technique on the Monte Carlo side
-(:mod:`repro.sim.kernels`); this module applies it one layer up, to the
-production-shaped service pipeline.  A drained write-buffer batch —
-addresses, payloads, per-block fault state — is advanced through
-fail-cache consult, health check, differential write + verification and
-escalation detection as whole-batch numpy operations, with three pieces:
+The batch-kernel technique of the Monte Carlo side
+(:mod:`repro.sim.kernels`) applied one layer up, to the production-shaped
+service pipeline.  A drained write-buffer batch — addresses, payloads,
+per-block fault state — is classified and committed as whole-batch numpy
+operations, with three pieces:
 
 * :class:`BlockStore` — columnar adoption of every block's cell arrays
   (stored values, stuck masks, stuck values, write counts, endurance)
@@ -14,47 +13,75 @@ escalation detection as whole-batch numpy operations, with three pieces:
   the same state.
 * Per-scheme kernels (:class:`_XorMaskKernel` for Aegis/SAFER/the
   unprotected baseline, :class:`_EcpKernel`, :class:`_HammingKernel`)
-  that classify which rows of a drain are *fast* — serviceable in one
-  differential write pass with a clean verification read — and commit
-  the scheme-side state for those rows in batch.
-* :func:`drain_vector` — the whole-drain driver: classify, then walk the
-  batch in row order as alternating [fast run][escalation row] segments.
-  Fast runs commit as one fancy-indexed batch write (gather → XOR
-  popcount cell-write costs via the uint64 bitset helpers in
-  :mod:`repro.sim.kernels` → wear → scatter); escalation rows (unmapped
-  or dead addresses, proactive migrations, repartition walks, spare
-  remaps, invalid payloads) fall back to the scalar per-row pipeline.
+  that sort a drain's rows into three classes and commit the
+  scheme-side state of the batchable ones (the plan carries a two-pass
+  row's inversion flips and learned faults):
+
+  - *fast* rows finish in one differential write pass with a clean
+    verification read;
+  - *two-pass* rows (plain Aegis only) finish after exactly one
+    inversion flip — the pass-1 stuck-at-wrong cells lie in pairwise
+    distinct groups under the block's current slope, and no group they
+    hit holds any other stuck cell;
+  - *escalation* rows run the scalar per-row pipeline: unmapped or dead
+    addresses, policy-switched blocks, degraded blocks under proactive
+    migration, invalid payloads, and every write a kernel cannot prove
+    to be fast or two-pass (repartition walks, spare remaps).
+* :func:`drain_vector` — the whole-drain driver: classify, commit the
+  cell state of every batchable row in one gather → differential write
+  (two passes where planned) → wear → scatter, then walk the drain in
+  row order for the order-sensitive effects (op clock, health, fail
+  cache, cost attribution), servicing escalation rows in place.
 
 Bit-identity contract
 ---------------------
 The vector engine reproduces the scalar engine exactly: telemetry
 snapshots, trace JSONL and final array state are byte-identical
 (asserted across schemes/seeds/workers in ``tests/test_service_kernels.py``).
-The argument has three legs:
+The argument has four legs:
 
-* **Fast rows are provably single-pass.**  Each kernel's predicate is
-  evaluated against pre-drain state, which equals pre-write state
-  because a drain's rows target distinct logical addresses and the
+* **Rows are independent.**  Each kernel's predicate is evaluated
+  against pre-drain state, which equals pre-write state because a
+  drain's rows target distinct logical addresses and the
   logical→physical map is injective — distinct rows touch distinct
-  blocks.  A fast row's scalar execution performs exactly one
-  differential write and one clean verification read, touches no RNG,
-  emits no events or spans, and yields receipt
-  ``(cell_writes, 1, 0, 0)`` — all reproduced in batch.
-* **Escalation rows run the scalar code itself**, in row order, between
-  fast segments, so mid-drain exceptions (strict retirement, invalid
-  payloads) leave the array in the same state under both engines.
-* **Telemetry is commutative.**  Histograms batch via
-  ``searchsorted``/exact integer float sums
-  (:meth:`repro.obs.metrics.Histogram.observe_many`), counters add, and
-  span sequences are identical because per-drain spans replaced the
-  per-write spans in both engines.
+  blocks.  Escalation rows only ever add blocks from the free pool,
+  which no other row of the drain maps to.
+* **Fast rows are single-pass.**  A fast row's scalar execution
+  performs one differential write and one clean verification read,
+  touches no RNG, emits no events or spans, and yields receipt
+  ``(cell_writes, 1, 0, 0)``.
+* **Two-pass rows are exact.**  Let ``M1`` be the stuck cells that
+  disagree with the pass-1 form ``data XOR mask``.  When ``M1`` hits
+  ``|M1|`` distinct groups, the scalar loop flips exactly those
+  groups' inversion bits and rewrites with form ``form1 XOR F`` (``F``
+  = the flipped groups' members).  Every ``M1`` cell then agrees (its
+  form bit flipped), stuck cells outside ``F`` agree as before, and the
+  only stuck cells inside ``F`` are the ``M1`` cells, so the second
+  verification read is clean.  Pass 2 therefore programs exactly the
+  healthy cells of ``F``; the receipt is
+  ``(cell_writes, 2, 0, |M1|)``, ``known_fault_offsets`` grows by
+  ``M1``, and wear is applied once, after pass 2 — all reproduced in
+  batch.  Any other stuck cell in a flipped group would surface on
+  the second read and collide, so such rows escalate.
+* **Order-sensitive effects keep row order.**  The op clock, health
+  transitions, fail-cache inserts and ``cost_hook`` calls of batched
+  rows are applied in the row-order walk, interleaved with the
+  escalation rows exactly where the scalar drain would run them.
+  A drain is cut right after each row that can raise (an invalid
+  payload; any escalation row when ``strict=True``), so no later row's
+  cells are committed before it has run and a mid-drain exception
+  leaves the scalar state.  Telemetry counters add and histograms batch
+  via ``searchsorted``/exact integer float sums
+  (:meth:`repro.obs.metrics.Histogram.observe_many`), so their order
+  does not matter.
 
-Misclassifying a row as slow only costs speed (the scalar path is always
-correct); only the fast-direction predicates must be exact, and they are
-conservative everywhere cheapness demands it.
+Misclassifying a row as an escalation only costs speed (the scalar path
+is always correct); only the batch-direction predicates must be exact.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,11 +93,7 @@ from repro.schemes.hamming import CHECK_BITS, DATA_BITS, HammingScheme, _H
 from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.safer import SaferScheme
 from repro.service.health import BlockHealth
-from repro.sim.kernels import (
-    pack_rows_u64,
-    popcount_rows_u64,
-    validate_engine,
-)
+from repro.sim.kernels import count_rows, validate_engine
 
 __all__ = [
     "BlockStore",
@@ -129,14 +152,30 @@ class BlockStore:
             cells._write_counts = self.write_counts[index]
             block.endurance = self.endurance[index]
 
-    def fault_counts(self, physical: np.ndarray) -> np.ndarray:
-        """Stuck-cell counts for the given physical rows."""
-        return np.count_nonzero(self.stuck[physical], axis=1)
-
 
 # ---------------------------------------------------------------------------
-# Per-scheme kernels: fast-row classification + scheme-side batch commit
+# Per-scheme kernels: row classification + scheme-side batch commit
 # ---------------------------------------------------------------------------
+
+
+class _Plan(NamedTuple):
+    """A kernel's classification of one drain.
+
+    ``batch`` marks the rows committed in batch and ``forms`` holds their
+    pass-1 stored forms.  ``two_pass`` lists (ascending) the batched rows
+    that need one inversion flip; indexed alike, ``flips`` holds their
+    pass-2 flip masks over the bits, ``groups`` the same flips over the
+    inversion bits, ``flipped`` the flipped-group counts and ``learned``
+    the stuck-at-wrong offsets ``M1`` each row's scheme learns.
+    """
+
+    batch: np.ndarray
+    forms: np.ndarray
+    two_pass: np.ndarray = np.empty(0, dtype=np.int64)
+    flips: np.ndarray = np.empty((0, 0), dtype=bool)
+    groups: np.ndarray = np.empty((0, 0), dtype=np.uint8)
+    flipped: np.ndarray = np.empty(0, dtype=np.int64)
+    learned: tuple[list[int], ...] = ()
 
 
 class _XorMaskKernel:
@@ -145,66 +184,109 @@ class _XorMaskKernel:
     A row is fast iff no stuck cell disagrees with its target form — then
     the scalar ``_encode_write`` returns after one pass with a clean
     verification read, flipping no inversion bits and learning no faults.
-    The per-block inversion vectors are adopted into a ``(blocks, groups)``
-    matrix (both schemes mutate them strictly in place) so "is any
-    inversion bit set" is one batch reduction; the expensive per-block
-    mask expansion is cached keyed on the scheme's partition state, which
-    only changes when the scalar fallback handles a new fault.
+    Under plain Aegis a row is two-pass iff its stuck-at-wrong cells lie
+    in distinct groups that hold no other stuck cell (see the module
+    docstring).  The per-block inversion vectors are adopted into a
+    ``(blocks, groups)`` matrix (both schemes mutate them strictly in
+    place), so "is any inversion bit set" is one batch reduction, and the
+    few inverted rows of a drain gather their masks through the group id
+    of every bit: the partition ROM row ``partition._table[slope]`` for
+    Aegis, the position-vector group ids for SAFER.
     """
 
     def __init__(self, array, kind: str) -> None:
         self.array = array
         self.store: BlockStore = array.store
         self.kind = kind
+        self.inversion = None
         if kind == "none":
-            self.inversion = None
+            return
+        blocks = array.blocks
+        scheme = blocks[0].scheme
+        inversion = np.zeros((len(blocks), len(scheme.inversion)), dtype=np.uint8)
+        for index, block in enumerate(blocks):
+            inversion[index] = block.scheme.inversion
+            block.scheme.inversion = inversion[index]
+        self.inversion = inversion
+        if kind == "aegis":
+            self._table = scheme.partition._table
         else:
-            blocks = array.blocks
-            groups = len(blocks[0].scheme.inversion)
-            inversion = np.zeros((len(blocks), groups), dtype=np.uint8)
-            for index, block in enumerate(blocks):
-                inversion[index] = block.scheme.inversion
-                block.scheme.inversion = inversion[index]
-            self.inversion = inversion
-        self._mask_cache: dict[int, tuple[object, np.ndarray]] = {}
+            self._safer_ids: dict[tuple[int, ...], np.ndarray] = {}
 
-    def _mask_for(self, physical: int) -> np.ndarray:
-        scheme = self.array.blocks[physical].scheme
+    def _group_ids(self, physical: np.ndarray) -> np.ndarray:
+        """``(rows, bits)`` group id of every bit of the given blocks."""
+        blocks = self.array.blocks
+        schemes = [blocks[index].scheme for index in physical.tolist()]
         if self.kind == "aegis":
-            key: object = (scheme.slope, scheme.inversion.tobytes())
-        else:
-            key = (scheme.positions, scheme.inversion.tobytes())
-        cached = self._mask_cache.get(physical)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        mask = scheme._inversion_mask().astype(np.uint8)
-        self._mask_cache[physical] = (key, mask)
-        return mask
+            return self._table[[scheme.slope for scheme in schemes]]
+        cache = self._safer_ids
+        rows = []
+        for scheme in schemes:
+            ids = cache.get(scheme.positions)
+            if ids is None:
+                ids = cache[scheme.positions] = scheme._group_ids(scheme.positions)
+            rows.append(ids)
+        return np.stack(rows)
 
     def plan(
         self, phys: np.ndarray, payloads: np.ndarray, candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        fast = candidates.copy()
+    ) -> _Plan:
+        batch = candidates.copy()
         forms = payloads
-        rows = np.flatnonzero(candidates)
+        rows = candidates.nonzero()[0]
         if rows.size == 0:
-            return fast, forms
-        if self.inversion is not None:
-            inverted = rows[self.inversion[phys[rows]].any(axis=1)]
-            if inverted.size:
-                forms = payloads.copy()
-                for row in inverted:
-                    forms[row] = payloads[row] ^ self._mask_for(int(phys[row]))
+            return _Plan(batch, forms)
         p = phys[rows]
-        conflict = (
-            self.store.stuck[p] & (self.store.stuck_value[p] != forms[rows])
-        ).any(axis=1)
-        fast[rows[conflict]] = False
-        return fast, forms
+        if self.inversion is not None:
+            inverted = self.inversion[p].any(axis=1)
+            if inverted.any():
+                q = p[inverted]
+                forms = payloads.copy()
+                forms[rows[inverted]] ^= self.inversion[q[:, None], self._group_ids(q)]
+        stuck = self.store.stuck[p]
+        wrong = stuck & (self.store.stuck_value[p] != forms[rows])
+        conflict = wrong.any(axis=1)
+        if not conflict.any():
+            return _Plan(batch, forms)
+        batch[rows[conflict]] = False
+        if self.kind != "aegis":
+            return _Plan(batch, forms)
+        # two-pass candidates: the scalar loop flips the groups of the
+        # pass-1 stuck-at-wrong cells M1 and rewrites; that second pass is
+        # clean iff each M1 cell's group holds exactly one stuck cell
+        blocks = self.array.blocks
+        groups = self.inversion.shape[1]
+        two_pass, flips, flagged_groups, flipped, learned = [], [], [], [], []
+        for row, physical, stuck_row, wrong_row in zip(
+            rows[conflict].tolist(), p[conflict].tolist(), stuck[conflict], wrong[conflict]
+        ):
+            group_of = self._table[blocks[physical].scheme.slope]
+            hit = group_of[wrong_row]
+            if (np.bincount(group_of[stuck_row], minlength=groups)[hit] != 1).any():
+                continue
+            flagged = np.zeros(groups, dtype=np.uint8)
+            flagged[hit] = 1
+            two_pass.append(row)
+            flips.append(flagged[group_of])
+            flagged_groups.append(flagged)
+            flipped.append(hit.size)
+            learned.append(np.flatnonzero(wrong_row).tolist())
+        if not two_pass:
+            return _Plan(batch, forms)
+        batch[two_pass] = True
+        return _Plan(
+            batch,
+            forms,
+            np.array(two_pass, dtype=np.int64),
+            np.stack(flips).view(bool),
+            np.stack(flagged_groups),
+            np.array(flipped, dtype=np.int64),
+            tuple(learned),
+        )
 
     def commit(
         self,
-        row_ids: range,
+        rows: np.ndarray,
         p: np.ndarray,
         data_rows: np.ndarray,
         form_rows: np.ndarray,
@@ -230,12 +312,12 @@ class _EcpKernel:
 
     def plan(
         self, phys: np.ndarray, payloads: np.ndarray, candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> _Plan:
         fast = candidates.copy()
         self._pending = {}
         rows = np.flatnonzero(candidates)
         if rows.size == 0:
-            return fast, payloads
+            return _Plan(fast, payloads)
         p = phys[rows]
         mismatches = self.store.stuck[p] & (
             self.store.stuck_value[p] != payloads[rows]
@@ -259,18 +341,18 @@ class _EcpKernel:
                 fast[row] = False
                 continue
             self._pending[int(row)] = fresh
-        return fast, payloads
+        return _Plan(fast, payloads)
 
     def commit(
         self,
-        row_ids: range,
+        rows: np.ndarray,
         p: np.ndarray,
         data_rows: np.ndarray,
         form_rows: np.ndarray,
     ) -> np.ndarray | None:
         blocks = self.array.blocks
         pending = self._pending
-        for index, row in enumerate(row_ids):
+        for index, row in enumerate(rows.tolist()):
             todo = pending.get(row)
             if todo is None:
                 continue
@@ -288,7 +370,7 @@ class _HammingKernel:
 
     A row is fast iff its main cells *and* its check cells hold zero
     stuck faults — the stored codewords then equal the encoded data, so
-    every word decodes clean.  The check-bit images for a whole segment
+    every word decodes clean.  The check-bit images for a whole drain
     come from one parity-matrix matmul; the side check arrays are adopted
     columnar here (the main arrays live in the shared block store) and
     take the same differential-write/count bookkeeping, minus wear: block
@@ -320,18 +402,18 @@ class _HammingKernel:
 
     def plan(
         self, phys: np.ndarray, payloads: np.ndarray, candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> _Plan:
         fast = candidates.copy()
         rows = np.flatnonzero(candidates)
         if rows.size:
             p = phys[rows]
             conflict = self.store.stuck[p].any(axis=1) | self.c_stuck[p].any(axis=1)
             fast[rows[conflict]] = False
-        return fast, payloads
+        return _Plan(fast, payloads)
 
     def commit(
         self,
-        row_ids: range,
+        rows: np.ndarray,
         p: np.ndarray,
         data_rows: np.ndarray,
         form_rows: np.ndarray,
@@ -349,7 +431,7 @@ class _HammingKernel:
         counts = self.c_write_counts[p]
         counts += programmed
         self.c_write_counts[p] = counts
-        return popcount_rows_u64(pack_rows_u64(programmed))
+        return count_rows(programmed)
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +484,17 @@ def drain_vector(
     """Service one drained batch with the vector engine.
 
     Returns ``(merged receipt, writes serviced, writes lost)`` — the same
-    aggregate the scalar drain produces.  Rows are processed strictly in
-    first-enqueue order as alternating fast segments (batch commit) and
-    escalation rows (``controller._service_row``), so both engines leave
-    identical state even when an escalation raises mid-drain.
+    aggregate the scalar drain produces.  The drain is cut right after
+    each row that can raise; each piece commits its batched rows' cells
+    at once and then walks its rows in first-enqueue order, so both
+    engines leave identical state even when an escalation raises.
     """
     array = controller.array
     kernel = kernel_for(array)
     batch = int(addresses.shape[0])
     phys = array._map[addresses]
-    escalate = phys < 0  # unmapped (first touch) and dead addresses
-    np.bitwise_or(escalate, (payloads > 1).any(axis=1), out=escalate)
+    invalid = (payloads > 1).any(axis=1)
+    escalate = (phys < 0) | invalid  # unmapped (first touch) and dead too
     if array._switched:
         # policy-switched blocks no longer run the base scheme the batch
         # kernel was built for; their rows take the scalar pipeline
@@ -429,116 +511,167 @@ def drain_vector(
                 and health.state_of(int(phys[row])) is BlockHealth.DEGRADED
             ):
                 escalate[row] = True
-    fast, forms = kernel.plan(phys, payloads, ~escalate)
+    plan = kernel.plan(phys, payloads, ~escalate)
+    # rows that can raise: invalid payloads always, every escalation row
+    # when a lost write re-raises
+    can_raise = ~plan.batch if controller.strict else invalid
     total = WriteReceipt()
-    serviced = 0
-    lost = 0
-    row = 0
-    while row < batch:
-        if fast[row]:
-            stop = row + 1
-            while stop < batch and fast[stop]:
-                stop += 1
-            cell_writes = _commit_segment(
-                controller, kernel, addresses, phys, payloads, forms, row, stop
+    serviced = lost = 0
+    start = 0
+    for stop in [*(can_raise.nonzero()[0] + 1).tolist(), batch]:
+        if stop > start:
+            done, dropped = _drain_rows(
+                controller, kernel, plan, addresses, phys, payloads, known,
+                start, stop, total,
             )
-            total.cell_writes += cell_writes
-            total.verification_reads += stop - row
-            serviced += stop - row
-            row = stop
-        else:
-            receipt = controller._service_row(
-                int(addresses[row]), payloads[row], known[row]
-            )
-            if receipt is None:
-                lost += 1
-            else:
-                total.merge(receipt)
-                serviced += 1
-            row += 1
+            serviced += done
+            lost += dropped
+            start = stop
     return total, serviced, lost
 
 
-def _commit_segment(
+def _drain_rows(
     controller,
     kernel,
+    plan: _Plan,
     addresses: np.ndarray,
     phys: np.ndarray,
     payloads: np.ndarray,
-    forms: np.ndarray,
+    known: list[dict[int, int]],
     start: int,
     stop: int,
-) -> int:
-    """Commit one contiguous run of fast rows as a batch; returns the
-    segment's total cell writes."""
+    total: WriteReceipt,
+) -> tuple[int, int]:
+    """Service rows ``[start, stop)``: commit the batched rows, then walk
+    every row in order.  Folds the rows into ``total``; returns
+    ``(writes serviced, writes lost)``."""
+    array = controller.array
+    in_batch = plan.batch[start:stop]
+    rows = start + in_batch.nonzero()[0]
+    cell_writes: list[int] = []
+    fault_counts: list[int] = []
+    if rows.size:
+        cells, faults = _commit_rows(
+            controller, kernel, plan, phys, payloads, rows, total
+        )
+        cell_writes = cells.tolist()
+        fault_counts = faults.tolist()
+
+    # -- row-order walk: op clock, health, fail cache, cost attribution and
+    #    the escalation rows, exactly where the scalar drain runs them -----
+    health = array.health
+    cost_hook = controller.cost_hook
+    position = 0
+    lost = 0
+    for row, batched in enumerate(in_batch.tolist(), start):
+        if batched:
+            array.op_clock += 1
+            faults = fault_counts[position]
+            if faults:
+                physical = int(phys[row])
+                health.observe_faults(physical, faults, op=array.op_clock)
+                array._record_faults(physical)
+            if cost_hook is not None:
+                cost_hook(int(addresses[row]), cell_writes[position])
+            position += 1
+            continue
+        receipt = controller._service_row(int(addresses[row]), payloads[row], known[row])
+        if receipt is None:
+            lost += 1
+        else:
+            total.merge(receipt)
+    return stop - start - lost, lost
+
+
+def _commit_rows(
+    controller,
+    kernel,
+    plan: _Plan,
+    phys: np.ndarray,
+    payloads: np.ndarray,
+    rows: np.ndarray,
+    total: WriteReceipt,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Commit the cell, scheme, stats and telemetry state of the batched
+    ``rows`` (ascending) in one gather/scatter and fold their receipts
+    into ``total``; returns their per-row cell writes and post-wear fault
+    counts."""
     array = controller.array
     store: BlockStore = array.store
-    p = phys[start:stop]
-    form_rows = forms[start:stop]
-    data_rows = payloads[start:stop]
-    count = stop - start
+    count = int(rows.size)
+    # a gap-free run of rows (the common drain) gathers through views
+    first, last = int(rows[0]), int(rows[-1])
+    picked = slice(first, last + 1) if last - first + 1 == count else rows
+    p = phys[picked]
+    form_rows = plan.forms[picked]
 
-    # -- differential write (gather → update → scatter) ---------------------
+    # -- pass 1: differential write (gather → update) -----------------------
     stored = store.stored[p]
     stuck = store.stuck[p]
     programmed = stored != form_rows
-    healthy = programmed & ~stuck
     # branchless masked merge: stored <- form where healthy (boolean-mask
     # assignment is an order of magnitude slower for these shapes)
-    stored ^= (stored ^ form_rows) * healthy.view(np.uint8)
-    store.stored[p] = stored
+    stored ^= (stored ^ form_rows) * (programmed & ~stuck).view(np.uint8)
     write_counts = store.write_counts[p]
     write_counts += programmed
-    store.write_counts[p] = write_counts
-    cell_writes = popcount_rows_u64(pack_rows_u64(programmed))
+    cell_writes = count_rows(programmed)
 
-    # -- wear (matches ProtectedBlock._apply_wear: post-write, freeze at the
-    #    just-stored value, int counts compared against float endurance) ----
+    # -- pass 2 of the two-pass rows: after pass 1 every healthy cell holds
+    #    form1, so rewriting form1 ^ flips programs exactly the healthy
+    #    cells of the flipped groups (no stuck cell among them disagrees) --
+    two_pass = 0
+    if plan.two_pass.size:
+        lo, hi = plan.two_pass.searchsorted((first, last + 1)).tolist()
+        two_pass = hi - lo
+    if two_pass:
+        at = rows.searchsorted(plan.two_pass[lo:hi])
+        flipped = plan.flipped[lo:hi]
+        second = plan.flips[lo:hi] & ~stuck[at]
+        stored[at] ^= second.view(np.uint8)
+        write_counts[at] += second
+        cell_writes[at] += count_rows(second)
+    store.stored[p] = stored
+    store.write_counts[p] = write_counts
+
+    # -- wear (matches ProtectedBlock._apply_wear: after the last pass,
+    #    freeze at the just-stored value, int counts vs float endurance) ---
     worn_out = (write_counts >= store.endurance[p]) & ~stuck
     if worn_out.any():
         stuck |= worn_out
         store.stuck[p] = stuck
-        stuck_value = store.stuck_value[p]
-        store.stuck_value[p] = np.where(worn_out, stored, stuck_value)
-    fault_counts = np.count_nonzero(stuck, axis=1)
+        store.stuck_value[p] = np.where(worn_out, stored, store.stuck_value[p])
+    fault_counts = count_rows(stuck)
 
-    # -- scheme-side commit (ECP entry refresh/alloc, Hamming check words) --
-    extra = kernel.commit(range(start, stop), p, data_rows, form_rows)
+    # -- scheme side (inversion flips, ECP entries, Hamming check words) ----
+    blocks = array.blocks
+    if two_pass:
+        # the two-pass rows flip their hit groups' inversion bits and learn
+        # M1, as the scalar loop does between its two passes
+        flipped_blocks = p[at]
+        kernel.inversion[flipped_blocks] ^= plan.groups[lo:hi]
+        for physical, learned in zip(flipped_blocks.tolist(), plan.learned[lo:hi]):
+            blocks[physical].scheme.known_fault_offsets.update(learned)
+    extra = kernel.commit(rows, p, payloads[picked], form_rows)
     if extra is not None:
         cell_writes = cell_writes + extra
     cell_writes_total = int(cell_writes.sum())
+    inversion_writes = int(flipped.sum()) if two_pass else 0
+    reads = count + two_pass
 
-    # -- per-row bookkeeping (ops, health, fail cache, stats) ---------------
-    # faulty rows get their exact per-row op clock (the degrade event's op
-    # field must match the scalar path); healthy rows advance it in bulk
-    blocks = array.blocks
-    base = array.op_clock
-    if fault_counts.any():
-        health = array.health
-        for index in np.flatnonzero(fault_counts):
-            physical = int(p[index])
-            array.op_clock = base + int(index) + 1
-            health.observe_faults(
-                physical, int(fault_counts[index]), op=array.op_clock
-            )
-            array._record_faults(physical)
-    array.op_clock = base + count
-    cw_list = cell_writes.tolist()
-    for index, physical in enumerate(p.tolist()):
+    # -- per-block stats (order-free: each row owns its block) --------------
+    p_list = p.tolist()
+    for physical, writes in zip(p_list, cell_writes.tolist()):
         block = blocks[physical]
         stats = block.stats
         stats.writes += 1
-        stats.cell_writes += cw_list[index]
+        stats.cell_writes += writes
         stats.verification_reads += 1
         block.writes_serviced += 1
-    # per-row cost attribution: fast rows report the exact cell-write count
-    # the scalar receipt would, keeping tenant-bucketed histograms
-    # engine-invariant
-    cost_hook = controller.cost_hook
-    if cost_hook is not None:
-        address_list = addresses[start:stop].tolist()
-        for index, address in enumerate(address_list):
-            cost_hook(int(address), cw_list[index])
+    if two_pass:
+        for index, groups in zip(at.tolist(), flipped.tolist()):
+            stats = blocks[p_list[index]].stats
+            stats.verification_reads += 1
+            stats.inversion_writes += groups
 
     # -- batch telemetry (same series, same values as the per-row path) -----
     telemetry = controller.telemetry
@@ -553,9 +686,16 @@ def _commit_segment(
         scheme=array.scheme_name,
     )
     telemetry.service_cost.observe_many(cell_writes)
-    telemetry.latency.observe_repeat(2, count)  # 1 pass + 1 verification read
-    telemetry.metrics.inc("cell_writes_total", cell_writes_total)
-    telemetry.metrics.inc("verification_reads_total", count)
-    telemetry.metrics.inc("repartitions_total", 0)
-    telemetry.metrics.inc("inversion_writes_total", 0)
-    return cell_writes_total
+    # latency = 1 + verification reads + inversion writes: 2 for a single
+    # pass, 3 + |M1| for a two-pass row
+    telemetry.latency.observe_repeat(2, count - two_pass)
+    if two_pass:
+        telemetry.latency.observe_many(3 + flipped)
+    metrics.inc("cell_writes_total", cell_writes_total)
+    metrics.inc("verification_reads_total", reads)
+    metrics.inc("repartitions_total", 0)
+    metrics.inc("inversion_writes_total", inversion_writes)
+    total.cell_writes += cell_writes_total
+    total.verification_reads += reads
+    total.inversion_writes += inversion_writes
+    return cell_writes, fault_counts

@@ -80,21 +80,17 @@ class ExecContext:
     def from_args(cls, args: object, **overrides: object) -> "ExecContext":
         """Build a context from an ``argparse.Namespace``.
 
-        Fields are matched to argument attributes *by name*, boolean
-        fields by truthiness (so a path-valued option would map onto a
-        boolean flag of the same name).  Attributes the namespace lacks keep their
-        defaults, which is what lets a new field reach every driver by
-        editing only this class and the CLI parser.
+        Fields are matched to argument attributes *by name*.  Attributes
+        the namespace lacks keep their defaults, which is what lets a new
+        field reach every driver by editing only this class and the CLI
+        parser.
         """
         values: dict[str, object] = {}
         for field in fields(cls):
             if field.name in overrides:
                 values[field.name] = overrides[field.name]
-                continue
-            if not hasattr(args, field.name):
-                continue
-            raw = getattr(args, field.name)
-            values[field.name] = bool(raw) if isinstance(field.default, bool) else raw
+            elif hasattr(args, field.name):
+                values[field.name] = getattr(args, field.name)
         return cls(**values)
 
     def with_options(self, **overrides: object) -> "ExecContext":

@@ -137,13 +137,25 @@ def popcount_rows_u64(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
+def count_rows(mask: np.ndarray) -> np.ndarray:
+    """Per-row ``True`` counts of a ``(R, n)`` bool matrix.
+
+    When ``n`` is a multiple of 8 the bool bytes are popcounted in place
+    as ``uint64`` words (each byte is 0 or 1), skipping the bit packing.
+    """
+    mask = np.ascontiguousarray(mask, dtype=bool)
+    if mask.shape[1] % 8:
+        return popcount_rows_u64(pack_rows_u64(mask))
+    return popcount_rows_u64(mask.view(np.uint64))
+
+
 def xor_popcount_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row Hamming distance between two ``(R, n)`` 0/1 matrices.
 
     For a differential write this *is* the cell-write cost: the number of
     cells whose stored value differs from the target form.
     """
-    return popcount_rows_u64(pack_rows_u64(np.asarray(a) != np.asarray(b)))
+    return count_rows(np.asarray(a) != np.asarray(b))
 
 
 # ---------------------------------------------------------------------------

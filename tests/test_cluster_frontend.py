@@ -195,6 +195,128 @@ class TestBulkQueueing:
         errors = [e for e in telemetry.events if e["event"] == "drain_error"]
         assert [(e["tenant"], e["address"]) for e in errors] == [("batch", 1)]
 
+    @staticmethod
+    def _watermarked_cluster() -> ClusterService:
+        """One array whose write buffer sits at the bulk watermark."""
+        cluster = ClusterService(
+            1,
+            aegis_spec(5, 13, BITS),
+            n_addresses=8,
+            spares=2,
+            buffer_capacity=4,
+            seed=7,
+            lifetime_model=FixedLifetime(10**9),
+        )
+        cluster.register_tenant(TenantSpec("vip", QoSClass.INTERACTIVE, 1))
+        cluster.register_tenant(TenantSpec("batch", QoSClass.BULK, 1))
+        for address in range(3):
+            cluster.write("vip", address, bits_of(address + 1))
+        return cluster
+
+    def test_rewrite_of_a_queued_key_lands_after_it(self):
+        """A queued bulk write followed by a write to the same key that
+        admission would now accept inline: the newer payload must still
+        win once the queue drains."""
+        cluster = self._watermarked_cluster()
+        older, newer = bits_of(9), bits_of(20)
+
+        async def scenario():
+            frontend = ClusterFrontend(cluster, maintenance_interval=60.0)
+            await frontend.start()
+            try:
+                first = await frontend._handle_write(
+                    {"address": 5, "payload": encode_payload(older)}, "batch"
+                )
+                assert first["status"] == "queued", first
+                # the watermark clears, so admission alone would service
+                # the rewrite inline, ahead of the queued older payload
+                cluster.nodes[0].controller.flush()
+                second = await frontend._handle_write(
+                    {"address": 5, "payload": encode_payload(newer)}, "batch"
+                )
+                assert second["status"] == "queued", second
+                await frontend.join_queues()
+                return await frontend._handle_read({"address": 5}, "batch")
+            finally:
+                await frontend.stop()
+
+        read = asyncio.run(scenario())
+        assert read["ok"], read
+        assert read["payload"] == encode_payload(newer)
+
+    def test_concurrent_rewrites_of_one_key_land_in_order(self):
+        """Two connections write one key while the lock is held; the first
+        is queued, the watermark then clears, and the second reaches the
+        lock: it must see the pending write and queue behind it."""
+        cluster = self._watermarked_cluster()
+        older, newer = bits_of(9), bits_of(20)
+
+        async def scenario():
+            frontend = ClusterFrontend(cluster, maintenance_interval=60.0)
+            await frontend.start()
+            try:
+
+                async def flush():
+                    async with frontend._lock:
+                        cluster.nodes[0].controller.flush()
+
+                await frontend._lock.acquire()
+                # lock waiters queue in FIFO order: first, flush, second
+                first = asyncio.create_task(
+                    frontend._handle_write(
+                        {"address": 5, "payload": encode_payload(older)}, "batch"
+                    )
+                )
+                await asyncio.sleep(0)
+                flusher = asyncio.create_task(flush())
+                await asyncio.sleep(0)
+                second = asyncio.create_task(
+                    frontend._handle_write(
+                        {"address": 5, "payload": encode_payload(newer)}, "batch"
+                    )
+                )
+                await asyncio.sleep(0)
+                frontend._lock.release()
+                responses = await asyncio.wait_for(
+                    asyncio.gather(first, flusher, second), timeout=10
+                )
+                await asyncio.wait_for(frontend.join_queues(), timeout=10)
+                read = await frontend._handle_read({"address": 5}, "batch")
+                return responses, read
+            finally:
+                await frontend.stop()
+
+        (first, _, second), read = asyncio.run(scenario())
+        assert first["status"] == "queued", first
+        assert second["status"] == "queued", second
+        assert read["ok"], read
+        assert read["payload"] == encode_payload(newer)
+
+    def test_rewrite_of_a_queued_key_meets_a_full_queue(self):
+        cluster = self._watermarked_cluster()
+
+        async def scenario():
+            frontend = ClusterFrontend(
+                cluster, maintenance_interval=60.0, bulk_queue_depth=1
+            )
+            await frontend.start()
+            try:
+                first = await frontend._handle_write(
+                    {"address": 5, "payload": encode_payload(bits_of(9))}, "batch"
+                )
+                assert first["status"] == "queued", first
+                cluster.nodes[0].controller.flush()
+                return await frontend._handle_write(
+                    {"address": 5, "payload": encode_payload(bits_of(20))}, "batch"
+                )
+            finally:
+                await frontend.stop()
+
+        response = asyncio.run(scenario())
+        assert not response["ok"]
+        assert response["error"] == "backpressure"
+        assert response["array"] == cluster.nodes[0].name
+
     def test_loopback_selftest_is_clean(self):
         cluster = make_cluster()
         summary = asyncio.run(loopback_selftest(cluster, ops_per_tenant=12))

@@ -233,7 +233,7 @@ class ExtendedContext(ExecContext):
 
 class TestFieldAdditionIsTwoEdits:
     def test_from_args_picks_up_new_field_automatically(self):
-        args = argparse.Namespace(seed=4, checkpoint="/tmp/ck")
+        args = argparse.Namespace(seed=4, checkpoint=True)
         ctx = ExtendedContext.from_args(args)
         assert ctx.seed == 4 and ctx.checkpoint is True
 

@@ -1,10 +1,22 @@
 """Tests for the direct-mapped fail cache."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellArray
-from repro.pcm.failcache import DirectMappedFailCache
+from repro.pcm.failcache import (
+    DirectMappedFailCache,
+    SequentialBlockKeys,
+    _Entry,
+)
+
+
+def _entries(cache):
+    return {
+        index: (entry.block_key, entry.offset, entry.stuck_value)
+        for index, entry in cache._entries.items()
+    }
 
 
 class TestFailCache:
@@ -71,3 +83,42 @@ class TestFailCache:
         cache.record(cells, 3, 1)
         cache.record(cells, 3, 1)
         assert cache.evictions == 0
+
+    def test_rerecording_resident_faults_matches_unconditional_inserts(self):
+        """Re-recording every fault of a block after each write (the service
+        array's discovery path) leaves the same entries, evictions and
+        lookups as inserting each fault unconditionally, on a cache small
+        enough that blocks keep evicting each other."""
+
+        def insert(cache, cells, offset, stuck_value):
+            # the insert without the resident-entry short-circuit
+            block_key = cache._key_of(cells)
+            index = cache._index(block_key, offset)
+            existing = cache._entries.get(index)
+            if existing is not None and (existing.block_key, existing.offset) != (
+                block_key,
+                offset,
+            ):
+                cache.evictions += 1
+            cache._entries[index] = _Entry(block_key, offset, stuck_value)
+
+        rng = np.random.default_rng(11)
+        reference = DirectMappedFailCache(5, key_of=SequentialBlockKeys())
+        cache = DirectMappedFailCache(5, key_of=SequentialBlockKeys())
+        blocks = [CellArray(32) for _ in range(4)]
+        for _ in range(200):
+            cells = blocks[int(rng.integers(len(blocks)))]
+            healthy = np.flatnonzero(~cells._stuck)
+            if healthy.size and rng.random() < 0.3:
+                cells.inject_fault(
+                    int(rng.choice(healthy)), stuck_value=int(rng.integers(2))
+                )
+            for offset in cells.fault_offsets:
+                stuck_value = cells.stuck_value_of(offset)
+                insert(reference, cells, offset, stuck_value)
+                cache.record(cells, offset, stuck_value)
+            assert _entries(cache) == _entries(reference)
+            assert cache.evictions == reference.evictions
+            assert cache.known_faults(cells) == reference.known_faults(cells)
+            assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
+        assert reference.evictions > 0

@@ -9,10 +9,14 @@ rows escalate to repartition/remap mid-batch.  Schemes without a service
 kernel fall back to the scalar path transparently.
 """
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, RetiredBlockError
+from repro.errors import ConfigurationError, RetiredBlockError, UncorrectableError
 from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.lifetime import FixedLifetime, NormalLifetime
 from repro.service import (
@@ -21,7 +25,9 @@ from repro.service import (
     kernel_for,
     run_load,
 )
+from repro.service.kernels import drain_vector
 from repro.sim.kernels import (
+    count_rows,
     pack_rows_u64,
     popcount_rows_u64,
     resolve_engine,
@@ -124,6 +130,15 @@ class TestRowBitsetHelpers:
     def test_pack_rows_rejects_vectors(self):
         with pytest.raises(ConfigurationError):
             pack_rows_u64(np.ones(8, dtype=np.uint8))
+
+    def test_count_rows_on_both_widths(self):
+        """Word-aligned widths take the in-place byte popcount, others the
+        packed bitsets; both count every row's set cells."""
+        rng = np.random.default_rng(3)
+        for width in (300, 512):
+            mask = rng.random((7, width)) < 0.3
+            assert count_rows(mask).tolist() == mask.sum(axis=1).tolist()
+        assert count_rows(mask[:, ::2]).tolist() == mask[:, ::2].sum(axis=1).tolist()
 
     def test_xor_popcount_counts_disagreements(self):
         a = np.array([[0, 1, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
@@ -242,6 +257,226 @@ class TestDrainEquivalence:
             return array
 
         _assert_same_state(run("scalar"), run("auto"))
+
+
+#: the two Aegis formations the row-class tests lay faults out on
+AEGIS_SPECS = [aegis_spec(9, 61, 512), aegis_spec(17, 31, 512)]
+
+#: row kinds the layout helper knows: "fast" and "two_pass" rows are
+#: batched, "random" ones either way, the rest must escalate — an
+#: "uncorrectable" row loses its write (re-raised under strict) and an
+#: "invalid" payload raises
+ROW_KINDS = (
+    "fast",
+    "two_pass",
+    "random",
+    "right_in_flipped",
+    "two_wrong_in_group",
+    "uncorrectable",
+    "invalid",
+)
+
+
+def _twin_controllers(spec, *, n_addresses, strict):
+    """Scalar and vector controllers over identical arrays with every
+    address first-touched and no spare left, so a remap runs the pool dry."""
+    twins = []
+    for engine in ("scalar", "auto"):
+        array = _make_array(spec, engine=engine, n_addresses=n_addresses, spares=0)
+        controller = ServiceController(
+            array, buffer_capacity=n_addresses, strict=strict
+        )
+        for address in range(n_addresses):
+            controller.write(address, np.zeros(spec.n_bits, dtype=np.uint8))
+        controller.flush()
+        twins.append(controller)
+    return twins
+
+
+def _layout(rng, scheme, kind, payload):
+    """Slope, inversion bits and ``{offset: stuck value}`` faults that make
+    ``payload`` a write of the given kind on ``scheme``'s block."""
+    partition = scheme.partition
+    groups = partition.group_count
+    slope = int(rng.integers(groups))
+    inverted = np.flatnonzero(rng.random(groups) < 0.2)
+    form = payload ^ (
+        partition.members_mask(slope, inverted)
+        if inverted.size
+        else np.zeros_like(payload)
+    )
+    faults: dict[int, int] = {}
+
+    def stick(offset, wrong):
+        faults[int(offset)] = int(form[offset]) ^ int(wrong)
+
+    if kind == "random":
+        for offset in rng.choice(payload.size, int(rng.integers(0, 7)), replace=False):
+            faults[int(offset)] = int(rng.integers(2))
+        return slope, inverted, faults
+    if kind == "uncorrectable":
+        # more stuck-at-wrong cells than groups: no slope separates them
+        for offset in rng.choice(payload.size, groups + 1, replace=False):
+            stick(offset, True)
+        return slope, inverted, faults
+    order = rng.permutation(groups)
+    hit = [] if kind == "fast" else order[: int(rng.integers(1, 4))].tolist()
+    for group in hit:
+        members = rng.permutation(partition.members_array(group, slope))
+        stick(members[0], True)
+        if kind == "right_in_flipped" and group == hit[0]:
+            stick(members[1], False)
+        if kind == "two_wrong_in_group" and group == hit[0]:
+            stick(members[1], True)
+    # stuck-at-right cells in groups the flip leaves alone
+    for group in order[len(hit) : len(hit) + int(rng.integers(0, 4))].tolist():
+        stick(rng.choice(partition.members_array(group, slope)), False)
+    return slope, inverted, faults
+
+
+def _scalar_class(block, payload):
+    """Oracle: run the scalar write on a copy of the block and name the
+    row class its receipt implies."""
+    trial = copy.deepcopy(block)
+    try:
+        receipt = trial.scheme.write(payload)
+    except (UncorrectableError, ValueError):
+        return "escalate"
+    if receipt.repartitions or receipt.verification_reads > 2:
+        return "escalate"
+    return "fast" if receipt.verification_reads == 1 else "two_pass"
+
+
+def _run_drain(controller, addresses, payloads):
+    known = controller._consult_batch(addresses)
+    try:
+        if controller.engine == "vector":
+            total, serviced, lost = drain_vector(controller, addresses, payloads, known)
+        else:
+            total, serviced, lost = controller._drain_scalar(addresses, payloads, known)
+    except (RetiredBlockError, ValueError) as error:
+        return type(error).__name__
+    return total, serviced, lost
+
+
+def _scheme_state(array):
+    return [
+        (
+            block.scheme.slope,
+            block.scheme.inversion.tobytes(),
+            sorted(block.scheme.known_fault_offsets),
+            block.scheme.retired,
+            block.stats,
+            block.writes_serviced,
+        )
+        for block in array.blocks
+    ]
+
+
+def _assert_twins_agree(scalar, vector):
+    _assert_same_state(scalar.array, vector.array)
+    assert _scheme_state(vector.array) == _scheme_state(scalar.array)
+    assert vector.telemetry.snapshot() == scalar.telemetry.snapshot()
+    assert list(vector.telemetry.events) == list(scalar.telemetry.events)
+    assert vector.array.health._states == scalar.array.health._states
+    cache, want = vector.array.fail_cache, scalar.array.fail_cache
+    assert (cache.hits, cache.misses, cache.evictions) == (
+        want.hits,
+        want.misses,
+        want.evictions,
+    )
+    assert {i: vars(e) for i, e in cache._entries.items()} == {
+        i: vars(e) for i, e in want._entries.items()
+    }
+
+
+def _check_drain(spec, kinds, *, seed, strict):
+    """Lay out one drain of the given row kinds on twin arrays, check the
+    vector plan against the scalar oracle, drain both engines and compare
+    every piece of state; returns the plan's batch flags."""
+    rng = np.random.default_rng(seed)
+    scalar, vector = _twin_controllers(spec, n_addresses=len(kinds) + 2, strict=strict)
+    payloads = rng.integers(0, 2, (len(kinds), spec.n_bits), dtype=np.uint8)
+    addresses = rng.permutation(len(kinds) + 2)[: len(kinds)].astype(np.int64)
+    expected = []
+    for row, kind in enumerate(kinds):
+        physical = vector.array.physical_of(int(addresses[row]))
+        slope, inverted, faults = _layout(
+            rng, vector.array.blocks[physical].scheme, kind, payloads[row]
+        )
+        for controller in (scalar, vector):
+            block = controller.array.blocks[physical]
+            block.scheme.slope = slope
+            block.scheme.inversion[:] = 0
+            block.scheme.inversion[inverted] = 1
+            for offset, value in faults.items():
+                block.cells.inject_fault(offset, stuck_value=value)
+        if kind == "invalid":
+            payloads[row, int(rng.integers(spec.n_bits))] = 2
+        expected.append(
+            _scalar_class(vector.array.blocks[physical], payloads[row])
+        )
+    # invalid payloads escalate before the kernel plans, like the drain does
+    plan = kernel_for(vector.array).plan(
+        vector.array._map[addresses], payloads, (payloads <= 1).all(axis=1)
+    )
+    for row, kind in enumerate(kinds):
+        batched = bool(plan.batch[row])
+        assert batched == (expected[row] != "escalate"), (kind, expected[row])
+        assert (row in plan.two_pass) == (expected[row] == "two_pass"), kind
+        if kind in ("fast", "two_pass"):
+            assert expected[row] == kind
+        if kind in ("right_in_flipped", "two_wrong_in_group", "uncorrectable", "invalid"):
+            assert expected[row] == "escalate"
+    want = _run_drain(scalar, addresses, payloads)
+    got = _run_drain(vector, addresses, payloads)
+    assert got == want
+    _assert_twins_agree(scalar, vector)
+    return want
+
+
+class TestRowClasses:
+    """The three row classes of the vector drain — fast, two-pass Aegis,
+    escalation — against a scalar oracle, and the drains built from them
+    against the scalar engine, field by field."""
+
+    @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("fast", "two_pass", "fast"),
+            ("two_pass", "right_in_flipped", "two_pass"),
+            ("two_wrong_in_group", "two_pass", "fast"),
+        ],
+        ids=lambda kinds: "-".join(kinds),
+    )
+    def test_named_layouts(self, spec, kinds):
+        _check_drain(spec, kinds, seed=5, strict=False)
+
+    @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
+    def test_strict_drain_runs_the_pool_dry_mid_drain(self, spec):
+        outcome = _check_drain(
+            spec, ("two_pass", "fast", "uncorrectable", "two_pass", "fast"),
+            seed=9, strict=True,
+        )
+        assert outcome == "RetiredBlockError"
+
+    @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
+    def test_invalid_payload_mid_drain(self, spec):
+        outcome = _check_drain(
+            spec, ("two_pass", "fast", "invalid", "two_pass"), seed=13, strict=False
+        )
+        assert outcome == "ValueError"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec_index=st.integers(0, len(AEGIS_SPECS) - 1),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        strict=st.booleans(),
+    )
+    def test_random_layouts_match_the_scalar_drain(self, spec_index, kinds, seed, strict):
+        _check_drain(AEGIS_SPECS[spec_index], tuple(kinds), seed=seed, strict=strict)
 
 
 class TestLoadGeneratorSweep:
