@@ -1,15 +1,14 @@
-"""Host metadata shared by the benchmark regression gates.
+"""Host metadata shared by the benchmark harnesses.
 
-Every benchmark record stamps ``host_cpus`` — the core count its numbers
-were measured on.  Serial throughput and engine speedups travel across
-hosts reasonably well, but **parallel-ladder speedups do not**: a 1-CPU
-host faithfully records 1.0x process-pool speedups, and comparing that
-ladder against a 4-CPU run (or vice versa) manufactures a regression or
-hides one.  The ``--check`` paths of ``bench_sim.py``,
-``bench_service.py``, and ``bench_cluster.py`` therefore route every
-cross-record parallel comparison through :func:`parallel_ladder_guard`
-and refuse — with an explanatory note — instead of comparing ladders
-recorded on differing core counts.
+``perfbench/run.py`` stamps ``host_cpus`` (the core count its numbers were
+measured on) into every result, and so does ``bench_fleet.py``.  Serial
+throughput travels across hosts reasonably well, but **parallel-ladder
+speedups do not**: a 1-CPU host faithfully records 1.0x process-pool
+speedups, and comparing that ladder against a 4-CPU run (or vice versa)
+manufactures a regression or hides one.  ``bench_fleet.py --check``
+therefore routes its cross-record parallel comparison through
+:func:`parallel_ladder_guard` and refuses, with an explanatory note,
+instead of comparing ladders recorded on differing core counts.
 """
 
 from __future__ import annotations

@@ -11,8 +11,11 @@ def test_fig6(benchmark, capsys):
         zip(result.column("Scheme"), result.column("Improvement (x)"))
     )
     # ordering claims of §3.2: every scheme above 1x; Aegis 9x61 on top;
-    # and the relative Aegis-9x61-to-ECP4 gap near the paper's 1.70x
+    # and the Aegis lifetime gaps within ~5% of their values at this
+    # pinned scale and seed, which sit near the paper's bar ratios
     assert all(v > 1 for v in improvement.values())
     assert improvement["Aegis 9x61"] == max(improvement.values())
-    ratio = improvement["Aegis 9x61"] / improvement["ECP4"]
-    assert 1.3 < ratio < 2.2  # paper: 10.7 / 6.3 = 1.70
+    # measured 1.674; paper: 10.7 / 6.3 = 1.70
+    assert 1.59 < improvement["Aegis 9x61"] / improvement["ECP4"] < 1.76
+    # measured 1.158; paper: about 1.19
+    assert 1.10 < improvement["Aegis 9x61"] / improvement["Aegis 17x31"] < 1.22

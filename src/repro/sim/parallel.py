@@ -8,8 +8,8 @@ which process computes it and in what order.  :class:`SimExecutor` exploits
 that contract to fan page simulations out over a ``concurrent.futures``
 process pool in deterministic contiguous chunks and reassemble the results
 in page-index order, which makes ``workers=1`` and ``workers=N`` produce
-bit-identical studies (asserted in ``tests/test_parallel.py`` and tracked
-by ``benchmarks/bench_sim.py``).
+bit-identical studies (asserted in ``tests/test_parallel.py``; the pool's
+speedup floor is ``benchmarks/test_floors.py::test_pool_speedup``).
 
 The same structural trick Aegis applies at the bit level — partition the
 work so per-partition state never interacts — applied at the trial level.

@@ -20,9 +20,12 @@ from repro.errors import (
     ConfigurationError,
 )
 from repro.pcm.lifetime import FixedLifetime, NormalLifetime
-from repro.sim.roster import aegis_spec
+from repro.sim.roster import aegis_spec, ecp_spec, safer_spec
 
 BITS = 64
+
+#: one scheme per recovery family for the per-scheme cluster contract
+BENCH_SPECS = [aegis_spec(5, 13, BITS), ecp_spec(6, BITS), safer_spec(8, BITS)]
 
 
 class LongLife(FixedLifetime):
@@ -201,12 +204,13 @@ class TestClusterBench:
         degrade_array=1,
     )
 
-    def run(self, **overrides):
+    def run(self, spec=BENCH_SPECS[0], **overrides):
         kwargs = dict(self.BENCH_KWARGS, **overrides)
-        return run_cluster_bench(aegis_spec(5, 13, BITS), **kwargs)
+        return run_cluster_bench(spec, **kwargs)
 
-    def test_audit_is_clean_through_the_degrade_drill(self):
-        report = self.run()
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=lambda spec: spec.key)
+    def test_audit_is_clean_through_the_degrade_drill(self, spec):
+        report = self.run(spec)
         assert report.audit_failures == 0
         assert report.audit_checked > 0
         migrations = report.telemetry.metrics.counter_total(
@@ -218,10 +222,11 @@ class TestClusterBench:
         )
         assert interactive == 0
 
-    def test_digests_invariant_across_workers_and_engines(self):
-        baseline = self.run()
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=lambda spec: spec.key)
+    def test_digests_invariant_across_workers_and_engines(self, spec):
+        baseline = self.run(spec)
         for overrides in ({"workers": 2}, {"engine": "scalar"}):
-            other = self.run(**overrides)
+            other = self.run(spec, **overrides)
             assert other.audit_digest == baseline.audit_digest, overrides
             assert other.snapshot_digest == baseline.snapshot_digest, overrides
 
