@@ -348,3 +348,54 @@ class TestGoldenHardRegression:
             report.digest
             == "5629feeb327229f4a5206bd92f8c170516100dd312d57c928d64b1ba11c40199"
         )
+
+
+@pytest.mark.parametrize("engine", ["auto", "scalar"])
+class TestGoldenServiceRegression:
+    """Cluster and adaptive-policy runs pinned to exact bytes.
+
+    The cluster drill covers 37 migrations and one SLO alert (the
+    pressure and alert sweeps, their batch limits and the SLO roster);
+    the adaptive run makes 32 policy switches (the scoring and cadence
+    constants).  Both digests are engine invariant.
+    """
+
+    def test_cluster_degrade_drill(self, engine):
+        from repro.cluster.bench import run_cluster_bench
+
+        report = run_cluster_bench(
+            roster.aegis_spec(9, 61, 512),
+            ops=600,
+            n_arrays=3,
+            tenants=4,
+            seed=2013,
+            n_addresses=96,
+            lifetime_model=NormalLifetime(mean_lifetime=30.0),
+            degrade_at=300,
+            degrade_threshold=2,
+            engine=engine,
+            workers=1,
+        )
+        assert (
+            report.snapshot_digest
+            == "92af34e676d3f68ac701896bf7954370c52cb92fadc60b7f3dc435ef1ca031e8"
+        )
+
+    def test_adaptive_drift_load(self, engine):
+        report = run_load(
+            roster.ecp_spec(6, 512),
+            ops=3000,
+            seed=2013,
+            shards=2,
+            workers=1,
+            n_addresses=16,
+            spares=4,
+            lifetime_model=NormalLifetime(mean_lifetime=40.0),
+            fault_model="drift",
+            policy="adaptive",
+            engine=engine,
+        )
+        assert (
+            _digest(report.telemetry.snapshot())
+            == "32a203c5124833d88e677fe5435578f9ab0e5ca015bc60a696cae1a0dab5ecca"
+        )
