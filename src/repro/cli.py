@@ -22,22 +22,9 @@ from collections.abc import Sequence
 import numpy as np
 
 
-#: scheme names servable by serve-bench / cluster-bench / serve
+#: scheme names servable by serve-bench / cluster-bench / serve (keys of
+#: :data:`repro.fleet.campaign.FLEET_SCHEMES`, resolved by ``fleet_spec``)
 SERVICE_SCHEMES = ("aegis-9x61", "aegis-17x31", "aegis-rw-9x61", "ecp6", "safer64")
-
-
-def _service_spec(name: str):
-    """Resolve a servable scheme name to its :class:`SchemeSpec`."""
-    from repro.sim.roster import aegis_rw_spec, aegis_spec, ecp_spec, safer_spec
-
-    factories = {
-        "aegis-9x61": lambda: aegis_spec(9, 61, 512),
-        "aegis-17x31": lambda: aegis_spec(17, 31, 512),
-        "aegis-rw-9x61": lambda: aegis_rw_spec(9, 61, 512),
-        "ecp6": lambda: ecp_spec(6, 512),
-        "safer64": lambda: safer_spec(64, 512),
-    }
-    return factories[name]()
 
 
 def _add_exec_flags(
@@ -727,13 +714,14 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import json
 
+    from repro.fleet.campaign import fleet_spec
     from repro.pcm.lifetime import NormalLifetime
     from repro.service import run_load
     from repro.service.telemetry import DEFAULT_EVENT_CAP
     from repro.sim.context import ExecContext
     from repro.util.tables import render_table
 
-    spec = _service_spec(args.scheme)
+    spec = fleet_spec(args.scheme)
     ctx = ExecContext.from_args(args)
     workload_params = {"alpha": args.alpha} if args.workload == "zipf" else None
     series_bucket = args.series_bucket
@@ -824,11 +812,12 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     import json
 
     from repro.cluster import run_cluster_bench
+    from repro.fleet.campaign import fleet_spec
     from repro.pcm.lifetime import NormalLifetime
     from repro.sim.context import ExecContext
     from repro.util.tables import render_table
 
-    spec = _service_spec(args.scheme)
+    spec = fleet_spec(args.scheme)
     ctx = ExecContext.from_args(args)
     kwargs = dict(
         ops=args.ops,
@@ -1074,11 +1063,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_tenants,
         loopback_selftest,
     )
+    from repro.fleet.campaign import fleet_spec
     from repro.pcm.lifetime import NormalLifetime
 
     cluster = ClusterService(
         args.arrays,
-        _service_spec(args.scheme),
+        fleet_spec(args.scheme),
         n_addresses=args.addresses,
         spares=args.spares,
         seed=args.seed,

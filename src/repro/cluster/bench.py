@@ -34,12 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.qos import TenantSpec, default_tenants
-from repro.cluster.service import (
-    DEFAULT_BULK_WATERMARK,
-    DEFAULT_MIGRATE_BATCH,
-    DEFAULT_SPARE_LOW,
-    ClusterService,
-)
+from repro.cluster.service import DEFAULT_BULK_WATERMARK, ClusterService
 from repro.errors import BackpressureError, ConfigurationError, RetiredBlockError
 from repro.obs.slo import SLOSpec, write_slo_jsonl
 from repro.pcm.faults import fault_model_for
@@ -87,14 +82,9 @@ class ClusterBenchTask:
     fault_model: str = "hard"
     #: per-array scheme policy ("fixed" or "adaptive")
     policy: str = "fixed"
-    spare_low_blocks: int = DEFAULT_SPARE_LOW
-    migrate_batch: int = DEFAULT_MIGRATE_BATCH
-    proactive_migration: bool = False
     #: op-clock bucket width for the cluster time series (0 disables);
     #: the resulting series + SLO verdicts enter the digested snapshot
     series_bucket: int = DEFAULT_MAINTENANCE_INTERVAL
-    #: SLO roster (None = default_cluster_slos when series are on)
-    slos: tuple[SLOSpec, ...] | None = None
 
     def schedule(self) -> list[int]:
         """The weighted round-robin interleave: tenant indices, one per
@@ -165,16 +155,14 @@ class ClusterBenchReport:
         return self.telemetry.write_jsonl(path)
 
     def write_series_jsonl(self, path: str) -> int:
-        """Export the time series (plus SLO verdicts and alerts when a
-        roster was evaluated) as the ``repro obs-report --series`` JSONL input."""
+        """Export the time series plus SLO verdicts and alerts as the
+        ``repro obs-report --series`` JSONL input."""
         recorder = self.telemetry.timeseries
         if recorder is None:
             raise ConfigurationError(
                 "time series were not recorded (pass series_bucket >= 1)"
             )
-        if self.slos:
-            return write_slo_jsonl(path, recorder, self.slos)
-        return recorder.write_jsonl(path)
+        return write_slo_jsonl(path, recorder, self.slos)
 
 
 def _audit(
@@ -218,13 +206,8 @@ def run_cluster_bench(
     engine: str = "auto",
     fault_model: str = "hard",
     policy: str = "fixed",
-    spare_low_blocks: int = DEFAULT_SPARE_LOW,
-    migrate_batch: int = DEFAULT_MIGRATE_BATCH,
-    proactive_migration: bool = False,
     series_bucket: int | None = None,
-    slos: tuple[SLOSpec, ...] | None = None,
     workers: int | None = 1,
-    executor: SimExecutor | None = None,
 ) -> ClusterBenchReport:
     """Drive ``ops`` multi-tenant operations through a fresh cluster.
 
@@ -237,11 +220,11 @@ def run_cluster_bench(
 
     Time series and SLO evaluation are on by default: ``series_bucket``
     defaults to ``maintenance_interval`` (one bucket per control-plane
-    pass) and ``slos`` to :func:`~repro.obs.slo.default_cluster_slos`,
-    so the series export and SLO verdicts are part of the digested
-    snapshot — a ``--check`` digest match asserts they too are
-    bit-identical across workers and engines.  Pass ``series_bucket=0``
-    to disable both.
+    pass) and the cluster evaluates
+    :func:`~repro.obs.slo.default_cluster_slos` over it, so the series
+    export and SLO verdicts are part of the digested snapshot — a
+    ``--check`` digest match asserts they too are bit-identical across
+    workers and engines.  Pass ``series_bucket=0`` to disable both.
     """
     if ops < 1:
         raise ConfigurationError("cluster bench needs at least one op")
@@ -281,21 +264,12 @@ def run_cluster_bench(
         engine=validate_engine(engine),
         fault_model=fault_model_for(fault_model).key,
         policy=validate_policy(policy),
-        spare_low_blocks=spare_low_blocks,
-        migrate_batch=migrate_batch,
-        proactive_migration=proactive_migration,
         series_bucket=series_bucket,
-        slos=slos,
     )
-    own_executor = executor is None
-    runner = executor if executor is not None else SimExecutor(workers, chunk_pages=1)
-    try:
+    with SimExecutor(workers, chunk_pages=1) as runner:
         streams: list[TenantStream] = runner.map_indices(
             generate_stream, task, range(len(roster))
         )
-    finally:
-        if own_executor:
-            runner.close()
     return _drive(task, streams, workers=runner.workers)
 
 
@@ -311,16 +285,12 @@ def _drive(
         seed=task.seed,
         buffer_capacity=task.buffer_capacity,
         bulk_watermark=task.bulk_watermark,
-        spare_low_blocks=task.spare_low_blocks,
-        migrate_batch=task.migrate_batch,
         lifetime_model=task.lifetime_model,
-        proactive_migration=task.proactive_migration,
         degrade_threshold=task.degrade_threshold,
         engine=task.engine,
         fault_model=task.fault_model,
         policy=task.policy,
         series_bucket=task.series_bucket,
-        slos=task.slos,
     )
     for spec in task.tenants:
         cluster.register_tenant(spec)

@@ -37,6 +37,12 @@ protocol (one request object per line, one response object per line):
 ``{"cmd": "quit"}``
     End the session.
 
+Malformed lines are answered, never dropped: a line that is not JSON
+gets ``{"ok": false, "error": "bad_json"}``, and well-formed JSON that is
+not a valid request (not an object, a non-string ``tenant``, a
+non-integral ``address`` or ``count``) gets ``{"ok": false, "error":
+"bad_request"}``; either way the session stays open.
+
 The service core is synchronous and not thread-safe, so every touch of it
 happens on the event loop under one :class:`asyncio.Lock`; concurrency
 lives in the sessions, the per-array drainers, and the maintenance loop
@@ -70,6 +76,10 @@ DEFAULT_MAINTENANCE_INTERVAL = 0.05
 def encode_payload(bits: np.ndarray) -> str:
     """Hex wire form of a block payload (bits packed MSB-first)."""
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
+
+
+def _bad_request(detail: str) -> dict:
+    return {"ok": False, "error": "bad_request", "detail": detail}
 
 
 def decode_payload(text: str, block_bits: int) -> np.ndarray:
@@ -237,7 +247,7 @@ class ClusterFrontend:
                     break
                 try:
                     request = json.loads(line)
-                except json.JSONDecodeError as error:
+                except ValueError as error:  # bad JSON or bad UTF-8
                     response: dict = {"ok": False, "error": "bad_json", "detail": str(error)}
                 else:
                     if isinstance(request, dict) and request.get("cmd") == "watch":
@@ -255,8 +265,12 @@ class ClusterFrontend:
                 await writer.wait_closed()
 
     async def _dispatch(
-        self, request: dict, tenant_id: str | None
+        self, request: object, tenant_id: str | None
     ) -> tuple[dict, str | None]:
+        if not isinstance(request, dict):
+            return _bad_request("a request must be a JSON object"), tenant_id
+        if not isinstance(request.get("tenant", ""), str):
+            return _bad_request("tenant must be a string"), tenant_id
         cmd = request.get("cmd")
         if cmd == "hello":
             requested = request.get("tenant", "")
@@ -340,12 +354,10 @@ class ClusterFrontend:
             return
         try:
             count = int(request.get("count", 1))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             count = 0
         if count < 1:
-            await send(
-                {"ok": False, "error": "bad_request", "detail": "count must be >= 1"}
-            )
+            await send(_bad_request("count must be >= 1"))
             return
         seen: int | None = None
         for index in range(count):
@@ -365,8 +377,10 @@ class ClusterFrontend:
             payload = decode_payload(
                 str(request.get("payload", "")), self.cluster.block_bits
             )
-        except (KeyError, TypeError, ValueError, ConfigurationError) as error:
-            return {"ok": False, "error": "bad_request", "detail": str(error)}
+        except (
+            KeyError, TypeError, ValueError, OverflowError, ConfigurationError
+        ) as error:
+            return _bad_request(str(error))
         key = (tenant_id, address)
         async with self._lock:
             # looked up under the lock: a drainer or another connection may
@@ -401,8 +415,8 @@ class ClusterFrontend:
     async def _handle_read(self, request: dict, tenant_id: str) -> dict:
         try:
             address = int(request["address"])
-        except (KeyError, TypeError, ValueError) as error:
-            return {"ok": False, "error": "bad_request", "detail": str(error)}
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            return _bad_request(str(error))
         pending = self._pending.get((tenant_id, address))
         if pending is not None:
             return {"ok": True, "payload": encode_payload(pending[1]), "source": "queued"}

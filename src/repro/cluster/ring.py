@@ -1,7 +1,7 @@
 """A deterministic consistent-hash ring for cluster routing.
 
 The cluster front-end places tenant keys on :class:`~repro.service.MemoryArray`
-nodes with classic consistent hashing: every node projects ``replicas``
+nodes with classic consistent hashing: every node projects :data:`REPLICAS`
 virtual points onto a 64-bit ring, and a key routes to the first node
 point clockwise of the key's own hash.  The properties the cluster (and
 ``tests/test_cluster_ring.py``) relies on:
@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 
 #: virtual points per node — enough that 3-16 node rings balance within
 #: a few percent while keeping the ring small and cheap to rebuild
-DEFAULT_REPLICAS = 64
+REPLICAS = 64
 
 
 def stable_hash64(text: str) -> int:
@@ -47,17 +47,11 @@ class HashRing:
     ----------
     nodes:
         Initial node names (order-insensitive: the ring layout depends
-        only on the set of names).
-    replicas:
-        Virtual points per node.
+        only on the set of names).  Each node places :data:`REPLICAS`
+        virtual points.
     """
 
-    def __init__(
-        self, nodes: Iterable[str] = (), *, replicas: int = DEFAULT_REPLICAS
-    ) -> None:
-        if replicas < 1:
-            raise ConfigurationError("a hash ring needs at least one replica point")
-        self.replicas = replicas
+    def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._nodes: set[str] = set()
         self._points: list[int] = []
         self._owners: list[str] = []
@@ -79,7 +73,7 @@ class HashRing:
         pairs = sorted(
             (stable_hash64(f"{node}#{replica}"), node)
             for node in self._nodes
-            for replica in range(self.replicas)
+            for replica in range(REPLICAS)
         )
         self._points = [point for point, _ in pairs]
         self._owners = [owner for _, owner in pairs]

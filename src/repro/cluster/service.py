@@ -41,17 +41,16 @@ import heapq
 import numpy as np
 
 from repro.cluster.qos import QoSClass, TenantSpec
-from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
+from repro.cluster.ring import HashRing
 from repro.errors import (
     BackpressureError,
     ClusterCapacityError,
     ConfigurationError,
 )
-from repro.obs.slo import SLOEngine, SLOSpec, default_cluster_slos
+from repro.obs.slo import SLOEngine, default_cluster_slos
 from repro.obs.timeseries import TimeSeriesRecorder
-from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
-from repro.service.array import MemoryArray
+from repro.service.array import MemoryArray, service_fail_cache
 from repro.service.controller import ServiceController
 from repro.service.health import BlockHealth
 from repro.service.telemetry import DEFAULT_COST_EDGES, ServiceTelemetry
@@ -63,10 +62,11 @@ DEFAULT_BULK_WATERMARK = 0.75
 
 #: spare-pool remaining at (or below) which an array is "pressured" and the
 #: control plane starts migrating its degraded-block keys elsewhere
-DEFAULT_SPARE_LOW = 2
+SPARE_LOW_BLOCKS = 2
 
-#: pressure migrations per maintenance pass (draining arrays are unbounded)
-DEFAULT_MIGRATE_BATCH = 8
+#: pressure (and alert) migrations per maintenance pass (draining arrays
+#: are unbounded)
+MIGRATE_BATCH = 8
 
 
 class ClusterNode:
@@ -132,31 +132,32 @@ class ClusterService:
         are the ring's node identities).
     spec:
         Recovery-scheme spec every array's blocks use.
-    n_addresses, spares, buffer_capacity, lifetime_model,
-    fail_cache_capacity, use_fail_cache, proactive_migration,
-    degrade_threshold, engine, fault_model, policy:
+    n_addresses, spares, buffer_capacity, lifetime_model, engine,
+    fault_model, policy:
         Per-array service-layer knobs, as in
         :func:`repro.service.loadgen.run_load`.
+    degrade_threshold:
+        Per-block fault count at which health degrades (the
+        :class:`~repro.service.array.MemoryArray`
+        ``degrade_fault_threshold``; ``None`` = one below the hard FTC).
     seed:
         Root seed; array ``i`` draws wear randomness from
         ``rng_for(seed, i, 43)`` so the cluster is a pure function of the
         seed regardless of construction order elsewhere.
     bulk_watermark:
         Write-buffer occupancy fraction at which bulk admission closes.
-    spare_low_blocks, migrate_batch:
-        Control-plane thresholds (see module docstring).
-    telemetry:
-        Shared :class:`ServiceTelemetry` sink; one is created if omitted.
-    ring_replicas:
-        Virtual points per array on the consistent-hash ring.
     series_bucket:
         Op-clock bucket width for time-series sampling (0 disables it);
         :meth:`observe` and :meth:`maintenance` are the sampling points.
-    slos:
-        SLO roster evaluated over the series (defaults to
-        :func:`repro.obs.slo.default_cluster_slos` when series are on);
-        firing ``action="migrate"`` alerts make :meth:`maintenance`
-        sweep degraded keys immediately — the observe→act loop.
+        With series on, :func:`repro.obs.slo.default_cluster_slos` is
+        evaluated over them; firing ``action="migrate"`` alerts make
+        :meth:`maintenance` sweep degraded keys immediately — the
+        observe→act loop.
+
+    Control-plane thresholds are the module constants
+    :data:`SPARE_LOW_BLOCKS` and :data:`MIGRATE_BATCH`; each array keeps
+    a :func:`~repro.service.array.service_fail_cache`, and the ring
+    places :data:`~repro.cluster.ring.REPLICAS` points per array.
     """
 
     def __init__(
@@ -169,59 +170,34 @@ class ClusterService:
         seed: int = 2013,
         buffer_capacity: int = 8,
         bulk_watermark: float = DEFAULT_BULK_WATERMARK,
-        spare_low_blocks: int = DEFAULT_SPARE_LOW,
-        migrate_batch: int = DEFAULT_MIGRATE_BATCH,
         lifetime_model: LifetimeModel | None = None,
-        fail_cache_capacity: int | None = 1024,
-        use_fail_cache: bool = True,
-        proactive_migration: bool = False,
         degrade_threshold: int | None = None,
         engine: str = "auto",
         fault_model: str = "hard",
         policy: str = "fixed",
-        telemetry: ServiceTelemetry | None = None,
-        ring_replicas: int = DEFAULT_REPLICAS,
         series_bucket: int = 0,
-        slos: tuple[SLOSpec, ...] | None = None,
     ) -> None:
         if n_arrays < 1:
             raise ConfigurationError("a cluster needs at least one array")
         if not 0 < bulk_watermark <= 1:
             raise ConfigurationError("bulk watermark must be in (0, 1]")
-        if spare_low_blocks < 0:
-            raise ConfigurationError("spare-low threshold cannot be negative")
-        if migrate_batch < 1:
-            raise ConfigurationError("migrate batch must be positive")
         if series_bucket < 0:
             raise ConfigurationError(
                 "series bucket width must be >= 0 (0 disables time series)"
             )
-        if slos is not None and series_bucket == 0:
-            raise ConfigurationError(
-                "SLO evaluation needs time series (pass series_bucket >= 1)"
-            )
         self.spec = spec
-        self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
+        self.telemetry = ServiceTelemetry()
         self.bulk_watermark = max(1, int(round(buffer_capacity * bulk_watermark)))
-        self.spare_low_blocks = spare_low_blocks
-        self.migrate_batch = migrate_batch
         model = lifetime_model if lifetime_model is not None else NormalLifetime()
         self.nodes: list[ClusterNode] = []
         for index in range(n_arrays):
-            fail_cache = (
-                DirectMappedFailCache(
-                    fail_cache_capacity, key_of=SequentialBlockKeys()
-                )
-                if use_fail_cache
-                else None
-            )
             array = MemoryArray(
                 n_addresses,
                 spec.n_bits,
                 spec.make_controller,
                 spares=spares,
                 lifetime_model=model,
-                fail_cache=fail_cache,
+                fail_cache=service_fail_cache(),
                 degrade_fault_threshold=degrade_threshold,
                 telemetry=self.telemetry,
                 rng=rng_for(seed, index, 43),
@@ -231,18 +207,13 @@ class ClusterService:
                 scheme_key=spec.key,
             )
             controller = ServiceController(
-                array,
-                buffer_capacity=buffer_capacity,
-                proactive_migration=proactive_migration,
-                policy=policy,
+                array, buffer_capacity=buffer_capacity, policy=policy
             )
             node = ClusterNode(index, array, controller)
             controller.cost_hook = self._make_cost_hook(node)
             self.nodes.append(node)
         self.block_bits = self.nodes[0].array.block_bits
-        self.ring = HashRing(
-            (node.name for node in self.nodes), replicas=ring_replicas
-        )
+        self.ring = HashRing(node.name for node in self.nodes)
         self._by_name = {node.name: node for node in self.nodes}
         #: (tenant_id, address) -> (node index, local address)
         self._placement: dict[tuple[str, int], tuple[int, int]] = {}
@@ -258,9 +229,7 @@ class ClusterService:
                     self.telemetry.metrics, bucket_width=series_bucket, auto=False
                 )
             )
-            self.slo_engine = SLOEngine(
-                recorder, slos if slos is not None else default_cluster_slos()
-            )
+            self.slo_engine = SLOEngine(recorder, default_cluster_slos())
 
     # -- tenants ------------------------------------------------------------
 
@@ -475,10 +444,10 @@ class ClusterService:
            firing (level-triggered — the sweep keeps running for as long
            as the burn condition holds, not just at the rising edge),
            degraded-block keys across *all* non-draining arrays are
-           migrated (up to ``migrate_batch``) — acting on the burn
+           migrated (up to :data:`MIGRATE_BATCH`) — acting on the burn
            signal without waiting for spare-pool pressure.
         3. Migrate keys off arrays under spare pressure (degraded-block
-           keys only, up to ``migrate_batch``) and off draining arrays
+           keys only, up to :data:`MIGRATE_BATCH`) and off draining arrays
            (everything), onto the array with the most spare headroom.
         """
         flushed = 0
@@ -509,10 +478,10 @@ class ClusterService:
                 )
             if "migrate" in self.slo_engine.active_actions():
                 for node in self.nodes:
-                    if node.draining or alert_migrated >= self.migrate_batch:
+                    if node.draining or alert_migrated >= MIGRATE_BATCH:
                         continue
                     for key in self._degraded_keys(node):
-                        if alert_migrated >= self.migrate_batch:
+                        if alert_migrated >= MIGRATE_BATCH:
                             break
                         if self.migrate_key(key, kind="alert"):
                             alert_migrated += 1
@@ -520,12 +489,12 @@ class ClusterService:
         for node in self.nodes:
             if node.draining:
                 keys = [node.owners[local] for local in sorted(node.owners)]
-            elif node.array.pool.remaining <= self.spare_low_blocks:
-                keys = self._degraded_keys(node)[: self.migrate_batch]
+            elif node.array.pool.remaining <= SPARE_LOW_BLOCKS:
+                keys = self._degraded_keys(node)[:MIGRATE_BATCH]
             else:
                 continue
             for key in keys:
-                if not node.draining and migrated >= self.migrate_batch:
+                if not node.draining and migrated >= MIGRATE_BATCH:
                     break
                 if self.migrate_key(key):
                     migrated += 1

@@ -463,10 +463,10 @@ class CampaignReport:
 class CampaignRunner:
     """Drive one campaign: stream, fold, checkpoint, feed the SLO tier.
 
-    A runner may *borrow* a persistent :class:`SimExecutor` (the campaign
-    engine's warm pool) via ``executor=``; otherwise it creates one whose
-    pool initializer pre-warms every scheme's lookup tables once per
-    worker, and closes it when the run finishes.
+    Each run builds one :class:`SimExecutor` whose pool initializer
+    pre-warms every scheme's lookup tables once per worker, and closes it
+    when the run finishes.  The time series buckets the pages-merged
+    clock one chunk wide.
     """
 
     def __init__(
@@ -474,10 +474,8 @@ class CampaignRunner:
         spec: CampaignSpec,
         ctx: ExecContext | None = None,
         *,
-        executor: SimExecutor | None = None,
         checkpoint_path: str | None = None,
         checkpoint_interval: int = 8,
-        series_bucket: int | None = None,
     ) -> None:
         if checkpoint_interval < 1:
             raise ConfigurationError("checkpoint_interval must be positive")
@@ -485,18 +483,6 @@ class CampaignRunner:
         self.ctx = ctx if ctx is not None else ExecContext()
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval = checkpoint_interval
-        #: time-series bucket width on the pages-merged clock
-        self.series_bucket = series_bucket or max(spec.chunk_pages, 1)
-        self._executor = executor
-        self._owns_executor = executor is None
-
-    def _make_executor(self) -> SimExecutor:
-        return SimExecutor(
-            self.ctx.workers,
-            chunk_pages=self.spec.chunk_pages,
-            initializer=warm_fleet_caches,
-            initargs=(self.spec.schemes, self.spec.block_bits, self.ctx.engine),
-        )
 
     def _meta(self, cursor: tuple[int, int], checkpoints: int) -> dict:
         return {
@@ -570,7 +556,7 @@ class CampaignRunner:
             cursor, aggregate = (0, 0), CampaignAggregate()
         registry = MetricsRegistry()
         self._rebuild_registry(registry, aggregate)
-        recorder = TimeSeriesRecorder(registry, bucket_width=self.series_bucket)
+        recorder = TimeSeriesRecorder(registry, bucket_width=spec.chunk_pages)
         pages_done = aggregate.pages
         if pages_done:
             # a resumed campaign's first sample is a catch-up bucket: the
@@ -578,7 +564,12 @@ class CampaignRunner:
             recorder.sample(pages_done)
         chunks_this_run = 0
         since_checkpoint = 0
-        executor = self._executor if self._executor is not None else self._make_executor()
+        executor = SimExecutor(
+            ctx.workers,
+            chunk_pages=spec.chunk_pages,
+            initializer=warm_fleet_caches,
+            initargs=(spec.schemes, spec.block_bits, ctx.engine),
+        )
         start = time.perf_counter()
         completed = False
         jobs = spec.grid()
@@ -700,8 +691,7 @@ class CampaignRunner:
                 resumed_from=resumed_from,
             )
         finally:
-            if self._owns_executor:
-                executor.close()
+            executor.close()
 
     def _report(
         self,
@@ -736,7 +726,6 @@ def run_campaign(
     spec: CampaignSpec,
     ctx: ExecContext | None = None,
     *,
-    executor: SimExecutor | None = None,
     checkpoint_path: str | None = None,
     checkpoint_interval: int = 8,
     resume: bool = False,
@@ -747,7 +736,6 @@ def run_campaign(
     runner = CampaignRunner(
         spec,
         ctx,
-        executor=executor,
         checkpoint_path=checkpoint_path,
         checkpoint_interval=checkpoint_interval,
     )

@@ -358,10 +358,6 @@ class TimeSeriesRecorder:
                 out += self._window(array)
         return out
 
-    def rate_view(self, name: str, **labels: object) -> np.ndarray:
-        """Counter deltas per op-clock tick (the burn-rate numerator)."""
-        return self.counter_view(name, **labels) / float(self.bucket_width)
-
     def gauge_view(self, name: str, **labels: object) -> np.ndarray:
         """Per-bucket gauge values (summed over matching series)."""
         out = np.zeros(self.bucket_count, dtype=np.float64)
@@ -494,37 +490,6 @@ class TimeSeriesRecorder:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
         return len(records)
-
-    def write_csv(self, path: str) -> int:
-        """Flat CSV export (counters and gauges; histogram totals/sums as
-        derived ``_count``/``_sum`` series); returns the row count."""
-        clocks = self.bucket_clocks()
-        rows: list[tuple[str, str, int, int, float]] = []
-        for key in sorted(self._counters):
-            series = render_series(*key)
-            for index, value in enumerate(self._window(self._counters[key])):
-                rows.append(("counter", series, self._base + index,
-                             clocks[index], float(value)))
-        for key in sorted(self._gauges):
-            series = render_series(*key)
-            for index, value in enumerate(self._window(self._gauges[key])):
-                rows.append(("gauge", series, self._base + index,
-                             clocks[index], float(value)))
-        for key in sorted(self._histograms):
-            entry = self._histograms[key]
-            for suffix, values in (
-                ("_count", self._window(entry["totals"])),
-                ("_sum", self._window(entry["sums"])),
-            ):
-                series = render_series(key[0] + suffix, key[1])
-                for index, value in enumerate(values):
-                    rows.append(("histogram", series, self._base + index,
-                                 clocks[index], float(value)))
-        with open(path, "w") as handle:
-            handle.write("kind,series,bucket,clock,value\n")
-            for kind, series, bucket, clock, value in rows:
-                handle.write(f'{kind},"{series}",{bucket},{clock},{value:g}\n')
-        return len(rows)
 
 
 def read_series_jsonl(path: str) -> dict:

@@ -26,7 +26,7 @@ Sampling
 Tracing every op of a million-op load run would swamp the artifact, so
 root spans are sampled: every ``sample_every``-th root is kept, and —
 because failures are exactly the ops worth attributing — any root whose
-tree contains an error span is *always* kept (``sample_errors``).  Both
+tree contains an error span is *always* kept.  Both
 decisions depend only on deterministic state, so sampling never breaks
 the merge contract.
 """
@@ -172,21 +172,19 @@ class Tracer:
     Parameters
     ----------
     sample_every:
-        Keep every N-th root span (1 = trace everything).
-    sample_errors:
-        Always keep a root whose tree contains an error span, regardless
-        of the sampling phase ("always trace failed writes").
+        Keep every N-th root span (1 = trace everything).  A root whose
+        tree contains an error span is kept regardless of the sampling
+        phase ("always trace failed writes").
     """
 
     enabled = True
 
-    def __init__(self, *, sample_every: int = 1, sample_errors: bool = True) -> None:
+    def __init__(self, *, sample_every: int = 1) -> None:
         if sample_every < 1:
             raise ConfigurationError(
                 f"sample_every must be positive, got {sample_every}"
             )
         self.sample_every = sample_every
-        self.sample_errors = sample_errors
         self.clock = 0
         self.roots: list[Span] = []
         self.sampled_out = 0
@@ -204,7 +202,7 @@ class Tracer:
     def _close_root(self, span: Span) -> None:
         keep = self.root_count % self.sample_every == 0
         self.root_count += 1
-        if not keep and self.sample_errors and span.subtree_error():
+        if not keep and span.subtree_error():
             keep = True
         if keep:
             self.roots.append(span)

@@ -4,8 +4,8 @@
 something that can *serve*: a logical block address space with
 ``write(addr, payload)`` / ``read(addr)``, backed by per-block recovery
 controllers (Aegis/ECP/SAFER via any
-:class:`~repro.pcm.block.SchemeFactory`), placed by the existing
-wear-leveling policies, and protected by a FREE-p-style spare pool
+:class:`~repro.pcm.block.SchemeFactory`), placed by perfect (round-robin)
+wear leveling, and protected by a FREE-p-style spare pool
 (:class:`~repro.remap.pool.SparePool`).
 
 The contract the rest of the service layer builds on:
@@ -23,11 +23,11 @@ The contract the rest of the service layer builds on:
   array behaves like real memory rather than a key-value store.
 
 Placement: a logical address claims a physical block on its first write
-(and on every remap) through the wear-leveling policy restricted to free
-blocks, then writes in place — the write-in-place + allocation-time
-leveling model of PCM, with differential writes and verification reads
-happening inside :class:`~repro.pcm.block.ProtectedBlock` exactly as in
-the device model.
+(and on every remap) through :class:`~repro.pcm.wear.PerfectWearLeveling`
+restricted to free blocks, then writes in place — the write-in-place +
+allocation-time leveling model of PCM, with differential writes and
+verification reads happening inside :class:`~repro.pcm.block.ProtectedBlock`
+exactly as in the device model.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError, RetiredBlockError, UncorrectableError
 from repro.pcm.block import ProtectedBlock, SchemeFactory
-from repro.pcm.failcache import DirectMappedFailCache
+from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.faults import fault_model_for
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
-from repro.pcm.wear import PerfectWearLeveling, WearLevelingPolicy
+from repro.pcm.wear import PerfectWearLeveling
 from repro.remap.pool import SparePool
 from repro.schemes.base import WriteReceipt
 from repro.service.health import BlockHealth, HealthTracker
@@ -48,6 +48,16 @@ from repro.service.telemetry import ServiceTelemetry
 
 #: degrade threshold when the scheme does not expose a hard FTC
 DEFAULT_DEGRADE_FAULTS = 4
+
+#: fail-cache entries per array of the load generator and the cluster
+FAIL_CACHE_ENTRIES = 1024
+
+
+def service_fail_cache() -> DirectMappedFailCache:
+    """The fail cache every load-generator shard and cluster array keeps:
+    :data:`FAIL_CACHE_ENTRIES` entries keyed by block construction order,
+    so hit/eviction statistics reproduce across processes."""
+    return DirectMappedFailCache(FAIL_CACHE_ENTRIES, key_of=SequentialBlockKeys())
 
 
 class MemoryArray:
@@ -64,8 +74,9 @@ class MemoryArray:
         :class:`~repro.sim.roster.SchemeSpec`'s ``make_controller`` works).
     spares:
         Extra physical blocks beyond the address space — the FREE-p pool.
-    lifetime_model, wear_leveling, rng:
-        As in :class:`~repro.pcm.device.PCMDevice`.
+    lifetime_model, rng:
+        As in :class:`~repro.pcm.device.PCMDevice`; placement is always
+        :class:`~repro.pcm.wear.PerfectWearLeveling` over the free blocks.
     fail_cache:
         Optional :class:`~repro.pcm.failcache.DirectMappedFailCache`; when
         present, the array records faults discovered by verification reads
@@ -104,7 +115,6 @@ class MemoryArray:
         *,
         spares: int = 0,
         lifetime_model: LifetimeModel | None = None,
-        wear_leveling: WearLevelingPolicy | None = None,
         fail_cache: DirectMappedFailCache | None = None,
         degrade_fault_threshold: int | None = None,
         telemetry: ServiceTelemetry | None = None,
@@ -144,9 +154,7 @@ class MemoryArray:
             )
             for _ in range(n_addresses + spares)
         ]
-        self.wear_leveling = (
-            wear_leveling if wear_leveling is not None else PerfectWearLeveling()
-        )
+        self.wear_leveling = PerfectWearLeveling()
         self.fail_cache = fail_cache
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
         #: scheme label for labeled metrics/spans (all blocks share a scheme)
@@ -319,7 +327,6 @@ class MemoryArray:
     def _remap(self, address: int, failed_physical: int) -> int:
         """Retire a failed block and rewire ``address`` to a fresh one."""
         self.health.retire(failed_physical, op=self.op_clock)
-        self.wear_leveling.on_page_failed(failed_physical)
         self._map[address] = -1
         # raises (with the failed block's identity) when the pool is dry
         physical = self._allocate(address, failed_block=failed_physical)
@@ -371,7 +378,6 @@ class MemoryArray:
             return False
         data = self.blocks[physical].read()
         self.health.retire(physical, op=self.op_clock, reason="migrated")
-        self.wear_leveling.on_page_failed(physical)
         self._map[address] = -1
         fresh = self._allocate(address)
         self.blocks[fresh].write(data)

@@ -50,13 +50,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, RetiredBlockError
+from repro.errors import RetiredBlockError
 from repro.pcm.writebuffer import WriteBuffer
 from repro.schemes.base import WriteReceipt
 from repro.service import kernels as service_kernels
 from repro.service.array import MemoryArray
 from repro.service.health import BlockHealth
 from repro.service.policy import (
+    POLICY_COOLDOWN,
+    POLICY_INTERVAL,
     BlockConditions,
     SchemePolicyEngine,
     validate_policy,
@@ -84,22 +86,15 @@ class ServiceController:
     policy:
         ``"fixed"`` (default) keeps every block on the array's base
         scheme — the historical behavior, byte-identical.  ``"adaptive"``
-        evaluates the :class:`~repro.service.policy.SchemePolicyEngine`
-        every ``policy_interval`` drains over the addresses written since
-        the last evaluation and re-encodes blocks whose observed
-        conditions (faults, maskable faults, write share, fault bursts)
-        favor a different scheme, counting each move in
-        ``policy_switches_total{from,to}``.  Decisions read only
-        post-drain state, so adaptive runs stay bit-identical across
-        workers and engines.
-    policy_engine:
-        The scorer for ``policy="adaptive"``; defaults to
-        :class:`SchemePolicyEngine` over the standard option table.
-    policy_interval:
-        Drains between policy evaluations (``adaptive`` only).
-    policy_cooldown:
-        Evaluations an address sits out after a switch (hysteresis
-        against re-encode flapping).
+        evaluates a :class:`~repro.service.policy.SchemePolicyEngine`
+        every :data:`~repro.service.policy.POLICY_INTERVAL` drains over
+        the addresses written since the last evaluation and re-encodes
+        blocks whose observed conditions (faults, maskable faults, write
+        share, fault bursts) favor a different scheme, counting each move
+        in ``policy_switches_total{from,to}``; a switched address sits out
+        :data:`~repro.service.policy.POLICY_COOLDOWN` evaluations.
+        Decisions read only post-drain state, so adaptive runs stay
+        bit-identical across workers and engines.
     """
 
     def __init__(
@@ -110,9 +105,6 @@ class ServiceController:
         proactive_migration: bool = False,
         strict: bool = False,
         policy: str = "fixed",
-        policy_engine: SchemePolicyEngine | None = None,
-        policy_interval: int = 4,
-        policy_cooldown: int = 2,
     ) -> None:
         self.array = array
         self.buffer = WriteBuffer(buffer_capacity, n_bits=array.block_bits)
@@ -126,18 +118,8 @@ class ServiceController:
         self.policy = validate_policy(policy)
         self._adaptive = self.policy == "adaptive"
         self.policy_engine = (
-            policy_engine
-            if policy_engine is not None
-            else (
-                SchemePolicyEngine(block_bits=array.block_bits)
-                if self._adaptive
-                else None
-            )
+            SchemePolicyEngine(block_bits=array.block_bits) if self._adaptive else None
         )
-        if policy_interval < 1:
-            raise ConfigurationError("policy interval must be >= 1")
-        self.policy_interval = policy_interval
-        self.policy_cooldown = policy_cooldown
         self._drains = 0
         self._policy_rounds = 0
         #: address -> writes drained since the last policy evaluation
@@ -234,7 +216,7 @@ class ServiceController:
                 address = int(address)
                 self._policy_writes[address] = self._policy_writes.get(address, 0) + 1
             self._drains += 1
-            if self._drains % self.policy_interval == 0:
+            if self._drains % POLICY_INTERVAL == 0:
                 self._evaluate_policy()
         recorder = telemetry.timeseries
         if recorder is not None and recorder.auto:
@@ -285,7 +267,7 @@ class ServiceController:
             switched_at = self._policy_switched_at.get(address)
             if (
                 switched_at is not None
-                and round_index - switched_at < self.policy_cooldown
+                and round_index - switched_at < POLICY_COOLDOWN
             ):
                 continue
             conditions = BlockConditions(

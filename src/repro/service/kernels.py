@@ -11,11 +11,10 @@ operations, with three pieces:
   into ``(blocks, bits)`` matrices whose *rows are the blocks' own
   arrays* (views, not copies), so scalar code and batch kernels mutate
   the same state.
-* Per-scheme kernels (:class:`_XorMaskKernel` for Aegis/SAFER/the
-  unprotected baseline, :class:`_EcpKernel`, :class:`_HammingKernel`)
-  that sort a drain's rows into three classes and commit the
-  scheme-side state of the batchable ones (the plan carries a two-pass
-  row's inversion flips and learned faults):
+* Per-scheme kernels (:class:`_XorMaskKernel` for Aegis and SAFER,
+  :class:`_EcpKernel`) that sort a drain's rows into three classes and
+  commit the scheme-side state of the batchable ones (the plan carries
+  a two-pass row's inversion flips and learned faults):
 
   - *fast* rows finish in one differential write pass with a clean
     verification read;
@@ -32,6 +31,9 @@ operations, with three pieces:
   (two passes where planned) → wear → scatter, then walk the drain in
   row order for the order-sensitive effects (op clock, health, fail
   cache, cost attribution), servicing escalation rows in place.
+
+Every other scheme (Hamming, no protection, Aegis-rw, SAFER-cache, RDIS)
+has no kernel, so ``engine="auto"`` drains it on the scalar path.
 
 Bit-identity contract
 ---------------------
@@ -89,8 +91,6 @@ from repro.core.aegis import AegisScheme
 from repro.errors import ConfigurationError
 from repro.schemes.base import WriteReceipt
 from repro.schemes.ecp import EcpScheme
-from repro.schemes.hamming import CHECK_BITS, DATA_BITS, HammingScheme, _H
-from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.safer import SaferScheme
 from repro.service.health import BlockHealth
 from repro.sim.kernels import count_rows, validate_engine
@@ -179,7 +179,7 @@ class _Plan(NamedTuple):
 
 
 class _XorMaskKernel:
-    """Aegis / SAFER / unprotected: stored form = data XOR inversion mask.
+    """Aegis / SAFER: stored form = data XOR inversion mask.
 
     A row is fast iff no stuck cell disagrees with its target form — then
     the scalar ``_encode_write`` returns after one pass with a clean
@@ -198,9 +198,6 @@ class _XorMaskKernel:
         self.array = array
         self.store: BlockStore = array.store
         self.kind = kind
-        self.inversion = None
-        if kind == "none":
-            return
         blocks = array.blocks
         scheme = blocks[0].scheme
         inversion = np.zeros((len(blocks), len(scheme.inversion)), dtype=np.uint8)
@@ -237,12 +234,11 @@ class _XorMaskKernel:
         if rows.size == 0:
             return _Plan(batch, forms)
         p = phys[rows]
-        if self.inversion is not None:
-            inverted = self.inversion[p].any(axis=1)
-            if inverted.any():
-                q = p[inverted]
-                forms = payloads.copy()
-                forms[rows[inverted]] ^= self.inversion[q[:, None], self._group_ids(q)]
+        inverted = self.inversion[p].any(axis=1)
+        if inverted.any():
+            q = p[inverted]
+            forms = payloads.copy()
+            forms[rows[inverted]] ^= self.inversion[q[:, None], self._group_ids(q)]
         stuck = self.store.stuck[p]
         wrong = stuck & (self.store.stuck_value[p] != forms[rows])
         conflict = wrong.any(axis=1)
@@ -284,14 +280,8 @@ class _XorMaskKernel:
             tuple(learned),
         )
 
-    def commit(
-        self,
-        rows: np.ndarray,
-        p: np.ndarray,
-        data_rows: np.ndarray,
-        form_rows: np.ndarray,
-    ) -> np.ndarray | None:
-        return None
+    def commit(self, rows: np.ndarray, p: np.ndarray, data_rows: np.ndarray) -> None:
+        """No scheme state beyond the inversion flips ``_commit_rows`` applies."""
 
 
 class _EcpKernel:
@@ -343,13 +333,7 @@ class _EcpKernel:
             self._pending[int(row)] = fresh
         return _Plan(fast, payloads)
 
-    def commit(
-        self,
-        rows: np.ndarray,
-        p: np.ndarray,
-        data_rows: np.ndarray,
-        form_rows: np.ndarray,
-    ) -> np.ndarray | None:
+    def commit(self, rows: np.ndarray, p: np.ndarray, data_rows: np.ndarray) -> None:
         blocks = self.array.blocks
         pending = self._pending
         for index, row in enumerate(rows.tolist()):
@@ -362,76 +346,6 @@ class _EcpKernel:
                 entries[offset] = int(data[offset])
             for offset in todo:
                 entries[offset] = int(data[offset])
-        return None
-
-
-class _HammingKernel:
-    """(72, 64) SEC-DED: batch-encode check words for fault-free rows.
-
-    A row is fast iff its main cells *and* its check cells hold zero
-    stuck faults — the stored codewords then equal the encoded data, so
-    every word decodes clean.  The check-bit images for a whole drain
-    come from one parity-matrix matmul; the side check arrays are adopted
-    columnar here (the main arrays live in the shared block store) and
-    take the same differential-write/count bookkeeping, minus wear: block
-    endurance covers main cells only, exactly like the scalar path.
-    """
-
-    def __init__(self, array) -> None:
-        self.array = array
-        self.store: BlockStore = array.store
-        scheme = array.blocks[0].scheme
-        self.words = scheme.words
-        check_bits = self.words * CHECK_BITS
-        count = len(array.blocks)
-        self.c_stored = np.empty((count, check_bits), dtype=np.uint8)
-        self.c_stuck = np.zeros((count, check_bits), dtype=bool)
-        self.c_stuck_value = np.empty((count, check_bits), dtype=np.uint8)
-        self.c_write_counts = np.empty((count, check_bits), dtype=np.int64)
-        for index, block in enumerate(array.blocks):
-            checks = block.scheme._checks
-            self.c_stored[index] = checks._stored
-            self.c_stuck[index] = checks._stuck
-            self.c_stuck_value[index] = checks._stuck_value
-            self.c_write_counts[index] = checks._write_counts
-            checks._stored = self.c_stored[index]
-            checks._stuck = self.c_stuck[index]
-            checks._stuck_value = self.c_stuck_value[index]
-            checks._write_counts = self.c_write_counts[index]
-        self._h7t = _H[:7, :DATA_BITS].T.astype(np.int64)
-
-    def plan(
-        self, phys: np.ndarray, payloads: np.ndarray, candidates: np.ndarray
-    ) -> _Plan:
-        fast = candidates.copy()
-        rows = np.flatnonzero(candidates)
-        if rows.size:
-            p = phys[rows]
-            conflict = self.store.stuck[p].any(axis=1) | self.c_stuck[p].any(axis=1)
-            fast[rows[conflict]] = False
-        return _Plan(fast, payloads)
-
-    def commit(
-        self,
-        rows: np.ndarray,
-        p: np.ndarray,
-        data_rows: np.ndarray,
-        form_rows: np.ndarray,
-    ) -> np.ndarray | None:
-        count = p.shape[0]
-        data = data_rows.reshape(count, self.words, DATA_BITS).astype(np.int64)
-        checks7 = (data @ self._h7t) % 2
-        parity = (data.sum(axis=2) + checks7.sum(axis=2)) % 2
-        image = np.concatenate([checks7, parity[:, :, None]], axis=2)
-        image = image.reshape(count, self.words * CHECK_BITS).astype(np.uint8)
-        stored = self.c_stored[p]
-        programmed = stored != image
-        # no stuck check cells on the fast path, so every differing cell takes
-        self.c_stored[p] = image
-        counts = self.c_write_counts[p]
-        counts += programmed
-        self.c_write_counts[p] = counts
-        return count_rows(programmed)
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +363,16 @@ def _build_kernel(array):
         return _XorMaskKernel(array, "aegis")
     if scheme_type is SaferScheme:
         return _XorMaskKernel(array, "safer")
-    if scheme_type is NoProtectionScheme:
-        return _XorMaskKernel(array, "none")
     if scheme_type is EcpScheme and scheme._replacements is None:
         return _EcpKernel(array)
-    if scheme_type is HammingScheme:
-        return _HammingKernel(array)
     return None
 
 
 def kernel_for(array):
     """The array's batch kernel, or ``None`` when no kernel covers its
-    scheme (sampled/data-dependent schemes: Aegis-rw, SAFER-cache, RDIS,
-    fragile-replacement ECP) — memoised per array."""
+    scheme (Hamming, no protection, the sampled/data-dependent schemes
+    Aegis-rw, SAFER-cache and RDIS, fragile-replacement ECP) — memoised
+    per array."""
     cached = array.__dict__.get(_KERNEL_ATTR, _KERNEL_ATTR)
     if cached is not _KERNEL_ATTR:
         return cached
@@ -642,7 +553,7 @@ def _commit_rows(
         store.stuck_value[p] = np.where(worn_out, stored, store.stuck_value[p])
     fault_counts = count_rows(stuck)
 
-    # -- scheme side (inversion flips, ECP entries, Hamming check words) ----
+    # -- scheme side (inversion flips, ECP entries) --------------------------
     blocks = array.blocks
     if two_pass:
         # the two-pass rows flip their hit groups' inversion bits and learn
@@ -651,9 +562,7 @@ def _commit_rows(
         kernel.inversion[flipped_blocks] ^= plan.groups[lo:hi]
         for physical, learned in zip(flipped_blocks.tolist(), plan.learned[lo:hi]):
             blocks[physical].scheme.known_fault_offsets.update(learned)
-    extra = kernel.commit(rows, p, payloads[picked], form_rows)
-    if extra is not None:
-        cell_writes = cell_writes + extra
+    kernel.commit(rows, p, payloads[picked])
     cell_writes_total = int(cell_writes.sum())
     inversion_writes = int(flipped.sum()) if two_pass else 0
     reads = count + two_pass

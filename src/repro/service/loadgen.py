@@ -36,7 +36,6 @@ from repro.errors import ConfigurationError
 from repro.obs.profiler import NullProfiler, Profiler
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import NullTracer, Tracer
-from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.faults import fault_model_for
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
 from repro.pcm.workload import (
@@ -45,7 +44,7 @@ from repro.pcm.workload import (
     Workload,
     ZipfWorkload,
 )
-from repro.service.array import MemoryArray
+from repro.service.array import MemoryArray, service_fail_cache
 from repro.service.controller import ServiceController
 from repro.service.kernels import validate_engine
 from repro.service.policy import validate_policy
@@ -96,18 +95,14 @@ class ShardTask:
     lifetime_model: LifetimeModel
     read_fraction: float
     buffer_capacity: int
-    degrade_threshold: int | None
-    fail_cache_capacity: int | None
-    use_fail_cache: bool
     proactive_migration: bool
     snapshot_interval: int
     #: drain engine for every shard ("auto" | "scalar"); never
     #: part of the snapshot because results are engine-invariant
     engine: str = "auto"
-    #: trace every N-th root span (0 disables tracing entirely)
+    #: trace every N-th root span (0 disables tracing entirely); root
+    #: spans whose tree contains an error are always kept
     trace_sample: int = 0
-    #: always keep root spans whose tree contains an error
-    trace_errors: bool = True
     #: event-log ring capacity per shard (0 = unbounded)
     event_cap: int = DEFAULT_EVENT_CAP
     #: collect wall-clock phase timings (informational, non-deterministic)
@@ -130,7 +125,7 @@ class ShardTask:
     def make_tracer(self) -> Tracer | NullTracer:
         if self.trace_sample < 1:
             return NullTracer()
-        return Tracer(sample_every=self.trace_sample, sample_errors=self.trace_errors)
+        return Tracer(sample_every=self.trace_sample)
 
 
 @dataclass
@@ -161,11 +156,7 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
             )
         )
     with profiler.phase("shard.build"):
-        fail_cache = (
-            DirectMappedFailCache(task.fail_cache_capacity, key_of=SequentialBlockKeys())
-            if task.use_fail_cache
-            else None
-        )
+        fail_cache = service_fail_cache()
         array = MemoryArray(
             task.n_addresses,
             task.spec.n_bits,
@@ -173,7 +164,6 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
             spares=task.spares,
             lifetime_model=task.lifetime_model,
             fail_cache=fail_cache,
-            degrade_fault_threshold=task.degrade_threshold,
             telemetry=telemetry,
             rng=rng,
             engine=task.engine,
@@ -219,10 +209,9 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
             telemetry.metrics.inc("integrity_checked")
             if not np.array_equal(array.read(address), shadow[address]):
                 telemetry.metrics.inc("integrity_failures")
-    if fail_cache is not None:
-        telemetry.metrics.inc("fail_cache_hits", fail_cache.hits)
-        telemetry.metrics.inc("fail_cache_misses", fail_cache.misses)
-        telemetry.metrics.inc("fail_cache_evictions", fail_cache.evictions)
+    telemetry.metrics.inc("fail_cache_hits", fail_cache.hits)
+    telemetry.metrics.inc("fail_cache_misses", fail_cache.misses)
+    telemetry.metrics.inc("fail_cache_evictions", fail_cache.evictions)
     if recorder is not None:
         # catch-up sample: fold counters bumped outside the drain path
         # (audit, fail-cache totals) into the final bucket
@@ -319,20 +308,15 @@ def run_load(
     lifetime_model: LifetimeModel | None = None,
     read_fraction: float = 0.25,
     buffer_capacity: int = 8,
-    degrade_threshold: int | None = None,
-    fail_cache_capacity: int | None = 1024,
-    use_fail_cache: bool = True,
     proactive_migration: bool = False,
     snapshot_interval: int = 0,
     engine: str = "auto",
     trace_sample: int = 0,
-    trace_errors: bool = True,
     event_cap: int = DEFAULT_EVENT_CAP,
     profile: bool = False,
     series_bucket: int = 0,
     fault_model: str = "hard",
     policy: str = "fixed",
-    executor: SimExecutor | None = None,
 ) -> LoadReport:
     """Drive ``ops`` operations through ``shards`` independent arrays.
 
@@ -344,7 +328,7 @@ def run_load(
     deliberately absent from the snapshot's ``config`` block.
 
     ``trace_sample=N`` records every N-th serviced operation as a span
-    tree (failed writes are always kept while ``trace_errors`` is on);
+    tree (failed writes are always kept);
     the merged trace rides :attr:`LoadReport.telemetry` and exports via
     :meth:`LoadReport.write_trace_jsonl` — deterministic like the
     snapshot.  ``profile=True`` additionally collects wall-clock phase
@@ -382,31 +366,22 @@ def run_load(
         ),
         read_fraction=read_fraction,
         buffer_capacity=buffer_capacity,
-        degrade_threshold=degrade_threshold,
-        fail_cache_capacity=fail_cache_capacity,
-        use_fail_cache=use_fail_cache,
         proactive_migration=proactive_migration,
         snapshot_interval=snapshot_interval,
         engine=validate_engine(engine),
         trace_sample=trace_sample,
-        trace_errors=trace_errors,
         event_cap=event_cap,
         profile=profile,
         series_bucket=series_bucket,
         fault_model=fault_model,
         policy=validate_policy(policy),
     )
-    own_executor = executor is None
-    # one shard per chunk: shards are few and coarse, so load-balance fully
-    runner = executor if executor is not None else SimExecutor(workers, chunk_pages=1)
     start = time.perf_counter()
-    try:
+    # one shard per chunk: shards are few and coarse, so load-balance fully
+    with SimExecutor(workers, chunk_pages=1) as runner:
         results: list[ShardResult] = runner.map_indices(
             run_shard, task, range(shards)
         )
-    finally:
-        if own_executor:
-            runner.close()
     elapsed = time.perf_counter() - start
     merged = ServiceTelemetry(event_cap=event_cap, tracer=task.make_tracer())
     for result in results:

@@ -21,13 +21,13 @@ Three pieces:
   (partially-stuck) fault count, the block's share of recent write
   traffic, and the fault-arrival burst since the last look.
 * :class:`SchemePolicyEngine` — the deterministic scorer.  Every option
-  gets ``demand * protection - overhead_weight * overhead`` where demand
+  gets ``demand * protection - OVERHEAD_WEIGHT * overhead`` where demand
   grows with write pressure and burstiness, protection is the saturating
   FTC headroom above the block's *effective* (maskable-discounted) fault
   count, and overhead is the option's bit cost relative to the block.
   A switch is proposed only when the best option clears the incumbent by
-  the hysteresis margin — flapping between near-tied schemes would pay
-  re-encode wear for nothing.
+  the :data:`HYSTERESIS` margin — flapping between near-tied schemes
+  would pay re-encode wear for nothing.
 
 Determinism contract
 --------------------
@@ -50,6 +50,24 @@ from repro.sim.roster import SchemeSpec, aegis_spec, ecp_spec, safer_spec
 
 #: controller policy modes (``fixed`` = historical single-scheme behavior)
 POLICY_CHOICES = ("fixed", "adaptive")
+
+#: score margin the best option must clear over the incumbent before a
+#: switch is proposed
+HYSTERESIS = 0.05
+
+#: weight of the overhead term against the protection term
+OVERHEAD_WEIGHT = 0.6
+
+#: FTC headroom beyond which extra protection buys nothing (the
+#: saturation point of the protection term)
+HEADROOM_CAP = 8
+
+#: controller drains between adaptive-policy evaluations
+POLICY_INTERVAL = 4
+
+#: evaluations an address sits out after a switch (hysteresis against
+#: re-encode flapping)
+POLICY_COOLDOWN = 2
 
 
 @dataclass(frozen=True)
@@ -110,55 +128,16 @@ def default_policy_options(block_bits: int = 512) -> tuple[SchemeOption, ...]:
 
 
 class SchemePolicyEngine:
-    """Deterministic option-table scorer for per-block scheme selection.
+    """Deterministic scorer over :func:`default_policy_options`.
 
-    Parameters
-    ----------
-    options:
-        Candidate :class:`SchemeOption` table (default:
-        :func:`default_policy_options`).  Keys must be unique.
-    block_bits:
-        Data bits per block, the denominator of the overhead term.
-    hysteresis:
-        Score margin the best option must clear over the incumbent
-        before a switch is proposed.
-    overhead_weight:
-        Weight of the overhead term against the protection term.
-    headroom_cap:
-        FTC headroom beyond which extra protection buys nothing (the
-        saturation point of the protection term).
+    ``block_bits`` (data bits per block) is the denominator of the
+    overhead term; the weights are the module constants
+    :data:`HYSTERESIS`, :data:`OVERHEAD_WEIGHT` and :data:`HEADROOM_CAP`.
     """
 
-    def __init__(
-        self,
-        options: tuple[SchemeOption, ...] | None = None,
-        *,
-        block_bits: int = 512,
-        hysteresis: float = 0.05,
-        overhead_weight: float = 0.6,
-        headroom_cap: int = 8,
-    ) -> None:
-        self.options = (
-            tuple(options) if options is not None else default_policy_options(block_bits)
-        )
-        if not self.options:
-            raise ConfigurationError("a policy engine needs at least one option")
-        keys = [option.key for option in self.options]
-        if len(set(keys)) != len(keys):
-            raise ConfigurationError(f"duplicate policy option keys: {keys}")
-        for option in self.options:
-            if option.hard_ftc < 1:
-                raise ConfigurationError(
-                    f"option {option.key!r} needs a positive hard FTC"
-                )
-        if not 0 <= hysteresis:
-            raise ConfigurationError("hysteresis must be >= 0")
-        if headroom_cap < 1:
-            raise ConfigurationError("headroom cap must be >= 1")
+    def __init__(self, *, block_bits: int = 512) -> None:
+        self.options = default_policy_options(block_bits)
         self.block_bits = block_bits
-        self.hysteresis = hysteresis
-        self.overhead_weight = overhead_weight
-        self.headroom_cap = headroom_cap
         self._by_key = {option.key: option for option in self.options}
 
     def option_for(self, key: str) -> SchemeOption | None:
@@ -177,13 +156,13 @@ class SchemePolicyEngine:
         block at risk always prefers any option that still covers it.
         """
         headroom = option.hard_ftc - conditions.effective_faults
-        overhead = self.overhead_weight * option.overhead_bits / self.block_bits
+        overhead = OVERHEAD_WEIGHT * option.overhead_bits / self.block_bits
         if headroom <= 0:
             return float(headroom) - overhead
         pressure = min(1.0, 4.0 * conditions.write_share)
         burst = min(1.0, conditions.fault_burst / 4.0)
         demand = min(1.0, 0.3 + 0.45 * pressure + 0.25 * burst)
-        protection = min(headroom, self.headroom_cap) / self.headroom_cap
+        protection = min(headroom, HEADROOM_CAP) / HEADROOM_CAP
         return demand * protection - overhead
 
     def choose(
@@ -206,7 +185,7 @@ class SchemePolicyEngine:
         )
         if best.key == current_key:
             return None
-        if self.score(best, conditions) <= self.score(current, conditions) + self.hysteresis:
+        if self.score(best, conditions) <= self.score(current, conditions) + HYSTERESIS:
             return None
         return best
 

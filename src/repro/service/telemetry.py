@@ -81,8 +81,6 @@ class ServiceTelemetry:
 
     Parameters
     ----------
-    cost_edges, latency_edges:
-        Bucket bounds of the two built-in histograms.
     event_cap:
         Ring capacity of the event log (``0`` = unbounded); overflowing
         drops the *oldest* events and counts them in ``events_dropped``.
@@ -94,16 +92,14 @@ class ServiceTelemetry:
     def __init__(
         self,
         *,
-        cost_edges: tuple[float, ...] = DEFAULT_COST_EDGES,
-        latency_edges: tuple[float, ...] = DEFAULT_LATENCY_EDGES,
         event_cap: int = DEFAULT_EVENT_CAP,
         tracer: Tracer | NullTracer | None = None,
     ) -> None:
         if event_cap < 0:
             raise ConfigurationError("event cap cannot be negative")
         self.metrics = MetricsRegistry()
-        self.service_cost = Histogram(cost_edges)
-        self.latency = Histogram(latency_edges)
+        self.service_cost = Histogram(DEFAULT_COST_EDGES)
+        self.latency = Histogram(DEFAULT_LATENCY_EDGES)
         self.event_cap = event_cap
         self.events: deque[dict] = deque()
         self.events_dropped = 0

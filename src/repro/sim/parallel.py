@@ -26,9 +26,9 @@ Design notes
   when a tracing ``observer`` is attached (callbacks cannot cross the
   process boundary), or when the platform refuses to start a pool — the
   results are identical either way, only wall-clock changes.
-* An opt-in :class:`repro.obs.profiler.Profiler` (explicit or installed
-  process-wide via ``--profile``) times the gather and serial phases;
-  the timings are wall-clock and never touch the deterministic results.
+* The process-wide :class:`repro.obs.profiler.Profiler` (installed via
+  ``--profile``) times the gather and serial phases; the timings are
+  wall-clock and never touch the deterministic results.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
-from repro.obs.profiler import NullProfiler, Profiler, get_profiler
+from repro.obs.profiler import get_profiler
 from repro.obs.tracer import get_tracer
 from repro.sim.context import ExecContext
 from repro.util.stats import MeanEstimate, mean_ci
@@ -151,7 +151,7 @@ class SimExecutor:
 
     The pool persists across calls for the executor's lifetime — the
     fleet campaign engine shares one executor (and its warm, pre-primed
-    worker pool) across every study of a campaign.  Use as a context
+    worker pool) across every scheme of a campaign.  Use as a context
     manager, or call :meth:`close` when done.
     """
 
@@ -160,7 +160,6 @@ class SimExecutor:
         workers: int | None = None,
         *,
         chunk_pages: int = DEFAULT_CHUNK_PAGES,
-        profiler: "Profiler | NullProfiler | None" = None,
         window_chunks: int | None = None,
         initializer=None,
         initargs: tuple = (),
@@ -173,7 +172,6 @@ class SimExecutor:
             )
         self.workers = resolve_workers(workers)
         self.chunk_pages = chunk_pages
-        self.profiler = profiler
         #: bounded in-flight futures per scatter: backpressure instead of a
         #: million queued futures when a campaign streams millions of pages
         self.window_chunks = (
@@ -188,15 +186,6 @@ class SimExecutor:
         self._initargs = tuple(initargs)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_broken = False
-
-    def _profiler(self) -> "Profiler | NullProfiler":
-        """The explicit profiler, or the process-wide one (``--profile``).
-
-        Resolved per call so a profiler installed after construction is
-        still picked up; timings are wall-clock and never feed the
-        deterministic results.
-        """
-        return self.profiler if self.profiler is not None else get_profiler()
 
     @property
     def parallel(self) -> bool:
@@ -219,7 +208,7 @@ class SimExecutor:
             return None
         if self._pool is None:
             # the pool is sized for the executor's lifetime, not the first
-            # request: a persistent executor shared across campaign studies
+            # request: a persistent executor shared across campaign schemes
             # must not be capped by its smallest scatter
             try:
                 self._pool = ProcessPoolExecutor(
@@ -309,7 +298,7 @@ class SimExecutor:
         stay valid — purity makes the recompute bit-identical).
         """
         chunks = [tuple(chunk) for chunk in chunks]
-        profiler = self._profiler()
+        profiler = get_profiler()
         pool = self._ensure_pool(len(chunks))
         emitted = 0
         if pool is not None:
@@ -359,23 +348,10 @@ class StudyRunner:
         self,
         name: str,
         ctx: "ExecContext | None" = None,
-        *,
-        chunk_pages: int = DEFAULT_CHUNK_PAGES,
-        profiler: "Profiler | NullProfiler | None" = None,
-        executor: "SimExecutor | None" = None,
     ) -> None:
         self.name = name
         self.ctx = ctx if ctx is not None else ExecContext()
-        # a borrowed executor is the campaign engine's persistent pool:
-        # studies share one warm worker pool instead of rebuilding (and
-        # re-priming the lookup-table caches of) a cold pool per study,
-        # so close() must leave it running for the next study
-        self._owns_executor = executor is None
-        self.executor = (
-            executor
-            if executor is not None
-            else SimExecutor(self.ctx.workers, chunk_pages=chunk_pages, profiler=profiler)
-        )
+        self.executor = SimExecutor(self.ctx.workers)
 
     @property
     def workers(self) -> int:
@@ -389,10 +365,8 @@ class StudyRunner:
         self.close()
 
     def close(self) -> None:
-        """Shut the executor down — unless it was borrowed (persistent
-        pools outlive the studies that share them)."""
-        if self._owns_executor:
-            self.executor.close()
+        """Shut the executor down."""
+        self.executor.close()
 
     def map_pages(self, task: PageTask, indices: Sequence[int]) -> list:
         """Bare page-batch fan-out, for :class:`PageTask`-shaped work."""

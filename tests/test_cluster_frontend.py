@@ -5,6 +5,7 @@ through the bulk queue (see ``repro/cluster/frontend.py``).
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -48,10 +49,10 @@ def bits_of(fill: int) -> np.ndarray:
     return bits
 
 
-async def with_frontend(test):
+async def with_frontend(test, **cluster_kwargs):
     """Run ``test(frontend, cluster)`` with a started frontend, always
     stopping it."""
-    cluster = make_cluster()
+    cluster = make_cluster(**cluster_kwargs)
     frontend = ClusterFrontend(cluster, maintenance_interval=0.01)
     await frontend.start()
     try:
@@ -119,6 +120,52 @@ class TestProtocol:
             await client.close()
 
         asyncio.run(with_frontend(scenario))
+
+
+#: lines that are not valid requests (sent after a hello), with the typed
+#: error each must get: well-formed JSON that is not a request, and a
+#: line that is not UTF-8
+MALFORMED = [
+    (b"[1,2]", "bad_request"),
+    (b"null", "bad_request"),
+    (b'{"cmd":"hello","tenant":[1]}', "bad_request"),
+    (b'{"cmd":"read","tenant":[1],"address":0}', "bad_request"),
+    (b'{"cmd":"write","tenant":[1],"address":0,"payload":"0000000000000000"}', "bad_request"),
+    (b'{"cmd":"read","address":1e400}', "bad_request"),
+    (b'{"cmd":"write","address":1e400,"payload":"0000000000000000"}', "bad_request"),
+    (b'{"cmd":"watch","count":1e400}', "bad_request"),
+    (b'{"cmd":"\xff"}', "bad_json"),
+]
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "frame, error",
+        MALFORMED,
+        ids=[frame.decode(errors="backslashreplace") for frame, _ in MALFORMED],
+    )
+    def test_answered_with_a_typed_error_and_session_kept(self, frame, error):
+        async def scenario(frontend, cluster):
+            reader, writer = await asyncio.open_connection(
+                frontend.host, frontend.port
+            )
+
+            async def send(line: bytes) -> dict:
+                writer.write(line + b"\n")
+                await writer.drain()
+                response = await reader.readline()
+                assert response, "server closed the session"
+                return json.loads(response)
+
+            assert (await send(b'{"cmd":"hello","tenant":"vip"}'))["ok"]
+            response = await send(frame)
+            assert not response["ok"] and response["error"] == error
+            stats = await send(b'{"cmd":"stats"}')
+            assert stats["ok"]
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_frontend(scenario, series_bucket=4))
 
 
 class TestBulkQueueing:

@@ -139,7 +139,3 @@ class TestValidation:
     def test_empty_node_name_rejected(self):
         with pytest.raises(ConfigurationError):
             HashRing([""])
-
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            HashRing(NODES, replicas=0)

@@ -20,7 +20,6 @@ from repro.sim.parallel import (
     BrokenProcessPoolError,
     PageTask,
     SimExecutor,
-    StudyRunner,
     _chunked,
     resolve_workers,
     simulate_task_pages,
@@ -426,12 +425,3 @@ class TestPersistentPool:
             marks = list(tmp_path.iterdir())
             # one marker per worker process, never per scatter or per chunk
             assert 1 <= len(marks) <= 2
-
-    def test_study_runner_leaves_borrowed_executor_open(self):
-        executor = SimExecutor(1)
-        runner = StudyRunner("borrow", executor=executor)
-        assert not runner._owns_executor
-        runner.close()
-        # the borrowed executor must still be usable after the study closes
-        task = _page_task(seed=2, blocks=2)
-        assert executor.run_pages(task, [0]) == [simulate_task_pages(task, (0,))[0]]

@@ -25,9 +25,9 @@ from repro.pcm.lifetime import FixedLifetime, NormalLifetime, WearSkewLifetime
 from repro.service.array import MemoryArray
 from repro.service.loadgen import run_load
 from repro.service.policy import (
+    HYSTERESIS,
     POLICY_CHOICES,
     BlockConditions,
-    SchemeOption,
     SchemePolicyEngine,
     default_policy_options,
     validate_policy,
@@ -65,21 +65,6 @@ class TestOptionTable:
         assert validate_policy("adaptive") == "adaptive"
         with pytest.raises(ConfigurationError):
             validate_policy("greedy")
-
-
-class TestEngineConstruction:
-    def test_rejects_empty_table(self):
-        with pytest.raises(ConfigurationError):
-            SchemePolicyEngine(())
-
-    def test_rejects_duplicate_keys(self):
-        option = SchemeOption(ecp_spec(6, 512), 6)
-        with pytest.raises(ConfigurationError):
-            SchemePolicyEngine((option, option))
-
-    def test_rejects_nonpositive_ftc(self):
-        with pytest.raises(ConfigurationError):
-            SchemePolicyEngine((SchemeOption(ecp_spec(6, 512), 0),))
 
 
 class TestScoring:
@@ -124,10 +109,19 @@ class TestScoring:
         assert engine.choose(conditions, "hamming72") is None
 
     def test_hysteresis_suppresses_marginal_switches(self):
-        # with an enormous margin no lead can clear it, so nothing moves
-        engine = SchemePolicyEngine(hysteresis=10.0)
-        conditions = BlockConditions(fault_count=6, write_share=0.5, fault_burst=4)
-        assert engine.choose(conditions, "ecp6") is None
+        # aegis-9x61 outscores the incumbent aegis-17x31 here, but by less
+        # than the hysteresis margin, so the block stays put
+        engine = SchemePolicyEngine()
+        conditions = BlockConditions(fault_count=2)
+        best = max(
+            engine.options,
+            key=lambda option: (engine.score(option, conditions), option.key),
+        )
+        incumbent = engine.option_for("aegis-17x31")
+        lead = engine.score(best, conditions) - engine.score(incumbent, conditions)
+        assert best.key == "aegis-9x61"
+        assert 0 < lead <= HYSTERESIS
+        assert engine.choose(conditions, "aegis-17x31") is None
 
 
 class TestSwitchScheme:
