@@ -1094,8 +1094,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         frontend = ClusterFrontend(cluster, host=args.host, port=args.port)
         await frontend.start()
         tenants = ", ".join(spec.tenant_id for spec in cluster.tenants)
-        print(f"serving {args.arrays} array(s) for tenants [{tenants}]")
-        print(f"listening on {frontend.host}:{frontend.port} (JSON lines; Ctrl-C stops)")
+        # flushed: a supervisor reading a pipe learns the port from this line
+        print(f"serving {args.arrays} array(s) for tenants [{tenants}]", flush=True)
+        print(
+            f"listening on {frontend.host}:{frontend.port} (JSON lines; Ctrl-C stops)",
+            flush=True,
+        )
         try:
             await frontend.serve_forever()
         finally:

@@ -39,15 +39,20 @@ protocol (one request object per line, one response object per line):
 
 Malformed lines are answered, never dropped: a line that is not JSON
 gets ``{"ok": false, "error": "bad_json"}``, and well-formed JSON that is
-not a valid request (not an object, a non-string ``tenant``, a
-non-integral ``address`` or ``count``) gets ``{"ok": false, "error":
-"bad_request"}``; either way the session stays open.
+not a valid request (not an object, a non-string ``tenant``, an
+``address`` that is not a JSON integer ``>= 0`` or a ``count`` that is
+not a JSON integer ``>= 1``) gets ``{"ok": false, "error":
+"bad_request"}``, as does a line longer than :data:`MAX_LINE_BYTES`
+(discarded through its newline); either way the session stays open.
 
-The service core is synchronous and not thread-safe, so every touch of it
-happens on the event loop under one :class:`asyncio.Lock`; concurrency
-lives in the sessions, the per-array drainers, and the maintenance loop
-(which periodically runs the control plane: watermark flushes, spare
-rebalancing, migration off draining arrays).
+Each connection is one :class:`asyncio.Protocol` session that answers
+every complete line of a socket read in order, synchronously, and sends
+that read's responses with one ``transport.write``.  The service core is
+synchronous and not thread-safe, and nothing that touches it awaits, so
+each request, queued-write drain and maintenance pass (watermark
+flushes, spare rebalancing, migration off draining arrays) runs whole
+on the event loop; concurrency lives only in *when* the sessions, the
+per-array drainers and the maintenance loop get their turns.
 """
 
 from __future__ import annotations
@@ -72,6 +77,13 @@ DEFAULT_BULK_QUEUE_DEPTH = 64
 #: seconds between control-plane maintenance passes
 DEFAULT_MAINTENANCE_INTERVAL = 0.05
 
+#: longest request line (newline excluded) a session accepts; a session
+#: never buffers more than this plus one socket read
+MAX_LINE_BYTES = 2**16
+
+#: one encoder for every response (``json.dumps`` builds one per call)
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def encode_payload(bits: np.ndarray) -> str:
     """Hex wire form of a block payload (bits packed MSB-first)."""
@@ -80,6 +92,18 @@ def encode_payload(bits: np.ndarray) -> str:
 
 def _bad_request(detail: str) -> dict:
     return {"ok": False, "error": "bad_request", "detail": detail}
+
+
+#: the answer to a line longer than MAX_LINE_BYTES
+_OVERSIZE = _encode(_bad_request(f"request line longer than {MAX_LINE_BYTES} bytes"))
+
+
+def _integer(request: dict, field: str, least: int, default: object = None) -> int:
+    """``request[field]`` if it is a JSON integer ``>= least``."""
+    value = request.get(field, default)
+    if type(value) is not int or value < least:  # bool and float are not
+        raise ValueError(f"{field} must be an integer >= {least}")
+    return value
 
 
 def decode_payload(text: str, block_bits: int) -> np.ndarray:
@@ -128,7 +152,6 @@ class ClusterFrontend:
         self._requested_port = port
         self.bulk_queue_depth = bulk_queue_depth
         self.maintenance_interval = maintenance_interval
-        self._lock = asyncio.Lock()
         #: watch sessions block on this until maintenance samples a bucket
         self._watch_cond = asyncio.Condition()
         self._sample_count = 0
@@ -161,8 +184,8 @@ class ClusterFrontend:
         self._tasks.append(
             asyncio.create_task(self._maintenance_loop(), name="maintenance")
         )
-        self._server = await asyncio.start_server(
-            self._handle_session, self.host, self._requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Session(self), self.host, self._requested_port
         )
 
     async def stop(self) -> None:
@@ -195,16 +218,15 @@ class ClusterFrontend:
         while True:
             tenant_id, address, payload = await queue.get()
             try:
-                async with self._lock:
-                    if node.occupancy >= self.cluster.bulk_watermark:
-                        node.controller.flush()
-                    try:
-                        self.cluster.write(tenant_id, address, payload, admit=False)
-                    finally:
-                        key = (tenant_id, address)
-                        pending = self._pending.get(key)
-                        if pending is not None and pending[1] is payload:
-                            del self._pending[key]
+                if node.occupancy >= self.cluster.bulk_watermark:
+                    node.controller.flush()
+                try:
+                    self.cluster.write(tenant_id, address, payload, admit=False)
+                finally:
+                    key = (tenant_id, address)
+                    pending = self._pending.get(key)
+                    if pending is not None and pending[1] is payload:
+                        del self._pending[key]
             except ReproError as error:
                 # the write was acknowledged as queued, so its loss must be
                 # counted; the drainer keeps draining for every other key
@@ -225,10 +247,9 @@ class ClusterFrontend:
     async def _maintenance_loop(self) -> None:
         while True:
             await asyncio.sleep(self.maintenance_interval)
-            async with self._lock:
-                self.cluster.maintenance()
-                recorder = self.cluster.telemetry.timeseries
-                samples = recorder.samples if recorder is not None else 0
+            self.cluster.maintenance()
+            recorder = self.cluster.telemetry.timeseries
+            samples = recorder.samples if recorder is not None else 0
             if samples != self._sample_count:
                 async with self._watch_cond:
                     self._sample_count = samples
@@ -236,35 +257,7 @@ class ClusterFrontend:
 
     # -- protocol -----------------------------------------------------------
 
-    async def _handle_session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        tenant_id: str | None = None
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                except ValueError as error:  # bad JSON or bad UTF-8
-                    response: dict = {"ok": False, "error": "bad_json", "detail": str(error)}
-                else:
-                    if isinstance(request, dict) and request.get("cmd") == "watch":
-                        # the one streaming command: multiple lines out
-                        await self._handle_watch(request, writer)
-                        continue
-                    response, tenant_id = await self._dispatch(request, tenant_id)
-                writer.write((json.dumps(response, sort_keys=True) + "\n").encode())
-                await writer.drain()
-                if response.get("bye"):
-                    break
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _dispatch(
+    def _dispatch(
         self, request: object, tenant_id: str | None
     ) -> tuple[dict, str | None]:
         if not isinstance(request, dict):
@@ -290,75 +283,65 @@ class ClusterFrontend:
         if cmd == "quit":
             return {"ok": True, "bye": True}, tenant_id
         if cmd == "stats":
-            async with self._lock:
-                response = {
-                    "ok": True,
-                    "tenants": self.cluster.tenant_summary(),
-                    "arrays": self.cluster.array_summary(),
-                    "keys": self.cluster.key_count,
-                    "clock": self.cluster.clock,
+            response = {
+                "ok": True,
+                "tenants": self.cluster.tenant_summary(),
+                "arrays": self.cluster.array_summary(),
+                "keys": self.cluster.key_count,
+                "clock": self.cluster.clock,
+            }
+            recorder = self.cluster.telemetry.timeseries
+            if recorder is not None:
+                response["series"] = {
+                    "bucket_width": recorder.bucket_width,
+                    "buckets": recorder.bucket_count,
+                    "start_bucket": recorder.start_bucket,
+                    "samples": recorder.samples,
+                    "buckets_dropped": recorder.dropped,
                 }
-                recorder = self.cluster.telemetry.timeseries
-                if recorder is not None:
-                    response["series"] = {
-                        "bucket_width": recorder.bucket_width,
-                        "buckets": recorder.bucket_count,
-                        "start_bucket": recorder.start_bucket,
-                        "samples": recorder.samples,
-                        "buckets_dropped": recorder.dropped,
+            summary = self.cluster.slo_summary()
+            if summary is not None:
+                response["slo"] = {
+                    name: {
+                        "budget_left_fraction": entry["budget_left_fraction"],
+                        "violating_buckets": entry["violating_buckets"],
+                        "alerts": len(entry["alerts"]),
+                        "action": entry["action"],
                     }
-                summary = self.cluster.slo_summary()
-                if summary is not None:
-                    response["slo"] = {
-                        name: {
-                            "budget_left_fraction": entry["budget_left_fraction"],
-                            "violating_buckets": entry["violating_buckets"],
-                            "alerts": len(entry["alerts"]),
-                            "action": entry["action"],
-                        }
-                        for name, entry in summary["slos"].items()
-                    }
-                return response, tenant_id
+                    for name, entry in summary["slos"].items()
+                }
+            return response, tenant_id
         session_tenant = request.get("tenant", tenant_id)
         if session_tenant is None:
             return {"ok": False, "error": "no_tenant", "detail": "send hello first"}, tenant_id
         if cmd == "write":
-            return await self._handle_write(request, session_tenant), tenant_id
+            return self._handle_write(request, session_tenant), tenant_id
         if cmd == "read":
-            return await self._handle_read(request, session_tenant), tenant_id
+            return self._handle_read(request, session_tenant), tenant_id
         return {"ok": False, "error": "unknown_cmd", "detail": repr(cmd)}, tenant_id
 
-    async def _handle_watch(
-        self, request: dict, writer: asyncio.StreamWriter
-    ) -> None:
-        """Stream ``count`` bucket frames (see module docstring).
+    def _refuse_watch(self, request: dict) -> dict | None:
+        """The error answer to a ``watch`` that cannot stream, else None."""
+        if self.cluster.telemetry.timeseries is None:
+            return {
+                "ok": False,
+                "error": "no_series",
+                "detail": "cluster records no time series (series_bucket=0)",
+            }
+        try:
+            _integer(request, "count", 1, default=1)
+        except ValueError as error:
+            return _bad_request(str(error))
+        return None
+
+    async def _watch_frames(self, count: int):
+        """Yield ``count`` bucket frames (see module docstring).
 
         The first frame reflects the newest bucket immediately; every
         further frame waits on the maintenance loop's sample signal, so
         a watcher observes samples in order without polling.
         """
-
-        async def send(payload: dict) -> None:
-            writer.write((json.dumps(payload, sort_keys=True) + "\n").encode())
-            await writer.drain()
-
         recorder = self.cluster.telemetry.timeseries
-        if recorder is None:
-            await send(
-                {
-                    "ok": False,
-                    "error": "no_series",
-                    "detail": "cluster records no time series (series_bucket=0)",
-                }
-            )
-            return
-        try:
-            count = int(request.get("count", 1))
-        except (TypeError, ValueError, OverflowError):
-            count = 0
-        if count < 1:
-            await send(_bad_request("count must be >= 1"))
-            return
         seen: int | None = None
         for index in range(count):
             async with self._watch_cond:
@@ -366,74 +349,210 @@ class ClusterFrontend:
                     lambda: self._sample_count != seen
                 )
                 seen = self._sample_count
-            async with self._lock:
-                frame = recorder.last_bucket_snapshot()
+            frame = recorder.last_bucket_snapshot()
             frame.update(ok=True, remaining=count - index - 1)
-            await send(frame)
+            yield frame
 
-    async def _handle_write(self, request: dict, tenant_id: str) -> dict:
+    def _handle_write(self, request: dict, tenant_id: str) -> dict:
         try:
-            address = int(request["address"])
+            address = _integer(request, "address", 0)
             payload = decode_payload(
                 str(request.get("payload", "")), self.cluster.block_bits
             )
-        except (
-            KeyError, TypeError, ValueError, OverflowError, ConfigurationError
-        ) as error:
+        except ValueError as error:  # ConfigurationError included
             return _bad_request(str(error))
         key = (tenant_id, address)
-        async with self._lock:
-            # looked up under the lock: a drainer or another connection may
-            # have queued or applied a write to this key while we waited
-            pending = self._pending.get(key)
-            if pending is not None:
-                # an older write to this key still waits in a bulk queue:
-                # queue this one behind it, so the drainer applies them in order
-                saturated = pending[0]
-                retry_after = self._queues[saturated].qsize()
-            else:
-                try:
-                    self.cluster.write(tenant_id, address, payload)
-                    return {"ok": True, "status": "serviced"}
-                except BackpressureError as error:
-                    saturated = error.array
-                    retry_after = error.retry_after
-                except ReproError as error:
-                    return {"ok": False, "error": "rejected", "detail": str(error)}
-            queue = self._queues[saturated]
-            if queue.full():
-                return {
-                    "ok": False,
-                    "error": "backpressure",
-                    "array": saturated,
-                    "retry_after": retry_after,
-                }
-            self._pending[key] = (saturated, payload)
-            queue.put_nowait((tenant_id, address, payload))
+        pending = self._pending.get(key)
+        if pending is not None:
+            # an older write to this key still waits in a bulk queue:
+            # queue this one behind it, so the drainer applies them in order
+            saturated = pending[0]
+            retry_after = self._queues[saturated].qsize()
+        else:
+            try:
+                self.cluster.write(tenant_id, address, payload)
+                return {"ok": True, "status": "serviced"}
+            except BackpressureError as error:
+                saturated = error.array
+                retry_after = error.retry_after
+            except ReproError as error:
+                return {"ok": False, "error": "rejected", "detail": str(error)}
+        queue = self._queues[saturated]
+        if queue.full():
+            return {
+                "ok": False,
+                "error": "backpressure",
+                "array": saturated,
+                "retry_after": retry_after,
+            }
+        self._pending[key] = (saturated, payload)
+        queue.put_nowait((tenant_id, address, payload))
         return {"ok": True, "status": "queued", "array": saturated}
 
-    async def _handle_read(self, request: dict, tenant_id: str) -> dict:
+    def _handle_read(self, request: dict, tenant_id: str) -> dict:
         try:
-            address = int(request["address"])
-        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            address = _integer(request, "address", 0)
+        except ValueError as error:
             return _bad_request(str(error))
         pending = self._pending.get((tenant_id, address))
         if pending is not None:
             return {"ok": True, "payload": encode_payload(pending[1]), "source": "queued"}
-        async with self._lock:
-            try:
-                bits = self.cluster.read(tenant_id, address)
-            except RetiredBlockError as error:
-                return {
-                    "ok": False,
-                    "error": "retired",
-                    "address": error.address,
-                    "array": error.array,
-                    "scheme": error.scheme,
-                }
-            except ReproError as error:
-                return {"ok": False, "error": "rejected", "detail": str(error)}
+        try:
+            bits = self.cluster.read(tenant_id, address)
+        except RetiredBlockError as error:
+            return {
+                "ok": False,
+                "error": "retired",
+                "address": error.address,
+                "array": error.array,
+                "scheme": error.scheme,
+            }
+        except ReproError as error:
+            return {"ok": False, "error": "rejected", "detail": str(error)}
         return {"ok": True, "payload": encode_payload(bits), "source": "cluster"}
+
+
+class _Session(asyncio.Protocol):
+    """One connection's protocol session.
+
+    :meth:`data_received` answers every complete line of a socket read in
+    order and sends the read's responses with one ``transport.write``.
+    ``quit`` sends what is pending and closes.  ``watch`` sends what is
+    pending, pauses reading, streams its frames from a task, and then
+    answers the lines still buffered.  Requests stop being read while
+    the transport's write buffer is over its high-water mark.
+    """
+
+    def __init__(self, frontend: ClusterFrontend) -> None:
+        self.frontend = frontend
+        self.tenant_id: str | None = None
+        self.transport: asyncio.Transport | None = None
+        #: bytes read and not yet answered
+        self.buffer = b""
+        #: inside an over-limit line: drop bytes through its newline
+        self.skipping = False
+        self.eof = False
+        self.quitting = False
+        self.watch: asyncio.Task | None = None
+        #: clear while the transport's write buffer is over its high-water mark
+        self.writable = asyncio.Event()
+        self.writable.set()
+
+    # -- asyncio.Protocol callbacks -----------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.watch is not None:
+            self.watch.cancel()
+
+    def pause_writing(self) -> None:
+        self.writable.clear()
+        self._update_reading()
+
+    def resume_writing(self) -> None:
+        self.writable.set()
+        self._update_reading()
+
+    def data_received(self, data: bytes) -> None:
+        if self.skipping:
+            end = data.find(b"\n")
+            if end < 0:
+                return
+            data = data[end + 1:]
+            self.skipping = False
+        self.buffer += data
+        if self.watch is None:
+            self._answer_lines()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.watch is None:
+            self._answer_lines()
+        # keep the transport open: _answer_lines closes it once every
+        # line (a watch's frames included) has been answered
+        return True
+
+    # -- the session --------------------------------------------------------
+
+    def _update_reading(self) -> None:
+        """Read requests only while responses can leave and no watch streams."""
+        if self.eof or self.transport.is_closing():
+            return
+        if self.watch is None and self.writable.is_set():
+            self.transport.resume_reading()
+        else:
+            self.transport.pause_reading()
+
+    def _answer_lines(self) -> None:
+        """Answer the buffered lines in order with one write; at EOF the
+        final line needs no newline.  Stops early at ``quit`` or at a
+        ``watch`` that streams."""
+        buffer = self.buffer
+        start = 0
+        out: list[str] = []
+        while self.watch is None and not self.quitting:
+            end = buffer.find(b"\n", start)
+            if end >= 0:
+                line = buffer[start:end + 1]
+                size = end - start
+                start = end + 1
+            elif self.eof and start < len(buffer):
+                line = buffer[start:]
+                size = len(line)
+                start = len(buffer)
+            else:
+                break
+            if size > MAX_LINE_BYTES:
+                out.append(_OVERSIZE)
+                continue
+            response = self._answer(line)
+            if response is not None:
+                out.append(response)
+        rest = buffer[start:]
+        if len(rest) > MAX_LINE_BYTES and self.watch is None and not self.quitting:
+            out.append(_OVERSIZE)
+            rest = b""
+            self.skipping = True
+        self.buffer = rest
+        if out:
+            self.transport.write(("\n".join(out) + "\n").encode())
+        if self.quitting or (self.eof and self.watch is None):
+            self.transport.close()
+        elif self.watch is not None:
+            self._update_reading()
+
+    def _answer(self, line: bytes) -> str | None:
+        """One request line's encoded response; ``None`` when it starts a
+        watch stream."""
+        try:
+            request = json.loads(line)
+        except ValueError as error:  # bad JSON or bad UTF-8
+            response: dict = {"ok": False, "error": "bad_json", "detail": str(error)}
+        else:
+            if isinstance(request, dict) and request.get("cmd") == "watch":
+                # the one streaming command: multiple lines out
+                response = self.frontend._refuse_watch(request)
+                if response is None:
+                    self.watch = asyncio.create_task(
+                        self._stream(request.get("count", 1))
+                    )
+                    return None
+            else:
+                response, self.tenant_id = self.frontend._dispatch(
+                    request, self.tenant_id
+                )
+                self.quitting = bool(response.get("bye"))
+        return _encode(response)
+
+    async def _stream(self, count: int) -> None:
+        async for frame in self.frontend._watch_frames(count):
+            await self.writable.wait()
+            self.transport.write((_encode(frame) + "\n").encode())
+        self.watch = None
+        self._answer_lines()
+        self._update_reading()
 
 
 class LoopbackClient:

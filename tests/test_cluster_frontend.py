@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterFrontend,
@@ -19,6 +21,7 @@ from repro.cluster import (
     encode_payload,
     loopback_selftest,
 )
+from repro.cluster.frontend import MAX_LINE_BYTES
 from repro.cluster.qos import QoSClass
 from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime
@@ -134,6 +137,13 @@ MALFORMED = [
     (b'{"cmd":"read","address":1e400}', "bad_request"),
     (b'{"cmd":"write","address":1e400,"payload":"0000000000000000"}', "bad_request"),
     (b'{"cmd":"watch","count":1e400}', "bad_request"),
+    (b'{"cmd":"read","address":3.7}', "bad_request"),
+    (b'{"cmd":"read","address":"3"}', "bad_request"),
+    (b'{"cmd":"read","address":true}', "bad_request"),
+    (b'{"cmd":"read","address":-1}', "bad_request"),
+    (b'{"cmd":"write","address":3.7,"payload":"0000000000000000"}', "bad_request"),
+    (b'{"cmd":"write","address":-1,"payload":"0000000000000000"}', "bad_request"),
+    (b'{"cmd":"watch","count":2.5}', "bad_request"),
     (b'{"cmd":"\xff"}', "bad_json"),
 ]
 
@@ -166,6 +176,171 @@ class TestMalformedRequests:
             await writer.wait_closed()
 
         asyncio.run(with_frontend(scenario, series_bucket=4))
+
+    @pytest.mark.parametrize(
+        "size, error",
+        [
+            (MAX_LINE_BYTES, "bad_json"),
+            (MAX_LINE_BYTES + 1, "bad_request"),
+            (5 * MAX_LINE_BYTES, "bad_request"),
+        ],
+    )
+    def test_line_limit(self, size, error):
+        """A line over the limit is discarded through its newline and
+        refused; one at the limit is parsed.  Both keep the session."""
+
+        async def scenario(frontend, cluster):
+            reader, writer = await asyncio.open_connection(frontend.host, frontend.port)
+            line = b"x" * size + b"\n"
+            for start in range(0, len(line), 4096):
+                writer.write(line[start:start + 4096])
+                await writer.drain()
+            writer.write(b'{"cmd":"stats"}\n')
+            response = json.loads(await reader.readline())
+            assert not response["ok"] and response["error"] == error
+            assert json.loads(await reader.readline())["ok"]
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_frontend(scenario))
+
+    def test_final_line_without_newline_is_answered(self):
+        async def scenario(frontend, cluster):
+            reader, writer = await asyncio.open_connection(frontend.host, frontend.port)
+            writer.write(b'{"cmd":"stats"}\n{"cmd":"hello","tenant":"vip"}')
+            writer.write_eof()
+            lines = (await reader.read()).splitlines()
+            assert [json.loads(line)["ok"] for line in lines] == [True, True]
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_frontend(scenario))
+
+
+class TestWatch:
+    def test_streams_its_frames_before_the_next_pipelined_answer(self):
+        async def scenario(frontend, cluster):
+            reader, writer = await asyncio.open_connection(frontend.host, frontend.port)
+            writer.write(b'{"cmd":"watch","count":3}\n{"cmd":"stats"}\n')
+            lines = [json.loads(await reader.readline()) for _ in range(4)]
+            frames, stats = lines[:3], lines[3]
+            assert all(frame["ok"] for frame in frames)
+            assert [frame["remaining"] for frame in frames] == [2, 1, 0]
+            assert stats["ok"] and "tenants" in stats
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_frontend(scenario, series_bucket=4))
+
+    def test_without_series_is_refused(self):
+        async def scenario(frontend, cluster):
+            client = LoopbackClient(frontend.host, frontend.port)
+            await client.connect()
+            frames = await client.watch(3)
+            assert len(frames) == 1
+            assert not frames[0]["ok"] and frames[0]["error"] == "no_series"
+            assert (await client.stats())["ok"]
+            await client.close()
+
+        asyncio.run(with_frontend(scenario))
+
+
+#: every error a fuzzed line may get (anything else fails the property)
+FUZZ_ERRORS = {"bad_json", "bad_request", "no_tenant", "unknown_cmd", "rejected"}
+
+
+def _fuzz_lines():
+    """One request line: valid hello/write/read/stats, or a malformed one."""
+    addresses = st.integers(0, 40)
+    payloads = st.binary(min_size=BITS // 8, max_size=BITS // 8).map(bytes.hex)
+
+    def frame(**fields) -> bytes:
+        return json.dumps(fields).encode()
+
+    valid = st.one_of(
+        st.just(frame(cmd="hello", tenant="vip")),
+        st.builds(lambda a, p: frame(cmd="write", address=a, payload=p), addresses, payloads),
+        st.builds(lambda a: frame(cmd="read", address=a), addresses),
+        st.just(frame(cmd="stats")),
+    )
+    odd_addresses = st.one_of(
+        st.integers(2**63, 2**80),
+        st.integers(max_value=-1),
+        st.floats(allow_nan=False),
+        st.booleans(),
+        st.text(max_size=4),
+        st.none(),
+    )
+    bad_payloads = st.one_of(
+        st.binary(max_size=2 * BITS // 8).filter(lambda raw: len(raw) != BITS // 8).map(bytes.hex),
+        st.text(max_size=20),
+    )
+    malformed = st.one_of(
+        st.binary(max_size=40).filter(lambda raw: b"\n" not in raw),
+        st.sampled_from([b"[1,2]", b"null", b"7", b'"read"', b"{}"]),
+        st.builds(lambda p: frame(cmd="write", address=1, payload=p), bad_payloads),
+        st.builds(lambda a: frame(cmd="read", address=a), odd_addresses),
+        st.builds(lambda a, p: frame(cmd="write", address=a, payload=p), odd_addresses, payloads),
+    )
+    return st.one_of(valid, malformed)
+
+
+async def _fuzz_exchange(chunks: list[bytes], lockstep: bool) -> list[bytes]:
+    """Send ``chunks`` to a fresh frontend, one write each (in lockstep,
+    reading one response line after each), then half-close and collect
+    every response line until the server closes."""
+    frontend = ClusterFrontend(make_cluster(), maintenance_interval=60.0)
+    await frontend.start()
+    responses = []
+    try:
+        reader, writer = await asyncio.open_connection(frontend.host, frontend.port)
+        try:
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                if lockstep:
+                    responses.append(await asyncio.wait_for(reader.readline(), 10))
+                await asyncio.sleep(0)
+            writer.write_eof()
+            rest = await asyncio.wait_for(reader.read(), 10)
+            responses += rest.splitlines(keepends=True)
+        finally:
+            writer.close()
+    finally:
+        await frontend.stop()
+    return responses
+
+
+class TestProtocolFuzz:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_fuzz_lines(), min_size=1, max_size=24), st.data())
+    def test_every_line_gets_one_typed_answer_however_it_is_split(self, lines, data):
+        """Pipelined at random byte offsets, every line (one of them over
+        the length limit) gets exactly one response, in order, that is
+        either ``ok`` or a known error -- and the same responses a fresh
+        frontend gives the lines one at a time."""
+        oversize = b'{"cmd":"stats","pad":"' + b"a" * MAX_LINE_BYTES + b'"}'
+        lines = list(lines)
+        lines.insert(data.draw(st.integers(0, len(lines)), label="oversize at"), oversize)
+        stream = b"".join(line + b"\n" for line in lines)
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(1, len(stream) - 1), max_size=8, unique=True),
+                label="cuts",
+            )
+        )
+        chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+
+        split = asyncio.run(_fuzz_exchange(chunks, lockstep=False))
+        assert len(split) == len(lines)
+        for raw in split:
+            assert raw.endswith(b"\n")
+            response = json.loads(raw)
+            assert response["ok"] is True or response["error"] in FUZZ_ERRORS, response
+        oversize_answer = json.loads(split[lines.index(oversize)])
+        assert oversize_answer["error"] == "bad_request"
+        one_by_one = [line + b"\n" for line in lines]
+        assert split == asyncio.run(_fuzz_exchange(one_by_one, lockstep=True))
 
 
 class TestBulkQueueing:
@@ -225,7 +400,7 @@ class TestBulkQueueing:
             await frontend.start()
             try:
                 for address in (0, 1):
-                    response = await frontend._handle_write(
+                    response = frontend._handle_write(
                         {"address": address, "payload": encode_payload(bits_of(9))},
                         "batch",
                     )
@@ -271,19 +446,19 @@ class TestBulkQueueing:
             frontend = ClusterFrontend(cluster, maintenance_interval=60.0)
             await frontend.start()
             try:
-                first = await frontend._handle_write(
+                first = frontend._handle_write(
                     {"address": 5, "payload": encode_payload(older)}, "batch"
                 )
                 assert first["status"] == "queued", first
                 # the watermark clears, so admission alone would service
                 # the rewrite inline, ahead of the queued older payload
                 cluster.nodes[0].controller.flush()
-                second = await frontend._handle_write(
+                second = frontend._handle_write(
                     {"address": 5, "payload": encode_payload(newer)}, "batch"
                 )
                 assert second["status"] == "queued", second
                 await frontend.join_queues()
-                return await frontend._handle_read({"address": 5}, "batch")
+                return frontend._handle_read({"address": 5}, "batch")
             finally:
                 await frontend.stop()
 
@@ -292,50 +467,52 @@ class TestBulkQueueing:
         assert read["payload"] == encode_payload(newer)
 
     def test_concurrent_rewrites_of_one_key_land_in_order(self):
-        """Two connections write one key while the lock is held; the first
-        is queued, the watermark then clears, and the second reaches the
-        lock: it must see the pending write and queue behind it."""
+        """Two connections rewrite one key in the same event-loop turn
+        (both packets are sent before the loop next polls, which reports
+        the sockets in arrival order).  The first write is queued behind
+        the watermark; the second connection then clears the watermark
+        with an interactive write (the buffer fills and flushes) and
+        rewrites the key, which admission alone would service inline.
+        The rewrite must find the pending write and queue behind it."""
         cluster = self._watermarked_cluster()
         older, newer = bits_of(9), bits_of(20)
+
+        def line(**fields) -> bytes:
+            return (json.dumps(fields) + "\n").encode()
 
         async def scenario():
             frontend = ClusterFrontend(cluster, maintenance_interval=60.0)
             await frontend.start()
+            connections = []
             try:
-
-                async def flush():
-                    async with frontend._lock:
-                        cluster.nodes[0].controller.flush()
-
-                await frontend._lock.acquire()
-                # lock waiters queue in FIFO order: first, flush, second
-                first = asyncio.create_task(
-                    frontend._handle_write(
-                        {"address": 5, "payload": encode_payload(older)}, "batch"
+                for _ in range(2):
+                    reader, writer = await asyncio.open_connection(
+                        frontend.host, frontend.port
                     )
+                    connections.append((reader, writer))
+                    writer.write(line(cmd="hello", tenant="batch"))
+                    assert json.loads(await reader.readline())["ok"]
+                (first, first_writer), (second, second_writer) = connections
+                first_writer.write(line(cmd="write", address=5, payload=encode_payload(older)))
+                second_writer.write(
+                    line(cmd="write", tenant="vip", address=6, payload=encode_payload(bits_of(3)))
+                    + line(cmd="write", address=5, payload=encode_payload(newer))
                 )
-                await asyncio.sleep(0)
-                flusher = asyncio.create_task(flush())
-                await asyncio.sleep(0)
-                second = asyncio.create_task(
-                    frontend._handle_write(
-                        {"address": 5, "payload": encode_payload(newer)}, "batch"
-                    )
-                )
-                await asyncio.sleep(0)
-                frontend._lock.release()
-                responses = await asyncio.wait_for(
-                    asyncio.gather(first, flusher, second), timeout=10
-                )
+                queued = json.loads(await first.readline())
+                flushing = json.loads(await second.readline())
+                rewrite = json.loads(await second.readline())
                 await asyncio.wait_for(frontend.join_queues(), timeout=10)
-                read = await frontend._handle_read({"address": 5}, "batch")
-                return responses, read
+                first_writer.write(line(cmd="read", address=5))
+                return queued, flushing, rewrite, json.loads(await first.readline())
             finally:
+                for _, writer in connections:
+                    writer.close()
                 await frontend.stop()
 
-        (first, _, second), read = asyncio.run(scenario())
-        assert first["status"] == "queued", first
-        assert second["status"] == "queued", second
+        queued, flushing, rewrite, read = asyncio.run(scenario())
+        assert queued["status"] == "queued", queued
+        assert flushing["status"] == "serviced", flushing
+        assert rewrite["status"] == "queued", rewrite
         assert read["ok"], read
         assert read["payload"] == encode_payload(newer)
 
@@ -348,12 +525,12 @@ class TestBulkQueueing:
             )
             await frontend.start()
             try:
-                first = await frontend._handle_write(
+                first = frontend._handle_write(
                     {"address": 5, "payload": encode_payload(bits_of(9))}, "batch"
                 )
                 assert first["status"] == "queued", first
                 cluster.nodes[0].controller.flush()
-                return await frontend._handle_write(
+                return frontend._handle_write(
                     {"address": 5, "payload": encode_payload(bits_of(20))}, "batch"
                 )
             finally:
