@@ -17,6 +17,7 @@ compare verdicts:
 """
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -28,10 +29,13 @@ from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError, UncorrectableError
+from repro.pairing.sim import pairing_study
 from repro.pcm.cell import CellArray
+from repro.remap.sim import remap_page_study
 from repro.schemes.rdis import rdis_mask
 from repro.schemes.safer import SaferScheme, grow_vector_for_mixing
 from repro.sim import roster
+from repro.sim.block_sim import block_lifetime_study
 from repro.sim.checkers import (
     AegisChecker,
     AegisDynamicChecker,
@@ -619,3 +623,37 @@ class TestPinnedDraws:
         for key, factory in study.SAMPLED.items():
             for engine in ("scalar", "auto"):
                 assert study.canary_digest(factory(), engine) == study.RECORDED[key], (key, engine)
+
+
+#: a sampled spec through every other study that builds checkers, at a
+#: small budget; the sha256 prefix of each result's repr, recorded before
+#: the checkers' structural skips landed, pins that those callers' results
+#: do not move when a checker decides an arrival without its patterns
+CALLER_SPECS = {key: PINNED_SPECS[key] for key in ("aegis-rw-9x61", "aegis-rw-p-9x61-p9", "rdis-3")}
+CALLERS = {
+    "block": lambda spec: block_lifetime_study(spec, trials=6, seed=2013),
+    "remap": lambda spec: remap_page_study(
+        spec, spares=2, blocks_per_page=4, n_pages=2, seed=2013
+    ),
+    "pairing": lambda spec: pairing_study(
+        spec, n_pages=3, blocks_per_page=4, grid_points=4, seed=2013
+    ),
+}
+CALLER_DIGESTS = {
+    ("aegis-rw-9x61", "block"): "e75b30f0bff3cacf",
+    ("aegis-rw-9x61", "remap"): "73f57f43a8e983c5",
+    ("aegis-rw-9x61", "pairing"): "037ff15f5f22a166",
+    ("aegis-rw-p-9x61-p9", "block"): "69ec31fdd2a9ee4a",
+    ("aegis-rw-p-9x61-p9", "remap"): "794e58504a4e9be4",
+    ("aegis-rw-p-9x61-p9", "pairing"): "c688ea311b45f92b",
+    ("rdis-3", "block"): "0fb2d98ab8d1e34b",
+    ("rdis-3", "remap"): "698b1562f25cfa2d",
+    ("rdis-3", "pairing"): "4ab34046d918857e",
+}
+
+
+class TestCallerDigests:
+    @pytest.mark.parametrize("key,caller", sorted(CALLER_DIGESTS))
+    def test_study_result_matches_recorded_digest(self, key, caller):
+        result = CALLERS[caller](CALLER_SPECS[key]())
+        assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == CALLER_DIGESTS[key, caller]
