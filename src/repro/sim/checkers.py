@@ -25,6 +25,13 @@ Two families exist:
   arrival's patterns are decided as a whole, in numpy passes (Aegis-rw
   poisoned sets are ``ceil(B / 64)``-word bitsets, so ``B > 63`` works);
   draws never run ahead of the arrival, as callers share the generator.
+  After its draw an arrival is *skipped* (alive, no pattern evaluated) when
+  the fault set alone proves every pattern recoverable: for RDIS when no
+  fault has both a row-mate and a column-mate (toggle 1 then inverts exactly
+  the wrong faults); for Aegis-rw when plain Aegis's poisoned set, which
+  holds every split's, misses a slope, and for Aegis-rw-p when also
+  ``f <= 2p + 1``; for SAFER-cache's growth loop when the vector puts every
+  fault in its own group.  Proofs: ``docs/simulation_methods.md`` §2.
 
 Every checker is cross-validated against its bit-accurate controller in
 ``tests/test_checkers.py``.
@@ -129,8 +136,8 @@ class AegisChecker:
             return False
         count = len(self.fault_offsets)
         if count:
-            slopes = self._rom._table[offset, self._offset_buffer[:count]]
-            self.poisoned.update(int(s) for s in slopes if s != NO_COLLISION)
+            self.poisoned.update(self._rom._table[offset, self._offset_buffer[:count]].tolist())
+            self.poisoned.discard(NO_COLLISION)
         if count == self._offset_buffer.shape[0]:
             grown = np.empty(2 * count, dtype=np.int64)
             grown[:count] = self._offset_buffer
@@ -185,6 +192,17 @@ class AegisRwChecker:
         self._partition = partition_for(rect)
         self.fault_offsets: list[int] = []
         self.alive = True
+        # plain Aegis's poisoned set, the union over all fault pairs
+        self._plain = AegisChecker(rect)
+
+    def _separable(self) -> bool:
+        """Whether some slope separates every fault, so that no W/R split
+        can poison it.  Folds the faults the plain checker has not seen only
+        when asked, i.e. on arrivals that draw."""
+        plain = self._plain
+        while plain.alive and len(plain.fault_offsets) < len(self.fault_offsets):
+            plain.add_fault(self.fault_offsets[len(plain.fault_offsets)], 0)
+        return plain.alive
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
@@ -196,6 +214,8 @@ class AegisRwChecker:
         if (f // 2) * ((f + 1) // 2) < b:
             return True
         wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
+        if self._separable():
+            return True
         poisoned = _poisoned_slopes(self._rom, self.fault_offsets, wrong)
         # a pattern fails when its split poisons all B slopes
         self.alive = not (np.bitwise_count(poisoned).sum(axis=1) == b).any()
@@ -259,6 +279,9 @@ class AegisRwPChecker(AegisRwChecker):
         if f <= self.pointers and (f // 2) * ((f + 1) // 2) < b:
             return True  # every split fits the budget and leaves a free slope
         wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
+        # min(f_W, f_R) <= p for every split, and a separating slope is free
+        if f <= 2 * self.pointers + 1 and self._separable():
+            return True
         poisoned = _poisoned_slopes(self._rom, self.fault_offsets, wrong)
         recoverable = np.bitwise_count(poisoned).sum(axis=1) < b
         # min(f_W, f_R) <= p (f_W == 0 included, as p >= 1) fits at any free
@@ -426,8 +449,11 @@ class SaferCacheChecker:
             positions = np.asarray(self.positions, dtype=np.int64)
             ids = ((offs[:, None] >> positions) & 1) @ (1 << np.arange(positions.size))
             onehot = (ids[:, None] == np.arange(1 << positions.size)).astype(np.float32)
+            sizes = onehot.sum(axis=0)
+            if sizes.max() < 2:  # every fault in its own group: nothing mixes
+                break
             w_count = wrong_masks[start:].astype(np.float32) @ onehot
-            mixing = ((w_count > 0) & (w_count < onehot.sum(axis=0))).any(axis=1)
+            mixing = ((w_count > 0) & (w_count < sizes)).any(axis=1)
             if not mixing.any():
                 break
             start += int(mixing.argmax())
@@ -496,6 +522,8 @@ class RdisChecker:
     ) -> None:
         if rows > 63 or cols > 63:
             raise ConfigurationError("RdisChecker bitmask fast path caps dims at 63")
+        if rows * cols < n_bits:
+            raise ConfigurationError(f"a {rows}x{cols} RDIS grid cannot hold {n_bits} bits")
         if depth < 2:
             raise ConfigurationError("RDIS needs depth >= 2")
         _check_samples(samples)
@@ -511,20 +539,29 @@ class RdisChecker:
         self.alive = True
         # any 3 faults resolve within two toggles (tests/test_rdis.py)
         self._guarantee = 3 if self.toggle_levels >= 2 else 1
+        self._row_faults = [0] * rows  # fault counts per grid row and column
+        self._col_faults = [0] * cols
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
             return False
         self.fault_offsets.append(offset)
         self.stuck_values.append(stuck_value)
+        self._row_faults[offset // self.cols] += 1
+        self._col_faults[offset % self.cols] += 1
         f = len(self.fault_offsets)
         if f <= self._guarantee:
+            return True
+        data = _draw_patterns(self.rng, self.samples, f)
+        # toggle 1 marks a correct fault only if it has a row-mate and a
+        # column-mate; without such a fault it inverts exactly the wrong ones
+        rows, cols, width = self._row_faults, self._col_faults, self.cols
+        if not any(rows[o // width] > 1 and cols[o % width] > 1 for o in self.fault_offsets):
             return True
         offs = np.asarray(self.fault_offsets, dtype=np.int64)
         stuck = np.asarray(self.stuck_values, dtype=np.uint8)
         frows = offs // self.cols
         fcols = offs % self.cols
-        data = _draw_patterns(self.rng, self.samples, f)
         self.alive = not _any_rdis_failure(
             frows, fcols, stuck, data, self.toggle_levels
         )

@@ -25,7 +25,7 @@ import pytest
 from repro.core.aegis import AegisScheme
 from repro.core.aegis_rw import AegisRwScheme
 from repro.core.collision import collision_rom_for
-from repro.core.formations import formation
+from repro.core.formations import formation, rdis_dimensions
 from repro.core.geometry import rectangle_for
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError, UncorrectableError
@@ -33,8 +33,8 @@ from repro.pairing.sim import pairing_study
 from repro.pcm.cell import CellArray
 from repro.remap.sim import remap_page_study
 from repro.schemes.rdis import rdis_mask
-from repro.schemes.safer import SaferScheme, grow_vector_for_mixing
-from repro.sim import roster
+from repro.schemes.safer import SaferScheme, grow_vector_for_mixing, vector_value
+from repro.sim import checkers, roster
 from repro.sim.block_sim import block_lifetime_study
 from repro.sim.checkers import (
     AegisChecker,
@@ -538,6 +538,119 @@ class TestWholeSampleVerdicts:
         assert checker.positions == (1, 2)
 
 
+# ---------------------------------------------------------------------------
+# Structural skips: arrivals decided from the fault set, with the draw kept
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """Count the sampled checkers' calls to their full pattern evaluators."""
+    calls = []
+    for name in ("_any_rdis_failure", "_poisoned_slopes"):
+        evaluate = getattr(checkers, name)
+        monkeypatch.setattr(
+            checkers, name, lambda *args, _evaluate=evaluate: calls.append(1) or _evaluate(*args)
+        )
+    return calls
+
+
+def skipped_arrivals(checker, faults, calls):
+    """Feed ``faults`` until the checker dies.  Yield the fault offsets at
+    every arrival that drew patterns but called no evaluator counted in
+    ``calls``; such an arrival must leave the block alive."""
+    for offset, stuck in faults:
+        state, evaluated = checker.rng.bit_generator.state, len(calls)
+        alive = checker.add_fault(offset, stuck)
+        if checker.rng.bit_generator.state != state and len(calls) == evaluated:
+            assert alive
+            yield list(checker.fault_offsets)
+        if not alive:
+            return
+
+
+def all_splits(f: int) -> np.ndarray:
+    """Every W/R split (or data word) of ``f`` faults, ``(2**f, f)`` bool."""
+    return (np.arange(2**f)[:, None] >> np.arange(f) & 1).astype(bool)
+
+
+class TestStructuralSkips:
+    """Every arrival a sampled checker decides without evaluating patterns
+    is checked against the full evaluator on all ``2**f`` patterns."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_rdis_skips_recover_every_data_word(self, depth, evaluator_calls):
+        rows, cols = rdis_dimensions(512)
+        skips = shared = 0
+        for seed in range(40):
+            checker = RdisChecker(512, rows, cols, depth, np.random.default_rng(seed))
+            for offsets in skipped_arrivals(checker, fault_feed(700 + seed)[:10], evaluator_calls):
+                offs = np.asarray(offsets)
+                frows, fcols = offs // cols, offs % cols
+                stuck = np.asarray(checker.stuck_values, dtype=np.uint8)
+                words = all_splits(offs.size).astype(np.uint8)
+                assert not _any_rdis_failure(frows, fcols, stuck, words, depth - 1)
+                skips += 1
+                shared += len(set(frows)) < offs.size and len(set(fcols)) < offs.size
+        # the skip also fires where faults share rows and columns
+        assert skips > 40 and shared > 10
+
+    @pytest.mark.parametrize("a_size,b_size,_", RW_RECTANGLES, ids=_RECT_IDS)
+    def test_aegis_rw_skips_leave_a_slope_free_for_every_split(
+        self, a_size, b_size, _, evaluator_calls
+    ):
+        rect = formation(a_size, b_size, 512).rect
+        rom = collision_rom_for(rect)
+        skips = 0
+        for seed in range(6):
+            checker = AegisRwChecker(rect, np.random.default_rng(seed), samples=8)
+            for offsets in skipped_arrivals(checker, fault_feed(800 + seed), evaluator_calls):
+                if len(offsets) > 17:  # the first draw is at f = 10 to 17
+                    continue
+                for chunk in np.array_split(all_splits(len(offsets)), 32):
+                    words = _poisoned_slopes(rom, offsets, chunk)
+                    assert (np.bitwise_count(words).sum(axis=1) < b_size).all()
+                skips += 1
+        assert skips >= 3
+
+    @pytest.mark.parametrize("a_size,b_size,pointers", RW_RECTANGLES, ids=_RECT_IDS)
+    def test_aegis_rw_p_skips_are_recoverable_for_every_split(
+        self, a_size, b_size, pointers, evaluator_calls
+    ):
+        rect = formation(a_size, b_size, 512).rect
+        skips = 0
+        for seed in range(4):
+            checker = AegisRwPChecker(rect, pointers, np.random.default_rng(seed), samples=8)
+            for offsets in skipped_arrivals(checker, fault_feed(900 + seed)[:10], evaluator_calls):
+                assert all(
+                    reference_rw_p_recoverable(rect, pointers, offsets, row)
+                    for row in all_splits(len(offsets))
+                )
+                skips += 1
+        assert skips >= 4
+
+    @pytest.mark.parametrize("group_count", [32, 64, 128])
+    def test_safer_cache_separating_vector_mixes_no_split(self, group_count):
+        max_positions, addr_bits = group_count.bit_length() - 1, 9
+        separated = 0
+        for seed in range(6):
+            checker = SaferCacheChecker(512, group_count, np.random.default_rng(seed))
+            for offset, stuck in fault_feed(1000 + seed)[:10]:
+                if not checker.add_fault(offset, stuck):
+                    break
+                offsets, positions = checker.fault_offsets, checker.positions
+                groups = {vector_value(o, positions) for o in offsets}
+                if not positions or len(groups) < len(offsets):
+                    continue
+                for row in all_splits(len(offsets)):
+                    grown = grow_vector_for_mixing(
+                        positions, *split(offsets, row), max_positions, addr_bits
+                    )
+                    assert grown == positions
+                separated += 1
+        assert separated >= 10
+
+
 class TestSampledCheckerConfiguration:
     @pytest.mark.parametrize(
         "make",
@@ -568,6 +681,11 @@ class TestSampledCheckerConfiguration:
         instead of running the page loop out."""
         with pytest.raises(ConfigurationError):
             run_page_study(spec, n_pages=1, blocks_per_page=1, seed=1, workers=1)
+
+    def test_rdis_rejects_a_grid_smaller_than_the_block(self):
+        """Rows past the grid would shift out of the int64 row masks."""
+        with pytest.raises(ConfigurationError, match="cannot hold 512 bits"):
+            RdisChecker(512, 4, 4, 3, np.random.default_rng(0))
 
     def test_safer_cache_rejects_more_groups_than_bits(self):
         with pytest.raises(ConfigurationError, match="more groups than block bits"):
@@ -614,6 +732,13 @@ class TestPinnedDraws:
         death = feed_faults(checker, fault_feed(2013))
         assert (death, rng.bit_generator.state["state"]["state"]) == PINNED_DRAWS[key]
 
+    @pytest.mark.parametrize("key", sorted(k for k in PINNED_DRAWS if not k.startswith("safer")))
+    def test_fixed_feed_has_a_skipped_arrival(self, key, evaluator_calls):
+        """Without its structural skip a checker gives the same draws and
+        verdicts, only slower; this keeps the skip from vanishing unseen."""
+        checker = PINNED_SPECS[key]().make_checker(np.random.default_rng(14))
+        assert next(skipped_arrivals(checker, fault_feed(2013), evaluator_calls), None)
+
     def test_sampled_canaries_match_recorded_scalar_digests(self):
         """The stack benchmark's canary study (2 pages x 8 blocks, seed
         2013) for every ``study-sampled`` scheme, on both engines, against
@@ -625,10 +750,10 @@ class TestPinnedDraws:
                 assert study.canary_digest(factory(), engine) == study.RECORDED[key], (key, engine)
 
 
-#: a sampled spec through every other study that builds checkers, at a
-#: small budget; the sha256 prefix of each result's repr, recorded before
-#: the checkers' structural skips landed, pins that those callers' results
-#: do not move when a checker decides an arrival without its patterns
+#: three sampled specs through the other studies that build checkers, at a
+#: small budget: the sha256 prefix of each result's repr.  The canaries
+#: cover only ``run_page_study``; a checker change must not move these
+#: either (rewrite them only when a change is meant to alter results)
 CALLER_SPECS = {key: PINNED_SPECS[key] for key in ("aegis-rw-9x61", "aegis-rw-p-9x61-p9", "rdis-3")}
 CALLERS = {
     "block": lambda spec: block_lifetime_study(spec, trials=6, seed=2013),
