@@ -13,6 +13,9 @@ same host and asserts a fixed floor:
   metric snapshots;
 * ``test_sampling_overhead``: per-drain time-series sampling costs at
   most 5% of drain time and leaves the metrics unchanged;
+* ``test_campaign_memory``: a streaming fleet campaign 100x larger peaks
+  at most 3x higher under tracemalloc, since every chunk folds into the
+  running aggregate;
 * ``test_pool_speedup``: a process pool beats the serial run by the
   floor for its worker count (median of alternating pairs), with
   identical results; skipped on hosts with fewer cores than workers.
@@ -25,11 +28,13 @@ from __future__ import annotations
 
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from benchmarks.hostmeta import host_cpus
+from repro.fleet import CampaignSpec, run_campaign
 from repro.obs import TimeSeriesRecorder
 from repro.pairing.sim import pairing_study
 from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
@@ -57,6 +62,9 @@ SAMPLING_OVERHEAD_MAX = 0.05
 DRAIN_CAPACITY = 128
 DRAIN_ADDRESSES = 256
 DRAIN_ROUNDS = 80
+
+CAMPAIGN_MEMORY_FACTOR = 3.0
+CAMPAIGN_SCALE = 100
 
 
 def _median_speedup(label, baseline, candidate):
@@ -154,6 +162,30 @@ def test_sampling_overhead():
     assert overhead <= SAMPLING_OVERHEAD_MAX
 
 
+def _campaign(pages, chunk_pages, schemes=("aegis-9x61", "ecp6"), workers=1):
+    spec = CampaignSpec(
+        schemes=schemes, pages_per_scheme=pages, blocks_per_page=2, chunk_pages=chunk_pages
+    )
+    return run_campaign(spec, ExecContext(seed=2013, workers=workers))
+
+
+def test_campaign_memory():
+    def peak(pages):
+        tracemalloc.start()
+        _campaign(pages, 16, schemes=("aegis-9x61",))
+        _, peak_bytes = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak_bytes
+
+    # build the lru-cached formation tables outside the traced runs
+    _campaign(16, 16, schemes=("aegis-9x61",))
+    base = peak(16)
+    scaled = peak(16 * CAMPAIGN_SCALE)
+    growth = scaled / base
+    print(f"\ncampaign peak {base:,} B -> {scaled:,} B at {CAMPAIGN_SCALE}x: {growth:.2f}x")
+    assert growth <= CAMPAIGN_MEMORY_FACTOR
+
+
 def _page_study(key, n_pages):
     def run(workers):
         # a full 4 KB page per task: at 32 blocks a page the pool's
@@ -192,6 +224,10 @@ def _load(key, ops):
     return run
 
 
+def _campaign_digest(workers):
+    return _campaign(1536, 64, workers=workers).digest
+
+
 #: (run, workers, floor); each serial run lasts a second or more so the
 #: pool start is amortised
 POOL_CASES = {
@@ -203,6 +239,7 @@ POOL_CASES = {
     "load-aegis-9x61": (_load("aegis-9x61", 24000), 2, 1.1),
     "load-safer64": (_load("safer64", 24000), 2, 1.1),
     "load-ecp6": (_load("ecp6", 48000), 2, 1.1),
+    "campaign": (_campaign_digest, 2, 1.1),
 }
 
 

@@ -101,11 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="PATH", default=None,
         help="export labeled run metrics in Prometheus text format",
     )
-    run_cmd.add_argument(
-        "--profile", action="store_true",
-        help="collect wall-clock phase timings and print a profile report "
-        "(informational; never part of the deterministic results)",
-    )
 
     sub.add_parser("demo", help="run the quickstart fault-recovery demo").set_defaults(
         handler=lambda args: _cmd_demo()
@@ -222,11 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--event-cap", type=int, default=None, metavar="N",
         help="event-log ring capacity (0 = unbounded; default 100000)",
-    )
-    serve_cmd.add_argument(
-        "--profile", action="store_true",
-        help="collect wall-clock phase timings (reported separately from "
-        "the deterministic snapshot)",
     )
     serve_cmd.add_argument(
         "--series-bucket", type=int, default=0, metavar="OPS",
@@ -516,14 +506,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.experiments import all_experiment_ids, run_experiment
-    from repro.obs import (
-        MetricsRegistry,
-        Profiler,
-        Tracer,
-        set_metrics,
-        set_profiler,
-        set_tracer,
-    )
+    from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
     from repro.sim.context import ExecContext
 
     wanted = args.experiments
@@ -531,18 +514,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         wanted = all_experiment_ids()
     # the one place the execution plane is assembled: every --seed/--workers/
     # --engine/--fault-model flag (and any future ExecContext field with a
-    # same-named CLI flag) reaches every driver through this ctx; tracing,
-    # metrics and profiling go through the process-global sinks below
+    # same-named CLI flag) reaches every driver through this ctx; tracing
+    # and metrics go through the process-global sinks below
     ctx = ExecContext.from_args(args)
     tracer = Tracer() if args.trace else None
     registry = MetricsRegistry() if args.metrics else None
-    profiler = Profiler() if args.profile else None
     if tracer is not None:
         set_tracer(tracer)
     if registry is not None:
         set_metrics(registry)
-    if profiler is not None:
-        set_profiler(profiler)
     results = []
     for experiment_id in wanted:
         start = time.time()
@@ -570,27 +550,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if registry is not None:
         lines = registry.write_prometheus(args.metrics)
         print(f"wrote {lines} metric line(s) to {args.metrics}")
-    if profiler is not None:
-        _print_profile(profiler.report())
     return 0
-
-
-def _print_profile(report: dict) -> None:
-    from repro.util.tables import render_table
-
-    if not report:
-        print("(no profiled phases)")
-        return
-    print(
-        render_table(
-            ("Phase", "Seconds", "Calls", "Mean ms"),
-            [
-                (name, entry["seconds"], entry["calls"], entry["mean_ms"])
-                for name, entry in report.items()
-            ],
-            title="## Wall-clock profile (informational, not deterministic)",
-        )
-    )
 
 
 def _cmd_demo() -> int:
@@ -747,7 +707,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         policy=args.policy,
         trace_sample=(args.trace_sample if args.trace else 0),
         event_cap=(args.event_cap if args.event_cap is not None else DEFAULT_EVENT_CAP),
-        profile=args.profile,
         series_bucket=series_bucket,
     )
     snapshot = report.snapshot
@@ -803,8 +762,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             args.series, report.telemetry.timeseries, default_service_slos()
         )
         print(f"wrote {lines} series line(s) to {args.series}")
-    if args.profile:
-        _print_profile(report.profile)
     return 1 if failures else 0
 
 

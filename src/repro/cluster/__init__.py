@@ -21,7 +21,7 @@ from repro.cluster.frontend import (
     encode_payload,
     loopback_selftest,
 )
-from repro.cluster.qos import QoSClass, TenantSpec, default_tenants, qos_from_name
+from repro.cluster.qos import QoSClass, TenantSpec, default_tenants
 from repro.cluster.ring import HashRing, stable_hash64
 from repro.cluster.service import ClusterNode, ClusterService
 
@@ -39,7 +39,6 @@ __all__ = [
     "default_tenants",
     "encode_payload",
     "loopback_selftest",
-    "qos_from_name",
     "run_cluster_bench",
     "stable_hash64",
 ]

@@ -34,17 +34,6 @@ class QoSClass(Enum):
     BULK = "bulk"
 
 
-def qos_from_name(name: str) -> QoSClass:
-    """Parse a QoS class from its wire name (``"interactive"``/``"bulk"``)."""
-    for qos in QoSClass:
-        if qos.value == name:
-            return qos
-    raise ConfigurationError(
-        f"unknown QoS class {name!r}; expected one of "
-        f"{[qos.value for qos in QoSClass]}"
-    )
-
-
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant's service contract (frozen, picklable).

@@ -37,6 +37,7 @@ class AegisPartition:
         self._table = ((b[None, :] - a[None, :] * slopes) % rect.b_size).astype(np.int16)
         self._table.flags.writeable = False
         self._members: dict[tuple[int, int], np.ndarray] = {}
+        self._member_table: np.ndarray | None = None
 
     @property
     def n_bits(self) -> int:
@@ -66,6 +67,27 @@ class AegisPartition:
             members.flags.writeable = False
             self._members[key] = members
         return members
+
+    def member_table(self) -> np.ndarray:
+        """Every group's bit offsets at once: ``table[slope, group]`` holds
+        the ascending members of ``group`` under ``slope``, ``-1``-padded to
+        the largest group.  Built on first use, shared and read-only."""
+        if self._member_table is None:
+            n_slopes, n_bits = self._table.shape
+            order = np.argsort(self._table, axis=1, kind="stable")
+            grouped = np.take_along_axis(self._table, order, axis=1).astype(np.int64)
+            rows = np.arange(n_slopes)[:, None]
+            counts = np.zeros((n_slopes, int(self._table.max()) + 1), dtype=np.int64)
+            np.add.at(counts, (rows, grouped), 1)
+            # position of each sorted cell within its group
+            rank = np.arange(n_bits) - np.take_along_axis(
+                np.cumsum(counts, axis=1) - counts, grouped, axis=1
+            )
+            table = np.full((*counts.shape, int(counts.max())), -1, dtype=np.int64)
+            table[rows, grouped, rank] = order
+            table.flags.writeable = False
+            self._member_table = table
+        return self._member_table
 
     def group_of(self, offset: int, slope: int) -> int:
         """Group ID of one bit under ``slope``."""

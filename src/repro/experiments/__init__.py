@@ -55,20 +55,18 @@ def run_experiment(
     driver does not declare raises (see :func:`repro.experiments.base.dispatch`).
 
     Each run is wrapped in an ``experiment`` span on the process-wide
-    tracer and an ``experiment.<id>`` profiler phase, so ``repro run
-    --trace/--profile`` attribute study phases to the artefact that
-    requested them.
+    tracer, so ``repro run --trace`` attributes study phases to the
+    artefact that requested them.
     """
     if experiment_id not in REGISTRY:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
             f"available: {', '.join(sorted(REGISTRY))}"
         )
-    from repro.obs import get_profiler, get_tracer
+    from repro.obs import get_tracer
 
     with get_tracer().span("experiment", id=experiment_id):
-        with get_profiler().phase(f"experiment.{experiment_id}"):
-            return dispatch(experiment_id, ctx=ctx, **options)
+        return dispatch(experiment_id, ctx=ctx, **options)
 
 
 def all_experiment_ids() -> list[str]:

@@ -204,29 +204,17 @@ def shared_page_studies(
     specs: Sequence[SchemeSpec],
     *,
     n_pages: int,
-    seed: int | None = None,
-    workers: int | None = None,
-    engine: str | None = None,
     ctx: ExecContext | None = None,
 ) -> list[PageStudy]:
     """Page studies for a roster, memoised per (spec, n_pages, ExecContext).
 
-    ``ctx`` carries the execution plane; the legacy ``seed``/``workers``/
-    ``engine`` kwargs override the corresponding context fields when
-    given.  The memo key includes the *full* context (not just the seed):
-    workers and engine never change the simulated numbers, but keying on
-    them guarantees mixed-engine or mixed-worker invocations within one
-    process can never alias a study computed under different execution
-    settings."""
+    ``ctx`` carries the execution plane.  The memo key includes the *full*
+    context (not just the seed): workers and engine never change the
+    simulated numbers, but keying on them guarantees mixed-engine or
+    mixed-worker invocations within one process can never alias a study
+    computed under different execution settings."""
     if ctx is None:
         ctx = ExecContext()
-    overrides = {
-        name: value
-        for name, value in (("seed", seed), ("workers", workers), ("engine", engine))
-        if value is not None
-    }
-    if overrides:
-        ctx = ctx.with_options(**overrides)
     out = []
     for spec in specs:
         key = (spec.key, spec.n_bits, n_pages, ctx.cache_key)

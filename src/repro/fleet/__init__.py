@@ -19,8 +19,9 @@ Layers:
   scheduling over a persistent warm pool, deterministic merge order,
   JSONL checkpoint/resume, and the time-series/SLO feed.
 
-Surfaced as ``repro fleet-bench`` and the ``ext-fleet`` experiment;
-benchmarked by ``benchmarks/bench_fleet.py`` (BENCH_fleet.json).
+Surfaced as ``repro fleet-bench`` and the ``ext-fleet`` experiment; its
+IPC-reduction floor is in ``tests/test_fleet.py``, its memory and pool
+floors in ``benchmarks/test_floors.py``.
 """
 
 from repro.fleet.aggregate import (

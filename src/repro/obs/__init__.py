@@ -1,4 +1,4 @@
-"""Unified observability: deterministic tracing, labeled metrics, profiling.
+"""Unified observability: deterministic tracing, labeled metrics, time series.
 
 The reproduction's measurement layers answer *what* happened (telemetry
 counters, benchmark numbers); this package answers *why* and *where*:
@@ -13,10 +13,6 @@ counters, benchmark numbers); this package answers *why* and *where*:
     ``(name, labels)``, with commutative merge, a deterministic snapshot
     and Prometheus text exposition.  The service layer's flat counters
     are its label-less series.
-:mod:`repro.obs.profiler`
-    Opt-in ``perf_counter`` phase timing for the executor and service
-    stages — wall-clock by nature, therefore kept strictly outside every
-    deterministic snapshot and reported on its own channel.
 :mod:`repro.obs.report`
     ``aegis-repro obs-report`` — renders a run's trace,
     metrics and time-series artifacts into markdown reports (slowest
@@ -32,7 +28,9 @@ counters, benchmark numbers); this package answers *why* and *where*:
 
 The split mirrors the determinism rule that runs through the whole
 codebase: anything merged into a snapshot must be a pure function of the
-inputs; anything wall-clock lives on a clearly separate surface.
+inputs.  Wall-clock readings stay off every snapshot: ``LoadReport.elapsed``,
+the per-experiment seconds ``repro run`` prints, and the per-layer spans
+of ``perfbench/run.py --trace 1``, whose phases add up to the elapsed time.
 """
 
 from repro.obs.metrics import (
@@ -44,7 +42,6 @@ from repro.obs.metrics import (
     render_series,
     set_metrics,
 )
-from repro.obs.profiler import NullProfiler, Profiler, get_profiler, set_profiler
 from repro.obs.report import render_obs_report, write_obs_report
 from repro.obs.slo import (
     AlertEvent,
@@ -70,9 +67,7 @@ __all__ = [
     "AlertEvent",
     "Histogram",
     "MetricsRegistry",
-    "NullProfiler",
     "NullTracer",
-    "Profiler",
     "SLOEngine",
     "SLOSpec",
     "Span",
@@ -81,7 +76,6 @@ __all__ = [
     "default_cluster_slos",
     "default_service_slos",
     "get_metrics",
-    "get_profiler",
     "get_tracer",
     "parse_prometheus_text",
     "parse_series",
@@ -92,7 +86,6 @@ __all__ = [
     "render_obs_report",
     "render_series",
     "set_metrics",
-    "set_profiler",
     "set_tracer",
     "write_obs_report",
     "write_slo_jsonl",

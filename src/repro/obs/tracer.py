@@ -18,8 +18,7 @@ pure function of the shard's inputs, and :meth:`Tracer.merge` appends
 shard-tagged roots in shard order, so the exported JSONL is bit-identical
 for every worker count — the same contract
 :class:`~repro.service.telemetry.ServiceTelemetry` honors.  Wall-clock
-profiling lives in :mod:`repro.obs.profiler`, deliberately outside this
-file.
+per-layer timing is perfbench's ``--trace`` recorder, outside ``src/``.
 
 Sampling
 --------

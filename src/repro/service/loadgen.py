@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.obs.profiler import NullProfiler, Profiler
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import NullTracer, Tracer
 from repro.pcm.faults import fault_model_for
@@ -105,8 +104,6 @@ class ShardTask:
     trace_sample: int = 0
     #: event-log ring capacity per shard (0 = unbounded)
     event_cap: int = DEFAULT_EVENT_CAP
-    #: collect wall-clock phase timings (informational, non-deterministic)
-    profile: bool = False
     #: op-clock bucket width for time-series sampling (0 disables it);
     #: buckets are on each shard's own op clock, so the merged series is
     #: worker-count and engine invariant like the rest of the snapshot
@@ -137,15 +134,11 @@ class ShardResult:
     telemetry: ServiceTelemetry
     capacity: dict[str, object]
     elapsed: float
-    #: wall-clock phase totals when profiling was requested (never merged
-    #: into the deterministic snapshot)
-    profile: dict | None = None
 
 
 def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
     """Run one shard — a pure function of ``(task, shard_index)`` except
-    for the ``elapsed``/``profile`` wall-clock fields."""
-    profiler = Profiler() if task.profile else NullProfiler()
+    for the ``elapsed`` wall-clock field."""
     rng = rng_for(task.seed, shard_index, 41)
     telemetry = ServiceTelemetry(event_cap=task.event_cap, tracer=task.make_tracer())
     recorder = None
@@ -155,60 +148,57 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
                 telemetry.metrics, bucket_width=task.series_bucket, auto=True
             )
         )
-    with profiler.phase("shard.build"):
-        fail_cache = service_fail_cache()
-        array = MemoryArray(
-            task.n_addresses,
-            task.spec.n_bits,
-            task.spec.make_controller,
-            spares=task.spares,
-            lifetime_model=task.lifetime_model,
-            fail_cache=fail_cache,
-            telemetry=telemetry,
-            rng=rng,
-            engine=task.engine,
-            fault_model=task.fault_model,
-            scheme_key=task.spec.key,
-        )
-        controller = ServiceController(
-            array,
-            buffer_capacity=task.buffer_capacity,
-            proactive_migration=task.proactive_migration,
-            policy=task.policy,
-        )
-        workload = build_workload(task.workload_kind, dict(task.workload_params))
+    fail_cache = service_fail_cache()
+    array = MemoryArray(
+        task.n_addresses,
+        task.spec.n_bits,
+        task.spec.make_controller,
+        spares=task.spares,
+        lifetime_model=task.lifetime_model,
+        fail_cache=fail_cache,
+        telemetry=telemetry,
+        rng=rng,
+        engine=task.engine,
+        fault_model=task.fault_model,
+        scheme_key=task.spec.key,
+    )
+    controller = ServiceController(
+        array,
+        buffer_capacity=task.buffer_capacity,
+        proactive_migration=task.proactive_migration,
+        policy=task.policy,
+    )
+    workload = build_workload(task.workload_kind, dict(task.workload_params))
     shadow: dict[int, np.ndarray] = {}
     ops = task.ops_for(shard_index)
     start = time.perf_counter()
-    with profiler.phase("shard.drive"):
-        for op in range(ops):
-            address = workload.next_logical_page(task.n_addresses, rng)
-            is_read = rng.random() < task.read_fraction
-            if array.is_dead(address):
-                telemetry.metrics.inc("ops_rejected")
-                continue
-            if is_read:
-                got = controller.read(address)
-                expected = shadow.get(address)
-                if expected is not None and not np.array_equal(got, expected):
-                    telemetry.metrics.inc("integrity_failures")
-            else:
-                payload = rng.integers(0, 2, task.spec.n_bits, dtype=np.uint8)
-                controller.write(address, payload)
-                shadow[address] = payload
-            if task.snapshot_interval and (op + 1) % task.snapshot_interval == 0:
-                telemetry.emit(
-                    "health_snapshot", op=array.op_clock, **array.capacity_summary()
-                )
-        controller.close()
-    # final read-after-write audit over every surviving written address
-    with profiler.phase("shard.audit"):
-        for address in sorted(shadow):
-            if array.is_dead(address):
-                continue
-            telemetry.metrics.inc("integrity_checked")
-            if not np.array_equal(array.read(address), shadow[address]):
+    for op in range(ops):
+        address = workload.next_logical_page(task.n_addresses, rng)
+        is_read = rng.random() < task.read_fraction
+        if array.is_dead(address):
+            telemetry.metrics.inc("ops_rejected")
+            continue
+        if is_read:
+            got = controller.read(address)
+            expected = shadow.get(address)
+            if expected is not None and not np.array_equal(got, expected):
                 telemetry.metrics.inc("integrity_failures")
+        else:
+            payload = rng.integers(0, 2, task.spec.n_bits, dtype=np.uint8)
+            controller.write(address, payload)
+            shadow[address] = payload
+        if task.snapshot_interval and (op + 1) % task.snapshot_interval == 0:
+            telemetry.emit(
+                "health_snapshot", op=array.op_clock, **array.capacity_summary()
+            )
+    controller.close()
+    # final read-after-write audit over every surviving written address
+    for address in sorted(shadow):
+        if array.is_dead(address):
+            continue
+        telemetry.metrics.inc("integrity_checked")
+        if not np.array_equal(array.read(address), shadow[address]):
+            telemetry.metrics.inc("integrity_failures")
     telemetry.metrics.inc("fail_cache_hits", fail_cache.hits)
     telemetry.metrics.inc("fail_cache_misses", fail_cache.misses)
     telemetry.metrics.inc("fail_cache_evictions", fail_cache.evictions)
@@ -223,9 +213,6 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
         telemetry=telemetry,
         capacity=array.capacity_summary(),
         elapsed=elapsed,
-        profile={"totals": profiler.totals, "calls": profiler.calls}
-        if task.profile
-        else None,
     )
 
 
@@ -244,8 +231,6 @@ class LoadReport:
     snapshot: dict
     telemetry: ServiceTelemetry
     per_shard: list[dict] = field(default_factory=list)
-    #: merged wall-clock phase report (``--profile``); empty when disabled
-    profile: dict = field(default_factory=dict)
 
     @property
     def ops_per_second(self) -> float:
@@ -313,7 +298,6 @@ def run_load(
     engine: str = "auto",
     trace_sample: int = 0,
     event_cap: int = DEFAULT_EVENT_CAP,
-    profile: bool = False,
     series_bucket: int = 0,
     fault_model: str = "hard",
     policy: str = "fixed",
@@ -331,9 +315,7 @@ def run_load(
     tree (failed writes are always kept);
     the merged trace rides :attr:`LoadReport.telemetry` and exports via
     :meth:`LoadReport.write_trace_jsonl` — deterministic like the
-    snapshot.  ``profile=True`` additionally collects wall-clock phase
-    timings into :attr:`LoadReport.profile`, which is *not* part of the
-    determinism contract.  ``series_bucket=N`` samples the metrics into
+    snapshot.  ``series_bucket=N`` samples the metrics into
     N-op op-clock buckets after every drain (see
     :mod:`repro.obs.timeseries`); the merged series lands in the
     snapshot's ``timeseries`` block and is exactly as worker/engine
@@ -371,7 +353,6 @@ def run_load(
         engine=validate_engine(engine),
         trace_sample=trace_sample,
         event_cap=event_cap,
-        profile=profile,
         series_bucket=series_bucket,
         fault_model=fault_model,
         policy=validate_policy(policy),
@@ -386,11 +367,6 @@ def run_load(
     merged = ServiceTelemetry(event_cap=event_cap, tracer=task.make_tracer())
     for result in results:
         merged.merge(result.telemetry, shard=result.shard_index)
-    profiler = Profiler()
-    for result in results:
-        if result.profile:
-            for name, seconds in result.profile["totals"].items():
-                profiler.add(name, seconds, result.profile["calls"].get(name, 0))
     capacity = _merge_capacity([result.capacity for result in results])
     config = {
         "spec": spec.key,
@@ -419,7 +395,6 @@ def run_load(
         elapsed=elapsed,
         snapshot=snapshot,
         telemetry=merged,
-        profile=profiler.report() if profile else {},
         per_shard=[
             {
                 "shard": result.shard_index,

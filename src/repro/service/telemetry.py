@@ -28,8 +28,7 @@ Everything here is deliberately *deterministic*: no wall-clock timestamps
 merge operation that is order-insensitive for counters, histograms and
 labeled metrics — so a sharded run merges to the same snapshot whatever
 the worker count.  Wall-clock throughput is measured by the load
-generator *outside* the telemetry object, and wall-clock profiling lives
-in :mod:`repro.obs.profiler`.
+generator *outside* the telemetry object (``LoadReport.elapsed``).
 
 The event log is a bounded ring: beyond ``event_cap`` entries the oldest
 events are dropped (and counted in ``events_dropped``), so a million-op

@@ -26,9 +26,9 @@ the plane uniform:
   mixed-worker invocations can never alias a cached artefact that was
   produced under different settings.
 
-Tracing, metrics and profiling are not context fields: the CLI installs
-the process-global tracer, metrics registry and profiler of
-:mod:`repro.obs`, and the simulators read those directly.
+Tracing and metrics are not context fields: the CLI installs the
+process-global tracer and metrics registry of :mod:`repro.obs`, and the
+simulators read those directly.
 """
 
 from __future__ import annotations

@@ -243,27 +243,15 @@ class _AegisBatch(_BatchChecker):
         super().__init__(n_bits, n_trials)
         form = formation(a_size, b_size, n_bits)
         self._rom = collision_rom_for(form.rect)._table
-        self._part = partition_for(form.rect)._table
+        partition = partition_for(form.rect)
+        self._part = partition._table
         self.b_size = b_size
         self.poisoned = np.zeros(n_trials, dtype=np.uint64)
         self._full = np.uint64((1 << b_size) - 1)
         # inverse partition: (slope, group) -> member cells, -1-padded;
         # groups are tiny (~a_size cells), which is what makes the sparse
         # wear path worthwhile
-        n_slopes = self._part.shape[0]
-        n_groups = int(self._part.max()) + 1
-        width = max(int(np.bincount(row).max()) for row in self._part)
-        members = np.full((n_slopes, n_groups, width), -1, dtype=np.int64)
-        for slope, row in enumerate(self._part):
-            cells = np.argsort(row, kind="stable")
-            grouped = row[cells]
-            starts = np.flatnonzero(
-                np.concatenate(([True], grouped[1:] != grouped[:-1]))
-            )
-            bounds = np.append(starts, len(row))
-            for start, end in zip(bounds[:-1], bounds[1:]):
-                members[slope, grouped[start], : end - start] = cells[start:end]
-        self._members = members
+        self._members = partition.member_table()
 
     def add_faults(self, offsets: np.ndarray, active: np.ndarray) -> np.ndarray:
         prior = self._push(offsets)

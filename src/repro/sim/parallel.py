@@ -26,9 +26,6 @@ Design notes
   when a tracing ``observer`` is attached (callbacks cannot cross the
   process boundary), or when the platform refuses to start a pool — the
   results are identical either way, only wall-clock changes.
-* The process-wide :class:`repro.obs.profiler.Profiler` (installed via
-  ``--profile``) times the gather and serial phases; the timings are
-  wall-clock and never touch the deterministic results.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
-from repro.obs.profiler import get_profiler
 from repro.obs.tracer import get_tracer
 from repro.sim.context import ExecContext
 from repro.util.stats import MeanEstimate, mean_ci
@@ -298,7 +294,6 @@ class SimExecutor:
         stay valid — purity makes the recompute bit-identical).
         """
         chunks = [tuple(chunk) for chunk in chunks]
-        profiler = get_profiler()
         pool = self._ensure_pool(len(chunks))
         emitted = 0
         if pool is not None:
@@ -309,8 +304,7 @@ class SimExecutor:
                 # next() is wrapped — not the yield — so a consumer exception
                 # thrown into the generator is never mistaken for a dead pool
                 try:
-                    with profiler.phase("executor.gather"):
-                        result = next(gather)
+                    result = next(gather)
                 except (OSError, RuntimeError, BrokenProcessPoolError):
                     # a dead pool (killed worker, fork failure): recompute
                     # only the tail it never delivered
@@ -320,9 +314,7 @@ class SimExecutor:
                 emitted += 1
                 yield result
         for chunk in chunks[emitted:]:
-            with profiler.phase("executor.serial"):
-                result = fn(task, chunk)
-            yield result
+            yield fn(task, chunk)
 
 
 class StudyRunner:

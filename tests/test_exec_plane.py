@@ -89,7 +89,7 @@ class TestExecContext:
     def test_from_args_maps_by_name(self):
         args = argparse.Namespace(
             seed=11, workers=2, engine="scalar", trace="/tmp/t.jsonl",
-            metrics=None, profile=True, pages=64,
+            metrics=None, pages=64,
         )
         ctx = ExecContext.from_args(args)
         assert (ctx.seed, ctx.workers, ctx.engine) == (11, 2, "scalar")
@@ -97,7 +97,7 @@ class TestExecContext:
         assert ctx == ExecContext(seed=11, workers=2, engine="scalar")
 
     def test_from_args_missing_attributes_keep_defaults(self):
-        # the report subcommand has no --trace/--metrics/--profile flags
+        # the report subcommand has no --trace/--metrics flags
         ctx = ExecContext.from_args(argparse.Namespace(seed=3))
         assert ctx == ExecContext(seed=3)
 

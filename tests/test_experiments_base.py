@@ -117,21 +117,21 @@ class TestDispatch:
 class TestSharedStudies:
     def test_memoised_within_parameters(self):
         spec = ecp_spec(2, 512)
-        first = shared_page_studies([spec], n_pages=3, seed=1)[0]
-        second = shared_page_studies([spec], n_pages=3, seed=1)[0]
+        first = shared_page_studies([spec], n_pages=3, ctx=ExecContext(seed=1))[0]
+        second = shared_page_studies([spec], n_pages=3, ctx=ExecContext(seed=1))[0]
         assert first is second  # same object: no re-simulation
 
     def test_distinct_parameters_not_shared(self):
         spec = ecp_spec(2, 512)
-        a = shared_page_studies([spec], n_pages=3, seed=1)[0]
-        b = shared_page_studies([spec], n_pages=3, seed=2)[0]
-        c = shared_page_studies([spec], n_pages=4, seed=1)[0]
+        a = shared_page_studies([spec], n_pages=3, ctx=ExecContext(seed=1))[0]
+        b = shared_page_studies([spec], n_pages=3, ctx=ExecContext(seed=2))[0]
+        c = shared_page_studies([spec], n_pages=4, ctx=ExecContext(seed=1))[0]
         assert a is not b and a is not c
 
     def test_clear_cache(self):
         spec = ecp_spec(2, 512)
-        a = shared_page_studies([spec], n_pages=3, seed=1)[0]
+        a = shared_page_studies([spec], n_pages=3, ctx=ExecContext(seed=1))[0]
         clear_study_cache()
-        b = shared_page_studies([spec], n_pages=3, seed=1)[0]
+        b = shared_page_studies([spec], n_pages=3, ctx=ExecContext(seed=1))[0]
         assert a is not b
         assert a.faults.mean == b.faults.mean  # but deterministic content

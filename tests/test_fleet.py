@@ -202,6 +202,21 @@ class TestCampaignDeterminism:
             fleet_spec("nope")
 
 
+class TestShardReduction:
+    def test_reduction_floor_at_chunk_128(self):
+        """A 128-page chunk ships its constant-size shard state instead of
+        128 pickled page results: at least 5x fewer bytes cross the
+        process boundary."""
+        spec = CampaignSpec(
+            schemes=("aegis-9x61",),
+            pages_per_scheme=128,
+            blocks_per_page=2,
+            chunk_pages=128,
+        )
+        report = run_campaign(spec, _ctx())
+        assert report.reduction_ratio >= 5.0
+
+
 class TestCheckpointResume:
     @pytest.mark.parametrize("stop_after", [1, 3, 5])
     def test_resumed_digest_matches_uninterrupted(

@@ -6,8 +6,7 @@ Covers the three contracts the layer makes:
   exported JSONL is bit-identical for every worker count;
 * the labeled metrics registry merges commutatively and its snapshot /
   Prometheus exposition are deterministic;
-* the profiler is wall-clock and therefore lives strictly outside every
-  deterministic snapshot.
+* no wall-clock reading leaks into a deterministic snapshot.
 """
 
 import itertools
@@ -20,9 +19,7 @@ from repro.errors import ConfigurationError
 from repro.obs import (
     Histogram,
     MetricsRegistry,
-    NullProfiler,
     NullTracer,
-    Profiler,
     Tracer,
     parse_prometheus_text,
     read_trace_jsonl,
@@ -254,41 +251,6 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# profiler
-
-
-class TestProfiler:
-    def test_phases_accumulate_and_report(self):
-        profiler = Profiler()
-        with profiler.phase("build"):
-            pass
-        with profiler.phase("build"):
-            pass
-        profiler.add("drive", 1.5, calls=3)
-        report = profiler.report()
-        assert report["build"]["calls"] == 2
-        assert report["drive"]["seconds"] == 1.5
-        assert report["drive"]["calls"] == 3
-        # sorted by descending cost
-        assert list(report) == ["drive", "build"]
-
-    def test_merge(self):
-        left, right = Profiler(), Profiler()
-        left.add("x", 1.0, calls=2)
-        right.add("x", 2.0, calls=1)
-        left.merge(right)
-        assert left.report()["x"]["seconds"] == 3.0
-        assert left.report()["x"]["calls"] == 3
-
-    def test_null_profiler_is_inert(self):
-        profiler = NullProfiler()
-        with profiler.phase("anything"):
-            pass
-        assert profiler.report() == {}
-        assert not profiler.enabled
-
-
-# ---------------------------------------------------------------------------
 # service integration: determinism, event cap, compat shim
 
 
@@ -339,11 +301,10 @@ class TestServiceObservability:
         assert telemetry.events_dropped > 0
         assert report.snapshot["events_dropped"] == telemetry.events_dropped
 
-    def test_profile_report_outside_snapshot(self):
-        report = _small_load(1, profile=True)
-        assert "shard.drive" in report.profile
-        assert report.profile["shard.drive"]["seconds"] > 0
-        # the wall-clock channel must never leak into the deterministic body
+    def test_snapshot_has_no_wall_clock_fields(self):
+        report = _small_load(1)
+        assert report.elapsed > 0
+        # wall clock lives on LoadReport.elapsed, never in the deterministic body
         dump = json.dumps(report.snapshot)
         assert "time" not in dump and "elapsed" not in dump
 
