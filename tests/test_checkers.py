@@ -750,13 +750,24 @@ class TestPinnedDraws:
                 assert study.canary_digest(factory(), engine) == study.RECORDED[key], (key, engine)
 
 
-#: three sampled specs through the other studies that build checkers, at a
-#: small budget: the sha256 prefix of each result's repr.  The canaries
-#: cover only ``run_page_study``; a checker change must not move these
-#: either (rewrite them only when a change is meant to alter results)
-CALLER_SPECS = {key: PINNED_SPECS[key] for key in ("aegis-rw-9x61", "aegis-rw-p-9x61-p9", "rdis-3")}
+#: three sampled specs, plus a kernel-covered Aegis (inversion wear on)
+#: and ECP, through the other studies that build checkers, at a small
+#: budget: the sha256 prefix of each result's repr.  The canaries cover
+#: only ``run_page_study``; a checker or scheduler change must not move
+#: these either (rewrite them only when a change is meant to alter results)
+CALLER_SPECS = {
+    **{key: PINNED_SPECS[key] for key in ("aegis-rw-9x61", "aegis-rw-p-9x61-p9", "rdis-3")},
+    "aegis-9x61": lambda: roster.aegis_spec(9, 61, 512),
+    "ecp6": lambda: roster.ecp_spec(6, 512),
+}
 CALLERS = {
     "block": lambda spec: block_lifetime_study(spec, trials=6, seed=2013),
+    "block-partial": lambda spec: block_lifetime_study(
+        spec, trials=6, seed=2013, fault_model="partial"
+    ),
+    "block-drift": lambda spec: block_lifetime_study(
+        spec, trials=6, seed=2013, fault_model="drift"
+    ),
     "remap": lambda spec: remap_page_study(
         spec, spares=2, blocks_per_page=4, n_pages=2, seed=2013
     ),
@@ -774,6 +785,12 @@ CALLER_DIGESTS = {
     ("rdis-3", "block"): "0fb2d98ab8d1e34b",
     ("rdis-3", "remap"): "698b1562f25cfa2d",
     ("rdis-3", "pairing"): "4ab34046d918857e",
+    ("aegis-9x61", "block"): "80c9b56ca3538bdd",
+    ("aegis-9x61", "block-partial"): "67298aa593b6e4b4",
+    ("aegis-9x61", "block-drift"): "5f2cfde3e30bcdf0",
+    ("aegis-9x61", "pairing"): "c75cdb0e4758a36b",
+    ("ecp6", "block"): "e32c7b4e80c6d8f7",
+    ("ecp6", "pairing"): "f7d37b89c1a5b836",
 }
 
 
