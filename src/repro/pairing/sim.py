@@ -1,7 +1,9 @@
 """Usable-capacity timeline with and without dynamic pairing.
 
 For each page, every data block's death *age* (page writes) is simulated
-independently with the scheme's fast checker; a page is standalone-usable
+independently: each block is a one-block page of the page Monte Carlo
+(:func:`repro.sim.page_sim.simulate_page`, without inversion wear), on the
+scalar scheduler and the page's shared generator; a page is standalone-usable
 until its first block death, and a dead page's failed-block set grows as
 further blocks die.  At sampled ages the study reports usable capacity in
 page-equivalents, with failed pages either retired outright or reclaimed
@@ -16,10 +18,10 @@ the whole device is near end-of-life anyway.
 Execution rides the unified plane (:mod:`repro.sim.context`): page ``p``
 draws every random number from ``rng_for(seed, p, 13)``, so the
 :class:`~repro.sim.parallel.StudyRunner` fan-out produces bit-identical
-studies for every worker count.  The per-checker fault walks here have no
-batch kernel yet, so any requested ``engine`` resolves to the scalar path
-transparently (the same fallback :func:`repro.sim.kernels.resolve_engine`
-applies to kernel-less schemes).
+studies for every worker count.  The blocks of a page share one generator
+and the batch kernels skip the stuck-value draws a scalar walk makes, so a
+kernel would shift every later block's draws: every ``engine`` takes the
+scalar scheduler.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.pairing.pairing import FailedPage, pair_failed_pages
-from repro.pcm.lifetime import LifetimeModel, NormalLifetime
-from repro.sim import kernels
+from repro.pcm.lifetime import LifetimeModel
 from repro.sim.context import ExecContext
-from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY
+from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY, simulate_page
 from repro.sim.parallel import StudyRunner
 from repro.sim.rng import rng_for
 from repro.sim.roster import SchemeSpec
@@ -70,40 +71,22 @@ class PairingTask:
     write_probability: float
 
 
-def _block_death_ages(
-    spec: SchemeSpec,
-    blocks_per_page: int,
-    rng: np.random.Generator,
-    lifetime_model: LifetimeModel,
-    write_probability: float,
-) -> np.ndarray:
-    """Death age of every block of one page, each under its own checker."""
-    n_bits = spec.n_bits
-    deaths = np.empty(blocks_per_page, dtype=np.float64)
-    for block in range(blocks_per_page):
-        times = lifetime_model.sample(n_bits, rng) / write_probability
-        order = np.argsort(times)
-        checker = spec.make_checker(rng)
-        for cell in order:
-            if not checker.add_fault(int(cell), int(rng.integers(0, 2))):
-                deaths[block] = float(times[cell])
-                break
-        else:  # pragma: no cover - checkers always fail before saturation
-            deaths[block] = float(times[order[-1]])
-    return deaths
-
-
 def simulate_pairing_page(task: PairingTask, page_index: int) -> np.ndarray:
     """Block death ages of one page — the picklable unit of fan-out."""
-    model = (
-        task.lifetime_model if task.lifetime_model is not None else NormalLifetime()
-    )
-    return _block_death_ages(
-        task.spec,
-        task.blocks_per_page,
-        rng_for(task.seed, page_index, _PAIRING_SALT),
-        model,
-        task.write_probability,
+    rng = rng_for(task.seed, page_index, _PAIRING_SALT)
+    return np.array(
+        [
+            simulate_page(
+                task.spec,
+                1,
+                rng,
+                lifetime_model=task.lifetime_model,
+                write_probability=task.write_probability,
+                inversion_wear_rate=0.0,
+                engine="scalar",
+            ).lifetime_writes
+            for _ in range(task.blocks_per_page)
+        ]
     )
 
 
@@ -127,7 +110,6 @@ def pairing_study(
     """
     if ctx is None:
         ctx = ExecContext(seed=seed)
-    kernels.validate_engine(ctx.engine)
     task = PairingTask(
         spec=spec,
         blocks_per_page=blocks_per_page,

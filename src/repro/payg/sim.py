@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.formations import Formation
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
 from repro.payg.payg import GecPool, payg_overhead_bits
-from repro.sim import kernels
 from repro.sim.checkers import AegisChecker
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY
@@ -152,7 +151,6 @@ def payg_page_study(
     """
     if ctx is None:
         ctx = ExecContext(seed=seed)
-    kernels.validate_engine(ctx.engine)
     task = PaygTask(
         form=form,
         blocks_per_page=blocks_per_page,

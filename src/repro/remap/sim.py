@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
-from repro.sim import kernels
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY
 from repro.sim.parallel import StudyRunner
@@ -142,7 +141,6 @@ def remap_page_study(
     """
     if ctx is None:
         ctx = ExecContext(seed=seed)
-    kernels.validate_engine(ctx.engine)
     task = RemapTask(
         spec=spec,
         blocks_per_page=blocks_per_page,

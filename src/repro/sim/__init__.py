@@ -3,7 +3,6 @@
 from repro.sim.block_sim import (
     BlockLifetimeStudy,
     FailureCurve,
-    block_lifetime,
     block_lifetime_study,
     failure_curve,
     faults_at_death,
@@ -66,7 +65,6 @@ __all__ = [
     "aegis_rw_p_spec",
     "aegis_rw_spec",
     "aegis_spec",
-    "block_lifetime",
     "block_lifetime_study",
     "ecp_spec",
     "failure_curve",

@@ -1,10 +1,11 @@
 """Vectorized batch-trial Monte Carlo kernels.
 
-The scalar engines in :mod:`repro.sim.block_sim` and
-:mod:`repro.sim.page_sim` walk one trial and one fault arrival at a time
-through Python-level :meth:`~repro.sim.checkers.BlockChecker.add_fault`
-calls.  For the *static* schemes — plain Aegis, SAFER, Hamming and the
-unprotected baseline, whose survival is a pure set property of the fault
+The scalar engines in :mod:`repro.sim.block_sim` (fault counts) and
+:mod:`repro.sim.page_sim` (lifetimes) walk one trial and one fault
+arrival at a time through Python-level
+:meth:`~repro.sim.checkers.BlockChecker.add_fault` calls.  For the
+*static* schemes — plain Aegis, SAFER, Hamming and the unprotected
+baseline, whose survival is a pure set property of the fault
 locations — the per-arrival state update is a handful of integer
 operations, so an entire ``(trials, n_bits)`` block population can be
 advanced in lock step with numpy: one fancy-indexed collision-ROM lookup,
@@ -82,11 +83,9 @@ def kernel_supported(spec) -> bool:
 def validate_engine(engine: str) -> str:
     """Check an engine name against the public switch values.
 
-    Shared by every surface that accepts ``engine=`` — including
-    simulators whose dynamics have no batch kernel yet (pairing, PAYG,
-    FREE-p remap), which validate the request here and then fall back to
-    their scalar path transparently, exactly like :func:`resolve_engine`
-    does for kernel-less schemes.
+    Shared by the surfaces that take a bare ``engine=`` argument; studies
+    driven by an :class:`~repro.sim.context.ExecContext` are checked when
+    the context is built.
     """
     if engine not in ENGINE_CHOICES:
         raise ConfigurationError(
@@ -584,9 +583,8 @@ def mask_partial_deaths(
 class DynamicsResult:
     """Outcome of a batched event-driven wear simulation."""
 
-    death_time: np.ndarray        # (trials,) page-write age at block death
-    death_faults: np.ndarray      # (trials,) faults at death, fatal included
-    event_times: np.ndarray | None  # (trials, steps) +inf-padded death log
+    death_time: np.ndarray   # (trials,) page-write age at block death
+    event_times: np.ndarray  # (trials, steps) +inf-padded death log
 
 
 def _wear_sparse(
@@ -629,11 +627,7 @@ def _wear_sparse(
 
 
 def _static_dynamics(
-    spec,
-    base_death: np.ndarray,
-    *,
-    record_events: bool,
-    stop_groups: np.ndarray | None,
+    spec, base_death: np.ndarray, groups: np.ndarray
 ) -> DynamicsResult:
     """The no-wear degenerate of :func:`block_dynamics`: death times never
     move, so each row's fault order is frozen as the argsort of its base
@@ -644,12 +638,8 @@ def _static_dynamics(
     order = np.argsort(base_death, axis=1)
     times = np.take_along_axis(base_death, order, axis=1)
     death_time = np.full(trials, np.inf)
-    death_faults = np.zeros(trials, dtype=np.int64)
-    group_min = None
-    groups = stop_groups
-    if stop_groups is not None:
-        group_min = np.full(int(stop_groups.max()) + 1, np.inf)
-    event_columns: list[np.ndarray] | None = [] if record_events else None
+    group_min = np.full(int(groups[-1]) + 1, np.inf)
+    event_columns: list[np.ndarray] = []
     row_ids = np.arange(trials)
     n_rows = trials
     active = np.ones(n_rows, dtype=bool)
@@ -662,22 +652,18 @@ def _static_dynamics(
             if not active.any():
                 break
             now = times[:, step]
-            if group_min is not None:
-                active &= ~(now > group_min[groups])
-                if not active.any():
-                    break
-            if record_events:
-                column = np.full(trials, np.inf)
-                column[row_ids[active]] = now[active]
-                event_columns.append(column)
+            active &= ~(now > group_min[groups])
+            if not active.any():
+                break
+            column = np.full(trials, np.inf)
+            column[row_ids[active]] = now[active]
+            event_columns.append(column)
             alive = checker.add_faults(np.ascontiguousarray(order[:, step]), active)
             newly_dead = active & ~alive
             if newly_dead.any():
                 dead_rows = row_ids[newly_dead]
                 death_time[dead_rows] = now[newly_dead]
-                death_faults[dead_rows] = step + 1
-                if group_min is not None:
-                    np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
+                np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
             active &= alive
             steps = step + 1
             n_active = int(active.sum())
@@ -686,8 +672,7 @@ def _static_dynamics(
                 row_ids = row_ids[keep]
                 times = np.ascontiguousarray(times[keep])
                 order = np.ascontiguousarray(order[keep])
-                if groups is not None:
-                    groups = groups[keep]
+                groups = groups[keep]
                 checker.compact(keep)
                 n_rows = n_active
                 active = np.ones(n_rows, dtype=bool)
@@ -696,15 +681,9 @@ def _static_dynamics(
                 raise AssertionError(f"{spec.label}: block outlived every cell")
         span.cost(steps=steps)
     _observe_kernel(spec, "block_dynamics", trials, steps)
-    events = None
-    if record_events:
-        events = (
-            np.stack(event_columns, axis=1)
-            if event_columns
-            else np.empty((trials, 0))
-        )
+    # step 0 runs for every row, so the log is never empty
     return DynamicsResult(
-        death_time=death_time, death_faults=death_faults, event_times=events
+        death_time=death_time, event_times=np.stack(event_columns, axis=1)
     )
 
 
@@ -712,14 +691,13 @@ def block_dynamics(
     spec,
     base_death: np.ndarray,
     *,
+    blocks_per_page: int,
     write_probability: float,
     inversion_wear_rate: float,
-    record_events: bool = False,
-    stop_groups: np.ndarray | None = None,
 ) -> DynamicsResult:
     """Run the event-driven death/wear loop for a ``(trials, n_bits)``
     population in lock step: step ``f`` processes the ``f``-th cell death
-    of every still-active trial at once.
+    of every still-active trial at once, and logs every row's event time.
 
     The per-trial selection key ``(event time, accelerated?, tie rank)``
     replicates the scalar scheduler exactly, duplicates included: among
@@ -729,24 +707,22 @@ def block_dynamics(
     after every base cell of equal time (the cursor beats the heap) and
     among themselves by cell index (the heap's secondary key).
 
-    ``stop_groups`` labels each trial row with a group id (a page); once
-    some row of a group has died, rows of that group whose next event
-    can no longer precede the group's earliest death are retired early —
-    their ``death_time`` stays ``+inf``.  Retirement never changes any
-    recorded event at or below the group minimum, which is all a page
-    study reads.
+    Consecutive runs of ``blocks_per_page`` rows form a page; once some
+    row of a page has died, rows of that page whose next event can no
+    longer precede the page's earliest death are retired early — their
+    ``death_time`` stays ``+inf``.  Retirement never changes any recorded
+    event at or below the page minimum, which is all a page study reads.
     """
     base_death = np.ascontiguousarray(base_death, dtype=np.float64)
     trials, n_bits = base_death.shape
+    groups = np.arange(trials) // blocks_per_page
     accel_rate = write_probability + inversion_wear_rate
     apply_wear = spec.inversion_wear and inversion_wear_rate > 0
     if not apply_wear:
         # without wear the death order is frozen at t=0: it is exactly the
         # argsort of the base death times, so the event loop degenerates
         # to walking sorted columns through the checker
-        return _static_dynamics(
-            spec, base_death, record_events=record_events, stop_groups=stop_groups
-        )
+        return _static_dynamics(spec, base_death, groups)
 
     current = base_death.copy()
     order = np.argsort(base_death, axis=1)  # the scalar path's own sort
@@ -762,12 +738,8 @@ def block_dynamics(
     accel_rank = base_rank + n_bits
     normal = np.ones((trials, n_bits), dtype=bool)
     death_time = np.full(trials, np.inf)
-    death_faults = np.zeros(trials, dtype=np.int64)
-    group_min = None
-    groups = stop_groups
-    if stop_groups is not None:
-        group_min = np.full(int(stop_groups.max()) + 1, np.inf)
-    event_columns: list[np.ndarray] = [] if record_events else None
+    group_min = np.full(int(groups[-1]) + 1, np.inf)
+    event_columns: list[np.ndarray] = []
 
     # the working set compacts to the surviving rows as the population
     # dies off; ``row_ids`` maps compacted rows back to caller rows
@@ -796,17 +768,15 @@ def block_dynamics(
             if tied.size:
                 sub = np.where(candidate[tied], tie_order[tied], max_rank)
                 chosen[tied] = sub.argmin(axis=1)
-            if group_min is not None:
-                # retire rows whose next event falls strictly after their
-                # group's earliest known death (events *at* the group
-                # minimum must still be recorded for the tie audit)
-                active &= ~(now > group_min[groups])
-                if not active.any():
-                    break
-            if record_events:
-                column = np.full(trials, np.inf)
-                column[row_ids[active]] = now[active]
-                event_columns.append(column)
+            # retire rows whose next event falls strictly after their
+            # page's earliest known death (events *at* the page minimum
+            # must still be recorded for the tie audit)
+            active &= ~(now > group_min[groups])
+            if not active.any():
+                break
+            column = np.full(trials, np.inf)
+            column[row_ids[active]] = now[active]
+            event_columns.append(column)
             live = rows[active]
             current[live, chosen[live]] = np.inf
             normal[live, chosen[live]] = False
@@ -815,9 +785,7 @@ def block_dynamics(
             if newly_dead.any():
                 dead_rows = row_ids[newly_dead]
                 death_time[dead_rows] = now[newly_dead]
-                death_faults[dead_rows] = step + 1
-                if group_min is not None:
-                    np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
+                np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
             active &= alive
             steps = step + 1
             if active.any():
@@ -858,8 +826,7 @@ def block_dynamics(
                 current = np.ascontiguousarray(current[keep])
                 tie_order = np.ascontiguousarray(tie_order[keep])
                 normal = np.ascontiguousarray(normal[keep])
-                if groups is not None:
-                    groups = groups[keep]
+                groups = groups[keep]
                 checker.compact(keep)
                 n_rows = n_active
                 active = np.ones(n_rows, dtype=bool)
@@ -871,13 +838,7 @@ def block_dynamics(
                 raise AssertionError(f"{spec.label}: block outlived every cell")
         span.cost(steps=steps)
     _observe_kernel(spec, "block_dynamics", trials, steps)
-    events = None
-    if record_events:
-        events = (
-            np.stack(event_columns, axis=1)
-            if event_columns
-            else np.empty((trials, 0))
-        )
+    # step 0 runs for every row, so the log is never empty
     return DynamicsResult(
-        death_time=death_time, death_faults=death_faults, event_times=events
+        death_time=death_time, event_times=np.stack(event_columns, axis=1)
     )

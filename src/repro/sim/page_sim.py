@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
-from repro.pcm.faults import FaultModel, HardStuckAt, fault_model_for
+from repro.pcm.faults import FaultModel, fault_model_for
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
 from repro.sim import kernels
 from repro.sim.context import ExecContext
@@ -141,8 +141,8 @@ def simulate_page(
     (:mod:`repro.pcm.faults`): the model reshapes the sampled death times
     (and any masking) *before* engine dispatch, from the same ``rng``
     position on both engines, so every model stays bit-identical across
-    ``engine`` and ``workers``.  The hard default takes exactly the
-    historical code path.
+    ``engine`` and ``workers``.  The hard default's transform is the
+    identity and draws nothing.
     """
     return _simulate_rngs(
         spec,
@@ -157,33 +157,42 @@ def simulate_page(
     )[0]
 
 
+def _death_times(
+    spec: SchemeSpec,
+    n_cells: int,
+    rng: np.random.Generator,
+    model: LifetimeModel,
+    write_probability: float,
+    fault_model: FaultModel,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None]":
+    """Draw one page's cell death times from ``rng``: ``(shaped, original,
+    masked)``.
+
+    ``original`` is the intrinsic base death time (endurance over the
+    write probability), ``shaped`` the fault model's rewrite of it and
+    ``masked`` its free-mask flags (``None`` = nothing masked).  Every
+    engine draws here first, so the generator sits at the same position
+    when the scheduler starts.
+    """
+    original = model.sample(n_cells, rng) / write_probability
+    shaped, masked = fault_model.transform_base_death(original, spec.n_bits, rng)
+    return shaped, original, masked
+
+
 def _simulate_page_scalar(
     spec: SchemeSpec,
     blocks_per_page: int,
     rng: np.random.Generator,
-    model: LifetimeModel,
+    times: "tuple[np.ndarray, np.ndarray, np.ndarray | None]",
     write_probability: float,
     inversion_wear_rate: float,
-    observer: FaultObserver | None,
-    endurance: np.ndarray | None = None,
-    fault_model: FaultModel | None = None,
-    transformed: tuple[np.ndarray, np.ndarray | None] | None = None,
+    observer: FaultObserver | None = None,
 ) -> PageResult:
+    """The cell-death scheduler: walk the page's deaths (``times`` from
+    :func:`_death_times`) in time order until a block's checker dies."""
     n_bits = spec.n_bits
-    n_cells = blocks_per_page * n_bits
-    if endurance is None:
-        endurance = model.sample(n_cells, rng)
-    base_death = endurance / write_probability
-    original_death = base_death
-    masked = None
-    if transformed is not None:
-        # the vector path already drew and applied the model transform on
-        # this sample; reuse it — redrawing would shift the substream
-        base_death, masked = transformed
-    elif fault_model is not None and not isinstance(fault_model, HardStuckAt):
-        base_death, masked = fault_model.transform_base_death(
-            base_death, n_bits, rng
-        )
+    base_death, original_death, masked = times
+    n_cells = base_death.shape[0]
     order = np.argsort(base_death)
     status = np.zeros(n_cells, dtype=np.int8)
     block_checkers = [spec.make_checker(rng) for _ in range(blocks_per_page)]
@@ -193,8 +202,7 @@ def _simulate_page_scalar(
     cursor = 0
     deaths = 0
     # paired no-protection baseline: always the first *intrinsic* cell
-    # death — masked cells still die physically (identical to
-    # base_death[order[0]] on the untransformed hard path)
+    # death — masked cells still die physically
     baseline = float(original_death.min())
 
     while True:
@@ -253,7 +261,7 @@ def _simulate_page_scalar(
                 heapq.heappush(heap, (rescheduled, mate))
 
 
-def _pages_from_endurances(
+def _pages_from_death_times(
     spec: SchemeSpec,
     blocks_per_page: int,
     pages: "list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]",
@@ -291,10 +299,9 @@ def _pages_from_endurances(
     result = kernels.block_dynamics(
         spec,
         base_death,
+        blocks_per_page=blocks_per_page,
         write_probability=write_probability,
         inversion_wear_rate=inversion_wear_rate,
-        record_events=True,
-        stop_groups=np.repeat(np.arange(n_pages), blocks_per_page),
     )
     outcomes: list[PageResult | None] = []
     for page, (_, original, masked) in enumerate(pages):
@@ -379,73 +386,53 @@ def _simulate_rngs(
         raise ConfigurationError("write probability must be in (0, 1]")
     model = lifetime_model if lifetime_model is not None else NormalLifetime()
     fmodel = fault_model_for(fault_model)
-    hard = isinstance(fmodel, HardStuckAt)
-    if observer is not None or kernels.resolve_engine(engine, spec) != "vector":
-        return [
-            _simulate_page_scalar(
-                spec,
-                blocks_per_page,
-                rng,
-                model,
-                write_probability,
-                inversion_wear_rate,
-                observer,
-                fault_model=None if hard else fmodel,
-            )
-            for rng in rngs
-        ]
     n_cells = blocks_per_page * spec.n_bits
-    results: list[PageResult | None] = [None] * len(rngs)
-    pending: list[tuple[int, tuple, np.ndarray, np.random.Generator]] = []
-    batch_pages = max(1, MAX_BATCH_CELLS // max(n_cells, 1))
 
-    def replay(rng, endurance, shaped, masked) -> PageResult:
-        # the scalar scheduler on the already-drawn sample: ``rng`` is
-        # positioned exactly as if the scalar path had sampled and
-        # transformed it
+    def draw(rng: np.random.Generator):
+        return _death_times(spec, n_cells, rng, model, write_probability, fmodel)
+
+    def scalar(rng: np.random.Generator, times) -> PageResult:
+        # ``rng`` sits exactly where the scalar path's own draw leaves it
         return _simulate_page_scalar(
             spec,
             blocks_per_page,
             rng,
-            model,
+            times,
             write_probability,
             inversion_wear_rate,
-            None,
-            endurance=endurance,
-            transformed=None if hard else (shaped, masked),
+            observer,
         )
+
+    if observer is not None or kernels.resolve_engine(engine, spec) != "vector":
+        return [scalar(rng, draw(rng)) for rng in rngs]
+    results: list[PageResult | None] = [None] * len(rngs)
+    pending: list[tuple[int, tuple, np.random.Generator]] = []
+    batch_pages = max(1, MAX_BATCH_CELLS // max(n_cells, 1))
 
     def flush() -> None:
         if not pending:
             return
-        outcomes = _pages_from_endurances(
+        outcomes = _pages_from_death_times(
             spec,
             blocks_per_page,
-            [prepared for _, prepared, _, _ in pending],
+            [times for _, times, _ in pending],
             write_probability,
             inversion_wear_rate,
         )
-        for (position, prepared, sample, rng), outcome in zip(pending, outcomes):
+        for (position, times, rng), outcome in zip(pending, outcomes):
             if outcome is None:
                 # a death ties the page's death time exactly: replay for
                 # the paper-exact fault count
-                outcome = replay(rng, sample, prepared[0], prepared[2])
+                outcome = scalar(rng, times)
             results[position] = outcome
         pending.clear()
 
     for position, rng in enumerate(rngs):
-        endurance = model.sample(n_cells, rng)
-        base_death = endurance / write_probability
-        if hard:
-            shaped, masked = base_death, None
+        times = draw(rng)
+        if kernels.tie_fraction(times[0]) > kernels.HEAVY_TIE_FRACTION:
+            results[position] = scalar(rng, times)
         else:
-            shaped, masked = fmodel.transform_base_death(
-                base_death, spec.n_bits, rng
-            )
-        if kernels.tie_fraction(shaped) > kernels.HEAVY_TIE_FRACTION:
-            results[position] = replay(rng, endurance, shaped, masked)
-        else:
-            pending.append((position, (shaped, base_death, masked), endurance, rng))
+            pending.append((position, times, rng))
             if len(pending) >= batch_pages:
                 flush()
     flush()

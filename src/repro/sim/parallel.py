@@ -24,8 +24,9 @@ Design notes
   :mod:`repro.core` — cheap relative to even a single page simulation.
 * The executor degrades to the serial path when ``workers`` resolves to 1,
   when a tracing ``observer`` is attached (callbacks cannot cross the
-  process boundary), or when the platform refuses to start a pool — the
-  results are identical either way, only wall-clock changes.
+  process boundary), or when the platform refuses to start a pool or a
+  pool breaks — the results are identical either way, only wall-clock
+  changes, and each fallback is counted (:meth:`SimExecutor.imap_chunks`).
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ def _flatten(chunk_results) -> list:
     return [result for chunk in chunk_results for result in chunk]
 
 
+def _count_fallback(reason: str) -> None:
+    registry = get_metrics()
+    if registry is not None:
+        registry.inc("executor_fallbacks_total", reason=reason)
+
+
 def _chunked(indices: Sequence[int], chunk_pages: int) -> list[tuple[int, ...]]:
     return [
         tuple(indices[start : start + chunk_pages])
@@ -216,6 +223,7 @@ class SimExecutor:
                 # sandboxed/exotic platforms without working multiprocessing:
                 # fall back to the serial path for the rest of this executor
                 self._pool_broken = True
+                _count_fallback("pool_start")
                 return None
         return self._pool
 
@@ -291,7 +299,10 @@ class SimExecutor:
 
         A pool that breaks mid-stream does not lose the campaign: chunks
         not yet emitted are recomputed serially (already-yielded results
-        stay valid — purity makes the recompute bit-identical).
+        stay valid — purity makes the recompute bit-identical).  Both
+        fallbacks, a refused pool and a broken one, are counted as
+        ``executor_fallbacks_total{reason="pool_start"|"pool_broken"}``
+        on the process-wide metrics registry when one is installed.
         """
         chunks = [tuple(chunk) for chunk in chunks]
         pool = self._ensure_pool(len(chunks))
@@ -309,6 +320,7 @@ class SimExecutor:
                     # a dead pool (killed worker, fork failure): recompute
                     # only the tail it never delivered
                     self._pool_broken = True
+                    _count_fallback("pool_broken")
                     self.close()
                     break
                 emitted += 1

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.sim.block_sim import (
-    block_lifetime,
     block_lifetime_study,
     failure_curve,
     faults_at_death,
 )
+from repro.sim.page_sim import simulate_page
 from repro.sim.rng import rng_for
 from repro.sim.roster import (
     aegis_rw_p_spec,
@@ -68,11 +68,11 @@ class TestWearAcceleration:
     def test_inversion_wear_shortens_block_lifetime(self):
         spec = aegis_spec(9, 61, 512)
         with_wear = np.mean([
-            block_lifetime(spec, rng_for(7, t), inversion_wear_rate=0.5)[0]
+            simulate_page(spec, 1, rng_for(7, t), inversion_wear_rate=0.5).lifetime_writes
             for t in range(30)
         ])
         without = np.mean([
-            block_lifetime(spec, rng_for(7, t), inversion_wear_rate=0.0)[0]
+            simulate_page(spec, 1, rng_for(7, t), inversion_wear_rate=0.0).lifetime_writes
             for t in range(30)
         ])
         assert with_wear < without
@@ -80,18 +80,16 @@ class TestWearAcceleration:
     def test_cache_scheme_immune_to_wear_knob(self):
         # Aegis-rw performs single-pass writes: the knob must not matter
         spec = aegis_rw_spec(9, 61, 512, samples=16)
-        a = block_lifetime(spec, rng_for(8, 0), inversion_wear_rate=0.5)
-        b = block_lifetime(spec, rng_for(8, 0), inversion_wear_rate=0.0)
+        a = simulate_page(spec, 1, rng_for(8, 0), inversion_wear_rate=0.5)
+        b = simulate_page(spec, 1, rng_for(8, 0), inversion_wear_rate=0.0)
         assert a == b
 
 
 class TestBlockLifetime:
     def test_lifetime_positive_and_fault_count_sane(self):
-        lifetime, faults = block_lifetime(
-            aegis_spec(9, 61, 512), rng_for(1, 0)
-        )
-        assert lifetime > 0
-        assert faults > 11
+        block = simulate_page(aegis_spec(9, 61, 512), 1, rng_for(1, 0))
+        assert block.lifetime_writes > 0
+        assert block.faults_recovered + 1 > 11  # the fatal fault included
 
     def test_study_aggregates(self):
         study = block_lifetime_study(ecp_spec(4, 512), trials=20, seed=2)

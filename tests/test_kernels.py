@@ -15,7 +15,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime
 from repro.sim.block_sim import (
-    block_lifetime,
     block_lifetime_study,
     failure_curve,
     faults_at_death,
@@ -146,8 +145,8 @@ class TestLifetimeEquivalence:
     @pytest.mark.parametrize("seed", [0, 9, 41])
     def test_single_block_matches_scalar(self, seed):
         spec = aegis_spec(9, 61, 512)
-        scalar = block_lifetime(spec, rng_for(seed, 0), engine="scalar")
-        vector = block_lifetime(spec, rng_for(seed, 0), engine="auto")
+        scalar = simulate_page(spec, 1, rng_for(seed, 0), engine="scalar")
+        vector = simulate_page(spec, 1, rng_for(seed, 0), engine="auto")
         assert vector == scalar
 
     def test_fixed_lifetime_ties_stay_identical(self):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.sim.page_sim import run_page_study, simulate_page
 from repro.sim.parallel import (
     DEFAULT_CHUNK_PAGES,
@@ -249,9 +250,16 @@ class TestPoolFallback:
             raise OSError("no processes in this sandbox")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", refuse)
-        study = run_page_study(
-            ecp_spec(2, 512), n_pages=10, blocks_per_page=4, seed=5, workers=4
-        )
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            study = run_page_study(
+                ecp_spec(2, 512), n_pages=10, blocks_per_page=4, seed=5, workers=4
+            )
+        finally:
+            set_metrics(previous)
+        assert registry.counter_value("executor_fallbacks_total", reason="pool_start") == 1
+        assert registry.counter_value("executor_fallbacks_total", reason="pool_broken") == 0
         reference = run_page_study(
             ecp_spec(2, 512), n_pages=10, blocks_per_page=4, seed=5, workers=1
         )
@@ -382,11 +390,16 @@ class TestImapChunks:
             return real_submit(fn, *args)
 
         pool.submit = flaky_submit
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
         try:
             streamed = list(executor.imap_chunks(simulate_task_pages, task, chunks))
         finally:
+            set_metrics(previous)
             executor.close()
         assert executor._pool_broken
+        assert registry.counter_value("executor_fallbacks_total", reason="pool_broken") == 1
+        assert registry.counter_value("executor_fallbacks_total", reason="pool_start") == 0
         assert streamed == [
             list(simulate_task_pages(task, chunk)) for chunk in chunks
         ]
