@@ -124,3 +124,175 @@ class TestParser:
         assert ExecContext.from_args(args) == ExecContext(
             seed=7, workers=2, engine="scalar", fault_model="drift"
         )
+
+
+#: ``vars(parse_args(argv))`` minus ``handler`` for a minimal argv of every
+#: subcommand: every flag's destination and default, pinned so a change to
+#: how the flags are declared cannot move one
+PARSED_DEFAULTS = {
+    "list": (["list"], {"command": "list"}),
+    "run": (
+        ["run", "fig5"],
+        {
+            "command": "run", "experiments": ["fig5"], "pages": 128, "trials": 2000,
+            "block_bits": 512, "seed": 2013, "workers": None, "engine": "auto",
+            "fault_model": "hard", "json": None, "chart": False, "trace": None,
+            "metrics": None,
+        },
+    ),
+    "demo": (["demo"], {"command": "demo"}),
+    "check": (["check"], {"command": "check"}),
+    "report": (
+        ["report"],
+        {
+            "command": "report", "output": "report.md", "experiments": [],
+            "pages": 64, "trials": 500, "block_bits": 512, "no_charts": False,
+            "seed": 2013, "workers": None, "engine": "auto", "fault_model": "hard",
+        },
+    ),
+    "schemes": (["schemes"], {"command": "schemes", "block_bits": 512}),
+    "serve-bench": (
+        ["serve-bench"],
+        {
+            "command": "serve-bench", "ops": 20000, "workload": "zipf", "alpha": 1.0,
+            "shards": 4, "seed": 2013, "workers": None, "engine": "auto",
+            "fault_model": "hard", "policy": "fixed", "addresses": 64, "spares": 16,
+            "scheme": "aegis-9x61", "endurance": 150.0, "read_fraction": 0.25,
+            "buffer": 8, "snapshot_interval": 2000, "proactive_migration": False,
+            "telemetry_jsonl": None, "json": None, "trace": None, "trace_sample": 100,
+            "metrics": None, "event_cap": None, "series_bucket": 0, "series": None,
+        },
+    ),
+    "obs-report": (
+        ["obs-report"],
+        {
+            "command": "obs-report", "trace": None, "metrics": None, "series": None,
+            "top": 10, "title": "Observability report", "output": None,
+        },
+    ),
+    "cluster-bench": (
+        ["cluster-bench"],
+        {
+            "command": "cluster-bench", "ops": 2000, "arrays": 3, "tenants": 4,
+            "seed": 2013, "workers": None, "engine": "auto", "fault_model": "hard",
+            "policy": "fixed", "scheme": "aegis-9x61", "tenant_addresses": 32,
+            "addresses": 64, "spares": 16, "buffer": 8, "watermark": 0.75,
+            "endurance": 150.0, "degrade_at": 0, "degrade_array": 0,
+            "degrade_threshold": None, "maintenance_interval": 16,
+            "series_bucket": None, "series": None, "check": False, "json": None,
+            "metrics": None, "telemetry_jsonl": None,
+        },
+    ),
+    "fleet-bench": (
+        ["fleet-bench"],
+        {
+            "command": "fleet-bench", "schemes": "aegis-9x61,ecp6,safer64",
+            "pages": 256, "blocks": 8, "block_bits": 512, "chunk_pages": 64,
+            "seed": 2013, "workers": None, "engine": "auto", "fault_model": "hard",
+            "wear_policy": "perfect", "endurance": None, "cov": None,
+            "retention_age": None, "checkpoint": None, "checkpoint_interval": 8,
+            "resume": False, "stop_after_chunks": 0, "kill_after_checkpoints": 0,
+            "check": False, "series": None, "json": None, "metrics": None,
+        },
+    ),
+    "serve": (
+        ["serve"],
+        {
+            "command": "serve", "host": "127.0.0.1", "port": 0, "arrays": 3,
+            "tenants": 4, "scheme": "aegis-9x61", "addresses": 64, "spares": 16,
+            "buffer": 8, "seed": 2013, "endurance": 150.0, "series_bucket": 16,
+            "selftest": False, "selftest_ops": 16,
+        },
+    ),
+}
+
+
+class TestParsedDefaults:
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_minimal_argv_parses_to_pinned_namespace(self, command):
+        from repro.cli import _build_parser
+
+        argv, expected = PARSED_DEFAULTS[command]
+        parsed = vars(_build_parser().parse_args(argv))
+        parsed.pop("handler")
+        assert parsed == expected
+
+
+#: sha256 of each deterministic export of a small run, per export flag
+EXPORT_DIGESTS = {
+    "serve-bench": (
+        ["serve-bench", "--ops", "600", "--seed", "7", "--workers", "1"],
+        {
+            "json": "5f09e8362bc4031c17d1a561c05d66608e46a8649c38fd91397a98e11c4baa34",
+            "metrics": "75218c32a8f5a0299d489bae0c083e89511cd84fd3309fada4174340c6fc878f",
+            "telemetry-jsonl": "40d58e3c9e19055872dfdc208aa33c742b3c2232fbde4651d3282f97acc03a1c",
+            "trace": "08e6e2f5f3d46d8840a1a611c4dd411514ba4b193a645e10032e23795a49522f",
+            "series": "c491ef6a88138286b70fe4af47c8b22ef4ff151fda25cdcfacc20bed3358b676",
+        },
+    ),
+    "cluster-bench": (
+        ["cluster-bench", "--ops", "400", "--workers", "1"],
+        {
+            "json": "ff825809bfc03f0e58b3a138e6147f4a6d80ddf99f80816613ae3a05e251b226",
+            "metrics": "321c9a458778fcd7fcc4788d8776ac57ce4fbfff98d227e91caa29816e0c8856",
+            "telemetry-jsonl": "a106fa6573dc4b4548a262b03983c44257bf2ece25e4fe34ea30f91ab44811e2",
+            "series": "189dba1d2c8fa37d8ac97794394ca865e5e881b4599f786e8b411d3a4c21ac2b",
+        },
+    ),
+    "fleet-bench": (
+        ["fleet-bench", "--pages", "16", "--blocks", "2", "--chunk-pages", "8",
+         "--workers", "1"],
+        {
+            "metrics": "2be32a61df7229468afe8d1e195e719d215fd4e09be317e0003ac2d080c750ee",
+            "series": "5dea12d27ea1303c1c9ca15590cee259a2a6585e498f45fc7d11a1e9169ab438",
+            # wall-clock fields dropped, the rest re-dumped canonically
+            "json": "6606a3e7c74d3d295ec13552b583fbc0a9ccc91dae13002801c806821274ae1b",
+        },
+    ),
+    "run": (
+        ["run", "fig5", "--pages", "2", "--workers", "1"],
+        {
+            "json": "94a9319add701748cf58b56f8114de46ff3265944210f866ce2df28c6d9ef69f",
+            "metrics": "b1a14ab41d722de0762e1aca47e1152c41d857e6743caf816905ead9187e4b37",
+            "trace": "7039e37227fe434e5eb688b4690cbcf8ba9cca4b364957efeafb3c62bd3b8cad",
+        },
+    ),
+}
+
+#: fleet-bench --json fields that carry wall-clock time
+WALL_CLOCK_FIELDS = ("elapsed_seconds", "pages_per_second")
+
+
+class TestExportDigests:
+    @pytest.fixture(autouse=True)
+    def _restore_global_sinks(self):
+        # `run --trace/--metrics` installs process-wide sinks
+        from repro.obs.metrics import get_metrics, set_metrics
+        from repro.obs.tracer import get_tracer, set_tracer
+
+        tracer, registry = get_tracer(), get_metrics()
+        yield
+        set_tracer(tracer)
+        set_metrics(registry)
+
+    @pytest.mark.parametrize("command", sorted(EXPORT_DIGESTS))
+    def test_exports_match_pinned_digests(self, command, tmp_path, capsys):
+        import hashlib
+        import json
+
+        argv, expected = EXPORT_DIGESTS[command]
+        paths = {flag: tmp_path / f"export-{flag}" for flag in expected}
+        for flag, path in paths.items():
+            argv = argv + [f"--{flag}", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        digests = {}
+        for flag, path in paths.items():
+            data = path.read_bytes()
+            if command == "fleet-bench" and flag == "json":
+                doc = json.loads(data)
+                for name in WALL_CLOCK_FIELDS:
+                    doc.pop(name)
+                data = json.dumps(doc, indent=2, sort_keys=True).encode()
+            digests[flag] = hashlib.sha256(data).hexdigest()
+        assert digests == expected
