@@ -1,51 +1,178 @@
-"""Command-line interface: ``aegis-repro`` (or ``python -m repro``).
+"""Command-line interface: ``aegis-repro`` (or ``python -m repro``);
+``aegis-repro --help`` lists the subcommands.
 
-Subcommands
------------
-``list``
-    Show the available experiments.
-``run EXPERIMENT [EXPERIMENT ...]``
-    Regenerate one or more paper tables/figures (``all`` runs everything),
-    with ``--pages/--trials/--seed/--block-bits`` controlling the Monte
-    Carlo scale.
-``demo``
-    A tiny end-to-end demonstration of Aegis recovering injected faults.
+A flag shared by several subcommands is declared once, by one of the
+``_add_*`` helpers; every export flag is written by :func:`_write_exports`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
-
-#: scheme names servable by serve-bench / cluster-bench / serve (keys of
-#: :data:`repro.fleet.campaign.FLEET_SCHEMES`, resolved by ``fleet_spec``)
-SERVICE_SCHEMES = ("aegis-9x61", "aegis-17x31", "aegis-rw-9x61", "ecp6", "safer64")
+from repro.sim.context import ENGINE_CHOICES, FAULT_MODEL_CHOICES, ExecContext
+from repro.sim.roster import SchemeSpec
+from repro.util.tables import render_table
 
 
 def _add_exec_flags(
     cmd: argparse.ArgumentParser,
     *,
-    workers: str,
-    engine: str,
-    fault_model: str,
+    workers: str = "worker processes (default: all CPU cores; never changes the results)",
+    engine: str = "execution path, 'auto' (default) or 'scalar'; results are "
+    "bit-identical either way (see 'run --engine')",
+    fault_model: str = "cell fault statistics "
+    "(see 'run --fault-model' and docs/fault_models.md)",
     seed: str | None = None,
 ) -> None:
     """Declare the :class:`~repro.sim.context.ExecContext` flags
-    (``--seed/--workers/--engine/--fault-model``) on ``cmd``; the
-    arguments are each subcommand's help texts."""
-    from repro.sim.context import ENGINE_CHOICES, FAULT_MODEL_CHOICES
-
+    (``--seed/--workers/--engine/--fault-model``) on ``cmd``; a
+    subcommand passes a help text to say more than the default."""
     cmd.add_argument("--seed", type=int, default=2013, help=seed)
     cmd.add_argument("--workers", type=int, default=None, metavar="N", help=workers)
     cmd.add_argument("--engine", choices=ENGINE_CHOICES, default="auto", help=engine)
     cmd.add_argument(
         "--fault-model", choices=FAULT_MODEL_CHOICES, default="hard", help=fault_model
     )
+
+
+def _add_block_bits(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
+
+
+def _add_service_flags(
+    cmd: argparse.ArgumentParser, *, unit: str, series_bucket: int | None, series_help: str
+) -> None:
+    """Declare the memory-array flags of serve-bench, cluster-bench and
+    serve (``--scheme/--addresses/--spares/--buffer/--endurance/
+    --series-bucket``); ``unit`` names what one array backs and only the
+    ``--series-bucket`` default differs between the commands.  The
+    schemes are keys of :data:`repro.fleet.campaign.FLEET_SCHEMES`."""
+    schemes = ("aegis-9x61", "aegis-17x31", "aegis-rw-9x61", "ecp6", "safer64")
+    cmd.add_argument("--scheme", choices=schemes, default="aegis-9x61")
+    cmd.add_argument("--addresses", type=int, default=64, help=f"logical addresses per {unit}")
+    cmd.add_argument("--spares", type=int, default=16, help=f"spare blocks per {unit}")
+    cmd.add_argument("--buffer", type=int, default=8, help="write-buffer entries")
+    cmd.add_argument(
+        "--endurance", type=float, default=150.0,
+        help="mean cell endurance in writes (small, so wear-out happens in-run)",
+    )
+    cmd.add_argument(
+        "--series-bucket", type=int, default=series_bucket, metavar="OPS", help=series_help
+    )
+
+
+def _add_policy_flag(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--policy",
+        choices=("fixed", "adaptive"),
+        default="fixed",
+        help="per-block scheme policy: 'adaptive' lets the policy engine "
+        "re-encode worn blocks onto stronger schemes "
+        "(policy_switches_total{from,to} in the metrics export)",
+    )
+
+
+def _add_tenant_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--arrays", type=int, default=3, help="arrays in the cluster")
+    cmd.add_argument(
+        "--tenants", type=int, default=4,
+        help="tenant count (even indices interactive, odd bulk)",
+    )
+
+
+#: help of each export flag; a subcommand passes its own text to reword one
+EXPORT_HELP = {
+    "json": "write the deterministic snapshot as JSON",
+    "metrics": "export the labeled metrics registry in Prometheus text format",
+    "telemetry_jsonl": "write the merged event log + final snapshot as JSONL",
+    "trace": "export sampled write-path span trees as JSONL "
+    "(bit-identical for every --workers value)",
+    "series": "export the time series plus SLO verdicts/alerts as JSONL "
+    "(the `repro obs-report --series` input)",
+}
+
+
+def _add_export_flags(cmd: argparse.ArgumentParser, *flags: str, **helps: str) -> None:
+    """Declare the ``--json/--metrics/--telemetry-jsonl/--trace/--series``
+    artifact paths named by destination, with :data:`EXPORT_HELP` unless
+    ``helps`` rewords one; :func:`_write_exports` writes them (obs-report
+    reads them instead)."""
+    for dest in (*flags, *helps):
+        cmd.add_argument(
+            "--" + dest.replace("_", "-"), metavar="PATH", default=None,
+            help=helps.get(dest, EXPORT_HELP[dest]),
+        )
+
+
+def _write_exports(args: argparse.Namespace, **writers: Callable[[str], int]) -> None:
+    """The export tail of every subcommand: call the writer (path ->
+    line count) of each export flag that was given, keyed by its
+    destination, and report the file."""
+    for dest, write in writers.items():
+        path = getattr(args, dest)
+        if path:
+            print(f"wrote {write(path)} line(s) to {path}")
+
+
+def _write_json(path: str, doc: object, sort_keys: bool = True) -> int:
+    text = json.dumps(doc, indent=2, sort_keys=sort_keys)
+    with open(path, "w") as handle:
+        handle.write(text)
+    return text.count("\n") + 1
+
+
+def _add_check_flag(cmd: argparse.ArgumentParser, workers: str) -> None:
+    cmd.add_argument(
+        "--check", action="store_true",
+        help=f"re-run with {workers} and the flipped engine and fail unless "
+        "every digest is bit-identical (CI smoke mode)",
+    )
+
+
+def _determinism_drill(
+    ctx: ExecContext,
+    rerun: Callable[[ExecContext], object],
+    digest: Callable[[object], object],
+    expected: object,
+    workers: tuple[int, ...],
+) -> bool:
+    """The ``--check`` drill of cluster-bench and fleet-bench: re-run at
+    each of ``workers`` and on the flipped engine, print one verdict per
+    re-run, and return whether every re-run's ``digest`` is ``expected``."""
+    flipped = "auto" if ctx.engine == "scalar" else "scalar"
+    reruns = {f"workers={count}": ctx.with_options(workers=count) for count in workers}
+    reruns[f"engine={flipped}"] = ctx.with_options(engine=flipped)
+    failures = 0
+    for label, other in reruns.items():
+        same = digest(rerun(other)) == expected
+        print(f"determinism check [{label}]: {'ok' if same else 'MISMATCH'}")
+        failures += not same
+    return failures == 0
+
+
+def _service_array(args: argparse.Namespace, **overrides: object) -> tuple[SchemeSpec, dict]:
+    """What the service-array flags stand for: the ``--scheme`` spec and
+    the keyword arguments ``run_load``, ``run_cluster_bench`` and
+    ``ClusterService`` take after it."""
+    from repro.fleet.campaign import fleet_spec
+    from repro.pcm.lifetime import NormalLifetime
+
+    return fleet_spec(args.scheme), {
+        "n_addresses": args.addresses,
+        "spares": args.spares,
+        "buffer_capacity": args.buffer,
+        "lifetime_model": NormalLifetime(mean_lifetime=args.endurance),
+        "series_bucket": args.series_bucket,
+        **overrides,
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("experiments", nargs="+", help="experiment ids or 'all'")
     run_cmd.add_argument("--pages", type=int, default=128, help="pages per Monte Carlo study")
     run_cmd.add_argument("--trials", type=int, default=2000, help="trials for block-level studies")
-    run_cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
+    _add_block_bits(run_cmd)
     _add_exec_flags(
         run_cmd,
         seed="simulation seed",
@@ -82,24 +209,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "(see docs/fault_models.md)",
     )
     run_cmd.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the results as a JSON array to PATH",
-    )
-    run_cmd.add_argument(
         "--chart",
         action="store_true",
         help="draw each figure as a text chart below its table",
     )
-    run_cmd.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="export deterministic study-phase span trees as JSONL "
+    _add_export_flags(
+        run_cmd,
+        "metrics",
+        json="also write the results as a JSON array to PATH",
+        trace="export deterministic study-phase span trees as JSONL "
         "(worker-count invariant)",
-    )
-    run_cmd.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="export labeled run metrics in Prometheus text format",
     )
 
     sub.add_parser("demo", help="run the quickstart fault-recovery demo").set_defaults(
@@ -120,21 +239,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report_cmd.add_argument("--pages", type=int, default=64)
     report_cmd.add_argument("--trials", type=int, default=500)
-    report_cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
+    _add_block_bits(report_cmd)
     report_cmd.add_argument("--no-charts", action="store_true")
-    _add_exec_flags(
-        report_cmd,
-        workers="worker processes for page-level Monte Carlo fan-out "
-        "(default: all CPU cores)",
-        engine="Monte Carlo execution path (see 'run --engine')",
-        fault_model="cell fault statistics (see 'run --fault-model')",
-    )
+    _add_exec_flags(report_cmd)
 
     schemes_cmd = sub.add_parser(
         "schemes", help="catalogue every evaluated scheme configuration"
     )
     schemes_cmd.set_defaults(handler=_cmd_schemes)
-    schemes_cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
+    _add_block_bits(schemes_cmd)
 
     serve_cmd = sub.add_parser(
         "serve-bench",
@@ -156,35 +269,20 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--shards", type=int, default=4, help="independent arrays")
     _add_exec_flags(
         serve_cmd,
-        workers="worker processes (default: all cores; never changes the numbers)",
         engine="write-drain path: 'auto' (default) services each buffer "
         "drain as one numpy batch whenever the scheme has a service "
         "kernel, 'scalar' walks it row by row; snapshots, traces and "
         "telemetry are bit-identical either way",
-        fault_model="cell fault statistics the arrays wear under "
-        "(see 'run --fault-model' and docs/fault_models.md)",
     )
-    serve_cmd.add_argument(
-        "--policy",
-        choices=("fixed", "adaptive"),
-        default="fixed",
-        help="per-block scheme policy: 'adaptive' lets the policy engine "
-        "re-encode worn blocks onto stronger schemes "
-        "(policy_switches_total{from,to} in the metrics export)",
-    )
-    serve_cmd.add_argument("--addresses", type=int, default=64, help="addresses per shard")
-    serve_cmd.add_argument("--spares", type=int, default=16, help="spare blocks per shard")
-    serve_cmd.add_argument(
-        "--scheme",
-        choices=SERVICE_SCHEMES,
-        default="aegis-9x61",
-    )
-    serve_cmd.add_argument(
-        "--endurance", type=float, default=150.0,
-        help="mean cell endurance in writes (small, so wear-out happens in-run)",
+    _add_policy_flag(serve_cmd)
+    _add_service_flags(
+        serve_cmd,
+        unit="shard",
+        series_bucket=0,
+        series_help="op-clock bucket width for per-shard time series "
+        "(0 disables; implied 16 when --series is given)",
     )
     serve_cmd.add_argument("--read-fraction", type=float, default=0.25)
-    serve_cmd.add_argument("--buffer", type=int, default=8, help="write-buffer entries")
     serve_cmd.add_argument(
         "--snapshot-interval", type=int, default=2000,
         help="ops between periodic health-snapshot events (0 disables)",
@@ -194,40 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="migrate degraded blocks to spares before rewriting them",
     )
     serve_cmd.add_argument(
-        "--telemetry-jsonl", metavar="PATH", default=None,
-        help="write the merged event log + final snapshot as JSONL",
-    )
-    serve_cmd.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the deterministic snapshot as JSON",
-    )
-    serve_cmd.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="export sampled write-path span trees as JSONL "
-        "(bit-identical for every --workers value)",
-    )
-    serve_cmd.add_argument(
         "--trace-sample", type=int, default=100, metavar="N",
         help="trace every N-th operation (failed writes are always traced)",
-    )
-    serve_cmd.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="export the labeled metrics registry in Prometheus text format",
     )
     serve_cmd.add_argument(
         "--event-cap", type=int, default=None, metavar="N",
         help="event-log ring capacity (0 = unbounded; default 100000)",
     )
-    serve_cmd.add_argument(
-        "--series-bucket", type=int, default=0, metavar="OPS",
-        help="op-clock bucket width for per-shard time series "
-        "(0 disables; implied 16 when --series is given)",
-    )
-    serve_cmd.add_argument(
-        "--series", metavar="PATH", default=None,
-        help="export the merged time series plus default service SLO "
-        "verdicts as JSONL (the `repro obs-report --series` input)",
-    )
+    _add_export_flags(serve_cmd, "telemetry_jsonl", "json", "trace", "metrics", "series")
 
     obs_cmd = sub.add_parser(
         "obs-report",
@@ -242,14 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     obs_cmd.set_defaults(handler=_cmd_obs_report)
-    obs_cmd.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="trace JSONL (optional when --metrics is given)",
-    )
-    obs_cmd.add_argument("--metrics", metavar="PATH", default=None)
-    obs_cmd.add_argument(
-        "--series", metavar="PATH", default=None,
-        help="also fold a time-series/SLO JSONL export into the report",
+    _add_export_flags(
+        obs_cmd,
+        trace="trace JSONL (optional when --metrics is given)",
+        metrics="Prometheus text exposition file",
+        series="also fold a time-series/SLO JSONL export into the report",
     )
     obs_cmd.add_argument("--top", type=int, default=10, help="spans per ranking")
     obs_cmd.add_argument("--title", default="Observability report")
@@ -272,41 +341,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster_cmd.set_defaults(handler=_cmd_cluster_bench)
     cluster_cmd.add_argument("--ops", type=int, default=2000, help="total operations")
-    cluster_cmd.add_argument("--arrays", type=int, default=3, help="arrays in the cluster")
-    cluster_cmd.add_argument(
-        "--tenants", type=int, default=4,
-        help="tenant count (even indices interactive, odd bulk)",
-    )
-    _add_exec_flags(
-        cluster_cmd,
-        workers="workers for stream pre-generation (never changes the numbers)",
-        engine="write-drain path per array (results are bit-identical either way)",
-        fault_model="cell fault statistics every array wears under "
-        "(see 'run --fault-model' and docs/fault_models.md)",
-    )
-    cluster_cmd.add_argument(
-        "--policy",
-        choices=("fixed", "adaptive"),
-        default="fixed",
-        help="per-block scheme policy on every array ('adaptive' enables "
-        "the policy engine; digests stay engine/worker invariant)",
-    )
-    cluster_cmd.add_argument("--scheme", choices=SERVICE_SCHEMES, default="aegis-9x61")
+    _add_tenant_flags(cluster_cmd)
+    _add_exec_flags(cluster_cmd)
+    _add_policy_flag(cluster_cmd)
     cluster_cmd.add_argument(
         "--tenant-addresses", type=int, default=32, help="address space per tenant"
     )
-    cluster_cmd.add_argument(
-        "--addresses", type=int, default=64, help="logical addresses per array"
+    _add_service_flags(
+        cluster_cmd,
+        unit="array",
+        series_bucket=None,
+        series_help="op-clock bucket width for the cluster time series "
+        "(default: the maintenance interval; 0 disables series and SLOs)",
     )
-    cluster_cmd.add_argument("--spares", type=int, default=16, help="spare blocks per array")
-    cluster_cmd.add_argument("--buffer", type=int, default=8, help="write-buffer entries")
     cluster_cmd.add_argument(
         "--watermark", type=float, default=0.75,
         help="buffer occupancy fraction closing bulk admission",
-    )
-    cluster_cmd.add_argument(
-        "--endurance", type=float, default=150.0,
-        help="mean cell endurance in writes (small, so wear-out happens in-run)",
     )
     cluster_cmd.add_argument(
         "--degrade-at", type=int, default=0, metavar="STEP",
@@ -323,33 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--maintenance-interval", type=int, default=16, metavar="STEPS",
         help="schedule steps between control-plane passes",
     )
-    cluster_cmd.add_argument(
-        "--series-bucket", type=int, default=None, metavar="OPS",
-        help="op-clock bucket width for the cluster time series "
-        "(default: the maintenance interval; 0 disables series and SLOs)",
-    )
-    cluster_cmd.add_argument(
-        "--series", metavar="PATH", default=None,
-        help="export the time series plus SLO verdicts/alerts as JSONL "
-        "(the `repro obs-report --series` input)",
-    )
-    cluster_cmd.add_argument(
-        "--check", action="store_true",
-        help="re-run with different workers and the flipped engine and "
-        "fail unless both digests are bit-identical (CI smoke mode)",
-    )
-    cluster_cmd.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the deterministic snapshot as JSON",
-    )
-    cluster_cmd.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="export the labeled metrics registry in Prometheus text format",
-    )
-    cluster_cmd.add_argument(
-        "--telemetry-jsonl", metavar="PATH", default=None,
-        help="write the merged event log + final snapshot as JSONL",
-    )
+    _add_check_flag(cluster_cmd, "a different worker count")
+    _add_export_flags(cluster_cmd, "series", "json", "metrics", "telemetry_jsonl")
 
     fleet_cmd = sub.add_parser(
         "fleet-bench",
@@ -373,20 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pages", type=int, default=256, help="pages per scheme"
     )
     fleet_cmd.add_argument("--blocks", type=int, default=8, help="blocks per page")
-    fleet_cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
+    _add_block_bits(fleet_cmd)
     fleet_cmd.add_argument(
         "--chunk-pages", type=int, default=64,
         help="pages per worker chunk (bigger chunks amortise the shard "
         "overhead: the shard is constant-size, so the IPC reduction "
         "ratio scales with this)",
     )
-    _add_exec_flags(
-        fleet_cmd,
-        workers="worker processes (never changes the campaign digest)",
-        engine="simulation path per chunk (digest-identical either way)",
-        fault_model="cell fault statistics the campaign ages under "
-        "(see 'run --fault-model' and docs/fault_models.md)",
-    )
+    _add_exec_flags(fleet_cmd)
     fleet_cmd.add_argument(
         "--wear-policy",
         default="perfect",
@@ -433,24 +452,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "(0 disables; the CI crash drill — resume afterwards and the "
         "digest must match an uninterrupted run)",
     )
-    fleet_cmd.add_argument(
-        "--check", action="store_true",
-        help="re-run with workers 2 and 4 and the flipped engine and fail "
-        "unless every campaign digest is bit-identical (CI smoke mode)",
-    )
-    fleet_cmd.add_argument(
-        "--series", metavar="PATH", default=None,
-        help="export the retention time series plus SLO verdicts/alerts "
-        "as JSONL (the `repro obs-report --series` input)",
-    )
-    fleet_cmd.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the campaign report (digest, per-scheme rows, IPC "
+    _add_check_flag(fleet_cmd, "workers 2 and 4")
+    _add_export_flags(
+        fleet_cmd,
+        "series",
+        "metrics",
+        json="write the campaign report (digest, per-scheme rows, IPC "
         "accounting) as JSON",
-    )
-    fleet_cmd.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="export the campaign metrics registry in Prometheus text format",
     )
 
     serve_front = sub.add_parser(
@@ -469,17 +477,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_front.add_argument(
         "--port", type=int, default=0, help="0 picks a free port (printed on start)"
     )
-    serve_front.add_argument("--arrays", type=int, default=3)
-    serve_front.add_argument("--tenants", type=int, default=4)
-    serve_front.add_argument("--scheme", choices=SERVICE_SCHEMES, default="aegis-9x61")
-    serve_front.add_argument("--addresses", type=int, default=64)
-    serve_front.add_argument("--spares", type=int, default=16)
-    serve_front.add_argument("--buffer", type=int, default=8)
+    _add_tenant_flags(serve_front)
     serve_front.add_argument("--seed", type=int, default=2013)
-    serve_front.add_argument("--endurance", type=float, default=150.0)
-    serve_front.add_argument(
-        "--series-bucket", type=int, default=16, metavar="OPS",
-        help="op-clock bucket width for the cluster time series feeding "
+    _add_service_flags(
+        serve_front,
+        unit="array",
+        series_bucket=16,
+        series_help="op-clock bucket width for the cluster time series feeding "
         "`stats`/`watch` and the SLO-driven control plane (0 disables)",
     )
     serve_front.add_argument(
@@ -503,11 +507,9 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import json
-
     from repro.experiments import all_experiment_ids, run_experiment
-    from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
-    from repro.sim.context import ExecContext
+    from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
+    from repro.obs import set_metrics, set_tracer
 
     wanted = args.experiments
     if wanted == ["all"]:
@@ -517,12 +519,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # same-named CLI flag) reaches every driver through this ctx; tracing
     # and metrics go through the process-global sinks below
     ctx = ExecContext.from_args(args)
-    tracer = Tracer() if args.trace else None
-    registry = MetricsRegistry() if args.metrics else None
-    if tracer is not None:
-        set_tracer(tracer)
-    if registry is not None:
-        set_metrics(registry)
+    if args.trace:
+        set_tracer(Tracer())
+    if args.metrics:
+        set_metrics(MetricsRegistry())
     results = []
     for experiment_id in wanted:
         start = time.time()
@@ -540,16 +540,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if chart is not None:
                 print(chart)
         print(f"[{experiment_id} in {time.time() - start:.1f}s]\n")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump([r.to_dict() for r in results], handle, indent=2)
-        print(f"wrote {len(results)} result(s) to {args.json}")
-    if tracer is not None:
-        lines = tracer.write_jsonl(args.trace)
-        print(f"wrote {lines} trace line(s) to {args.trace}")
-    if registry is not None:
-        lines = registry.write_prometheus(args.metrics)
-        print(f"wrote {lines} metric line(s) to {args.metrics}")
+    _write_exports(
+        args,
+        json=lambda path: _write_json(path, [r.to_dict() for r in results], False),
+        trace=lambda path: get_tracer().write_jsonl(path),
+        metrics=lambda path: get_metrics().write_prometheus(path),
+    )
     return 0
 
 
@@ -611,7 +607,6 @@ def _cmd_check() -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import write_report
-    from repro.sim.context import ExecContext
 
     size = write_report(
         args.output,
@@ -635,7 +630,6 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
         no_protection_spec,
         variants_roster,
     )
-    from repro.util.tables import render_table
 
     n_bits = args.block_bits
     seen: dict[str, object] = {}
@@ -672,34 +666,23 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.fleet.campaign import fleet_spec
-    from repro.pcm.lifetime import NormalLifetime
     from repro.service import run_load
     from repro.service.telemetry import DEFAULT_EVENT_CAP
-    from repro.sim.context import ExecContext
-    from repro.util.tables import render_table
 
-    spec = fleet_spec(args.scheme)
+    spec, array_kwargs = _service_array(
+        args, series_bucket=args.series_bucket or (16 if args.series else 0)
+    )
     ctx = ExecContext.from_args(args)
     workload_params = {"alpha": args.alpha} if args.workload == "zipf" else None
-    series_bucket = args.series_bucket
-    if args.series and not series_bucket:
-        series_bucket = 16
     report = run_load(
         spec,
         ops=args.ops,
         seed=ctx.seed,
         shards=args.shards,
         workers=ctx.workers,
-        n_addresses=args.addresses,
-        spares=args.spares,
         workload=args.workload,
         workload_params=workload_params,
-        lifetime_model=NormalLifetime(mean_lifetime=args.endurance),
         read_fraction=args.read_fraction,
-        buffer_capacity=args.buffer,
         proactive_migration=args.proactive_migration,
         snapshot_interval=args.snapshot_interval,
         engine=ctx.engine,
@@ -707,7 +690,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         policy=args.policy,
         trace_sample=(args.trace_sample if args.trace else 0),
         event_cap=(args.event_cap if args.event_cap is not None else DEFAULT_EVENT_CAP),
-        series_bucket=series_bucket,
+        **array_kwargs,
     )
     snapshot = report.snapshot
     counters = snapshot["counters"]
@@ -742,60 +725,44 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         + ("ok" if failures == 0 else f"{failures} FAILURE(S)")
         + f" ({counters.get('integrity_checked', 0)} addresses audited)"
     )
-    if args.telemetry_jsonl:
-        lines = report.write_telemetry_jsonl(args.telemetry_jsonl)
-        print(f"wrote {lines} telemetry line(s) to {args.telemetry_jsonl}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-        print(f"wrote snapshot to {args.json}")
-    if args.trace:
-        lines = report.write_trace_jsonl(args.trace)
-        print(f"wrote {lines} trace line(s) to {args.trace}")
-    if args.metrics:
-        lines = report.write_metrics(args.metrics)
-        print(f"wrote {lines} metric line(s) to {args.metrics}")
-    if args.series:
-        from repro.obs.slo import default_service_slos, write_slo_jsonl
-
-        lines = write_slo_jsonl(
-            args.series, report.telemetry.timeseries, default_service_slos()
-        )
-        print(f"wrote {lines} series line(s) to {args.series}")
+    _write_exports(
+        args,
+        telemetry_jsonl=report.telemetry.write_jsonl,
+        json=lambda path: _write_json(path, snapshot),
+        trace=report.write_trace_jsonl,
+        metrics=report.telemetry.metrics.write_prometheus,
+        series=report.write_series_jsonl,
+    )
     return 1 if failures else 0
 
 
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    import json
-
     from repro.cluster import run_cluster_bench
-    from repro.fleet.campaign import fleet_spec
-    from repro.pcm.lifetime import NormalLifetime
-    from repro.sim.context import ExecContext
-    from repro.util.tables import render_table
 
-    spec = fleet_spec(args.scheme)
+    spec, array_kwargs = _service_array(args)
     ctx = ExecContext.from_args(args)
-    kwargs = dict(
-        ops=args.ops,
-        n_arrays=args.arrays,
-        tenants=args.tenants,
-        seed=ctx.seed,
-        tenant_addresses=args.tenant_addresses,
-        n_addresses=args.addresses,
-        spares=args.spares,
-        buffer_capacity=args.buffer,
-        bulk_watermark=args.watermark,
-        lifetime_model=NormalLifetime(mean_lifetime=args.endurance),
-        maintenance_interval=args.maintenance_interval,
-        degrade_at=args.degrade_at,
-        degrade_array=args.degrade_array,
-        degrade_threshold=args.degrade_threshold,
-        fault_model=args.fault_model,
-        policy=args.policy,
-        series_bucket=args.series_bucket,
-    )
-    report = run_cluster_bench(spec, engine=ctx.engine, workers=ctx.workers, **kwargs)
+
+    def run(run_ctx: ExecContext):
+        return run_cluster_bench(
+            spec,
+            engine=run_ctx.engine,
+            workers=run_ctx.workers,
+            ops=args.ops,
+            n_arrays=args.arrays,
+            tenants=args.tenants,
+            seed=ctx.seed,
+            tenant_addresses=args.tenant_addresses,
+            bulk_watermark=args.watermark,
+            maintenance_interval=args.maintenance_interval,
+            degrade_at=args.degrade_at,
+            degrade_array=args.degrade_array,
+            degrade_threshold=args.degrade_threshold,
+            fault_model=args.fault_model,
+            policy=args.policy,
+            **array_kwargs,
+        )
+
+    report = run(ctx)
     print(
         f"cluster-bench: {report.ops} ops over {args.arrays} array(s) / "
         f"{args.tenants} tenant(s) in {report.elapsed:.2f}s "
@@ -879,43 +846,22 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         + f" ({audit['checked']} keys checked, {audit['dead_keys']} dead, "
         f"{audit['retries']} backpressure retries)"
     )
-    failed = report.audit_failures > 0
-    if args.check:
-        alt_workers = 2 if (report.workers or 1) == 1 else 1
-        alt_engine = "auto" if ctx.engine == "scalar" else "scalar"
-        for label, check_kwargs in (
-            (f"workers={alt_workers}", dict(engine=ctx.engine, workers=alt_workers)),
-            (f"engine={alt_engine}", dict(engine=alt_engine, workers=ctx.workers)),
-        ):
-            other = run_cluster_bench(spec, **check_kwargs, **kwargs)
-            same = (
-                other.audit_digest == report.audit_digest
-                and other.snapshot_digest == report.snapshot_digest
-            )
-            print(f"determinism check [{label}]: {'ok' if same else 'MISMATCH'}")
-            failed = failed or not same
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.snapshot, handle, indent=2, sort_keys=True)
-        print(f"wrote snapshot to {args.json}")
-    if args.metrics:
-        lines = report.write_metrics(args.metrics)
-        print(f"wrote {lines} metric line(s) to {args.metrics}")
-    if args.telemetry_jsonl:
-        lines = report.write_telemetry_jsonl(args.telemetry_jsonl)
-        print(f"wrote {lines} telemetry line(s) to {args.telemetry_jsonl}")
-    if args.series:
-        lines = report.write_series_jsonl(args.series)
-        print(f"wrote {lines} series line(s) to {args.series}")
-    return 1 if failed else 0
+    digests = attrgetter("audit_digest", "snapshot_digest")
+    passed = not args.check or _determinism_drill(
+        ctx, run, digests, digests(report), (2 if (report.workers or 1) == 1 else 1,)
+    )
+    _write_exports(
+        args,
+        json=lambda path: _write_json(path, report.snapshot),
+        metrics=report.telemetry.metrics.write_prometheus,
+        telemetry_jsonl=report.telemetry.write_jsonl,
+        series=report.write_series_jsonl,
+    )
+    return 0 if passed and report.audit_failures == 0 else 1
 
 
 def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    import json
-
     from repro.fleet import CampaignSpec, run_campaign
-    from repro.sim.context import ExecContext
-    from repro.util.tables import render_table
 
     schemes = tuple(name.strip() for name in args.schemes.split(",") if name.strip())
     wear_policies = tuple(
@@ -985,30 +931,16 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
             title="## Fleet capacity retention (worker/engine invariant)",
         )
     )
-    failed = False
-    if args.check and report.completed:
-        alt_engine = "auto" if ctx.engine == "scalar" else "scalar"
-        drills = [
-            ("workers=2", ctx.with_options(workers=2)),
-            ("workers=4", ctx.with_options(workers=4)),
-            (f"engine={alt_engine}", ctx.with_options(engine=alt_engine)),
-        ]
-        for label, other_ctx in drills:
-            other = run_campaign(spec, other_ctx)
-            same = other.digest == report.digest
-            print(f"determinism check [{label}]: {'ok' if same else 'MISMATCH'}")
-            failed = failed or not same
-    if args.series:
-        lines = report.write_series(args.series)
-        print(f"wrote {lines} series line(s) to {args.series}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote campaign report to {args.json}")
-    if args.metrics:
-        lines = report.registry.write_prometheus(args.metrics)
-        print(f"wrote {lines} metric line(s) to {args.metrics}")
-    return 1 if failed else 0
+    passed = not (args.check and report.completed) or _determinism_drill(
+        ctx, partial(run_campaign, spec), attrgetter("digest"), report.digest, (2, 4)
+    )
+    _write_exports(
+        args,
+        series=report.write_series,
+        json=lambda path: _write_json(path, report.to_dict()),
+        metrics=report.registry.write_prometheus,
+    )
+    return 0 if passed else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1020,19 +952,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_tenants,
         loopback_selftest,
     )
-    from repro.fleet.campaign import fleet_spec
-    from repro.pcm.lifetime import NormalLifetime
 
-    cluster = ClusterService(
-        args.arrays,
-        fleet_spec(args.scheme),
-        n_addresses=args.addresses,
-        spares=args.spares,
-        seed=args.seed,
-        buffer_capacity=args.buffer,
-        lifetime_model=NormalLifetime(mean_lifetime=args.endurance),
-        series_bucket=args.series_bucket,
-    )
+    spec, array_kwargs = _service_array(args)
+    cluster = ClusterService(args.arrays, spec, seed=args.seed, **array_kwargs)
     for tenant in default_tenants(args.tenants):
         cluster.register_tenant(tenant)
     if args.selftest:
@@ -1070,24 +992,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs import render_obs_report, write_obs_report
+    from repro.obs import render_obs_report
 
     if args.trace is None and args.metrics is None and args.series is None:
         print("obs-report needs --trace, --metrics and/or --series", file=sys.stderr)
         return 2
+    text = render_obs_report(
+        args.trace, metrics_path=args.metrics,
+        series_path=args.series, top=args.top, title=args.title,
+    )
     if args.output:
-        write_obs_report(
-            args.output, args.trace, metrics_path=args.metrics,
-            series_path=args.series, top=args.top, title=args.title,
-        )
+        with open(args.output, "w") as handle:
+            handle.write(text)
         print(f"wrote observability report to {args.output}")
     else:
-        print(
-            render_obs_report(
-                args.trace, metrics_path=args.metrics,
-                series_path=args.series, top=args.top, title=args.title,
-            )
-        )
+        print(text)
     return 0
 
 

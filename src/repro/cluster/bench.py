@@ -147,13 +147,6 @@ class ClusterBenchReport:
     def ops_per_second(self) -> float:
         return self.ops / self.elapsed if self.elapsed > 0 else 0.0
 
-    def write_metrics(self, path: str) -> int:
-        """Export the labeled metrics (Prometheus text) for obs-report."""
-        return self.telemetry.metrics.write_prometheus(path)
-
-    def write_telemetry_jsonl(self, path: str) -> int:
-        return self.telemetry.write_jsonl(path)
-
     def write_series_jsonl(self, path: str) -> int:
         """Export the time series plus SLO verdicts and alerts as the
         ``repro obs-report --series`` JSONL input."""

@@ -666,19 +666,6 @@ class ClusterService:
             return None
         return self.slo_engine.evaluate()
 
-    def write_slo_jsonl(self, path: str) -> int:
-        """Export the time series + SLO verdicts + alerts as one JSONL
-        artifact (the ``repro obs-report --series`` input); returns the line count."""
-        if self.slo_engine is None:
-            raise ConfigurationError(
-                "time series were not recorded (pass series_bucket >= 1)"
-            )
-        from repro.obs.slo import write_slo_jsonl
-
-        return write_slo_jsonl(
-            path, self.slo_engine.recorder, self.slo_engine.specs
-        )
-
     def snapshot(self) -> dict:
         """The deterministic cluster state summary: per-tenant and
         per-array sections, the placement fingerprint, the SLO verdicts

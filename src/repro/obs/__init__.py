@@ -42,7 +42,7 @@ from repro.obs.metrics import (
     render_series,
     set_metrics,
 )
-from repro.obs.report import render_obs_report, write_obs_report
+from repro.obs.report import render_obs_report
 from repro.obs.slo import (
     AlertEvent,
     SLOEngine,
@@ -50,7 +50,6 @@ from repro.obs.slo import (
     default_cluster_slos,
     default_service_slos,
     parse_slo,
-    read_slo_jsonl,
     write_slo_jsonl,
 )
 from repro.obs.timeseries import TimeSeriesRecorder, read_series_jsonl
@@ -81,12 +80,10 @@ __all__ = [
     "parse_series",
     "parse_slo",
     "read_series_jsonl",
-    "read_slo_jsonl",
     "read_trace_jsonl",
     "render_obs_report",
     "render_series",
     "set_metrics",
     "set_tracer",
-    "write_obs_report",
     "write_slo_jsonl",
 ]

@@ -448,21 +448,3 @@ def render_obs_report(
     if series_path is not None:
         sections.extend(_series_sections(series_path, top))
     return "\n".join(sections).rstrip() + "\n"
-
-
-def write_obs_report(
-    output_path: str,
-    trace_path: str | None,
-    metrics_path: str | None = None,
-    *,
-    series_path: str | None = None,
-    top: int = 10,
-    title: str = "Observability report",
-) -> int:
-    """Write the rendered report to ``output_path``; returns its size."""
-    text = render_obs_report(
-        trace_path, metrics_path, series_path=series_path, top=top, title=title
-    )
-    with open(output_path, "w") as handle:
-        handle.write(text)
-    return len(text)

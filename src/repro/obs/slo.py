@@ -48,7 +48,6 @@ __all__ = [
     "default_cluster_slos",
     "default_service_slos",
     "parse_slo",
-    "read_slo_jsonl",
     "write_slo_jsonl",
 ]
 
@@ -494,11 +493,3 @@ def write_slo_jsonl(
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return len(records)
-
-
-def read_slo_jsonl(path: str) -> dict:
-    """Read a :func:`write_slo_jsonl` artifact (alias of the series
-    reader — slo/alert records are recognized there)."""
-    from repro.obs.timeseries import read_series_jsonl
-
-    return read_series_jsonl(path)

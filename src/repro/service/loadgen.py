@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.slo import SLOSpec, default_service_slos, write_slo_jsonl
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import NullTracer, Tracer
 from repro.pcm.faults import fault_model_for
@@ -231,14 +232,12 @@ class LoadReport:
     snapshot: dict
     telemetry: ServiceTelemetry
     per_shard: list[dict] = field(default_factory=list)
+    #: the SLO roster the ``--series`` export evaluates (empty when series off)
+    slos: tuple[SLOSpec, ...] = ()
 
     @property
     def ops_per_second(self) -> float:
         return self.ops / self.elapsed if self.elapsed > 0 else 0.0
-
-    def write_telemetry_jsonl(self, path: str) -> int:
-        """Export the merged event log + final snapshot as JSONL."""
-        return self.telemetry.write_jsonl(path)
 
     def write_trace_jsonl(self, path: str) -> int:
         """Export the merged span trees + trace snapshot as JSONL (the
@@ -251,19 +250,17 @@ class LoadReport:
         assert isinstance(tracer, Tracer)
         return tracer.write_jsonl(path)
 
-    def write_metrics(self, path: str) -> int:
-        """Export the labeled metrics registry in Prometheus text format."""
-        return self.telemetry.metrics.write_prometheus(path)
-
     def write_series_jsonl(self, path: str) -> int:
-        """Export the merged op-clock time series as JSONL (requires the
-        run to have sampled, i.e. ``series_bucket >= 1``)."""
+        """Export the merged op-clock time series plus the verdicts and
+        alerts of :attr:`slos` as JSONL, the ``repro obs-report --series``
+        input (requires the run to have sampled, i.e.
+        ``series_bucket >= 1``)."""
         recorder = self.telemetry.timeseries
         if recorder is None:
             raise ConfigurationError(
                 "time series were not recorded for this run (pass series_bucket >= 1)"
             )
-        return recorder.write_jsonl(path)
+        return write_slo_jsonl(path, recorder, self.slos)
 
 
 def _merge_capacity(capacities: list[dict]) -> dict:
@@ -319,7 +316,8 @@ def run_load(
     N-op op-clock buckets after every drain (see
     :mod:`repro.obs.timeseries`); the merged series lands in the
     snapshot's ``timeseries`` block and is exactly as worker/engine
-    invariant as the rest.
+    invariant as the rest, and :meth:`LoadReport.write_series_jsonl`
+    exports it with the verdicts of :func:`default_service_slos`.
     """
     if ops < 1:
         raise ConfigurationError("a load run needs at least one op")
@@ -395,6 +393,7 @@ def run_load(
         elapsed=elapsed,
         snapshot=snapshot,
         telemetry=merged,
+        slos=default_service_slos() if series_bucket else (),
         per_shard=[
             {
                 "shard": result.shard_index,

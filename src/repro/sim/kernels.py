@@ -4,11 +4,10 @@ The scalar engines in :mod:`repro.sim.block_sim` (fault counts) and
 :mod:`repro.sim.page_sim` (lifetimes) walk one trial and one fault
 arrival at a time through Python-level
 :meth:`~repro.sim.checkers.BlockChecker.add_fault` calls.  For the
-*static* schemes — plain Aegis, SAFER, Hamming and the unprotected
-baseline, whose survival is a pure set property of the fault
-locations — the per-arrival state update is a handful of integer
-operations, so an entire ``(trials, n_bits)`` block population can be
-advanced in lock step with numpy: one fancy-indexed collision-ROM lookup,
+*static* schemes plain Aegis and SAFER, whose survival is a pure set
+property of the fault locations, the per-arrival state update is a
+handful of integer operations, so an entire ``(trials, n_bits)`` block
+population can be advanced in lock step with numpy: one fancy-indexed collision-ROM lookup,
 one poisoned-slope bitset OR, one partition-vector extension per step,
 for *all* trials at once.
 
@@ -41,9 +40,10 @@ Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
 its ``kernel`` tag; :func:`resolve_engine` maps the public
 ``engine="auto"|"scalar"`` switch to the path actually taken.
 Sampled (data-dependent) schemes — Aegis-rw variants, SAFER-cache,
-RDIS — carry no tag and always take the scalar path.  So does ECP: its
-checker is one counter compare per arrival, and the scalar page loop
-beats a lock-step kernel on every page-study call shape.
+RDIS — carry no tag and always take the scalar path.  So do ECP,
+Hamming and the unprotected baseline: their checkers are one counter
+compare or one word lookup per arrival, and the scalar page loop beats
+a lock-step kernel on every page-study call shape.
 """
 
 from __future__ import annotations
@@ -171,9 +171,6 @@ class _BatchChecker:
     offsets and must not change state.
     """
 
-    #: subclasses that never look back at earlier arrivals skip the buffer
-    needs_history = False
-
     #: extra per-trial state arrays sliced on row compaction
     _row_state: tuple[str, ...] = ()
 
@@ -181,9 +178,8 @@ class _BatchChecker:
         self.n_bits = n_bits
         self.n_trials = n_trials
         self.alive = np.ones(n_trials, dtype=bool)
-        self._hist = (
-            np.empty((n_trials, 16), dtype=np.int64) if self.needs_history else None
-        )
+        #: every arrival so far, one column per arrival (grown by doubling)
+        self._hist = np.empty((n_trials, 16), dtype=np.int64)
         self._count = 0
 
     def compact(self, keep: np.ndarray) -> None:
@@ -195,20 +191,18 @@ class _BatchChecker:
         """
         self.n_trials = int(keep.sum())
         self.alive = self.alive[keep]
-        if self._hist is not None:
-            self._hist = np.ascontiguousarray(self._hist[keep])
+        self._hist = np.ascontiguousarray(self._hist[keep])
         for name in self._row_state:
             setattr(self, name, getattr(self, name)[keep])
 
     def _push(self, offsets: np.ndarray) -> int:
         """Record the new arrival column; returns the count of *prior* faults."""
         prior = self._count
-        if self._hist is not None:
-            if prior == self._hist.shape[1]:
-                grown = np.empty((self.n_trials, 2 * prior), dtype=np.int64)
-                grown[:, :prior] = self._hist
-                self._hist = grown
-            self._hist[:, prior] = offsets
+        if prior == self._hist.shape[1]:
+            grown = np.empty((self.n_trials, 2 * prior), dtype=np.int64)
+            grown[:, :prior] = self._hist
+            self._hist = grown
+        self._hist[:, prior] = offsets
         self._count = prior + 1
         return prior
 
@@ -235,7 +229,6 @@ class _AegisBatch(_BatchChecker):
     uint64 bitset and the block dies when all ``B`` bits are set.
     """
 
-    needs_history = True
     _row_state = ("poisoned",)
 
     def __init__(self, a_size: int, b_size: int, n_bits: int, n_trials: int) -> None:
@@ -286,35 +279,6 @@ class _AegisBatch(_BatchChecker):
         return self._members[slope, self._part[slope, offsets]]
 
 
-class _NoneBatch(_BatchChecker):
-    """The unprotected baseline: the first fault is fatal."""
-
-    def add_faults(self, offsets: np.ndarray, active: np.ndarray) -> np.ndarray:
-        self.alive &= ~active
-        return self.alive
-
-
-class _HammingBatch(_BatchChecker):
-    """Vectorized :class:`~repro.sim.checkers.HammingChecker`: a trial
-    dies when two faults land in one SEC-DED word.  (The scalar checker
-    is filed with the sampled family but never draws — word collocation
-    alone decides death.)"""
-
-    needs_history = True
-
-    def __init__(self, word_bits: int, n_bits: int, n_trials: int) -> None:
-        super().__init__(n_bits, n_trials)
-        self.word_bits = word_bits
-
-    def add_faults(self, offsets: np.ndarray, active: np.ndarray) -> np.ndarray:
-        prior = self._push(offsets)
-        if prior:
-            words = self._hist[:, :prior] // self.word_bits
-            collide = (words == (offsets // self.word_bits)[:, None]).any(axis=1)
-            self.alive &= ~(active & collide)
-        return self.alive
-
-
 class _SaferIncrementalBatch(_BatchChecker):
     """Vectorized :class:`~repro.sim.checkers.SaferIncrementalChecker`.
 
@@ -331,7 +295,6 @@ class _SaferIncrementalBatch(_BatchChecker):
       address bit; one extension resolves the collision.
     """
 
-    needs_history = True
     _row_state = ("sel_mask", "n_sel")
 
     def __init__(self, group_count: int, n_bits: int, n_trials: int) -> None:
@@ -368,7 +331,6 @@ class _SaferExhaustiveBatch(_BatchChecker):
     vector; a vector dies when the new fault equals an earlier fault
     under it, the trial dies when its row empties."""
 
-    needs_history = True
     _row_state = ("alive_vectors",)
 
     def __init__(self, group_count: int, n_bits: int, n_trials: int) -> None:
@@ -411,8 +373,6 @@ _BUILDERS = {
     "safer-exhaustive": lambda tag, n_bits, n_trials: _SaferExhaustiveBatch(
         tag[1], n_bits, n_trials
     ),
-    "hamming": lambda tag, n_bits, n_trials: _HammingBatch(tag[1], n_bits, n_trials),
-    "none": lambda tag, n_bits, n_trials: _NoneBatch(n_bits, n_trials),
 }
 
 

@@ -298,7 +298,6 @@ def hamming_spec(n_bits: int) -> SchemeSpec:
         make_checker=partial(_hamming_checker, n_bits),
         make_controller=_hamming_controller,
         inversion_wear=False,
-        kernel=("hamming", 64),
     )
 
 
@@ -311,7 +310,6 @@ def no_protection_spec(n_bits: int) -> SchemeSpec:
         make_checker=_no_protection_checker,
         make_controller=_no_protection_controller,
         inversion_wear=False,
-        kernel=("none",),
     )
 
 

@@ -4,28 +4,22 @@ from repro.util.bitops import (
     bits_to_int,
     ceil_log2,
     int_to_bits,
-    mask_from_offsets,
     offsets_from_mask,
-    popcount,
 )
 from repro.util.primes import is_prime, mod_inverse, next_prime
-from repro.util.stats import MeanEstimate, half_life, mean_ci, survival_curve
+from repro.util.stats import MeanEstimate, mean_ci
 from repro.util.tables import render_series, render_table
 
 __all__ = [
     "MeanEstimate",
     "bits_to_int",
     "ceil_log2",
-    "half_life",
     "int_to_bits",
     "is_prime",
-    "mask_from_offsets",
     "mean_ci",
     "mod_inverse",
     "next_prime",
     "offsets_from_mask",
-    "popcount",
     "render_series",
     "render_table",
-    "survival_curve",
 ]

@@ -14,8 +14,6 @@ tricks the schemes need.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 
@@ -49,14 +47,6 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     )
 
 
-def mask_from_offsets(offsets: Iterable[int]) -> int:
-    """Build an int bit-mask with the given bit offsets set."""
-    mask = 0
-    for offset in offsets:
-        mask |= 1 << offset
-    return mask
-
-
 def offsets_from_mask(mask: int) -> list[int]:
     """Return the sorted list of set-bit offsets of an int bit-mask.
 
@@ -71,28 +61,6 @@ def offsets_from_mask(mask: int) -> list[int]:
         mask >>= 1
         index += 1
     return offsets
-
-
-def popcount(mask: int) -> int:
-    """Number of set bits in an int bit-mask."""
-    return mask.bit_count()
-
-
-def random_bits(rng: np.random.Generator, width: int) -> np.ndarray:
-    """Draw ``width`` independent uniform 0/1 values as a ``uint8`` array."""
-    return rng.integers(0, 2, size=width, dtype=np.uint8)
-
-
-def invert_bits(bits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Return ``bits`` with positions selected by the 0/1 ``mask`` flipped."""
-    return np.bitwise_xor(bits, mask)
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of positions at which two equal-length bit arrays differ."""
-    if a.shape != b.shape:
-        raise ValueError("bit arrays must have identical shapes")
-    return int(np.count_nonzero(a != b))
 
 
 def ceil_log2(n: int) -> int:

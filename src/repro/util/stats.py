@@ -1,9 +1,9 @@
 """Small statistics helpers for Monte Carlo result reporting.
 
 The experiment drivers report sample means with normal-approximation
-confidence intervals and empirical survival curves.  Everything here is a
-thin, well-tested wrapper over numpy so the experiment modules stay
-readable.
+confidence intervals, batch (:func:`mean_ci`) or streamed
+(:class:`RunningMean`).  Survival curves live in
+:class:`repro.sim.survival.SurvivalCurve`.
 """
 
 from __future__ import annotations
@@ -145,31 +145,3 @@ class RunningMean:
             return MeanEstimate(mean=self._mean, half_width=math.inf, n=1)
         sem = math.sqrt(self.variance / self.n)
         return MeanEstimate(mean=self._mean, half_width=z * sem, n=self.n)
-
-
-def survival_curve(death_times: np.ndarray | list[float], grid: np.ndarray) -> np.ndarray:
-    """Empirical survival fraction ``P(T > t)`` evaluated on ``grid``.
-
-    ``death_times`` are the per-individual failure times; the result has one
-    entry per grid point giving the fraction of the population still alive.
-    """
-    deaths = np.sort(np.asarray(death_times, dtype=np.float64))
-    grid = np.asarray(grid, dtype=np.float64)
-    dead_counts = np.searchsorted(deaths, grid, side="right")
-    return 1.0 - dead_counts / deaths.size
-
-
-def half_life(death_times: np.ndarray | list[float]) -> float:
-    """Time by which half the population has died (the paper's *half lifetime*)."""
-    deaths = np.asarray(death_times, dtype=np.float64)
-    if deaths.size == 0:
-        raise ValueError("cannot compute a half life from zero samples")
-    return float(np.median(deaths))
-
-
-def geometric_mean(values: np.ndarray | list[float]) -> float:
-    """Geometric mean of strictly positive values."""
-    data = np.asarray(values, dtype=np.float64)
-    if np.any(data <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(data))))

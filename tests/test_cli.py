@@ -296,3 +296,70 @@ class TestExportDigests:
                 data = json.dumps(doc, indent=2, sort_keys=True).encode()
             digests[flag] = hashlib.sha256(data).hexdigest()
         assert digests == expected
+
+
+class TestDeterminismDrill:
+    def test_reruns_other_workers_then_the_flipped_engine(self, capsys):
+        from repro.cli import _determinism_drill
+        from repro.sim.context import ExecContext
+
+        seen = []
+
+        def rerun(ctx):
+            seen.append((ctx.workers, ctx.engine))
+            return "digest"
+
+        ctx = ExecContext(workers=1, engine="auto")
+        assert _determinism_drill(ctx, rerun, str, "digest", (2, 4))
+        assert seen == [(2, "auto"), (4, "auto"), (1, "scalar")]
+        assert capsys.readouterr().out.count("]: ok") == 3
+
+    def test_any_mismatch_fails_the_drill(self, capsys):
+        from repro.cli import _determinism_drill
+        from repro.sim.context import ExecContext
+
+        ctx = ExecContext(workers=2, engine="scalar")
+        rerun = lambda other: other.engine  # noqa: E731
+        assert not _determinism_drill(ctx, rerun, str, "scalar", (1,))
+        out = capsys.readouterr().out
+        assert "determinism check [workers=1]: ok" in out
+        assert "determinism check [engine=auto]: MISMATCH" in out
+
+    def _tamper_reruns(self, monkeypatch, module, name, field):
+        """Make every re-run after the first report a different digest."""
+        real = getattr(module, name)
+        calls = []
+
+        def tampered(*args, **kwargs):
+            report = real(*args, **kwargs)
+            calls.append(report)
+            if len(calls) > 1:
+                setattr(report, field, "0" * 64)
+            return report
+
+        monkeypatch.setattr(module, name, tampered)
+        return calls
+
+    def test_cluster_bench_check_fails_on_a_digest_mismatch(self, monkeypatch, capsys):
+        import repro.cluster
+
+        argv = ["cluster-bench", "--ops", "200", "--workers", "1", "--check"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("]: ok") == 2
+        calls = self._tamper_reruns(monkeypatch, repro.cluster, "run_cluster_bench",
+                                    "audit_digest")
+        assert main(argv) == 1
+        assert len(calls) == 3
+        assert capsys.readouterr().out.count("MISMATCH") == 2
+
+    def test_fleet_bench_check_fails_on_a_digest_mismatch(self, monkeypatch, capsys):
+        import repro.fleet
+
+        argv = ["fleet-bench", "--pages", "8", "--blocks", "2", "--chunk-pages", "4",
+                "--schemes", "ecp6", "--workers", "1", "--check"]
+        calls = self._tamper_reruns(monkeypatch, repro.fleet, "run_campaign", "digest")
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert len(calls) == 4
+        for label in ("workers=2", "workers=4", "engine=scalar"):
+            assert f"determinism check [{label}]: MISMATCH" in out

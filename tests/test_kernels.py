@@ -50,18 +50,22 @@ KERNEL_SPECS = [
     aegis_spec(9, 31, 256),
     safer_spec(64, 512),
     safer_spec(32, 512, policy="exhaustive"),
+]
+
+#: static schemes with no kernel (ECP, Hamming, no protection): their
+#: scalar loop outruns a lock-step batch
+STATIC_SCALAR_SPECS = [
+    ecp_spec(6, 512),
+    ecp_spec(2, 256),
     hamming_spec(512),
     no_protection_spec(512),
 ]
 
-#: ECP has no kernel: its scalar loop outruns a lock-step batch
-ECP_SPECS = [ecp_spec(6, 512), ecp_spec(2, 256)]
-
 #: schemes no kernel covers: sampled/stateful checkers, out-of-range
-#: Aegis, and ECP
+#: Aegis, and the static schemes above
 FALLBACK_SPECS = [
     aegis_spec(8, 71, 512),  # 71 slopes exceed the uint64 poisoned bitset
-    *ECP_SPECS,
+    *STATIC_SCALAR_SPECS,
     aegis_rw_spec(9, 61, 512),
     aegis_rw_spec(8, 71, 512),
     aegis_rw_p_spec(9, 61, 9, 512),
@@ -71,8 +75,8 @@ FALLBACK_SPECS = [
 ]
 
 #: the engine switch must stay bit-identical on these end to end: every
-#: kernel family, plus the Fig. 5 roster's kernel-less ECP rows
-ENGINE_SPECS = KERNEL_SPECS + ECP_SPECS
+#: kernel family, plus the kernel-less static schemes
+ENGINE_SPECS = KERNEL_SPECS + STATIC_SCALAR_SPECS
 
 _IDS = lambda s: s.key  # noqa: E731
 
@@ -243,7 +247,6 @@ class TestCompaction:
             aegis_spec(9, 61, 512),
             safer_spec(64, 512),
             safer_spec(32, 512, policy="exhaustive"),
-            hamming_spec(512),
         ],
         ids=_IDS,
     )

@@ -262,7 +262,7 @@ class TestServiceObservability:
             trace = tmp_path / f"trace_w{workers}.jsonl"
             metrics = tmp_path / f"metrics_w{workers}.prom"
             report.write_trace_jsonl(str(trace))
-            report.write_metrics(str(metrics))
+            report.telemetry.metrics.write_prometheus(str(metrics))
             artifacts[workers] = (trace.read_bytes(), metrics.read_bytes())
         assert artifacts[1] == artifacts[4]
 
@@ -325,7 +325,7 @@ class TestObsReport:
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.prom"
         report.write_trace_jsonl(str(trace))
-        report.write_metrics(str(metrics))
+        report.telemetry.metrics.write_prometheus(str(metrics))
         text = render_obs_report(str(trace), metrics_path=str(metrics), top=5)
         assert "## Stage-cost breakdown per scheme" in text
         assert "differential_write" in text

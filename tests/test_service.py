@@ -495,7 +495,7 @@ class TestLoadGenerator:
             snapshot_interval=20,
         )
         path = tmp_path / "telemetry.jsonl"
-        lines = report.write_telemetry_jsonl(str(path))
+        lines = report.telemetry.write_jsonl(str(path))
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == lines
         assert records[-1]["event"] == "final_snapshot"

@@ -10,7 +10,7 @@ across worker counts and drain engines.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, TimeSeriesRecorder
+from repro.obs import MetricsRegistry, TimeSeriesRecorder, read_series_jsonl
 from repro.obs.report import render_obs_report
 from repro.obs.slo import (
     SLOEngine,
@@ -18,7 +18,6 @@ from repro.obs.slo import (
     default_cluster_slos,
     default_service_slos,
     parse_slo,
-    read_slo_jsonl,
     write_slo_jsonl,
 )
 from repro.cluster.bench import run_cluster_bench
@@ -279,7 +278,7 @@ class TestDegradeDrill:
         report = drill_reports[(1, "auto")]
         path = tmp_path / "series.jsonl"
         report.write_series_jsonl(str(path))
-        data = read_slo_jsonl(str(path))
+        data = read_series_jsonl(str(path))
         assert any(slo["name"] == "degrade_burst" for slo in data["slos"])
         assert any(alert["slo"] == "degrade_burst" for alert in data["alerts"])
         rendered = render_obs_report(None, series_path=str(path), title="Drill")
@@ -317,7 +316,7 @@ class TestSLOExport:
         )
         path = tmp_path / "slo.jsonl"
         lines = write_slo_jsonl(str(path), recorder, (spec,))
-        data = read_slo_jsonl(str(path))
+        data = read_series_jsonl(str(path))
         assert lines == len(data["series"]) + len(data["slos"]) + len(
             data["alerts"]
         ) + 1

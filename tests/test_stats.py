@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.util.stats import (
-    RunningMean,
-    geometric_mean,
-    half_life,
-    mean_ci,
-    survival_curve,
-)
+from repro.util.stats import RunningMean, mean_ci
 
 
 class TestMeanCi:
@@ -46,20 +40,6 @@ class TestMeanCi:
     def test_confidence_levels_ordered(self):
         data = [1.0, 2.0, 3.0, 4.0, 5.0]
         assert mean_ci(data, 0.90).half_width < mean_ci(data, 0.99).half_width
-
-
-class TestSurvival:
-    def test_survival_curve(self):
-        deaths = [1.0, 2.0, 3.0, 4.0]
-        grid = np.array([0.0, 1.5, 2.5, 10.0])
-        assert survival_curve(deaths, grid).tolist() == [1.0, 0.75, 0.5, 0.0]
-
-    def test_half_life(self):
-        assert half_life([1, 2, 3, 4, 100]) == 3
-
-    def test_half_life_empty(self):
-        with pytest.raises(ValueError):
-            half_life([])
 
 
 class TestRunningMean:
@@ -110,11 +90,3 @@ class TestRunningMean:
         assert acc.variance == pytest.approx(0.0, abs=1e-15)
         assert acc.estimate().half_width == pytest.approx(0.0, abs=1e-12)
 
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
