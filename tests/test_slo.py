@@ -27,8 +27,9 @@ from repro.sim.roster import aegis_spec
 
 class TestSpecGrammar:
     def test_ratio_spec(self):
-        spec = parse_slo(
-            "write_loss: writes_total{outcome=lost} / writes_total < 0.001"
+        spec = SLOSpec.ratio(
+            "write_loss", "writes_total{outcome=lost}", "writes_total",
+            objective=0.001,
         )
         assert spec.name == "write_loss"
         assert spec.kind == "ratio"
@@ -37,14 +38,18 @@ class TestSpecGrammar:
         assert spec.objective == 0.001
 
     def test_quantile_spec(self):
-        spec = parse_slo("p99(stage_cost{stage=drain}) < 640")
+        spec = SLOSpec.quantile(
+            "drain_p99", "stage_cost{stage=drain}", q=0.99, bound=640
+        )
         assert spec.kind == "quantile"
         assert spec.q == 0.99
         assert spec.bound == 640
         assert spec.objective == pytest.approx(0.01)
 
     def test_retention_spec(self):
-        spec = parse_slo("capacity_retention{scope=cluster} >= 0.9")
+        spec = SLOSpec.retention(
+            "capacity", "capacity_retention{scope=cluster}", minimum=0.9
+        )
         assert spec.kind == "retention"
         assert spec.bound == 0.9
 
@@ -61,7 +66,13 @@ class TestSpecGrammar:
         with pytest.raises(ConfigurationError):
             SLOSpec.ratio("x", bad="a", total="b", objective=2.0)
         with pytest.raises(ConfigurationError):
+            SLOSpec.ratio("x", bad="a", total="b", objective=0.0)
+        with pytest.raises(ConfigurationError):
             SLOSpec.quantile("x", series="s", q=1.5, bound=10)
+        with pytest.raises(ConfigurationError):
+            SLOSpec.quantile("x", series="s", q=2.0, bound=5)
+        with pytest.raises(ConfigurationError):
+            SLOSpec.retention("x", series="s", minimum=-1.0)
 
     def test_default_rosters(self):
         service = default_service_slos()
@@ -143,7 +154,10 @@ class TestBurnMath:
 
     def test_duplicate_names_rejected(self):
         recorder = TimeSeriesRecorder(MetricsRegistry(), bucket_width=10)
-        specs = (parse_slo("a: x / y < 0.1"), parse_slo("a: z / y < 0.1"))
+        specs = (
+            SLOSpec.ratio("a", "x", "y", objective=0.1),
+            SLOSpec.ratio("a", "z", "y", objective=0.1),
+        )
         with pytest.raises(ConfigurationError):
             SLOEngine(recorder, specs)
 
@@ -199,6 +213,49 @@ class TestPoll:
         registry.inc("ops_total", 10)
         recorder.sample(25)
         assert engine.active_actions() == frozenset()
+
+    def test_polling_every_sample_matches_evaluate(self):
+        """poll() after every sample of a multi-burst run yields exactly
+        the rising edges a one-shot evaluate() reports over the window."""
+        specs = (
+            SLOSpec.ratio(
+                "loss", bad="bad_total", total="ops_total", objective=0.1,
+                fast_window=1, slow_window=2, burn_threshold=2.0,
+            ),
+            SLOSpec.retention(
+                "cap", series="capacity", minimum=0.9, objective=0.25,
+                fast_window=1, slow_window=3, burn_threshold=2.0,
+                action="migrate",
+            ),
+        )
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(registry, bucket_width=10, capacity=64)
+        engine = SLOEngine(recorder, specs)
+        # (bad writes, capacity) per bucket: three loss bursts (one of
+        # them two buckets long), two capacity dips, a skipped bucket
+        plan = [
+            (0, 1.0), (5, 1.0), (6, 0.8), (0, 0.8), (0, 1.0), (4, 1.0),
+            (0, 1.0), (0, 0.7), (5, 0.7), (5, 0.7), (0, 1.0), (0, 1.0),
+        ]
+        polled = []
+        for index, (bad, capacity) in enumerate(plan):
+            registry.inc("ops_total", 10)
+            if bad:
+                registry.inc("bad_total", bad)
+            registry.set_gauge("capacity", capacity)
+            recorder.sample(index * 10 + (15 if index > 5 else 5))
+            polled.extend(engine.poll())
+        report = engine.evaluate()["slos"]
+        expected = [alert for spec in specs for alert in report[spec.name]["alerts"]]
+        assert len(expected) >= 4
+        assert {alert["slo"] for alert in expected} == {"loss", "cap"}
+        got = sorted(
+            (alert.to_dict() for alert in polled),
+            key=lambda alert: ([s.name for s in specs].index(alert["slo"]),
+                               alert["bucket"]),
+        )
+        assert got == expected
+        assert engine.poll() == []
 
     def test_alert_event_shape(self):
         registry, recorder, engine = self._burst_engine()
