@@ -517,35 +517,41 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # the one place the execution plane is assembled: every --seed/--workers/
     # --engine/--fault-model flag (and any future ExecContext field with a
     # same-named CLI flag) reaches every driver through this ctx; tracing
-    # and metrics go through the process-global sinks below
+    # and metrics go through the process-global sinks below, which are
+    # restored afterwards so an in-process caller keeps its own
     ctx = ExecContext.from_args(args)
+    previous = get_tracer(), get_metrics()
     if args.trace:
         set_tracer(Tracer())
     if args.metrics:
         set_metrics(MetricsRegistry())
-    results = []
-    for experiment_id in wanted:
-        start = time.time()
-        result = run_experiment(
-            experiment_id,
-            ctx=ctx,
-            n_pages=args.pages,
-            trials=args.trials,
-            block_bits=args.block_bits,
+    try:
+        results = []
+        for experiment_id in wanted:
+            start = time.time()
+            result = run_experiment(
+                experiment_id,
+                ctx=ctx,
+                n_pages=args.pages,
+                trials=args.trials,
+                block_bits=args.block_bits,
+            )
+            results.append(result)
+            print(result.render())
+            if args.chart:
+                chart = result.render_chart()
+                if chart is not None:
+                    print(chart)
+            print(f"[{experiment_id} in {time.time() - start:.1f}s]\n")
+        _write_exports(
+            args,
+            json=lambda path: _write_json(path, [r.to_dict() for r in results], False),
+            trace=lambda path: get_tracer().write_jsonl(path),
+            metrics=lambda path: get_metrics().write_prometheus(path),
         )
-        results.append(result)
-        print(result.render())
-        if args.chart:
-            chart = result.render_chart()
-            if chart is not None:
-                print(chart)
-        print(f"[{experiment_id} in {time.time() - start:.1f}s]\n")
-    _write_exports(
-        args,
-        json=lambda path: _write_json(path, [r.to_dict() for r in results], False),
-        trace=lambda path: get_tracer().write_jsonl(path),
-        metrics=lambda path: get_metrics().write_prometheus(path),
-    )
+    finally:
+        set_tracer(previous[0])
+        set_metrics(previous[1])
     return 0
 
 
@@ -666,6 +672,7 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    from repro.obs.slo import write_slo_jsonl
     from repro.service import run_load
     from repro.service.telemetry import DEFAULT_EVENT_CAP
 
@@ -731,13 +738,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         json=lambda path: _write_json(path, snapshot),
         trace=report.write_trace_jsonl,
         metrics=report.telemetry.metrics.write_prometheus,
-        series=report.write_series_jsonl,
+        series=partial(write_slo_jsonl, recorder=report.telemetry.timeseries, specs=report.slos),
     )
     return 1 if failures else 0
 
 
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.cluster import run_cluster_bench
+    from repro.obs.slo import write_slo_jsonl
 
     spec, array_kwargs = _service_array(args)
     ctx = ExecContext.from_args(args)
@@ -855,13 +863,14 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         json=lambda path: _write_json(path, report.snapshot),
         metrics=report.telemetry.metrics.write_prometheus,
         telemetry_jsonl=report.telemetry.write_jsonl,
-        series=report.write_series_jsonl,
+        series=partial(write_slo_jsonl, recorder=report.telemetry.timeseries, specs=report.slos),
     )
     return 0 if passed and report.audit_failures == 0 else 1
 
 
 def _cmd_fleet_bench(args: argparse.Namespace) -> int:
     from repro.fleet import CampaignSpec, run_campaign
+    from repro.obs.slo import write_slo_jsonl
 
     schemes = tuple(name.strip() for name in args.schemes.split(",") if name.strip())
     wear_policies = tuple(
@@ -936,7 +945,7 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
     )
     _write_exports(
         args,
-        series=report.write_series,
+        series=partial(write_slo_jsonl, recorder=report.recorder, specs=report.slos),
         json=lambda path: _write_json(path, report.to_dict()),
         metrics=report.registry.write_prometheus,
     )

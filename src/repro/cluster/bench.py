@@ -36,12 +36,12 @@ import numpy as np
 from repro.cluster.qos import TenantSpec, default_tenants
 from repro.cluster.service import DEFAULT_BULK_WATERMARK, ClusterService
 from repro.errors import BackpressureError, ConfigurationError, RetiredBlockError
-from repro.obs.slo import SLOSpec, write_slo_jsonl
+from repro.obs.slo import SLOSpec
 from repro.pcm.faults import fault_model_for
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
-from repro.service.kernels import validate_engine
 from repro.service.policy import validate_policy
 from repro.service.telemetry import ServiceTelemetry
+from repro.sim.kernels import validate_engine
 from repro.sim.parallel import SimExecutor
 from repro.sim.rng import rng_for
 from repro.sim.roster import SchemeSpec
@@ -146,16 +146,6 @@ class ClusterBenchReport:
     @property
     def ops_per_second(self) -> float:
         return self.ops / self.elapsed if self.elapsed > 0 else 0.0
-
-    def write_series_jsonl(self, path: str) -> int:
-        """Export the time series plus SLO verdicts and alerts as the
-        ``repro obs-report --series`` JSONL input."""
-        recorder = self.telemetry.timeseries
-        if recorder is None:
-            raise ConfigurationError(
-                "time series were not recorded (pass series_bucket >= 1)"
-            )
-        return write_slo_jsonl(path, recorder, self.slos)
 
 
 def _audit(

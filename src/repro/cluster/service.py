@@ -224,12 +224,10 @@ class ClusterService:
         self.clock = 0
         self.slo_engine: SLOEngine | None = None
         if series_bucket:
-            recorder = self.telemetry.attach_timeseries(
-                TimeSeriesRecorder(
-                    self.telemetry.metrics, bucket_width=series_bucket, auto=False
-                )
+            self.telemetry.timeseries = TimeSeriesRecorder(
+                self.telemetry.metrics, bucket_width=series_bucket, auto=False
             )
-            self.slo_engine = SLOEngine(recorder, default_cluster_slos())
+            self.slo_engine = SLOEngine(self.telemetry.timeseries, default_cluster_slos())
 
     # -- tenants ------------------------------------------------------------
 

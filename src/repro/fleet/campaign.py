@@ -40,7 +40,7 @@ from repro.fleet.aggregate import (
     default_retention_edges,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLOSpec, write_slo_jsonl
+from repro.obs.slo import SLOSpec
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.pcm.faults import FAULT_MODEL_CHOICES
 from repro.pcm.lifetime import NormalLifetime, WearSkewLifetime
@@ -303,7 +303,7 @@ class CampaignSpec:
 
 
 def default_fleet_slos(scheme_names: tuple[str, ...]) -> tuple[SLOSpec, ...]:
-    """The campaign SLO roster for the PR-8 observability tier.
+    """The campaign SLO roster for the observability tier.
 
     One retention objective per scheme — the capacity-retention gauge
     must stay above a health floor in nearly every sampled bucket — plus
@@ -399,6 +399,8 @@ class CampaignReport:
     resumed_from: tuple[int, int] | None
     registry: MetricsRegistry
     recorder: TimeSeriesRecorder = field(repr=False, default=None)  # type: ignore[assignment]
+    #: the SLO roster the ``--series`` export evaluates
+    slos: tuple[SLOSpec, ...] = ()
 
     @property
     def pages_per_second(self) -> float:
@@ -409,14 +411,6 @@ class CampaignReport:
         """Full-result bytes over shard bytes (the headline perf win)."""
         shard = self.aggregate.shard_bytes
         return self.aggregate.result_bytes / shard if shard else 0.0
-
-    def slo_specs(self) -> tuple[SLOSpec, ...]:
-        return default_fleet_slos(tuple(key for _, _, key in self.spec.grid()))
-
-    def write_series(self, path: str) -> int:
-        """Export the retention time series + SLO verdicts as JSONL (the
-        artifact ``repro obs-report --series`` renders)."""
-        return write_slo_jsonl(path, self.recorder, self.slo_specs())
 
     def rows(self) -> list[dict]:
         """Per-scheme summary rows for tables and JSON output."""
@@ -719,6 +713,7 @@ class CampaignRunner:
             resumed_from=resumed_from,
             registry=registry,
             recorder=recorder,
+            slos=default_fleet_slos(tuple(key for _, _, key in self.spec.grid())),
         )
 
 

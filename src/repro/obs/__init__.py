@@ -22,9 +22,11 @@ counters, benchmark numbers); this package answers *why* and *where*:
     width op-clock buckets (bounded numpy rings, commutative shard
     merge), giving every metric a deterministic time axis.
 :mod:`repro.obs.slo`
-    Declarative :class:`SLOSpec`s evaluated per bucket into error
-    budgets and multi-window burn-rate alerts (:class:`AlertEvent`),
-    consumed by the cluster control plane as a feedback signal.
+    :class:`SLOSpec`s (built with the ``ratio``/``quantile``/``retention``
+    constructors) evaluated per bucket into error budgets and
+    multi-window burn-rate alerts (:class:`AlertEvent`), consumed by the
+    cluster control plane as a feedback signal; :func:`write_slo_jsonl`
+    is the one writer of the series artifact.
 
 The split mirrors the determinism rule that runs through the whole
 codebase: anything merged into a snapshot must be a pure function of the
@@ -49,7 +51,6 @@ from repro.obs.slo import (
     SLOSpec,
     default_cluster_slos,
     default_service_slos,
-    parse_slo,
     write_slo_jsonl,
 )
 from repro.obs.timeseries import TimeSeriesRecorder, read_series_jsonl
@@ -78,7 +79,6 @@ __all__ = [
     "get_tracer",
     "parse_prometheus_text",
     "parse_series",
-    "parse_slo",
     "read_series_jsonl",
     "read_trace_jsonl",
     "render_obs_report",

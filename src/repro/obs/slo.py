@@ -27,7 +27,9 @@ and :meth:`SLOEngine.poll` gives the cluster control plane the same
 rising edges incrementally, which is what lets ``maintenance()`` *act*
 on an alert deterministically.
 
-:func:`parse_slo` accepts the spec grammar of docs/observability.md.
+Specs are built with the :meth:`SLOSpec.ratio`, :meth:`SLOSpec.quantile`
+and :meth:`SLOSpec.retention` constructors; :func:`write_slo_jsonl`
+writes the one series artifact ``repro obs-report --series`` reads.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "SLOSpec",
     "default_cluster_slos",
     "default_service_slos",
-    "parse_slo",
     "write_slo_jsonl",
 ]
 
@@ -152,10 +153,6 @@ class AlertEvent:
         return asdict(self)
 
 
-#: ``p99(series{...})`` call in the spec grammar
-_QUANTILE_RE = re.compile(r"^p(\d+(?:\.\d+)?)\((.+)\)$")
-
-
 def _parse_selector(text: str) -> tuple[str, dict[str, str]]:
     """A spec-side series selector: bare name or ``name{k=v,...}`` with
     optionally-quoted label values."""
@@ -175,68 +172,6 @@ def _parse_selector(text: str) -> tuple[str, dict[str, str]]:
             key, value = part.split("=", 1)
             labels[key.strip()] = value.strip().strip('"')
     return name.strip(), labels
-
-
-def _render_selector(name: str, labels: dict[str, str]) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{key}={value}" for key, value in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
-
-
-def parse_slo(text: str, **kwargs: object) -> SLOSpec:
-    """Parse an SLO spec string into an :class:`SLOSpec`.
-
-    Grammar (optional leading ``name:`` gives the SLO its name):
-
-    * ``bad_selector / total_selector < objective`` — ratio
-    * ``pQQ(selector) < bound`` — histogram quantile
-    * ``selector >= minimum`` — gauge retention
-
-    Keyword arguments pass through to the spec (windows, threshold,
-    action).
-    """
-    body = text.strip()
-    name = ""
-    head, sep, rest = body.partition(":")
-    if sep and "{" not in head and "/" not in head and "<" not in head:
-        name, body = head.strip(), rest.strip()
-    if ">=" in body:
-        series, _, minimum = body.partition(">=")
-        selector = _parse_selector(series)
-        return SLOSpec.retention(
-            name or f"{selector[0]}_retention",
-            _render_selector(*selector),
-            minimum=float(minimum),
-            **kwargs,  # type: ignore[arg-type]
-        )
-    if "<" not in body:
-        raise ConfigurationError(f"unparseable SLO spec: {text!r}")
-    left, _, threshold = body.rpartition("<")
-    left = left.strip()
-    quantile = _QUANTILE_RE.match(left)
-    if quantile:
-        q = float(quantile.group(1)) / 100.0
-        selector = _parse_selector(quantile.group(2))
-        return SLOSpec.quantile(
-            name or f"{selector[0]}_p{quantile.group(1)}",
-            _render_selector(*selector),
-            q=q,
-            bound=float(threshold),
-            **kwargs,  # type: ignore[arg-type]
-        )
-    if "/" in left:
-        bad_text, _, total_text = left.partition("/")
-        bad = _parse_selector(bad_text)
-        total = _parse_selector(total_text)
-        return SLOSpec.ratio(
-            name or f"{bad[0]}_ratio",
-            _render_selector(*bad),
-            _render_selector(*total),
-            objective=float(threshold),
-            **kwargs,  # type: ignore[arg-type]
-        )
-    raise ConfigurationError(f"unparseable SLO spec: {text!r}")
 
 
 def default_service_slos() -> tuple[SLOSpec, ...]:
@@ -352,9 +287,11 @@ class SLOEngine:
         out[mask] = (bad_sum[mask] / total_sum[mask]) / objective
         return out
 
-    def _fired(self, spec: SLOSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-bucket ``(fired, burn_fast, burn_slow)`` for a spec."""
-        bad, total = self._bad_total(spec)
+    def _fired(
+        self, spec: SLOSpec, bad: np.ndarray, total: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-bucket ``(fired, burn_fast, burn_slow)`` of a spec's
+        ``(bad, total)`` series."""
         fast = self._burn(bad, total, spec.fast_window, spec.objective)
         slow = self._burn(bad, total, spec.slow_window, spec.objective)
         fired = (fast >= spec.burn_threshold) & (slow >= spec.burn_threshold)
@@ -397,7 +334,7 @@ class SLOEngine:
         }
         for spec in self.specs:
             bad, total = self._bad_total(spec)
-            fired, fast, slow = self._fired(spec)
+            fired, fast, slow = self._fired(spec, bad, total)
             events = self._events(spec, fired, fast, slow)
             total_events = float(total.sum())
             bad_events = float(bad.sum())
@@ -421,7 +358,8 @@ class SLOEngine:
         return report
 
     def poll(self) -> list[AlertEvent]:
-        """New rising-edge alerts since the previous poll.
+        """New rising-edge alerts since the previous poll: the edges
+        :meth:`evaluate` reports, minus the buckets already alerted.
 
         Incremental and stateful: each spec remembers which buckets it
         already alerted on, so the control plane sees each rising edge
@@ -432,29 +370,14 @@ class SLOEngine:
         are forgotten (their data is gone; they can never re-fire).
         """
         fresh: list[AlertEvent] = []
+        start = self.recorder.start_bucket
         for spec in self.specs:
-            fired, fast, slow = self._fired(spec)
-            start = self.recorder.start_bucket
             alerted = self._alerted[spec.name]
-            alerted.difference_update(
-                {bucket for bucket in alerted if bucket < start}
-            )
-            previous = False
-            for index, firing in enumerate(fired.tolist()):
-                bucket = start + index
-                if firing and not previous and bucket not in alerted:
-                    alerted.add(bucket)
-                    fresh.append(
-                        AlertEvent(
-                            slo=spec.name,
-                            bucket=bucket,
-                            clock=(bucket + 1) * self.recorder.bucket_width,
-                            burn_fast=round(float(fast[index]), 6),
-                            burn_slow=round(float(slow[index]), 6),
-                            action=spec.action,
-                        )
-                    )
-                previous = firing
+            alerted.difference_update({bucket for bucket in alerted if bucket < start})
+            events = self._events(spec, *self._fired(spec, *self._bad_total(spec)))
+            new = [event for event in events if event.bucket not in alerted]
+            alerted.update(event.bucket for event in new)
+            fresh.extend(new)
         return fresh
 
     def active_actions(self) -> frozenset[str]:
@@ -470,20 +393,27 @@ class SLOEngine:
         for spec in self.specs:
             if not spec.action:
                 continue
-            fired, _fast, _slow = self._fired(spec)
+            fired, _fast, _slow = self._fired(spec, *self._bad_total(spec))
             if fired.size and bool(fired[-1]):
                 active.add(spec.action)
         return frozenset(active)
 
 
 def write_slo_jsonl(
-    path: str, recorder: TimeSeriesRecorder, specs: tuple[SLOSpec, ...]
+    path: str, recorder: TimeSeriesRecorder | None, specs: tuple[SLOSpec, ...]
 ) -> int:
-    """Write the series export plus SLO verdicts and alerts as one JSONL
-    artifact (the file ``repro obs-report --series`` consumes); returns the line
-    count."""
-    engine = SLOEngine(recorder, specs)
-    report = engine.evaluate()
+    """Write the series export plus the verdicts and alerts of ``specs``
+    as one JSONL artifact (the file ``repro obs-report --series``
+    consumes); returns the line count.
+
+    The only series writer: a run that recorded no series passes its
+    ``None`` recorder here and gets a typed error.
+    """
+    if recorder is None:
+        raise ConfigurationError(
+            "time series were not recorded for this run (pass series_bucket >= 1)"
+        )
+    report = SLOEngine(recorder, specs).evaluate()
     records = recorder.export_records()
     for name, entry in report["slos"].items():
         records.append({"record": "slo", "name": name, **entry})

@@ -1,6 +1,6 @@
 """Deterministic time series over :class:`MetricsRegistry` deltas.
 
-The metrics layer (PR 3) answers "how many writes were remapped" — one
+The metrics layer answers "how many writes were remapped" — one
 number at the end of the run.  This module adds the *time axis*: a
 :class:`TimeSeriesRecorder` periodically samples a registry and folds the
 deltas since the previous sample into fixed-width **op-clock buckets**,
@@ -28,9 +28,10 @@ Sampling records three kinds of per-bucket data:
 * **histograms** — per-bucket bucket-count/total/sum deltas, enough to
   estimate per-bucket quantiles (the SLO layer's latency objectives).
 
-The exporter writes one JSONL record per series (plus a meta header) and
-a flat CSV; :func:`read_series_jsonl` is the inverse the ``obs-report
---series`` renderer consumes.
+:meth:`TimeSeriesRecorder.export_records` gives one JSONL record per
+series (plus a meta header), which :func:`repro.obs.slo.write_slo_jsonl`
+writes with the SLO verdicts; :func:`read_series_jsonl` is the inverse
+the ``obs-report --series`` renderer consumes.
 """
 
 from __future__ import annotations
@@ -126,13 +127,6 @@ class TimeSeriesRecorder:
     def start_bucket(self) -> int:
         """Absolute index of the first retained bucket."""
         return self._base
-
-    def bucket_clocks(self) -> list[int]:
-        """The op-clock *end* of each retained bucket, oldest first."""
-        return [
-            (bucket + 1) * self.bucket_width
-            for bucket in range(self._base, self._hi)
-        ]
 
     def _counter_array(self, key: _SeriesKey) -> np.ndarray:
         array = self._counters.get(key)
@@ -458,7 +452,8 @@ class TimeSeriesRecorder:
 
     def export_records(self) -> list[dict]:
         """The JSONL record stream: one meta header + one record per
-        series (the shape :func:`read_series_jsonl` reads back)."""
+        series (the shape :func:`read_series_jsonl` reads back;
+        :func:`repro.obs.slo.write_slo_jsonl` writes it)."""
         snapshot = self.snapshot()
         records: list[dict] = [
             {
@@ -483,22 +478,13 @@ class TimeSeriesRecorder:
                             "series": series, **entry})
         return records
 
-    def write_jsonl(self, path: str) -> int:
-        """Write the series export as JSONL; returns the line count."""
-        records = self.export_records()
-        with open(path, "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
-
 
 def read_series_jsonl(path: str) -> dict:
     """Read a series JSONL export back into a structured dict.
 
     Returns ``{"meta": {...}, "series": [records...], "slos": [...],
-    "alerts": [...]}`` — the ``slo``/``alert`` records are appended by
-    :func:`repro.obs.slo.write_slo_jsonl` and absent from a plain
-    recorder export.
+    "alerts": [...]}`` — ``slos``/``alerts`` are empty when the export
+    was written with no SLO specs.
     """
     meta: dict = {}
     series: list[dict] = []

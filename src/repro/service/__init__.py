@@ -51,7 +51,6 @@ from repro.service.kernels import (
     BlockStore,
     drain_vector,
     kernel_for,
-    validate_engine,
 )
 from repro.service.loadgen import (
     LoadReport,
@@ -69,7 +68,7 @@ from repro.service.policy import (
     default_policy_options,
     validate_policy,
 )
-from repro.service.telemetry import Histogram, ServiceTelemetry
+from repro.service.telemetry import ServiceTelemetry
 
 __all__ = [
     "POLICY_CHOICES",
@@ -77,7 +76,6 @@ __all__ = [
     "BlockHealth",
     "BlockStore",
     "HealthTracker",
-    "Histogram",
     "LoadReport",
     "MemoryArray",
     "SchemeOption",
@@ -92,6 +90,5 @@ __all__ = [
     "kernel_for",
     "run_load",
     "run_shard",
-    "validate_engine",
     "validate_policy",
 ]

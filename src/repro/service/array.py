@@ -43,8 +43,9 @@ from repro.pcm.wear import PerfectWearLeveling
 from repro.remap.pool import SparePool
 from repro.schemes.base import WriteReceipt
 from repro.service.health import BlockHealth, HealthTracker
-from repro.service.kernels import BlockStore, validate_engine
+from repro.service.kernels import BlockStore
 from repro.service.telemetry import ServiceTelemetry
+from repro.sim.kernels import validate_engine
 
 #: degrade threshold when the scheme does not expose a hard FTC
 DEFAULT_DEGRADE_FAULTS = 4

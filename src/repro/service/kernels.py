@@ -93,13 +93,12 @@ from repro.schemes.base import WriteReceipt
 from repro.schemes.ecp import EcpScheme
 from repro.schemes.safer import SaferScheme
 from repro.service.health import BlockHealth
-from repro.sim.kernels import count_rows, validate_engine
+from repro.sim.kernels import count_rows
 
 __all__ = [
     "BlockStore",
     "drain_vector",
     "kernel_for",
-    "validate_engine",
 ]
 
 #: attribute under which the per-array kernel (or ``None``) is memoised

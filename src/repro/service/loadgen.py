@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.obs.slo import SLOSpec, default_service_slos, write_slo_jsonl
+from repro.obs.slo import SLOSpec, default_service_slos
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import NullTracer, Tracer
 from repro.pcm.faults import fault_model_for
@@ -46,9 +46,9 @@ from repro.pcm.workload import (
 )
 from repro.service.array import MemoryArray, service_fail_cache
 from repro.service.controller import ServiceController
-from repro.service.kernels import validate_engine
 from repro.service.policy import validate_policy
 from repro.service.telemetry import DEFAULT_EVENT_CAP, ServiceTelemetry
+from repro.sim.kernels import validate_engine
 from repro.sim.parallel import SimExecutor
 from repro.sim.rng import rng_for
 from repro.sim.roster import SchemeSpec
@@ -142,12 +142,9 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
     for the ``elapsed`` wall-clock field."""
     rng = rng_for(task.seed, shard_index, 41)
     telemetry = ServiceTelemetry(event_cap=task.event_cap, tracer=task.make_tracer())
-    recorder = None
     if task.series_bucket:
-        recorder = telemetry.attach_timeseries(
-            TimeSeriesRecorder(
-                telemetry.metrics, bucket_width=task.series_bucket, auto=True
-            )
+        telemetry.timeseries = TimeSeriesRecorder(
+            telemetry.metrics, bucket_width=task.series_bucket, auto=True
         )
     fail_cache = service_fail_cache()
     array = MemoryArray(
@@ -203,10 +200,10 @@ def run_shard(task: ShardTask, shard_index: int) -> ShardResult:
     telemetry.metrics.inc("fail_cache_hits", fail_cache.hits)
     telemetry.metrics.inc("fail_cache_misses", fail_cache.misses)
     telemetry.metrics.inc("fail_cache_evictions", fail_cache.evictions)
-    if recorder is not None:
+    if telemetry.timeseries is not None:
         # catch-up sample: fold counters bumped outside the drain path
         # (audit, fail-cache totals) into the final bucket
-        recorder.sample(array.op_clock)
+        telemetry.timeseries.sample(array.op_clock)
     elapsed = time.perf_counter() - start
     return ShardResult(
         shard_index=shard_index,
@@ -249,18 +246,6 @@ class LoadReport:
             )
         assert isinstance(tracer, Tracer)
         return tracer.write_jsonl(path)
-
-    def write_series_jsonl(self, path: str) -> int:
-        """Export the merged op-clock time series plus the verdicts and
-        alerts of :attr:`slos` as JSONL, the ``repro obs-report --series``
-        input (requires the run to have sampled, i.e.
-        ``series_bucket >= 1``)."""
-        recorder = self.telemetry.timeseries
-        if recorder is None:
-            raise ConfigurationError(
-                "time series were not recorded for this run (pass series_bucket >= 1)"
-            )
-        return write_slo_jsonl(path, recorder, self.slos)
 
 
 def _merge_capacity(capacities: list[dict]) -> dict:
@@ -316,8 +301,9 @@ def run_load(
     N-op op-clock buckets after every drain (see
     :mod:`repro.obs.timeseries`); the merged series lands in the
     snapshot's ``timeseries`` block and is exactly as worker/engine
-    invariant as the rest, and :meth:`LoadReport.write_series_jsonl`
-    exports it with the verdicts of :func:`default_service_slos`.
+    invariant as the rest, and :func:`repro.obs.slo.write_slo_jsonl`
+    exports it with the verdicts of :attr:`LoadReport.slos`
+    (:func:`default_service_slos`).
     """
     if ops < 1:
         raise ConfigurationError("a load run needs at least one op")

@@ -192,7 +192,7 @@ class SchemePolicyEngine:
 
 def validate_policy(policy: str) -> str:
     """Validate a controller policy mode string (mirrors
-    :func:`repro.service.kernels.validate_engine`)."""
+    :func:`repro.sim.kernels.validate_engine`)."""
     if policy not in POLICY_CHOICES:
         raise ConfigurationError(
             f"unknown policy {policy!r}; expected one of {POLICY_CHOICES}"

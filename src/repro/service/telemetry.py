@@ -7,14 +7,12 @@ Allocation of Partitioned Linear Block Codes" motivates exactly this —
 provisioning redundancy against *observed* demand).  This module gives the
 service layer that surface:
 
-* :class:`Histogram` — fixed-bucket histograms of per-op service cost
-  (cell programming operations, the wear/energy proxy) and latency (write
-  passes, from the controllers' :class:`~repro.schemes.base.WriteReceipt`).
-  Since the observability layer landed this is a re-export of
-  :class:`repro.obs.metrics.Histogram` — the registry generalized it.
-* :class:`ServiceTelemetry` — named counters, the histograms, and a
-  structured event log (remaps, retirements, degradations, periodic health
-  snapshots) suitable for JSONL export.
+* :class:`ServiceTelemetry` — named counters, fixed-bucket histograms
+  (:class:`repro.obs.metrics.Histogram`) of per-op service cost (cell
+  programming operations, the wear/energy proxy) and latency (write
+  passes, from the controllers' :class:`~repro.schemes.base.WriteReceipt`),
+  and a structured event log (remaps, retirements, degradations, periodic
+  health snapshots) suitable for JSONL export.
 
 Counters live in :attr:`ServiceTelemetry.metrics`, a
 :class:`repro.obs.metrics.MetricsRegistry`: call sites bump the flat
@@ -53,7 +51,6 @@ __all__ = [
     "DEFAULT_COST_EDGES",
     "DEFAULT_EVENT_CAP",
     "DEFAULT_LATENCY_EDGES",
-    "Histogram",
     "ServiceTelemetry",
 ]
 
@@ -103,20 +100,12 @@ class ServiceTelemetry:
         self.events: deque[dict] = deque()
         self.events_dropped = 0
         self.tracer: Tracer | NullTracer = tracer if tracer is not None else NullTracer()
-        #: optional :class:`repro.obs.timeseries.TimeSeriesRecorder`; set
-        #: via :meth:`attach_timeseries` to give the metrics a time axis
+        #: optional :class:`repro.obs.timeseries.TimeSeriesRecorder` over
+        #: :attr:`metrics`, giving them a time axis: the service pipeline
+        #: samples an ``auto`` recorder after every buffer drain; explicit
+        #: control planes (the cluster) sample at their own deterministic
+        #: points
         self.timeseries: "TimeSeriesRecorder | None" = None
-
-    def attach_timeseries(self, recorder: "TimeSeriesRecorder") -> "TimeSeriesRecorder":
-        """Attach an op-clock time-series recorder over :attr:`metrics`.
-
-        When the recorder is ``auto``, the service pipeline samples it
-        after every buffer drain; explicit control planes (the cluster)
-        call :meth:`repro.obs.timeseries.TimeSeriesRecorder.sample`
-        themselves at their own deterministic points.
-        """
-        self.timeseries = recorder
-        return recorder
 
     # -- recording ----------------------------------------------------------
 

@@ -217,7 +217,9 @@ class _BatchChecker:
     def member_cols(self, offsets: np.ndarray) -> np.ndarray | None:
         """Sparse form of :meth:`member_masks`: a ``(trials, k)`` array of
         member cell indices padded with ``-1``, or ``None`` when the
-        scheme's groups are too large for the sparse path to pay off."""
+        scheme's groups are too large for the sparse path to pay off.
+        Only the SAFER batch checkers return ``None`` and take the dense
+        mask path; Aegis always answers here."""
         return None
 
 
@@ -267,12 +269,6 @@ class _AegisBatch(_BatchChecker):
             np.bitwise_count(lowest - _ONE),
             0,
         ).astype(np.int64)
-
-    def member_masks(self, offsets: np.ndarray) -> np.ndarray:
-        slope = self._current_slope()
-        rows = self._part[slope]  # (trials, n_bits) group ids at each slope
-        group = rows[np.arange(self.n_trials), offsets]
-        return rows == group[:, None]
 
     def member_cols(self, offsets: np.ndarray) -> np.ndarray:
         slope = self._current_slope()

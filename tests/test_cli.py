@@ -34,6 +34,18 @@ class TestRun:
         with pytest.raises(KeyError):
             main(["run", "fig99"])
 
+    def test_trace_and_metrics_sinks_restored(self, tmp_path, capsys):
+        from repro.obs import get_metrics, get_tracer
+
+        tracer, registry = get_tracer(), get_metrics()
+        trace, metrics = tmp_path / "trace.jsonl", tmp_path / "metrics.prom"
+        argv = ["run", "table1", "--trace", str(trace), "--metrics", str(metrics)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert trace.exists() and metrics.exists()
+        assert get_tracer() is tracer
+        assert get_metrics() is registry
+
 
 class TestDemo:
     def test_demo_recovers(self, capsys):
@@ -264,17 +276,6 @@ WALL_CLOCK_FIELDS = ("elapsed_seconds", "pages_per_second")
 
 
 class TestExportDigests:
-    @pytest.fixture(autouse=True)
-    def _restore_global_sinks(self):
-        # `run --trace/--metrics` installs process-wide sinks
-        from repro.obs.metrics import get_metrics, set_metrics
-        from repro.obs.tracer import get_tracer, set_tracer
-
-        tracer, registry = get_tracer(), get_metrics()
-        yield
-        set_tracer(tracer)
-        set_metrics(registry)
-
     @pytest.mark.parametrize("command", sorted(EXPORT_DIGESTS))
     def test_exports_match_pinned_digests(self, command, tmp_path, capsys):
         import hashlib

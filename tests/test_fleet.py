@@ -32,6 +32,7 @@ from repro.fleet.campaign import (
     reduce_fleet_chunk,
     write_checkpoint,
 )
+from repro.obs.slo import write_slo_jsonl
 from repro.sim.context import ExecContext
 from repro.sim.parallel import PageTask, simulate_task_pages
 
@@ -360,7 +361,7 @@ class TestKillDrill:
 class TestObservabilityFeed:
     def test_series_export_renders_through_slo_report(self, reference, tmp_path):
         path = str(tmp_path / "fleet_series.jsonl")
-        lines = reference.write_series(path)
+        lines = write_slo_jsonl(path, reference.recorder, reference.slos)
         assert lines > 0
         with open(path) as handle:
             records = [json.loads(line) for line in handle if line.strip()]
@@ -368,8 +369,9 @@ class TestObservabilityFeed:
         kinds = {record.get("record") for record in records}
         assert "slo" in kinds
 
-    def test_default_slos_cover_every_scheme_plus_ipc(self):
+    def test_default_slos_cover_every_scheme_plus_ipc(self, reference):
         specs = default_fleet_slos(SPEC.schemes)
+        assert reference.slos == specs
         names = [spec.name for spec in specs]
         for scheme in SPEC.schemes:
             assert f"fleet_retention_{scheme}" in names

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, RetiredBlockError
+from repro.obs.metrics import Histogram
 from repro.pcm.lifetime import FixedLifetime, NormalLifetime
 from repro.pcm.writebuffer import WriteBuffer
 from repro.remap.pool import SparePool
@@ -17,7 +18,6 @@ from repro.schemes.ideal import NoProtectionScheme
 from repro.service import (
     BlockHealth,
     HealthTracker,
-    Histogram,
     MemoryArray,
     ServiceController,
     ServiceTelemetry,

@@ -1,7 +1,8 @@
 """Tests for the SLO / error-budget engine (:mod:`repro.obs.slo`).
 
-Covers the spec grammar, the burn-rate math, the exactly-once alert
-poll, and the end-to-end contract: a cluster-bench degrade drill fires a
+Covers the spec constructors, the burn-rate math, the exactly-once alert
+poll (and its equivalence with one-shot evaluation), the series writer,
+and the end-to-end contract: a cluster-bench degrade drill fires a
 burn-rate alert, the control plane answers it with ``kind="alert"``
 migrations, and every series/verdict/alert surface is bit-identical
 across worker counts and drain engines.
@@ -17,7 +18,6 @@ from repro.obs.slo import (
     SLOSpec,
     default_cluster_slos,
     default_service_slos,
-    parse_slo,
     write_slo_jsonl,
 )
 from repro.cluster.bench import run_cluster_bench
@@ -52,15 +52,6 @@ class TestSpecGrammar:
         )
         assert spec.kind == "retention"
         assert spec.bound == 0.9
-
-    def test_name_defaults_to_series(self):
-        spec = parse_slo("writes_total{outcome=lost} / writes_total < 0.01")
-        assert spec.name
-
-    def test_bad_specs_rejected(self):
-        for text in ("nonsense", "a / b < 0", "p200(x) < 5", "x >= -1"):
-            with pytest.raises(ConfigurationError):
-                parse_slo(text)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -334,7 +325,7 @@ class TestDegradeDrill:
     ):
         report = drill_reports[(1, "auto")]
         path = tmp_path / "series.jsonl"
-        report.write_series_jsonl(str(path))
+        write_slo_jsonl(str(path), report.telemetry.timeseries, report.slos)
         data = read_series_jsonl(str(path))
         assert any(slo["name"] == "degrade_burst" for slo in data["slos"])
         assert any(alert["slo"] == "degrade_burst" for alert in data["alerts"])
@@ -357,7 +348,7 @@ class TestDegradeDrill:
         assert "slo" not in report.snapshot
         assert "timeseries" not in report.snapshot
         with pytest.raises(ConfigurationError):
-            report.write_series_jsonl("/tmp/unused.jsonl")
+            write_slo_jsonl("unused.jsonl", report.telemetry.timeseries, report.slos)
 
 
 class TestSLOExport:
@@ -382,3 +373,9 @@ class TestSLOExport:
         assert slo["budget_consumed"] == pytest.approx(5.0)
         (alert,) = data["alerts"]
         assert alert["slo"] == "loss"
+
+    def test_unrecorded_series_rejected(self, tmp_path):
+        path = tmp_path / "slo.jsonl"
+        with pytest.raises(ConfigurationError, match="not recorded"):
+            write_slo_jsonl(str(path), None, default_service_slos())
+        assert not path.exists()

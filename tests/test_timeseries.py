@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, TimeSeriesRecorder, read_series_jsonl
+from repro.obs.slo import write_slo_jsonl
 from repro.pcm.lifetime import NormalLifetime
 from repro.service import run_load
 from repro.sim.roster import aegis_spec
@@ -99,7 +100,7 @@ class TestEviction:
         assert recorder.start_bucket == 4
         assert recorder.dropped == 4
         assert recorder.counter_view("ops_total").tolist() == [1, 1, 1, 1]
-        assert recorder.bucket_clocks() == [50, 60, 70, 80]
+        assert recorder.last_bucket_snapshot()["clock"] == 80
 
     def test_far_jump_clears_whole_window(self):
         registry, recorder = _recorder(width=10, capacity=4)
@@ -157,7 +158,7 @@ class TestExport:
         registry.observe("stage_cost", 12, edges=(8, 64))
         recorder.sample(5)
         path = tmp_path / "series.jsonl"
-        lines = recorder.write_jsonl(str(path))
+        lines = write_slo_jsonl(str(path), recorder, ())
         assert lines == 1 + 3  # meta + one record per series
         data = read_series_jsonl(str(path))
         assert data["meta"]["bucket_width"] == 10
@@ -212,7 +213,9 @@ class TestLoadDeterminism:
             spares=4,
         )
         with pytest.raises(ConfigurationError):
-            report.write_series_jsonl(str(tmp_path / "series.jsonl"))
+            write_slo_jsonl(
+                str(tmp_path / "series.jsonl"), report.telemetry.timeseries, report.slos
+            )
 
     def test_negative_series_bucket_rejected(self):
         with pytest.raises(ConfigurationError):
