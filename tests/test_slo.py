@@ -335,7 +335,7 @@ class TestDegradeDrill:
         assert "## Alert timeline" in rendered
         assert "migrate" in rendered
 
-    def test_series_off_disables_slo_surfaces(self):
+    def test_series_off_disables_slo_surfaces(self, tmp_path):
         report = run_cluster_bench(
             aegis_spec(9, 61, 512),
             ops=200,
@@ -348,7 +348,9 @@ class TestDegradeDrill:
         assert "slo" not in report.snapshot
         assert "timeseries" not in report.snapshot
         with pytest.raises(ConfigurationError):
-            write_slo_jsonl("unused.jsonl", report.telemetry.timeseries, report.slos)
+            write_slo_jsonl(
+                str(tmp_path / "series.jsonl"), report.telemetry.timeseries, report.slos
+            )
 
 
 class TestSLOExport:
