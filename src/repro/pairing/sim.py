@@ -17,7 +17,7 @@ the whole device is near end-of-life anyway.
 
 Execution rides the unified plane (:mod:`repro.sim.context`): page ``p``
 draws every random number from ``rng_for(seed, p, 13)``, so the
-:class:`~repro.sim.parallel.StudyRunner` fan-out produces bit-identical
+:func:`~repro.sim.parallel.run_study` fan-out produces bit-identical
 studies for every worker count.  The blocks of a page share one generator
 and the batch kernels skip the stuck-value draws a scalar walk makes, so a
 kernel would shift every later block's draws: every ``engine`` takes the
@@ -34,7 +34,7 @@ from repro.pairing.pairing import FailedPage, pair_failed_pages
 from repro.pcm.lifetime import LifetimeModel
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY, simulate_page
-from repro.sim.parallel import StudyRunner
+from repro.sim.parallel import run_study
 from repro.sim.rng import rng_for
 from repro.sim.roster import SchemeSpec
 
@@ -145,12 +145,13 @@ def pairing_study(
             usable_with=tuple(with_pairing),
         )
 
-    with StudyRunner("pairing", ctx) as runner:
-        return runner.run(
-            simulate_pairing_page,
-            task,
-            range(n_pages),
-            reduce=reduce,
-            spec=spec.key,
-            n_pages=n_pages,
-        )
+    return run_study(
+        "pairing",
+        ctx,
+        simulate_pairing_page,
+        task,
+        range(n_pages),
+        reduce=reduce,
+        spec=spec.key,
+        n_pages=n_pages,
+    )

@@ -12,7 +12,7 @@ death times come straight from the endurance order statistics.
 
 Execution rides the unified plane (:mod:`repro.sim.context`): page ``p``
 draws every random number from ``rng_for(seed, p, 7)``, so the
-:class:`~repro.sim.parallel.StudyRunner` fan-out produces bit-identical
+:func:`~repro.sim.parallel.run_study` fan-out produces bit-identical
 studies for every worker count.  The pool-allocation walk has no batch
 kernel, so any requested ``engine`` resolves to the scalar path
 transparently.
@@ -30,7 +30,7 @@ from repro.payg.payg import GecPool, payg_overhead_bits
 from repro.sim.checkers import AegisChecker
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY
-from repro.sim.parallel import StudyRunner
+from repro.sim.parallel import mean_columns, run_study
 from repro.sim.rng import rng_for
 from repro.util.stats import MeanEstimate
 
@@ -162,7 +162,7 @@ def payg_page_study(
     )
 
     def reduce(results: list[tuple[float, int, int, bool]]) -> PaygPageResult:
-        estimates = StudyRunner.mean_columns(
+        estimates = mean_columns(
             [row[:3] for row in results], ("lifetime", "faults", "allocations")
         )
         return PaygPageResult(
@@ -182,12 +182,13 @@ def payg_page_study(
             ),
         )
 
-    with StudyRunner("payg", ctx) as runner:
-        return runner.run(
-            simulate_payg_page,
-            task,
-            range(n_pages),
-            reduce=reduce,
-            formation=form.name,
-            n_pages=n_pages,
-        )
+    return run_study(
+        "payg",
+        ctx,
+        simulate_payg_page,
+        task,
+        range(n_pages),
+        reduce=reduce,
+        formation=form.name,
+        n_pages=n_pages,
+    )

@@ -11,7 +11,7 @@ in the overhead reported by the experiment.
 
 Execution rides the unified plane (:mod:`repro.sim.context`): page ``p``
 draws every random number from ``rng_for(seed, p, 17)``, so the
-:class:`~repro.sim.parallel.StudyRunner` fan-out produces bit-identical
+:func:`~repro.sim.parallel.run_study` fan-out produces bit-identical
 studies for every worker count.  The remap event walk has no batch
 kernel, so any requested ``engine`` resolves to the scalar path
 transparently.
@@ -27,7 +27,7 @@ import numpy as np
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY
-from repro.sim.parallel import StudyRunner
+from repro.sim.parallel import mean_columns, run_study
 from repro.sim.rng import rng_for
 from repro.sim.roster import SchemeSpec
 from repro.util.stats import MeanEstimate
@@ -151,7 +151,7 @@ def remap_page_study(
     )
 
     def reduce(results: list[tuple[float, int, int]]) -> RemapPageResult:
-        estimates = StudyRunner.mean_columns(
+        estimates = mean_columns(
             results, ("lifetime", "faults", "remaps")
         )
         return RemapPageResult(
@@ -162,13 +162,14 @@ def remap_page_study(
             remaps=estimates["remaps"],
         )
 
-    with StudyRunner("remap", ctx) as runner:
-        return runner.run(
-            simulate_remap_page,
-            task,
-            range(n_pages),
-            reduce=reduce,
-            spec=spec.key,
-            spares=spares,
-            n_pages=n_pages,
-        )
+    return run_study(
+        "remap",
+        ctx,
+        simulate_remap_page,
+        task,
+        range(n_pages),
+        reduce=reduce,
+        spec=spec.key,
+        spares=spares,
+        n_pages=n_pages,
+    )

@@ -18,7 +18,7 @@ from repro.sim.page_sim import (
     simulate_page,
 )
 from repro.sim.context import ExecContext
-from repro.sim.parallel import PageTask, SimExecutor, StudyRunner, resolve_workers
+from repro.sim.parallel import PageTask, SimExecutor, resolve_workers, run_study
 from repro.sim.rng import rng_for, spawn_rngs
 from repro.sim.roster import (
     RW_P_CHOICES,
@@ -59,7 +59,6 @@ __all__ = [
     "PageTask",
     "SchemeSpec",
     "SimExecutor",
-    "StudyRunner",
     "SurvivalCurve",
     "aegis_dynamic_spec",
     "aegis_rw_p_spec",
@@ -78,6 +77,7 @@ __all__ = [
     "resolve_workers",
     "rng_for",
     "run_page_study",
+    "run_study",
     "safer_cache_spec",
     "safer_spec",
     "simulate_page",

@@ -57,8 +57,6 @@ from repro.core.collision import collision_rom_for
 from repro.core.formations import formation
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
 from repro.sim.context import ENGINE_CHOICES
 from repro.util.bitops import ceil_log2
 
@@ -385,18 +383,6 @@ def batch_checker_for(spec, n_trials: int) -> _BatchChecker:
 # ---------------------------------------------------------------------------
 
 
-def _observe_kernel(spec, op: str, trials: int, steps: int) -> None:
-    registry = get_metrics()
-    if registry is not None:
-        registry.observe(
-            "stage_cost",
-            float(trials * steps),
-            stage="kernel",
-            op=op,
-            scheme=spec.key,
-        )
-
-
 def death_indices(spec, positions: np.ndarray) -> np.ndarray:
     """Fault count at death for every trial of a failure-curve study.
 
@@ -408,20 +394,16 @@ def death_indices(spec, positions: np.ndarray) -> np.ndarray:
     trials, n_bits = positions.shape
     deaths = np.zeros(trials, dtype=np.int64)
     active = np.ones(trials, dtype=bool)
-    tracer = get_tracer()
-    with tracer.span("kernel", op="death_indices", spec=spec.key, trials=trials) as span:
-        checker = batch_checker_for(spec, trials)
-        for step in range(n_bits):
-            alive = checker.add_faults(
-                np.ascontiguousarray(positions[:, step], dtype=np.int64), active
-            )
-            newly_dead = active & ~alive
-            deaths[newly_dead] = step + 1
-            active &= alive
-            if not active.any():
-                span.cost(steps=step + 1)
-                _observe_kernel(spec, "death_indices", trials, step + 1)
-                return deaths
+    checker = batch_checker_for(spec, trials)
+    for step in range(n_bits):
+        alive = checker.add_faults(
+            np.ascontiguousarray(positions[:, step], dtype=np.int64), active
+        )
+        newly_dead = active & ~alive
+        deaths[newly_dead] = step + 1
+        active &= alive
+        if not active.any():
+            return deaths
     raise AssertionError(
         f"{spec.label}: block survived all {n_bits} faults"
     )  # pragma: no cover - every covered scheme dies before saturation
@@ -600,43 +582,37 @@ def _static_dynamics(
     n_rows = trials
     active = np.ones(n_rows, dtype=bool)
 
-    tracer = get_tracer()
-    with tracer.span("kernel", op="block_dynamics", spec=spec.key, trials=trials) as span:
-        checker = batch_checker_for(spec, trials)
-        steps = 0
-        for step in range(n_bits):
-            if not active.any():
-                break
-            now = times[:, step]
-            active &= ~(now > group_min[groups])
-            if not active.any():
-                break
-            column = np.full(trials, np.inf)
-            column[row_ids[active]] = now[active]
-            event_columns.append(column)
-            alive = checker.add_faults(np.ascontiguousarray(order[:, step]), active)
-            newly_dead = active & ~alive
-            if newly_dead.any():
-                dead_rows = row_ids[newly_dead]
-                death_time[dead_rows] = now[newly_dead]
-                np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
-            active &= alive
-            steps = step + 1
-            n_active = int(active.sum())
-            if n_active and n_active * 2 < n_rows:
-                keep = active
-                row_ids = row_ids[keep]
-                times = np.ascontiguousarray(times[keep])
-                order = np.ascontiguousarray(order[keep])
-                groups = groups[keep]
-                checker.compact(keep)
-                n_rows = n_active
-                active = np.ones(n_rows, dtype=bool)
-        else:  # pragma: no cover - every covered scheme dies before saturation
-            if active.any():
-                raise AssertionError(f"{spec.label}: block outlived every cell")
-        span.cost(steps=steps)
-    _observe_kernel(spec, "block_dynamics", trials, steps)
+    checker = batch_checker_for(spec, trials)
+    for step in range(n_bits):
+        if not active.any():
+            break
+        now = times[:, step]
+        active &= ~(now > group_min[groups])
+        if not active.any():
+            break
+        column = np.full(trials, np.inf)
+        column[row_ids[active]] = now[active]
+        event_columns.append(column)
+        alive = checker.add_faults(np.ascontiguousarray(order[:, step]), active)
+        newly_dead = active & ~alive
+        if newly_dead.any():
+            dead_rows = row_ids[newly_dead]
+            death_time[dead_rows] = now[newly_dead]
+            np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
+        active &= alive
+        n_active = int(active.sum())
+        if n_active and n_active * 2 < n_rows:
+            keep = active
+            row_ids = row_ids[keep]
+            times = np.ascontiguousarray(times[keep])
+            order = np.ascontiguousarray(order[keep])
+            groups = groups[keep]
+            checker.compact(keep)
+            n_rows = n_active
+            active = np.ones(n_rows, dtype=bool)
+    else:  # pragma: no cover - every covered scheme dies before saturation
+        if active.any():
+            raise AssertionError(f"{spec.label}: block outlived every cell")
     # step 0 runs for every row, so the log is never empty
     return DynamicsResult(
         death_time=death_time, event_times=np.stack(event_columns, axis=1)
@@ -707,93 +683,87 @@ def block_dynamics(
     accel_order = np.broadcast_to(accel_rank, (n_rows, n_bits))
     max_rank = np.iinfo(np.int64).max
 
-    tracer = get_tracer()
-    with tracer.span("kernel", op="block_dynamics", spec=spec.key, trials=trials) as span:
-        checker = batch_checker_for(spec, trials)
-        steps = 0
-        for step in range(n_bits):
-            if not active.any():
-                break
-            # argmin alone picks the right cell except on exact duplicate
-            # times (it breaks ties by column, the scalar path by tie
-            # rank); detect tied rows and redo just those with the rank key
-            chosen = current.argmin(axis=1)
-            now = current[rows, chosen]
-            np.equal(current, now[:, None], out=candidate)
-            tied = np.flatnonzero(np.count_nonzero(candidate, axis=1) > 1)
-            if tied.size:
-                sub = np.where(candidate[tied], tie_order[tied], max_rank)
-                chosen[tied] = sub.argmin(axis=1)
-            # retire rows whose next event falls strictly after their
-            # page's earliest known death (events *at* the page minimum
-            # must still be recorded for the tie audit)
-            active &= ~(now > group_min[groups])
-            if not active.any():
-                break
-            column = np.full(trials, np.inf)
-            column[row_ids[active]] = now[active]
-            event_columns.append(column)
-            live = rows[active]
-            current[live, chosen[live]] = np.inf
-            normal[live, chosen[live]] = False
-            alive = checker.add_faults(chosen, active)
-            newly_dead = active & ~alive
-            if newly_dead.any():
-                dead_rows = row_ids[newly_dead]
-                death_time[dead_rows] = now[newly_dead]
-                np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
-            active &= alive
-            steps = step + 1
-            if active.any():
-                cols = checker.member_cols(chosen)
-                if cols is not None:
-                    _wear_sparse(
-                        cols,
-                        active,
-                        normal,
-                        base_death,
-                        current,
-                        tie_order,
-                        now,
-                        n_bits,
-                        write_probability,
-                        accel_rate,
-                    )
-                else:
-                    target = checker.member_masks(chosen)
-                    np.logical_and(target, normal, out=target)
-                    np.logical_and(target, active[:, None], out=target)
-                    if target.any():
-                        # the scalar wear expression, same IEEE operation
-                        # order: now + remaining * wp / accel_rate
-                        wear = np.subtract(base_death, now[:, None])
-                        np.maximum(wear, 0.0, out=wear)
-                        wear *= write_probability
-                        wear /= accel_rate
-                        wear += now[:, None]
-                        np.copyto(current, wear, where=target)
-                        np.copyto(tie_order, accel_order, where=target)
-                        normal &= ~target
-            n_active = int(active.sum())
-            if n_active and n_active * 2 < n_rows:
-                keep = active
-                row_ids = row_ids[keep]
-                base_death = np.ascontiguousarray(base_death[keep])
-                current = np.ascontiguousarray(current[keep])
-                tie_order = np.ascontiguousarray(tie_order[keep])
-                normal = np.ascontiguousarray(normal[keep])
-                groups = groups[keep]
-                checker.compact(keep)
-                n_rows = n_active
-                active = np.ones(n_rows, dtype=bool)
-                rows = np.arange(n_rows)
-                candidate = np.empty((n_rows, n_bits), dtype=bool)
-                accel_order = np.broadcast_to(accel_rank, (n_rows, n_bits))
-        else:  # pragma: no cover - every covered scheme dies before saturation
-            if active.any():
-                raise AssertionError(f"{spec.label}: block outlived every cell")
-        span.cost(steps=steps)
-    _observe_kernel(spec, "block_dynamics", trials, steps)
+    checker = batch_checker_for(spec, trials)
+    for step in range(n_bits):
+        if not active.any():
+            break
+        # argmin alone picks the right cell except on exact duplicate
+        # times (it breaks ties by column, the scalar path by tie
+        # rank); detect tied rows and redo just those with the rank key
+        chosen = current.argmin(axis=1)
+        now = current[rows, chosen]
+        np.equal(current, now[:, None], out=candidate)
+        tied = np.flatnonzero(np.count_nonzero(candidate, axis=1) > 1)
+        if tied.size:
+            sub = np.where(candidate[tied], tie_order[tied], max_rank)
+            chosen[tied] = sub.argmin(axis=1)
+        # retire rows whose next event falls strictly after their
+        # page's earliest known death (events *at* the page minimum
+        # must still be recorded for the tie audit)
+        active &= ~(now > group_min[groups])
+        if not active.any():
+            break
+        column = np.full(trials, np.inf)
+        column[row_ids[active]] = now[active]
+        event_columns.append(column)
+        live = rows[active]
+        current[live, chosen[live]] = np.inf
+        normal[live, chosen[live]] = False
+        alive = checker.add_faults(chosen, active)
+        newly_dead = active & ~alive
+        if newly_dead.any():
+            dead_rows = row_ids[newly_dead]
+            death_time[dead_rows] = now[newly_dead]
+            np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
+        active &= alive
+        if active.any():
+            cols = checker.member_cols(chosen)
+            if cols is not None:
+                _wear_sparse(
+                    cols,
+                    active,
+                    normal,
+                    base_death,
+                    current,
+                    tie_order,
+                    now,
+                    n_bits,
+                    write_probability,
+                    accel_rate,
+                )
+            else:
+                target = checker.member_masks(chosen)
+                np.logical_and(target, normal, out=target)
+                np.logical_and(target, active[:, None], out=target)
+                if target.any():
+                    # the scalar wear expression, same IEEE operation
+                    # order: now + remaining * wp / accel_rate
+                    wear = np.subtract(base_death, now[:, None])
+                    np.maximum(wear, 0.0, out=wear)
+                    wear *= write_probability
+                    wear /= accel_rate
+                    wear += now[:, None]
+                    np.copyto(current, wear, where=target)
+                    np.copyto(tie_order, accel_order, where=target)
+                    normal &= ~target
+        n_active = int(active.sum())
+        if n_active and n_active * 2 < n_rows:
+            keep = active
+            row_ids = row_ids[keep]
+            base_death = np.ascontiguousarray(base_death[keep])
+            current = np.ascontiguousarray(current[keep])
+            tie_order = np.ascontiguousarray(tie_order[keep])
+            normal = np.ascontiguousarray(normal[keep])
+            groups = groups[keep]
+            checker.compact(keep)
+            n_rows = n_active
+            active = np.ones(n_rows, dtype=bool)
+            rows = np.arange(n_rows)
+            candidate = np.empty((n_rows, n_bits), dtype=bool)
+            accel_order = np.broadcast_to(accel_rank, (n_rows, n_bits))
+    else:  # pragma: no cover - every covered scheme dies before saturation
+        if active.any():
+            raise AssertionError(f"{spec.label}: block outlived every cell")
     # step 0 runs for every row, so the log is never empty
     return DynamicsResult(
         death_time=death_time, event_times=np.stack(event_columns, axis=1)

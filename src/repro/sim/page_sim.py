@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -36,10 +35,10 @@ from repro.pcm.faults import FaultModel, fault_model_for
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
 from repro.sim import kernels
 from repro.sim.context import ExecContext
-from repro.sim.parallel import PageTask, StudyRunner
+from repro.sim.parallel import PageTask, SimExecutor
 from repro.sim.rng import rng_for
 from repro.sim.roster import SchemeSpec
-from repro.util.stats import MeanEstimate, RunningMean, mean_ci
+from repro.util.stats import MeanEstimate, mean_ci
 
 #: the paper's differential-write programming probability
 DEFAULT_WRITE_PROBABILITY = 0.5
@@ -439,21 +438,6 @@ def _simulate_rngs(
     return results
 
 
-def _observed_page(observer: FaultObserver, task: PageTask, index: int) -> PageResult:
-    """Page ``index`` of ``task`` with every fault reported to ``observer``."""
-    return simulate_page(
-        task.spec,
-        task.blocks_per_page,
-        rng_for(task.seed, index),
-        lifetime_model=task.lifetime_model,
-        write_probability=task.write_probability,
-        inversion_wear_rate=task.inversion_wear_rate,
-        observer=observer,
-        engine=task.engine,
-        fault_model=task.fault_model,
-    )
-
-
 def run_page_study(
     spec: SchemeSpec,
     *,
@@ -463,10 +447,7 @@ def run_page_study(
     lifetime_model: LifetimeModel | None = None,
     write_probability: float = DEFAULT_WRITE_PROBABILITY,
     inversion_wear_rate: float = DEFAULT_INVERSION_WEAR,
-    target_relative_ci: float | None = None,
-    max_pages: int = 2048,
     workers: int | None = 1,
-    observer: FaultObserver | None = None,
     engine: str = "auto",
     fault_model: "FaultModel | str | None" = None,
     ctx: ExecContext | None = None,
@@ -477,22 +458,15 @@ def run_page_study(
     (64 x 512-bit or 128 x 256-bit).  Page ``i`` uses a stream keyed by the
     page index only, so different schemes see the same endurance draws.
 
-    When ``target_relative_ci`` is set, pages beyond ``n_pages`` are added
-    until the fault count's 95% CI half-width drops below that fraction of
-    the mean (capped at ``max_pages``) — sequential precision control for
-    publication-grade numbers.  The interval is maintained with a running
-    Welford accumulator, so the check is O(1) per page.
-
     ``workers`` fans page simulations out over a process pool
     (:mod:`repro.sim.parallel`); ``None``/``0`` mean all CPU cores.  The
     substream contract — page ``i`` always draws from ``rng_for(seed, i)``
-    — makes the result bit-identical for every worker count, including the
-    sequential-stopping page count.  ``engine`` composes with ``workers``:
-    each worker advances its chunk of pages through the batch kernels
-    (:mod:`repro.sim.kernels`) when the scheme has one, so process fan-out
-    and intra-process vectorization multiply.  A tracing ``observer``
-    forces the serial scalar path (callbacks cannot cross process
-    boundaries or batched steps).
+    — makes the result bit-identical for every worker count.  ``engine``
+    composes with ``workers``: each worker advances its chunk of pages
+    through the batch kernels (:mod:`repro.sim.kernels`) when the scheme
+    has one, so process fan-out and intra-process vectorization multiply.
+    The fault timeline of a single page is :func:`simulate_page`'s
+    ``observer``.
 
     ``ctx`` is the execution plane's preferred spelling: when given, its
     ``seed``/``workers``/``engine``/``fault_model`` fields override the
@@ -506,10 +480,7 @@ def run_page_study(
         if (4096 * 8) % spec.n_bits:
             raise ConfigurationError(f"4 KB page is not a multiple of {spec.n_bits} bits")
         blocks_per_page = (4096 * 8) // spec.n_bits
-    if target_relative_ci is not None and not 0 < target_relative_ci < 1:
-        raise ConfigurationError("target relative CI must be in (0, 1)")
 
-    fmodel = fault_model_for(fault_model)
     task = PageTask(
         spec=spec,
         blocks_per_page=blocks_per_page,
@@ -518,65 +489,23 @@ def run_page_study(
         write_probability=write_probability,
         inversion_wear_rate=inversion_wear_rate,
         engine=engine,
-        fault_model=fmodel,
+        fault_model=fault_model_for(fault_model),
     )
-    results: list[PageResult] = []
-    faults_acc = RunningMean()
-
-    def accept(result: PageResult) -> None:
-        results.append(result)
-        faults_acc.push(float(result.faults_recovered))
-
-    def precise_enough() -> bool:
-        if target_relative_ci is None or len(results) < max(8, n_pages):
-            return False
-        estimate = faults_acc.estimate()
-        return estimate.half_width <= target_relative_ci * max(estimate.mean, 1e-12)
-
-    # callbacks cannot cross process boundaries or batched steps: an
-    # observed study maps observed pages on a serial runner, one page per
-    # wave, so the observer never sees a page the stopping rule discards
-    runner = StudyRunner(
-        "page",
-        ExecContext(seed=seed, workers=workers if observer is None else 1, engine=engine),
-    )
-    if observer is None:
-        simulate = partial(runner.map_pages, task)
-        wave_pages = max(runner.workers * 2, 8)
-    else:
-        simulate = partial(
-            runner.executor.map_indices, partial(_observed_page, observer), task
-        )
-        wave_pages = 1
     # study-phase spans go to the process-wide tracer (``repro run
     # --trace``); they are recorded parent-side only, so the exported
     # trace stays worker-count invariant like the study itself
     tracer = get_tracer()
-    with runner, tracer.span("page_study", spec=spec.key, n_pages=n_pages) as study_span:
-        # phase 1: the fixed block of pages every study simulates
-        with tracer.span("page_sim", phase="fixed_block"):
-            for result in simulate(range(n_pages)):
-                accept(result)
-        # phase 2: sequential stopping, reproduced exactly — speculative
-        # waves are walked in page order and truncated at the page where
-        # a page-at-a-time loop would have stopped
-        with tracer.span("sequential_stopping"):
-            while (
-                target_relative_ci is not None
-                and len(results) < max_pages
-                and not precise_enough()
-            ):
-                wave = range(len(results), min(max_pages, len(results) + wave_pages))
-                for result in simulate(wave):
-                    if len(results) >= max_pages or precise_enough():
-                        break  # discard the speculative tail
-                    accept(result)
+    with SimExecutor(workers) as executor, tracer.span(
+        "page_study", spec=spec.key, n_pages=n_pages
+    ) as study_span:
+        with tracer.span("page_sim"):
+            results = executor.run_pages(task, range(n_pages))
         study_span.cost(pages=len(results))
         registry = get_metrics()
         if registry is not None:
             registry.inc("pages_simulated_total", len(results), spec=spec.key)
         with tracer.span("reduce", spec=spec.key):
-            study = PageStudy(
+            return PageStudy(
                 spec_key=spec.key,
                 label=spec.label,
                 overhead_bits=spec.overhead_bits,
@@ -585,4 +514,3 @@ def run_page_study(
                 baseline_lifetime=mean_ci([r.baseline_lifetime for r in results]),
                 results=tuple(results),
             )
-    return study

@@ -23,10 +23,9 @@ Design notes
   partition tables) once each via the ``lru_cache``'d constructors in
   :mod:`repro.core` — cheap relative to even a single page simulation.
 * The executor degrades to the serial path when ``workers`` resolves to 1,
-  when a tracing ``observer`` is attached (callbacks cannot cross the
-  process boundary), or when the platform refuses to start a pool or a
-  pool breaks — the results are identical either way, only wall-clock
-  changes, and each fallback is counted (:meth:`SimExecutor.imap_chunks`).
+  or when the platform refuses to start a pool or a pool breaks — the
+  results are identical either way, only wall-clock changes, and each
+  fallback is counted (:meth:`SimExecutor.imap_chunks`).
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (page_sim imports us)
 #: slow sampled schemes, large enough to amortise the pickle round-trip
 DEFAULT_CHUNK_PAGES = 4
 
-#: in-flight chunk futures per worker when no explicit window is given;
-#: bounds both the submission queue and the out-of-order result buffer
+#: in-flight chunk futures per worker; bounds both the submission queue
+#: and the out-of-order result buffer
 DEFAULT_WINDOW_PER_WORKER = 4
 
 
@@ -163,25 +162,16 @@ class SimExecutor:
         workers: int | None = None,
         *,
         chunk_pages: int = DEFAULT_CHUNK_PAGES,
-        window_chunks: int | None = None,
         initializer=None,
         initargs: tuple = (),
     ) -> None:
         if chunk_pages < 1:
             raise ConfigurationError(f"chunk_pages must be positive, got {chunk_pages}")
-        if window_chunks is not None and window_chunks < 1:
-            raise ConfigurationError(
-                f"window_chunks must be positive, got {window_chunks}"
-            )
         self.workers = resolve_workers(workers)
         self.chunk_pages = chunk_pages
         #: bounded in-flight futures per scatter: backpressure instead of a
         #: million queued futures when a campaign streams millions of pages
-        self.window_chunks = (
-            window_chunks
-            if window_chunks is not None
-            else max(self.workers * DEFAULT_WINDOW_PER_WORKER, 8)
-        )
+        self.window_chunks = max(self.workers * DEFAULT_WINDOW_PER_WORKER, 8)
         #: module-level pre-warm callable run once per worker process (the
         #: fleet engine primes the formation/collision/SAFER table caches
         #: here instead of lazily on each worker's first chunk)
@@ -272,7 +262,7 @@ class SimExecutor:
     def map_indices(self, fn, task, indices: Sequence[int]) -> list:
         """Apply ``fn(task, index)`` over ``indices``, results in index order.
 
-        The per-index fan-out used by :class:`StudyRunner` and the service
+        The per-index fan-out used by :func:`run_study` and the service
         and cluster load generators.  ``fn`` must be a module-level
         callable and ``task`` picklable so chunks can cross the process
         boundary; ``fn(task, index)`` must be a pure function of its
@@ -329,88 +319,47 @@ class SimExecutor:
             yield fn(task, chunk)
 
 
-class StudyRunner:
-    """The generic study harness of the unified execution plane.
+def run_study(
+    name: str, ctx: ExecContext, fn, task, indices: Sequence[int], *, reduce, **attrs
+):
+    """Fan ``fn(task, i)`` over ``indices`` and return ``reduce(results)``.
 
-    Every Monte Carlo study in this repository has the same shape: fan a
-    picklable per-index task over :meth:`SimExecutor.map_indices`, merge
-    the shards in deterministic index order, and reduce the merged rows
-    into :class:`~repro.util.stats.MeanEstimate` aggregates.  This class
-    owns that pattern once — extracted from ``page_sim.run_page_study``
-    and shared by the pairing, PAYG and FREE-p remap simulators — so a
-    study gains multi-core fan-out, span trees and worker-count-invariant
-    results by supplying only its task dataclass and module-level
-    per-index function.
+    The generic study harness of the unified execution plane, shared by
+    the pairing, PAYG and FREE-p remap simulators: ``fn`` is a
+    module-level per-index function and ``task`` its picklable study
+    description, fanned over a :class:`SimExecutor` of ``ctx.workers``
+    and merged in index order, so the reduced study is identical for
+    every worker count.
 
     Span contract (recorded parent-side, so traces are bit-identical for
-    every worker count): ``<name>_study`` wraps the whole run, with a
-    ``fan_out`` child around the executor scatter/gather and, when a
-    ``reduce`` callable is given, a ``reduce`` child around aggregation.
+    every worker count): ``<name>_study`` (carrying ``attrs``) wraps the
+    run, with a ``fan_out`` child around the scatter/gather and a
+    ``reduce`` child around aggregation.  The item count is recorded on
+    the process-wide metrics registry as ``study_items_total{study=<name>}``.
     """
+    tracer = get_tracer()
+    with SimExecutor(ctx.workers) as executor, tracer.span(
+        f"{name}_study", **attrs
+    ) as span:
+        with tracer.span("fan_out", study=name):
+            results = executor.map_indices(fn, task, indices)
+        span.cost(items=len(results))
+        registry = get_metrics()
+        if registry is not None:
+            registry.inc("study_items_total", len(results), study=name)
+        with tracer.span("reduce", study=name):
+            return reduce(results)
 
-    def __init__(
-        self,
-        name: str,
-        ctx: "ExecContext | None" = None,
-    ) -> None:
-        self.name = name
-        self.ctx = ctx if ctx is not None else ExecContext()
-        self.executor = SimExecutor(self.ctx.workers)
 
-    @property
-    def workers(self) -> int:
-        """The resolved worker count (``None``/``0`` became all cores)."""
-        return self.executor.workers
+def mean_columns(
+    results: Sequence[Sequence[float]], names: Sequence[str]
+) -> dict[str, MeanEstimate]:
+    """Per-column 95% CI estimates over row-shaped study results.
 
-    def __enter__(self) -> "StudyRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the executor down."""
-        self.executor.close()
-
-    def map_pages(self, task: PageTask, indices: Sequence[int]) -> list:
-        """Bare page-batch fan-out, for :class:`PageTask`-shaped work."""
-        return self.executor.run_pages(task, indices)
-
-    def run(self, fn, task, indices: Sequence[int], *, reduce=None, **attrs):
-        """Fan ``fn(task, i)`` over ``indices``; optionally reduce.
-
-        Returns the index-ordered result list, or — when ``reduce`` is
-        given — ``reduce(results)``, evaluated inside a ``reduce`` span
-        so the study's aggregation phase shows up in trace trees.  The
-        per-study item count is recorded on the process-wide metrics
-        registry under ``study_items_total{study=<name>}``.
-        """
-        indices = list(indices)
-        tracer = get_tracer()
-        with tracer.span(
-            f"{self.name}_study", workers=self.workers, **attrs
-        ) as span:
-            with tracer.span("fan_out", study=self.name):
-                results = self.executor.map_indices(fn, task, indices)
-            span.cost(items=len(results))
-            registry = get_metrics()
-            if registry is not None:
-                registry.inc("study_items_total", len(results), study=self.name)
-            if reduce is None:
-                return results
-            with tracer.span("reduce", study=self.name):
-                return reduce(results)
-
-    @staticmethod
-    def mean_columns(
-        results: Sequence[Sequence[float]], names: Sequence[str]
-    ) -> dict[str, MeanEstimate]:
-        """Per-column 95% CI estimates over row-shaped study results.
-
-        ``names[i]`` labels column ``i`` of each result row — the shared
-        accumulate-``MeanEstimate`` tail of every study.
-        """
-        return {
-            name: mean_ci([float(row[column]) for row in results])
-            for column, name in enumerate(names)
-        }
+    ``names[i]`` labels column ``i`` of each result row — the shared
+    accumulate-``MeanEstimate`` tail of every study.
+    """
+    return {
+        name: mean_ci([float(row[column]) for row in results])
+        for column, name in enumerate(names)
+    }

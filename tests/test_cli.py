@@ -265,8 +265,8 @@ EXPORT_DIGESTS = {
         ["run", "fig5", "--pages", "2", "--workers", "1"],
         {
             "json": "94a9319add701748cf58b56f8114de46ff3265944210f866ce2df28c6d9ef69f",
-            "metrics": "b1a14ab41d722de0762e1aca47e1152c41d857e6743caf816905ead9187e4b37",
-            "trace": "7039e37227fe434e5eb688b4690cbcf8ba9cca4b364957efeafb3c62bd3b8cad",
+            "metrics": "c0b7e2703f564adb63118dbb4c57e98f63af8ee9d255cfe8d34d3b2bb1e042f5",
+            "trace": "d5bb34c581e0bf32a6c7a059e1d978b6af3b74a55dee36fb8e5ded9f67397056",
         },
     ),
 }
@@ -297,6 +297,28 @@ class TestExportDigests:
                 data = json.dumps(doc, indent=2, sort_keys=True).encode()
             digests[flag] = hashlib.sha256(data).hexdigest()
         assert digests == expected
+
+
+class TestRunExportsWorkerInvariant:
+    """``repro run``'s exports do not depend on ``--workers``: every sim
+    span and metric is recorded parent-side, none inside pool workers."""
+
+    @pytest.mark.parametrize("experiment", ["fig5", "ext-pairing"])
+    def test_exports_identical_at_one_and_two_workers(self, experiment, tmp_path, capsys):
+        from repro.experiments import clear_study_cache
+
+        exports = {}
+        for workers in (1, 2):
+            paths = {flag: tmp_path / f"w{workers}-{flag}" for flag in ("json", "metrics", "trace")}
+            argv = ["run", experiment, "--pages", "8", "--workers", str(workers)]
+            for flag, path in paths.items():
+                argv += [f"--{flag}", str(path)]
+            clear_study_cache()  # a memoised study would skip its spans
+            assert main(argv) == 0
+            exports[workers] = {flag: path.read_bytes() for flag, path in paths.items()}
+        clear_study_cache()
+        capsys.readouterr()
+        assert exports[1] == exports[2]
 
 
 class TestDeterminismDrill:

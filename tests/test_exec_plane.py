@@ -3,8 +3,8 @@
 Two contracts anchor this suite:
 
 * **Worker-count invariance for the migrated extension sims.**  The
-  pairing, PAYG and FREE-p remap studies now fan pages over the same
-  :class:`~repro.sim.parallel.StudyRunner` as ``page_sim``; their rendered
+  pairing, PAYG and FREE-p remap studies fan pages over
+  :func:`~repro.sim.parallel.run_study`; their rendered
   experiment tables must be byte-identical for workers 1, 2 and 4
   (mirroring ``tests/test_parallel.py`` for the page studies).
 * **Field additions are two edits.**  A new ExecContext field must reach
@@ -15,6 +15,7 @@ Two contracts anchor this suite:
 """
 
 import argparse
+import operator
 import pickle
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from repro.service import MemoryArray, run_load
 from repro.sim.block_sim import failure_curve
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import run_page_study
-from repro.sim.parallel import StudyRunner
+from repro.sim.parallel import run_study
 from repro.sim.roster import aegis_spec, ecp_spec
 from repro.core.formations import formation
 
@@ -261,10 +262,9 @@ class TestFieldAdditionIsTwoEdits:
             del REGISTRY["zz-extended-probe"]
             del ACCEPTED_OPTIONS["zz-extended-probe"]
 
-    def test_study_runner_accepts_extended_context(self):
-        runner = StudyRunner("probe", ExtendedContext(workers=1, checkpoint=True))
-        with runner:
-            assert runner.workers == 1
+    def test_run_study_accepts_extended_context(self):
+        ctx = ExtendedContext(workers=1, checkpoint=True)
+        assert run_study("probe", ctx, operator.mul, 3, range(4), reduce=sum) == 18
 
 
 class TestDriversDeclareNoExecKnobs:

@@ -169,23 +169,6 @@ class TestRunPageStudy:
         with pytest.raises(ConfigurationError):
             run_page_study(ecp_spec(2, 100), n_pages=1, seed=0)
 
-    def test_adaptive_stopping_reaches_target(self):
-        study = run_page_study(
-            ecp_spec(2, 512), n_pages=8, seed=13,
-            target_relative_ci=0.10, max_pages=256,
-        )
-        assert study.faults.n >= 8
-        assert (
-            study.faults.half_width <= 0.10 * study.faults.mean
-            or study.faults.n == 256
-        )
-
-    def test_adaptive_stopping_validation(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ConfigurationError):
-            run_page_study(ecp_spec(2, 512), n_pages=2, target_relative_ci=1.5)
-
     def test_better_scheme_more_faults(self):
         weak = run_page_study(ecp_spec(1, 512), n_pages=8, seed=3)
         strong = run_page_study(aegis_spec(9, 61, 512), n_pages=8, seed=3)

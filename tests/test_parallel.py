@@ -175,17 +175,6 @@ class TestStudyDeterminism:
         assert pooled.lifetime == serial.lifetime
         assert pooled.baseline_lifetime == serial.baseline_lifetime
 
-    def test_adaptive_stopping_page_count_matches_serial(self):
-        """Sequential stopping must truncate speculative waves at exactly
-        the page where the serial loop stops."""
-        kwargs = dict(
-            n_pages=8, seed=13, target_relative_ci=0.15, max_pages=64
-        )
-        serial = run_page_study(ecp_spec(2, 512), workers=1, **kwargs)
-        pooled = run_page_study(ecp_spec(2, 512), workers=3, **kwargs)
-        assert len(pooled.results) == len(serial.results)
-        assert pooled.results == serial.results
-
     def test_parallel_matches_direct_serial_engine(self):
         """Cross-validation against simulate_page called by hand."""
         spec = aegis_spec(9, 61, 512)
@@ -199,47 +188,21 @@ class TestStudyDeterminism:
 
 
 class TestObserverForcesSerial:
-    def test_observer_sees_all_pages_in_order(self):
-        events = []
-        study = run_page_study(
-            ecp_spec(2, 512),
-            n_pages=4,
-            blocks_per_page=4,
-            seed=5,
-            workers=4,  # must be ignored: callbacks cannot cross processes
-            observer=events.append,
-        )
-        fatal = [e for e in events if e.fatal]
-        assert len(fatal) == 4
-        total_faults = sum(r.faults_recovered for r in study.results)
-        assert len(events) == total_faults + 4
-
-    def test_observer_sees_only_accepted_pages_under_stopping(self):
-        """Sequential stopping with an observer: the observer hears about
-        exactly the pages the study keeps, never a discarded wave tail."""
-        kwargs = dict(
-            n_pages=8, blocks_per_page=4, seed=13, target_relative_ci=0.15, max_pages=64
-        )
-        events = []
-        observed = run_page_study(ecp_spec(2, 512), observer=events.append, **kwargs)
-        plain = run_page_study(ecp_spec(2, 512), workers=2, **kwargs)
-        assert 8 < len(observed.results) < 64
-        assert observed.results == plain.results
-        assert sum(event.fatal for event in events) == len(observed.results)
-
     def test_observer_run_matches_unobserved_run(self):
+        """An observer forces the scalar scheduler; the observed pages
+        still equal the pooled study's, and the observer hears every
+        fault of every page."""
         plain = run_page_study(
-            ecp_spec(2, 512), n_pages=4, blocks_per_page=4, seed=5, workers=1
+            ecp_spec(2, 512), n_pages=4, blocks_per_page=4, seed=5, workers=4
         )
-        observed = run_page_study(
-            ecp_spec(2, 512),
-            n_pages=4,
-            blocks_per_page=4,
-            seed=5,
-            workers=4,
-            observer=lambda event: None,
+        events = []
+        observed = tuple(
+            simulate_page(ecp_spec(2, 512), 4, rng_for(5, page), observer=events.append)
+            for page in range(4)
         )
-        assert observed.results == plain.results
+        assert observed == plain.results
+        assert sum(event.fatal for event in events) == 4
+        assert len(events) == sum(r.faults_recovered for r in observed) + 4
 
 
 class TestPoolFallback:
@@ -280,15 +243,11 @@ def _page_task(seed: int = 11, blocks: int = 4) -> PageTask:
 class TestWindowedGather:
     """The bounded-window reorder machinery behind every scatter."""
 
-    def test_bad_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimExecutor(2, window_chunks=0)
-
     def test_emits_in_order_under_adversarial_completion(self):
         """Futures complete in reverse submission order; emission must
         still be submission order."""
-        executor = SimExecutor(2, window_chunks=3)
-        total = 10
+        executor = SimExecutor(2)
+        total = 3 * executor.window_chunks + 2
         unresolved: list[tuple[int, Future]] = []
         submitted: list[int] = []
 
@@ -309,8 +268,8 @@ class TestWindowedGather:
     def test_window_bounds_in_flight_futures(self):
         """At no point may more than window_chunks submissions be
         outstanding — submission is throttled, not eager."""
-        executor = SimExecutor(2, window_chunks=3)
-        total = 8
+        executor = SimExecutor(2)
+        total = 2 * executor.window_chunks + 3
         unresolved: dict[int, Future] = {}
         violations: list[int] = []
 
@@ -348,7 +307,7 @@ class TestImapChunks:
             assert (
                 list(serial.imap_chunks(simulate_task_pages, task, chunks)) == expected
             )
-        with SimExecutor(2, window_chunks=2) as pooled:
+        with SimExecutor(2) as pooled:
             assert (
                 list(pooled.imap_chunks(simulate_task_pages, task, chunks)) == expected
             )
@@ -375,8 +334,10 @@ class TestImapChunks:
         stream: the unemitted tail is recomputed serially and the full
         sequence equals the serial run."""
         task = _page_task(seed=9, blocks=2)
-        chunks = _chunked(range(8), 2)
-        executor = SimExecutor(2, window_chunks=1)
+        executor = SimExecutor(2)
+        # the pool dies on the first submission past the initial window,
+        # i.e. after the first chunk has been emitted
+        chunks = _chunked(range(2 * (executor.window_chunks + 2)), 2)
         pool = executor._ensure_pool(len(chunks))
         if pool is None:
             pytest.skip("multiprocessing unavailable on this platform")
@@ -385,7 +346,7 @@ class TestImapChunks:
 
         def flaky_submit(fn, *args):
             calls["count"] += 1
-            if calls["count"] > 1:
+            if calls["count"] > executor.window_chunks:
                 raise BrokenProcessPoolError("worker killed")
             return real_submit(fn, *args)
 
