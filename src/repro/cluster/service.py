@@ -457,7 +457,7 @@ class ClusterService:
         alert_migrated = 0
         if self.slo_engine is not None:
             self.observe()
-            alerts = self.slo_engine.poll()
+            alerts, actions = self.slo_engine.poll()
             for alert in alerts:
                 self.telemetry.metrics.inc(
                     "slo_alerts_total",
@@ -474,7 +474,7 @@ class ClusterService:
                     burn_slow=alert.burn_slow,
                     action=alert.action,
                 )
-            if "migrate" in self.slo_engine.active_actions():
+            if "migrate" in actions:
                 for node in self.nodes:
                     if node.draining or alert_migrated >= MIGRATE_BATCH:
                         continue

@@ -357,46 +357,45 @@ class SLOEngine:
             }
         return report
 
-    def poll(self) -> list[AlertEvent]:
-        """New rising-edge alerts since the previous poll: the edges
-        :meth:`evaluate` reports, minus the buckets already alerted.
+    def poll(self) -> tuple[list[AlertEvent], frozenset[str]]:
+        """``(new_alerts, active_actions)`` from one read of each spec's
+        series.
 
-        Incremental and stateful: each spec remembers which buckets it
-        already alerted on, so the control plane sees each rising edge
-        exactly once however often it polls — including an edge on the
-        newest, still-filling bucket (per-bucket deltas only ever grow,
-        so a bucket's firing state is monotonic and a late-completing
-        bucket still raises its edge on the next poll).  Evicted buckets
-        are forgotten (their data is gone; they can never re-fire).
+        ``new_alerts`` are the rising-edge alerts since the previous poll:
+        the edges :meth:`evaluate` reports, minus the buckets already
+        alerted.  Each spec remembers which buckets it alerted on, so the
+        control plane sees each rising edge exactly once however often it
+        polls.  A bucket's firing state is *not* monotonic: the newest,
+        still-filling bucket can fire on an early burst of bad ops and
+        stop firing once later good ops dilute its ratio.  An alert it
+        raised while firing stays raised (the bucket is remembered), even
+        though a later :meth:`evaluate` may report no edge there.  Evicted
+        buckets are forgotten (their data is gone; they can never re-fire).
+
+        ``active_actions`` is the level-triggered view: the actions of
+        specs whose *newest* bucket is firing now.  Alert events are
+        edge-triggered, but the control plane keeps acting for as long as
+        the burn condition holds, not only at the instant it first crossed
+        the threshold.  Empty-string actions (observe-only specs) are
+        never included.
         """
         fresh: list[AlertEvent] = []
+        active: set[str] = set()
         start = self.recorder.start_bucket
         for spec in self.specs:
             alerted = self._alerted[spec.name]
             alerted.difference_update({bucket for bucket in alerted if bucket < start})
-            events = self._events(spec, *self._fired(spec, *self._bad_total(spec)))
-            new = [event for event in events if event.bucket not in alerted]
+            fired, fast, slow = self._fired(spec, *self._bad_total(spec))
+            new = [
+                event
+                for event in self._events(spec, fired, fast, slow)
+                if event.bucket not in alerted
+            ]
             alerted.update(event.bucket for event in new)
             fresh.extend(new)
-        return fresh
-
-    def active_actions(self) -> frozenset[str]:
-        """Actions of specs whose *newest* bucket is currently firing.
-
-        Alert *events* are edge-triggered (:meth:`poll` emits each rising
-        edge once); the *response* should be level-triggered — a control
-        plane keeps acting for as long as the burn condition holds, not
-        only at the instant it first crossed the threshold.  Empty-string
-        actions (observe-only specs) are never included.
-        """
-        active: set[str] = set()
-        for spec in self.specs:
-            if not spec.action:
-                continue
-            fired, _fast, _slow = self._fired(spec, *self._bad_total(spec))
-            if fired.size and bool(fired[-1]):
+            if spec.action and fired.size and bool(fired[-1]):
                 active.add(spec.action)
-        return frozenset(active)
+        return fresh, frozenset(active)
 
 
 def write_slo_jsonl(

@@ -168,16 +168,32 @@ class TestPoll:
         registry.inc("ops_total", 10)
         registry.inc("bad_total", 5)
         recorder.sample(5)
-        alerts = engine.poll()
+        alerts, _ = engine.poll()
         assert [alert.slo for alert in alerts] == ["loss"]
-        assert engine.poll() == []          # same state: no re-fire
+        assert engine.poll()[0] == []       # same state: no re-fire
         registry.inc("ops_total", 10)
         recorder.sample(15)                 # clean bucket: burn drops
-        assert engine.poll() == []
+        assert engine.poll()[0] == []
         registry.inc("ops_total", 10)
         registry.inc("bad_total", 5)
         recorder.sample(25)                 # second burst: new rising edge
-        assert [alert.bucket for alert in engine.poll()] == [2]
+        assert [alert.bucket for alert in engine.poll()[0]] == [2]
+
+    def test_early_firing_bucket_can_stop_firing(self):
+        """A bucket's firing state is not monotonic: an early burst fires
+        the still-filling bucket, later good ops dilute it below the
+        threshold, and evaluate() then reports no edge for the bucket
+        poll() already alerted on."""
+        registry, recorder, engine = self._burst_engine()
+        registry.inc("ops_total", 10)
+        registry.inc("bad_total", 5)
+        recorder.sample(3)
+        alerts, _ = engine.poll()
+        assert [alert.bucket for alert in alerts] == [0]
+        registry.inc("ops_total", 100)
+        recorder.sample(7)                  # same 10-wide bucket, now 5/110
+        assert engine.evaluate()["slos"]["loss"]["alerts"] == []
+        assert engine.poll() == ([], frozenset())
 
     def test_active_actions_is_level_triggered(self):
         spec = SLOSpec.ratio(
@@ -187,23 +203,24 @@ class TestPoll:
         registry = MetricsRegistry()
         recorder = TimeSeriesRecorder(registry, bucket_width=10, capacity=64)
         engine = SLOEngine(recorder, (spec,))
-        assert engine.active_actions() == frozenset()
+        assert engine.poll() == ([], frozenset())
         registry.inc("ops_total", 10)
         registry.inc("bad_total", 5)
         recorder.sample(5)
-        assert engine.active_actions() == {"migrate"}
-        assert engine.poll() and engine.poll() == []
+        alerts, actions = engine.poll()
+        assert alerts and actions == {"migrate"}
+        assert engine.poll() == ([], {"migrate"})
         # the action stays active while the burn condition holds, even
         # though the rising edge has already been consumed by poll()
         registry.inc("ops_total", 10)
         registry.inc("bad_total", 5)
         recorder.sample(15)
-        assert engine.poll() == []          # still the same firing episode
-        assert engine.active_actions() == {"migrate"}
+        # still the same firing episode: no new edge, action still active
+        assert engine.poll() == ([], {"migrate"})
         # a clean bucket ends the episode: the action deactivates
         registry.inc("ops_total", 10)
         recorder.sample(25)
-        assert engine.active_actions() == frozenset()
+        assert engine.poll() == ([], frozenset())
 
     def test_polling_every_sample_matches_evaluate(self):
         """poll() after every sample of a multi-burst run yields exactly
@@ -235,7 +252,7 @@ class TestPoll:
                 registry.inc("bad_total", bad)
             registry.set_gauge("capacity", capacity)
             recorder.sample(index * 10 + (15 if index > 5 else 5))
-            polled.extend(engine.poll())
+            polled.extend(engine.poll()[0])
         report = engine.evaluate()["slos"]
         expected = [alert for spec in specs for alert in report[spec.name]["alerts"]]
         assert len(expected) >= 4
@@ -246,14 +263,14 @@ class TestPoll:
                                alert["bucket"]),
         )
         assert got == expected
-        assert engine.poll() == []
+        assert engine.poll()[0] == []
 
     def test_alert_event_shape(self):
         registry, recorder, engine = self._burst_engine()
         registry.inc("ops_total", 10)
         registry.inc("bad_total", 5)
         recorder.sample(5)
-        (alert,) = engine.poll()
+        (alert,), _ = engine.poll()
         record = alert.to_dict()
         assert record["slo"] == "loss"
         assert record["bucket"] == 0
