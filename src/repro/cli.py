@@ -736,7 +736,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         args,
         telemetry_jsonl=report.telemetry.write_jsonl,
         json=lambda path: _write_json(path, snapshot),
-        trace=report.write_trace_jsonl,
+        trace=report.telemetry.tracer.write_jsonl,
         metrics=report.telemetry.metrics.write_prometheus,
         series=partial(write_slo_jsonl, recorder=report.telemetry.timeseries, specs=report.slos),
     )

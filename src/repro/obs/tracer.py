@@ -164,6 +164,11 @@ class NullTracer:
     def merge(self, other: object, *, shard: int | None = None) -> None:
         pass
 
+    def write_jsonl(self, path: str) -> int:
+        raise ConfigurationError(
+            "tracing was not enabled for this run (pass trace_sample >= 1)"
+        )
+
 
 class Tracer:
     """Collects sampled root span trees with a deterministic tick clock.

@@ -236,17 +236,6 @@ class LoadReport:
     def ops_per_second(self) -> float:
         return self.ops / self.elapsed if self.elapsed > 0 else 0.0
 
-    def write_trace_jsonl(self, path: str) -> int:
-        """Export the merged span trees + trace snapshot as JSONL (the
-        deterministic ``--trace`` artifact); returns the line count."""
-        tracer = self.telemetry.tracer
-        if not getattr(tracer, "enabled", False):
-            raise ConfigurationError(
-                "tracing was not enabled for this run (pass trace_sample >= 1)"
-            )
-        assert isinstance(tracer, Tracer)
-        return tracer.write_jsonl(path)
-
 
 def _merge_capacity(capacities: list[dict]) -> dict:
     merged: dict[str, object] = {}
@@ -295,8 +284,8 @@ def run_load(
 
     ``trace_sample=N`` records every N-th serviced operation as a span
     tree (failed writes are always kept);
-    the merged trace rides :attr:`LoadReport.telemetry` and exports via
-    :meth:`LoadReport.write_trace_jsonl` — deterministic like the
+    the merged trace exports via ``report.telemetry.tracer.write_jsonl``
+    — deterministic like the
     snapshot.  ``series_bucket=N`` samples the metrics into
     N-op op-clock buckets after every drain (see
     :mod:`repro.obs.timeseries`); the merged series lands in the

@@ -261,7 +261,7 @@ class TestServiceObservability:
             report = _small_load(workers)
             trace = tmp_path / f"trace_w{workers}.jsonl"
             metrics = tmp_path / f"metrics_w{workers}.prom"
-            report.write_trace_jsonl(str(trace))
+            report.telemetry.tracer.write_jsonl(str(trace))
             report.telemetry.metrics.write_prometheus(str(metrics))
             artifacts[workers] = (trace.read_bytes(), metrics.read_bytes())
         assert artifacts[1] == artifacts[4]
@@ -269,8 +269,8 @@ class TestServiceObservability:
     def test_trace_disabled_by_default(self):
         report = _small_load(1, trace_sample=0)
         assert isinstance(report.telemetry.tracer, NullTracer)
-        with pytest.raises(ConfigurationError):
-            report.write_trace_jsonl("/tmp/unused.jsonl")
+        with pytest.raises(ConfigurationError, match="tracing was not enabled"):
+            report.telemetry.tracer.write_jsonl("/tmp/unused.jsonl")
 
     def test_pipeline_stages_traced(self):
         report = _small_load(1)
@@ -324,7 +324,7 @@ class TestObsReport:
         report = _small_load(1)
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.prom"
-        report.write_trace_jsonl(str(trace))
+        report.telemetry.tracer.write_jsonl(str(trace))
         report.telemetry.metrics.write_prometheus(str(metrics))
         text = render_obs_report(str(trace), metrics_path=str(metrics), top=5)
         assert "## Stage-cost breakdown per scheme" in text
@@ -336,7 +336,7 @@ class TestObsReport:
     def test_report_without_metrics(self, tmp_path):
         report = _small_load(1)
         trace = tmp_path / "trace.jsonl"
-        report.write_trace_jsonl(str(trace))
+        report.telemetry.tracer.write_jsonl(str(trace))
         text = render_obs_report(str(trace))
         assert "## Span inventory" in text
 

@@ -513,7 +513,7 @@ class TestLoadGeneratorSweep:
             trace_sample=7,
         )
         trace_path = tmp_path / f"{name}.jsonl"
-        report.write_trace_jsonl(str(trace_path))
+        report.telemetry.tracer.write_jsonl(str(trace_path))
         return report.snapshot, trace_path.read_bytes()
 
     @classmethod
