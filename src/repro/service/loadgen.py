@@ -283,9 +283,8 @@ def run_load(
     deliberately absent from the snapshot's ``config`` block.
 
     ``trace_sample=N`` records every N-th serviced operation as a span
-    tree (failed writes are always kept);
-    the merged trace exports via ``report.telemetry.tracer.write_jsonl``
-    — deterministic like the
+    tree (failed writes are always kept); the merged trace exports via
+    ``report.telemetry.tracer.write_jsonl`` — deterministic like the
     snapshot.  ``series_bucket=N`` samples the metrics into
     N-op op-clock buckets after every drain (see
     :mod:`repro.obs.timeseries`); the merged series lands in the
