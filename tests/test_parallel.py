@@ -6,6 +6,7 @@ study's every sampled number is identical for ``workers=1`` and
 ``rng_for(seed, i)`` regardless of which process simulates it.
 """
 
+import operator
 import os
 import pickle
 from concurrent.futures import Future
@@ -15,6 +16,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.tracer import Tracer, set_tracer
+from repro.sim.context import ExecContext
 from repro.sim.page_sim import run_page_study, simulate_page
 from repro.sim.parallel import (
     DEFAULT_CHUNK_PAGES,
@@ -22,7 +25,9 @@ from repro.sim.parallel import (
     PageTask,
     SimExecutor,
     _chunked,
+    mean_columns,
     resolve_workers,
+    run_study,
     simulate_task_pages,
 )
 from repro.sim.rng import rng_for
@@ -38,6 +43,7 @@ from repro.sim.roster import (
     safer_spec,
     variants_roster,
 )
+from repro.util.stats import mean_ci
 
 #: the representative roster the determinism contract is asserted on
 REPRESENTATIVE = [
@@ -229,6 +235,95 @@ class TestPoolFallback:
         assert study.results == reference.results
 
 
+def _recorded(run):
+    """Run ``run()`` under a fresh process-wide tracer and metrics
+    registry; return ``(result, tracer, registry)``."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    previous_tracer, previous_metrics = set_tracer(tracer), set_metrics(registry)
+    try:
+        result = run()
+    finally:
+        set_tracer(previous_tracer)
+        set_metrics(previous_metrics)
+    return result, tracer, registry
+
+
+class TestParentSideTelemetry:
+    """Study spans and counters are recorded in the parent process only,
+    so a trace or metrics export cannot depend on the worker count."""
+
+    def test_page_study_is_one_fan_out_span_tree(self):
+        n_pages = 2 * DEFAULT_CHUNK_PAGES + 1
+        runs = {
+            workers: _recorded(
+                lambda workers=workers: run_page_study(
+                    ecp_spec(2, 512),
+                    n_pages=n_pages,
+                    blocks_per_page=4,
+                    seed=5,
+                    workers=workers,
+                )
+            )
+            for workers in (1, 2)
+        }
+        (serial_study, serial_trace, serial_metrics) = runs[1]
+        (pooled_study, pooled_trace, pooled_metrics) = runs[2]
+        assert pooled_study.results == serial_study.results
+        (root,) = serial_trace.roots
+        assert root.name == "page_study"
+        assert root.attrs == {"spec": ecp_spec(2, 512).key, "n_pages": n_pages}
+        assert root.costs == {"pages": n_pages}
+        assert [child.name for child in root.children] == ["page_sim", "reduce"]
+        page_sim = root.children[0]
+        # no per-kernel spans and no phase attribute under the fan-out
+        assert page_sim.attrs == {} and page_sim.children == []
+        assert [r.to_dict() for r in pooled_trace.roots] == [root.to_dict()]
+        assert pooled_metrics.snapshot() == serial_metrics.snapshot()
+        assert serial_metrics.counter_value(
+            "pages_simulated_total", spec=ecp_spec(2, 512).key
+        ) == n_pages
+
+    def test_run_study_span_tree_and_item_counter(self):
+        indices = range(3 * DEFAULT_CHUNK_PAGES + 1)
+        runs = {
+            workers: _recorded(
+                lambda workers=workers: run_study(
+                    "probe",
+                    ExecContext(workers=workers),
+                    operator.mul,
+                    3,
+                    indices,
+                    reduce=list,
+                    trials=len(indices),
+                )
+            )
+            for workers in (1, 2)
+        }
+        (serial, serial_trace, serial_metrics) = runs[1]
+        (pooled, pooled_trace, pooled_metrics) = runs[2]
+        assert serial == pooled == [3 * index for index in indices]
+        (root,) = serial_trace.roots
+        assert root.name == "probe_study"
+        assert root.attrs == {"trials": len(indices)}
+        assert root.costs == {"items": len(indices)}
+        assert [(c.name, c.attrs) for c in root.children] == [
+            ("fan_out", {"study": "probe"}),
+            ("reduce", {"study": "probe"}),
+        ]
+        assert [r.to_dict() for r in pooled_trace.roots] == [root.to_dict()]
+        assert pooled_metrics.snapshot() == serial_metrics.snapshot()
+        assert serial_metrics.counter_value("study_items_total", study="probe") == len(
+            indices
+        )
+
+    def test_mean_columns_labels_each_column(self):
+        rows = [(1.0, 10.0), (3.0, 30.0), (5.0, 20.0)]
+        estimates = mean_columns(rows, ["low", "high"])
+        assert list(estimates) == ["low", "high"]
+        assert estimates["low"] == mean_ci([1.0, 3.0, 5.0])
+        assert estimates["high"] == mean_ci([10.0, 30.0, 20.0])
+
+
 def _page_task(seed: int = 11, blocks: int = 4) -> PageTask:
     return PageTask(
         spec=ecp_spec(2, 512),
@@ -242,6 +337,11 @@ def _page_task(seed: int = 11, blocks: int = 4) -> PageTask:
 
 class TestWindowedGather:
     """The bounded-window reorder machinery behind every scatter."""
+
+    def test_window_scales_with_workers(self):
+        """Four chunks in flight per worker, never fewer than eight."""
+        windows = [SimExecutor(workers).window_chunks for workers in (1, 2, 3, 16)]
+        assert windows == [8, 8, 12, 64]
 
     def test_emits_in_order_under_adversarial_completion(self):
         """Futures complete in reverse submission order; emission must
