@@ -10,10 +10,11 @@ Run:  python examples/hardware_walkthrough.py
 
 import numpy as np
 
+from repro.core.collision import NO_COLLISION, collision_rom_for
+from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
 from repro.core.partition import partition_for
-from repro.hardware import CollisionSlopeRom, GroupIdRom, InversionMaskRom, chip_cost
-from repro.core.formations import formation
+from repro.hardware import GroupIdRom, InversionMaskRom, chip_cost
 
 GLYPHS = "0123456"
 
@@ -61,11 +62,14 @@ def main() -> None:
     print(f"  (arithmetic check: {expected})")
 
     print("\n=== §2.4: the Aegis-rw collision ROM ===")
-    collision = CollisionSlopeRom(rect)
+    collision = collision_rom_for(rect)
     print(f"for the 5x7 example: {collision.storage_bits} bits")
     for o1, o2 in [(0, 1), (0, 5), (3, 19)]:
-        slope = collision.lookup(o1, o2)
-        where = f"collide only on slope {slope}" if slope >= 0 else "never collide (same column)"
+        slope = collision.slope_of(o1, o2)
+        where = (
+            "never collide (same column)" if slope == NO_COLLISION
+            else f"collide only on slope {slope}"
+        )
         print(f"  bits {o1:2d} and {o2:2d}: {where}")
 
     print("\n=== chip-shared cost for a production formation (Aegis 9x61) ===")

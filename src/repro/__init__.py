@@ -41,7 +41,6 @@ True
 from repro.core import (
     AegisDoubleWriteScheme,
     AegisPartition,
-    AegisPointerScheme,
     AegisRwPScheme,
     AegisRwScheme,
     AegisScheme,
@@ -97,7 +96,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AegisDoubleWriteScheme",
     "AegisPartition",
-    "AegisPointerScheme",
     "AegisRwPScheme",
     "AegisRwScheme",
     "AegisScheme",

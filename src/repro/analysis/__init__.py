@@ -6,7 +6,6 @@ from repro.analysis.softftc import (
     aegis_expected_soft_ftc,
     aegis_failure_probability,
     birthday_collision_probability,
-    ecp_soft_ftc,
     safer_birthday_soft_ftc,
 )
 from repro.analysis.writecost import WriteCostSummary, write_cost_study
@@ -21,7 +20,6 @@ __all__ = [
     "aegis_expected_soft_ftc",
     "aegis_failure_probability",
     "birthday_collision_probability",
-    "ecp_soft_ftc",
     "latency_study",
     "safer_birthday_soft_ftc",
     "write_cost_study",

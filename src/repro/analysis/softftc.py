@@ -94,8 +94,3 @@ def safer_birthday_soft_ftc(group_count: int) -> float:
     while birthday_collision_probability(f, group_count) < 0.5:
         f += 1
     return float(f)
-
-
-def ecp_soft_ftc(pointers: int) -> int:
-    """ECP's soft FTC equals its hard FTC: the pointer budget."""
-    return pointers

@@ -2,7 +2,6 @@
 
 from repro.core.aegis import AegisScheme
 from repro.core.aegis_dw import AegisDoubleWriteScheme
-from repro.core.aegis_p import AegisPointerScheme
 from repro.core.aegis_rw import AegisRwScheme, classify_faults
 from repro.core.aegis_rw_p import AegisRwPScheme
 from repro.core.collision import NO_COLLISION, CollisionROM, collision_rom_for
@@ -38,7 +37,6 @@ __all__ = [
     "NO_COLLISION",
     "AegisDoubleWriteScheme",
     "AegisPartition",
-    "AegisPointerScheme",
     "AegisRwPScheme",
     "AegisRwScheme",
     "AegisScheme",

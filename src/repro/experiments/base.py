@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import get_metrics
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import PageStudy, run_page_study
 from repro.sim.roster import SchemeSpec
@@ -192,12 +193,7 @@ def dispatch(
     return runner(ctx, **filtered)
 
 
-@dataclass
-class _StudyCache:
-    studies: dict[tuple, PageStudy] = field(default_factory=dict)
-
-
-_CACHE = _StudyCache()
+_STUDIES: dict[tuple, PageStudy] = {}
 
 
 def shared_page_studies(
@@ -212,18 +208,24 @@ def shared_page_studies(
     context (not just the seed): workers and engine never change the
     simulated numbers, but keying on them guarantees mixed-engine or
     mixed-worker invocations within one process can never alias a study
-    computed under different execution settings."""
+    computed under different execution settings.
+
+    A memo hit runs no ``page_study`` span, so each one is counted as
+    ``study_cache_hits_total{spec=...}``."""
     if ctx is None:
         ctx = ExecContext()
+    registry = get_metrics()
     out = []
     for spec in specs:
         key = (spec.key, spec.n_bits, n_pages, ctx.cache_key)
-        if key not in _CACHE.studies:
-            _CACHE.studies[key] = run_page_study(spec, n_pages=n_pages, ctx=ctx)
-        out.append(_CACHE.studies[key])
+        if key not in _STUDIES:
+            _STUDIES[key] = run_page_study(spec, n_pages=n_pages, ctx=ctx)
+        elif registry is not None:
+            registry.inc("study_cache_hits_total", spec=spec.key)
+        out.append(_STUDIES[key])
     return out
 
 
 def clear_study_cache() -> None:
     """Drop memoised page studies (used by tests)."""
-    _CACHE.studies.clear()
+    _STUDIES.clear()

@@ -1,18 +1,11 @@
 """Gate-level models of the paper's lookup hardware (Figures 3 and 4)."""
 
-from repro.hardware.area import AreaBudget, TechnologyModel, area_budget, lookup_energy_pj
-from repro.hardware.cost import ChipCost, chip_cost, fail_cache_bits
-from repro.hardware.rom import CollisionSlopeRom, GroupIdRom, InversionMaskRom
+from repro.hardware.cost import ChipCost, chip_cost
+from repro.hardware.rom import GroupIdRom, InversionMaskRom
 
 __all__ = [
-    "AreaBudget",
     "ChipCost",
-    "CollisionSlopeRom",
     "GroupIdRom",
     "InversionMaskRom",
-    "TechnologyModel",
-    "area_budget",
     "chip_cost",
-    "fail_cache_bits",
-    "lookup_energy_pj",
 ]

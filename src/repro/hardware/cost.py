@@ -52,10 +52,3 @@ def chip_cost(form: Formation) -> ChipCost:
         and_gates=b * b,
         collision_rom_bits=n * n * ceil_log2(b),
     )
-
-
-def fail_cache_bits(entries: int, n_bits: int = 512, address_bits: int = 32) -> int:
-    """SRAM bits for a fail cache of ``entries`` lines: block address,
-    in-block offset, stuck value, valid bit."""
-    line = address_bits + ceil_log2(n_bits) + 1 + 1
-    return entries * line

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.geometry import Rectangle
 from repro.core.partition import partition_for
-from repro.util.bitops import ceil_log2
 
 
 class GroupIdRom:
@@ -102,27 +101,3 @@ class InversionMaskRom:
         if not selected.any():
             return np.zeros(self.rect.n_bits, dtype=np.uint8)
         return np.bitwise_or.reduce(self._group_rom.membership[selected], axis=0)
-
-
-class CollisionSlopeRom:
-    """The §2.4 Aegis-rw ROM: two fault addresses -> their colliding slope.
-
-    A thin hardware-accounting wrapper over
-    :class:`~repro.core.collision.CollisionROM`.
-    """
-
-    def __init__(self, rect: Rectangle) -> None:
-        from repro.core.collision import collision_rom_for
-
-        self.rect = rect
-        self._rom = collision_rom_for(rect)
-
-    @property
-    def storage_bits(self) -> int:
-        """``n * n * ceil(log2 B)`` bits, chip-shared."""
-        return self.rect.n_bits**2 * ceil_log2(self.rect.b_size)
-
-    def lookup(self, address1: int, address2: int) -> int:
-        """Colliding slope of two fault addresses (-1 when they never
-        collide)."""
-        return self._rom.slope_of(address1, address2)

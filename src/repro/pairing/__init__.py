@@ -9,12 +9,7 @@ in-chip recovery (Aegis) delays the point where pairing is needed at all;
 this package quantifies that interplay.
 """
 
-from repro.pairing.pairing import (
-    FailedPage,
-    compatible,
-    pair_failed_pages,
-    usable_page_equivalents,
-)
+from repro.pairing.pairing import FailedPage, compatible, pair_failed_pages
 from repro.pairing.sim import PairingStudy, pairing_study
 
 __all__ = [
@@ -23,5 +18,4 @@ __all__ = [
     "compatible",
     "pair_failed_pages",
     "pairing_study",
-    "usable_page_equivalents",
 ]

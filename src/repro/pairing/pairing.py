@@ -52,10 +52,3 @@ def pair_failed_pages(
         paired_ids.update((i, j))
     unpaired = [page for k, page in enumerate(pages) if k not in paired_ids]
     return pairs, unpaired
-
-
-def usable_page_equivalents(live_pages: int, failed: list[FailedPage]) -> float:
-    """Usable capacity in page-equivalents: live pages plus one per
-    reclaimed pair."""
-    pairs, _ = pair_failed_pages(failed)
-    return live_pages + len(pairs)

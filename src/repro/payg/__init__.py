@@ -9,17 +9,16 @@ allocated on demand.  "As PAYG is a framework that can employ any error
 correction scheme in its GEC component, Aegis complements PAYG with its
 strong fault tolerance capability and its space efficiency."
 
-This package builds that composition: :class:`~repro.payg.payg.PaygBlock`
-(device level, bit-accurate) and :func:`~repro.payg.sim.payg_page_study`
-(Monte Carlo), with Aegis as the default GEC scheme.
+This package evaluates that composition with
+:func:`~repro.payg.sim.payg_page_study` (Monte Carlo), with Aegis as the
+GEC scheme.
 """
 
-from repro.payg.payg import GecPool, PaygBlock, payg_overhead_bits
+from repro.payg.payg import GecPool, payg_overhead_bits
 from repro.payg.sim import PaygPageResult, payg_page_study
 
 __all__ = [
     "GecPool",
-    "PaygBlock",
     "PaygPageResult",
     "payg_overhead_bits",
     "payg_page_study",

@@ -1,11 +1,11 @@
-"""Device-level PAYG composition: per-block LEC + shared GEC pool.
+"""PAYG's shared pieces: the GEC pool and the overhead accounting.
 
 Every block starts under a one-entry ECP (the LEC), which handles the
 common case — most blocks die with very few faults thanks to lifetime
 variability.  When a block's faults exceed the LEC, it requests a GEC
-allocation: a full recovery-scheme metadata slot (Aegis by default) from a
-finite, chip-shared pool.  A block whose request finds the pool empty is
-dead; a block whose GEC scheme eventually fails is dead.
+allocation: a full recovery-scheme metadata slot (Aegis here) from a
+finite, chip-shared :class:`GecPool`.  :mod:`repro.payg.sim` runs that
+policy as a Monte Carlo page study.
 
 The overhead accounting follows PAYG's scheme: per-block LEC bits, plus
 ``pool_entries x (GEC metadata + a block-address tag)`` amortised over all
@@ -14,18 +14,8 @@ blocks.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-import numpy as np
-
-from repro.errors import ConfigurationError, UncorrectableError
-from repro.pcm.cell import CellArray
-from repro.schemes.base import RecoveryScheme, WriteReceipt
-from repro.schemes.ecp import EcpScheme
+from repro.errors import ConfigurationError
 from repro.util.bitops import ceil_log2
-
-#: builds the strong (GEC) scheme for a block's cells
-GecFactory = Callable[[CellArray], RecoveryScheme]
 
 
 class GecPool:
@@ -47,53 +37,6 @@ class GecPool:
             return False
         self.allocated += 1
         return True
-
-
-class PaygBlock(RecoveryScheme):
-    """A block protected pay-as-you-go: ECP-1 LEC, on-demand GEC upgrade."""
-
-    def __init__(
-        self,
-        cells: CellArray,
-        pool: GecPool,
-        gec_factory: GecFactory,
-        *,
-        lec_pointers: int = 1,
-    ) -> None:
-        super().__init__(cells)
-        self.pool = pool
-        self.gec_factory = gec_factory
-        self.lec_pointers = lec_pointers
-        self._active: RecoveryScheme = EcpScheme(cells, lec_pointers)
-        self.upgraded = False
-
-    @property
-    def name(self) -> str:
-        stage = "GEC" if self.upgraded else "LEC"
-        return f"PAYG[{stage}:{self._active.name}]"
-
-    @property
-    def overhead_bits(self) -> int:
-        """This block's *local* bits only; pool amortisation is computed by
-        :func:`payg_overhead_bits`."""
-        return EcpScheme(CellArray(self.cells.n_bits), self.lec_pointers).overhead_bits
-
-    def _encode_write(self, data: np.ndarray) -> WriteReceipt:
-        try:
-            return self._active._encode_write(data)
-        except UncorrectableError:
-            if self.upgraded:
-                raise
-            if not self.pool.try_allocate():
-                raise UncorrectableError(
-                    "PAYG: LEC exceeded and the GEC pool is exhausted",
-                ) from None
-            self.upgraded = True
-            self._active = self.gec_factory(self.cells)
-            return self._active._encode_write(data)
-
-    def read(self) -> np.ndarray:
-        return self._active.read()
 
 
 def payg_overhead_bits(

@@ -52,6 +52,31 @@ def vector_value(offset: int, positions: tuple[int, ...]) -> int:
     return value
 
 
+def vector_values(offsets: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
+    """Array form of :func:`vector_value`: the group of every offset in
+    ``offsets``, as ``int64``.
+
+    >>> vector_values(np.arange(4), (1,)).tolist()
+    [0, 0, 1, 1]
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    ids = np.zeros(offsets.shape, dtype=np.int64)
+    for i, position in enumerate(positions):
+        ids |= ((offsets >> position) & 1) << i
+    return ids
+
+
+def check_group_count(group_count: int, n_bits: int) -> None:
+    """Reject a SAFER group count that is not a power of two in
+    ``[2, n_bits]``."""
+    if group_count < 2 or group_count & (group_count - 1):
+        raise ConfigurationError(
+            f"SAFER group count must be a power of two >= 2, got {group_count}"
+        )
+    if group_count > n_bits:
+        raise ConfigurationError("SAFER cannot use more groups than block bits")
+
+
 def separates(positions: tuple[int, ...], offsets: list[int]) -> bool:
     """True when all ``offsets`` have distinct vector values."""
     values = {vector_value(o, positions) for o in offsets}
@@ -99,12 +124,7 @@ class SaferScheme(RecoveryScheme):
         policy: str = "exhaustive",
     ) -> None:
         super().__init__(cells)
-        if group_count < 2 or group_count & (group_count - 1):
-            raise ConfigurationError(
-                f"SAFER group count must be a power of two >= 2, got {group_count}"
-            )
-        if group_count > cells.n_bits:
-            raise ConfigurationError("SAFER cannot use more groups than block bits")
+        check_group_count(group_count, cells.n_bits)
         if policy not in ("incremental", "exhaustive"):
             raise ConfigurationError(f"unknown SAFER policy {policy!r}")
         self.group_count = group_count
@@ -132,15 +152,8 @@ class SaferScheme(RecoveryScheme):
 
     # -- partition machinery -----------------------------------------------
 
-    def _group_ids(self, positions: tuple[int, ...]) -> np.ndarray:
-        offsets = np.arange(self.cells.n_bits)
-        ids = np.zeros(self.cells.n_bits, dtype=np.int64)
-        for i, position in enumerate(positions):
-            ids |= ((offsets >> position) & 1) << i
-        return ids
-
     def _inversion_mask(self) -> np.ndarray:
-        ids = self._group_ids(self.positions)
+        ids = vector_values(np.arange(self.cells.n_bits), self.positions)
         return self.inversion[ids].astype(np.uint8)
 
     def _repartition(self, detected: set[int]) -> tuple[int, ...]:
@@ -279,12 +292,7 @@ class SaferCacheScheme(RecoveryScheme):
         knowledge: FaultKnowledge | None = None,
     ) -> None:
         super().__init__(cells)
-        if group_count < 2 or group_count & (group_count - 1):
-            raise ConfigurationError(
-                f"SAFER group count must be a power of two >= 2, got {group_count}"
-            )
-        if group_count > cells.n_bits:
-            raise ConfigurationError("SAFER cannot use more groups than block bits")
+        check_group_count(group_count, cells.n_bits)
         self.group_count = group_count
         self.max_positions = ceil_log2(group_count)
         self.addr_bits = ceil_log2(cells.n_bits)
@@ -309,10 +317,7 @@ class SaferCacheScheme(RecoveryScheme):
         return safer_hard_ftc(self.group_count)
 
     def _inversion_mask(self) -> np.ndarray:
-        offsets = np.arange(self.cells.n_bits)
-        ids = np.zeros(self.cells.n_bits, dtype=np.int64)
-        for i, position in enumerate(self.positions):
-            ids |= ((offsets >> position) & 1) << i
+        ids = vector_values(np.arange(self.cells.n_bits), self.positions)
         return self.inversion[ids].astype(np.uint8)
 
     def _encode_write(self, data: np.ndarray) -> WriteReceipt:

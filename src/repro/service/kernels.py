@@ -91,7 +91,7 @@ from repro.core.aegis import AegisScheme
 from repro.errors import ConfigurationError
 from repro.schemes.base import WriteReceipt
 from repro.schemes.ecp import EcpScheme
-from repro.schemes.safer import SaferScheme
+from repro.schemes.safer import SaferScheme, vector_values
 from repro.service.health import BlockHealth
 from repro.sim.kernels import count_rows
 
@@ -220,7 +220,8 @@ class _XorMaskKernel:
         for scheme in schemes:
             ids = cache.get(scheme.positions)
             if ids is None:
-                ids = cache[scheme.positions] = scheme._group_ids(scheme.positions)
+                offsets = np.arange(scheme.cells.n_bits)
+                ids = cache[scheme.positions] = vector_values(offsets, scheme.positions)
             rows.append(ids)
         return np.stack(rows)
 

@@ -19,7 +19,7 @@ from repro.sim.page_sim import (
 )
 from repro.sim.context import ExecContext
 from repro.sim.parallel import PageTask, SimExecutor, resolve_workers, run_study
-from repro.sim.rng import rng_for, spawn_rngs
+from repro.sim.rng import rng_for
 from repro.sim.roster import (
     RW_P_CHOICES,
     SchemeSpec,
@@ -81,7 +81,6 @@ __all__ = [
     "safer_cache_spec",
     "safer_spec",
     "simulate_page",
-    "spawn_rngs",
     "survival_curve_from_lifetimes",
     "survival_curve_from_study",
     "variants_roster",

@@ -49,7 +49,13 @@ from repro.core.collision import NO_COLLISION, CollisionROM, collision_rom_for
 from repro.core.geometry import Rectangle
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
-from repro.schemes.safer import best_extension, grow_vector_for_mixing, vector_value
+from repro.schemes.safer import (
+    best_extension,
+    check_group_count,
+    grow_vector_for_mixing,
+    vector_value,
+    vector_values,
+)
 from repro.util.bitops import ceil_log2
 
 #: default number of data patterns sampled per fault arrival
@@ -97,10 +103,7 @@ def _safer_vectors(addr_bits: int, max_positions: int) -> tuple[tuple[int, ...],
 def _vector_group_ids(n_bits: int, vector: tuple[int, ...]) -> np.ndarray:
     """Group ID of every block bit under a SAFER partition vector, as a
     shared read-only ``int64`` array."""
-    offsets = np.arange(n_bits, dtype=np.int64)
-    ids = np.zeros(n_bits, dtype=np.int64)
-    for i, position in enumerate(vector):
-        ids |= ((offsets >> position) & 1) << i
+    ids = vector_values(np.arange(n_bits), vector)
     ids.flags.writeable = False
     return ids
 
@@ -416,12 +419,7 @@ class SaferCacheChecker:
         rng: np.random.Generator,
         samples: int = DEFAULT_SAMPLES,
     ) -> None:
-        if group_count < 2 or group_count & (group_count - 1):
-            raise ConfigurationError(
-                f"SAFER group count must be a power of two >= 2, got {group_count}"
-            )
-        if group_count > n_bits:
-            raise ConfigurationError("SAFER cannot use more groups than block bits")
+        check_group_count(group_count, n_bits)
         _check_samples(samples)
         self.n_bits = n_bits
         self.group_count = group_count
@@ -446,9 +444,8 @@ class SaferCacheChecker:
         while start < self.samples:
             # a pattern without W/R mixing leaves the vector as it is, so
             # only the first mixing pattern from ``start`` can grow it
-            positions = np.asarray(self.positions, dtype=np.int64)
-            ids = ((offs[:, None] >> positions) & 1) @ (1 << np.arange(positions.size))
-            onehot = (ids[:, None] == np.arange(1 << positions.size)).astype(np.float32)
+            ids = vector_values(offs, self.positions)
+            onehot = (ids[:, None] == np.arange(1 << len(self.positions))).astype(np.float32)
             sizes = onehot.sum(axis=0)
             if sizes.max() < 2:  # every fault in its own group: nothing mixes
                 break

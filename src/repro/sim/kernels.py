@@ -146,15 +146,6 @@ def count_rows(mask: np.ndarray) -> np.ndarray:
     return popcount_rows_u64(mask.view(np.uint64))
 
 
-def xor_popcount_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row Hamming distance between two ``(R, n)`` 0/1 matrices.
-
-    For a differential write this *is* the cell-write cost: the number of
-    cells whose stored value differs from the target form.
-    """
-    return count_rows(np.asarray(a) != np.asarray(b))
-
-
 # ---------------------------------------------------------------------------
 # Batch checkers: the vectorized counterparts of repro.sim.checkers
 # ---------------------------------------------------------------------------

@@ -12,12 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` independent generators derived from one seed."""
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
 def rng_for(seed: int, *keys: int) -> np.random.Generator:
     """A generator keyed by ``(seed, *keys)`` — stable across runs and
     independent across distinct key tuples."""

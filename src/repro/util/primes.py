@@ -46,11 +46,6 @@ def next_prime(n: int) -> int:
     return candidate
 
 
-def primes_in_range(low: int, high: int) -> list[int]:
-    """Return all primes ``p`` with ``low <= p < high``."""
-    return [p for p in range(low, high) if is_prime(p)]
-
-
 def mod_inverse(value: int, modulus: int) -> int:
     """Return the multiplicative inverse of ``value`` modulo a prime ``modulus``.
 

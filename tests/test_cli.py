@@ -320,6 +320,26 @@ class TestRunExportsWorkerInvariant:
         capsys.readouterr()
         assert exports[1] == exports[2]
 
+    def test_memo_hits_are_counted_alike_at_one_and_two_workers(self, tmp_path, capsys):
+        """fig6 reuses fig5's page studies: each reuse is a counted memo
+        hit, the same at every worker count."""
+        from repro.experiments import clear_study_cache
+
+        hits = {}
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}-metrics"
+            argv = ["run", "fig5", "fig6", "--pages", "4", "--workers", str(workers)]
+            clear_study_cache()
+            assert main(argv + ["--metrics", str(path)]) == 0
+            hits[workers] = [
+                line for line in path.read_text().splitlines()
+                if line.startswith("study_cache_hits_total{")
+            ]
+        clear_study_cache()
+        capsys.readouterr()
+        assert hits[1] == hits[2]
+        assert sum(float(line.rsplit(" ", 1)[1]) for line in hits[1]) > 0
+
 
 class TestDeterminismDrill:
     def test_reruns_other_workers_then_the_flipped_engine(self, capsys):

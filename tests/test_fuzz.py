@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.aegis import AegisScheme
 from repro.core.aegis_dw import AegisDoubleWriteScheme
-from repro.core.aegis_p import AegisPointerScheme
 from repro.core.aegis_rw import AegisRwScheme
 from repro.core.aegis_rw_p import AegisRwPScheme
 from repro.core.formations import formation
@@ -29,7 +28,6 @@ FORM = formation(17, 31, 512)
 
 ALL_SCHEMES = [
     ("aegis", lambda c: AegisScheme(c, FORM)),
-    ("aegis-p", lambda c: AegisPointerScheme(c, FORM, 5)),
     ("aegis-rw", lambda c: AegisRwScheme(c, FORM)),
     ("aegis-rw-p", lambda c: AegisRwPScheme(c, FORM, 5)),
     ("aegis-dw", lambda c: AegisDoubleWriteScheme(c, FORM)),

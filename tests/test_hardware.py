@@ -6,8 +6,8 @@ import pytest
 from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
 from repro.core.partition import partition_for
-from repro.hardware.cost import chip_cost, fail_cache_bits
-from repro.hardware.rom import CollisionSlopeRom, GroupIdRom, InversionMaskRom
+from repro.hardware.cost import chip_cost
+from repro.hardware.rom import GroupIdRom, InversionMaskRom
 
 
 @pytest.fixture
@@ -71,68 +71,6 @@ class TestInversionMaskRom:
             rom.mask_for(0, np.zeros(6, dtype=np.uint8))
 
 
-class TestCollisionSlopeRom:
-    def test_matches_collision_math(self, figure_rect):
-        rom = CollisionSlopeRom(figure_rect)
-        for o1 in range(32):
-            for o2 in range(32):
-                if o1 == o2:
-                    continue
-                expected = figure_rect.collision_slope(o1, o2)
-                assert rom.lookup(o1, o2) == (-1 if expected is None else expected)
-
-    def test_storage_for_512(self):
-        rom = CollisionSlopeRom(rectangle_for(512, 61))
-        assert rom.storage_bits == 512 * 512 * 6
-
-
-class TestAreaModel:
-    def test_shared_structures_amortise(self):
-        from repro.hardware.area import area_budget
-
-        budget = area_budget(formation(9, 61, 512))
-        few = budget.amortised_per_block_um2(16)
-        many = budget.amortised_per_block_um2(131072)  # an 8 MB chip
-        assert many < few
-        # with enough blocks the shared ROMs nearly vanish per block
-        assert many == pytest.approx(budget.per_block_metadata_um2, rel=0.25)
-
-    def test_rw_variant_costs_more_silicon(self):
-        from repro.hardware.area import area_budget
-
-        base = area_budget(formation(9, 61, 512), variant="aegis")
-        rw = area_budget(formation(9, 61, 512), variant="aegis-rw")
-        assert rw.shared_rom_um2 > base.shared_rom_um2
-
-    def test_cache_inclusion(self):
-        from repro.hardware.area import area_budget
-
-        budget = area_budget(formation(9, 61, 512))
-        assert budget.total_um2(64, with_cache=True) > budget.total_um2(64)
-
-    def test_variant_validation(self):
-        from repro.errors import ConfigurationError
-        from repro.hardware.area import area_budget
-
-        with pytest.raises(ConfigurationError):
-            area_budget(formation(9, 61, 512), variant="bogus")
-
-    def test_lookup_energy(self):
-        from repro.hardware.area import lookup_energy_pj
-
-        form = formation(9, 61, 512)
-        plain = lookup_energy_pj(form)
-        cached = lookup_energy_pj(form, cache_assisted=True)
-        assert 0 < plain < cached
-
-    def test_technology_validation(self):
-        from repro.errors import ConfigurationError
-        from repro.hardware.area import TechnologyModel
-
-        with pytest.raises(ConfigurationError):
-            TechnologyModel(gate_um2=0)
-
-
 class TestChipCost:
     def test_figure_example(self):
         cost = chip_cost(formation(5, 7, 32))
@@ -140,7 +78,3 @@ class TestChipCost:
         assert cost.id_rom_bits == 49 * 7
         assert cost.and_gates == 49
         assert cost.rw_total_bits > cost.base_total_bits
-
-    def test_fail_cache_sizing(self):
-        # 4096 entries of (32-bit address + 9-bit offset + value + valid)
-        assert fail_cache_bits(4096, 512) == 4096 * 43

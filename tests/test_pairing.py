@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.pairing.pairing import (
-    FailedPage,
-    compatible,
-    pair_failed_pages,
-    usable_page_equivalents,
-)
+from repro.pairing.pairing import FailedPage, compatible, pair_failed_pages
 from repro.pairing.sim import pairing_study
 from repro.sim.roster import ecp_spec
 
@@ -61,9 +56,6 @@ class TestMatching:
         seen = [p.page_id for a, b in pairs for p in (a, b)]
         seen += [p.page_id for p in unpaired]
         assert sorted(seen) == list(range(9))
-
-    def test_usable_equivalents(self):
-        assert usable_page_equivalents(5, [fp(0, 1), fp(1, 2)]) == 6.0
 
 
 class TestPairingStudy:

@@ -1,19 +1,11 @@
-"""Tests for the PAYG extension (device level and Monte Carlo)."""
+"""Tests for the PAYG extension (GEC pool, overhead model, Monte Carlo)."""
 
-import numpy as np
 import pytest
 
-from repro.core.aegis import AegisScheme
 from repro.core.formations import formation
-from repro.errors import ConfigurationError, UncorrectableError
-from repro.pcm.cell import CellArray
-from repro.payg.payg import GecPool, PaygBlock, payg_overhead_bits
+from repro.errors import ConfigurationError
+from repro.payg.payg import GecPool, payg_overhead_bits
 from repro.payg.sim import payg_page_study
-from tests.conftest import random_data
-
-
-def gec_factory(cells):
-    return AegisScheme(cells, formation(17, 31, 512))
 
 
 class TestGecPool:
@@ -27,63 +19,6 @@ class TestGecPool:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             GecPool(-1)
-
-
-class TestPaygBlock:
-    def test_lec_handles_first_fault(self, rng):
-        cells = CellArray(512)
-        cells.inject_fault(5, stuck_value=1)
-        block = PaygBlock(cells, GecPool(1), gec_factory)
-        data = np.zeros(512, dtype=np.uint8)
-        block.write(data)
-        assert np.array_equal(block.read(), data)
-        assert not block.upgraded
-
-    def test_second_fault_triggers_upgrade(self, rng):
-        cells = CellArray(512)
-        cells.inject_fault(5, stuck_value=1)
-        cells.inject_fault(9, stuck_value=1)
-        pool = GecPool(1)
-        block = PaygBlock(cells, pool, gec_factory)
-        data = np.zeros(512, dtype=np.uint8)
-        block.write(data)
-        assert np.array_equal(block.read(), data)
-        assert block.upgraded
-        assert pool.available == 0
-        assert "GEC" in block.name
-
-    def test_exhausted_pool_kills(self):
-        cells = CellArray(512)
-        cells.inject_fault(5, stuck_value=1)
-        cells.inject_fault(9, stuck_value=1)
-        block = PaygBlock(cells, GecPool(0), gec_factory)
-        with pytest.raises(UncorrectableError):
-            block.write(np.zeros(512, dtype=np.uint8))
-        assert block.retired
-
-    def test_upgraded_block_keeps_serving(self, rng):
-        cells = CellArray(512)
-        for offset in (5, 9, 100, 200, 300):
-            cells.inject_fault(offset, stuck_value=int(rng.integers(0, 2)))
-        block = PaygBlock(cells, GecPool(1), gec_factory)
-        for _ in range(10):
-            payload = random_data(rng, 512)
-            block.write(payload)
-            assert np.array_equal(block.read(), payload)
-
-    def test_gec_failure_is_final(self, rng):
-        # saturate even the GEC: two full columns of a 23x23 grid
-        cells = CellArray(512)
-        for row in range(23):
-            for col in (0, 1):
-                offset = col + 23 * row
-                if offset < 512:
-                    cells.inject_fault(offset, stuck_value=1)
-        block = PaygBlock(
-            cells, GecPool(1), lambda c: AegisScheme(c, formation(23, 23, 512))
-        )
-        with pytest.raises(UncorrectableError):
-            block.write(np.zeros(512, dtype=np.uint8))
 
 
 class TestOverheadModel:

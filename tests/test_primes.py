@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.primes import is_prime, mod_inverse, next_prime, primes_in_range
+from repro.util.primes import is_prime, mod_inverse, next_prime
 
 
 class TestIsPrime:
@@ -45,12 +45,6 @@ class TestNextPrime:
         assert p >= n
         assert is_prime(p)
         assert not any(is_prime(q) for q in range(max(n, 2), p))
-
-
-class TestPrimesInRange:
-    def test_paper_b_candidates(self):
-        # primes usable as B for 512-bit blocks up to 71
-        assert primes_in_range(23, 72) == [23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 
 
 class TestModInverse:

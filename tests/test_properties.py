@@ -23,10 +23,10 @@ from repro.pcm.cell import CellArray
 from repro.schemes.ecp import EcpScheme
 from repro.schemes.rdis import RdisScheme
 from repro.schemes.safer import SaferScheme
-from repro.util.primes import primes_in_range
+from repro.util.primes import is_prime
 
 #: valid primes for small random rectangles
-SMALL_PRIMES = primes_in_range(3, 24)
+SMALL_PRIMES = [p for p in range(3, 24) if is_prime(p)]
 
 
 @st.composite
@@ -169,23 +169,6 @@ class TestMoreHardFtcRoundtrips:
         cells.inject_fault(word * 64 + bit, stuck_value=stuck)
         exercise(HammingScheme(cells), np.random.default_rng(seed))
 
-    @COMMON_SETTINGS
-    @given(fault_pattern(512, 8), st.integers(0, 2**31))
-    def test_payg_block_with_gec(self, faults, seed):
-        """A PAYG block with an available GEC slot inherits the GEC scheme's
-        guarantee (Aegis 17x31: 8 faults)."""
-        from repro.payg.payg import GecPool, PaygBlock
-
-        cells = CellArray(512)
-        for offset, stuck in faults:
-            cells.inject_fault(offset, stuck_value=stuck)
-        block = PaygBlock(
-            cells,
-            GecPool(1),
-            lambda c: AegisScheme(c, formation(17, 31, 512)),
-        )
-        exercise(block, np.random.default_rng(seed))
-
 
 class TestMetadataInvariants:
     """Structural invariants of controller state after arbitrary traffic."""
@@ -221,7 +204,7 @@ class TestMetadataInvariants:
 
 class TestSlopeSupplyBound:
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(primes_in_range(5, 80)))
+    @given(st.sampled_from([p for p in range(5, 80) if is_prime(p)]))
     def test_hard_ftc_bounds(self, b_size):
         f = aegis_hard_ftc(b_size)
         assert f * (f - 1) // 2 + 1 <= b_size

@@ -2,20 +2,7 @@
 
 import numpy as np
 
-from repro.sim.rng import rng_for, spawn_rngs
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        rngs = spawn_rngs(7, 4)
-        assert len(rngs) == 4
-        draws = [r.integers(0, 2**31) for r in rngs]
-        assert len(set(draws)) == 4  # astronomically unlikely to collide
-
-    def test_reproducible(self):
-        a = [r.integers(0, 2**31) for r in spawn_rngs(7, 3)]
-        b = [r.integers(0, 2**31) for r in spawn_rngs(7, 3)]
-        assert a == b
+from repro.sim.rng import rng_for
 
 
 class TestRngFor:

@@ -1,5 +1,7 @@
 """Tests for the SAFER baseline (both policies) and SAFER-cache."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.schemes.safer import (
     grow_vector_for_mixing,
     separates,
     vector_value,
+    vector_values,
 )
 from tests.conftest import random_data
 
@@ -29,6 +32,15 @@ class TestVectorMath:
     def test_vector_value_packs_lsb_first(self):
         assert vector_value(0b101101, (0, 2, 5)) == 0b111
         assert vector_value(0b101101, (1, 4)) == 0b00
+
+    @pytest.mark.parametrize("n_bits", [64, 512])
+    def test_vector_values_matches_scalar_rule(self, n_bits):
+        addr_bits = n_bits.bit_length() - 1
+        offsets = np.arange(n_bits)
+        for size in range(4):
+            for positions in permutations(range(addr_bits), size):
+                expected = [vector_value(o, positions) for o in range(n_bits)]
+                assert vector_values(offsets, positions).tolist() == expected
 
     def test_separates(self):
         assert separates((0,), [0b0, 0b1])

@@ -31,7 +31,6 @@ from repro.sim.kernels import (
     pack_rows_u64,
     popcount_rows_u64,
     resolve_engine,
-    xor_popcount_rows,
 )
 from repro.sim.rng import rng_for
 from repro.sim.roster import (
@@ -143,11 +142,6 @@ class TestRowBitsetHelpers:
             mask = rng.random((7, width)) < 0.3
             assert count_rows(mask).tolist() == mask.sum(axis=1).tolist()
         assert count_rows(mask[:, ::2]).tolist() == mask[:, ::2].sum(axis=1).tolist()
-
-    def test_xor_popcount_counts_disagreements(self):
-        a = np.array([[0, 1, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
-        b = np.array([[0, 1, 0, 1], [1, 1, 1, 1]], dtype=np.uint8)
-        assert xor_popcount_rows(a, b).tolist() == [2, 0]
 
 
 class TestEngineResolution:

@@ -6,7 +6,6 @@ from repro.analysis.softftc import (
     aegis_expected_soft_ftc,
     aegis_failure_probability,
     birthday_collision_probability,
-    ecp_soft_ftc,
     safer_birthday_soft_ftc,
 )
 from repro.errors import ConfigurationError
@@ -69,6 +68,3 @@ class TestOtherModels:
     def test_safer_birthday(self):
         # more groups -> more post-saturation headroom
         assert safer_birthday_soft_ftc(128) > safer_birthday_soft_ftc(32)
-
-    def test_ecp(self):
-        assert ecp_soft_ftc(6) == 6
