@@ -23,10 +23,14 @@ from repro.sim.kernels import (
     HEAVY_TIE_FRACTION,
     MAX_SLOPE_BITS,
     batch_checker_for,
+    burst_collapse,
     death_indices,
     kernel_supported,
+    mask_partial_deaths,
+    masked_arrival_order,
     resolve_engine,
     tie_fraction,
+    validate_engine,
 )
 from repro.sim.page_sim import run_page_study, simulate_page, simulate_pages
 from repro.sim.rng import rng_for
@@ -85,6 +89,14 @@ class TestEngineResolution:
     def test_invalid_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_engine("gpu", aegis_spec(9, 61, 512))
+
+    def test_validate_engine_returns_the_name_or_names_the_choices(self):
+        assert validate_engine("auto") == "auto"
+        assert validate_engine("scalar") == "scalar"
+        with pytest.raises(ConfigurationError) as info:
+            validate_engine("vector")
+        assert "'vector'" in str(info.value)
+        assert "'auto'" in str(info.value) and "'scalar'" in str(info.value)
 
     def test_scalar_is_always_scalar(self):
         for spec in KERNEL_SPECS + FALLBACK_SPECS:
@@ -272,3 +284,64 @@ class TestCompaction:
             if step == 4:
                 compacted.compact(keep)
                 assert compacted.n_trials == int(keep.sum())
+
+
+class TestBurstCollapse:
+    def test_bursty_spans_take_their_minimum(self):
+        values = np.array([5.0, 3.0, 9.0, 4.0, 8.0, 1.0, 7.0])
+        # spans of 3: [5 3 9] [4 8 1] [7] (the last one short)
+        out = burst_collapse(values, 3, np.array([True, False, True]))
+        assert out.tolist() == [3.0, 3.0, 3.0, 4.0, 8.0, 1.0, 7.0]
+
+    def test_input_is_not_modified(self):
+        values = np.array([2.0, 1.0, 4.0, 3.0])
+        out = burst_collapse(values, 2, np.array([True, True]))
+        assert out.tolist() == [1.0, 1.0, 3.0, 3.0]
+        assert values.tolist() == [2.0, 1.0, 4.0, 3.0]
+
+    def test_no_bursty_span_is_identity(self):
+        values = np.arange(10, dtype=np.float64)[::-1]
+        out = burst_collapse(values, 4, np.zeros(3, dtype=bool))
+        assert out.tolist() == values.tolist()
+
+
+class TestMaskedArrivalOrder:
+    def test_first_budget_partials_move_to_the_tail(self):
+        positions = np.array([40, 41, 42, 43, 44, 45])
+        flags = np.array([False, True, False, True, True, False])
+        stream, numbers = masked_arrival_order(positions, flags, 2)
+        # arrivals 2 and 4 are masked; arrival 5 is partial but over budget
+        assert stream.tolist() == [40, 42, 44, 45, 41, 43]
+        assert numbers.tolist() == [1, 3, 5, 6, 6, 6]
+
+    def test_zero_budget_is_identity(self):
+        positions = np.array([3, 1, 2])
+        stream, numbers = masked_arrival_order(positions, np.ones(3, dtype=bool), 0)
+        assert stream is positions and numbers is None
+
+    def test_no_partial_arrival_is_identity(self):
+        positions = np.array([3, 1, 2])
+        stream, numbers = masked_arrival_order(positions, np.zeros(3, dtype=bool), 5)
+        assert stream is positions and numbers is None
+
+
+class TestMaskPartialDeaths:
+    def test_each_block_masks_its_earliest_partial_cells(self):
+        # two 4-cell blocks, budget 1 per block
+        base_death = np.array([9.0, 2.0, 5.0, 1.0, 3.0, 8.0, 4.0, 6.0])
+        flags = np.array([True, False, True, False, False, True, True, True])
+        masked = mask_partial_deaths(base_death, flags, 4, 1)
+        # block 0: partial cells 0 (t=9) and 2 (t=5) -> cell 2
+        # block 1: partial cells 5 (t=8), 6 (t=4), 7 (t=6) -> cell 6
+        assert np.flatnonzero(masked).tolist() == [2, 6]
+
+    def test_ties_break_by_cell_index(self):
+        base_death = np.array([4.0, 4.0, 4.0, 1.0])
+        flags = np.array([False, True, True, True])
+        masked = mask_partial_deaths(base_death, flags, 4, 2)
+        assert np.flatnonzero(masked).tolist() == [1, 3]
+
+    def test_zero_budget_or_no_flags_masks_nothing(self):
+        base_death = np.arange(8, dtype=np.float64)
+        assert not mask_partial_deaths(base_death, np.ones(8, dtype=bool), 4, 0).any()
+        assert not mask_partial_deaths(base_death, np.zeros(8, dtype=bool), 4, 3).any()

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -150,6 +151,36 @@ class TestMetricsRegistry:
         series = render_series("m", (("label", 'va"l\\ue'), ))
         assert series == 'm{label="va\\"l\\\\ue"}'
 
+    def test_batch_observations_match_the_sequential_loop(self):
+        values = [0, 3, 8, 9, 64, 64, 65, 900, 2, 8]
+        one_by_one = MetricsRegistry()
+        for value in values:
+            one_by_one.observe("h", value, edges=(8, 64, 512))
+        batched = MetricsRegistry()
+        batched.observe_many("h", np.array(values), edges=(8, 64, 512))
+        batched.observe_many("h", np.array([], dtype=np.int64), edges=(8, 64, 512))
+        assert batched.snapshot() == one_by_one.snapshot()
+
+    def test_observe_repeat_matches_repeated_observe(self):
+        repeated = Histogram((8, 64))
+        for _ in range(5):
+            repeated.observe(64)
+        bulk = Histogram((8, 64))
+        bulk.observe_repeat(64, 5)
+        bulk.observe_repeat(3, 0)
+        assert (bulk.counts, bulk.total, bulk.sum) == (
+            repeated.counts, repeated.total, repeated.sum,
+        )
+
+    def test_precomputed_key_bumps_the_labeled_series(self):
+        reg = MetricsRegistry()
+        key = reg.series_key("writes_total", scheme="a", outcome="ok")
+        reg.inc_key(key)
+        reg.inc_key(key, 4)
+        reg.inc("writes_total", 2, outcome="ok", scheme="a")
+        assert reg.counter_value("writes_total", scheme="a", outcome="ok") == 7
+        assert len(reg.counters) == 1
+
     def test_merged_histograms_require_same_edges(self):
         left = MetricsRegistry()
         right = MetricsRegistry()
@@ -236,6 +267,22 @@ class TestTracer:
         assert roots[0]["name"] == "outer"
         assert roots[0]["costs"]["cell_writes"] == 17
         assert snapshot == {"event": "trace_snapshot", **tracer.snapshot()}
+
+    def test_subtree_error_and_cost_cover_descendants(self):
+        tracer = Tracer()
+        with tracer.span("root") as root:
+            root.cost(cell_writes=1)
+            with tracer.span("clean") as clean:
+                clean.cost(cell_writes=2)
+            with tracer.span("mid") as mid:
+                with tracer.span("leaf") as leaf:
+                    leaf.cost(cell_writes=4, passes=1)
+                    leaf.fail()
+        assert root.subtree_error() and mid.subtree_error()
+        assert not clean.subtree_error()
+        assert root.subtree_cost("cell_writes") == 7
+        assert mid.subtree_cost("passes") == 1
+        assert clean.subtree_cost("passes") == 0
 
     def test_null_tracer_is_inert(self):
         tracer = NullTracer()

@@ -27,6 +27,18 @@ class TestTables:
         with pytest.raises(ValueError):
             view[0] = 5
 
+    def test_member_table_lists_every_group(self, paper_rect, partition):
+        table = partition.member_table()
+        assert table.shape[:2] == (paper_rect.b_size, paper_rect.group_count)
+        assert not table.flags.writeable
+        for slope in range(paper_rect.b_size):
+            for group in range(paper_rect.group_count):
+                members = partition.members_array(group, slope).tolist()
+                row = table[slope, group].tolist()
+                assert row[: len(members)] == members
+                assert all(cell == -1 for cell in row[len(members):])
+        assert partition.member_table() is table
+
     def test_cached_instance_shared(self, paper_rect):
         assert partition_for(paper_rect) is partition_for(paper_rect)
 

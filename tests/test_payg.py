@@ -16,6 +16,20 @@ class TestGecPool:
         assert not pool.try_allocate()
         assert pool.available == 0
 
+    def test_empty_pool_never_allocates(self):
+        pool = GecPool(0)
+        assert not pool.try_allocate()
+        assert pool.allocated == 0
+        assert pool.available == 0
+
+    def test_available_counts_down_per_claim(self):
+        pool = GecPool(3)
+        seen = [pool.available]
+        while pool.try_allocate():
+            seen.append(pool.available)
+        assert seen == [3, 2, 1, 0]
+        assert pool.allocated == 3
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             GecPool(-1)
@@ -27,6 +41,19 @@ class TestOverheadModel:
         half_pool = payg_overhead_bits(64, 512, 32, 36)
         assert lec_only == 11  # ECP-1 bits
         assert half_pool > lec_only
+
+    def test_pool_amortised_with_block_tags(self):
+        # LEC 1 + (9 + 1) = 11 bits; 8 slots of (36 GEC + 6 tag bits) over 64 blocks
+        assert payg_overhead_bits(64, 512, 8, 36) == 11 + 8 * 42 / 64
+
+    def test_each_lec_pointer_adds_a_pointer_and_a_cell(self):
+        one = payg_overhead_bits(64, 512, 0, 36, lec_pointers=1)
+        two = payg_overhead_bits(64, 512, 0, 36, lec_pointers=2)
+        assert two - one == 10  # 9-bit in-block pointer + replacement cell
+        assert payg_overhead_bits(64, 256, 0, 36, lec_pointers=2) == 1 + 2 * 9
+
+    def test_single_block_tag_is_one_bit(self):
+        assert payg_overhead_bits(1, 512, 1, 36) == 11 + 36 + 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.formations import STANDARD_FORMATIONS_256, STANDARD_FORMATIONS_512
 from repro.util.primes import is_prime, mod_inverse, next_prime
 
 
@@ -25,6 +26,20 @@ class TestIsPrime:
     def test_large_prime(self):
         assert is_prime(7919)
         assert not is_prime(7917)
+
+    def test_agrees_with_a_sieve_below_1000(self):
+        sieve = [False, False] + [True] * 998
+        for n in range(2, 32):
+            if sieve[n]:
+                sieve[n * n::n] = [False] * len(range(n * n, 1000, n))
+        assert [n for n in range(1000) if is_prime(n)] == [
+            n for n in range(1000) if sieve[n]
+        ]
+
+    def test_every_paper_formation_has_a_prime_b(self):
+        # Theorem 2 needs the integers modulo B to form a field
+        for _, b_size in STANDARD_FORMATIONS_512 + STANDARD_FORMATIONS_256:
+            assert is_prime(b_size)
 
 
 class TestNextPrime:

@@ -12,12 +12,14 @@ from repro.schemes.safer import (
     SaferCacheScheme,
     SaferScheme,
     best_extension,
+    check_group_count,
     colliding_pairs,
     grow_vector_for_mixing,
     separates,
     vector_value,
     vector_values,
 )
+from repro.sim.checkers import SaferCacheChecker
 from tests.conftest import random_data
 
 
@@ -42,6 +44,21 @@ class TestVectorMath:
                 expected = [vector_value(o, positions) for o in range(n_bits)]
                 assert vector_values(offsets, positions).tolist() == expected
 
+    def test_vector_values_empty_vector_is_one_group(self):
+        ids = vector_values(np.arange(512), ())
+        assert ids.dtype == np.int64
+        assert ids.shape == (512,)
+        assert not ids.any()
+
+    def test_vector_values_keeps_input_shape(self):
+        offsets = np.array([[0, 5], [6, 511]])
+        ids = vector_values(offsets, (2, 0))
+        assert ids.shape == (2, 2)
+        assert ids.tolist() == [
+            [vector_value(0, (2, 0)), vector_value(5, (2, 0))],
+            [vector_value(6, (2, 0)), vector_value(511, (2, 0))],
+        ]
+
     def test_separates(self):
         assert separates((0,), [0b0, 0b1])
         assert not separates((1,), [0b0, 0b1])
@@ -62,6 +79,40 @@ class TestVectorMath:
     def test_best_extension_none_when_exhausted(self):
         # all distinguishing positions already used
         assert best_extension((0,), [0, 1], (0, 1), 1) is None
+
+
+class TestCheckGroupCount:
+    def test_accepts_powers_of_two_up_to_block_bits(self):
+        for group_count in (2, 4, 32, 256, 512):
+            check_group_count(group_count, 512)
+        check_group_count(64, 64)
+
+    @pytest.mark.parametrize("group_count", [0, 1, 3, 48])
+    def test_rejects_non_power_of_two(self, group_count):
+        with pytest.raises(ConfigurationError) as info:
+            check_group_count(group_count, 512)
+        assert str(info.value) == (
+            f"SAFER group count must be a power of two >= 2, got {group_count}"
+        )
+
+    def test_rejects_more_groups_than_bits(self):
+        with pytest.raises(ConfigurationError) as info:
+            check_group_count(1024, 512)
+        assert str(info.value) == "SAFER cannot use more groups than block bits"
+
+    @pytest.mark.parametrize("group_count", [48, 1024])
+    def test_every_safer_model_raises_the_same_error(self, group_count):
+        builders = [
+            lambda: SaferScheme(CellArray(512), group_count),
+            lambda: SaferCacheScheme(CellArray(512), group_count),
+            lambda: SaferCacheChecker(512, group_count, np.random.default_rng(0)),
+        ]
+        with pytest.raises(ConfigurationError) as expected:
+            check_group_count(group_count, 512)
+        for build in builders:
+            with pytest.raises(ConfigurationError) as info:
+                build()
+            assert str(info.value) == str(expected.value)
 
 
 class TestSaferScheme:
