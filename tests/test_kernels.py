@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pcm.lifetime import FixedLifetime
+from repro.pcm.lifetime import FixedLifetime, LifetimeModel, NormalLifetime
 from repro.sim.block_sim import (
     block_lifetime_study,
     failure_curve,
@@ -238,6 +238,62 @@ class TestPageEquivalence:
             engine="auto",
         )
         assert vector.results == scalar.results
+
+
+class _LightTies(LifetimeModel):
+    """Normal endurance with each block's 2nd-4th earliest death copied
+    onto a random cell of the same block: exact ties that the scheduler
+    meets early, yet few enough (~0.6% of a 4-block page) to pass the
+    heavy-tie screen and run on the batch kernel."""
+
+    def __init__(self, n_bits: int) -> None:
+        self.n_bits = n_bits
+        self._base = NormalLifetime()
+
+    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+        values = self._base.sample(n_cells, rng)
+        blocks = values.reshape(-1, self.n_bits)
+        earliest = np.argsort(blocks, axis=1)[:, 1:4]
+        targets = rng.integers(0, self.n_bits, size=earliest.shape)
+        rows = np.arange(blocks.shape[0])[:, None]
+        blocks[rows, targets] = blocks[rows, earliest]
+        return values
+
+    @property
+    def mean(self) -> float:
+        return self._base.mean
+
+
+class TestLightTies:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the kernel ranks tied base deaths by a per-row argsort, "
+        "the scalar scheduler by its page-flat argsort",
+    )
+    @pytest.mark.parametrize("wear", [0.25, 0.0])
+    def test_multi_block_pages_match_scalar(self, wear):
+        """Tied base deaths within a block resolve in the order of the
+        page's flat argsort, which a per-block sort need not share."""
+        model = _LightTies(512)
+        assert 0 < tie_fraction(model.sample(4 * 512, rng_for(0, 0))) < HEAVY_TIE_FRACTION
+        specs = [
+            aegis_spec(9, 61, 512),
+            aegis_spec(17, 31, 512),
+            safer_spec(64, 512),
+            safer_spec(128, 512),
+        ]
+        for spec in specs:
+            for seed in range(12):
+                kwargs = dict(
+                    n_pages=4,
+                    blocks_per_page=4,
+                    seed=seed,
+                    lifetime_model=model,
+                    inversion_wear_rate=wear,
+                )
+                scalar = run_page_study(spec, engine="scalar", **kwargs)
+                vector = run_page_study(spec, engine="auto", **kwargs)
+                assert vector.results == scalar.results, (spec.key, seed)
 
 
 class TestTieScreen:
