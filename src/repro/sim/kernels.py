@@ -22,19 +22,24 @@ Every kernel reproduces the scalar path exactly, not just statistically:
   returned quantity — the kernels elide them.
 * The event-driven wear dynamics replicate the scalar scheduler's
   selection order, including its tie-breaks: at equal event times the
-  base-endurance cursor beats the acceleration heap, and the heap orders
-  equal times by cell index.  The batched selection key ``(time,
-  accelerated?, cell index)`` encodes exactly that.
+  base-endurance cursor beats the acceleration heap, the cursor orders
+  equal base times by their position in the page's flat ``argsort``, and
+  the heap orders equal times by cell index.  The batched selection key
+  ``(time, accelerated?, tie rank)`` encodes exactly that; the ranks are
+  computed only for the rows that meet a tie.
 * The wear formula mirrors the scalar expression's IEEE operation order
   (``now + remaining * write_probability / accel_rate``) so the floats
   agree to the last bit.
 
-Trials whose sampled endurances contain duplicate death times (possible
-under :class:`~repro.pcm.lifetime.FixedLifetime`) are reported for
-transparent scalar fallback: the scalar scheduler's order among exact
-ties depends on its unstable ``argsort``, which a batched kernel cannot
-cheaply replicate.  Under the continuous default models ties have
-probability zero.
+Once wear can no longer move a cell — no live row holds a normal cell,
+or wear is off — the death order is frozen, and the lock-step loop
+becomes a walk over a sorted prefix of each row (:func:`_frozen_walk`).
+
+Samples with many duplicate death times (e.g.
+:class:`~repro.pcm.lifetime.FixedLifetime`) would make the lock-step
+batch grind through near-simultaneous events; the page simulator routes
+them to the scalar scheduler (:data:`HEAVY_TIE_FRACTION`), and replays
+the pages where another death ties the page's own death time.
 
 Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
 its ``kernel`` tag; :func:`resolve_engine` maps the public
@@ -62,8 +67,6 @@ from repro.util.bitops import ceil_log2
 
 #: the Aegis kernel tracks poisoned slopes in a per-trial uint64 bitset
 MAX_SLOPE_BITS = 63
-
-_NORMAL, _ACCELERATED, _DEAD = 0, 1, 2
 
 _ONE = np.uint64(1)
 
@@ -205,10 +208,8 @@ class _BatchChecker:
 
     def member_cols(self, offsets: np.ndarray) -> np.ndarray | None:
         """Sparse form of :meth:`member_masks`: a ``(trials, k)`` array of
-        member cell indices padded with ``-1``, or ``None`` when the
-        scheme's groups are too large for the sparse path to pay off.
-        Only the SAFER batch checkers return ``None`` and take the dense
-        mask path; Aegis always answers here."""
+        member cell indices padded with ``-1``; ``None`` (SAFER) when the
+        groups are too large for the sparse path to pay off."""
         return None
 
 
@@ -374,6 +375,72 @@ def batch_checker_for(spec, n_trials: int) -> _BatchChecker:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DynamicsResult:
+    """Outcome of a batched event-driven wear simulation."""
+
+    death_time: np.ndarray   # (trials,) page-write age at block death
+    event_times: np.ndarray  # (trials, steps) +inf-padded death log
+
+
+class _Lockstep:
+    """Row bookkeeping of a lock-step run.  Consecutive runs of
+    ``blocks_per_page`` rows form a page; the working set compacts to the
+    surviving rows, and ``row_ids`` maps them back to caller rows."""
+
+    def __init__(self, spec, trials: int, blocks_per_page: int) -> None:
+        self.row_ids = np.arange(trials)
+        self.groups = self.row_ids // blocks_per_page
+        self.active = np.ones(trials, dtype=bool)
+        self.death_time = np.full(trials, np.inf)
+        self.group_min = np.full(int(self.groups[-1]) + 1, np.inf)
+        self.columns: list[np.ndarray] = []
+        self.checker = batch_checker_for(spec, trials)
+
+    def step(self, now: np.ndarray, cells: np.ndarray) -> bool:
+        """Feed every active row's next death (time ``now``, in-block
+        offset ``cells``) to the checker and log it; returns whether any
+        row is still active.
+
+        Rows whose next event falls strictly after their page's earliest
+        known death retire first (events *at* the page minimum must still
+        be recorded for the tie audit).
+        """
+        active = self.active
+        active &= ~(now > self.group_min[self.groups])
+        if not active.any():
+            return False
+        column = np.full(self.death_time.size, np.inf)
+        column[self.row_ids[active]] = now[active]
+        self.columns.append(column)
+        alive = self.checker.add_faults(cells, active)
+        newly_dead = active & ~alive
+        if newly_dead.any():
+            self.death_time[self.row_ids[newly_dead]] = now[newly_dead]
+            np.minimum.at(self.group_min, self.groups[newly_dead], now[newly_dead])
+        active &= alive
+        return bool(active.any())
+
+    def compact(self) -> np.ndarray | None:
+        """Drop the inactive rows once fewer than half are active; returns
+        the keep mask for the caller's own row arrays, or ``None``."""
+        keep = self.active
+        n_active = int(keep.sum())
+        if n_active * 2 >= keep.size:
+            return None
+        self.row_ids = self.row_ids[keep]
+        self.groups = self.groups[keep]
+        self.checker.compact(keep)
+        self.active = np.ones(n_active, dtype=bool)
+        return keep
+
+    def result(self) -> DynamicsResult:
+        # step 0 runs for every row, so the log is never empty
+        return DynamicsResult(
+            death_time=self.death_time, event_times=np.stack(self.columns, axis=1)
+        )
+
+
 def death_indices(spec, positions: np.ndarray) -> np.ndarray:
     """Fault count at death for every trial of a failure-curve study.
 
@@ -383,18 +450,14 @@ def death_indices(spec, positions: np.ndarray) -> np.ndarray:
     looping :func:`repro.sim.block_sim.faults_at_death`.
     """
     trials, n_bits = positions.shape
-    deaths = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
-    checker = batch_checker_for(spec, trials)
+    lock = _Lockstep(spec, trials, blocks_per_page=1)
     for step in range(n_bits):
-        alive = checker.add_faults(
-            np.ascontiguousarray(positions[:, step], dtype=np.int64), active
-        )
-        newly_dead = active & ~alive
-        deaths[newly_dead] = step + 1
-        active &= alive
-        if not active.any():
-            return deaths
+        # arrival ``step`` comes at time ``step + 1``, so a trial's death
+        # time is its fault count; one-block pages never retire a row
+        now = np.full(lock.row_ids.size, step + 1.0)
+        if not lock.step(now, positions[lock.row_ids, step]):
+            return lock.death_time.astype(np.int64)
+        lock.compact()
     raise AssertionError(
         f"{spec.label}: block survived all {n_bits} faults"
     )  # pragma: no cover - every covered scheme dies before saturation
@@ -508,106 +571,81 @@ def mask_partial_deaths(
     return masked
 
 
-@dataclass(frozen=True)
-class DynamicsResult:
-    """Outcome of a batched event-driven wear simulation."""
+def _worn(base_death, now, write_probability: float, accel_rate: float):
+    """Accelerated death times, in the scalar wear expression's IEEE
+    operation order: ``now + remaining * write_probability / accel_rate``."""
+    wear = base_death - now
+    np.maximum(wear, 0.0, out=wear)
+    wear *= write_probability
+    wear /= accel_rate
+    wear += now
+    return wear
 
-    death_time: np.ndarray   # (trials,) page-write age at block death
-    event_times: np.ndarray  # (trials, steps) +inf-padded death log
+
+#: first width of the frozen-order walk's sorted prefix; it doubles
+#: whenever a live row walks past the exact part of its prefix
+FROZEN_PREFIX = 32
 
 
-def _wear_sparse(
-    cols: np.ndarray,
-    active: np.ndarray,
-    normal: np.ndarray,
-    base_death: np.ndarray,
-    current: np.ndarray,
-    tie_order: np.ndarray,
-    now: np.ndarray,
-    n_bits: int,
-    write_probability: float,
-    accel_rate: float,
-) -> None:
-    """Apply inversion wear to the gathered member cells only.
+def _frozen_prefix(frozen: np.ndarray, width: int, base_ranks) -> tuple:
+    """The first ``width`` deaths of every row of a frozen population in
+    ``(time, tie rank)`` order, as ``(cells, times, exact)``.
 
-    ``cols`` is the ``(trials, k)`` -1-padded member-index form; touching
-    just those cells replaces several full-matrix passes per step with
-    ``O(trials * k)`` gather/scatter work.
+    The prefix comes from an ``argpartition``, so cells tied with its edge
+    may be missing from it: only a row's first ``exact[row]`` entries —
+    those strictly earlier than every cell left out — are its true
+    schedule.  Ties go by cell index, the accelerated cells' rank;
+    ``base_ranks`` (compacted rows -> rank matrix), when given, re-ranks
+    the rows with a tie among base cells.
     """
-    act = np.flatnonzero(active)
-    safe = cols[act]
-    valid = safe >= 0
-    np.maximum(safe, 0, out=safe)
-    valid &= normal[act[:, None], safe]
-    rr = np.broadcast_to(act[:, None], safe.shape)[valid]
-    cc = safe[valid]
-    if not rr.size:
-        return
-    # the scalar wear expression, same IEEE operation order:
-    # now + remaining * write_probability / accel_rate
-    vals = base_death[rr, cc] - now[rr]
-    np.maximum(vals, 0.0, out=vals)
-    vals *= write_probability
-    vals /= accel_rate
-    vals += now[rr]
-    current[rr, cc] = vals
-    tie_order[rr, cc] = cc + n_bits
-    normal[rr, cc] = False
+    n_bits = frozen.shape[1]
+    if width < n_bits:
+        part = np.argpartition(frozen, width, axis=1)
+        edge = np.take_along_axis(frozen, part[:, width : width + 1], axis=1)
+        cells = np.sort(part[:, :width], axis=1)
+    else:  # the whole row: no cell is left out
+        edge = np.inf
+        cells = np.broadcast_to(np.arange(n_bits), frozen.shape)
+    times = np.take_along_axis(frozen, cells, axis=1)
+    order = np.argsort(times, axis=1, kind="stable")
+    cells = np.take_along_axis(cells, order, axis=1)
+    times = np.take_along_axis(times, order, axis=1)
+    if base_ranks is not None:
+        tied = np.flatnonzero((times[:, 1:] == times[:, :-1]).any(axis=1))
+        if tied.size:
+            ranks = np.take_along_axis(base_ranks(tied), cells[tied], axis=1)
+            order = np.lexsort((ranks, times[tied]), axis=1)
+            cells[tied] = np.take_along_axis(cells[tied], order, axis=1)
+            times[tied] = np.take_along_axis(times[tied], order, axis=1)
+    return cells, times, np.count_nonzero(times < edge, axis=1)
 
 
-def _static_dynamics(
-    spec, base_death: np.ndarray, groups: np.ndarray
+def _frozen_walk(
+    spec, lock: _Lockstep, frozen: np.ndarray, first_step: int, base_ranks=None
 ) -> DynamicsResult:
-    """The no-wear degenerate of :func:`block_dynamics`: death times never
-    move, so each row's fault order is frozen as the argsort of its base
-    death times (ties resolve in the same introsort order the scalar
-    scheduler uses) and the event loop reduces to walking sorted columns
-    through the batch checker."""
-    trials, n_bits = base_death.shape
-    order = np.argsort(base_death, axis=1)
-    times = np.take_along_axis(base_death, order, axis=1)
-    death_time = np.full(trials, np.inf)
-    group_min = np.full(int(groups[-1]) + 1, np.inf)
-    event_columns: list[np.ndarray] = []
-    row_ids = np.arange(trials)
-    n_rows = trials
-    active = np.ones(n_rows, dtype=bool)
+    """Finish a lock-step run whose death order can no longer change.
 
-    checker = batch_checker_for(spec, trials)
-    for step in range(n_bits):
-        if not active.any():
-            break
-        now = times[:, step]
-        active &= ~(now > group_min[groups])
-        if not active.any():
-            break
-        column = np.full(trials, np.inf)
-        column[row_ids[active]] = now[active]
-        event_columns.append(column)
-        alive = checker.add_faults(np.ascontiguousarray(order[:, step]), active)
-        newly_dead = active & ~alive
-        if newly_dead.any():
-            dead_rows = row_ids[newly_dead]
-            death_time[dead_rows] = now[newly_dead]
-            np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
-        active &= alive
-        n_active = int(active.sum())
-        if n_active and n_active * 2 < n_rows:
-            keep = active
-            row_ids = row_ids[keep]
-            times = np.ascontiguousarray(times[keep])
-            order = np.ascontiguousarray(order[keep])
-            groups = groups[keep]
-            checker.compact(keep)
-            n_rows = n_active
-            active = np.ones(n_rows, dtype=bool)
-    else:  # pragma: no cover - every covered scheme dies before saturation
-        if active.any():
-            raise AssertionError(f"{spec.label}: block outlived every cell")
-    # step 0 runs for every row, so the log is never empty
-    return DynamicsResult(
-        death_time=death_time, event_times=np.stack(event_columns, axis=1)
-    )
+    Once no live cell can be moved by wear, each row's remaining deaths
+    are its ``frozen`` times in ``(time, tie rank)`` order, so the loop
+    reduces to walking a sorted prefix through the checker, widening the
+    prefix whenever a live row runs past its exact part.
+    """
+    n_bits = frozen.shape[1]
+    width = FROZEN_PREFIX
+    cells, times, exact = _frozen_prefix(frozen, width, base_ranks)
+    for step in range(n_bits - first_step):
+        while width < n_bits and (exact[lock.active] <= step).any():
+            width = min(2 * width, n_bits)
+            cells, times, exact = _frozen_prefix(frozen, width, base_ranks)
+        if not lock.step(times[:, step], cells[:, step]):
+            return lock.result()
+        keep = lock.compact()
+        if keep is not None:
+            frozen = frozen[keep]
+            cells, times, exact = cells[keep], times[keep], exact[keep]
+    raise AssertionError(
+        f"{spec.label}: block outlived every cell"
+    )  # pragma: no cover - every covered scheme dies before saturation
 
 
 def block_dynamics(
@@ -624,138 +662,105 @@ def block_dynamics(
 
     The per-trial selection key ``(event time, accelerated?, tie rank)``
     replicates the scalar scheduler exactly, duplicates included: among
-    base deaths the tie rank is the cell's position in the *same*
-    ``np.argsort`` the scalar path runs (so equal times resolve in the
-    identical, if arbitrary, introsort order), accelerated cells rank
-    after every base cell of equal time (the cursor beats the heap) and
-    among themselves by cell index (the heap's secondary key).
+    base deaths the tie rank is the cell's position in the page's flat
+    ``np.argsort``, the sort the scalar path runs (so equal times resolve
+    in the identical, if arbitrary, introsort order); accelerated cells
+    rank after every base cell of the page (the cursor beats the heap) and
+    among themselves by cell index (the heap's secondary key).  Ranks are
+    only computed for the rows that meet a tie.
 
-    Consecutive runs of ``blocks_per_page`` rows form a page; once some
-    row of a page has died, rows of that page whose next event can no
-    longer precede the page's earliest death are retired early — their
-    ``death_time`` stays ``+inf``.  Retirement never changes any recorded
-    event at or below the page minimum, which is all a page study reads.
+    Once no live row holds a normal cell (from step 0 without wear, after
+    one step for SAFER) the run finishes as a :func:`_frozen_walk`.
+
+    Once some row of a page has died, rows of that page whose next event
+    can no longer precede the page's earliest death are retired early —
+    their ``death_time`` stays ``+inf``.  Retirement never changes any
+    recorded event at or below the page minimum, which is all a page study
+    reads.
     """
-    base_death = np.ascontiguousarray(base_death, dtype=np.float64)
-    trials, n_bits = base_death.shape
-    groups = np.arange(trials) // blocks_per_page
+    source = np.ascontiguousarray(base_death, dtype=np.float64)
+    trials, n_bits = source.shape
+    lock = _Lockstep(spec, trials, blocks_per_page)
+    page_ranks: dict[int, np.ndarray] = {}
+
+    def base_ranks(sub: np.ndarray) -> np.ndarray:
+        """Tie ranks of the base cells of compacted rows ``sub``: each
+        cell's position in its page's flat ``np.argsort`` (the scalar
+        scheduler's sort), computed once per page that meets a tie."""
+        ranks = np.empty((sub.size, n_bits), dtype=np.int64)
+        for index, row in enumerate(lock.row_ids[sub].tolist()):
+            page, block = divmod(row, blocks_per_page)
+            if page not in page_ranks:
+                first = page * blocks_per_page
+                flat = source[first : first + blocks_per_page].reshape(-1)
+                page_ranks[page] = np.empty(flat.size, dtype=np.int64)
+                page_ranks[page][np.argsort(flat)] = np.arange(flat.size)
+            ranks[index] = page_ranks[page][block * n_bits : (block + 1) * n_bits]
+        return ranks
+
+    if not (spec.inversion_wear and inversion_wear_rate > 0):
+        return _frozen_walk(spec, lock, source, 0, base_ranks)
+
     accel_rate = write_probability + inversion_wear_rate
-    apply_wear = spec.inversion_wear and inversion_wear_rate > 0
-    if not apply_wear:
-        # without wear the death order is frozen at t=0: it is exactly the
-        # argsort of the base death times, so the event loop degenerates
-        # to walking sorted columns through the checker
-        return _static_dynamics(spec, base_death, groups)
-
-    current = base_death.copy()
-    order = np.argsort(base_death, axis=1)  # the scalar path's own sort
-    tie_order = np.empty((trials, n_bits), dtype=np.int64)
-    np.put_along_axis(
-        tie_order,
-        order,
-        np.broadcast_to(np.arange(n_bits, dtype=np.int64), (trials, n_bits)),
-        axis=1,
-    )
-    # tie rank once accelerated: after all base ranks, ordered by cell index
-    base_rank = np.arange(n_bits, dtype=np.int64)
-    accel_rank = base_rank + n_bits
+    base_death = source
+    current = source.copy()
     normal = np.ones((trials, n_bits), dtype=bool)
-    death_time = np.full(trials, np.inf)
-    group_min = np.full(int(groups[-1]) + 1, np.inf)
-    event_columns: list[np.ndarray] = []
-
-    # the working set compacts to the surviving rows as the population
-    # dies off; ``row_ids`` maps compacted rows back to caller rows
-    row_ids = np.arange(trials)
-    n_rows = trials
-    active = np.ones(n_rows, dtype=bool)
-    rows = np.arange(n_rows)
-    candidate = np.empty((n_rows, n_bits), dtype=bool)
-    accel_order = np.broadcast_to(accel_rank, (n_rows, n_bits))
+    # accelerated cells rank after every base cell of the page, by index
+    accel_rank = blocks_per_page * n_bits + np.arange(n_bits)
     max_rank = np.iinfo(np.int64).max
-
-    checker = batch_checker_for(spec, trials)
+    rows = np.arange(trials)
+    candidate = np.empty((trials, n_bits), dtype=bool)
     for step in range(n_bits):
-        if not active.any():
-            break
         # argmin alone picks the right cell except on exact duplicate
-        # times (it breaks ties by column, the scalar path by tie
-        # rank); detect tied rows and redo just those with the rank key
+        # times (it breaks ties by column, the scalar path by tie rank);
+        # rank just the live rows that tie
         chosen = current.argmin(axis=1)
         now = current[rows, chosen]
         np.equal(current, now[:, None], out=candidate)
-        tied = np.flatnonzero(np.count_nonzero(candidate, axis=1) > 1)
+        tied = np.flatnonzero((np.count_nonzero(candidate, axis=1) > 1) & lock.active)
         if tied.size:
-            sub = np.where(candidate[tied], tie_order[tied], max_rank)
-            chosen[tied] = sub.argmin(axis=1)
-        # retire rows whose next event falls strictly after their
-        # page's earliest known death (events *at* the page minimum
-        # must still be recorded for the tie audit)
-        active &= ~(now > group_min[groups])
-        if not active.any():
-            break
-        column = np.full(trials, np.inf)
-        column[row_ids[active]] = now[active]
-        event_columns.append(column)
+            ranks = np.where(normal[tied], base_ranks(tied), accel_rank)
+            chosen[tied] = np.where(candidate[tied], ranks, max_rank).argmin(axis=1)
+        if not lock.step(now, chosen):
+            return lock.result()
+        active = lock.active
         live = rows[active]
-        current[live, chosen[live]] = np.inf
-        normal[live, chosen[live]] = False
-        alive = checker.add_faults(chosen, active)
-        newly_dead = active & ~alive
-        if newly_dead.any():
-            dead_rows = row_ids[newly_dead]
-            death_time[dead_rows] = now[newly_dead]
-            np.minimum.at(group_min, groups[newly_dead], now[newly_dead])
-        active &= alive
-        if active.any():
-            cols = checker.member_cols(chosen)
-            if cols is not None:
-                _wear_sparse(
-                    cols,
-                    active,
-                    normal,
-                    base_death,
-                    current,
-                    tie_order,
-                    now,
-                    n_bits,
-                    write_probability,
-                    accel_rate,
-                )
-            else:
-                target = checker.member_masks(chosen)
-                np.logical_and(target, normal, out=target)
-                np.logical_and(target, active[:, None], out=target)
-                if target.any():
-                    # the scalar wear expression, same IEEE operation
-                    # order: now + remaining * wp / accel_rate
-                    wear = np.subtract(base_death, now[:, None])
-                    np.maximum(wear, 0.0, out=wear)
-                    wear *= write_probability
-                    wear /= accel_rate
-                    wear += now[:, None]
-                    np.copyto(current, wear, where=target)
-                    np.copyto(tie_order, accel_order, where=target)
-                    normal &= ~target
-        n_active = int(active.sum())
-        if n_active and n_active * 2 < n_rows:
-            keep = active
-            row_ids = row_ids[keep]
+        dying = chosen[live]
+        current[live, dying] = np.inf
+        normal[live, dying] = False
+        cols = lock.checker.member_cols(chosen)
+        if cols is None:  # SAFER's large groups come as dense masks
+            target = lock.checker.member_masks(chosen)
+            target &= normal
+            target &= active[:, None]
+            wear = _worn(base_death, now[:, None], write_probability, accel_rate)
+            np.copyto(current, wear, where=target)
+            normal &= ~target
+        else:
+            # flat indices into the C-contiguous matrices: 1-D takes and
+            # puts are several times cheaper than 2-D fancy indexing; a -1
+            # pad reads a neighbouring cell, which the mask then drops
+            members = cols[live]
+            flat = members + (live * n_bits)[:, None]
+            flat = flat[(members >= 0) & normal.reshape(-1)[flat]]
+            current.reshape(-1)[flat] = _worn(
+                base_death.reshape(-1)[flat],
+                now[flat // n_bits],
+                write_probability,
+                accel_rate,
+            )
+            normal.reshape(-1)[flat] = False
+        keep = lock.compact()
+        if keep is not None:
             base_death = np.ascontiguousarray(base_death[keep])
             current = np.ascontiguousarray(current[keep])
-            tie_order = np.ascontiguousarray(tie_order[keep])
             normal = np.ascontiguousarray(normal[keep])
-            groups = groups[keep]
-            checker.compact(keep)
-            n_rows = n_active
-            active = np.ones(n_rows, dtype=bool)
-            rows = np.arange(n_rows)
-            candidate = np.empty((n_rows, n_bits), dtype=bool)
-            accel_order = np.broadcast_to(accel_rank, (n_rows, n_bits))
-    else:  # pragma: no cover - every covered scheme dies before saturation
-        if active.any():
-            raise AssertionError(f"{spec.label}: block outlived every cell")
-    # step 0 runs for every row, so the log is never empty
-    return DynamicsResult(
-        death_time=death_time, event_times=np.stack(event_columns, axis=1)
-    )
+            rows = np.arange(lock.row_ids.size)
+            candidate = np.empty((rows.size, n_bits), dtype=bool)
+        if cols is None and not normal[lock.active].any():
+            # wear only ever moves normal cells: the order is frozen now
+            # (Aegis groups are a few cells, so its rows never get here)
+            return _frozen_walk(spec, lock, current, step + 1)
+    raise AssertionError(
+        f"{spec.label}: block outlived every cell"
+    )  # pragma: no cover - every covered scheme dies before saturation

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime, LifetimeModel, NormalLifetime
+from repro.sim import kernels
 from repro.sim.block_sim import (
     block_lifetime_study,
     failure_curve,
@@ -265,11 +266,6 @@ class _LightTies(LifetimeModel):
 
 
 class TestLightTies:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the kernel ranks tied base deaths by a per-row argsort, "
-        "the scalar scheduler by its page-flat argsort",
-    )
     @pytest.mark.parametrize("wear", [0.25, 0.0])
     def test_multi_block_pages_match_scalar(self, wear):
         """Tied base deaths within a block resolve in the order of the
@@ -294,6 +290,102 @@ class TestLightTies:
                 scalar = run_page_study(spec, engine="scalar", **kwargs)
                 vector = run_page_study(spec, engine="auto", **kwargs)
                 assert vector.results == scalar.results, (spec.key, seed)
+
+
+class _EdgeTies(_LightTies):
+    """Normal endurance with each block's 2nd-5th earliest deaths made
+    equal: a four-way tie near the front of every block, where the edge
+    of a one-, two- or four-wide frozen prefix falls."""
+
+    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+        values = self._base.sample(n_cells, rng)
+        blocks = values.reshape(-1, self.n_bits)
+        earliest = np.argsort(blocks, axis=1)
+        rows = np.arange(blocks.shape[0])[:, None]
+        blocks[rows, earliest[:, 2:5]] = blocks[rows, earliest[:, 1:2]]
+        return values
+
+
+def _pages_match_scalar(spec, model, wear, seeds=range(8)):
+    for seed in seeds:
+        kwargs = dict(lifetime_model=model, inversion_wear_rate=wear)
+        scalar = simulate_pages(spec, 4, range(3), seed, engine="scalar", **kwargs)
+        vector = simulate_pages(spec, 4, range(3), seed, engine="auto", **kwargs)
+        assert vector == scalar, (spec.key, wear, seed)
+
+
+class TestFrozenWalk:
+    """The frozen-order walk against the scalar scheduler."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Record the first step of every frozen walk that is entered."""
+        entered = []
+        walk = kernels._frozen_walk
+
+        def spy(spec, lock, frozen, first_step, base_ranks=None):
+            entered.append(first_step)
+            return walk(spec, lock, frozen, first_step, base_ranks)
+
+        monkeypatch.setattr(kernels, "_frozen_walk", spy)
+        return entered
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize(
+        "spec, wear",
+        [
+            (safer_spec(64, 512), 0.25),
+            (safer_spec(64, 512), 0.0),
+            (aegis_spec(9, 61, 512), 0.0),
+        ],
+        ids=["safer64-wear", "safer64-no-wear", "aegis-9x61-no-wear"],
+    )
+    def test_narrow_prefix_widens_to_the_scalar_order(
+        self, monkeypatch, spec, wear, width
+    ):
+        widths = []
+        prefix = kernels._frozen_prefix
+
+        def spy(frozen, wide, base_ranks):
+            widths.append(wide)
+            return prefix(frozen, wide, base_ranks)
+
+        monkeypatch.setattr(kernels, "FROZEN_PREFIX", width)
+        monkeypatch.setattr(kernels, "_frozen_prefix", spy)
+        _pages_match_scalar(spec, _EdgeTies(spec.n_bits), wear)
+        assert widths[0] == width and max(widths) >= 8 * width
+
+    def test_ties_at_the_prefix_edge_are_not_exact(self):
+        frozen = np.array([[3.0, 1.0, 2.0, 2.0, 2.0, 5.0]])
+        cells, times, exact = kernels._frozen_prefix(frozen, 2, None)
+        # the edge (third-smallest) time 2.0 is tied: only cell 1 is exact
+        assert exact.tolist() == [1] and cells[0, 0] == 1
+        cells, times, exact = kernels._frozen_prefix(frozen, 4, None)
+        assert exact.tolist() == [4]
+        assert cells[0].tolist() == [1, 2, 3, 4]
+        assert times[0].tolist() == [1.0, 2.0, 2.0, 2.0]
+
+    def test_base_ranks_order_ties_in_the_prefix(self):
+        frozen = np.array([[3.0, 1.0, 2.0, 2.0, 2.0, 5.0]])
+        ranks = np.array([[0, 1, 5, 4, 3, 2]])
+        cells, _, exact = kernels._frozen_prefix(frozen, 6, lambda rows: ranks[rows])
+        assert cells[0].tolist() == [1, 4, 3, 2, 0, 5]
+        assert exact.tolist() == [6]
+
+    @pytest.mark.parametrize("wear, first_step", [(0.25, 1), (0.0, 0)])
+    @pytest.mark.parametrize("model", [None, _EdgeTies(512)], ids=["normal", "ties"])
+    def test_safer_freezes_after_its_first_fault(self, walks, model, wear, first_step):
+        """SAFER's first group is the whole block, so one step accelerates
+        every live cell; without wear the order is frozen from step 0."""
+        _pages_match_scalar(safer_spec(128, 512), model, wear)
+        assert walks == [first_step] * 8
+
+    @pytest.mark.parametrize(
+        "spec", [aegis_spec(9, 61, 512), aegis_spec(17, 31, 512)], ids=_IDS
+    )
+    def test_aegis_rows_never_freeze(self, walks, spec):
+        _pages_match_scalar(spec, _EdgeTies(spec.n_bits), 0.25)
+        assert walks == []
 
 
 class TestTieScreen:
