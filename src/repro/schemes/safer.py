@@ -28,6 +28,7 @@ and the block is programmed in a single pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -63,6 +64,15 @@ def vector_values(offsets: np.ndarray, positions: tuple[int, ...]) -> np.ndarray
     ids = np.zeros(offsets.shape, dtype=np.int64)
     for i, position in enumerate(positions):
         ids |= ((offsets >> position) & 1) << i
+    return ids
+
+
+@lru_cache(maxsize=None)
+def group_ids(n_bits: int, positions: tuple[int, ...]) -> np.ndarray:
+    """:func:`vector_values` of every bit of an ``n_bits`` block, cached
+    process-wide as one shared read-only array per partition vector."""
+    ids = vector_values(np.arange(n_bits), positions)
+    ids.flags.writeable = False
     return ids
 
 
@@ -153,7 +163,7 @@ class SaferScheme(RecoveryScheme):
     # -- partition machinery -----------------------------------------------
 
     def _inversion_mask(self) -> np.ndarray:
-        ids = vector_values(np.arange(self.cells.n_bits), self.positions)
+        ids = group_ids(self.cells.n_bits, self.positions)
         return self.inversion[ids].astype(np.uint8)
 
     def _repartition(self, detected: set[int]) -> tuple[int, ...]:
@@ -317,7 +327,7 @@ class SaferCacheScheme(RecoveryScheme):
         return safer_hard_ftc(self.group_count)
 
     def _inversion_mask(self) -> np.ndarray:
-        ids = vector_values(np.arange(self.cells.n_bits), self.positions)
+        ids = group_ids(self.cells.n_bits, self.positions)
         return self.inversion[ids].astype(np.uint8)
 
     def _encode_write(self, data: np.ndarray) -> WriteReceipt:

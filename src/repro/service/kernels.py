@@ -91,7 +91,7 @@ from repro.core.aegis import AegisScheme
 from repro.errors import ConfigurationError
 from repro.schemes.base import WriteReceipt
 from repro.schemes.ecp import EcpScheme
-from repro.schemes.safer import SaferScheme, vector_values
+from repro.schemes.safer import SaferScheme, group_ids
 from repro.service.health import BlockHealth
 from repro.sim.kernels import count_rows
 
@@ -206,8 +206,6 @@ class _XorMaskKernel:
         self.inversion = inversion
         if kind == "aegis":
             self._table = scheme.partition._table
-        else:
-            self._safer_ids: dict[tuple[int, ...], np.ndarray] = {}
 
     def _group_ids(self, physical: np.ndarray) -> np.ndarray:
         """``(rows, bits)`` group id of every bit of the given blocks."""
@@ -215,15 +213,9 @@ class _XorMaskKernel:
         schemes = [blocks[index].scheme for index in physical.tolist()]
         if self.kind == "aegis":
             return self._table[[scheme.slope for scheme in schemes]]
-        cache = self._safer_ids
-        rows = []
-        for scheme in schemes:
-            ids = cache.get(scheme.positions)
-            if ids is None:
-                offsets = np.arange(scheme.cells.n_bits)
-                ids = cache[scheme.positions] = vector_values(offsets, scheme.positions)
-            rows.append(ids)
-        return np.stack(rows)
+        return np.stack(
+            [group_ids(scheme.cells.n_bits, scheme.positions) for scheme in schemes]
+        )
 
     def plan(
         self, phys: np.ndarray, payloads: np.ndarray, candidates: np.ndarray

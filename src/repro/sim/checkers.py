@@ -52,6 +52,7 @@ from repro.errors import ConfigurationError
 from repro.schemes.safer import (
     best_extension,
     check_group_count,
+    group_ids,
     grow_vector_for_mixing,
     vector_value,
     vector_values,
@@ -97,15 +98,6 @@ def _safer_vectors(addr_bits: int, max_positions: int) -> tuple[tuple[int, ...],
     """All candidate SAFER partition vectors for a block geometry — shared
     across the thousands of checkers a page study constructs."""
     return tuple(combinations(range(addr_bits), max_positions))
-
-
-@lru_cache(maxsize=None)
-def _vector_group_ids(n_bits: int, vector: tuple[int, ...]) -> np.ndarray:
-    """Group ID of every block bit under a SAFER partition vector, as a
-    shared read-only ``int64`` array."""
-    ids = vector_values(np.arange(n_bits), vector)
-    ids.flags.writeable = False
-    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +346,7 @@ class SaferChecker:
         vector = self.current_vector()
         if vector is None:
             return np.empty(0, dtype=np.int64)
-        ids = _vector_group_ids(self.n_bits, vector)
+        ids = group_ids(self.n_bits, vector)
         return np.flatnonzero(ids == vector_value(offset, vector))
 
 
@@ -397,7 +389,7 @@ class SaferIncrementalChecker:
         return True
 
     def group_members(self, offset: int) -> np.ndarray:
-        ids = _vector_group_ids(self.n_bits, self.positions)
+        ids = group_ids(self.n_bits, self.positions)
         return np.flatnonzero(ids == vector_value(offset, self.positions))
 
 

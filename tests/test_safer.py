@@ -14,12 +14,13 @@ from repro.schemes.safer import (
     best_extension,
     check_group_count,
     colliding_pairs,
+    group_ids,
     grow_vector_for_mixing,
     separates,
     vector_value,
     vector_values,
 )
-from repro.sim.checkers import SaferCacheChecker
+from repro.sim.checkers import SaferCacheChecker, SaferIncrementalChecker
 from tests.conftest import random_data
 
 
@@ -58,6 +59,22 @@ class TestVectorMath:
             [vector_value(0, (2, 0)), vector_value(5, (2, 0))],
             [vector_value(6, (2, 0)), vector_value(511, (2, 0))],
         ]
+
+    def test_group_ids_is_one_shared_read_only_array_per_vector(self):
+        ids = group_ids(512, (1, 3))
+        assert ids is group_ids(512, (1, 3))
+        assert not ids.flags.writeable
+        assert ids.tolist() == vector_values(np.arange(512), (1, 3)).tolist()
+        assert group_ids(256, (1, 3)).shape == (256,)
+
+    def test_checker_groups_come_from_group_ids(self):
+        checker = SaferIncrementalChecker(512, 32)
+        for offset in (0, 1, 2):
+            assert checker.add_fault(offset, 0)
+        assert checker.positions
+        ids = group_ids(512, checker.positions)
+        members = checker.group_members(5)
+        assert members.tolist() == np.flatnonzero(ids == ids[5]).tolist()
 
     def test_separates(self):
         assert separates((0,), [0b0, 0b1])
