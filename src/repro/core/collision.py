@@ -31,19 +31,21 @@ class CollisionROM:
     def __init__(self, rect: Rectangle) -> None:
         self.rect = rect
         n, a_size, b_size = rect.n_bits, rect.a_size, rect.b_size
-        offsets = np.arange(n, dtype=np.int64)
+        offsets = np.arange(n, dtype=np.int32)
         a = offsets % a_size
         b = offsets // a_size
-        da = (a[:, None] - a[None, :]) % b_size
-        db = (b[:, None] - b[None, :]) % b_size
         # multiplicative inverses of 1..B-1 modulo the prime B
-        inverses = np.zeros(b_size, dtype=np.int64)
+        inverses = np.zeros(b_size, dtype=np.int32)
         for residue in range(1, b_size):
             inverses[residue] = mod_inverse(residue, b_size)
-        table = (db * inverses[da]) % b_size
-        table[da == 0] = NO_COLLISION  # same column: never collide
+        # a pair's slope depends only on its column and row differences
+        # mod B: tabulate db * inverse(da) once, then look every pair up
+        by_diff = (np.arange(b_size, dtype=np.int32) * inverses[:, None]) % b_size
+        by_diff[0] = NO_COLLISION  # same column: never collide
+        da = (a[:, None] - a[None, :]) % b_size
+        db = (b[:, None] - b[None, :]) % b_size
         # shared chip-wide via collision_rom_for: sealed read-only
-        self._table = table.astype(np.int16)
+        self._table = by_diff.astype(np.int16).ravel()[da * b_size + db]
         self._table.flags.writeable = False
 
     @property

@@ -1,10 +1,12 @@
 """Tests for the pairwise collision-slope ROM."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.collision import NO_COLLISION, CollisionROM, collision_rom_for
+from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
 
 
@@ -22,6 +24,19 @@ class TestTable:
                 expected = paper_rect.collision_slope(o1, o2)
                 actual = rom.slope_of(o1, o2)
                 assert actual == (NO_COLLISION if expected is None else expected)
+
+    @pytest.mark.parametrize(
+        "a_size, b_size, n_bits", [(17, 31, 512), (9, 61, 512), (23, 23, 512), (9, 31, 256)]
+    )
+    def test_roster_tables_match_geometry(self, a_size, b_size, n_bits):
+        rect = formation(a_size, b_size, n_bits).rect
+        table = CollisionROM(rect)._table
+        assert table.dtype == np.int16 and not table.flags.writeable
+        pairs = np.random.default_rng(0).integers(0, n_bits, size=(3000, 2))
+        for o1, o2 in pairs.tolist():
+            if o1 != o2:
+                expected = rect.collision_slope(o1, o2)
+                assert table[o1, o2] == (NO_COLLISION if expected is None else expected)
 
     def test_symmetric(self, rom, paper_rect):
         n = paper_rect.n_bits
