@@ -723,16 +723,15 @@ def block_dynamics(
             chosen[tied] = np.where(candidate[tied], ranks, max_rank).argmin(axis=1)
         if not lock.step(now, chosen):
             return lock.result()
-        active = lock.active
-        live = rows[active]
+        live = rows[lock.active]
         dying = chosen[live]
         current[live, dying] = np.inf
         normal[live, dying] = False
         cols = lock.checker.member_cols(chosen)
         if cols is None:  # SAFER's large groups come as dense masks
+            # inactive rows stay inactive, so wearing them is harmless
             target = lock.checker.member_masks(chosen)
             target &= normal
-            target &= active[:, None]
             wear = _worn(base_death, now[:, None], write_probability, accel_rate)
             np.copyto(current, wear, where=target)
             normal &= ~target
