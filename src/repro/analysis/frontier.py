@@ -41,23 +41,14 @@ class FrontierAnalysis:
     frontier: tuple[SchemePoint, ...]  # sorted by overhead
     dominated: tuple[tuple[SchemePoint, tuple[str, ...]], ...]
 
-    def is_on_frontier(self, label: str) -> bool:
-        return any(point.label == label for point in self.frontier)
-
-    def dominators_of(self, label: str) -> tuple[str, ...]:
-        for point, dominators in self.dominated:
-            if point.label == label:
-                return dominators
-        return ()
-
 
 def pareto_frontier(points: list[SchemePoint]) -> FrontierAnalysis:
     """Partition schemes into the efficient frontier and the dominated set.
 
     >>> a = SchemePoint("a", 10, 100.0)
     >>> b = SchemePoint("b", 20, 90.0)
-    >>> pareto_frontier([a, b]).is_on_frontier("b")
-    False
+    >>> [point.label for point in pareto_frontier([a, b]).frontier]
+    ['a']
     """
     if not points:
         raise ValueError("frontier analysis needs at least one scheme")

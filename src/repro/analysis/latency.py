@@ -3,12 +3,12 @@
 The paper argues latency qualitatively — the double-write option is
 rejected because "its latency [is] too high", and the fail cache's
 viability depends on "relative times of reading from the cache and writing
-into the PCM" (§2.4).  This module prices a serviced write from its
-:class:`~repro.schemes.base.WriteReceipt` under a simple device timing
-model, so those arguments become numbers:
+into the PCM" (§2.4).  This module prices a serviced write from the
+per-write averages of :func:`~repro.analysis.writecost.write_cost_study`
+under a simple device timing model, so those arguments become numbers:
 
 * every write *pass* costs one program pulse plus its verification read
-  (the receipt's ``verification_reads`` counts the passes);
+  (the receipts' ``verification_reads`` count the passes);
 * every re-partition trial costs a combinational lookup (the Figure 3
   ROM);
 * cache-assisted schemes pay one SRAM lookup before the first pass.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.analysis.writecost import write_cost_study
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellArray
-from repro.schemes.base import RecoveryScheme, WriteReceipt
+from repro.schemes.base import RecoveryScheme
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,13 @@ class LatencyModel:
                 raise ConfigurationError(f"{name} must be non-negative")
 
     def write_latency_ns(
-        self, receipt: WriteReceipt, *, cache_assisted: bool = False
+        self, passes: float, repartitions: float, *, cache_assisted: bool = False
     ) -> float:
-        """Service latency of one write given its receipt."""
-        passes = max(receipt.verification_reads, 1)
+        """Service latency of a write of ``passes`` program-and-verify
+        passes and ``repartitions`` re-partition trials (per-write averages
+        are priced as they are)."""
         latency = passes * (self.program_ns + self.array_read_ns)
-        latency += receipt.repartitions * self.logic_ns
+        latency += repartitions * self.logic_ns
         if cache_assisted:
             latency += self.cache_lookup_ns
         return latency
@@ -97,13 +98,11 @@ def latency_study(
     # verification_reads is a per-write average, so fractional passes are
     # priced directly for a faithful mean latency
     passes = max(costs.verification_reads, 1.0)
-    latency = passes * (timing.program_ns + timing.array_read_ns)
-    latency += costs.repartitions * timing.logic_ns
-    if cache_assisted:
-        latency += timing.cache_lookup_ns
     return LatencySummary(
         label=label,
         fault_count=fault_count,
-        mean_latency_ns=latency,
+        mean_latency_ns=timing.write_latency_ns(
+            passes, costs.repartitions, cache_assisted=cache_assisted
+        ),
         passes_per_write=passes,
     )

@@ -34,12 +34,6 @@ class WriteCostSummary:
     inversion_writes: float
     repartitions: float
 
-    @property
-    def wear_per_write(self) -> float:
-        """Cell programming ops per serviced write (the wear rate the
-        inversion-wear model in the simulator approximates)."""
-        return self.cell_writes
-
 
 def write_cost_study(
     label: str,

@@ -229,20 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="self-verify the mathematical foundations (Theorems 1-2, Table 1)",
     ).set_defaults(handler=lambda args: _cmd_check())
 
-    report_cmd = sub.add_parser(
-        "report", help="regenerate every artefact into one Markdown report"
-    )
-    report_cmd.set_defaults(handler=_cmd_report)
-    report_cmd.add_argument("-o", "--output", default="report.md", metavar="PATH")
-    report_cmd.add_argument(
-        "experiments", nargs="*", help="experiment ids (default: all)"
-    )
-    report_cmd.add_argument("--pages", type=int, default=64)
-    report_cmd.add_argument("--trials", type=int, default=500)
-    _add_block_bits(report_cmd)
-    report_cmd.add_argument("--no-charts", action="store_true")
-    _add_exec_flags(report_cmd)
-
     schemes_cmd = sub.add_parser(
         "schemes", help="catalogue every evaluated scheme configuration"
     )
@@ -609,22 +595,6 @@ def _cmd_check() -> int:
         print(f"  {label}: {'ok' if ok else 'FAILED'}")
     print("all checks passed" if not failures else f"{failures} check(s) FAILED")
     return 1 if failures else 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import write_report
-
-    size = write_report(
-        args.output,
-        args.experiments or None,
-        pages=args.pages,
-        trials=args.trials,
-        block_bits=args.block_bits,
-        with_charts=not args.no_charts,
-        ctx=ExecContext.from_args(args),
-    )
-    print(f"wrote {args.output} ({size} bytes)")
-    return 0
 
 
 def _cmd_schemes(args: argparse.Namespace) -> int:

@@ -14,10 +14,10 @@ point clockwise of the key's own hash.  The properties the cluster (and
   whose ring arcs that node's points own (~``1/n`` of the space); every
   other key keeps its node.  This is what makes live migration tractable:
   retiring a degraded array re-routes only its own residents.
-* **No retired placements.**  ``node_for`` can only return currently
-  registered nodes, and ``preference`` walks the ring so callers that
-  need capacity fallback visit every live node exactly once, in a
-  deterministic key-specific order.
+* **No retired placements.**  ``preference`` yields only currently
+  registered nodes, and walks the ring so callers that need capacity
+  fallback visit every live node exactly once, in a deterministic
+  key-specific order.
 """
 
 from __future__ import annotations
@@ -95,23 +95,14 @@ class HashRing:
         self._nodes.remove(node)
         self._rebuild()
 
-    def node_for(self, key: str) -> str:
-        """The node owning ``key`` (first point clockwise of the key)."""
-        if not self._nodes:
-            raise ConfigurationError("cannot route on an empty ring")
-        index = bisect.bisect_right(self._points, stable_hash64(key))
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
-
     def preference(self, key: str) -> Iterator[str]:
         """Every live node exactly once, in ``key``'s clockwise ring order.
 
-        The first yielded node is :meth:`node_for`; callers that need
-        capacity fallback (a full primary) take the next distinct node,
-        which is also where consistent hashing would place the key if the
-        primary retired — so fallback placement equals post-retirement
-        placement.
+        The first yielded node owns ``key`` (its first point clockwise of
+        the key); callers that need capacity fallback (a full primary)
+        take the next distinct node, which is also where consistent
+        hashing would place the key if the primary retired — so fallback
+        placement equals post-retirement placement.
         """
         if not self._nodes:
             return

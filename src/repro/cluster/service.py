@@ -288,11 +288,6 @@ class ClusterService:
             raise ConfigurationError(f"no array named {name!r}")
         return node
 
-    def node_of(self, tenant_id: str, address: int) -> ClusterNode | None:
-        """Node currently holding the key (``None`` before its first write)."""
-        placed = self._placement.get((tenant_id, address))
-        return self.nodes[placed[0]] if placed is not None else None
-
     def is_dead(self, tenant_id: str, address: int) -> bool:
         """True when the key's data was lost to spare-pool exhaustion."""
         placed = self._placement.get((tenant_id, address))

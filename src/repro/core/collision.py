@@ -79,17 +79,6 @@ class CollisionROM:
         slopes = slopes[slopes != NO_COLLISION]
         return np.unique(slopes)
 
-    def poisoned_slopes_all_pairs(self, offsets: Iterable[int]) -> np.ndarray:
-        """Distinct slopes on which *any* two of ``offsets`` collide (the
-        plain-Aegis poisoned set, where every fault pair matters)."""
-        offs = np.fromiter(offsets, dtype=np.int64)
-        if offs.size < 2:
-            return np.empty(0, dtype=np.int16)
-        sub = self._table[np.ix_(offs, offs)]
-        upper = sub[np.triu_indices(offs.size, k=1)]
-        upper = upper[upper != NO_COLLISION]
-        return np.unique(upper)
-
     def find_rw_slope(
         self, wrong: Iterable[int], right: Iterable[int], start: int = 0
     ) -> int | None:

@@ -266,10 +266,6 @@ class Formation:
         return aegis_hard_ftc(self.b_size)
 
     @property
-    def hard_ftc_rw(self) -> int:
-        return aegis_rw_hard_ftc(self.b_size)
-
-    @property
     def aegis_overhead_bits(self) -> int:
         """Full slope counter + B-bit inversion vector (the evaluation's
         per-formation cost, e.g. 67 bits for Aegis 9x61)."""

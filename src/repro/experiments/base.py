@@ -95,18 +95,6 @@ class ExperimentResult:
             "chart": self.chart,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentResult":
-        """Inverse of :meth:`to_dict` (row cells come back as JSON types)."""
-        return cls(
-            experiment_id=payload["experiment_id"],
-            title=payload["title"],
-            headers=tuple(payload["headers"]),
-            rows=tuple(tuple(row) for row in payload["rows"]),
-            notes=tuple(payload.get("notes", ())),
-            chart=payload.get("chart"),
-        )
-
 
 #: experiment id -> runner; populated by repro.experiments.__init__
 REGISTRY: dict[str, Callable[..., ExperimentResult]] = {}

@@ -265,9 +265,6 @@ class CampaignSpec:
             return tuple(float(edge) for edge in self.edges)
         return default_retention_edges(self.lifetime_scale())
 
-    def total_pages(self) -> int:
-        return self.pages_per_scheme * len(self.grid())
-
     def config_digest(self, seed: int) -> str:
         """sha256 over every result-bearing parameter plus the seed.
 

@@ -29,16 +29,6 @@ class ChipCost:
     and_gates: int
     collision_rom_bits: int
 
-    @property
-    def base_total_bits(self) -> int:
-        """ROM bits for basic Aegis (Figures 3 and 4 share the membership ROM)."""
-        return self.group_rom_bits + self.id_rom_bits
-
-    @property
-    def rw_total_bits(self) -> int:
-        """ROM bits for Aegis-rw (adds the collision ROM)."""
-        return self.base_total_bits + self.collision_rom_bits
-
 
 def chip_cost(form: Formation) -> ChipCost:
     """Chip-shared structure sizes for a formation (cf. the paper's 49x32

@@ -44,16 +44,6 @@ class GroupIdRom:
                 self.membership[row] = (ids == group).astype(np.uint8)
                 self.group_ids[row] = group
 
-    @property
-    def membership_bits(self) -> int:
-        """Size of the left ROM (the paper's 49 x 32 for a 32-bit block)."""
-        return self.membership.size
-
-    @property
-    def id_bits(self) -> int:
-        """Size of the right ROM (the paper's 49 x 7)."""
-        return self.group_ids.size * self.rect.b_size
-
     def lookup(self, address: int, slope: int) -> int:
         """Group ID of the bit at ``address`` under ``slope`` (the Figure 3
         datapath: select the address column, find the firing row among the
@@ -78,11 +68,6 @@ class InversionMaskRom:
     def __init__(self, rect: Rectangle) -> None:
         self.rect = rect
         self._group_rom = GroupIdRom(rect)
-
-    @property
-    def and_gate_count(self) -> int:
-        """One AND gate per (slope, group) combination."""
-        return self.rect.b_size**2
 
     def mask_for(self, slope: int, inversion_vector: np.ndarray) -> np.ndarray:
         """0/1 mask of bits to invert, given the decoded slope and the

@@ -107,11 +107,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    @property
-    def overflow(self) -> int:
-        """Observations beyond the last finite edge."""
-        return self.counts[-1]
-
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket containing the ``q``-quantile.
 

@@ -68,11 +68,6 @@ class Span:
     def subtree_error(self) -> bool:
         return self.error or any(child.subtree_error() for child in self.children)
 
-    def subtree_cost(self, key: str) -> float:
-        return self.costs.get(key, 0) + sum(
-            child.subtree_cost(key) for child in self.children
-        )
-
     def to_dict(self) -> dict:
         record: dict = {"name": self.name, "start": self.start, "end": self.end}
         if self.attrs:

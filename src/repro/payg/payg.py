@@ -27,10 +27,6 @@ class GecPool:
         self.entries = entries
         self.allocated = 0
 
-    @property
-    def available(self) -> int:
-        return self.entries - self.allocated
-
     def try_allocate(self) -> bool:
         """Claim one slot; ``False`` when the pool is exhausted."""
         if self.allocated >= self.entries:

@@ -21,7 +21,7 @@ from repro.pcm.lifetime import (
     LogNormalLifetime,
     NormalLifetime,
 )
-from repro.pcm.page import PAGE_BITS_4KB, Page
+from repro.pcm.page import Page
 from repro.pcm.wear import (
     NoWearLeveling,
     PerfectWearLeveling,
@@ -31,7 +31,6 @@ from repro.pcm.wear import (
 )
 from repro.pcm.workload import (
     HotColdWorkload,
-    TraceWorkload,
     UniformWorkload,
     Workload,
     ZipfWorkload,
@@ -40,7 +39,6 @@ from repro.pcm.writebuffer import WriteBuffer
 
 __all__ = [
     "FAULT_MODEL_CHOICES",
-    "PAGE_BITS_4KB",
     "PAPER_COV",
     "PAPER_MEAN_LIFETIME",
     "CellArray",
@@ -64,7 +62,6 @@ __all__ = [
     "SecurityRefreshWearLeveling",
     "SequentialBlockKeys",
     "StartGapWearLeveling",
-    "TraceWorkload",
     "UniformWorkload",
     "WearLevelingPolicy",
     "Workload",

@@ -99,15 +99,3 @@ class ProtectedBlock:
         workload model)."""
         data = self.rng.integers(0, 2, size=self.n_bits, dtype=np.uint8)
         return self.write(data)
-
-    def run_until_failure(self, max_writes: int | None = None) -> int:
-        """Issue random writes until the block fails; returns the number of
-        writes successfully serviced.  ``max_writes`` bounds the run for
-        tests (``None`` = no bound)."""
-        limit = max_writes if max_writes is not None else np.inf
-        while self.writes_serviced < limit:
-            try:
-                self.write_random()
-            except UncorrectableError:
-                break
-        return self.writes_serviced

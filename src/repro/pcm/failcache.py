@@ -136,8 +136,3 @@ class DirectMappedFailCache:
     @property
     def occupancy(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0

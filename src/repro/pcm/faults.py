@@ -141,12 +141,6 @@ class FaultModel(ABC):
         """Stuck offsets this model lets a scheme mask at negligible cost."""
         return []
 
-    def is_maskable(self, offset: int) -> bool:
-        """Positional maskability (service layer): whether a fault at this
-        offset would be partial/maskable under this model.  A pure function
-        of the offset so every drain engine agrees without shared state."""
-        return False
-
     # -- sim layer: arrival-count domain (failure_curve) --------------------
 
     def transform_arrivals(
@@ -260,10 +254,6 @@ class PartiallyStuck(FaultModel):
 
     def maskable_offsets(self, cells) -> list[int]:
         return [int(i) for i in np.flatnonzero(cells._stuck & cells._partial)]
-
-    def is_maskable(self, offset: int) -> bool:
-        hashed = (offset * _HASH_MULT + self.salt) % _HASH_MOD
-        return (hashed / _HASH_MOD) < self.partial_fraction
 
     def transform_arrivals(
         self, positions: np.ndarray, rng: np.random.Generator

@@ -16,9 +16,6 @@ from repro.errors import BlockRetiredError, UncorrectableError
 from repro.pcm.block import ProtectedBlock, SchemeFactory
 from repro.pcm.lifetime import LifetimeModel
 
-#: bits in a 4 KB OS page
-PAGE_BITS_4KB = 4096 * 8
-
 
 class Page:
     """A memory block of ``n_blocks`` protected data blocks."""
@@ -45,26 +42,6 @@ class Page:
         ]
         self.writes_serviced = 0
         self._failed = False
-
-    @classmethod
-    def page_4kb(
-        cls,
-        block_bits: int,
-        scheme_factory: SchemeFactory,
-        *,
-        lifetime_model: LifetimeModel | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> "Page":
-        """A 4 KB page of ``block_bits``-bit data blocks."""
-        if PAGE_BITS_4KB % block_bits:
-            raise ValueError(f"4 KB page is not a multiple of {block_bits}-bit blocks")
-        return cls(
-            block_bits,
-            PAGE_BITS_4KB // block_bits,
-            scheme_factory,
-            lifetime_model=lifetime_model,
-            rng=rng,
-        )
 
     @property
     def n_bits(self) -> int:
@@ -104,19 +81,3 @@ class Page:
 
     def read(self) -> np.ndarray:
         return np.concatenate([block.read() for block in self.blocks])
-
-    def run_until_failure(self, max_writes: int | None = None) -> tuple[int, int]:
-        """Random page writes until failure.
-
-        Returns ``(writes serviced, faults recovered)`` where the fault
-        count is the page's stuck cells just before the unrecoverable one —
-        the paper's Figure 5 metric.
-        """
-        limit = max_writes if max_writes is not None else np.inf
-        while self.writes_serviced < limit and not self._failed:
-            try:
-                self.write_random()
-            except UncorrectableError:
-                break
-        recovered = max(0, self.fault_count - 1) if self._failed else self.fault_count
-        return self.writes_serviced, recovered

@@ -10,22 +10,12 @@ skew.
 A workload draws *logical* page indices; the wear-leveling policy maps them
 to physical pages.
 
-Fork-safety contract
---------------------
-Workload instances may carry mutable draw state (a trace cursor, a cached
-CDF).  To be safe to fan out across :class:`~repro.sim.parallel.SimExecutor`
-workers — or any sharded run — a caller must give **each shard its own
-instance** via :meth:`Workload.clone`; sharing one instance means every
-forked worker replays the same prefix of the stream (each child process
-gets a copy-on-write snapshot of the cursor), silently correlating shards
-that are meant to be independent.  Stateless workloads are trivially
-fork-safe; stateful ones (:class:`TraceWorkload`) must implement ``clone``
-so the copies start from a well-defined position.
+Workload instances may carry mutable draw state (Zipf's cached CDF and
+permutation), so each shard of a sharded run needs its own instance.
 """
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -37,19 +27,12 @@ from repro.errors import ConfigurationError
 class Workload(ABC):
     """Draws logical page indices for successive write requests.
 
-    Implementations must be deterministic given the ``rng`` stream, and
-    must support :meth:`clone` (see the module docstring's fork-safety
-    contract) — the default deep-copies the instance, which is correct for
-    any workload whose state is plain data.
+    Implementations must be deterministic given the ``rng`` stream.
     """
 
     @abstractmethod
     def next_logical_page(self, n_pages: int, rng: np.random.Generator) -> int:
         """Logical index in ``[0, n_pages)`` of the next write."""
-
-    def clone(self) -> "Workload":
-        """An independent copy safe to hand to another worker or shard."""
-        return copy.deepcopy(self)
 
 
 class UniformWorkload(Workload):
@@ -85,46 +68,6 @@ class ZipfWorkload(Workload):
             self._prepare(n_pages, rng)
         rank = int(np.searchsorted(self._cdf, rng.random()))
         return int(self._perm[rank])
-
-
-class TraceWorkload(Workload):
-    """Replays a recorded sequence of logical page indices, wrapping around
-    when exhausted — the hook for driving the device model with real
-    application traces.
-
-    The replay cursor is mutable state, so a single instance must never be
-    shared across :class:`~repro.sim.parallel.SimExecutor` workers or
-    shards: each forked worker would replay the same trace prefix instead
-    of an independent stream.  Give every shard its own :meth:`clone`
-    (copies share the immutable trace but carry their own cursor), and use
-    :meth:`reset` to rewind between runs.
-    """
-
-    def __init__(self, trace: list[int] | np.ndarray) -> None:
-        trace = np.asarray(trace, dtype=np.int64)
-        if trace.size == 0:
-            raise ConfigurationError("a trace workload needs at least one access")
-        if trace.min() < 0:
-            raise ConfigurationError("trace entries must be non-negative")
-        self.trace = trace
-        self._cursor = 0
-
-    def next_logical_page(self, n_pages: int, rng: np.random.Generator) -> int:
-        value = int(self.trace[self._cursor % self.trace.size])
-        self._cursor += 1
-        return value % n_pages
-
-    def reset(self) -> None:
-        """Rewind the replay cursor to the start of the trace."""
-        self._cursor = 0
-
-    def clone(self) -> "TraceWorkload":
-        """A cursor-independent copy sharing the (immutable) trace array,
-        starting from the trace's beginning."""
-        fresh = TraceWorkload.__new__(TraceWorkload)
-        fresh.trace = self.trace
-        fresh._cursor = 0
-        return fresh
 
 
 @dataclass

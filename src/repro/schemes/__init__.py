@@ -10,7 +10,7 @@ from repro.schemes.base import (
 )
 from repro.schemes.ecp import EcpScheme
 from repro.schemes.hamming import HammingScheme
-from repro.schemes.ideal import NoProtectionScheme, PerfectScheme
+from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.rdis import RdisScheme, rdis_mask
 from repro.schemes.safer import SaferCacheScheme, SaferScheme, separates, vector_value
 
@@ -20,7 +20,6 @@ __all__ = [
     "HammingScheme",
     "NoProtectionScheme",
     "OracleKnowledge",
-    "PerfectScheme",
     "RdisScheme",
     "RecoveryScheme",
     "SaferCacheScheme",

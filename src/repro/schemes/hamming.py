@@ -123,12 +123,6 @@ class HammingScheme(RecoveryScheme):
     def hard_ftc(self) -> int:
         return 1  # one fault per block is always safe (it lands in one word)
 
-    @property
-    def check_cells(self) -> CellArray:
-        """The side array storing check bits (inject faults here to model
-        fragile check storage)."""
-        return self._checks
-
     def _encode_write(self, data: np.ndarray) -> WriteReceipt:
         receipt = WriteReceipt()
         check_image = np.zeros(self.words * CHECK_BITS, dtype=np.uint8)

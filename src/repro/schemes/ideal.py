@@ -1,12 +1,9 @@
-"""Degenerate schemes: the unprotected baseline and a perfect oracle.
+"""The degenerate scheme: the unprotected baseline.
 
 ``NoProtectionScheme`` is the paper's reference point for lifetime
 improvement (Figures 6 and 12): a block with no recovery metadata fails on
 the first write for which some stuck cell holds the wrong value — under
 random data, essentially as soon as the first cell dies.
-
-``PerfectScheme`` tolerates everything by keeping a shadow copy; it exists
-for tests and as an upper bound in examples, not as a hardware proposal.
 """
 
 from __future__ import annotations
@@ -51,28 +48,3 @@ class NoProtectionScheme(RecoveryScheme):
     def read(self) -> np.ndarray:
         return self.cells.read()
 
-
-class PerfectScheme(RecoveryScheme):
-    """Never fails; reads come from a shadow copy.  Testing aid only."""
-
-    def __init__(self, cells: CellArray) -> None:
-        super().__init__(cells)
-        self._shadow = np.zeros(cells.n_bits, dtype=np.uint8)
-
-    @property
-    def name(self) -> str:
-        return "Perfect"
-
-    @property
-    def overhead_bits(self) -> int:
-        return self.cells.n_bits  # the shadow copy, counted honestly
-
-    def _encode_write(self, data: np.ndarray) -> WriteReceipt:
-        receipt = WriteReceipt()
-        receipt.cell_writes += self.cells.write(data)
-        receipt.verification_reads += 1
-        self._shadow = data.copy()
-        return receipt
-
-    def read(self) -> np.ndarray:
-        return self._shadow.copy()

@@ -214,10 +214,6 @@ class MemoryArray:
         self._check_address(address)
         return address in self._dead
 
-    def is_mapped(self, address: int) -> bool:
-        self._check_address(address)
-        return int(self._map[address]) >= 0
-
     def physical_of(self, address: int) -> int | None:
         """Physical block currently backing ``address`` (``None`` if unmapped)."""
         self._check_address(address)
@@ -435,10 +431,6 @@ class MemoryArray:
     @property
     def live_addresses(self) -> int:
         return self.n_addresses - len(self._dead)
-
-    @property
-    def dead_addresses(self) -> tuple[int, ...]:
-        return tuple(sorted(self._dead))
 
     @property
     def fault_count(self) -> int:

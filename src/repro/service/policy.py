@@ -140,11 +140,6 @@ class SchemePolicyEngine:
         self.block_bits = block_bits
         self._by_key = {option.key: option for option in self.options}
 
-    def option_for(self, key: str) -> SchemeOption | None:
-        """The option registered under ``key`` (``None`` when the table
-        does not cover it — e.g. an array serving a sampled scheme)."""
-        return self._by_key.get(key)
-
     def score(self, option: SchemeOption, conditions: BlockConditions) -> float:
         """Utility of holding the block under ``option`` — pure arithmetic.
 

@@ -35,11 +35,10 @@ Once wear can no longer move a cell — no live row holds a normal cell,
 or wear is off — the death order is frozen, and the lock-step loop
 becomes a walk over a sorted prefix of each row (:func:`_frozen_walk`).
 
-Samples with many duplicate death times (e.g.
-:class:`~repro.pcm.lifetime.FixedLifetime`) would make the lock-step
-batch grind through near-simultaneous events; the page simulator routes
-them to the scalar scheduler (:data:`HEAVY_TIE_FRACTION`), and replays
-the pages where another death ties the page's own death time.
+Every sample goes through the batch, however many of its death times
+tie (e.g. :class:`~repro.pcm.lifetime.FixedLifetime`); the page
+simulator then replays on the scalar scheduler each page where another
+death ties the page's own death time.
 
 Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
 its ``kernel`` tag; :func:`resolve_engine` maps the public
@@ -461,26 +460,6 @@ def death_indices(spec, positions: np.ndarray) -> np.ndarray:
     raise AssertionError(
         f"{spec.label}: block survived all {n_bits} faults"
     )  # pragma: no cover - every covered scheme dies before saturation
-
-
-#: duplicate-death-time fraction above which a sample is considered
-#: pathologically tied (e.g. ``FixedLifetime``) and the lock-step batch
-#: would grind through near-simultaneous events; callers route such
-#: samples straight to the scalar scheduler instead
-HEAVY_TIE_FRACTION = 0.01
-
-
-def tie_fraction(base_death: np.ndarray) -> float:
-    """Fraction of adjacent sorted death times that are exact duplicates.
-
-    ``+inf`` entries (free-masked cells under the partial fault model,
-    which never produce events) are excluded from the duplicate count —
-    they would otherwise read as pathological ties and defeat the batch
-    path for every masked sample.
-    """
-    ordered = np.sort(base_death, axis=-1)
-    dup = (ordered[..., 1:] == ordered[..., :-1]) & np.isfinite(ordered[..., 1:])
-    return float(dup.mean())
 
 
 # ---------------------------------------------------------------------------

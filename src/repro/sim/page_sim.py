@@ -427,13 +427,9 @@ def _simulate_rngs(
         pending.clear()
 
     for position, rng in enumerate(rngs):
-        times = draw(rng)
-        if kernels.tie_fraction(times[0]) > kernels.HEAVY_TIE_FRACTION:
-            results[position] = scalar(rng, times)
-        else:
-            pending.append((position, times, rng))
-            if len(pending) >= batch_pages:
-                flush()
+        pending.append((position, draw(rng), rng))
+        if len(pending) >= batch_pages:
+            flush()
     flush()
     return results
 

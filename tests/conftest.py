@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
+from repro.errors import UncorrectableError
 
 
 @pytest.fixture
@@ -32,3 +33,14 @@ def form_23x23():
 
 def random_data(rng: np.random.Generator, n_bits: int) -> np.ndarray:
     return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+
+
+def write_until_failure(target, max_writes: int) -> int:
+    """Random writes to a block or page until it fails or has serviced
+    ``max_writes``; returns the writes serviced."""
+    while target.writes_serviced < max_writes:
+        try:
+            target.write_random()
+        except UncorrectableError:
+            break
+    return target.writes_serviced

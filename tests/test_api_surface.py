@@ -1,13 +1,15 @@
-"""Guard: every public top-level definition in ``src/repro`` is used by the program.
+"""Guard: every public definition in ``src/repro`` is used by the program.
 
-A public name (no leading underscore) defined at module level must be
-referenced somewhere a program path runs: elsewhere in ``src/`` (its own
-module counts, its own body does not), or in ``examples/``,
-``benchmarks/`` or ``perfbench/``.  Imports and ``__all__`` entries are
-re-exports, not uses, and tests do not count: code that only its own
-tests reach is deleted together with those tests, or listed in
-:data:`ALLOWED` with the reason it stays.  Uses are matched by identifier,
-not by qualified name, so the guard errs toward "used".
+A public name (no leading underscore) defined at module level, or as a
+method or property of a public class, must be referenced somewhere a
+program path runs: elsewhere in ``src/`` (its own module counts, its own
+body does not), or in ``examples/``, ``benchmarks/`` or ``perfbench/``.
+Dunders and the members of ``_``-private classes are exempt.  Imports
+and ``__all__`` entries are re-exports, not uses, and tests do not
+count: code that only its own tests reach is deleted together with
+those tests, or listed in :data:`ALLOWED` with the reason it stays.
+Uses are matched by identifier, not by qualified name, so the guard errs
+toward "used".
 """
 
 from __future__ import annotations
@@ -19,18 +21,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CONSUMERS = ("examples", "benchmarks", "perfbench")
 
-#: ``module.name`` -> why it stays although no program path uses it.  The
-#: entries marked "test-only" are known debt this guard stops from growing.
+#: ``module.name`` or ``module.Class.member`` -> why it stays although no
+#: program path uses it.
 ALLOWED = {
     "repro.sim.checkers.BlockChecker": (
         "the Protocol every sim checker implements; sim/kernels.py and "
         "sim/roster.py document the checker interface through it"
     ),
-    "repro.pcm.workload.TraceWorkload": "test-only: the trace-replay workload hook",
-    "repro.schemes.ideal.PerfectScheme": "test-only: a never-failing scheme",
-    "repro.util.bitops.bits_to_int": "test-only: bit-array <-> int conversion",
-    "repro.util.bitops.int_to_bits": "test-only: bit-array <-> int conversion",
-    "repro.util.bitops.offsets_from_mask": "test-only: bit-array <-> int conversion",
 }
 
 
@@ -60,9 +57,20 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
+def _public_members(cls: ast.ClassDef) -> dict[str, list[ast.stmt]]:
+    """Public methods and properties of a class, by name (a property's
+    getter and setter share one)."""
+    members: dict[str, list[ast.stmt]] = {}
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not stmt.name.startswith("_"):
+                members.setdefault(stmt.name, []).append(stmt)
+    return members
+
+
 def unreferenced_definitions() -> dict[str, str]:
-    """``module.name`` -> ``path:line`` of every public top-level
-    definition that no program code references."""
+    """``module.name`` or ``module.Class.member`` -> ``path:line`` of every
+    public definition that no program code references."""
     modules = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
     # per module, the names each top-level statement reads
     statement_uses = {
@@ -76,18 +84,30 @@ def unreferenced_definitions() -> dict[str, str]:
 
     found = {}
     for path, tree in modules.items():
+        module = _module_name(path)
         own = statement_uses[path]
         for index, stmt in enumerate(tree.body):
-            for name in _defined_names(stmt):
-                referenced = (
-                    name.startswith("_")
-                    or name in consumer_uses
+
+            def used_outside(name: str) -> bool:
+                return (
+                    name in consumer_uses
                     or any(name in uses for other, uses in module_uses.items() if other != path)
                     or any(name in uses for i, uses in enumerate(own) if i != index)
                 )
-                if not referenced:
-                    where = f"{path.relative_to(ROOT)}:{stmt.lineno}"
-                    found[f"{_module_name(path)}.{name}"] = where
+
+            for name in _defined_names(stmt):
+                if not name.startswith("_") and not used_outside(name):
+                    found[f"{module}.{name}"] = f"{path.relative_to(ROOT)}:{stmt.lineno}"
+            if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+                continue
+            parts = stmt.bases + stmt.keywords + stmt.decorator_list + stmt.body
+            for name, defs in _public_members(stmt).items():
+                used_in_class = any(
+                    name in _used_names(part) for part in parts if part not in defs
+                )
+                if not used_in_class and not used_outside(name):
+                    where = f"{path.relative_to(ROOT)}:{defs[0].lineno}"
+                    found[f"{module}.{stmt.name}.{name}"] = where
     return found
 
 

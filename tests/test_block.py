@@ -10,6 +10,7 @@ from repro.pcm.block import ProtectedBlock
 from repro.pcm.lifetime import FixedLifetime
 from repro.schemes.ecp import EcpScheme
 from repro.schemes.ideal import NoProtectionScheme
+from tests.conftest import write_until_failure
 
 
 def aegis_factory(cells):
@@ -36,7 +37,7 @@ class TestWearLifecycle:
             lifetime_model=FixedLifetime(4),
             rng=rng,
         )
-        writes = block.run_until_failure(max_writes=1000)
+        writes = write_until_failure(block, max_writes=1000)
         # endurance 4 with ~50% flip probability: death within a few writes
         assert block.failed
         assert writes < 40
@@ -49,15 +50,15 @@ class TestWearLifecycle:
         protected = ProtectedBlock(
             512, aegis_factory, lifetime_model=FixedLifetime(10), rng=seeds[1]
         )
-        writes_unprotected = unprotected.run_until_failure(max_writes=100_000)
-        writes_protected = protected.run_until_failure(max_writes=100_000)
+        writes_unprotected = write_until_failure(unprotected, max_writes=100_000)
+        writes_protected = write_until_failure(protected, max_writes=100_000)
         assert writes_protected > writes_unprotected
 
     def test_failure_is_permanent(self, rng):
         block = ProtectedBlock(
             512, lambda c: EcpScheme(c, 1), lifetime_model=FixedLifetime(2), rng=rng
         )
-        block.run_until_failure(max_writes=10_000)
+        write_until_failure(block, max_writes=10_000)
         assert block.failed
         with pytest.raises(Exception):
             block.write_random()

@@ -26,6 +26,12 @@ class TestRun:
         assert "Figure 5" in out
         assert "Aegis 9x61" in out
 
+    def test_run_chart(self, capsys):
+        assert main(["run", "fig5", "--pages", "2", "--chart"]) == 0
+        assert "[chart]" in capsys.readouterr().out
+        assert main(["run", "fig5", "--pages", "2"]) == 0
+        assert "[chart]" not in capsys.readouterr().out
+
     def test_run_256_bit(self, capsys):
         assert main(["run", "fig5", "--pages", "2", "--block-bits", "256"]) == 0
         assert "Aegis 12x23" in capsys.readouterr().out
@@ -73,31 +79,6 @@ class TestJsonOutput:
         assert payload[0]["rows"][3][0] == "Aegis"
 
 
-class TestReport:
-    def test_report_written(self, capsys, tmp_path):
-        target = tmp_path / "report.md"
-        assert main(["report", "table1", "-o", str(target), "--pages", "2",
-                     "--trials", "2"]) == 0
-        content = target.read_text()
-        assert "# Aegis reproduction report" in content
-        assert "Table 1" in content
-        assert "wrote" in capsys.readouterr().out
-
-    def test_report_with_chart(self, tmp_path):
-        target = tmp_path / "r.md"
-        assert main(["report", "fig5", "-o", str(target), "--pages", "2",
-                     "--trials", "2"]) == 0
-        content = target.read_text()
-        assert "[chart]" in content
-        assert "```" in content
-
-    def test_report_no_charts(self, tmp_path):
-        target = tmp_path / "r.md"
-        assert main(["report", "fig5", "-o", str(target), "--pages", "2",
-                     "--trials", "2", "--no-charts"]) == 0
-        assert "[chart]" not in target.read_text()
-
-
 class TestSchemes:
     def test_catalogue(self, capsys):
         assert main(["schemes"]) == 0
@@ -122,7 +103,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command",
-        [["run", "fig5"], ["report"], ["serve-bench"], ["cluster-bench"], ["fleet-bench"]],
+        [["run", "fig5"], ["serve-bench"], ["cluster-bench"], ["fleet-bench"]],
         ids=lambda command: command[0],
     )
     def test_exec_flags_parse_to_one_context(self, command):
@@ -154,14 +135,6 @@ PARSED_DEFAULTS = {
     ),
     "demo": (["demo"], {"command": "demo"}),
     "check": (["check"], {"command": "check"}),
-    "report": (
-        ["report"],
-        {
-            "command": "report", "output": "report.md", "experiments": [],
-            "pages": 64, "trials": 500, "block_bits": 512, "no_charts": False,
-            "seed": 2013, "workers": None, "engine": "auto", "fault_model": "hard",
-        },
-    ),
     "schemes": (["schemes"], {"command": "schemes", "block_bits": 512}),
     "serve-bench": (
         ["serve-bench"],

@@ -92,7 +92,7 @@ class TestQoS:
         for address in range(200):
             if node.occupancy >= cluster.bulk_watermark:
                 return used
-            if cluster.node_of(tenant, address) is None:
+            if (tenant, address) not in cluster._placement:
                 target = cluster._place_node((tenant, address))
                 if target is not node:
                     continue

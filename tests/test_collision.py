@@ -70,12 +70,6 @@ class TestPoisonedSlopes:
                 expected.add(slope)
         assert set(int(s) for s in rom.poisoned_slopes([0], [1, 2])) == expected
 
-    def test_all_pairs_superset(self, rom):
-        offsets = [0, 1, 7, 12, 20]
-        all_pairs = set(int(s) for s in rom.poisoned_slopes_all_pairs(offsets))
-        cross = set(int(s) for s in rom.poisoned_slopes(offsets[:2], offsets[2:]))
-        assert cross <= all_pairs
-
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_poisoned_definition(self, data):

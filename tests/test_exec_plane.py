@@ -98,7 +98,7 @@ class TestExecContext:
         assert ctx == ExecContext(seed=11, workers=2, engine="scalar")
 
     def test_from_args_missing_attributes_keep_defaults(self):
-        # the report subcommand has no --trace/--metrics flags
+        # a namespace without --workers/--engine flags
         ctx = ExecContext.from_args(argparse.Namespace(seed=3))
         assert ctx == ExecContext(seed=3)
 
@@ -202,7 +202,6 @@ VECTOR_ENGINE_SURFACES = {
         aegis_spec(9, 61, 512), ops=8, engine="vector"
     ),
     "cli-run": lambda: _parse("run", "fig5", "--engine", "vector"),
-    "cli-report": lambda: _parse("report", "--engine", "vector"),
     "cli-serve-bench": lambda: _parse("serve-bench", "--engine", "vector"),
     "cli-cluster-bench": lambda: _parse("cluster-bench", "--engine", "vector"),
     "cli-fleet-bench": lambda: _parse("fleet-bench", "--engine", "vector"),

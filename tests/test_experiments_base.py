@@ -45,10 +45,6 @@ class TestExperimentResult:
         assert "note: n1" in out
         assert "## T" in out
 
-    def test_dict_roundtrip(self):
-        result = self.make()
-        assert ExperimentResult.from_dict(result.to_dict()) == result
-
 
 class TestRegister:
     def test_decorator_registers_and_returns(self):

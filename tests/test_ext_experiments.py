@@ -1,11 +1,8 @@
-"""Smoke and shape tests for the extension experiments, plus JSON round-trip."""
-
-import json
+"""Smoke and shape tests for the extension experiments."""
 
 import pytest
 
 from repro.experiments import (
-    ExperimentResult,
     all_experiment_ids,
     clear_study_cache,
     run_experiment,
@@ -110,13 +107,3 @@ class TestExtFullscale:
         faults = dict(zip(result.column("Scheme"), result.column("Faults/page")))
         assert faults["Aegis 9x61"] > faults["ECP6"]
         assert all(int(v) == 64 for v in result.column("Pages"))
-
-
-class TestJsonRoundTrip:
-    def test_to_from_dict(self):
-        result = run_experiment("table1")
-        payload = json.loads(json.dumps(result.to_dict()))
-        restored = ExperimentResult.from_dict(payload)
-        assert restored.headers == result.headers
-        assert restored.rows == result.rows
-        assert restored.render() == result.render()

@@ -42,7 +42,6 @@ class TestFailCache:
         assert known == {3: 1}
         assert cache.hits == 1
         assert cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
 
     def test_blocks_are_isolated(self):
         cache = DirectMappedFailCache(capacity=None)

@@ -126,12 +126,6 @@ class TestPartialSemantics:
         with pytest.raises(FaultInjectionError):
             cells.inject_fault(4, stuck_value=0, partial=True)
 
-    def test_positional_maskability_is_pure(self):
-        model = PartiallyStuck(partial_fraction=0.5)
-        flags = [model.is_maskable(i) for i in range(512)]
-        assert flags == [model.is_maskable(i) for i in range(512)]
-        assert 0.3 < sum(flags) / 512 < 0.7  # tracks the fraction
-
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             PartiallyStuck(partial_fraction=1.5)

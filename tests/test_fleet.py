@@ -192,7 +192,7 @@ class TestCampaignDeterminism:
             for series, value in counters.items()
             if series.startswith("fleet_pages_total")
         )
-        assert total_pages == reference.pages == SPEC.total_pages()
+        assert total_pages == reference.pages == SPEC.pages_per_scheme * len(SPEC.grid())
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -176,7 +176,6 @@ class TestFormation:
     def test_hard_ftc_properties(self, form_9x61):
         assert isinstance(form_9x61, Formation)
         assert form_9x61.hard_ftc == 11
-        assert form_9x61.hard_ftc_rw >= form_9x61.hard_ftc
 
     def test_rw_p_overhead(self):
         form = formation(9, 61, 512)

@@ -43,10 +43,8 @@ class TestFrontier:
             q.label for q, _ in analysis.dominated
         }
         assert labels == {"a", "b", "c", "d"}
-        assert analysis.is_on_frontier("a")
-        assert analysis.is_on_frontier("b")
-        assert not analysis.is_on_frontier("c")  # b has more for less
-        assert analysis.dominators_of("d") == ("a",)
+        assert [q.label for q in analysis.frontier] == ["a", "b"]  # b beats c
+        assert dict((q.label, d) for q, d in analysis.dominated)["d"] == ("a",)
 
     def test_frontier_sorted_by_overhead(self):
         points = [p("x", 30, 90), p("y", 10, 50), p("z", 20, 70)]
@@ -57,10 +55,6 @@ class TestFrontier:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pareto_frontier([])
-
-    def test_unknown_label_has_no_dominators(self):
-        analysis = pareto_frontier([p("a", 1, 1)])
-        assert analysis.dominators_of("zzz") == ()
 
 
 class TestFrontierExperiment:

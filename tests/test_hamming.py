@@ -84,7 +84,7 @@ class TestHammingScheme:
     def test_fault_in_check_bits_corrected(self):
         cells = CellArray(512)
         scheme = HammingScheme(cells)
-        scheme.check_cells.inject_fault(0, stuck_value=1)
+        scheme._checks.inject_fault(0, stuck_value=1)  # the check-bit array
         data = np.zeros(512, dtype=np.uint8)
         scheme.write(data)
         assert np.array_equal(scheme.read(), data)

@@ -19,10 +19,12 @@ def figure_rect():
 class TestGroupIdRom:
     def test_paper_rom_dimensions(self, figure_rect):
         rom = GroupIdRom(figure_rect)
-        # the paper: a 49 x 32-bit ROM and a 49 x 7-bit ROM
+        # the paper: a 49 x 32-bit ROM and a 49 x 7-bit ROM, as priced
         assert rom.membership.shape == (49, 32)
-        assert rom.membership_bits == 49 * 32
-        assert rom.id_bits == 49 * 7
+        assert rom.group_ids.shape == (49,)
+        cost = chip_cost(formation(5, 7, 32))
+        assert rom.membership.size == cost.group_rom_bits
+        assert rom.group_ids.size * 7 == cost.id_rom_bits
 
     def test_lookup_matches_partition(self, figure_rect):
         rom = GroupIdRom(figure_rect)
@@ -62,9 +64,6 @@ class TestInversionMaskRom:
         rom = InversionMaskRom(figure_rect)
         assert rom.mask_for(3, np.zeros(7, dtype=np.uint8)).sum() == 0
 
-    def test_and_gate_count(self, figure_rect):
-        assert InversionMaskRom(figure_rect).and_gate_count == 49
-
     def test_vector_shape_validated(self, figure_rect):
         rom = InversionMaskRom(figure_rect)
         with pytest.raises(ValueError):
@@ -77,4 +76,4 @@ class TestChipCost:
         assert cost.group_rom_bits == 49 * 32
         assert cost.id_rom_bits == 49 * 7
         assert cost.and_gates == 49
-        assert cost.rw_total_bits > cost.base_total_bits
+        assert cost.collision_rom_bits == 32 * 32 * 3  # ceil(log2 7)-bit slopes

@@ -1,11 +1,11 @@
-"""Tests for the no-protection and perfect baselines."""
+"""Tests for the no-protection baseline."""
 
 import numpy as np
 import pytest
 
 from repro.errors import UncorrectableError
 from repro.pcm.cell import CellArray
-from repro.schemes.ideal import NoProtectionScheme, PerfectScheme
+from repro.schemes.ideal import NoProtectionScheme
 from tests.conftest import random_data
 
 
@@ -37,14 +37,3 @@ class TestNoProtection:
         with pytest.raises(UncorrectableError):
             scheme.write(np.ones(512, dtype=np.uint8))
 
-
-class TestPerfect:
-    def test_survives_anything(self, rng):
-        cells = CellArray(128)
-        for offset in range(0, 128, 4):
-            cells.inject_fault(offset, stuck_value=int(rng.integers(0, 2)))
-        scheme = PerfectScheme(cells)
-        for _ in range(10):
-            data = random_data(rng, 128)
-            scheme.write(data)
-            assert np.array_equal(scheme.read(), data)

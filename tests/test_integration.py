@@ -18,6 +18,7 @@ from repro.schemes.ecp import EcpScheme
 from repro.sim.block_sim import faults_at_death
 from repro.sim.rng import rng_for
 from repro.sim.roster import aegis_spec, ecp_spec
+from tests.conftest import write_until_failure
 
 
 def _drive_block_to_death(scheme_factory, rng, n_bits=512):
@@ -28,7 +29,7 @@ def _drive_block_to_death(scheme_factory, rng, n_bits=512):
         lifetime_model=NormalLifetime(mean_lifetime=40, cov=0.25),
         rng=rng,
     )
-    block.run_until_failure(max_writes=100_000)
+    write_until_failure(block, max_writes=100_000)
     assert block.failed
     return block.fault_count
 
@@ -75,7 +76,7 @@ class TestDeviceVsSimulator:
             lifetime_model=NormalLifetime(mean_lifetime=30, cov=0.25),
             rng=rng,
         )
-        writes, recovered = page.run_until_failure(max_writes=100_000)
+        write_until_failure(page, max_writes=100_000)
         assert page.failed
         failed_blocks = [b for b in page.blocks if b.failed]
         assert len(failed_blocks) == 1  # exactly the first death ends the page

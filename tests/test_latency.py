@@ -8,28 +8,28 @@ from repro.core.aegis_dw import AegisDoubleWriteScheme
 from repro.core.aegis_rw import AegisRwScheme
 from repro.core.formations import formation
 from repro.errors import ConfigurationError
-from repro.schemes.base import WriteReceipt
 
 FORM = formation(9, 61, 512)
 
 
 class TestLatencyModel:
     def test_single_pass_baseline(self):
-        model = LatencyModel()
-        receipt = WriteReceipt(cell_writes=200, verification_reads=1)
-        assert model.write_latency_ns(receipt) == pytest.approx(270.0)
+        assert LatencyModel().write_latency_ns(1, 0) == pytest.approx(270.0)
 
     def test_passes_dominate(self):
         model = LatencyModel()
-        one = model.write_latency_ns(WriteReceipt(verification_reads=1))
-        three = model.write_latency_ns(WriteReceipt(verification_reads=3))
+        one = model.write_latency_ns(1, 0)
+        three = model.write_latency_ns(3, 0)
         assert three == pytest.approx(3 * one)
+
+    def test_repartitions_cost_logic_lookups(self):
+        model = LatencyModel()
+        assert model.write_latency_ns(1, 4) == pytest.approx(270.0 + 4 * 1.0)
 
     def test_cache_lookup_added(self):
         model = LatencyModel()
-        receipt = WriteReceipt(verification_reads=1)
-        plain = model.write_latency_ns(receipt)
-        cached = model.write_latency_ns(receipt, cache_assisted=True)
+        plain = model.write_latency_ns(1, 0)
+        cached = model.write_latency_ns(1, 0, cache_assisted=True)
         assert cached == pytest.approx(plain + 5.0)
 
     def test_validation(self):

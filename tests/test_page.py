@@ -7,27 +7,13 @@ from repro.core.aegis import AegisScheme
 from repro.core.formations import formation
 from repro.errors import BlockRetiredError
 from repro.pcm.lifetime import FixedLifetime
-from repro.pcm.page import PAGE_BITS_4KB, Page
+from repro.pcm.page import Page
 from repro.schemes.ideal import NoProtectionScheme
+from tests.conftest import write_until_failure
 
 
 def aegis_factory(cells):
     return AegisScheme(cells, formation(9, 61, 512))
-
-
-class TestConstruction:
-    def test_page_4kb_block_counts(self, rng):
-        page = Page.page_4kb(512, NoProtectionScheme, rng=rng)
-        assert len(page.blocks) == 64
-        assert page.n_bits == PAGE_BITS_4KB == 32768
-
-    def test_page_4kb_256bit_blocks(self, rng):
-        page = Page.page_4kb(256, NoProtectionScheme, rng=rng)
-        assert len(page.blocks) == 128
-
-    def test_indivisible_block_size_rejected(self, rng):
-        with pytest.raises(ValueError):
-            Page.page_4kb(300, NoProtectionScheme, rng=rng)
 
 
 class TestWriteLifecycle:
@@ -42,9 +28,8 @@ class TestWriteLifecycle:
         page = Page(
             512, 4, NoProtectionScheme, lifetime_model=FixedLifetime(3), rng=rng
         )
-        writes, recovered = page.run_until_failure(max_writes=1000)
+        write_until_failure(page, max_writes=1000)
         assert page.failed
-        assert recovered >= 0
         with pytest.raises(BlockRetiredError):
             page.write_random()
 

@@ -14,21 +14,19 @@ class TestGecPool:
         assert pool.try_allocate()
         assert pool.try_allocate()
         assert not pool.try_allocate()
-        assert pool.available == 0
+        assert pool.allocated == 2
 
     def test_empty_pool_never_allocates(self):
         pool = GecPool(0)
         assert not pool.try_allocate()
         assert pool.allocated == 0
-        assert pool.available == 0
 
-    def test_available_counts_down_per_claim(self):
+    def test_allocated_counts_each_claim(self):
         pool = GecPool(3)
-        seen = [pool.available]
+        seen = [pool.allocated]
         while pool.try_allocate():
-            seen.append(pool.available)
-        assert seen == [3, 2, 1, 0]
-        assert pool.allocated == 3
+            seen.append(pool.allocated)
+        assert seen == [0, 1, 2, 3]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Tests for Security Refresh wear leveling and the trace workload."""
+"""Tests for Security Refresh wear leveling."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError
 from repro.pcm.device import PCMDevice
 from repro.pcm.lifetime import FixedLifetime
 from repro.pcm.wear import NoWearLeveling, SecurityRefreshWearLeveling
-from repro.pcm.workload import HotColdWorkload, TraceWorkload
+from repro.pcm.workload import HotColdWorkload
 from repro.schemes.ideal import NoProtectionScheme
 
 
@@ -62,20 +62,3 @@ class TestSecurityRefresh:
         # one key per 16 writes spreads the hot set noticeably (a shorter
         # refresh interval spreads harder at a higher migration cost)
         assert refreshed > 1.25 * unlevelled
-
-
-class TestTraceWorkload:
-    def test_replays_in_order(self, rng):
-        workload = TraceWorkload([3, 1, 4, 1, 5])
-        draws = [workload.next_logical_page(8, rng) for _ in range(7)]
-        assert draws == [3, 1, 4, 1, 5, 3, 1]  # wraps around
-
-    def test_out_of_range_entries_wrap(self, rng):
-        workload = TraceWorkload([10])
-        assert workload.next_logical_page(8, rng) == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraceWorkload([])
-        with pytest.raises(ConfigurationError):
-            TraceWorkload([-1])

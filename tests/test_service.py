@@ -291,7 +291,7 @@ class TestMemoryArray:
     def test_unwritten_address_reads_zeros(self):
         array = small_array()
         assert array.read(2).sum() == 0
-        assert not array.is_mapped(2)
+        assert array.physical_of(2) is None
 
     def test_remap_survives_block_failure(self, rng):
         array = small_array()

@@ -9,7 +9,6 @@ from repro.pcm.lifetime import FixedLifetime
 from repro.pcm.wear import NoWearLeveling, StartGapWearLeveling
 from repro.pcm.workload import (
     HotColdWorkload,
-    TraceWorkload,
     UniformWorkload,
     ZipfWorkload,
 )
@@ -86,45 +85,6 @@ class TestZipf:
         assert any(h != 0 for h in hottest)
         # rank 0 maps through the permutation, not the identity
         assert any(h != hottest[0] for h in hottest)
-
-
-class TestTrace:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraceWorkload([])
-        with pytest.raises(ConfigurationError):
-            TraceWorkload([1, -2, 3])
-
-    def test_replays_and_wraps(self, rng):
-        workload = TraceWorkload([3, 1, 2])
-        draws = [workload.next_logical_page(8, rng) for _ in range(6)]
-        assert draws == [3, 1, 2, 3, 1, 2]
-
-    def test_reset_rewinds(self, rng):
-        workload = TraceWorkload([5, 6, 7])
-        first = [workload.next_logical_page(8, rng) for _ in range(2)]
-        workload.reset()
-        assert [workload.next_logical_page(8, rng) for _ in range(2)] == first
-
-    def test_clone_has_independent_cursor(self, rng):
-        """The fork-safety contract: clones share the immutable trace but
-        never the replay cursor, so shards draw independent streams."""
-        workload = TraceWorkload([1, 2, 3, 4])
-        workload.next_logical_page(8, rng)
-        workload.next_logical_page(8, rng)
-        fresh = workload.clone()
-        assert fresh.trace is workload.trace  # zero-copy share of the data
-        assert fresh.next_logical_page(8, rng) == 1  # starts at the beginning
-        assert workload.next_logical_page(8, rng) == 3  # original undisturbed
-
-    def test_base_clone_deepcopies_state(self, rng):
-        workload = ZipfWorkload(alpha=1.0)
-        workload.next_logical_page(16, rng)
-        fresh = workload.clone()
-        assert fresh is not workload
-        assert np.array_equal(fresh._perm, workload._perm)
-        fresh._prepare(8, rng)
-        assert workload._perm.size == 16  # original untouched
 
 
 class TestHotCold:

@@ -48,7 +48,7 @@ class TestWriteCostStudy:
             "aegis-rw", lambda c: AegisRwScheme(c, FORM),
             fault_count=8, writes=20, trials=4,
         )
-        assert rw.wear_per_write < basic.wear_per_write
+        assert rw.cell_writes < basic.cell_writes
 
     def test_unserviceable_fault_count_raises(self):
         with pytest.raises(UncorrectableError):
