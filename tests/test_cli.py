@@ -32,6 +32,13 @@ class TestRun:
         assert main(["run", "fig5", "--pages", "2"]) == 0
         assert "[chart]" not in capsys.readouterr().out
 
+    def test_chart_flag_skips_tables(self, capsys):
+        """A table declares no chart, so ``--chart`` adds nothing to it."""
+        assert main(["run", "table1", "--chart"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1" in out
+        assert "[chart]" not in out
+
     def test_run_256_bit(self, capsys):
         assert main(["run", "fig5", "--pages", "2", "--block-bits", "256"]) == 0
         assert "Aegis 12x23" in capsys.readouterr().out
@@ -77,6 +84,15 @@ class TestJsonOutput:
         payload = json.loads(target.read_text())
         assert payload[0]["experiment_id"] == "table1"
         assert payload[0]["rows"][3][0] == "Aegis"
+
+    def test_json_carries_the_chart_declaration(self, tmp_path):
+        target = tmp_path / "fig5.json"
+        assert main(["run", "fig5", "--pages", "2", "--json", str(target)]) == 0
+        import json
+
+        (payload,) = json.loads(target.read_text())
+        assert payload["experiment_id"] == "fig5"
+        assert payload["chart"] is not None
 
 
 class TestSchemes:

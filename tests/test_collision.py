@@ -108,6 +108,30 @@ class TestFindRwSlope:
         assert found != slope
         assert paper_rect.group_of(0, found) != paper_rect.group_of(1, found)
 
+    @pytest.mark.parametrize(
+        "a_size, b_size, n_bits", [(17, 31, 512), (9, 61, 512), (23, 23, 512), (9, 31, 256)]
+    )
+    def test_found_slope_separates_roster_faults(self, a_size, b_size, n_bits):
+        rect = formation(a_size, b_size, n_bits).rect
+        rom = collision_rom_for(rect)
+        rng = np.random.default_rng(b_size)
+        for _ in range(20):
+            cells = rng.choice(n_bits, size=10, replace=False).tolist()
+            wrong, right = cells[:4], cells[4:]
+            start = int(rng.integers(0, b_size))
+            found = rom.find_rw_slope(wrong, right, start=start)
+            mixed = [
+                any(rect.group_of(w, s) == rect.group_of(r, s) for w in wrong for r in right)
+                for s in range(b_size)
+            ]
+            if found is None:
+                assert all(mixed)
+            else:
+                assert not mixed[found]
+                # no collision-free slope is skipped on the way from start
+                skipped = [(start + k) % b_size for k in range((found - start) % b_size)]
+                assert all(mixed[s] for s in skipped)
+
     def test_exhaustion_returns_none(self):
         # 3x3 rectangle: W fills column 0, R fills column 1 — the four
         # cross pairs poison all three slopes

@@ -1,5 +1,7 @@
 """Tests for the experiment infrastructure (registry, memoisation, results)."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -39,6 +41,17 @@ class TestExperimentResult:
     def test_column_unknown_header(self):
         with pytest.raises(ValueError):
             self.make().column("zzz")
+
+    def test_dict_is_json_serialisable(self):
+        payload = json.loads(json.dumps(self.make().to_dict()))
+        assert payload == {
+            "experiment_id": "x",
+            "title": "T",
+            "headers": ["a", "b"],
+            "rows": [[1, 2], [3, 4]],
+            "notes": ["n1"],
+            "chart": None,
+        }
 
     def test_render_contains_notes(self):
         out = self.make().render()

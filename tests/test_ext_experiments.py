@@ -1,4 +1,6 @@
-"""Smoke and shape tests for the extension experiments."""
+"""Smoke and shape tests for the extension experiments, plus the JSON form."""
+
+import json
 
 import pytest
 
@@ -107,3 +109,15 @@ class TestExtFullscale:
         faults = dict(zip(result.column("Scheme"), result.column("Faults/page")))
         assert faults["Aegis 9x61"] > faults["ECP6"]
         assert all(int(v) == 64 for v in result.column("Pages"))
+
+
+class TestJsonForm:
+    def test_json_keeps_table_and_render(self):
+        """``--json`` output carries the rendered table cell for cell."""
+        result = run_experiment("table1")
+        payload = json.loads(json.dumps(result.to_dict()))
+        assert payload["headers"] == list(result.headers)
+        assert [tuple(row) for row in payload["rows"]] == [
+            tuple(row) for row in result.rows
+        ]
+        assert payload["title"] in result.render()

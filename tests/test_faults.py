@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, FaultInjectionError
+from repro.pcm import faults
 from repro.pcm.cell import CellArray
 from repro.pcm.faults import (
     FAULT_MODEL_CHOICES,
@@ -125,6 +126,14 @@ class TestPartialSemantics:
         cells = CellArray(16, fault_model=PartiallyStuck())
         with pytest.raises(FaultInjectionError):
             cells.inject_fault(4, stuck_value=0, partial=True)
+
+    def test_weak_cells_are_positional_and_track_the_fraction(self):
+        """Weak-cell selection is a pure function of the cell index: a
+        prefix of a larger array classifies its cells identically."""
+        weak = faults._weak_mask(4096, 0.5, salt=23)
+        assert np.array_equal(faults._weak_mask(512, 0.5, salt=23), weak[:512])
+        assert 0.45 < weak.mean() < 0.55
+        assert not faults._weak_mask(512, 0.0, salt=23).any()
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):

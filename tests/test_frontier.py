@@ -46,6 +46,14 @@ class TestFrontier:
         assert [q.label for q in analysis.frontier] == ["a", "b"]  # b beats c
         assert dict((q.label, d) for q, d in analysis.dominated)["d"] == ("a",)
 
+    def test_dominators_are_frontier_points(self):
+        points = [p("a", 10, 50), p("b", 20, 100), p("c", 30, 80), p("d", 15, 40)]
+        analysis = pareto_frontier(points)
+        by_label = {q.label: q for q in points}
+        for point, dominators in analysis.dominated:
+            assert dominators
+            assert all(by_label[d].dominates(point) for d in dominators)
+
     def test_frontier_sorted_by_overhead(self):
         points = [p("x", 30, 90), p("y", 10, 50), p("z", 20, 70)]
         analysis = pareto_frontier(points)

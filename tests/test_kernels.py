@@ -165,8 +165,9 @@ class TestLifetimeEquivalence:
         assert vector == scalar
 
     def test_fixed_lifetime_ties_stay_identical(self):
-        """FixedLifetime makes every death time tie exactly; the heavy-tie
-        pre-screen must route it to the scalar scheduler, unchanged."""
+        """FixedLifetime makes every death time tie exactly; the batch
+        resolves the block deaths and replays tied pages on the scalar
+        scheduler, unchanged."""
         model = FixedLifetime(mean_lifetime=1e4)
         for spec in (aegis_spec(9, 61, 512), safer_spec(64, 512)):
             scalar = block_lifetime_study(
@@ -242,8 +243,8 @@ class TestPageEquivalence:
 class _LightTies(LifetimeModel):
     """Normal endurance with each block's 2nd-4th earliest death copied
     onto a random cell of the same block: exact ties that the scheduler
-    meets early, yet few enough (~0.6% of a 4-block page) to pass the
-    heavy-tie screen and run on the batch kernel."""
+    meets early, yet few enough (~0.6% of a 4-block page) that most
+    pages resolve on the batch kernel without a scalar replay."""
 
     def __init__(self, n_bits: int) -> None:
         self.n_bits = n_bits
@@ -385,6 +386,67 @@ class TestFrozenWalk:
     def test_aegis_rows_never_freeze(self, walks, spec):
         _pages_match_scalar(spec, _EdgeTies(spec.n_bits), 0.25)
         assert walks == []
+
+
+class _CoarseTies(LifetimeModel):
+    """Normal endurance rounded to a coarse grid: most cells share their
+    death time with others, far more ties than :class:`_LightTies`."""
+
+    def __init__(self, step: float = 2e6) -> None:
+        self.step = step
+        self._base = NormalLifetime()
+
+    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+        return np.round(self._base.sample(n_cells, rng) / self.step) * self.step
+
+    @property
+    def mean(self) -> float:
+        return self._base.mean
+
+
+class TestHeavyTies:
+    """Heavily tied samples go through the batch like any other; the tie
+    audit replays the pages it cannot resolve on the scalar scheduler."""
+
+    def test_coarse_sample_is_heavily_tied(self):
+        sample = _CoarseTies().sample(4 * 512, rng_for(0, 0))
+        assert np.unique(sample).size < sample.size // 4
+
+    @pytest.mark.parametrize("fault_model", ["hard", "partial", "drift"])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_IDS)
+    def test_coarse_ties_match_scalar(self, spec, fault_model):
+        kwargs = dict(
+            n_pages=2,
+            blocks_per_page=2,
+            seed=5,
+            lifetime_model=_CoarseTies(),
+            fault_model=fault_model,
+        )
+        scalar = run_page_study(spec, engine="scalar", **kwargs)
+        vector = run_page_study(spec, engine="auto", **kwargs)
+        assert vector.results == scalar.results
+
+    def test_all_equal_pages_are_replayed(self, monkeypatch):
+        """With every death tied, each page dies on a tied death: the batch
+        hands every page back to the scalar scheduler."""
+        from repro.sim import page_sim
+
+        replays = []
+        scalar = page_sim._simulate_page_scalar
+
+        def spy(*args, **kwargs):
+            replays.append(args[1])
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(page_sim, "_simulate_page_scalar", spy)
+        model = FixedLifetime(mean_lifetime=1e4)
+        spec = safer_spec(64, 512)
+        vector = simulate_pages(spec, 2, range(3), 9, lifetime_model=model)
+        assert replays == [2, 2, 2]
+        monkeypatch.undo()
+        assert vector == simulate_pages(
+            spec, 2, range(3), 9, lifetime_model=model, engine="scalar"
+        )
 
 
 class TestCompaction:

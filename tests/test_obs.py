@@ -71,6 +71,12 @@ class TestHistogramQuantile:
         assert hist.quantile(0.0) == 20.0
         assert hist.quantile_label(0.0) == "20"
 
+    def test_overflow_bucket_counts_tail(self):
+        hist = Histogram(edges=(10,))
+        for value in (5, 50, 500):
+            hist.observe(value)
+        assert hist.counts == [1, 2]  # the last bucket is the overflow
+
     def test_quantile_empty_histogram(self):
         hist = Histogram(edges=(10, 20))
         assert hist.quantile(0.5) == 0.0

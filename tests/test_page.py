@@ -16,6 +16,21 @@ def aegis_factory(cells):
     return AegisScheme(cells, formation(9, 61, 512))
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("block_bits, n_blocks", [(512, 64), (256, 128)])
+    def test_4kb_page_shapes(self, rng, block_bits, n_blocks):
+        page = Page(block_bits, n_blocks, NoProtectionScheme, rng=rng)
+        assert len(page.blocks) == n_blocks
+        assert page.n_bits == 4096 * 8
+        assert page.fault_count == 0 and not page.failed
+
+    def test_write_shape_checked(self, rng):
+        page = Page(512, 2, NoProtectionScheme, rng=rng)
+        with pytest.raises(ValueError):
+            page.write(np.zeros(512, dtype=np.uint8))
+        assert page.writes_serviced == 0
+
+
 class TestWriteLifecycle:
     def test_roundtrip(self, rng):
         page = Page(512, 4, aegis_factory, rng=rng)

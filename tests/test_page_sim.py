@@ -165,6 +165,13 @@ class TestRunPageStudy:
             b.baseline_lifetime.mean, rel=1e-12
         )
 
+    @pytest.mark.parametrize("block_bits, blocks", [(512, 64), (256, 128)])
+    def test_default_page_is_4kb(self, block_bits, blocks):
+        spec = ecp_spec(2, block_bits)
+        default = run_page_study(spec, n_pages=2, seed=4)
+        explicit = run_page_study(spec, n_pages=2, seed=4, blocks_per_page=blocks)
+        assert default.results == explicit.results
+
     def test_block_size_must_divide_page(self):
         with pytest.raises(ConfigurationError):
             run_page_study(ecp_spec(2, 100), n_pages=1, seed=0)
