@@ -8,6 +8,10 @@ same host and asserts a fixed floor:
 * ``test_kernel_floor``: the batch kernels run an aegis-9x61 page study
   at least 3x faster than the scalar checkers (median of alternating
   pairs), with identical results;
+* ``test_ecp_kernel_floor``: the frozen-order walk runs an ecp6 study of
+  24 4 KB pages at least 1.2x faster than the scalar scheduler, with
+  identical results (the endurance draws, the same on both sides, are
+  about half of the batch side's time);
 * ``test_drain_floor``: the vector write drain moves at least 5x the
   rows per second of the scalar drain over warm blocks, with identical
   metric snapshots;
@@ -55,6 +59,9 @@ PAIRS = 5
 KERNEL_FLOOR = 3.0
 KERNEL_PAGES = 96
 
+ECP_KERNEL_FLOOR = 1.2
+ECP_KERNEL_PAGES = 24
+
 DRAIN_FLOOR = 5.0
 SAMPLING_OVERHEAD_MAX = 0.05
 #: rows per drain and distinct warm addresses: deep enough that a batch
@@ -96,6 +103,17 @@ def test_kernel_floor():
     study("auto", n_pages=1)
     median = _median_speedup("kernel aegis-9x61", lambda: study("scalar"), lambda: study("auto"))
     assert median >= KERNEL_FLOOR
+
+
+def test_ecp_kernel_floor():
+    spec = SPECS["ecp6"]
+
+    def study(engine, n_pages=ECP_KERNEL_PAGES):
+        return run_page_study(spec, n_pages=n_pages, seed=2013, engine=engine).results
+
+    study("auto", n_pages=1)
+    median = _median_speedup("kernel ecp6", lambda: study("scalar"), lambda: study("auto"))
+    assert median >= ECP_KERNEL_FLOOR
 
 
 def _drain(spec, engine, *, sample=False):

@@ -4,8 +4,8 @@ The scalar engines in :mod:`repro.sim.block_sim` (fault counts) and
 :mod:`repro.sim.page_sim` (lifetimes) walk one trial and one fault
 arrival at a time through Python-level
 :meth:`~repro.sim.checkers.BlockChecker.add_fault` calls.  For the
-*static* schemes plain Aegis and SAFER, whose survival is a pure set
-property of the fault locations, the per-arrival state update is a
+*static* schemes plain Aegis, SAFER and ECP, whose survival is a pure
+set property of the fault locations, the per-arrival state update is a
 handful of integer operations, so an entire ``(trials, n_bits)`` block
 population can be advanced in lock step with numpy: one fancy-indexed collision-ROM lookup,
 one poisoned-slope bitset OR, one partition-vector extension per step,
@@ -44,10 +44,10 @@ Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
 its ``kernel`` tag; :func:`resolve_engine` maps the public
 ``engine="auto"|"scalar"`` switch to the path actually taken.
 Sampled (data-dependent) schemes — Aegis-rw variants, SAFER-cache,
-RDIS — carry no tag and always take the scalar path.  So do ECP,
-Hamming and the unprotected baseline: their checkers are one counter
-compare or one word lookup per arrival, and the scalar page loop beats
-a lock-step kernel on every page-study call shape.
+RDIS — carry no tag and always take the scalar path.  So do Hamming and
+the unprotected baseline.  ECP's kernel is one fault counter per row;
+ECP has no inversion wear, so its page studies run the frozen-order walk
+from the first fault.
 """
 
 from __future__ import annotations
@@ -350,7 +350,25 @@ class _SaferExhaustiveBatch(_BatchChecker):
         return ((cells[None, :] ^ offsets[:, None]) & first[:, None]) == 0
 
 
+class _EcpBatch(_BatchChecker):
+    """Vectorized :class:`~repro.sim.checkers.EcpChecker`: one fault
+    counter per trial; the block dies with fault ``p + 1``."""
+
+    _row_state = ("faults",)
+
+    def __init__(self, pointers: int, n_bits: int, n_trials: int) -> None:
+        super().__init__(n_bits, n_trials)
+        self.pointers = pointers
+        self.faults = np.zeros(n_trials, dtype=np.int64)
+
+    def add_faults(self, offsets: np.ndarray, active: np.ndarray) -> np.ndarray:
+        self.faults += active
+        self.alive &= ~(active & (self.faults > self.pointers))
+        return self.alive
+
+
 _BUILDERS = {
+    "ecp": lambda tag, n_bits, n_trials: _EcpBatch(tag[1], n_bits, n_trials),
     "aegis": lambda tag, n_bits, n_trials: _AegisBatch(tag[1], tag[2], n_bits, n_trials),
     "safer-incremental": lambda tag, n_bits, n_trials: _SaferIncrementalBatch(
         tag[1], n_bits, n_trials
@@ -561,9 +579,38 @@ def _worn(base_death, now, write_probability: float, accel_rate: float):
     return wear
 
 
+class _PageRanks:
+    """Tie ranks of base cells: each cell's position in its page's flat
+    ``np.argsort`` (the scalar scheduler's sort), computed once per page
+    that meets a tie.  ``source`` is the ``(pages * blocks_per_page,
+    n_bits)`` base-death population; rows are caller row ids."""
+
+    def __init__(self, source: np.ndarray, blocks_per_page: int) -> None:
+        self.source = source
+        self.blocks_per_page = blocks_per_page
+        self._pages: dict[int, np.ndarray] = {}
+
+    def rows(self, row_ids: np.ndarray) -> np.ndarray:
+        n_bits = self.source.shape[1]
+        ranks = np.empty((row_ids.size, n_bits), dtype=np.int64)
+        for index, row in enumerate(row_ids.tolist()):
+            page, block = divmod(row, self.blocks_per_page)
+            if page not in self._pages:
+                first = page * self.blocks_per_page
+                flat = self.source[first : first + self.blocks_per_page].reshape(-1)
+                self._pages[page] = np.empty(flat.size, dtype=np.int64)
+                self._pages[page][np.argsort(flat)] = np.arange(flat.size)
+            ranks[index] = self._pages[page][block * n_bits : (block + 1) * n_bits]
+        return ranks
+
+
 #: first width of the frozen-order walk's sorted prefix; it doubles
 #: whenever a live row walks past the exact part of its prefix
 FROZEN_PREFIX = 32
+
+#: rows per ``argpartition`` call of a prefix: bounds its full-width
+#: int64 index temporary (an ECP page-study call has ~1500 rows)
+_PARTITION_ROWS = 256
 
 
 def _frozen_prefix(frozen: np.ndarray, width: int, base_ranks) -> tuple:
@@ -577,11 +624,17 @@ def _frozen_prefix(frozen: np.ndarray, width: int, base_ranks) -> tuple:
     ``base_ranks`` (compacted rows -> rank matrix), when given, re-ranks
     the rows with a tie among base cells.
     """
-    n_bits = frozen.shape[1]
+    n_rows, n_bits = frozen.shape
     if width < n_bits:
-        part = np.argpartition(frozen, width, axis=1)
-        edge = np.take_along_axis(frozen, part[:, width : width + 1], axis=1)
-        cells = np.sort(part[:, :width], axis=1)
+        edge = np.empty((n_rows, 1))
+        cells = np.empty((n_rows, width), dtype=np.int64)
+        for start in range(0, n_rows, _PARTITION_ROWS):
+            chunk = slice(start, start + _PARTITION_ROWS)
+            part = np.argpartition(frozen[chunk], width, axis=1)
+            edge[chunk] = np.take_along_axis(
+                frozen[chunk], part[:, width : width + 1], axis=1
+            )
+            cells[chunk] = np.sort(part[:, :width], axis=1)
     else:  # the whole row: no cell is left out
         edge = np.inf
         cells = np.broadcast_to(np.arange(n_bits), frozen.shape)
@@ -660,22 +713,11 @@ def block_dynamics(
     source = np.ascontiguousarray(base_death, dtype=np.float64)
     trials, n_bits = source.shape
     lock = _Lockstep(spec, trials, blocks_per_page)
-    page_ranks: dict[int, np.ndarray] = {}
+    page_ranks = _PageRanks(source, blocks_per_page)
 
     def base_ranks(sub: np.ndarray) -> np.ndarray:
-        """Tie ranks of the base cells of compacted rows ``sub``: each
-        cell's position in its page's flat ``np.argsort`` (the scalar
-        scheduler's sort), computed once per page that meets a tie."""
-        ranks = np.empty((sub.size, n_bits), dtype=np.int64)
-        for index, row in enumerate(lock.row_ids[sub].tolist()):
-            page, block = divmod(row, blocks_per_page)
-            if page not in page_ranks:
-                first = page * blocks_per_page
-                flat = source[first : first + blocks_per_page].reshape(-1)
-                page_ranks[page] = np.empty(flat.size, dtype=np.int64)
-                page_ranks[page][np.argsort(flat)] = np.arange(flat.size)
-            ranks[index] = page_ranks[page][block * n_bits : (block + 1) * n_bits]
-        return ranks
+        """Tie ranks of the base cells of compacted rows ``sub``."""
+        return page_ranks.rows(lock.row_ids[sub])
 
     if not (spec.inversion_wear and inversion_wear_rate > 0):
         return _frozen_walk(spec, lock, source, 0, base_ranks)
@@ -688,18 +730,23 @@ def block_dynamics(
     accel_rank = blocks_per_page * n_bits + np.arange(n_bits)
     max_rank = np.iinfo(np.int64).max
     rows = np.arange(trials)
-    candidate = np.empty((trials, n_bits), dtype=bool)
+    flat_current = current.reshape(-1)
     for step in range(n_bits):
         # argmin alone picks the right cell except on exact duplicate
-        # times (it breaks ties by column, the scalar path by tie rank);
+        # times (it breaks ties by column, the scalar path by tie rank).
+        # A row ties iff its runner-up equals its minimum: hide each
+        # row's chosen cell, take the minimum again, then restore it;
         # rank just the live rows that tie
         chosen = current.argmin(axis=1)
-        now = current[rows, chosen]
-        np.equal(current, now[:, None], out=candidate)
-        tied = np.flatnonzero((np.count_nonzero(candidate, axis=1) > 1) & lock.active)
+        at = rows * n_bits + chosen
+        now = flat_current[at]
+        flat_current[at] = np.inf
+        tied = np.flatnonzero((current.min(axis=1) == now) & lock.active)
+        flat_current[at] = now
         if tied.size:
+            candidate = current[tied] == now[tied, None]
             ranks = np.where(normal[tied], base_ranks(tied), accel_rank)
-            chosen[tied] = np.where(candidate[tied], ranks, max_rank).argmin(axis=1)
+            chosen[tied] = np.where(candidate, ranks, max_rank).argmin(axis=1)
         if not lock.step(now, chosen):
             return lock.result()
         live = rows[lock.active]
@@ -732,9 +779,9 @@ def block_dynamics(
         if keep is not None:
             base_death = np.ascontiguousarray(base_death[keep])
             current = np.ascontiguousarray(current[keep])
+            flat_current = current.reshape(-1)
             normal = np.ascontiguousarray(normal[keep])
             rows = np.arange(lock.row_ids.size)
-            candidate = np.empty((rows.size, n_bits), dtype=bool)
         if cols is None and not normal[lock.active].any():
             # wear only ever moves normal cells: the order is frozen now
             # (Aegis groups are a few cells, so its rows never get here)

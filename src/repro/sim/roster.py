@@ -236,6 +236,7 @@ def ecp_spec(pointers: int, n_bits: int) -> SchemeSpec:
         make_checker=partial(_ecp_checker, pointers),
         make_controller=partial(_ecp_controller, pointers),
         inversion_wear=False,
+        kernel=("ecp", pointers),
     )
 
 

@@ -53,19 +53,19 @@ KERNEL_SPECS = [
     aegis_spec(9, 31, 256),
     safer_spec(64, 512),
     safer_spec(32, 512, policy="exhaustive"),
-]
-
-#: static schemes with no kernel (ECP, Hamming, no protection): their
-#: scalar loop outruns a lock-step batch
-STATIC_SCALAR_SPECS = [
     ecp_spec(6, 512),
     ecp_spec(2, 256),
+]
+
+#: static schemes with no kernel: Hamming (one word count per arrival)
+#: and the unprotected block (dead at its first fault)
+STATIC_SCALAR_SPECS = [
     hamming_spec(512),
     no_protection_spec(512),
 ]
 
 #: schemes no kernel covers: sampled/stateful checkers, out-of-range
-#: Aegis, and the static schemes above
+#: Aegis, and the kernel-less static schemes above
 FALLBACK_SPECS = [
     aegis_spec(8, 71, 512),  # 71 slopes exceed the uint64 poisoned bitset
     *STATIC_SCALAR_SPECS,
@@ -134,7 +134,7 @@ class TestFailureCurveEquivalence:
 
     @pytest.mark.parametrize(
         "spec",
-        [aegis_spec(9, 61, 512), safer_spec(64, 512)],
+        [aegis_spec(9, 61, 512), safer_spec(64, 512), ecp_spec(6, 512)],
         ids=_IDS,
     )
     def test_death_histogram_matches_scalar_loop(self, spec):
@@ -332,16 +332,25 @@ class TestFrozenWalk:
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize(
-        "spec, wear",
+        "spec, wear, reach",
         [
-            (safer_spec(64, 512), 0.25),
-            (safer_spec(64, 512), 0.0),
-            (aegis_spec(9, 61, 512), 0.0),
+            (safer_spec(64, 512), 0.25, 16),
+            (safer_spec(64, 512), 0.0, 16),
+            (aegis_spec(9, 61, 512), 0.0, 16),
+            # ECP dies at fault p + 1, so a row walks at most p + 1 deaths
+            (ecp_spec(6, 512), 0.0, 8),
+            (ecp_spec(2, 256), 0.0, 4),
         ],
-        ids=["safer64-wear", "safer64-no-wear", "aegis-9x61-no-wear"],
+        ids=[
+            "safer64-wear",
+            "safer64-no-wear",
+            "aegis-9x61-no-wear",
+            "ecp6",
+            "ecp2",
+        ],
     )
     def test_narrow_prefix_widens_to_the_scalar_order(
-        self, monkeypatch, spec, wear, width
+        self, monkeypatch, spec, wear, reach, width
     ):
         widths = []
         prefix = kernels._frozen_prefix
@@ -353,7 +362,7 @@ class TestFrozenWalk:
         monkeypatch.setattr(kernels, "FROZEN_PREFIX", width)
         monkeypatch.setattr(kernels, "_frozen_prefix", spy)
         _pages_match_scalar(spec, _EdgeTies(spec.n_bits), wear)
-        assert widths[0] == width and max(widths) >= 8 * width
+        assert widths[0] == width and max(widths) >= reach
 
     def test_ties_at_the_prefix_edge_are_not_exact(self):
         frozen = np.array([[3.0, 1.0, 2.0, 2.0, 2.0, 5.0]])
@@ -379,6 +388,12 @@ class TestFrozenWalk:
         every live cell; without wear the order is frozen from step 0."""
         _pages_match_scalar(safer_spec(128, 512), model, wear)
         assert walks == [first_step] * 8
+
+    @pytest.mark.parametrize("wear", [0.25, 0.0])
+    def test_ecp_walks_frozen_from_its_first_fault(self, walks, wear):
+        """ECP has no inversion wear: its death order is frozen at step 0."""
+        _pages_match_scalar(ecp_spec(6, 512), _EdgeTies(512), wear)
+        assert walks == [0] * 8
 
     @pytest.mark.parametrize(
         "spec", [aegis_spec(9, 61, 512), aegis_spec(17, 31, 512)], ids=_IDS
@@ -449,6 +464,149 @@ class TestHeavyTies:
         )
 
 
+class _Prepared(LifetimeModel):
+    """One fixed endurance sample, handed out unchanged."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+        return self.values[:n_cells].copy()
+
+    @property
+    def mean(self) -> float:
+        return float(self.values.mean())
+
+
+#: write probability 0.5 plus inversion wear 0.5 halves a worn cell's
+#: remaining life exactly, so prepared samples can tie worn cells on
+#: purpose (base death = endurance / 0.5)
+_EXACT_WEAR = 0.5
+
+
+def _tied_block(kind: str) -> tuple[np.ndarray, tuple[int, int]]:
+    """A 512-bit Aegis 9x61 block whose minimum ties at some step, and
+    the pair of cells that tie.
+
+    Cell ``a`` dies first (base 100) and wears its slope-0 group, which
+    halves its members' remaining life: a member of endurance 150 (base
+    300) moves to 200.  ``base-base`` ties two untouched cells at the
+    first death; ``base-accel`` ties an untouched cell of base 200 with a
+    worn member in a higher column, ``accel-base`` in a lower one (where a
+    plain ``argmin`` picks the wrong cell); ``accel-accel`` ties two worn
+    members.  Every other cell lives far longer, at a distinct endurance.
+    The pair comes in the scheduler's order where that is fixed (the
+    cursor before the heap, the heap by cell index).
+    """
+    spec = aegis_spec(9, 61, 512)
+    values = 1e4 + 7.0 * rng_for(3, 0).permutation(512)
+    a = 40
+    group = [int(m) for m in spec.make_checker(None).group_members(a) if m != a]
+    outside = [c for c in range(512) if c not in group and c != a]
+    if kind == "base-base":
+        pair = (outside[0], outside[300])
+        values[list(pair)] = 50.0
+        return values, pair
+    values[a] = 50.0
+    if kind == "accel-accel":
+        pair = (group[0], group[-1])
+        values[list(pair)] = 150.0
+        return values, pair
+    member = group[len(group) // 2]
+    base = next(c for c in outside if (c < member) == (kind == "base-accel"))
+    values[member] = 150.0
+    values[base] = 100.0
+    return values, (base, member)
+
+
+class TestRunnerUpTies:
+    """The stepping loop finds a tied minimum by hiding each row's
+    ``argmin`` cell and taking the minimum again; the tied rows rank
+    their candidates like the scalar scheduler (cursor before heap, heap
+    by cell index, cursor by the page's flat argsort)."""
+
+    @staticmethod
+    def _batch_order(monkeypatch, spec, model):
+        """The (time, cell) deaths a one-block page feeds its checker."""
+        order = []
+        step = kernels._Lockstep.step
+
+        def spy(lock, now, cells):
+            if lock.active[0]:
+                order.append((float(now[0]), int(cells[0])))
+            return step(lock, now, cells)
+
+        monkeypatch.setattr(kernels._Lockstep, "step", spy)
+        result = simulate_page(
+            spec,
+            1,
+            rng_for(0, 0),
+            lifetime_model=model,
+            inversion_wear_rate=_EXACT_WEAR,
+            engine="auto",
+        )
+        monkeypatch.undo()
+        return order, result
+
+    @pytest.mark.parametrize(
+        "kind", ["base-base", "base-accel", "accel-base", "accel-accel"]
+    )
+    def test_tied_minimum_follows_the_scalar_order(self, monkeypatch, kind):
+        spec = aegis_spec(9, 61, 512)
+        values, pair = _tied_block(kind)
+        model = _Prepared(values)
+        events = []
+        scalar = simulate_page(
+            spec,
+            1,
+            rng_for(0, 0),
+            lifetime_model=model,
+            inversion_wear_rate=_EXACT_WEAR,
+            observer=events.append,
+        )
+        expected = [(event.time, event.offset) for event in events]
+        # the pair dies at one time, one right after the other
+        times = {offset: time for time, offset in expected}
+        assert times[pair[0]] == times[pair[1]]
+        offsets = [offset for _, offset in expected]
+        assert abs(offsets.index(pair[0]) - offsets.index(pair[1])) == 1
+        if kind != "base-base":
+            assert offsets.index(pair[0]) < offsets.index(pair[1])
+        order, vector = self._batch_order(monkeypatch, spec, model)
+        assert order == expected
+        assert vector == scalar
+
+    def test_only_active_rows_rank_their_ties(self, monkeypatch):
+        """A dead row keeps its fatal cell as its minimum, which here ties
+        the row's other cells of the same endurance level; ranking it
+        again at every later step would only burn time.  Each row is
+        ranked at most once per death it feeds the checker."""
+        ranked = []
+        rows = kernels._PageRanks.rows
+
+        def spy(page_ranks, row_ids):
+            ranked.extend(row_ids.tolist())
+            return rows(page_ranks, row_ids)
+
+        monkeypatch.setattr(kernels._PageRanks, "rows", spy)
+        spec = aegis_spec(9, 61, 512)
+        # eight endurance levels: every death ties, and each row dies at
+        # a step of its own
+        levels = rng_for(5, 0).integers(1, 9, size=(6, 512))
+        result = kernels.block_dynamics(
+            spec,
+            levels * 2e4,
+            blocks_per_page=1,
+            write_probability=0.5,
+            inversion_wear_rate=0.25,
+        )
+        events = np.isfinite(result.event_times).sum(axis=1)
+        calls = np.bincount(ranked, minlength=6)
+        assert len(set(events.tolist())) > 1  # rows die at different steps
+        assert (calls > 0).all()
+        assert (calls <= events).all(), (calls, events)
+
+
 class TestCompaction:
     @pytest.mark.parametrize(
         "spec",
@@ -456,6 +614,7 @@ class TestCompaction:
             aegis_spec(9, 61, 512),
             safer_spec(64, 512),
             safer_spec(32, 512, policy="exhaustive"),
+            ecp_spec(6, 512),
         ],
         ids=_IDS,
     )
