@@ -1,11 +1,14 @@
 """Tests for the event-driven page simulator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime
 from repro.sim.page_sim import run_page_study, simulate_page
+from repro.sim import roster
 from repro.sim.roster import aegis_spec, ecp_spec, no_protection_spec, safer_spec
 
 
@@ -181,3 +184,50 @@ class TestRunPageStudy:
         strong = run_page_study(aegis_spec(9, 61, 512), n_pages=8, seed=3)
         assert strong.faults.mean > 3 * weak.faults.mean
         assert strong.lifetime.mean > weak.lifetime.mean
+
+
+#: the ``study-sampled`` roster (perfbench/study.py); these schemes have
+#: no batch kernel, so every page runs on the scalar scheduler
+SAMPLED_SPECS = {
+    "aegis-rw-17x31": lambda: roster.aegis_rw_spec(17, 31, 512),
+    "aegis-rw-9x61": lambda: roster.aegis_rw_spec(9, 61, 512),
+    "aegis-rw-p-9x61-p9": lambda: roster.aegis_rw_p_spec(9, 61, 9, 512),
+    "rdis-3": lambda: roster.rdis_spec(512),
+    "safer64-cache": lambda: roster.safer_cache_spec(64, 512),
+}
+TIED_SAMPLES = {
+    "drift": {"fault_model": "drift"},
+    "partial": {"fault_model": "partial"},
+    "fixed": {"lifetime_model": FixedLifetime(1000)},
+}
+#: sha256 prefix of the results of three 4 KB pages (seed 2013) per scheme
+#: and sample; drift bursts and ``FixedLifetime`` tie deaths routinely, so
+#: the scheduler's death order is the full argsort's tie order here, and
+#: partial's long-lived aegis-rw-9x61 pages walk past 1024 deaths
+TIED_DIGESTS = {
+    ("aegis-rw-17x31", "drift"): "781c6e5bb2e53253",
+    ("aegis-rw-17x31", "partial"): "a9c9322854d0f452",
+    ("aegis-rw-17x31", "fixed"): "befa433dba9aa40f",
+    ("aegis-rw-9x61", "drift"): "79dbc95d694ff3ba",
+    ("aegis-rw-9x61", "partial"): "9ddce6a73eba54ac",
+    ("aegis-rw-9x61", "fixed"): "4e0b330461fdc0d0",
+    ("aegis-rw-p-9x61-p9", "drift"): "21894e17bb9b8c20",
+    ("aegis-rw-p-9x61-p9", "partial"): "856d636036c18070",
+    ("aegis-rw-p-9x61-p9", "fixed"): "3113d3a0a13d30ab",
+    ("rdis-3", "drift"): "839147fedf14660a",
+    ("rdis-3", "partial"): "0d8ad6ea8b7ec0e0",
+    ("rdis-3", "fixed"): "790b2a7c2302ea37",
+    ("safer64-cache", "drift"): "9c9b4f6731b3c625",
+    ("safer64-cache", "partial"): "78ba6da17e38ea9d",
+    ("safer64-cache", "fixed"): "4a3a3e3a3e9b902e",
+}
+
+
+class TestSampledStudyDigests:
+    @pytest.mark.parametrize("key,sample", sorted(TIED_DIGESTS))
+    def test_tied_samples_match_recorded_digest(self, key, sample):
+        study = run_page_study(
+            SAMPLED_SPECS[key](), n_pages=3, seed=2013, workers=1, **TIED_SAMPLES[sample]
+        )
+        digest = hashlib.sha256(repr(study.results).encode()).hexdigest()[:16]
+        assert digest == TIED_DIGESTS[key, sample]
