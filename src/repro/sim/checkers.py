@@ -23,8 +23,12 @@ Two families exist:
   the block before the next fault arrives — and the block dies if any
   pattern is unrecoverable, exactly the paper's failure criterion.  An
   arrival's patterns are decided as a whole, in numpy passes (Aegis-rw
-  poisoned sets are ``ceil(B / 64)``-word bitsets, so ``B > 63`` works);
-  draws never run ahead of the arrival, as callers share the generator.
+  poisoned sets are ``ceil(B / 64)``-word bitsets, so ``B > 63`` works) or,
+  for RDIS, on per-fault ``samples``-bit ints; draws never run ahead of the
+  arrival, as callers share the generator.
+  Below a fixed fault count, ``draws_from``, an arrival neither draws nor
+  fails; from it on, every arrival draws (the page scheduler draws stuck
+  values in runs up to the next drawing arrival, page_sim ``_draw_stuck_run``).
   After its draw an arrival is *skipped* (alive, no pattern evaluated) when
   the fault set alone proves every pattern recoverable: for RDIS when no
   fault has both a row-mate and a column-mate (toggle 1 then inverts exactly
@@ -39,6 +43,7 @@ Every checker is cross-validated against its bit-accurate controller in
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations
 from typing import Protocol
@@ -64,7 +69,12 @@ DEFAULT_SAMPLES = 128
 
 
 class BlockChecker(Protocol):
-    """Incremental survival oracle for one data block."""
+    """Incremental survival oracle for one data block.
+
+    A checker that draws patterns may set ``draws_from``: the fault count
+    from which every arrival draws, and below which no arrival draws or
+    fails.  Without it the page scheduler assumes any arrival may do both.
+    """
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         """Record a new stuck cell; ``False`` means the block just failed."""
@@ -189,6 +199,7 @@ class AegisRwChecker:
         self.alive = True
         # plain Aegis's poisoned set, the union over all fault pairs
         self._plain = AegisChecker(rect)
+        self.draws_from = _rw_draws_from(rect.b_size)
 
     def _separable(self) -> bool:
         """Whether some slope separates every fault, so that no W/R split
@@ -205,10 +216,9 @@ class AegisRwChecker:
         self.fault_offsets.append(offset)
         f = len(self.fault_offsets)
         b = self.rect.b_size
-        # max cross pairs over any W/R split; below B no pattern can fail
-        if (f // 2) * ((f + 1) // 2) < b:
+        if f < self.draws_from:
             return True
-        wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
+        wrong = _draw_patterns(self.rng, self.samples, f).view(bool)
         if self._separable():
             return True
         poisoned = _poisoned_slopes(self._rom, self.fault_offsets, wrong)
@@ -219,6 +229,17 @@ class AegisRwChecker:
     def group_members(self, offset: int) -> np.ndarray:
         """Aegis-rw performs single-pass writes (no extra inversion wear)."""
         return np.empty(0, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _rw_draws_from(b_size: int) -> int:
+    """The fault count from which an Aegis-rw block can fail: below it, the
+    most W/R cross pairs any split has, ``(f // 2) * ((f + 1) // 2)``,
+    cannot cover ``b_size`` slopes."""
+    f = 1
+    while (f // 2) * ((f + 1) // 2) < b_size:
+        f += 1
+    return f
 
 
 def _poisoned_slopes(rom: CollisionROM, offsets: list[int], wrong: np.ndarray) -> np.ndarray:
@@ -264,6 +285,8 @@ class AegisRwPChecker(AegisRwChecker):
             raise ConfigurationError("Aegis-rw-p needs at least one pointer")
         super().__init__(rect, rng, samples)
         self.pointers = pointers
+        # past p faults a split can overflow the pointer budget
+        self.draws_from = min(self.draws_from, pointers + 1)
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
@@ -271,9 +294,9 @@ class AegisRwPChecker(AegisRwChecker):
         self.fault_offsets.append(offset)
         f = len(self.fault_offsets)
         b = self.rect.b_size
-        if f <= self.pointers and (f // 2) * ((f + 1) // 2) < b:
+        if f < self.draws_from:
             return True  # every split fits the budget and leaves a free slope
-        wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
+        wrong = _draw_patterns(self.rng, self.samples, f).view(bool)
         # min(f_W, f_R) <= p for every split, and a separating slope is free
         if f <= 2 * self.pointers + 1 and self._separable():
             return True
@@ -422,6 +445,7 @@ class SaferCacheChecker:
         self.positions: tuple[int, ...] = ()
         self.fault_offsets: list[int] = []
         self.alive = True
+        self.draws_from = 1
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
@@ -430,7 +454,7 @@ class SaferCacheChecker:
         f = len(self.fault_offsets)
         # no early-out even at small f: the vector must grow in response to
         # the sampled traffic, exactly as the hardware's would
-        wrong_masks = _draw_patterns(self.rng, self.samples, f).astype(bool)
+        wrong_masks = _draw_patterns(self.rng, self.samples, f).view(bool)
         offs = np.asarray(self.fault_offsets, dtype=np.int64)
         start = 0
         while start < self.samples:
@@ -495,9 +519,9 @@ class RdisChecker:
     The recursive invertible-set construction touches healthy cells too,
     but recoverability is decided purely by whether every *fault* ends up
     consistent — so the per-pattern check runs on the fault coordinates,
-    vectorised across all sampled patterns with row/column bitmasks.
-    ``depth`` follows the paper's naming (RDIS-3): the mask toggles
-    ``depth - 1`` times.
+    on all sampled patterns at once through per-fault sample bitsets
+    (:func:`_any_rdis_failure`).  ``depth`` follows the paper's naming
+    (RDIS-3): the mask toggles ``depth - 1`` times.
     """
 
     def __init__(
@@ -509,8 +533,6 @@ class RdisChecker:
         rng: np.random.Generator,
         samples: int = DEFAULT_SAMPLES,
     ) -> None:
-        if rows > 63 or cols > 63:
-            raise ConfigurationError("RdisChecker bitmask fast path caps dims at 63")
         if rows * cols < n_bits:
             raise ConfigurationError(f"a {rows}x{cols} RDIS grid cannot hold {n_bits} bits")
         if depth < 2:
@@ -527,32 +549,39 @@ class RdisChecker:
         self.stuck_values: list[int] = []
         self.alive = True
         # any 3 faults resolve within two toggles (tests/test_rdis.py)
-        self._guarantee = 3 if self.toggle_levels >= 2 else 1
+        self.draws_from = (3 if self.toggle_levels >= 2 else 1) + 1
         self._row_faults = [0] * rows  # fault counts per grid row and column
         self._col_faults = [0] * cols
+        self._fault_rows: list[int] = []  # each fault's grid row and column
+        self._fault_cols: list[int] = []
+        # some fault has a row-mate and a column-mate; faults are only
+        # added, so once true it stays true
+        self._crossed = False
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
             return False
+        row, col = divmod(offset, self.cols)
         self.fault_offsets.append(offset)
         self.stuck_values.append(stuck_value)
-        self._row_faults[offset // self.cols] += 1
-        self._col_faults[offset % self.cols] += 1
-        f = len(self.fault_offsets)
-        if f <= self._guarantee:
+        self._fault_rows.append(row)
+        self._fault_cols.append(col)
+        self._row_faults[row] += 1
+        self._col_faults[col] += 1
+        if len(self.fault_offsets) < self.draws_from:
             return True
-        data = _draw_patterns(self.rng, self.samples, f)
+        data = _draw_patterns(self.rng, self.samples, len(self.fault_offsets))
         # toggle 1 marks a correct fault only if it has a row-mate and a
         # column-mate; without such a fault it inverts exactly the wrong ones
-        rows, cols, width = self._row_faults, self._col_faults, self.cols
-        if not any(rows[o // width] > 1 and cols[o % width] > 1 for o in self.fault_offsets):
-            return True
-        offs = np.asarray(self.fault_offsets, dtype=np.int64)
-        stuck = np.asarray(self.stuck_values, dtype=np.uint8)
-        frows = offs // self.cols
-        fcols = offs % self.cols
+        if not self._crossed:
+            rows, cols = self._row_faults, self._col_faults
+            self._crossed = any(
+                rows[r] > 1 and cols[c] > 1 for r, c in zip(self._fault_rows, self._fault_cols)
+            )
+            if not self._crossed:
+                return True
         self.alive = not _any_rdis_failure(
-            frows, fcols, stuck, data, self.toggle_levels
+            self._fault_rows, self._fault_cols, self.stuck_values, data, self.toggle_levels
         )
         return self.alive
 
@@ -562,42 +591,47 @@ class RdisChecker:
 
 
 def _any_rdis_failure(
-    frows: np.ndarray,
-    fcols: np.ndarray,
-    stuck: np.ndarray,
+    frows: Sequence[int],
+    fcols: Sequence[int],
+    stuck: Sequence[int],
     data: np.ndarray,
     levels: int,
 ) -> bool:
     """True when some sampled pattern is unrecoverable by RDIS-``levels``.
 
-    Vectorised over patterns: marked rows/columns per pattern are int64
-    bitmasks; region membership and the inversion mask are tracked per
-    (pattern, fault).
+    ``data`` holds the ``(K, f)`` sampled bits at the ``f`` faults.  Each
+    fault carries ``K``-bit sample bitsets (Python ints, bit ``k`` for
+    pattern ``k``): ``E`` where it is written wrong with no inversion,
+    ``M`` the inversion mask and ``R`` the current region.  Per toggle,
+    ``wrong = R & (E ^ M)``; a row (column) is marked in a pattern when a
+    fault in it is wrong there, so the marks are ORs of ``wrong`` over the
+    faults of each row (column); then ``R &= rowmark & colmark`` and
+    ``M ^= R``.  A pattern fails when some fault still has ``E != M``.
     """
-    samples, f = data.shape
-    row_bits = np.int64(1) << frows  # (f,)
-    col_bits = np.int64(1) << fcols
-    mask = np.zeros((samples, f), dtype=np.uint8)
-    in_region = np.ones((samples, f), dtype=bool)
+    samples = data.shape[0]
+    full = (1 << samples) - 1
+    width = -(-samples // 8)
+    packed = np.packbits(data.T, axis=1, bitorder="little").tobytes()
+    wrong_at_rest = [
+        int.from_bytes(packed[i * width : (i + 1) * width], "little") ^ (full if value else 0)
+        for i, value in enumerate(stuck)
+    ]
+    region = [full] * len(wrong_at_rest)
+    mask = [0] * len(wrong_at_rest)
     for _ in range(levels):
-        wrong = in_region & (stuck[None, :] != (data ^ mask))
-        if not wrong.any():
+        wrong = [r & (e ^ m) for r, e, m in zip(region, wrong_at_rest, mask)]
+        if not any(wrong):
             break
-        marked_rows = np.bitwise_or.reduce(
-            np.where(wrong, row_bits[None, :], 0), axis=1
-        )
-        marked_cols = np.bitwise_or.reduce(
-            np.where(wrong, col_bits[None, :], 0), axis=1
-        )
-        in_intersection = (
-            ((marked_rows[:, None] >> frows[None, :]) & 1).astype(bool)
-            & ((marked_cols[:, None] >> fcols[None, :]) & 1).astype(bool)
-        )
-        new_region = in_region & in_intersection
-        mask ^= new_region.astype(np.uint8)
-        in_region = new_region
-    still_wrong = stuck[None, :] != (data ^ mask)
-    return bool(still_wrong.any())
+        row_marks: dict[int, int] = {}
+        col_marks: dict[int, int] = {}
+        for bits, row, col in zip(wrong, frows, fcols):
+            row_marks[row] = row_marks.get(row, 0) | bits
+            col_marks[col] = col_marks.get(col, 0) | bits
+        region = [
+            r & row_marks[row] & col_marks[col] for r, row, col in zip(region, frows, fcols)
+        ]
+        mask = [m ^ r for m, r in zip(mask, region)]
+    return any(e != m for e, m in zip(wrong_at_rest, mask))
 
 
 class HammingChecker:

@@ -156,6 +156,11 @@ def simulate_page(
     )[0]
 
 
+#: one drawn page: ``(shaped, baseline, masked_originals)`` (see
+#: :func:`_death_times`)
+_PageSample = tuple[np.ndarray, float, np.ndarray | None]
+
+
 def _death_times(
     spec: SchemeSpec,
     n_cells: int,
@@ -163,68 +168,176 @@ def _death_times(
     model: LifetimeModel,
     write_probability: float,
     fault_model: FaultModel,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None]":
-    """Draw one page's cell death times from ``rng``: ``(shaped, original,
-    masked)``.
+    out: np.ndarray | None = None,
+) -> _PageSample:
+    """Draw one page's cell death times from ``rng``: ``(shaped, baseline,
+    masked_originals)``.
 
-    ``original`` is the intrinsic base death time (endurance over the
-    write probability), ``shaped`` the fault model's rewrite of it and
-    ``masked`` its free-mask flags (``None`` = nothing masked).  Every
-    engine draws here first, so the generator sits at the same position
-    when the scheduler starts.
+    ``shaped`` is the fault model's rewrite of the intrinsic base death
+    times (endurance over the write probability), written into ``out``
+    when given.  ``baseline`` is the paired no-protection lifetime, the
+    first *intrinsic* cell death (masked cells still die physically), and
+    ``masked_originals`` the intrinsic death times of the cells the model
+    masks for free (``None`` = nothing masked).  Every engine draws here
+    first, so the generator sits at the same position when the scheduler
+    starts.
     """
-    original = model.sample(n_cells, rng) / write_probability
+    original = np.divide(model.sample(n_cells, rng), write_probability, out=out)
     shaped, masked = fault_model.transform_base_death(original, spec.n_bits, rng)
-    return shaped, original, masked
+    baseline = float(original.min())
+    masked_originals = None if masked is None else original[masked]
+    if out is not None and shaped is not out:
+        out[...] = shaped
+        shaped = out
+    return shaped, baseline, masked_originals
+
+
+#: cells in the scalar scheduler's first sorted prefix of the death order;
+#: a page that walks past it doubles the width (aegis-rw-9x61 pages take
+#: ~1000-1200 deaths, most sampled pages a few hundred)
+SCALAR_PREFIX = 1024
+
+
+def _sorted_prefix(base_death: np.ndarray, width: int) -> np.ndarray | None:
+    """The first ``width`` cells of ``np.argsort(base_death)``, or ``None``
+    when a tie could make another sort order them differently.
+
+    ``argpartition`` picks the ``width`` earliest deaths and a small sort
+    orders them.  That equals the full argsort's head only when the head
+    holds no tie and every other cell dies strictly later; otherwise which
+    tied cell comes first is the full sort's own choice.
+    """
+    part = np.argpartition(base_death, width)
+    head = part[:width]
+    times = base_death[head]
+    rank = np.argsort(times)
+    head, times = head[rank], times[rank]
+    if times[-1] < base_death[part[width]] and (times[1:] > times[:-1]).all():
+        return head
+    return None
+
+
+def _death_order(base_death: np.ndarray):
+    """Yield ``np.argsort(base_death)`` as growing ``(cells, times)`` list
+    chunks: a :data:`SCALAR_PREFIX`-wide sorted prefix first, each later
+    chunk doubling the width, then a ``([-1], [inf])`` end marker.
+
+    A prefix that :func:`_sorted_prefix` cannot prove equal to the full
+    argsort's head (a tie in it, or at its edge) falls back to the full
+    argsort, which then serves every later chunk too.
+    """
+    n_cells = base_death.shape[0]
+    done, width, order = 0, SCALAR_PREFIX, None
+    while done < n_cells:
+        width = min(width, n_cells)
+        head = None
+        if order is None and width < n_cells:
+            head = _sorted_prefix(base_death, width)
+        if head is None:
+            if order is None:
+                order = np.argsort(base_death)
+            head = order[:width]
+        chunk = head[done:]
+        yield chunk.tolist(), base_death[chunk].tolist()
+        done, width = width, 2 * width
+    yield [-1], [np.inf]
+
+
+def _draw_stuck_run(
+    rng: np.random.Generator,
+    cells: list[int],
+    start: int,
+    faults: list[int],
+    n_bits: int,
+    draws_from: int,
+) -> list[int]:
+    """Stuck values for the arrivals ``cells[start:]`` up to and including
+    the first that brings its block to ``draws_from`` faults (or to the end
+    of ``cells``), from one generator call.
+
+    ``faults`` counts each block's arrivals already given a stuck value and
+    is advanced over the run.  No arrival before the run's last draws
+    patterns or kills its block, so the page reaches every value drawn, and
+    ``rng.integers(0, 2, size=k)`` is the same stream as ``k`` scalar
+    ``rng.integers(0, 2)`` calls.
+    """
+    end = start
+    while end < len(cells):
+        block = cells[end] // n_bits
+        faults[block] += 1
+        end += 1
+        if faults[block] >= draws_from:
+            break
+    if end - start == 1:
+        return [int(rng.integers(0, 2))]
+    return rng.integers(0, 2, size=end - start).tolist()
 
 
 def _simulate_page_scalar(
     spec: SchemeSpec,
     blocks_per_page: int,
     rng: np.random.Generator,
-    times: "tuple[np.ndarray, np.ndarray, np.ndarray | None]",
+    times: _PageSample,
     write_probability: float,
     inversion_wear_rate: float,
     observer: FaultObserver | None = None,
 ) -> PageResult:
     """The cell-death scheduler: walk the page's deaths (``times`` from
-    :func:`_death_times`) in time order until a block's checker dies."""
+    :func:`_death_times`) in time order until a block's checker dies.
+
+    The base order is ``np.argsort`` of the death times, walked from the
+    sorted prefixes of :func:`_death_order` (a page walks a few hundred of
+    its tens of thousands of cells, so a full sort is mostly wasted).
+    Under inversion wear a ``status`` array and a heap of re-scheduled
+    deaths merge the accelerated cells in; a wear-free page walks the
+    base order alone.
+    """
     n_bits = spec.n_bits
-    base_death, original_death, masked = times
-    n_cells = base_death.shape[0]
-    order = np.argsort(base_death)
-    status = np.zeros(n_cells, dtype=np.int8)
+    base_death, baseline, masked_originals = times
     block_checkers = [spec.make_checker(rng) for _ in range(blocks_per_page)]
     accel_rate = write_probability + inversion_wear_rate
     apply_wear = spec.inversion_wear and inversion_wear_rate > 0
+    status = bytearray(base_death.shape[0]) if apply_wear else None
+    # a wear-free page knows its arrival order ahead, so it draws stuck
+    # values in runs (:func:`_draw_stuck_run`); a checker without a
+    # ``draws_from`` threshold gets runs of one
+    draws_from = getattr(block_checkers[0], "draws_from", 1)
+    faults_ahead = [0] * blocks_per_page
+    stuck_ahead: list[int] = []  # pre-drawn stuck values, by base-order position
     heap: list[tuple[float, int]] = []
+    chunks = _death_order(base_death)
+    cells, deaths_at = next(chunks)
     cursor = 0
     deaths = 0
-    # paired no-protection baseline: always the first *intrinsic* cell
-    # death — masked cells still die physically
-    baseline = float(original_death.min())
 
     while True:
-        while cursor < n_cells and status[order[cursor]] != _NORMAL:
+        if cursor == len(cells):
+            more_cells, more_times = next(chunks)
+            cells += more_cells
+            deaths_at += more_times
+        if heap and heap[0][0] < deaths_at[cursor]:
+            now, cell = heapq.heappop(heap)
+            if status[cell] == _DEAD:
+                continue
+        else:
+            now, cell = deaths_at[cursor], cells[cursor]
             cursor += 1
-        t_base = float(base_death[order[cursor]]) if cursor < n_cells else np.inf
-        t_heap = heap[0][0] if heap else np.inf
-        if t_base <= t_heap:
-            if cursor >= n_cells:
+            if cell < 0:
                 raise AssertionError(
                     "page outlived every cell"
                 )  # pragma: no cover - checkers always fail eventually
-            now, cell = t_base, int(order[cursor])
-            cursor += 1
-        else:
-            now, cell = heapq.heappop(heap)
-            cell = int(cell)
-            if status[cell] == _DEAD:
-                continue
-        status[cell] = _DEAD
+            if status is not None and status[cell] != _NORMAL:
+                continue  # accelerated (its death is on the heap) or dead
         deaths += 1
         block, offset = divmod(cell, n_bits)
-        stuck_value = int(rng.integers(0, 2))
+        if status is not None:  # wear reorders deaths: one value at a time
+            stuck_value = int(rng.integers(0, 2))
+        else:
+            if cursor > len(stuck_ahead):
+                stuck_ahead += _draw_stuck_run(
+                    rng, cells, len(stuck_ahead), faults_ahead, n_bits, draws_from
+                )
+            stuck_value = stuck_ahead[cursor - 1]
         alive = block_checkers[block].add_fault(offset, stuck_value)
         if observer is not None:
             observer(
@@ -239,19 +352,19 @@ def _simulate_page_scalar(
             )
         if not alive:
             recovered = deaths - 1
-            if masked is not None:
+            if masked_originals is not None:
                 # masked partial faults never reached a checker but did
                 # arrive (and were survived) before the fatal fault
-                recovered += int((original_death[masked] <= now).sum())
+                recovered += int((masked_originals <= now).sum())
             return PageResult(
                 lifetime_writes=now,
                 faults_recovered=recovered,
                 baseline_lifetime=baseline,
             )
-        if apply_wear:
-            members = block_checkers[block].group_members(offset)
-            for member in members:
-                mate = block * n_bits + int(member)
+        if status is not None:
+            status[cell] = _DEAD
+            for member in block_checkers[block].group_members(offset).tolist():
+                mate = block * n_bits + member
                 if status[mate] != _NORMAL:
                     continue
                 status[mate] = _ACCELERATED
@@ -263,23 +376,24 @@ def _simulate_page_scalar(
 def _pages_from_death_times(
     spec: SchemeSpec,
     blocks_per_page: int,
-    pages: "list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]",
+    base_death: np.ndarray,
+    pages: "list[tuple[float, np.ndarray | None]]",
     write_probability: float,
     inversion_wear_rate: float,
 ) -> list[PageResult | None]:
-    """Batched page outcomes for a list of prepared death-time samples.
+    """Batched page outcomes for prepared death-time samples.
 
-    Each entry of ``pages`` is ``(shaped, original, masked)``: the
-    fault-model-transformed flat death times actually simulated, the
-    intrinsic (untransformed) death times for the paired baseline and
-    masked-fault accounting, and the free-mask flags (``None`` under the
-    hard model, where ``shaped is original``).
+    ``base_death`` is the ``(pages * blocks, n_bits)`` population of the
+    pages' fault-model-transformed death times, page-major, and each entry
+    of ``pages`` that page's ``(baseline, masked_originals)`` from
+    :func:`_death_times` (the paired baseline lifetime and the intrinsic
+    death times of its masked cells).
 
-    All pages' blocks are stacked into one ``(pages * blocks, n_bits)``
-    population and advanced by a single :func:`repro.sim.kernels.block_dynamics`
-    call; a page's lifetime is its earliest block death, its recovered-fault
-    count the number of recorded cell deaths strictly before that time
-    (plus any masked faults whose intrinsic death preceded it).
+    The population is advanced by a single
+    :func:`repro.sim.kernels.block_dynamics` call; a page's lifetime is its
+    earliest block death, its recovered-fault count the number of recorded
+    cell deaths strictly before that time (plus any masked faults whose
+    intrinsic death preceded it).
 
     The batch scheduler replicates the scalar event order exactly, so the
     count is exact whenever the page's death time is unique among its
@@ -290,11 +404,6 @@ def _pages_from_death_times(
     those pages come back as ``None`` for the caller to replay on the
     scalar path.
     """
-    n_bits = spec.n_bits
-    n_pages = len(pages)
-    base_death = np.stack([shaped for shaped, _, _ in pages]).reshape(
-        n_pages * blocks_per_page, n_bits
-    )
     result = kernels.block_dynamics(
         spec,
         base_death,
@@ -303,7 +412,7 @@ def _pages_from_death_times(
         inversion_wear_rate=inversion_wear_rate,
     )
     outcomes: list[PageResult | None] = []
-    for page, (_, original, masked) in enumerate(pages):
+    for page, (baseline, masked_originals) in enumerate(pages):
         rows = slice(page * blocks_per_page, (page + 1) * blocks_per_page)
         lifetime = result.death_time[rows].min()
         events = result.event_times[rows]
@@ -311,13 +420,13 @@ def _pages_from_death_times(
             outcomes.append(None)
             continue
         recovered = int((events < lifetime).sum())
-        if masked is not None:
-            recovered += int((original[masked] <= lifetime).sum())
+        if masked_originals is not None:
+            recovered += int((masked_originals <= lifetime).sum())
         outcomes.append(
             PageResult(
                 lifetime_writes=float(lifetime),
                 faults_recovered=recovered,
-                baseline_lifetime=float(original.min()),
+                baseline_lifetime=baseline,
             )
         )
     return outcomes
@@ -387,10 +496,10 @@ def _simulate_rngs(
     fmodel = fault_model_for(fault_model)
     n_cells = blocks_per_page * spec.n_bits
 
-    def draw(rng: np.random.Generator):
-        return _death_times(spec, n_cells, rng, model, write_probability, fmodel)
+    def draw(rng: np.random.Generator, out: np.ndarray | None = None) -> _PageSample:
+        return _death_times(spec, n_cells, rng, model, write_probability, fmodel, out)
 
-    def scalar(rng: np.random.Generator, times) -> PageResult:
+    def scalar(rng: np.random.Generator, times: _PageSample) -> PageResult:
         # ``rng`` sits exactly where the scalar path's own draw leaves it
         return _simulate_page_scalar(
             spec,
@@ -405,8 +514,14 @@ def _simulate_rngs(
     if observer is not None or kernels.resolve_engine(engine, spec) != "vector":
         return [scalar(rng, draw(rng)) for rng in rngs]
     results: list[PageResult | None] = [None] * len(rngs)
-    pending: list[tuple[int, tuple, np.random.Generator]] = []
     batch_pages = max(1, MAX_BATCH_CELLS // max(n_cells, 1))
+    # each page draws straight into its rows of the batch population, so
+    # a pending page keeps only its baseline and masked originals
+    population = np.empty((min(batch_pages, len(rngs)) * blocks_per_page, spec.n_bits))
+    pending: list[tuple[int, np.random.Generator, float, np.ndarray | None]] = []
+
+    def page_rows(slot: int) -> np.ndarray:
+        return population[slot * blocks_per_page : (slot + 1) * blocks_per_page]
 
     def flush() -> None:
         if not pending:
@@ -414,20 +529,24 @@ def _simulate_rngs(
         outcomes = _pages_from_death_times(
             spec,
             blocks_per_page,
-            [times for _, times, _ in pending],
+            population[: len(pending) * blocks_per_page],
+            [(baseline, masked) for _, _, baseline, masked in pending],
             write_probability,
             inversion_wear_rate,
         )
-        for (position, times, rng), outcome in zip(pending, outcomes):
+        for slot, ((position, rng, baseline, masked), outcome) in enumerate(
+            zip(pending, outcomes)
+        ):
             if outcome is None:
                 # a death ties the page's death time exactly: replay for
                 # the paper-exact fault count
-                outcome = scalar(rng, times)
+                outcome = scalar(rng, (page_rows(slot).reshape(-1), baseline, masked))
             results[position] = outcome
         pending.clear()
 
     for position, rng in enumerate(rngs):
-        pending.append((position, draw(rng), rng))
+        _, baseline, masked = draw(rng, page_rows(len(pending)).reshape(-1))
+        pending.append((position, rng, baseline, masked))
         if len(pending) >= batch_pages:
             flush()
     flush()

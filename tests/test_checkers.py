@@ -538,6 +538,72 @@ class TestWholeSampleVerdicts:
         assert checker.positions == (1, 2)
 
 
+
+def rdis_failure_by_arrays(frows, fcols, stuck, data, levels) -> bool:
+    """Oracle for ``_any_rdis_failure``: the same toggles on ``(K, f)``
+    arrays, with each pattern's marked rows and columns as ``int64``
+    bitmasks (the checker's formulation before per-fault sample bitsets)."""
+    frows, fcols = np.asarray(frows, dtype=np.int64), np.asarray(fcols, dtype=np.int64)
+    stuck = np.asarray(stuck, dtype=np.uint8)
+    samples, f = data.shape
+    row_bits = np.int64(1) << frows
+    col_bits = np.int64(1) << fcols
+    mask = np.zeros((samples, f), dtype=np.uint8)
+    in_region = np.ones((samples, f), dtype=bool)
+    for _ in range(levels):
+        wrong = in_region & (stuck[None, :] != (data ^ mask))
+        if not wrong.any():
+            break
+        marked_rows = np.bitwise_or.reduce(np.where(wrong, row_bits[None, :], 0), axis=1)
+        marked_cols = np.bitwise_or.reduce(np.where(wrong, col_bits[None, :], 0), axis=1)
+        in_intersection = ((marked_rows[:, None] >> frows[None, :]) & 1).astype(bool) & (
+            (marked_cols[:, None] >> fcols[None, :]) & 1
+        ).astype(bool)
+        in_region = in_region & in_intersection
+        mask ^= in_region.astype(np.uint8)
+    return bool((stuck[None, :] != (data ^ mask)).any())
+
+
+class TestRdisSampleBitsets:
+    """``_any_rdis_failure`` on per-fault ``K``-bit sample bitsets against
+    the array oracle, on the 16x32 grid of a 512-bit block."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("samples", [1, 5, 64, 100, 128, 8192])
+    def test_matches_array_oracle(self, samples, depth):
+        rows, cols = rdis_dimensions(512)
+        assert (rows, cols) == (16, 32)
+        stream = np.random.default_rng(samples * 10 + depth)
+        verdicts = set()
+        for f in range(2, 41):
+            # alternate a dense corner (shared rows and columns) with the
+            # whole block
+            span = 96 if f % 2 else 512
+            offsets = stream.choice(span, size=f, replace=False)
+            stuck = stream.integers(0, 2, size=f).tolist()
+            data = stream.integers(0, 2, size=(samples, f), dtype=np.uint8)
+            frows, fcols = (offsets // cols).tolist(), (offsets % cols).tolist()
+            fails = _any_rdis_failure(frows, fcols, stuck, data, depth - 1)
+            assert fails == rdis_failure_by_arrays(frows, fcols, stuck, data, depth - 1), f
+            verdicts.add(fails)
+        assert verdicts == {True, False}
+
+    def test_failing_pattern_is_found_at_any_bit(self):
+        """A single unrecoverable pattern fails the sample wherever it sits,
+        across word boundaries of the bitsets."""
+        frows, fcols, stuck = [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0]
+        # all four faults of a 2x2 square wrong but one: RDIS-2 inverts the
+        # whole square, so the correct fault turns wrong
+        bad = np.array([[1, 1, 1, 0]], dtype=np.uint8)
+        assert rdis_failure_by_arrays(frows, fcols, stuck, bad, 1)
+        for samples in (1, 63, 64, 65, 200):
+            for at in {0, samples // 2, samples - 1}:
+                data = np.zeros((samples, 4), dtype=np.uint8)
+                assert not _any_rdis_failure(frows, fcols, stuck, data, 1)
+                data[at] = bad
+                assert _any_rdis_failure(frows, fcols, stuck, data, 1)
+
+
 # ---------------------------------------------------------------------------
 # Structural skips: arrivals decided from the fault set, with the draw kept
 # ---------------------------------------------------------------------------
