@@ -8,6 +8,7 @@ import pytest
 from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
 from repro.errors import UncorrectableError
+from repro.pcm.lifetime import LifetimeModel
 
 
 @pytest.fixture
@@ -44,3 +45,17 @@ def write_until_failure(target, max_writes: int) -> int:
         except UncorrectableError:
             break
     return target.writes_serviced
+
+
+class PreparedLifetime(LifetimeModel):
+    """One fixed endurance sample, handed out unchanged."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+        return self.values[:n_cells].copy()
+
+    @property
+    def mean(self) -> float:
+        return float(self.values.mean())

@@ -44,6 +44,7 @@ from repro.sim.roster import (
     safer_cache_spec,
     safer_spec,
 )
+from tests.conftest import PreparedLifetime
 
 #: every kernel family, plus rectangle variations and a smaller block size
 KERNEL_SPECS = [
@@ -464,20 +465,6 @@ class TestHeavyTies:
         )
 
 
-class _Prepared(LifetimeModel):
-    """One fixed endurance sample, handed out unchanged."""
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-
-    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
-        return self.values[:n_cells].copy()
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
 #: write probability 0.5 plus inversion wear 0.5 halves a worn cell's
 #: remaining life exactly, so prepared samples can tie worn cells on
 #: purpose (base death = endurance / 0.5)
@@ -554,7 +541,7 @@ class TestRunnerUpTies:
     def test_tied_minimum_follows_the_scalar_order(self, monkeypatch, kind):
         spec = aegis_spec(9, 61, 512)
         values, pair = _tied_block(kind)
-        model = _Prepared(values)
+        model = PreparedLifetime(values)
         events = []
         scalar = simulate_page(
             spec,

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pcm.lifetime import FixedLifetime, LifetimeModel
+from repro.pcm.lifetime import FixedLifetime
 from repro.sim import page_sim, roster
 from repro.sim.page_sim import run_page_study, simulate_page
 from repro.sim.roster import aegis_spec, ecp_spec, no_protection_spec, safer_spec
+from tests.conftest import PreparedLifetime
 
 
 class TestSimulatePage:
@@ -233,20 +234,6 @@ class TestSampledStudyDigests:
         assert digest == TIED_DIGESTS[key, sample]
 
 
-class _Prepared(LifetimeModel):
-    """One fixed endurance sample, handed out unchanged."""
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-
-    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
-        return self.values[:n_cells].copy()
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
 PAGE_BLOCKS = 64
 PAGE_CELLS = PAGE_BLOCKS * 512
 
@@ -296,7 +283,7 @@ def scheduler_events(spec, times: np.ndarray) -> "tuple[object, list[tuple]]":
         spec,
         PAGE_BLOCKS,
         np.random.default_rng(3),
-        lifetime_model=_Prepared(times),
+        lifetime_model=PreparedLifetime(times),
         write_probability=1.0,
         observer=events.append,
     )
