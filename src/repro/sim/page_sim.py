@@ -296,8 +296,12 @@ def _simulate_page_scalar(
     base_death, baseline, masked_originals = times
     block_checkers = [spec.make_checker(rng) for _ in range(blocks_per_page)]
     accel_rate = write_probability + inversion_wear_rate
-    apply_wear = spec.inversion_wear and inversion_wear_rate > 0
-    status = bytearray(base_death.shape[0]) if apply_wear else None
+    # per-cell state, only kept when the page applies inversion wear
+    status = (
+        bytearray(base_death.shape[0])
+        if spec.inversion_wear and inversion_wear_rate > 0
+        else None
+    )
     # a wear-free page knows its arrival order ahead, so it draws stuck
     # values in runs (:func:`_draw_stuck_run`); a checker without a
     # ``draws_from`` threshold gets runs of one
