@@ -15,6 +15,10 @@ same host and asserts a fixed floor:
 * ``test_drain_floor``: the vector write drain moves at least 5x the
   rows per second of the scalar drain over warm blocks, with identical
   metric snapshots;
+* ``test_first_touch_floor``: the vector drain first-touches every
+  address of a built 1024-address aegis-9x61 array at least 2x faster
+  than the scalar drain (median of alternating pairs), with identical
+  telemetry snapshots;
 * ``test_sampling_overhead``: per-drain time-series sampling costs at
   most 5% of drain time and leaves the metrics unchanged;
 * ``test_campaign_memory``: a streaming fleet campaign 100x larger peaks
@@ -70,20 +74,25 @@ DRAIN_CAPACITY = 128
 DRAIN_ADDRESSES = 256
 DRAIN_ROUNDS = 80
 
+FIRST_TOUCH_FLOOR = 2.0
+FIRST_TOUCH_ADDRESSES = 1024
+
 CAMPAIGN_MEMORY_FACTOR = 3.0
 CAMPAIGN_SCALE = 100
 
 
-def _median_speedup(label, baseline, candidate):
+def _median_speedup(label, baseline, candidate, prepare=None):
     """Time ``PAIRS`` alternating baseline/candidate runs, assert each
     pair's results are equal, print every time ratio and return the
-    median."""
+    median.  ``prepare``, when given, runs untimed before each pair and
+    returns the baseline's and the candidate's argument."""
     ratios = []
     for _ in range(PAIRS):
+        args = [(arg,) for arg in prepare()] if prepare is not None else [(), ()]
         start = time.perf_counter()
-        expected = baseline()
+        expected = baseline(*args[0])
         middle = time.perf_counter()
-        actual = candidate()
+        actual = candidate(*args[1])
         ratios.append((middle - start) / (time.perf_counter() - middle))
         assert actual == expected
     median = statistics.median(ratios)
@@ -119,11 +128,11 @@ def test_ecp_kernel_floor():
 def _drain(spec, engine, *, sample=False):
     """Drain ``DRAIN_ROUNDS`` full buffers over warm, healthy blocks.
 
-    A huge fixed endurance and one up-front write per address keep
-    first touch and wear-out, which both engines serve on the scalar
-    path, out of the timed region.  Returns the drain seconds, the
-    seconds of it spent in ``TimeSeriesRecorder.sample`` and the final
-    metrics snapshot."""
+    One up-front write per address keeps first touch (timed on its own
+    by ``test_first_touch_floor``) out of the timed region, and a huge
+    fixed endurance keeps out wear-out, which both engines serve on the
+    scalar path.  Returns the drain seconds, the seconds of it spent in
+    ``TimeSeriesRecorder.sample`` and the final metrics snapshot."""
     rng = rng_for(2013, 0, 41)
     array = MemoryArray(
         DRAIN_ADDRESSES,
@@ -169,6 +178,43 @@ def test_drain_floor(key):
     speedup = scalar_s / auto_s
     print(f"\ndrain speedup on {key}: {speedup:.2f}x")
     assert speedup >= DRAIN_FLOOR
+
+
+def _fresh_array(engine):
+    """A built, never-written aegis-9x61 array's controller and one
+    payload per address."""
+    spec = SPECS["aegis-9x61"]
+    rng = rng_for(2013, 0, 43)
+    array = MemoryArray(
+        FIRST_TOUCH_ADDRESSES,
+        spec.n_bits,
+        spec.make_controller,
+        spares=6,
+        fail_cache=DirectMappedFailCache(1024, key_of=SequentialBlockKeys()),
+        rng=rng,
+        engine=engine,
+    )
+    payloads = rng.integers(0, 2, (FIRST_TOUCH_ADDRESSES, spec.n_bits), dtype=np.uint8)
+    return ServiceController(array), payloads
+
+
+def _first_touch(fresh):
+    """First-touch every address in order, flush; the telemetry snapshot."""
+    controller, payloads = fresh
+    for address, payload in enumerate(payloads):
+        controller.write(address, payload)
+    controller.flush()
+    return controller.telemetry.snapshot()
+
+
+def test_first_touch_floor():
+    median = _median_speedup(
+        "first touch aegis-9x61",
+        _first_touch,
+        _first_touch,
+        prepare=lambda: (_fresh_array("scalar"), _fresh_array("auto")),
+    )
+    assert median >= FIRST_TOUCH_FLOOR
 
 
 def test_sampling_overhead():

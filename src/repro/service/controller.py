@@ -21,10 +21,10 @@ the pieces the reproduction already models bit-accurately):
    verifies).
 4. **Retry-with-repartition escalation** — rows the batch cannot prove
    finish in one clean pass or, under Aegis, after one inversion flip
-   (repartition walks, spare remaps, proactive migrations, first-touch
-   allocations) fall out of the batch to the scalar per-row pipeline,
-   in row order, so the rare path stays bit-identical whatever the
-   engine.
+   (repartition walks, spare remaps, proactive migrations, first touches
+   past the drain's first such row) fall out of the batch to the scalar
+   per-row pipeline, in row order, so the rare path stays bit-identical
+   whatever the engine.
 5. **Typed failure** — only a write that finds the pool exhausted raises
    :class:`~repro.errors.RetiredBlockError`.  During a buffered flush the
    controller absorbs it into telemetry (``writes_lost``) so one dead

@@ -22,15 +22,17 @@ operations, with three pieces:
     inversion flip — the pass-1 stuck-at-wrong cells lie in pairwise
     distinct groups under the block's current slope, and no group they
     hit holds any other stuck cell;
-  - *escalation* rows run the scalar per-row pipeline: unmapped or dead
-    addresses, policy-switched blocks, degraded blocks under proactive
-    migration, invalid payloads, and every write a kernel cannot prove
-    to be fast or two-pass (repartition walks, spare remaps).
-* :func:`drain_vector` — the whole-drain driver: classify, commit the
-  cell state of every batchable row in one gather → differential write
-  (two passes where planned) → wear → scatter, then walk the drain in
-  row order for the order-sensitive effects (op clock, health, fail
-  cache, cost attribution), servicing escalation rows in place.
+  - *escalation* rows run the scalar per-row pipeline: dead addresses,
+    policy-switched blocks, degraded blocks under proactive migration,
+    invalid payloads, first touches the drain could not map ahead of
+    time, and every write a kernel cannot prove to be fast or two-pass
+    (repartition walks, spare remaps).
+* :func:`drain_vector` — the whole-drain driver: map the drain's first
+  touches, classify, commit the cell state of every batchable row in one
+  gather → differential write (two passes where planned) → wear →
+  scatter, then walk the drain in row order for the order-sensitive
+  effects (op clock, health, fail cache, cost attribution), servicing
+  escalation rows in place.
 
 Every other scheme (Hamming, no protection, Aegis-rw, SAFER-cache, RDIS)
 has no kernel, so ``engine="auto"`` drains it on the scalar path.
@@ -40,7 +42,7 @@ Bit-identity contract
 The vector engine reproduces the scalar engine exactly: telemetry
 snapshots, trace JSONL and final array state are byte-identical
 (asserted across schemes/seeds/workers in ``tests/test_service_kernels.py``).
-The argument has four legs:
+The argument has five legs:
 
 * **Rows are independent.**  Each kernel's predicate is evaluated
   against pre-drain state, which equals pre-write state because a
@@ -48,6 +50,16 @@ The argument has four legs:
   logical→physical map is injective — distinct rows touch distinct
   blocks.  Escalation rows only ever add blocks from the free pool,
   which no other row of the drain maps to.
+* **First touches allocate in row order.**  Only first touches and
+  remaps take blocks from the pool, and a successful allocation emits
+  nothing.  The drain maps each first touch (valid payload, live
+  address) that precedes its first *blocker* — a row neither batched
+  nor such a first touch — in row order, stopping where the pool runs
+  dry; before a blocker every other row is batched and allocates
+  nothing, so the pool, its placement cursor and the RNG see the
+  scalar order.  A fresh block holds no stuck cell and no inversion
+  bit, so these rows plan as fast rows.  Every later first touch, and
+  the one the pool could not serve, runs the scalar pipeline.
 * **Fast rows are single-pass.**  A fast row's scalar execution
   performs one differential write and one clean verification read,
   touches no RNG, emits no events or spans, and yields receipt
@@ -397,24 +409,9 @@ def drain_vector(
     batch = int(addresses.shape[0])
     phys = array._map[addresses]
     invalid = (payloads > 1).any(axis=1)
-    escalate = (phys < 0) | invalid  # unmapped (first touch) and dead too
-    if array._switched:
-        # policy-switched blocks no longer run the base scheme the batch
-        # kernel was built for; their rows take the scalar pipeline
-        switched = np.fromiter(
-            array._switched, count=len(array._switched), dtype=np.int64
-        )
-        np.bitwise_or(escalate, np.isin(phys, switched), out=escalate)
-    if controller.proactive_migration:
-        health = array.health
-        for row in range(batch):
-            if (
-                known[row]
-                and not escalate[row]
-                and health.state_of(int(phys[row])) is BlockHealth.DEGRADED
-            ):
-                escalate[row] = True
-    plan = kernel.plan(phys, payloads, ~escalate)
+    plan = kernel.plan(phys, payloads, _candidates(controller, phys, invalid, known))
+    if _map_first_touches(array, addresses, phys, invalid, plan.batch):
+        plan = kernel.plan(phys, payloads, _candidates(controller, phys, invalid, known))
     # rows that can raise: invalid payloads always, every escalation row
     # when a lost write re-raises
     can_raise = ~plan.batch if controller.strict else invalid
@@ -431,6 +428,61 @@ def drain_vector(
             lost += dropped
             start = stop
     return total, serviced, lost
+
+
+def _candidates(
+    controller, phys: np.ndarray, invalid: np.ndarray, known: list[dict[int, int]]
+) -> np.ndarray:
+    """Rows the kernel may plan: mapped, valid, on the base scheme and,
+    under proactive migration, not bound for a migration."""
+    array = controller.array
+    candidates = (phys >= 0) & ~invalid  # unmapped covers dead addresses
+    if array._switched:
+        # policy-switched blocks no longer run the base scheme the batch
+        # kernel was built for; their rows take the scalar pipeline
+        switched = np.fromiter(
+            array._switched, count=len(array._switched), dtype=np.int64
+        )
+        candidates &= ~np.isin(phys, switched)
+    if controller.proactive_migration:
+        health = array.health
+        for row in np.flatnonzero(candidates).tolist():
+            if known[row] and health.state_of(int(phys[row])) is BlockHealth.DEGRADED:
+                candidates[row] = False
+    return candidates
+
+
+def _map_first_touches(
+    array,
+    addresses: np.ndarray,
+    phys: np.ndarray,
+    invalid: np.ndarray,
+    batched: np.ndarray,
+) -> bool:
+    """Allocate, in row order, a block for every first touch (unmapped,
+    live address, valid payload) ahead of the drain's first blocker — a
+    row the plan does not batch that is no such first touch — stopping
+    where the pool runs dry.  Updates ``phys`` and the array's map;
+    returns whether any row was mapped."""
+    fresh = (phys < 0) & ~invalid
+    if not fresh.any():
+        return False
+    if array._dead:
+        dead = np.fromiter(array._dead, count=len(array._dead), dtype=np.int64)
+        fresh &= ~np.isin(addresses, dead)
+    blockers = np.flatnonzero(~(batched | fresh))
+    stop = int(blockers[0]) if blockers.size else int(phys.size)
+    pool, placement, rng = array.pool, array.wear_leveling, array.rng
+    mapped = False
+    for row in np.flatnonzero(fresh[:stop]).tolist():
+        address = int(addresses[row])
+        physical = pool.allocate(address, placement, rng)
+        if physical is None:
+            break
+        array._map[address] = physical
+        phys[row] = physical
+        mapped = True
+    return mapped
 
 
 def _drain_rows(

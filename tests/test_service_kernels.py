@@ -102,6 +102,8 @@ def _store_state(array):
         array._map.copy(),
         sorted(array._dead),
         array.op_clock,
+        array.pool._free.copy(),
+        array.wear_leveling._cursor,
     )
 
 
@@ -256,14 +258,46 @@ class TestDrainEquivalence:
 
         _assert_same_state(run("scalar"), run("auto"))
 
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_IDS)
+    def test_all_fresh_drain_runs_no_scalar_write(self, spec, monkeypatch):
+        """A drain of first touches with room in the pool maps every row
+        ahead of the batch: no row runs the scalar ``MemoryArray.write``."""
+        calls = {"scalar": 0, "auto": 0}
+        arrays = {}
+        write = MemoryArray.write
+        for engine in calls:
+
+            def spy(array, address, payload, engine=engine):
+                calls[engine] += 1
+                return write(array, address, payload)
+
+            monkeypatch.setattr(MemoryArray, "write", spy)
+            array = _make_array(spec, engine=engine)
+            controller = ServiceController(array, buffer_capacity=array.n_addresses)
+            rng = np.random.default_rng(3)
+            # the last write fills the buffer, which drains all 24 rows
+            for address in rng.permutation(array.n_addresses).tolist():
+                controller.write(
+                    address, rng.integers(0, 2, spec.n_bits, dtype=np.uint8)
+                )
+            arrays[engine] = array
+        assert calls == {"scalar": 24, "auto": 0}
+        _assert_same_state(arrays["scalar"], arrays["auto"])
+        assert (
+            arrays["auto"].telemetry.snapshot()
+            == arrays["scalar"].telemetry.snapshot()
+        )
+
 
 #: the two Aegis formations the row-class tests lay faults out on
 AEGIS_SPECS = [aegis_spec(9, 61, 512), aegis_spec(17, 31, 512)]
 
 #: row kinds the layout helper knows: "fast" and "two_pass" rows are
-#: batched, "random" ones either way, the rest must escalate — an
-#: "uncorrectable" row loses its write (re-raised under strict) and an
-#: "invalid" payload raises
+#: batched, "random" ones either way, a "first_touch" row (an unmapped
+#: address) is batched when it precedes the drain's first blocker and the
+#: pool still has a block for it, the rest must escalate — an
+#: "uncorrectable" row loses its write when the pool is dry (re-raised
+#: under strict), so does a "dead" address, and an "invalid" payload raises
 ROW_KINDS = (
     "fast",
     "two_pass",
@@ -272,21 +306,41 @@ ROW_KINDS = (
     "two_wrong_in_group",
     "uncorrectable",
     "invalid",
+    "first_touch",
+    "dead",
 )
 
+#: row kinds of unmapped addresses, which get no fault layout
+UNMAPPED_KINDS = ("first_touch", "dead")
 
-def _twin_controllers(spec, *, n_addresses, strict):
+
+def _twin_controllers(
+    spec, *, n_addresses, strict, unmapped=(), dead=(), spares=0, remaps=0
+):
     """Scalar and vector controllers over identical arrays with every
-    address first-touched and no spare left, so a remap runs the pool dry."""
+    address but the ``unmapped`` ones first-touched, so with no spare a
+    remap takes the block of an unmapped address or runs the pool dry.
+
+    ``remaps`` spare remaps of the first touched address take that many
+    free blocks first.  ``dead`` (a subset of ``unmapped``) are marked
+    lost while blocks are still free — a state a live array reaches only
+    with a dry pool, set here so the drain meets a dead address among
+    first touches it can map."""
     twins = []
     for engine in ("scalar", "auto"):
-        array = _make_array(spec, engine=engine, n_addresses=n_addresses, spares=0)
+        array = _make_array(
+            spec, engine=engine, n_addresses=n_addresses, spares=spares
+        )
         controller = ServiceController(
             array, buffer_capacity=n_addresses, strict=strict
         )
-        for address in range(n_addresses):
+        touched = [address for address in range(n_addresses) if address not in unmapped]
+        for address in touched:
             controller.write(address, np.zeros(spec.n_bits, dtype=np.uint8))
         controller.flush()
+        for _ in range(remaps):
+            array._remap(touched[0], array.physical_of(touched[0]))
+        array._dead.update(dead)
         twins.append(controller)
     return twins
 
@@ -352,6 +406,21 @@ def _scalar_class(block, payload):
     return "fast" if receipt.verification_reads == 1 else "two_pass"
 
 
+def _spy_scalar_rows(controller, addresses):
+    """Record, in order, the drain rows ``controller`` services through
+    the scalar ``MemoryArray.write``."""
+    rows: list[int] = []
+    row_of = {int(address): row for row, address in enumerate(addresses)}
+    write = controller.array.write
+
+    def spy(address, payload):
+        rows.append(row_of[address])
+        return write(address, payload)
+
+    controller.array.write = spy
+    return rows
+
+
 def _run_drain(controller, addresses, payloads):
     known = controller._consult_batch(addresses)
     try:
@@ -395,16 +464,33 @@ def _assert_twins_agree(scalar, vector):
     }
 
 
-def _check_drain(spec, kinds, *, seed, strict):
+def _check_drain(spec, kinds, *, seed, strict, spares=0, remaps=0):
     """Lay out one drain of the given row kinds on twin arrays, check the
     vector plan against the scalar oracle, drain both engines and compare
-    every piece of state; returns the plan's batch flags."""
+    every piece of state.
+
+    Also checks which first touches the vector drain batches: those ahead
+    of the first row that is neither batched nor a first touch, as many
+    as the pool has free blocks.  Returns the drain's outcome and the
+    rows the vector engine ran through the scalar ``MemoryArray.write``.
+    """
     rng = np.random.default_rng(seed)
-    scalar, vector = _twin_controllers(spec, n_addresses=len(kinds) + 2, strict=strict)
     payloads = rng.integers(0, 2, (len(kinds), spec.n_bits), dtype=np.uint8)
     addresses = rng.permutation(len(kinds) + 2)[: len(kinds)].astype(np.int64)
+    scalar, vector = _twin_controllers(
+        spec,
+        n_addresses=len(kinds) + 2,
+        strict=strict,
+        unmapped=[int(a) for a, kind in zip(addresses, kinds) if kind in UNMAPPED_KINDS],
+        dead=[int(a) for a, kind in zip(addresses, kinds) if kind == "dead"],
+        spares=spares,
+        remaps=remaps,
+    )
     expected = []
     for row, kind in enumerate(kinds):
+        if kind in UNMAPPED_KINDS:
+            expected.append(kind)
+            continue
         physical = vector.array.physical_of(int(addresses[row]))
         slope, inverted, faults = _layout(
             rng, vector.array.blocks[physical].scheme, kind, payloads[row]
@@ -421,23 +507,41 @@ def _check_drain(spec, kinds, *, seed, strict):
         expected.append(
             _scalar_class(vector.array.blocks[physical], payloads[row])
         )
-    # invalid payloads escalate before the kernel plans, like the drain does
+    # invalid payloads and unmapped addresses escalate before the kernel
+    # plans, like the drain does
+    phys = vector.array._map[addresses]
     plan = kernel_for(vector.array).plan(
-        vector.array._map[addresses], payloads, (payloads <= 1).all(axis=1)
+        phys, payloads, (payloads <= 1).all(axis=1) & (phys >= 0)
     )
     for row, kind in enumerate(kinds):
         batched = bool(plan.batch[row])
-        assert batched == (expected[row] != "escalate"), (kind, expected[row])
+        assert batched == (expected[row] in ("fast", "two_pass")), (kind, expected[row])
         assert (row in plan.two_pass) == (expected[row] == "two_pass"), kind
         if kind in ("fast", "two_pass"):
             assert expected[row] == kind
         if kind in ("right_in_flipped", "two_wrong_in_group", "uncorrectable", "invalid"):
             assert expected[row] == "escalate"
+    blocker = next(
+        (
+            row
+            for row, kind in enumerate(expected)
+            if kind not in ("fast", "two_pass", "first_touch")
+        ),
+        len(kinds),
+    )
+    first_touches = [row for row, kind in enumerate(kinds) if kind == "first_touch"]
+    early = [row for row in first_touches if row < blocker][: vector.array.pool.remaining]
+    scalar_rows = _spy_scalar_rows(vector, addresses)
     want = _run_drain(scalar, addresses, payloads)
     got = _run_drain(vector, addresses, payloads)
     assert got == want
     _assert_twins_agree(scalar, vector)
-    return want
+    assert not set(early) & set(scalar_rows)
+    for row in first_touches:
+        if row not in early:
+            # scalar, or never reached because an earlier row raised
+            assert row in scalar_rows or vector.array._map[addresses[row]] < 0
+    return want, scalar_rows
 
 
 class TestRowClasses:
@@ -452,6 +556,7 @@ class TestRowClasses:
             ("fast", "two_pass", "fast"),
             ("two_pass", "right_in_flipped", "two_pass"),
             ("two_wrong_in_group", "two_pass", "fast"),
+            ("first_touch", "fast", "two_pass", "first_touch"),
         ],
         ids=lambda kinds: "-".join(kinds),
     )
@@ -460,7 +565,7 @@ class TestRowClasses:
 
     @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
     def test_strict_drain_runs_the_pool_dry_mid_drain(self, spec):
-        outcome = _check_drain(
+        outcome, _ = _check_drain(
             spec, ("two_pass", "fast", "uncorrectable", "two_pass", "fast"),
             seed=9, strict=True,
         )
@@ -468,10 +573,58 @@ class TestRowClasses:
 
     @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
     def test_invalid_payload_mid_drain(self, spec):
-        outcome = _check_drain(
+        outcome, _ = _check_drain(
             spec, ("two_pass", "fast", "invalid", "two_pass"), seed=13, strict=False
         )
         assert outcome == "ValueError"
+
+    @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
+    def test_first_touch_after_a_remap_stays_scalar(self, spec):
+        # three free blocks: the batch maps the first touch ahead of the
+        # remap, which takes the second; the first touch after it takes
+        # the third on the scalar pipeline, in row order
+        kinds = ("first_touch", "fast", "uncorrectable", "first_touch")
+        (_, _, lost), scalar_rows = _check_drain(
+            spec, kinds, seed=17, strict=False, spares=1
+        )
+        assert lost == 0
+        assert scalar_rows == [2, 3]
+
+    @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_pool_runs_dry_among_first_touches(self, spec, strict):
+        # three first touches, two free blocks: the third meets a dry pool
+        kinds = ("first_touch", "fast", "first_touch", "first_touch", "two_pass")
+        outcome, scalar_rows = _check_drain(
+            spec, kinds, seed=19, strict=strict, remaps=1
+        )
+        assert scalar_rows == [3]
+        if strict:
+            assert outcome == "RetiredBlockError"
+        else:
+            assert outcome[2] == 1
+
+    @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_invalid_payload_before_a_first_touch(self, spec, strict):
+        outcome, scalar_rows = _check_drain(
+            spec, ("first_touch", "fast", "invalid", "first_touch"), seed=23, strict=strict
+        )
+        assert outcome == "ValueError"
+        assert scalar_rows == [2]
+
+    @pytest.mark.parametrize("spec", AEGIS_SPECS, ids=_IDS)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_dead_address_among_first_touches(self, spec, strict):
+        outcome, scalar_rows = _check_drain(
+            spec, ("first_touch", "dead", "first_touch", "fast"), seed=29, strict=strict
+        )
+        if strict:
+            assert outcome == "RetiredBlockError"
+            assert scalar_rows == [1]
+        else:
+            assert outcome[2] == 1
+            assert scalar_rows == [1, 2]
 
     @settings(max_examples=30, deadline=None)
     @given(
