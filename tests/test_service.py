@@ -2,6 +2,7 @@
 health machine, memory array, controller pipeline, and the load generator's
 cross-worker determinism contract."""
 
+import hashlib
 import json
 import math
 
@@ -10,7 +11,14 @@ import pytest
 
 from repro.errors import ConfigurationError, RetiredBlockError
 from repro.obs.metrics import Histogram
-from repro.pcm.lifetime import FixedLifetime, NormalLifetime
+from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
+from repro.pcm.lifetime import (
+    CorrelatedLifetime,
+    FixedLifetime,
+    NormalLifetime,
+    WearSkewLifetime,
+)
+from repro.pcm.workload import ZipfWorkload
 from repro.pcm.writebuffer import WriteBuffer
 from repro.remap.pool import SparePool
 from repro.schemes.base import WriteReceipt
@@ -24,6 +32,7 @@ from repro.service import (
     build_workload,
     run_load,
 )
+from repro.sim.rng import rng_for
 from repro.sim.roster import aegis_spec, ecp_spec
 
 
@@ -371,6 +380,102 @@ class TestMemoryArray:
         array.blocks[physical].cells.inject_fault(3, stuck_value=0)
         array.write(0, np.zeros(32, dtype=np.uint8))  # survives, fault recorded
         assert array.known_faults(0) == {3: 0}
+
+
+#: seeded arrays whose cell state and telemetry are pinned: every fault
+#: model, and the lifetime models whose draws differ in shape (clustered
+#: factors, a positional hot set) from the default Normal
+DIGEST_CASES = {
+    "hard-normal": ("hard", NormalLifetime(mean_lifetime=25.0)),
+    "partial-normal": ("partial", NormalLifetime(mean_lifetime=25.0)),
+    "drift-normal": ("drift", NormalLifetime(mean_lifetime=25.0)),
+    "hard-correlated": ("hard", CorrelatedLifetime(mean_lifetime=25.0, cluster_size=32)),
+    "hard-wearskew": (
+        "hard",
+        WearSkewLifetime(NormalLifetime(mean_lifetime=25.0), hot_fraction=0.1, hot_rate=4.0),
+    ),
+}
+
+#: sha256 prefixes of the store matrices (stored, stuck, stuck value,
+#: write counts, endurance), the blocks' partial masks and the telemetry
+#: snapshot, right after construction and after the zipf stream
+STORE_DIGESTS = {
+    "drift-normal": {"built": "343236b3b60ba525", "streamed": "657ecc21fa659861"},
+    "hard-correlated": {"built": "6b0c8d7a1c4696ff", "streamed": "5c917f2e5ebffd60"},
+    "hard-normal": {"built": "46d4d5514c334c68", "streamed": "0dcd14ec8976a43b"},
+    "hard-wearskew": {"built": "00025f32f3c28d60", "streamed": "7f1d08d29b0ec767"},
+    "partial-normal": {"built": "511266d9b7377bcd", "streamed": "5af86db73eb38d3f"},
+}
+
+
+def _digest_array(case, engine="auto"):
+    fault_model, lifetime = DIGEST_CASES[case]
+    spec = aegis_spec(9, 61, 512)
+    return MemoryArray(
+        32,
+        spec.n_bits,
+        spec.make_controller,
+        spares=6,
+        lifetime_model=lifetime,
+        fail_cache=DirectMappedFailCache(64, key_of=SequentialBlockKeys()),
+        rng=rng_for(2013, 0, 91),
+        engine=engine,
+        fault_model=fault_model,
+        scheme_key=spec.key,
+    )
+
+
+def _state_digest(array):
+    store = array.store
+    digest = hashlib.sha256()
+    for matrix in (
+        store.stored,
+        store.stuck,
+        store.stuck_value,
+        store.write_counts,
+        store.endurance,
+    ):
+        digest.update(np.ascontiguousarray(matrix).tobytes())
+    digest.update(np.stack([block.cells._partial for block in array.blocks]).tobytes())
+    snapshot = json.dumps(array.telemetry.snapshot(), sort_keys=True, default=str)
+    digest.update(snapshot.encode())
+    return digest.hexdigest()[:16]
+
+
+def _stream(array, ops=500):
+    """A seeded zipf stream, about one read per three writes."""
+    controller = ServiceController(array, buffer_capacity=8)
+    rng = rng_for(2013, 1, 92)
+    workload = ZipfWorkload(alpha=0.8)
+    for _ in range(ops):
+        address = workload.next_logical_page(array.n_addresses, rng)
+        is_read = rng.random() < 0.25
+        payload = rng.integers(0, 2, array.block_bits, dtype=np.uint8)
+        if array.is_dead(address):
+            continue
+        if is_read:
+            controller.read(address)
+        else:
+            controller.write(address, payload)
+    controller.close()
+
+
+class TestStoreDigests:
+    """Array construction and serving are pinned to recorded digests, so
+    a change to how blocks get their storage cannot move an RNG draw, a
+    stuck value or a counter."""
+
+    @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+    def test_built_array_matches_recorded_digest(self, case):
+        assert _state_digest(_digest_array(case)) == STORE_DIGESTS[case]["built"]
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+    def test_streamed_array_matches_recorded_digest(self, case, engine):
+        array = _digest_array(case, engine)
+        _stream(array)
+        assert array.telemetry.metrics.counter_value("remaps") > 0
+        assert _state_digest(array) == STORE_DIGESTS[case]["streamed"]
 
 
 class TestServiceController:
