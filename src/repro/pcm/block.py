@@ -16,11 +16,12 @@ validated against (with small endurance values so blocks die quickly).
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import UncorrectableError
-from repro.pcm.cell import CellArray
+from repro.pcm.cell import CellArray, CellRows
 from repro.pcm.lifetime import LifetimeModel, NormalLifetime
 from repro.schemes.base import RecoveryScheme, SchemeStats, WriteReceipt
 
@@ -28,8 +29,19 @@ from repro.schemes.base import RecoveryScheme, SchemeStats, WriteReceipt
 SchemeFactory = Callable[[CellArray], RecoveryScheme]
 
 
+class BlockRows(NamedTuple):
+    """A block's cell rows and its float64 endurance row."""
+
+    cells: CellRows
+    endurance: np.ndarray
+
+
 class ProtectedBlock:
-    """One data block under wear, protected by a recovery scheme."""
+    """One data block under wear, protected by a recovery scheme.
+
+    ``rows`` builds the block on caller-owned :class:`BlockRows`, writing
+    the sampled endurance into its row; by default it owns its arrays.
+    """
 
     def __init__(
         self,
@@ -39,12 +51,18 @@ class ProtectedBlock:
         lifetime_model: LifetimeModel | None = None,
         rng: np.random.Generator | None = None,
         fault_model: object | None = None,
+        rows: BlockRows | None = None,
     ) -> None:
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.cells = CellArray(n_bits, fault_model=fault_model)
+        self.cells = CellArray(
+            n_bits, fault_model=fault_model, rows=None if rows is None else rows.cells
+        )
         self.scheme = scheme_factory(self.cells)
         model = lifetime_model if lifetime_model is not None else NormalLifetime()
         self.endurance = model.sample(n_bits, self.rng)
+        if rows is not None:
+            rows.endurance[:] = self.endurance
+            self.endurance = rows.endurance
         self.stats = SchemeStats()
         self.writes_serviced = 0
 
@@ -66,9 +84,8 @@ class ProtectedBlock:
         Returns the offsets that died.  A dying cell freezes at the value it
         currently holds (its last successfully stored value).
         """
-        counts = self.cells.write_counts
         dead = np.flatnonzero(
-            (counts.astype(np.float64) >= self.endurance) & ~self.cells._stuck
+            (self.cells._write_counts >= self.endurance) & ~self.cells._stuck
         )
         for offset in dead:
             self.cells.inject_fault(int(offset))

@@ -26,10 +26,22 @@ mark injected faults as *partial* — still readable, maskable at low cost.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.pcm.faults import FaultModel, fault_model_for
+
+
+class CellRows(NamedTuple):
+    """The per-cell arrays a :class:`CellArray` keeps its state in."""
+
+    stored: np.ndarray
+    stuck: np.ndarray
+    stuck_value: np.ndarray
+    partial: np.ndarray
+    write_counts: np.ndarray
 
 
 class CellArray:
@@ -47,6 +59,10 @@ class CellArray:
         A :class:`~repro.pcm.faults.FaultModel` (or its registry name)
         governing injection and verification semantics.  Defaults to the
         paper's hard stuck-at model.
+    rows:
+        Pristine caller-owned :class:`CellRows` of width ``n_bits`` (rows
+        of a columnar store), mutated strictly in place; by default the
+        array allocates its own.
     """
 
     def __init__(
@@ -55,17 +71,22 @@ class CellArray:
         *,
         differential_writes: bool = True,
         fault_model: "FaultModel | str | None" = None,
+        rows: CellRows | None = None,
     ) -> None:
         if n_bits <= 0:
             raise ConfigurationError("a cell array needs a positive number of cells")
+        if rows is None:
+            rows = CellRows(
+                np.zeros(n_bits, dtype=np.uint8),
+                np.zeros(n_bits, dtype=bool),
+                np.zeros(n_bits, dtype=np.uint8),
+                np.zeros(n_bits, dtype=bool),
+                np.zeros(n_bits, dtype=np.int64),
+            )
         self.n_bits = n_bits
         self.differential_writes = differential_writes
         self.fault_model = fault_model_for(fault_model)
-        self._stored = np.zeros(n_bits, dtype=np.uint8)
-        self._stuck = np.zeros(n_bits, dtype=bool)
-        self._stuck_value = np.zeros(n_bits, dtype=np.uint8)
-        self._partial = np.zeros(n_bits, dtype=bool)
-        self._write_counts = np.zeros(n_bits, dtype=np.int64)
+        self._stored, self._stuck, self._stuck_value, self._partial, self._write_counts = rows
 
     # -- fault management ---------------------------------------------------
 

@@ -32,18 +32,21 @@ class SparePool:
         if n_blocks < 1:
             raise ConfigurationError("a spare pool needs at least one block")
         self.n_blocks = n_blocks
-        self._free = np.zeros(n_blocks, dtype=bool)
-        indices = range(n_blocks) if free is None else free
-        for index in indices:
+        self._free = np.full(n_blocks, free is None)
+        for index in () if free is None else free:
             if not 0 <= index < n_blocks:
                 raise ConfigurationError(f"free index {index} outside pool of {n_blocks}")
             self._free[index] = True
+        self._remaining = int(self._free.sum())
+        #: what placement policies see: the free mask, read-only
+        self._free_view = self._free.view()
+        self._free_view.flags.writeable = False
         self.allocations = 0
 
     @property
     def remaining(self) -> int:
         """Free blocks left in the pool."""
-        return int(self._free.sum())
+        return self._remaining
 
     def allocate(
         self,
@@ -51,18 +54,20 @@ class SparePool:
         policy: WearLevelingPolicy,
         rng: np.random.Generator,
     ) -> int | None:
-        """Claim a free block for ``logical``, placed by ``policy``.
+        """Claim a free block for ``logical``, placed by ``policy`` (which
+        is handed a read-only view of the free mask).
 
         Returns the physical index, or ``None`` when the pool is exhausted
         (the caller decides whether that is a :class:`RetiredBlockError`).
         """
-        if not self._free.any():
+        if self._remaining == 0:
             return None
-        index = policy.place(logical, self._free.copy(), rng)
+        index = policy.place(logical, self._free_view, rng)
         if not self._free[index]:
             raise ConfigurationError(
                 f"wear-leveling policy placed logical {logical} on allocated block {index}"
             )
         self._free[index] = False
+        self._remaining -= 1
         self.allocations += 1
         return index

@@ -25,7 +25,7 @@ degradation:
 :mod:`repro.service.kernels`
     The vectorized drain plane — numpy batch kernels that service a whole
     write-buffer drain at once (:func:`drain_vector`), the columnar
-    :class:`BlockStore` views behind them, and the
+    :class:`BlockStore` every block's cell state lives in, and the
     :func:`kernel_for` lookup that decides when ``engine="auto"`` can
     take the batched path.  Bit-identical to the
     scalar pipeline by construction (``tests/test_service_kernels.py``).

@@ -145,6 +145,9 @@ class MemoryArray:
                 lifetime_model if lifetime_model is not None else NormalLifetime()
             )
         )
+        #: columnar home of every block's cell state: each block is built
+        #: on its rows, so scalar writes and batch kernels share one copy
+        self.store = BlockStore(n_addresses + spares, block_bits)
         self.blocks = [
             ProtectedBlock(
                 block_bits,
@@ -152,8 +155,9 @@ class MemoryArray:
                 lifetime_model=shaped_lifetime,
                 rng=self.rng,
                 fault_model=self.fault_model,
+                rows=self.store.rows(index),
             )
-            for _ in range(n_addresses + spares)
+            for index in range(n_addresses + spares)
         ]
         self.wear_leveling = PerfectWearLeveling()
         self.fail_cache = fail_cache
@@ -185,10 +189,6 @@ class MemoryArray:
         #: events are stamped with
         self.op_clock = 0
         self.engine = validate_engine(engine)
-        #: columnar view over every block's cell state (rows are the cell
-        #: arrays' own storage); always built — it is view-adoption, so
-        #: the scalar path pays nothing for it
-        self.store = BlockStore(self.blocks)
         # precomputed counter-series keys for the per-op hot path
         metrics = self.telemetry.metrics
         self._k_writes_serviced = metrics.series_key("writes_serviced")

@@ -6,11 +6,11 @@ service pipeline.  A drained write-buffer batch — addresses, payloads,
 per-block fault state — is classified and committed as whole-batch numpy
 operations, with three pieces:
 
-* :class:`BlockStore` — columnar adoption of every block's cell arrays
-  (stored values, stuck masks, stuck values, write counts, endurance)
-  into ``(blocks, bits)`` matrices whose *rows are the blocks' own
-  arrays* (views, not copies), so scalar code and batch kernels mutate
-  the same state.
+* :class:`BlockStore` — ``(blocks, bits)`` matrices of every block's
+  cell state (stored values, stuck masks, stuck values, partial masks,
+  write counts, endurance).  Each block is built on its rows, so the
+  matrices are the only copy of that state and scalar code and batch
+  kernels mutate the same arrays.
 * Per-scheme kernels (:class:`_XorMaskKernel` for Aegis and SAFER,
   :class:`_EcpKernel`) that sort a drain's rows into three classes and
   commit the scheme-side state of the batchable ones (the plan carries
@@ -100,7 +100,8 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.aegis import AegisScheme
-from repro.errors import ConfigurationError
+from repro.pcm.block import BlockRows
+from repro.pcm.cell import CellRows
 from repro.schemes.base import WriteReceipt
 from repro.schemes.ecp import EcpScheme
 from repro.schemes.safer import SaferScheme, group_ids
@@ -121,47 +122,41 @@ EMPTY_FAULTS: dict[int, int] = {}
 
 
 class BlockStore:
-    """Columnar matrices over every block's cell state, adopted by view.
+    """Columnar ``(blocks, bits)`` matrices holding every block's cell state.
 
-    Construction stacks each :class:`~repro.pcm.cell.CellArray`'s private
-    arrays into ``(blocks, bits)`` matrices and rebinds the cell arrays'
-    fields to the matrix *rows*, so every scalar mutation (differential
+    Stored values, stuck masks, stuck values, partial masks, write counts
+    and endurance live here and nowhere else: each
+    :class:`~repro.pcm.block.ProtectedBlock` of the array is built on its
+    matrix rows (:meth:`rows`), so every scalar mutation (differential
     writes, fault injection, wear) lands in the matrices and every batch
-    mutation is immediately visible to scalar code.  This is safe because
+    mutation is immediately visible to scalar code.  This holds because
     ``CellArray`` and ``ProtectedBlock`` mutate their arrays strictly in
-    place (verified against masked assignment, ``+=`` and element
-    injection — never rebinding).
-
-    Adoption happens *after* normal block construction, so the per-block
-    endurance sampling consumes the shared RNG in exactly the seed order
-    the scalar-only array used.
+    place (masked assignment, ``+=`` and element injection — never
+    rebinding).  Endurance rows are filled as the blocks sample them, in
+    block order, from the array's RNG.
     """
 
-    def __init__(self, blocks: list) -> None:
-        if not blocks:
-            raise ConfigurationError("a block store needs at least one block")
-        count = len(blocks)
-        bits = blocks[0].cells.n_bits
-        self.n_bits = bits
-        self.stored = np.empty((count, bits), dtype=np.uint8)
-        self.stuck = np.zeros((count, bits), dtype=bool)
-        self.stuck_value = np.empty((count, bits), dtype=np.uint8)
-        self.write_counts = np.empty((count, bits), dtype=np.int64)
-        self.endurance = np.empty((count, bits), dtype=np.float64)
-        for index, block in enumerate(blocks):
-            cells = block.cells
-            if cells.n_bits != bits:
-                raise ConfigurationError("block store needs uniform block widths")
-            self.stored[index] = cells._stored
-            self.stuck[index] = cells._stuck
-            self.stuck_value[index] = cells._stuck_value
-            self.write_counts[index] = cells._write_counts
-            self.endurance[index] = block.endurance
-            cells._stored = self.stored[index]
-            cells._stuck = self.stuck[index]
-            cells._stuck_value = self.stuck_value[index]
-            cells._write_counts = self.write_counts[index]
-            block.endurance = self.endurance[index]
+    def __init__(self, count: int, bits: int) -> None:
+        shape = (count, bits)
+        self.stored = np.zeros(shape, dtype=np.uint8)
+        self.stuck = np.zeros(shape, dtype=bool)
+        self.stuck_value = np.zeros(shape, dtype=np.uint8)
+        self.partial = np.zeros(shape, dtype=bool)
+        self.write_counts = np.zeros(shape, dtype=np.int64)
+        self.endurance = np.empty(shape, dtype=np.float64)
+
+    def rows(self, index: int) -> BlockRows:
+        """Views of block ``index``'s rows, to build the block on."""
+        return BlockRows(
+            CellRows(
+                self.stored[index],
+                self.stuck[index],
+                self.stuck_value[index],
+                self.partial[index],
+                self.write_counts[index],
+            ),
+            self.endurance[index],
+        )
 
 
 # ---------------------------------------------------------------------------

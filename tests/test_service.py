@@ -12,6 +12,7 @@ import pytest
 from repro.errors import ConfigurationError, RetiredBlockError
 from repro.obs.metrics import Histogram
 from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
+from repro.pcm.block import ProtectedBlock
 from repro.pcm.lifetime import (
     CorrelatedLifetime,
     FixedLifetime,
@@ -119,6 +120,32 @@ class TestSparePool:
         assert pool.remaining == 0
         assert pool.allocate(3, policy, rng) is None  # exhaustion, not an error
         assert pool.allocations == 3
+
+    def test_remaining_tracks_the_free_mask(self, rng):
+        from repro.pcm.wear import PerfectWearLeveling
+
+        pool = SparePool(6, free=[1, 2, 4, 4, 5])
+        policy = PerfectWearLeveling()
+        assert pool.remaining == pool._free.sum() == 4
+        while pool.allocate(0, policy, rng) is not None:
+            assert pool.remaining == pool._free.sum()
+        assert pool.remaining == pool._free.sum() == 0
+        assert pool.allocations == 4
+
+    def test_policy_sees_a_read_only_mask(self, rng):
+        from repro.pcm.wear import PerfectWearLeveling
+
+        class Greedy(PerfectWearLeveling):
+            def place(self, logical, alive, rng):
+                alive[:] = False  # claims every block for itself
+                return 0
+
+        pool = SparePool(4)
+        with pytest.raises(ValueError):
+            pool.allocate(0, Greedy(), rng)
+        assert pool._free.all() and pool.remaining == 4 and pool.allocations == 0
+        assert pool.allocate(0, PerfectWearLeveling(), rng) == 0
+        assert pool.remaining == 3
 
 
 class TestHistogram:
@@ -380,6 +407,77 @@ class TestMemoryArray:
         array.blocks[physical].cells.inject_fault(3, stuck_value=0)
         array.write(0, np.zeros(32, dtype=np.uint8))  # survives, fault recorded
         assert array.known_faults(0) == {3: 0}
+
+
+#: a block's per-cell arrays, by ``BlockStore`` matrix name
+CELL_FIELDS = {
+    "stored": "_stored",
+    "stuck": "_stuck",
+    "stuck_value": "_stuck_value",
+    "partial": "_partial",
+    "write_counts": "_write_counts",
+}
+
+
+def _block_arrays(block):
+    arrays = {name: getattr(block.cells, field) for name, field in CELL_FIELDS.items()}
+    arrays["endurance"] = block.endurance
+    return arrays
+
+
+def _assert_blocks_on_store_rows(array):
+    for physical, block in enumerate(array.blocks):
+        for name, values in _block_arrays(block).items():
+            row = getattr(array.store, name)[physical]
+            assert np.shares_memory(values, row), (physical, name)
+
+
+class TestBlockStorage:
+    """Every block keeps its cell state in its ``BlockStore`` rows, so the
+    store's matrices are the only copy."""
+
+    def _array(self):
+        spec = aegis_spec(9, 61, 512)
+        return MemoryArray(
+            4,
+            spec.n_bits,
+            spec.make_controller,
+            spares=3,
+            lifetime_model=LongLife(),
+            rng=np.random.default_rng(3),
+            scheme_key=spec.key,
+        )
+
+    def test_blocks_and_spares_live_on_store_rows(self):
+        array = self._array()
+        assert len(array.blocks) == array.store.stored.shape[0] == 7
+        _assert_blocks_on_store_rows(array)
+
+    def test_rows_survive_remap_and_scheme_switch(self, rng):
+        array = self._array()
+        array.write(0, ones(512))
+        before = array.physical_of(0)
+        for offset in range(0, 512, 3):  # mixed stuck values, far past any FTC
+            array.blocks[before].cells.inject_fault(offset, stuck_value=offset % 2)
+        array.write(0, ones(512))
+        assert array.physical_of(0) != before
+        _assert_blocks_on_store_rows(array)
+        assert array.switch_scheme(0, ecp_spec(6, 512).make_controller, "ecp6")
+        _assert_blocks_on_store_rows(array)
+        physical = array.physical_of(0)
+        array.blocks[physical].cells.inject_fault(5, stuck_value=1)
+        assert array.store.stuck[physical, 5] and array.store.stuck_value[physical, 5] == 1
+
+    def test_standalone_block_owns_private_arrays(self):
+        spec = aegis_spec(9, 61, 512)
+        blocks = [
+            ProtectedBlock(512, spec.make_controller, rng=np.random.default_rng(seed))
+            for seed in (1, 2)
+        ]
+        first, second = (list(_block_arrays(block).values()) for block in blocks)
+        for values in first:
+            assert values.base is None
+            assert not any(np.shares_memory(values, other) for other in second)
 
 
 #: seeded arrays whose cell state and telemetry are pinned: every fault
