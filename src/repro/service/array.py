@@ -129,6 +129,8 @@ class MemoryArray:
             raise ConfigurationError("a memory array needs at least one address")
         if spares < 0:
             raise ConfigurationError("spare count cannot be negative")
+        if block_bits < 1:
+            raise ConfigurationError("a memory array needs at least one bit per block")
         self.name = name
         self.rng = rng if rng is not None else np.random.default_rng()
         self.n_addresses = n_addresses

@@ -315,6 +315,9 @@ class TestMemoryArray:
             small_array(n_addresses=0)
         with pytest.raises(ConfigurationError):
             small_array(spares=-1)
+        for bits in (0, -1):
+            with pytest.raises(ConfigurationError):
+                MemoryArray(2, bits, NoProtectionScheme)
         with pytest.raises(ConfigurationError):
             small_array().read(99)
 
