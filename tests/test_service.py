@@ -11,8 +11,8 @@ import pytest
 
 from repro.errors import ConfigurationError, RetiredBlockError
 from repro.obs.metrics import Histogram
-from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.block import ProtectedBlock
+from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.lifetime import (
     CorrelatedLifetime,
     FixedLifetime,
