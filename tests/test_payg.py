@@ -1,5 +1,7 @@
 """Tests for the PAYG extension (GEC pool, overhead model, Monte Carlo)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.formations import formation
@@ -74,3 +76,20 @@ class TestPaygStudy:
         result = payg_page_study(form, pool_entries=4, blocks_per_page=16,
                                  n_pages=6, seed=5)
         assert result.gec_allocations.mean <= 4
+
+
+#: sha256 prefixes of ``repr(payg_page_study(...))`` for 8 pages of 16
+#: Aegis 17x31 blocks behind an ECP-4 LEC (seed 2013): at 15 slots 4 of
+#: the 8 pages die of pool exhaustion, at 16 every page dies of a GEC
+#: death.  A scheduler change must not move them.
+PAYG_DIGESTS = {15: "8d042efa931fde93", 16: "1a083f11c3862139"}
+
+
+class TestPaygStudyDigests:
+    @pytest.mark.parametrize("pool", sorted(PAYG_DIGESTS))
+    def test_study_matches_recorded_digest(self, pool):
+        result = payg_page_study(formation(17, 31, 512), pool_entries=pool,
+                                 blocks_per_page=16, lec_pointers=4, n_pages=8,
+                                 seed=2013)
+        assert result.pool_exhaustion_deaths == {15: 4, 16: 0}[pool]
+        assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == PAYG_DIGESTS[pool]
