@@ -2,12 +2,13 @@
 
 For each page, every data block's death *age* (page writes) is simulated
 independently: each block is a one-block page of the page Monte Carlo
-(:func:`repro.sim.page_sim.simulate_page`, without inversion wear), on the
-scalar scheduler and the page's shared generator; a page is standalone-usable
-until its first block death, and a dead page's failed-block set grows as
-further blocks die.  At sampled ages the study reports usable capacity in
-page-equivalents, with failed pages either retired outright or reclaimed
-through maximum-cardinality pairing.
+(:func:`repro.sim.page_sim.simulate_page`, without inversion wear, under the
+context's fault model), on the scalar scheduler and the page's shared
+generator; a page is standalone-usable until its first block death, and
+a dead page's failed-block set grows as further blocks die.  At sampled
+ages the study reports usable capacity in page-equivalents, with failed
+pages either retired outright or reclaimed through maximum-cardinality
+pairing.
 
 The expected interplay (the paper's §1.1 argument): with weak in-chip
 protection pairing recovers a sizeable fraction of capacity, but a strong
@@ -69,6 +70,7 @@ class PairingTask:
     seed: int
     lifetime_model: LifetimeModel | None
     write_probability: float
+    fault_model: str
 
 
 def simulate_pairing_page(task: PairingTask, page_index: int) -> np.ndarray:
@@ -84,6 +86,7 @@ def simulate_pairing_page(task: PairingTask, page_index: int) -> np.ndarray:
                 write_probability=task.write_probability,
                 inversion_wear_rate=0.0,
                 engine="scalar",
+                fault_model=task.fault_model,
             ).lifetime_writes
             for _ in range(task.blocks_per_page)
         ]
@@ -116,6 +119,7 @@ def pairing_study(
         seed=ctx.seed,
         lifetime_model=lifetime_model,
         write_probability=write_probability,
+        fault_model=ctx.fault_model,
     )
 
     def reduce(deaths: list[np.ndarray]) -> PairingStudy:

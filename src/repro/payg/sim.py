@@ -1,37 +1,42 @@
 """Monte Carlo evaluation of PAYG pages (extension experiment).
 
-Event-driven like :mod:`repro.sim.page_sim`, but blocks share a finite GEC
-pool: a block's first fault is absorbed by its LEC (ECP-1); the second
-fault triggers a GEC allocation (an Aegis metadata slot); the page dies
-when an allocation finds the pool empty or an allocated Aegis slot runs
-out of slopes.
+A PAYG page is a page of the page Monte Carlo
+(:func:`repro.sim.page_sim.simulate_page`) whose blocks share a finite GEC
+pool: each block's checker is a :class:`PaygChecker` bound to the page's
+:class:`~repro.payg.payg.GecPool`.  A block's first fault is absorbed by
+its LEC (ECP-1); the second fault triggers a GEC allocation (an Aegis
+metadata slot); the page dies when an allocation finds the pool empty or
+an allocated Aegis slot runs out of slopes.
 
 Inversion-wear amplification is not modelled here (it only shifts absolute
 lifetimes; the PAYG story is about fault capacity per overhead bit), so
-death times come straight from the endurance order statistics.
+the page runs an Aegis spec without inversion wear, and death times come
+straight from the endurance order statistics, reshaped by the context's
+fault model.
 
 Execution rides the unified plane (:mod:`repro.sim.context`): page ``p``
 draws every random number from ``rng_for(seed, p, 7)``, so the
 :func:`~repro.sim.parallel.run_study` fan-out produces bit-identical
-studies for every worker count.  The pool-allocation walk has no batch
-kernel, so any requested ``engine`` resolves to the scalar path
-transparently.
+studies for every worker count.  The spec has no batch kernel, so any
+requested ``engine`` resolves to the scalar scheduler transparently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.formations import Formation
-from repro.pcm.lifetime import LifetimeModel, NormalLifetime
+from repro.core.geometry import Rectangle
+from repro.pcm.lifetime import LifetimeModel
 from repro.payg.payg import GecPool, payg_overhead_bits
 from repro.sim.checkers import AegisChecker
 from repro.sim.context import ExecContext
-from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY
+from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY, simulate_page
 from repro.sim.parallel import mean_columns, run_study
 from repro.sim.rng import rng_for
+from repro.sim.roster import aegis_spec
 from repro.util.stats import MeanEstimate
 
 #: substream salt separating PAYG pages from other studies' pages
@@ -63,70 +68,77 @@ class PaygTask:
     seed: int
     lifetime_model: LifetimeModel | None
     write_probability: float
+    fault_model: str
 
 
-def _simulate_payg_page(
-    form: Formation,
-    blocks_per_page: int,
-    pool_entries: int,
-    lec_pointers: int,
-    rng: np.random.Generator,
-    lifetime_model: LifetimeModel,
-    write_probability: float,
-) -> tuple[float, int, int, bool]:
-    """One page: returns (lifetime, faults recovered, GEC allocations,
-    died-of-pool-exhaustion)."""
-    n_bits = form.n_bits
-    n_cells = blocks_per_page * n_bits
-    death_times = lifetime_model.sample(n_cells, rng) / write_probability
-    order = np.argsort(death_times)
-    pool = GecPool(pool_entries)
-    block_faults: list[list[int]] = [[] for _ in range(blocks_per_page)]
-    gec_checkers: dict[int, AegisChecker] = {}
-    deaths = 0
-    for cell in order:
-        cell = int(cell)
-        now = float(death_times[cell])
-        deaths += 1
-        block, offset = divmod(cell, n_bits)
-        stuck = int(rng.integers(0, 2))
-        block_faults[block].append(offset)
-        checker = gec_checkers.get(block)
-        if checker is not None:
-            if not checker.add_fault(offset, stuck):
-                return now, deaths - 1, pool.allocated, False
-            continue
-        if len(block_faults[block]) <= lec_pointers:
-            continue
-        # LEC exceeded: this block needs a GEC slot now
-        if not pool.try_allocate():
-            return now, deaths - 1, pool.allocated, True
-        checker = AegisChecker(form.rect)
-        gec_checkers[block] = checker
-        # replay the block's faults into its new Aegis slot (their
-        # positions are known from the LEC entry and the verification
-        # reads of the allocating write)
-        for fault_offset in block_faults[block]:
-            if not checker.add_fault(fault_offset, stuck):
-                return now, deaths - 1, pool.allocated, False
-    raise AssertionError("page outlived every cell")  # pragma: no cover
+class PaygChecker:
+    """One PAYG block: an ECP-``lec_pointers`` LEC, then an Aegis GEC slot
+    claimed from the ``pool`` its page shares.
+
+    The first ``lec_pointers`` faults are absorbed by the LEC.  The next
+    claims a GEC slot, or kills the block and sets ``pool_ran_dry`` when
+    the pool is empty; once claimed, the slot's :class:`AegisChecker`
+    replays the block's faults so far (their positions are known from the
+    LEC entry and the verification reads of the allocating write) and
+    takes every later fault.
+    """
+
+    def __init__(self, rect: Rectangle, pool: GecPool, lec_pointers: int) -> None:
+        self.rect = rect
+        self.pool = pool
+        self.lec_pointers = lec_pointers
+        self.faults: list[tuple[int, int]] = []  # (offset, stuck value)
+        self.gec: AegisChecker | None = None
+        self.pool_ran_dry = False
+
+    def add_fault(self, offset: int, stuck_value: int) -> bool:
+        if self.gec is not None:
+            return self.gec.add_fault(offset, stuck_value)
+        self.faults.append((offset, stuck_value))
+        if len(self.faults) <= self.lec_pointers:
+            return True
+        if not self.pool.try_allocate():
+            self.pool_ran_dry = True
+            return False
+        self.gec = AegisChecker(self.rect)
+        return all(self.gec.add_fault(*fault) for fault in self.faults)
+
+    def group_members(self, offset: int) -> np.ndarray:
+        return np.empty(0, dtype=np.int64)
 
 
 def simulate_payg_page(
     task: PaygTask, page_index: int
 ) -> tuple[float, int, int, bool]:
-    """One PAYG page of a task — the picklable unit of fan-out."""
-    model = (
-        task.lifetime_model if task.lifetime_model is not None else NormalLifetime()
+    """One PAYG page of a task — the picklable unit of fan-out: returns
+    (lifetime, faults recovered, GEC allocations, died-of-pool-exhaustion)."""
+    form = task.form
+    pool = GecPool(task.pool_entries)
+    blocks: list[PaygChecker] = []
+
+    def make_checker(rng: np.random.Generator) -> PaygChecker:
+        blocks.append(PaygChecker(form.rect, pool, task.lec_pointers))
+        return blocks[-1]
+
+    spec = replace(
+        aegis_spec(form.a_size, form.b_size, form.n_bits),
+        make_checker=make_checker,
+        inversion_wear=False,
+        kernel=None,
     )
-    return _simulate_payg_page(
-        task.form,
+    page = simulate_page(
+        spec,
         task.blocks_per_page,
-        task.pool_entries,
-        task.lec_pointers,
         rng_for(task.seed, page_index, _PAYG_SALT),
-        model,
-        task.write_probability,
+        lifetime_model=task.lifetime_model,
+        write_probability=task.write_probability,
+        fault_model=task.fault_model,
+    )
+    return (
+        page.lifetime_writes,
+        page.faults_recovered,
+        pool.allocated,
+        any(block.pool_ran_dry for block in blocks),
     )
 
 
@@ -159,6 +171,7 @@ def payg_page_study(
         seed=ctx.seed,
         lifetime_model=lifetime_model,
         write_probability=write_probability,
+        fault_model=ctx.fault_model,
     )
 
     def reduce(results: list[tuple[float, int, int, bool]]) -> PaygPageResult:

@@ -84,9 +84,8 @@ class ProtectedBlock:
         Returns the offsets that died.  A dying cell freezes at the value it
         currently holds (its last successfully stored value).
         """
-        counts = self.cells.write_counts
         dead = np.flatnonzero(
-            (counts.astype(np.float64) >= self.endurance) & ~self.cells._stuck
+            (self.cells._write_counts >= self.endurance) & ~self.cells._stuck
         )
         for offset in dead:
             self.cells.inject_fault(int(offset))

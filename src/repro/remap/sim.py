@@ -5,15 +5,25 @@ spare block (fresh cells, endurance sampled at allocation time) takes over
 its address and ages from that moment.  The page survives until a block
 fails with no spare left.
 
+Each block, base or spare, is a one-block page of the page Monte Carlo
+(:func:`repro.sim.page_sim.simulate_page`, without inversion wear) on the
+page's generator, run to its scheme's failure; an observer records its
+fault ages.  A heap of block deaths then orders the remaps, and the faults
+recovered are every block's cell deaths strictly before the page's death.
+
 Remap pointer storage is treated as reliable, matching FREE-p's redundant
 embedding of the pointer in the dead block; the pointer bits are counted
 in the overhead reported by the experiment.
 
+Remap pages stay under hard faults whatever the context's fault model:
+the observer sees only faults that reach a checker, so the masked partial
+faults of a block still alive at the page's death could not be counted.
+
 Execution rides the unified plane (:mod:`repro.sim.context`): page ``p``
-draws every random number from ``rng_for(seed, p, 17)``, so the
-:func:`~repro.sim.parallel.run_study` fan-out produces bit-identical
-studies for every worker count.  The remap event walk has no batch
-kernel, so any requested ``engine`` resolves to the scalar path
+draws every random number from ``rng_for(seed, p, 17)``, block by block,
+so the :func:`~repro.sim.parallel.run_study` fan-out produces
+bit-identical studies for every worker count.  An observed page takes the
+scalar scheduler, so any requested ``engine`` resolves to it
 transparently.
 """
 
@@ -22,11 +32,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.pcm.lifetime import LifetimeModel, NormalLifetime
+from repro.pcm.lifetime import LifetimeModel
 from repro.sim.context import ExecContext
-from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY
+from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY, simulate_page
 from repro.sim.parallel import mean_columns, run_study
 from repro.sim.rng import rng_for
 from repro.sim.roster import SchemeSpec
@@ -59,67 +67,36 @@ class RemapTask:
     write_probability: float
 
 
-def _simulate_remap_page(
-    spec: SchemeSpec,
-    blocks_per_page: int,
-    spares: int,
-    rng: np.random.Generator,
-    model: LifetimeModel,
-    write_probability: float,
-) -> tuple[float, int, int]:
-    """One page: returns (lifetime, faults recovered, remaps performed)."""
-    n_bits = spec.n_bits
-
-    def fresh_block_events(block_slot: int, start_time: float) -> list[tuple[float, int, int]]:
-        endurance = model.sample(n_bits, rng)
-        times = start_time + endurance / write_probability
-        return [(float(t), block_slot, offset) for offset, t in enumerate(times)]
-
-    heap: list[tuple[float, int, int]] = []
-    checkers = {}
-    for slot in range(blocks_per_page):
-        heap.extend(fresh_block_events(slot, 0.0))
-        checkers[slot] = spec.make_checker(rng)
-    heapq.heapify(heap)
-    next_slot = blocks_per_page
-    spares_left = spares
-    deaths = 0
-    remaps = 0
-    retired: set[int] = set()
-    while heap:
-        now, slot, offset = heapq.heappop(heap)
-        if slot in retired:
-            continue
-        deaths += 1
-        if checkers[slot].add_fault(offset, int(rng.integers(0, 2))):
-            continue
-        # block exhausted: remap to a spare or die
-        retired.add(slot)
-        if spares_left == 0:
-            return now, deaths - 1, remaps
-        spares_left -= 1
-        remaps += 1
-        new_slot = next_slot
-        next_slot += 1
-        checkers[new_slot] = spec.make_checker(rng)
-        for event in fresh_block_events(new_slot, now):
-            heapq.heappush(heap, event)
-    raise AssertionError("page outlived every cell")  # pragma: no cover
-
-
 def simulate_remap_page(task: RemapTask, page_index: int) -> tuple[float, int, int]:
-    """One remapped page of a task — the picklable unit of fan-out."""
-    model = (
-        task.lifetime_model if task.lifetime_model is not None else NormalLifetime()
-    )
-    return _simulate_remap_page(
-        task.spec,
-        task.blocks_per_page,
-        task.spares,
-        rng_for(task.seed, page_index, _REMAP_SALT),
-        model,
-        task.write_probability,
-    )
+    """One remapped page of a task — the picklable unit of fan-out: returns
+    (lifetime, faults recovered, remaps performed)."""
+    rng = rng_for(task.seed, page_index, _REMAP_SALT)
+    blocks: list[tuple[float, list[float]]] = []  # (start, fault ages), by slot
+
+    def place(start: float) -> tuple[float, int]:
+        """Age a fresh block from ``start`` until its scheme fails; returns
+        its death as a heap entry."""
+        ages: list[float] = []
+        block = simulate_page(
+            task.spec,
+            1,
+            rng,
+            lifetime_model=task.lifetime_model,
+            write_probability=task.write_probability,
+            inversion_wear_rate=0.0,
+            observer=lambda event: ages.append(event.time),
+        )
+        blocks.append((start, ages))
+        return start + block.lifetime_writes, len(blocks) - 1
+
+    deaths = [place(0.0) for _ in range(task.blocks_per_page)]
+    heapq.heapify(deaths)
+    # every block death but the last remaps to a spare
+    for _ in range(task.spares):
+        heapq.heapreplace(deaths, place(deaths[0][0]))
+    lifetime = deaths[0][0]
+    recovered = sum(start + age < lifetime for start, ages in blocks for age in ages)
+    return lifetime, recovered, task.spares
 
 
 def remap_page_study(

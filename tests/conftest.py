@@ -59,3 +59,21 @@ class PreparedLifetime(LifetimeModel):
     @property
     def mean(self) -> float:
         return float(self.values.mean())
+
+
+class SequentialLifetime(LifetimeModel):
+    """One prepared endurance array, handed out in successive slices: the
+    ``k``-th draw of ``n`` cells gets the same values however the caller
+    interleaves its other generator draws."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        self.drawn = 0
+
+    def sample(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+        start, self.drawn = self.drawn, self.drawn + n_cells
+        return self.values[start : self.drawn].copy()
+
+    @property
+    def mean(self) -> float:
+        return float(self.values.mean())

@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.formations import formation
 from repro.errors import ConfigurationError
+from repro.payg import sim as payg_sim
 from repro.payg.payg import GecPool, payg_overhead_bits
-from repro.payg.sim import payg_page_study
+from repro.payg.sim import PaygChecker, payg_page_study
+from repro.sim.checkers import AegisChecker
+from repro.sim.context import ExecContext
 
 
 class TestGecPool:
@@ -93,3 +96,63 @@ class TestPaygStudyDigests:
                                  seed=2013)
         assert result.pool_exhaustion_deaths == {15: 4, 16: 0}[pool]
         assert hashlib.sha256(repr(result).encode()).hexdigest()[:16] == PAYG_DIGESTS[pool]
+
+
+def payg_checker(entries, lec_pointers):
+    return PaygChecker(formation(17, 31, 512).rect, GecPool(entries), lec_pointers)
+
+
+class TestPaygChecker:
+    def test_lec_absorbs_the_first_faults(self):
+        checker = payg_checker(1, lec_pointers=2)
+        assert checker.add_fault(0, 0) and checker.add_fault(1, 1)
+        assert checker.pool.allocated == 0 and checker.gec is None
+
+    def test_fault_past_the_lec_claims_a_slot(self):
+        checker = payg_checker(1, lec_pointers=2)
+        checker.add_fault(0, 0)
+        checker.add_fault(1, 1)
+        assert checker.add_fault(2, 0)
+        assert checker.pool.allocated == 1
+        assert checker.gec.fault_offsets == [0, 1, 2]
+        assert not checker.pool_ran_dry
+
+    def test_dry_pool_kills_the_block_and_sets_the_flag(self):
+        checker = payg_checker(0, lec_pointers=1)
+        assert checker.add_fault(0, 0)
+        assert not checker.add_fault(1, 0)
+        assert checker.pool_ran_dry and checker.pool.allocated == 0
+
+    def test_gec_death_leaves_the_flag_clear(self):
+        checker = payg_checker(1, lec_pointers=1)
+        assert not all(checker.add_fault(offset, 0) for offset in range(512))
+        assert checker.pool.allocated == 1 and not checker.gec.alive
+        assert not checker.pool_ran_dry
+
+    def test_replay_keeps_each_fault_stuck_value(self, monkeypatch):
+        seen = []
+
+        class RecordingChecker(AegisChecker):
+            def add_fault(self, offset, stuck_value):
+                seen.append((offset, stuck_value))
+                return super().add_fault(offset, stuck_value)
+
+        monkeypatch.setattr(payg_sim, "AegisChecker", RecordingChecker)
+        checker = payg_checker(1, lec_pointers=2)
+        for fault in [(5, 1), (6, 0), (7, 1), (8, 0)]:
+            checker.add_fault(*fault)
+        assert seen == [(5, 1), (6, 0), (7, 1), (8, 0)]
+
+
+class TestFaultModelReach:
+    @staticmethod
+    def study(fault_model, workers):
+        return payg_page_study(
+            formation(17, 31, 512), pool_entries=8, blocks_per_page=16, n_pages=4,
+            ctx=ExecContext(seed=11, workers=workers, fault_model=fault_model),
+        )
+
+    def test_drift_differs_from_hard_and_is_worker_invariant(self):
+        drift = self.study("drift", 1)
+        assert drift != self.study("hard", 1)
+        assert drift == self.study("drift", 2)
