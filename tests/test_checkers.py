@@ -843,13 +843,13 @@ CALLERS = {
 }
 CALLER_DIGESTS = {
     ("aegis-rw-9x61", "block"): "e75b30f0bff3cacf",
-    ("aegis-rw-9x61", "remap"): "73f57f43a8e983c5",
+    ("aegis-rw-9x61", "remap"): "a774e35e79e75fcf",
     ("aegis-rw-9x61", "pairing"): "037ff15f5f22a166",
     ("aegis-rw-p-9x61-p9", "block"): "69ec31fdd2a9ee4a",
-    ("aegis-rw-p-9x61-p9", "remap"): "794e58504a4e9be4",
+    ("aegis-rw-p-9x61-p9", "remap"): "5059961f02ac9947",
     ("aegis-rw-p-9x61-p9", "pairing"): "c688ea311b45f92b",
     ("rdis-3", "block"): "0fb2d98ab8d1e34b",
-    ("rdis-3", "remap"): "698b1562f25cfa2d",
+    ("rdis-3", "remap"): "54879e50b7658145",
     ("rdis-3", "pairing"): "4ab34046d918857e",
     ("aegis-9x61", "block"): "80c9b56ca3538bdd",
     ("aegis-9x61", "block-partial"): "67298aa593b6e4b4",
