@@ -2,7 +2,6 @@
 
 import heapq
 
-import numpy as np
 import pytest
 
 from repro.pcm.lifetime import NormalLifetime
