@@ -163,6 +163,16 @@ class TestWorkerLadderDeterminism:
             rendered.append(result.render())
         assert all(table == rendered[0] for table in rendered)
 
+    @pytest.mark.parametrize(
+        "name,study", MIGRATED_STUDIES, ids=[m[0] for m in MIGRATED_STUDIES]
+    )
+    def test_fault_model_reach(self, name, study):
+        # pairing and PAYG pass the context's fault model to the page
+        # scheduler; remap pages stay under hard faults
+        drift = [study(ExecContext(seed=23, workers=w, fault_model="drift")) for w in (1, 2)]
+        assert drift[0] == drift[1]
+        assert (drift[0] == study(ExecContext(seed=23))) == (name == "remap")
+
     def test_engine_flag_transparent_for_scalar_only_sims(self):
         # the migrated sims have no batch kernels: any engine choice must
         # fall back to the scalar path without changing a single number

@@ -4,7 +4,6 @@ import pytest
 
 from repro.pairing.pairing import FailedPage, compatible, pair_failed_pages
 from repro.pairing.sim import pairing_study
-from repro.sim.context import ExecContext
 from repro.sim.roster import ecp_spec
 
 
@@ -73,16 +72,3 @@ class TestPairingStudy:
         assert study.usable_without[0] >= study.usable_without[-1]
         assert study.peak_gain >= 0
 
-
-class TestFaultModelReach:
-    @staticmethod
-    def study(fault_model, workers):
-        return pairing_study(
-            ecp_spec(2, 512), n_pages=4, blocks_per_page=4, grid_points=4,
-            ctx=ExecContext(seed=11, workers=workers, fault_model=fault_model),
-        )
-
-    def test_drift_differs_from_hard_and_is_worker_invariant(self):
-        drift = self.study("drift", 1)
-        assert drift != self.study("hard", 1)
-        assert drift == self.study("drift", 2)

@@ -10,7 +10,6 @@ from repro.payg import sim as payg_sim
 from repro.payg.payg import GecPool, payg_overhead_bits
 from repro.payg.sim import PaygChecker, payg_page_study
 from repro.sim.checkers import AegisChecker
-from repro.sim.context import ExecContext
 
 
 class TestGecPool:
@@ -143,16 +142,3 @@ class TestPaygChecker:
             checker.add_fault(*fault)
         assert seen == [(5, 1), (6, 0), (7, 1), (8, 0)]
 
-
-class TestFaultModelReach:
-    @staticmethod
-    def study(fault_model, workers):
-        return payg_page_study(
-            formation(17, 31, 512), pool_entries=8, blocks_per_page=16, n_pages=4,
-            ctx=ExecContext(seed=11, workers=workers, fault_model=fault_model),
-        )
-
-    def test_drift_differs_from_hard_and_is_worker_invariant(self):
-        drift = self.study("drift", 1)
-        assert drift != self.study("hard", 1)
-        assert drift == self.study("drift", 2)
