@@ -71,4 +71,3 @@ class TestPairingStudy:
         # usable capacity decays over time
         assert study.usable_without[0] >= study.usable_without[-1]
         assert study.peak_gain >= 0
-

@@ -141,4 +141,3 @@ class TestPaygChecker:
         for fault in [(5, 1), (6, 0), (7, 1), (8, 0)]:
             checker.add_fault(*fault)
         assert seen == [(5, 1), (6, 0), (7, 1), (8, 0)]
-
