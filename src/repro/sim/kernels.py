@@ -20,13 +20,12 @@ Every kernel reproduces the scalar path exactly, not just statistically:
   their survival verdict ignores the stuck-at *values*, so the scalar
   path's per-arrival ``rng.integers(0, 2)`` draws cannot influence any
   returned quantity — the kernels elide them.
-* The event-driven wear dynamics replicate the scalar scheduler's
-  selection order, including its tie-breaks: at equal event times the
-  base-endurance cursor beats the acceleration heap, the cursor orders
-  equal base times by their position in the page's flat ``argsort``, and
-  the heap orders equal times by cell index.  The batched selection key
-  ``(time, accelerated?, tie rank)`` encodes exactly that; the ranks are
-  computed only for the rows that meet a tie.
+* Deaths come in one defined order, ascending ``(time, class, flat
+  cell index)``: class 0 is a cell still at its base death time (the
+  scalar scheduler's cursor), class 1 a cell that inversion wear
+  rescheduled (its heap).  Within a row that is ``(time, column + n_bits
+  * accelerated)``, the key the batched selection breaks ties by; only
+  the rows that meet a tie pay for it.
 * The wear formula mirrors the scalar expression's IEEE operation order
   (``now + remaining * write_probability / accel_rate``) so the floats
   agree to the last bit.
@@ -36,9 +35,9 @@ or wear is off — the death order is frozen, and the lock-step loop
 becomes a walk over a sorted prefix of each row (:func:`_frozen_walk`).
 
 Every sample goes through the batch, however many of its death times
-tie (e.g. :class:`~repro.pcm.lifetime.FixedLifetime`); the page
-simulator then replays on the scalar scheduler each page where another
-death ties the page's own death time.
+tie (e.g. :class:`~repro.pcm.lifetime.FixedLifetime`): the log keeps
+each death's class and cell next to its time, so the page simulator
+counts the deaths before a page's fatal one under the same order.
 
 Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
 its ``kernel`` tag; :func:`resolve_engine` maps the public
@@ -394,10 +393,17 @@ def batch_checker_for(spec, n_trials: int) -> _BatchChecker:
 
 @dataclass(frozen=True)
 class DynamicsResult:
-    """Outcome of a batched event-driven wear simulation."""
+    """Outcome of a batched event-driven wear simulation.
+
+    A death's *tie* is its place among deaths of equal time on its page:
+    its flat cell index within the page, plus the page's cell count if
+    wear had rescheduled the cell (the ``(class, flat index)`` of the
+    death order)."""
 
     death_time: np.ndarray   # (trials,) page-write age at block death
+    death_tie: np.ndarray    # (trials,) tie of the fatal death
     event_times: np.ndarray  # (trials, steps) +inf-padded death log
+    event_ties: np.ndarray   # (trials, steps) tie of each logged death (any at +inf)
 
 
 class _Lockstep:
@@ -408,16 +414,21 @@ class _Lockstep:
     def __init__(self, spec, trials: int, blocks_per_page: int) -> None:
         self.row_ids = np.arange(trials)
         self.groups = self.row_ids // blocks_per_page
+        #: flat index of each row's first cell within its page
+        self.first_cell = (self.row_ids % blocks_per_page) * spec.n_bits
+        self.page_cells = blocks_per_page * spec.n_bits
         self.active = np.ones(trials, dtype=bool)
         self.death_time = np.full(trials, np.inf)
+        self.death_tie = np.zeros(trials, dtype=np.int64)
         self.group_min = np.full(int(self.groups[-1]) + 1, np.inf)
         self.columns: list[np.ndarray] = []
+        self.tie_columns: list[np.ndarray] = []
         self.checker = batch_checker_for(spec, trials)
 
-    def step(self, now: np.ndarray, cells: np.ndarray) -> bool:
+    def step(self, now: np.ndarray, cells: np.ndarray, accelerated) -> bool:
         """Feed every active row's next death (time ``now``, in-block
-        offset ``cells``) to the checker and log it; returns whether any
-        row is still active.
+        offset ``cells``, ``accelerated`` if wear rescheduled it) to the
+        checker and log it; returns whether any row is still active.
 
         Rows whose next event falls strictly after their page's earliest
         known death retire first (events *at* the page minimum must still
@@ -430,10 +441,18 @@ class _Lockstep:
         column = np.full(self.death_time.size, np.inf)
         column[self.row_ids[active]] = now[active]
         self.columns.append(column)
+        ties = cells + self.first_cell + self.page_cells * accelerated
+        if ties.size == self.death_time.size:
+            self.tie_columns.append(ties)
+        else:  # compacted rows: back to caller rows
+            column = np.zeros(self.death_time.size, dtype=np.int64)
+            column[self.row_ids] = ties
+            self.tie_columns.append(column)
         alive = self.checker.add_faults(cells, active)
         newly_dead = active & ~alive
         if newly_dead.any():
             self.death_time[self.row_ids[newly_dead]] = now[newly_dead]
+            self.death_tie[self.row_ids[newly_dead]] = ties[newly_dead]
             np.minimum.at(self.group_min, self.groups[newly_dead], now[newly_dead])
         active &= alive
         return bool(active.any())
@@ -447,6 +466,7 @@ class _Lockstep:
             return None
         self.row_ids = self.row_ids[keep]
         self.groups = self.groups[keep]
+        self.first_cell = self.first_cell[keep]
         self.checker.compact(keep)
         self.active = np.ones(n_active, dtype=bool)
         return keep
@@ -454,7 +474,10 @@ class _Lockstep:
     def result(self) -> DynamicsResult:
         # step 0 runs for every row, so the log is never empty
         return DynamicsResult(
-            death_time=self.death_time, event_times=np.stack(self.columns, axis=1)
+            death_time=self.death_time,
+            death_tie=self.death_tie,
+            event_times=np.stack(self.columns, axis=1),
+            event_ties=np.stack(self.tie_columns, axis=1),
         )
 
 
@@ -472,7 +495,7 @@ def death_indices(spec, positions: np.ndarray) -> np.ndarray:
         # arrival ``step`` comes at time ``step + 1``, so a trial's death
         # time is its fault count; one-block pages never retire a row
         now = np.full(lock.row_ids.size, step + 1.0)
-        if not lock.step(now, positions[lock.row_ids, step]):
+        if not lock.step(now, positions[lock.row_ids, step], False):
             return lock.death_time.astype(np.int64)
         lock.compact()
     raise AssertionError(
@@ -579,31 +602,6 @@ def _worn(base_death, now, write_probability: float, accel_rate: float):
     return wear
 
 
-class _PageRanks:
-    """Tie ranks of base cells: each cell's position in its page's flat
-    ``np.argsort`` (the scalar scheduler's sort), computed once per page
-    that meets a tie.  ``source`` is the ``(pages * blocks_per_page,
-    n_bits)`` base-death population; rows are caller row ids."""
-
-    def __init__(self, source: np.ndarray, blocks_per_page: int) -> None:
-        self.source = source
-        self.blocks_per_page = blocks_per_page
-        self._pages: dict[int, np.ndarray] = {}
-
-    def rows(self, row_ids: np.ndarray) -> np.ndarray:
-        n_bits = self.source.shape[1]
-        ranks = np.empty((row_ids.size, n_bits), dtype=np.int64)
-        for index, row in enumerate(row_ids.tolist()):
-            page, block = divmod(row, self.blocks_per_page)
-            if page not in self._pages:
-                first = page * self.blocks_per_page
-                flat = self.source[first : first + self.blocks_per_page].reshape(-1)
-                self._pages[page] = np.empty(flat.size, dtype=np.int64)
-                self._pages[page][np.argsort(flat)] = np.arange(flat.size)
-            ranks[index] = self._pages[page][block * n_bits : (block + 1) * n_bits]
-        return ranks
-
-
 #: first width of the frozen-order walk's sorted prefix; it doubles
 #: whenever a live row walks past the exact part of its prefix
 FROZEN_PREFIX = 32
@@ -613,63 +611,60 @@ FROZEN_PREFIX = 32
 _PARTITION_ROWS = 256
 
 
-def _frozen_prefix(frozen: np.ndarray, width: int, base_ranks) -> tuple:
-    """The first ``width`` deaths of every row of a frozen population in
-    ``(time, tie rank)`` order, as ``(cells, times, exact)``.
+def sorted_prefix(deaths: np.ndarray, width: int) -> tuple:
+    """The first ``width`` deaths of every row of ``deaths`` in ``(time,
+    column)`` order, as ``(cells, times, exact)``.
 
     The prefix comes from an ``argpartition``, so cells tied with its edge
     may be missing from it: only a row's first ``exact[row]`` entries —
     those strictly earlier than every cell left out — are its true
-    schedule.  Ties go by cell index, the accelerated cells' rank;
-    ``base_ranks`` (compacted rows -> rank matrix), when given, re-ranks
-    the rows with a tie among base cells.
+    schedule.  A prefix as wide as the row is exact throughout.  The
+    frozen walk calls this on its rows, the scalar scheduler on a page
+    flattened into one row.
     """
-    n_rows, n_bits = frozen.shape
-    if width < n_bits:
+    n_rows, n_cols = deaths.shape
+    if width < n_cols:
         edge = np.empty((n_rows, 1))
         cells = np.empty((n_rows, width), dtype=np.int64)
         for start in range(0, n_rows, _PARTITION_ROWS):
             chunk = slice(start, start + _PARTITION_ROWS)
-            part = np.argpartition(frozen[chunk], width, axis=1)
+            part = np.argpartition(deaths[chunk], width, axis=1)
             edge[chunk] = np.take_along_axis(
-                frozen[chunk], part[:, width : width + 1], axis=1
+                deaths[chunk], part[:, width : width + 1], axis=1
             )
             cells[chunk] = np.sort(part[:, :width], axis=1)
     else:  # the whole row: no cell is left out
-        edge = np.inf
-        cells = np.broadcast_to(np.arange(n_bits), frozen.shape)
-    times = np.take_along_axis(frozen, cells, axis=1)
+        edge = None
+        cells = np.broadcast_to(np.arange(n_cols), deaths.shape)
+    times = np.take_along_axis(deaths, cells, axis=1)
+    # a stable sort of columns in ascending order breaks ties by column
     order = np.argsort(times, axis=1, kind="stable")
     cells = np.take_along_axis(cells, order, axis=1)
     times = np.take_along_axis(times, order, axis=1)
-    if base_ranks is not None:
-        tied = np.flatnonzero((times[:, 1:] == times[:, :-1]).any(axis=1))
-        if tied.size:
-            ranks = np.take_along_axis(base_ranks(tied), cells[tied], axis=1)
-            order = np.lexsort((ranks, times[tied]), axis=1)
-            cells[tied] = np.take_along_axis(cells[tied], order, axis=1)
-            times[tied] = np.take_along_axis(times[tied], order, axis=1)
+    if edge is None:
+        return cells, times, np.full(n_rows, n_cols)
     return cells, times, np.count_nonzero(times < edge, axis=1)
 
 
 def _frozen_walk(
-    spec, lock: _Lockstep, frozen: np.ndarray, first_step: int, base_ranks=None
+    spec, lock: _Lockstep, frozen: np.ndarray, first_step: int, accelerated: bool
 ) -> DynamicsResult:
     """Finish a lock-step run whose death order can no longer change.
 
     Once no live cell can be moved by wear, each row's remaining deaths
-    are its ``frozen`` times in ``(time, tie rank)`` order, so the loop
-    reduces to walking a sorted prefix through the checker, widening the
-    prefix whenever a live row runs past its exact part.
+    are its ``frozen`` times, all of one class (``accelerated`` or not),
+    in ``(time, column)`` order, so the loop reduces to walking a sorted
+    prefix through the checker, widening the prefix whenever a live row
+    runs past its exact part.
     """
     n_bits = frozen.shape[1]
     width = FROZEN_PREFIX
-    cells, times, exact = _frozen_prefix(frozen, width, base_ranks)
+    cells, times, exact = sorted_prefix(frozen, width)
     for step in range(n_bits - first_step):
         while width < n_bits and (exact[lock.active] <= step).any():
             width = min(2 * width, n_bits)
-            cells, times, exact = _frozen_prefix(frozen, width, base_ranks)
-        if not lock.step(times[:, step], cells[:, step]):
+            cells, times, exact = sorted_prefix(frozen, width)
+        if not lock.step(times[:, step], cells[:, step], accelerated):
             return lock.result()
         keep = lock.compact()
         if keep is not None:
@@ -692,14 +687,10 @@ def block_dynamics(
     population in lock step: step ``f`` processes the ``f``-th cell death
     of every still-active trial at once, and logs every row's event time.
 
-    The per-trial selection key ``(event time, accelerated?, tie rank)``
-    replicates the scalar scheduler exactly, duplicates included: among
-    base deaths the tie rank is the cell's position in the page's flat
-    ``np.argsort``, the sort the scalar path runs (so equal times resolve
-    in the identical, if arbitrary, introsort order); accelerated cells
-    rank after every base cell of the page (the cursor beats the heap) and
-    among themselves by cell index (the heap's secondary key).  Ranks are
-    only computed for the rows that meet a tie.
+    Each row takes its deaths in the page's order ``(time, class, flat
+    cell index)``; within a row that is ``(time, column + n_bits *
+    accelerated)``: a base cell beats a worn one of equal time (the scalar
+    cursor beats its heap), and equal classes go by column.
 
     Once no live row holds a normal cell (from step 0 without wear, after
     one step for SAFER) the run finishes as a :func:`_frozen_walk`.
@@ -710,33 +701,24 @@ def block_dynamics(
     recorded event at or below the page minimum, which is all a page study
     reads.
     """
-    source = np.ascontiguousarray(base_death, dtype=np.float64)
-    trials, n_bits = source.shape
+    base_death = np.ascontiguousarray(base_death, dtype=np.float64)
+    trials, n_bits = base_death.shape
     lock = _Lockstep(spec, trials, blocks_per_page)
-    page_ranks = _PageRanks(source, blocks_per_page)
-
-    def base_ranks(sub: np.ndarray) -> np.ndarray:
-        """Tie ranks of the base cells of compacted rows ``sub``."""
-        return page_ranks.rows(lock.row_ids[sub])
-
     if not (spec.inversion_wear and inversion_wear_rate > 0):
-        return _frozen_walk(spec, lock, source, 0, base_ranks)
+        return _frozen_walk(spec, lock, base_death, 0, False)
 
     accel_rate = write_probability + inversion_wear_rate
-    base_death = source
-    current = source.copy()
+    current = base_death.copy()
     normal = np.ones((trials, n_bits), dtype=bool)
-    # accelerated cells rank after every base cell of the page, by index
-    accel_rank = blocks_per_page * n_bits + np.arange(n_bits)
-    max_rank = np.iinfo(np.int64).max
+    columns = np.arange(n_bits)
     rows = np.arange(trials)
     flat_current = current.reshape(-1)
     for step in range(n_bits):
         # argmin alone picks the right cell except on exact duplicate
-        # times (it breaks ties by column, the scalar path by tie rank).
-        # A row ties iff its runner-up equals its minimum: hide each
-        # row's chosen cell, take the minimum again, then restore it;
-        # rank just the live rows that tie
+        # times (it breaks ties by column alone, the order by class
+        # first).  A row ties iff its runner-up equals its minimum: hide
+        # each row's chosen cell, take the minimum again, then restore
+        # it; only the live rows that tie pick again
         chosen = current.argmin(axis=1)
         at = rows * n_bits + chosen
         now = flat_current[at]
@@ -745,9 +727,10 @@ def block_dynamics(
         flat_current[at] = now
         if tied.size:
             candidate = current[tied] == now[tied, None]
-            ranks = np.where(normal[tied], base_ranks(tied), accel_rank)
-            chosen[tied] = np.where(candidate, ranks, max_rank).argmin(axis=1)
-        if not lock.step(now, chosen):
+            ties = np.where(normal[tied], columns, columns + n_bits)
+            chosen[tied] = np.where(candidate, ties, 2 * n_bits).argmin(axis=1)
+            at[tied] = tied * n_bits + chosen[tied]
+        if not lock.step(now, chosen, ~normal.reshape(-1)[at]):
             return lock.result()
         live = rows[lock.active]
         dying = chosen[live]
@@ -785,7 +768,7 @@ def block_dynamics(
         if cols is None and not normal[lock.active].any():
             # wear only ever moves normal cells: the order is frozen now
             # (Aegis groups are a few cells, so its rows never get here)
-            return _frozen_walk(spec, lock, current, step + 1)
+            return _frozen_walk(spec, lock, current, step + 1, True)
     raise AssertionError(
         f"{spec.label}: block outlived every cell"
     )  # pragma: no cover - every covered scheme dies before saturation

@@ -198,48 +198,26 @@ def _death_times(
 SCALAR_PREFIX = 1024
 
 
-def _sorted_prefix(base_death: np.ndarray, width: int) -> np.ndarray | None:
-    """The first ``width`` cells of ``np.argsort(base_death)``, or ``None``
-    when a tie could make another sort order them differently.
-
-    ``argpartition`` picks the ``width`` earliest deaths and a small sort
-    orders them.  That equals the full argsort's head only when the head
-    holds no tie and every other cell dies strictly later; otherwise which
-    tied cell comes first is the full sort's own choice.
-    """
-    part = np.argpartition(base_death, width)
-    head = part[:width]
-    times = base_death[head]
-    rank = np.argsort(times)
-    head, times = head[rank], times[rank]
-    if times[-1] < base_death[part[width]] and (times[1:] > times[:-1]).all():
-        return head
-    return None
-
-
 def _death_order(base_death: np.ndarray):
-    """Yield ``np.argsort(base_death)`` as growing ``(cells, times)`` list
-    chunks: a :data:`SCALAR_PREFIX`-wide sorted prefix first, each later
-    chunk doubling the width, then a ``([-1], [inf])`` end marker.
+    """Yield the page's cells in ``(base death time, cell index)`` order
+    as growing ``(cells, times)`` list chunks, then a ``([-1], [inf])``
+    end marker.
 
-    A prefix that :func:`_sorted_prefix` cannot prove equal to the full
-    argsort's head (a tie in it, or at its edge) falls back to the full
-    argsort, which then serves every later chunk too.
+    Each chunk is the exact part of a :func:`repro.sim.kernels.sorted_prefix`
+    of the flat page (:data:`SCALAR_PREFIX` wide first, each later prefix
+    twice as wide): the cells strictly earlier than every cell the prefix
+    leaves out, which no tie at its edge can reorder.
     """
+    page = base_death[None, :]
     n_cells = base_death.shape[0]
-    done, width, order = 0, SCALAR_PREFIX, None
+    done, width = 0, SCALAR_PREFIX
     while done < n_cells:
-        width = min(width, n_cells)
-        head = None
-        if order is None and width < n_cells:
-            head = _sorted_prefix(base_death, width)
-        if head is None:
-            if order is None:
-                order = np.argsort(base_death)
-            head = order[:width]
-        chunk = head[done:]
-        yield chunk.tolist(), base_death[chunk].tolist()
-        done, width = width, 2 * width
+        cells, times, exact = kernels.sorted_prefix(page, min(width, n_cells))
+        end = int(exact[0])
+        if end > done:
+            yield cells[0, done:end].tolist(), times[0, done:end].tolist()
+            done = end
+        width *= 2
     yield [-1], [np.inf]
 
 
@@ -285,12 +263,14 @@ def _simulate_page_scalar(
     """The cell-death scheduler: walk the page's deaths (``times`` from
     :func:`_death_times`) in time order until a block's checker dies.
 
-    The base order is ``np.argsort`` of the death times, walked from the
-    sorted prefixes of :func:`_death_order` (a page walks a few hundred of
-    its tens of thousands of cells, so a full sort is mostly wasted).
-    Under inversion wear a ``status`` array and a heap of re-scheduled
-    deaths merge the accelerated cells in; a wear-free page walks the
-    base order alone.
+    Deaths come in the order ``(time, class, cell index)``: the base
+    cursor walks the cells at their base death times in ``(time, cell
+    index)`` order, from the sorted prefixes of :func:`_death_order` (a
+    page walks a few hundred of its tens of thousands of cells, so a full
+    sort is mostly wasted).  Under inversion wear a ``status`` array and
+    a heap of re-scheduled ``(time, cell)`` deaths merge the accelerated
+    cells in, after any base cell of equal time; a wear-free page walks
+    the base order alone.
     """
     n_bits = spec.n_bits
     base_death, baseline, masked_originals = times
@@ -384,7 +364,7 @@ def _pages_from_death_times(
     pages: "list[tuple[float, np.ndarray | None]]",
     write_probability: float,
     inversion_wear_rate: float,
-) -> list[PageResult | None]:
+) -> list[PageResult]:
     """Batched page outcomes for prepared death-time samples.
 
     ``base_death`` is the ``(pages * blocks, n_bits)`` population of the
@@ -394,19 +374,19 @@ def _pages_from_death_times(
     death times of its masked cells).
 
     The population is advanced by a single
-    :func:`repro.sim.kernels.block_dynamics` call; a page's lifetime is its
-    earliest block death, its recovered-fault count the number of recorded
-    cell deaths strictly before that time (plus any masked faults whose
-    intrinsic death preceded it).
-
-    The batch scheduler replicates the scalar event order exactly, so the
-    count is exact whenever the page's death time is unique among its
-    recorded deaths (the fatal fault itself is always recorded).  When
-    another death ties it, the split of same-time events into
-    before/after the fatal one depends on the scalar scheduler's *global*
-    (cross-block) ordering, which the per-block batch does not carry —
-    those pages come back as ``None`` for the caller to replay on the
-    scalar path.
+    :func:`repro.sim.kernels.block_dynamics` call.  A page's fatal death
+    is the earliest of its blocks' deaths in the order ``(time, class,
+    flat cell index)``, and its recovered-fault count the number of
+    logged deaths before the fatal one in that order (plus any masked
+    faults whose intrinsic death preceded it), which is the scalar
+    scheduler's count: wear and checkers act only within a block, so each
+    block's deaths come in the same order on both engines; retirement
+    keeps every death at or below the page's lifetime in the log; and the
+    order is total, so ties need no replay.  (This needs each block's
+    deaths in ascending order: a rescheduled death must not round onto
+    the time of a worn death that caused it, which holds while
+    ``inversion_wear_rate`` stays below ``write_probability``, as it does
+    by default.)
     """
     result = kernels.block_dynamics(
         spec,
@@ -415,21 +395,26 @@ def _pages_from_death_times(
         write_probability=write_probability,
         inversion_wear_rate=inversion_wear_rate,
     )
-    outcomes: list[PageResult | None] = []
+    n_pages = len(pages)
+    death_time = result.death_time.reshape(n_pages, blocks_per_page)
+    lifetime = death_time.min(axis=1, keepdims=True)
+    fatal_tie = np.where(
+        death_time == lifetime, result.death_tie.reshape(n_pages, -1), np.inf
+    ).min(axis=1, keepdims=True)
+    times = result.event_times.reshape(n_pages, -1)
+    before = (times < lifetime) | (
+        (times == lifetime) & (result.event_ties.reshape(n_pages, -1) < fatal_tie)
+    )
+    recovered = np.count_nonzero(before, axis=1)
+    outcomes = []
     for page, (baseline, masked_originals) in enumerate(pages):
-        rows = slice(page * blocks_per_page, (page + 1) * blocks_per_page)
-        lifetime = result.death_time[rows].min()
-        events = result.event_times[rows]
-        if int((events == lifetime).sum()) > 1:
-            outcomes.append(None)
-            continue
-        recovered = int((events < lifetime).sum())
+        faults = int(recovered[page])
         if masked_originals is not None:
-            recovered += int((masked_originals <= lifetime).sum())
+            faults += int((masked_originals <= lifetime[page, 0]).sum())
         outcomes.append(
             PageResult(
-                lifetime_writes=float(lifetime),
-                faults_recovered=recovered,
+                lifetime_writes=float(lifetime[page, 0]),
+                faults_recovered=faults,
                 baseline_lifetime=baseline,
             )
         )
@@ -487,12 +472,10 @@ def _simulate_rngs(
     ``observer``), each page's endurance sample is drawn from its own
     generator, fault-model transforms are applied from the same
     generator position, and the pages are simulated together in batches
-    of at most :data:`MAX_BATCH_CELLS` cells.  The rare pages the batch
-    cannot resolve exactly (pathologically tied samples, or a death tying
-    the page's own death time — routine under drift bursts, whose whole
-    point is simultaneous deaths) are replayed on the scalar scheduler
-    from the already-drawn sample, so the result is bit-identical for
-    every engine.
+    of at most :data:`MAX_BATCH_CELLS` cells.  Both engines take deaths in
+    the one order ``(time, class, flat cell index)``, so every page,
+    however tied its sample, resolves on the batch, bit-identical to the
+    scalar scheduler.
     """
     if not 0 < write_probability <= 1:
         raise ConfigurationError("write probability must be in (0, 1]")
@@ -503,54 +486,44 @@ def _simulate_rngs(
     def draw(rng: np.random.Generator, out: np.ndarray | None = None) -> _PageSample:
         return _death_times(spec, n_cells, rng, model, write_probability, fmodel, out)
 
-    def scalar(rng: np.random.Generator, times: _PageSample) -> PageResult:
-        # ``rng`` sits exactly where the scalar path's own draw leaves it
-        return _simulate_page_scalar(
-            spec,
-            blocks_per_page,
-            rng,
-            times,
-            write_probability,
-            inversion_wear_rate,
-            observer,
-        )
-
     if observer is not None or kernels.resolve_engine(engine, spec) != "vector":
-        return [scalar(rng, draw(rng)) for rng in rngs]
-    results: list[PageResult | None] = [None] * len(rngs)
+        return [
+            _simulate_page_scalar(
+                spec,
+                blocks_per_page,
+                rng,
+                draw(rng),
+                write_probability,
+                inversion_wear_rate,
+                observer,
+            )
+            for rng in rngs
+        ]
+    results: list[PageResult] = []
     batch_pages = max(1, MAX_BATCH_CELLS // max(n_cells, 1))
     # each page draws straight into its rows of the batch population, so
     # a pending page keeps only its baseline and masked originals
     population = np.empty((min(batch_pages, len(rngs)) * blocks_per_page, spec.n_bits))
-    pending: list[tuple[int, np.random.Generator, float, np.ndarray | None]] = []
-
-    def page_rows(slot: int) -> np.ndarray:
-        return population[slot * blocks_per_page : (slot + 1) * blocks_per_page]
+    pending: list[tuple[float, np.ndarray | None]] = []
 
     def flush() -> None:
-        if not pending:
-            return
-        outcomes = _pages_from_death_times(
-            spec,
-            blocks_per_page,
-            population[: len(pending) * blocks_per_page],
-            [(baseline, masked) for _, _, baseline, masked in pending],
-            write_probability,
-            inversion_wear_rate,
-        )
-        for slot, ((position, rng, baseline, masked), outcome) in enumerate(
-            zip(pending, outcomes)
-        ):
-            if outcome is None:
-                # a death ties the page's death time exactly: replay for
-                # the paper-exact fault count
-                outcome = scalar(rng, (page_rows(slot).reshape(-1), baseline, masked))
-            results[position] = outcome
-        pending.clear()
+        if pending:
+            results.extend(
+                _pages_from_death_times(
+                    spec,
+                    blocks_per_page,
+                    population[: len(pending) * blocks_per_page],
+                    pending,
+                    write_probability,
+                    inversion_wear_rate,
+                )
+            )
+            pending.clear()
 
-    for position, rng in enumerate(rngs):
-        _, baseline, masked = draw(rng, page_rows(len(pending)).reshape(-1))
-        pending.append((position, rng, baseline, masked))
+    for rng in rngs:
+        first = len(pending) * blocks_per_page
+        _, baseline, masked = draw(rng, population[first : first + blocks_per_page].reshape(-1))
+        pending.append((baseline, masked))
         if len(pending) >= batch_pages:
             flush()
     flush()

@@ -4,8 +4,8 @@ The headline property: ``engine="auto"`` is a pure performance knob.
 For every covered scheme the batched population advance returns results
 bit-identical to the scalar checker loop — same death counts, same
 lifetimes, same page studies — because both engines consume the same
-``rng_for`` substreams and the batched scheduler replicates the scalar
-tie-breaking exactly.  Schemes without a kernel fall back to the scalar
+``rng_for`` substreams and both schedulers take deaths in one defined
+order, ``(time, base before accelerated, flat cell index)``.  Schemes without a kernel fall back to the scalar
 path transparently.
 """
 
@@ -166,9 +166,8 @@ class TestLifetimeEquivalence:
         assert vector == scalar
 
     def test_fixed_lifetime_ties_stay_identical(self):
-        """FixedLifetime makes every death time tie exactly; the batch
-        resolves the block deaths and replays tied pages on the scalar
-        scheduler, unchanged."""
+        """FixedLifetime makes every death time tie exactly; the defined
+        death order resolves them alike on both engines."""
         model = FixedLifetime(mean_lifetime=1e4)
         for spec in (aegis_spec(9, 61, 512), safer_spec(64, 512)):
             scalar = block_lifetime_study(
@@ -244,8 +243,7 @@ class TestPageEquivalence:
 class _LightTies(LifetimeModel):
     """Normal endurance with each block's 2nd-4th earliest death copied
     onto a random cell of the same block: exact ties that the scheduler
-    meets early, yet few enough (~0.6% of a 4-block page) that most
-    pages resolve on the batch kernel without a scalar replay."""
+    meets early, ~0.6% of a 4-block page."""
 
     def __init__(self, n_bits: int) -> None:
         self.n_bits = n_bits
@@ -268,8 +266,8 @@ class _LightTies(LifetimeModel):
 class TestLightTies:
     @pytest.mark.parametrize("wear", [0.25, 0.0])
     def test_multi_block_pages_match_scalar(self, wear):
-        """Tied base deaths within a block resolve in the order of the
-        page's flat argsort, which a per-block sort need not share."""
+        """Tied base deaths within a block go by cell index on both
+        engines."""
         model = _LightTies(512)
         sample = model.sample(4 * 512, rng_for(0, 0))
         assert np.unique(sample).size < sample.size  # the sample has ties
@@ -324,9 +322,9 @@ class TestFrozenWalk:
         entered = []
         walk = kernels._frozen_walk
 
-        def spy(spec, lock, frozen, first_step, base_ranks=None):
+        def spy(spec, lock, frozen, first_step, accelerated):
             entered.append(first_step)
-            return walk(spec, lock, frozen, first_step, base_ranks)
+            return walk(spec, lock, frozen, first_step, accelerated)
 
         monkeypatch.setattr(kernels, "_frozen_walk", spy)
         return entered
@@ -354,33 +352,27 @@ class TestFrozenWalk:
         self, monkeypatch, spec, wear, reach, width
     ):
         widths = []
-        prefix = kernels._frozen_prefix
+        prefix = kernels.sorted_prefix
 
-        def spy(frozen, wide, base_ranks):
-            widths.append(wide)
-            return prefix(frozen, wide, base_ranks)
+        def spy(deaths, wide):
+            if deaths.shape[1] == spec.n_bits:  # the batch: one block a row
+                widths.append(wide)
+            return prefix(deaths, wide)
 
         monkeypatch.setattr(kernels, "FROZEN_PREFIX", width)
-        monkeypatch.setattr(kernels, "_frozen_prefix", spy)
+        monkeypatch.setattr(kernels, "sorted_prefix", spy)
         _pages_match_scalar(spec, _EdgeTies(spec.n_bits), wear)
         assert widths[0] == width and max(widths) >= reach
 
     def test_ties_at_the_prefix_edge_are_not_exact(self):
         frozen = np.array([[3.0, 1.0, 2.0, 2.0, 2.0, 5.0]])
-        cells, times, exact = kernels._frozen_prefix(frozen, 2, None)
+        cells, times, exact = kernels.sorted_prefix(frozen, 2)
         # the edge (third-smallest) time 2.0 is tied: only cell 1 is exact
         assert exact.tolist() == [1] and cells[0, 0] == 1
-        cells, times, exact = kernels._frozen_prefix(frozen, 4, None)
+        cells, times, exact = kernels.sorted_prefix(frozen, 4)
         assert exact.tolist() == [4]
         assert cells[0].tolist() == [1, 2, 3, 4]
         assert times[0].tolist() == [1.0, 2.0, 2.0, 2.0]
-
-    def test_base_ranks_order_ties_in_the_prefix(self):
-        frozen = np.array([[3.0, 1.0, 2.0, 2.0, 2.0, 5.0]])
-        ranks = np.array([[0, 1, 5, 4, 3, 2]])
-        cells, _, exact = kernels._frozen_prefix(frozen, 6, lambda rows: ranks[rows])
-        assert cells[0].tolist() == [1, 4, 3, 2, 0, 5]
-        assert exact.tolist() == [6]
 
     @pytest.mark.parametrize("wear, first_step", [(0.25, 1), (0.0, 0)])
     @pytest.mark.parametrize("model", [None, _EdgeTies(512)], ids=["normal", "ties"])
@@ -421,8 +413,8 @@ class _CoarseTies(LifetimeModel):
 
 
 class TestHeavyTies:
-    """Heavily tied samples go through the batch like any other; the tie
-    audit replays the pages it cannot resolve on the scalar scheduler."""
+    """Heavily tied samples go through the batch like any other, and the
+    tie audit counts their deaths in the defined order."""
 
     def test_coarse_sample_is_heavily_tied(self):
         sample = _CoarseTies().sample(4 * 512, rng_for(0, 0))
@@ -442,27 +434,69 @@ class TestHeavyTies:
         vector = run_page_study(spec, engine="auto", **kwargs)
         assert vector.results == scalar.results
 
-    def test_all_equal_pages_are_replayed(self, monkeypatch):
-        """With every death tied, each page dies on a tied death: the batch
-        hands every page back to the scalar scheduler."""
+
+
+def _cross_block_tie(n_bits: int) -> np.ndarray:
+    """A three-block page that dies at time 2000 in block 1, all of whose
+    cells die then; blocks 0 and 2 each lose three cells at that time
+    too, and every other cell dies later at a distinct time.  Block 0's
+    tied deaths come before the fatal one in flat index order, block 2's
+    after it."""
+    values = 2e3 + rng_for(4, 0).permutation(3 * n_bits).astype(float)
+    values[n_bits : 2 * n_bits] = 1e3
+    values[[5, 80, 300]] = 1e3
+    values[[2 * n_bits + 7, 2 * n_bits + 90, 2 * n_bits + 400]] = 1e3
+    return values
+
+
+#: tied samples: every death equal, drift bursts, and a death time tied
+#: across blocks
+_TIED = {
+    "fixed": dict(n_pages=3, lifetime_model=FixedLifetime(1000)),
+    "drift": dict(n_pages=3, fault_model="drift"),
+    "cross-block": dict(n_pages=1, blocks_per_page=3),
+}
+
+
+class TestTiedPagesStayOnTheBatch:
+    """A death tied with the page's own death time no longer sends the
+    page back to the scalar scheduler: under ``auto`` every page of a
+    covered scheme resolves on the batch, equal to ``scalar``."""
+
+    @pytest.mark.parametrize("sample", sorted(_TIED))
+    @pytest.mark.parametrize(
+        "spec",
+        [aegis_spec(9, 61, 512), safer_spec(64, 512), ecp_spec(6, 512)],
+        ids=_IDS,
+    )
+    def test_auto_equals_scalar_without_a_replay(self, monkeypatch, spec, sample):
         from repro.sim import page_sim
 
-        replays = []
-        scalar = page_sim._simulate_page_scalar
+        kwargs = dict(seed=2013, **_TIED[sample])
+        if sample == "cross-block":
+            kwargs["lifetime_model"] = PreparedLifetime(_cross_block_tie(spec.n_bits))
+        scalar = run_page_study(spec, engine="scalar", **kwargs)
+        calls = []
+        walk = page_sim._simulate_page_scalar
 
-        def spy(*args, **kwargs):
-            replays.append(args[1])
-            return scalar(*args, **kwargs)
+        def spy(*args, **kw):
+            calls.append(args[0].key)
+            return walk(*args, **kw)
 
         monkeypatch.setattr(page_sim, "_simulate_page_scalar", spy)
-        model = FixedLifetime(mean_lifetime=1e4)
-        spec = safer_spec(64, 512)
-        vector = simulate_pages(spec, 2, range(3), 9, lifetime_model=model)
-        assert replays == [2, 2, 2]
-        monkeypatch.undo()
-        assert vector == simulate_pages(
-            spec, 2, range(3), 9, lifetime_model=model, engine="scalar"
-        )
+        vector = run_page_study(spec, engine="auto", **kwargs)
+        assert calls == []
+        assert vector.results == scalar.results
+
+    def test_cross_block_tie_counts_the_earlier_blocks(self):
+        """ECP6 dies at its seventh fault: the page recovers block 0's
+        three tied deaths and block 1's first six, not block 2's."""
+        model = PreparedLifetime(_cross_block_tie(512))
+        for engine in ("auto", "scalar"):
+            result = simulate_page(
+                ecp_spec(6, 512), 3, rng_for(0, 0), lifetime_model=model, engine=engine
+            )
+            assert (result.lifetime_writes, result.faults_recovered) == (2000.0, 9)
 
 
 #: write probability 0.5 plus inversion wear 0.5 halves a worn cell's
@@ -482,8 +516,8 @@ def _tied_block(kind: str) -> tuple[np.ndarray, tuple[int, int]]:
     worn member in a higher column, ``accel-base`` in a lower one (where a
     plain ``argmin`` picks the wrong cell); ``accel-accel`` ties two worn
     members.  Every other cell lives far longer, at a distinct endurance.
-    The pair comes in the scheduler's order where that is fixed (the
-    cursor before the heap, the heap by cell index).
+    The pair comes in the defined order: the base cell before the worn
+    one, equal classes by cell index.
     """
     spec = aegis_spec(9, 61, 512)
     values = 1e4 + 7.0 * rng_for(3, 0).permutation(512)
@@ -508,32 +542,57 @@ def _tied_block(kind: str) -> tuple[np.ndarray, tuple[int, int]]:
 
 class TestRunnerUpTies:
     """The stepping loop finds a tied minimum by hiding each row's
-    ``argmin`` cell and taking the minimum again; the tied rows rank
-    their candidates like the scalar scheduler (cursor before heap, heap
-    by cell index, cursor by the page's flat argsort)."""
+    ``argmin`` cell and taking the minimum again; the tied rows pick like
+    the scalar scheduler: a base cell before a worn one, then by
+    column."""
 
     @staticmethod
-    def _batch_order(monkeypatch, spec, model):
-        """The (time, cell) deaths a one-block page feeds its checker."""
-        order = []
-        step = kernels._Lockstep.step
+    def _batch_order(monkeypatch, spec, model, blocks=1):
+        """Each block's logged ``(time, flat cell, accelerated)`` deaths,
+        in the order the batch feeds them to its checker, and the page."""
+        logs = []
+        dynamics = kernels.block_dynamics
 
-        def spy(lock, now, cells):
-            if lock.active[0]:
-                order.append((float(now[0]), int(cells[0])))
-            return step(lock, now, cells)
+        def spy(*args, **kwargs):
+            logs.append(dynamics(*args, **kwargs))
+            return logs[-1]
 
-        monkeypatch.setattr(kernels._Lockstep, "step", spy)
+        monkeypatch.setattr(kernels, "block_dynamics", spy)
         result = simulate_page(
             spec,
-            1,
+            blocks,
             rng_for(0, 0),
             lifetime_model=model,
             inversion_wear_rate=_EXACT_WEAR,
             engine="auto",
         )
         monkeypatch.undo()
+        (log,) = logs
+        page_cells = blocks * spec.n_bits
+        order = [
+            [
+                (float(time), int(tie % page_cells), bool(tie >= page_cells))
+                for time, tie in zip(times, ties)
+                if np.isfinite(time)
+            ]
+            for times, ties in zip(log.event_times, log.event_ties)
+        ]
         return order, result
+
+    @staticmethod
+    def _scalar_walk(spec, model, blocks=1):
+        """The scalar scheduler's ``(time, flat cell)`` deaths, and the page."""
+        events = []
+        result = simulate_page(
+            spec,
+            blocks,
+            rng_for(0, 0),
+            lifetime_model=model,
+            inversion_wear_rate=_EXACT_WEAR,
+            observer=events.append,
+        )
+        walked = [(e.time, e.block * spec.n_bits + e.offset) for e in events]
+        return walked, result
 
     @pytest.mark.parametrize(
         "kind", ["base-base", "base-accel", "accel-base", "accel-accel"]
@@ -542,56 +601,42 @@ class TestRunnerUpTies:
         spec = aegis_spec(9, 61, 512)
         values, pair = _tied_block(kind)
         model = PreparedLifetime(values)
-        events = []
-        scalar = simulate_page(
-            spec,
-            1,
-            rng_for(0, 0),
-            lifetime_model=model,
-            inversion_wear_rate=_EXACT_WEAR,
-            observer=events.append,
-        )
-        expected = [(event.time, event.offset) for event in events]
+        expected, scalar = self._scalar_walk(spec, model)
         # the pair dies at one time, one right after the other
         times = {offset: time for time, offset in expected}
         assert times[pair[0]] == times[pair[1]]
         offsets = [offset for _, offset in expected]
-        assert abs(offsets.index(pair[0]) - offsets.index(pair[1])) == 1
-        if kind != "base-base":
-            assert offsets.index(pair[0]) < offsets.index(pair[1])
-        order, vector = self._batch_order(monkeypatch, spec, model)
-        assert order == expected
+        assert offsets.index(pair[0]) + 1 == offsets.index(pair[1])
+        (order,), vector = self._batch_order(monkeypatch, spec, model)
+        assert [(time, cell) for time, cell, _ in order] == expected
         assert vector == scalar
 
-    def test_only_active_rows_rank_their_ties(self, monkeypatch):
-        """A dead row keeps its fatal cell as its minimum, which here ties
-        the row's other cells of the same endurance level; ranking it
-        again at every later step would only burn time.  Each row is
-        ranked at most once per death it feeds the checker."""
-        ranked = []
-        rows = kernels._PageRanks.rows
-
-        def spy(page_ranks, row_ids):
-            ranked.extend(row_ids.tolist())
-            return rows(page_ranks, row_ids)
-
-        monkeypatch.setattr(kernels._PageRanks, "rows", spy)
+    def test_multi_block_page_follows_the_defined_order(self, monkeypatch):
+        """Block 1 ties a base cell with a worn cell in a lower column, and
+        block 2 ties two base cells: in the rows of one page, the base cell
+        comes first, then the lower column, as on the scalar walk."""
         spec = aegis_spec(9, 61, 512)
-        # eight endurance levels: every death ties, and each row dies at
-        # a step of its own
-        levels = rng_for(5, 0).integers(1, 9, size=(6, 512))
-        result = kernels.block_dynamics(
-            spec,
-            levels * 2e4,
-            blocks_per_page=1,
-            write_probability=0.5,
-            inversion_wear_rate=0.25,
+        quiet = 1e4 + 7.0 * rng_for(6, 0).permutation(512)
+        accel_base, (base, member) = _tied_block("accel-base")
+        base_base, pair = _tied_block("base-base")
+        model = PreparedLifetime(np.concatenate([quiet, accel_base, base_base]))
+        walked, scalar = self._scalar_walk(spec, model, blocks=3)
+        cells = [cell for _, cell in walked]
+        assert base > member
+        assert cells.index(512 + base) + 1 == cells.index(512 + member)
+        assert cells.index(1024 + pair[0]) + 1 == cells.index(1024 + pair[1])
+        order, vector = self._batch_order(monkeypatch, spec, model, blocks=3)
+        assert (200.0, 512 + base, False) in order[1]
+        assert order[1].index((200.0, 512 + base, False)) + 1 == order[1].index(
+            (200.0, 512 + member, True)
         )
-        events = np.isfinite(result.event_times).sum(axis=1)
-        calls = np.bincount(ranked, minlength=6)
-        assert len(set(events.tolist())) > 1  # rows die at different steps
-        assert (calls > 0).all()
-        assert (calls <= events).all(), (calls, events)
+        lifetime = scalar.lifetime_writes
+        for block, row in enumerate(order):
+            assert [(time, cell) for time, cell, _ in row if time < lifetime] == [
+                (time, cell) for time, cell in walked
+                if cell // 512 == block and time < lifetime
+            ]
+        assert vector == scalar
 
 
 class TestCompaction:

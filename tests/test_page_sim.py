@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime
-from repro.sim import page_sim, roster
+from repro.sim import kernels, page_sim, roster
 from repro.sim.page_sim import run_page_study, simulate_page
 from repro.sim.roster import aegis_spec, ecp_spec, no_protection_spec, safer_spec
 from tests.conftest import PreparedLifetime
@@ -203,7 +203,7 @@ TIED_SAMPLES = {
 }
 #: sha256 prefix of the results of three 4 KB pages (seed 2013) per scheme
 #: and sample; drift bursts and ``FixedLifetime`` tie deaths routinely, so
-#: the scheduler's death order is the full argsort's tie order here, and
+#: these pin the defined order's tie-break (base cells by cell index), and
 #: partial's long-lived aegis-rw-9x61 pages walk past 1024 deaths
 TIED_DIGESTS = {
     ("aegis-rw-17x31", "drift"): "781c6e5bb2e53253",
@@ -251,10 +251,10 @@ def _round_robin() -> np.ndarray:
 
 def _edge_tie() -> np.ndarray:
     """The round-robin page, with the last cell of the scheduler's first
-    prefix tied by the next seven: no tie inside the prefix, but which of
-    the eight it holds is the sort's choice."""
+    prefix tied by the next seven: no tie inside the prefix, but its
+    last cell ties the edge, so the prefix is exact only before it."""
     times = _round_robin()
-    order = np.argsort(times)
+    order = np.argsort(times, kind="stable")
     edge = page_sim.SCALAR_PREFIX - 1
     times[order[edge : edge + 8]] = times[order[edge]]
     return times
@@ -291,12 +291,12 @@ def scheduler_events(spec, times: np.ndarray) -> "tuple[object, list[tuple]]":
 
 
 def full_argsort_events(spec, times: np.ndarray) -> list[tuple]:
-    """The wear-free fault timeline walked over the full ``np.argsort``
-    of ``times``, one stuck-value draw per arrival."""
+    """The wear-free fault timeline walked over the full stable argsort
+    of ``times`` (ties by cell index), one stuck-value draw per arrival."""
     rng = np.random.default_rng(3)
     block_checkers = [spec.make_checker(rng) for _ in range(PAGE_BLOCKS)]
     events = []
-    for cell in np.argsort(times).tolist():
+    for cell in np.argsort(times, kind="stable").tolist():
         block, offset = divmod(cell, spec.n_bits)
         stuck = int(rng.integers(0, 2))
         alive = block_checkers[block].add_fault(offset, stuck)
@@ -308,7 +308,7 @@ def full_argsort_events(spec, times: np.ndarray) -> list[tuple]:
 
 class TestSortedPrefix:
     """The scheduler walks sorted prefixes of the death order; the walk must
-    equal one over the full ``np.argsort``, ties included."""
+    equal one over the full stable argsort, ties included."""
 
     @pytest.mark.parametrize("sample", sorted(PREPARED))
     @pytest.mark.parametrize("key", sorted(WEAR_FREE_SPECS))
@@ -322,7 +322,7 @@ class TestSortedPrefix:
     @pytest.mark.parametrize("sample", sorted(PREPARED))
     def test_wear_walk_matches_full_width_prefix(self, sample, monkeypatch):
         """Under inversion wear the heap merges re-scheduled deaths into the
-        base order; a first prefix as wide as the page is the full argsort."""
+        base order; a first prefix as wide as the page is the full sort."""
         spec, times = aegis_spec(9, 61, 512), PREPARED[sample]()
         walked = scheduler_events(spec, times)
         monkeypatch.setattr(page_sim, "SCALAR_PREFIX", PAGE_CELLS)
@@ -335,17 +335,19 @@ class TestSortedPrefix:
         spec, times = roster.aegis_rw_spec(8, 71, 512), PREPARED[sample]()
         assert scheduler_events(spec, times)[1] == full_argsort_events(spec, times)
 
-    def test_a_tied_prefix_defers_to_the_full_sort(self):
-        """numpy's argpartition and argsort happened to break an edge tie
-        alike on every sample tried, so only this direct check sees the
-        edge test go."""
+    @pytest.mark.parametrize("sample", sorted(PREPARED))
+    def test_one_row_prefix_is_exact_up_to_its_edge(self, sample):
+        """The scheduler's prefixes are one-row calls of the kernels'
+        prefix helper on the flat page: cells in ``(time, index)`` order,
+        exact up to the cells strictly earlier than the edge."""
+        times = PREPARED[sample]()
         width = page_sim.SCALAR_PREFIX
-        for sample in ("tie-in-prefix", "tie-at-edge", "all-tied"):
-            assert page_sim._sorted_prefix(PREPARED[sample](), width) is None, sample
-        for sample in ("distinct", "outlives-prefix"):
-            times = PREPARED[sample]()
-            head = page_sim._sorted_prefix(times, width)
-            assert np.array_equal(head, np.argsort(times)[:width]), sample
+        cells, head, exact = kernels.sorted_prefix(times[None, :], width)
+        order = np.argsort(times, kind="stable")
+        edge = times[order[width]]
+        assert exact.tolist() == [int((times < edge).sum())]
+        assert np.array_equal(cells[0, : exact[0]], order[: exact[0]])
+        assert np.array_equal(head[0], times[order[:width]])
 
     def test_round_robin_page_outlives_the_first_prefix(self):
         _, events = scheduler_events(roster.aegis_rw_spec(8, 71, 512), _round_robin())
