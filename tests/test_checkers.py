@@ -853,7 +853,7 @@ CALLER_DIGESTS = {
     ("rdis-3", "pairing"): "4ab34046d918857e",
     ("aegis-9x61", "block"): "80c9b56ca3538bdd",
     ("aegis-9x61", "block-partial"): "67298aa593b6e4b4",
-    ("aegis-9x61", "block-drift"): "5f2cfde3e30bcdf0",
+    ("aegis-9x61", "block-drift"): "151f0f3d4a107143",
     ("aegis-9x61", "pairing"): "c75cdb0e4758a36b",
     ("ecp6", "block"): "e32c7b4e80c6d8f7",
     ("ecp6", "pairing"): "f7d37b89c1a5b836",

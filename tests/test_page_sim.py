@@ -206,19 +206,19 @@ TIED_SAMPLES = {
 #: these pin the defined order's tie-break (base cells by cell index), and
 #: partial's long-lived aegis-rw-9x61 pages walk past 1024 deaths
 TIED_DIGESTS = {
-    ("aegis-rw-17x31", "drift"): "781c6e5bb2e53253",
+    ("aegis-rw-17x31", "drift"): "ee1842bafa282766",
     ("aegis-rw-17x31", "partial"): "a9c9322854d0f452",
     ("aegis-rw-17x31", "fixed"): "befa433dba9aa40f",
-    ("aegis-rw-9x61", "drift"): "79dbc95d694ff3ba",
+    ("aegis-rw-9x61", "drift"): "c21f1dbb9c626a29",
     ("aegis-rw-9x61", "partial"): "9ddce6a73eba54ac",
     ("aegis-rw-9x61", "fixed"): "4e0b330461fdc0d0",
-    ("aegis-rw-p-9x61-p9", "drift"): "21894e17bb9b8c20",
+    ("aegis-rw-p-9x61-p9", "drift"): "6dec7b68d44d27f3",
     ("aegis-rw-p-9x61-p9", "partial"): "856d636036c18070",
     ("aegis-rw-p-9x61-p9", "fixed"): "3113d3a0a13d30ab",
     ("rdis-3", "drift"): "839147fedf14660a",
     ("rdis-3", "partial"): "0d8ad6ea8b7ec0e0",
     ("rdis-3", "fixed"): "790b2a7c2302ea37",
-    ("safer64-cache", "drift"): "9c9b4f6731b3c625",
+    ("safer64-cache", "drift"): "a6b283588a3220df",
     ("safer64-cache", "partial"): "78ba6da17e38ea9d",
     ("safer64-cache", "fixed"): "4a3a3e3a3e9b902e",
 }
