@@ -41,7 +41,7 @@ def main() -> None:
                 spec, spares=spares, blocks_per_page=16, n_pages=16, seed=2
             )
             print(f"  {spec.label:12s} +{spares} spares: lifetime "
-                  f"{result.lifetime.mean:.4g}, {result.remaps.mean:.1f} remaps")
+                  f"{result.lifetime.mean:.4g}, {result.faults.mean:.1f} faults recovered")
     print("  bare Aegis outlives spare-padded ECP6: strong in-chip recovery"
           "\n  delays redirection (the paper's §4 FREE-p remark).\n")
 

@@ -37,7 +37,6 @@ def run(
                     spares,
                     f"{result.lifetime.mean:.4g}",
                     round(result.faults.mean, 1),
-                    round(result.remaps.mean, 2),
                 )
             )
     return ExperimentResult(
@@ -51,7 +50,6 @@ def run(
             "Spares",
             "Page lifetime (writes)",
             "Faults recovered",
-            "Remaps used",
         ),
         rows=tuple(rows),
         notes=(

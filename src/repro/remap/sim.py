@@ -52,7 +52,6 @@ class RemapPageResult:
     spares: int
     faults: MeanEstimate
     lifetime: MeanEstimate
-    remaps: MeanEstimate
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,10 @@ class RemapTask:
     write_probability: float
 
 
-def simulate_remap_page(task: RemapTask, page_index: int) -> tuple[float, int, int]:
+def simulate_remap_page(task: RemapTask, page_index: int) -> tuple[float, int]:
     """One remapped page of a task — the picklable unit of fan-out: returns
-    (lifetime, faults recovered, remaps performed)."""
+    (lifetime, faults recovered).  A page dies only when a block fails
+    with no spare left, so it always uses every spare."""
     rng = rng_for(task.seed, page_index, _REMAP_SALT)
     blocks: list[tuple[float, list[float]]] = []  # (start, fault ages), by slot
 
@@ -96,7 +96,7 @@ def simulate_remap_page(task: RemapTask, page_index: int) -> tuple[float, int, i
         heapq.heapreplace(deaths, place(deaths[0][0]))
     lifetime = deaths[0][0]
     recovered = sum(start + age < lifetime for start, ages in blocks for age in ages)
-    return lifetime, recovered, task.spares
+    return lifetime, recovered
 
 
 def remap_page_study(
@@ -127,16 +127,13 @@ def remap_page_study(
         write_probability=write_probability,
     )
 
-    def reduce(results: list[tuple[float, int, int]]) -> RemapPageResult:
-        estimates = mean_columns(
-            results, ("lifetime", "faults", "remaps")
-        )
+    def reduce(results: list[tuple[float, int]]) -> RemapPageResult:
+        estimates = mean_columns(results, ("lifetime", "faults"))
         return RemapPageResult(
             spec_label=spec.label,
             spares=spares,
             faults=estimates["faults"],
             lifetime=estimates["lifetime"],
-            remaps=estimates["remaps"],
         )
 
     return run_study(
