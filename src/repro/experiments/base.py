@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_metrics
@@ -112,6 +112,13 @@ EXEC_OPTIONS: frozenset[str] = frozenset({"seed", "workers", "engine", "fault_mo
 #: experiment id -> keyword names its driver accepts (beyond ``ctx``)
 ACCEPTED_OPTIONS: dict[str, frozenset[str]] = {}
 
+#: drivers that never read ``ctx.fault_model``: their tables always run
+#: under hard faults, which :func:`dispatch` notes under any other model
+HARD_FAULTS_ONLY: frozenset[str] = frozenset({
+    "table1", "ext-freep", "ext-service", "ext-cluster",
+    "ext-fleet", "ext-intrablock", "ext-latency", "ext-writecost",
+})
+
 
 def register(experiment_id: str) -> Callable:
     """Decorator adding a runner to the registry under ``experiment_id``.
@@ -161,7 +168,9 @@ def dispatch(
     context (explicit ``ctx`` fields they collide with are overridden),
     :data:`COMMON_OPTIONS` are filtered to the driver's signature, and
     anything else the driver does not accept raises — the typo
-    ``worker=4`` fails loudly instead of running serially.
+    ``worker=4`` fails loudly instead of running serially.  A
+    :data:`HARD_FAULTS_ONLY` driver run under another fault model gets a
+    note saying that its table ran under hard faults.
     """
     runner = REGISTRY[experiment_id]
     accepted = ACCEPTED_OPTIONS[experiment_id]
@@ -178,7 +187,14 @@ def dispatch(
             f"accepted: {', '.join(sorted(accepted | COMMON_OPTIONS | EXEC_OPTIONS))}"
         )
     filtered = {name: value for name, value in options.items() if name in accepted}
-    return runner(ctx, **filtered)
+    result = runner(ctx, **filtered)
+    if ctx.fault_model != "hard" and experiment_id in HARD_FAULTS_ONLY:
+        note = (
+            f"this table ran under hard faults: its driver does not model "
+            f"the {ctx.fault_model!r} fault model"
+        )
+        result = replace(result, notes=(*result.notes, note))
+    return result
 
 
 _STUDIES: dict[tuple, PageStudy] = {}

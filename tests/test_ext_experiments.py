@@ -103,6 +103,29 @@ class TestExtFreep:
         assert len(lifetimes) == 4  # two schemes x two spare budgets
 
 
+class TestHardFaultNote:
+    """Drivers that never read the fault model say so under another one."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, options",
+        [("table1", {}), ("ext-freep", {"n_pages": 2, "spare_counts": (0,)})],
+    )
+    def test_non_hard_model_adds_the_note(self, experiment_id, options):
+        hard = run_experiment(experiment_id, seed=3, **options)
+        drift = run_experiment(experiment_id, seed=3, fault_model="drift", **options)
+        assert drift.rows == hard.rows
+        assert drift.notes == (
+            *hard.notes,
+            "this table ran under hard faults: its driver does not model "
+            "the 'drift' fault model",
+        )
+        assert not any("hard faults" in note for note in hard.notes)
+
+    def test_drivers_that_model_faults_get_no_note(self):
+        result = run_experiment("fig5", n_pages=2, seed=3, fault_model="drift")
+        assert not any("hard faults" in note for note in result.notes)
+
+
 class TestExtFullscale:
     def test_batch_population_shapes(self):
         result = run_experiment("ext-fullscale", n_pages=64, seed=3)
