@@ -118,10 +118,10 @@ class CorrelatedLifetime(LifetimeModel):
         base = rng.normal(self.mean_lifetime, self.cov * self.mean_lifetime, size=n_cells)
         n_clusters = -(-n_cells // self.cluster_size)
         if self.cluster_cov > 0:
+            # the generator's own lognormal takes libm's exp of the same
+            # normal draws; np.exp's AVX-512 kernel rounds some differently
             sigma2 = np.log1p(self.cluster_cov**2)
-            factors = np.exp(
-                rng.normal(-sigma2 / 2, np.sqrt(sigma2), size=n_clusters)
-            )
+            factors = rng.lognormal(-sigma2 / 2, np.sqrt(sigma2), size=n_clusters)
         else:
             factors = np.ones(n_clusters)
         per_cell = np.repeat(factors, self.cluster_size)[:n_cells]

@@ -502,7 +502,7 @@ DIGEST_CASES = {
 #: snapshot, right after construction and after the zipf stream
 STORE_DIGESTS = {
     "drift-normal": {"built": "343236b3b60ba525", "streamed": "657ecc21fa659861"},
-    "hard-correlated": {"built": "6b0c8d7a1c4696ff", "streamed": "5c917f2e5ebffd60"},
+    "hard-correlated": {"built": "f86609c658f347f5", "streamed": "65d5de7604f3e083"},
     "hard-normal": {"built": "46d4d5514c334c68", "streamed": "0dcd14ec8976a43b"},
     "hard-wearskew": {"built": "00025f32f3c28d60", "streamed": "7f1d08d29b0ec767"},
     "partial-normal": {"built": "511266d9b7377bcd", "streamed": "5af86db73eb38d3f"},
