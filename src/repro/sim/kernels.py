@@ -623,26 +623,21 @@ def sorted_prefix(deaths: np.ndarray, width: int) -> tuple:
     flattened into one row.
     """
     n_rows, n_cols = deaths.shape
-    if width < n_cols:
-        edge = np.empty((n_rows, 1))
-        cells = np.empty((n_rows, width), dtype=np.int64)
-        for start in range(0, n_rows, _PARTITION_ROWS):
-            chunk = slice(start, start + _PARTITION_ROWS)
-            part = np.argpartition(deaths[chunk], width, axis=1)
-            edge[chunk] = np.take_along_axis(
-                deaths[chunk], part[:, width : width + 1], axis=1
-            )
-            cells[chunk] = np.sort(part[:, :width], axis=1)
-    else:  # the whole row: no cell is left out
-        edge = None
-        cells = np.broadcast_to(np.arange(n_cols), deaths.shape)
-    times = np.take_along_axis(deaths, cells, axis=1)
     # a stable sort of columns in ascending order breaks ties by column
+    if width >= n_cols:  # the whole row: no cell is left out
+        cells = np.argsort(deaths, axis=1, kind="stable")
+        return cells, np.take_along_axis(deaths, cells, axis=1), np.full(n_rows, n_cols)
+    edge = np.empty((n_rows, 1))
+    cells = np.empty((n_rows, width), dtype=np.int64)
+    for start in range(0, n_rows, _PARTITION_ROWS):
+        chunk = slice(start, start + _PARTITION_ROWS)
+        part = np.argpartition(deaths[chunk], width, axis=1)
+        edge[chunk] = np.take_along_axis(deaths[chunk], part[:, width : width + 1], axis=1)
+        cells[chunk] = np.sort(part[:, :width], axis=1)
+    times = np.take_along_axis(deaths, cells, axis=1)
     order = np.argsort(times, axis=1, kind="stable")
     cells = np.take_along_axis(cells, order, axis=1)
     times = np.take_along_axis(times, order, axis=1)
-    if edge is None:
-        return cells, times, np.full(n_rows, n_cols)
     return cells, times, np.count_nonzero(times < edge, axis=1)
 
 
