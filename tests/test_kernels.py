@@ -5,8 +5,8 @@ For every covered scheme the batched population advance returns results
 bit-identical to the scalar checker loop — same death counts, same
 lifetimes, same page studies — because both engines consume the same
 ``rng_for`` substreams and both schedulers take deaths in one defined
-order, ``(time, base before accelerated, flat cell index)``.  Schemes without a kernel fall back to the scalar
-path transparently.
+order, ``(time, base before accelerated, flat cell index)``.  Schemes
+without a kernel fall back to the scalar path transparently.
 """
 
 import numpy as np
