@@ -35,7 +35,7 @@ from repro.sim.checkers import AegisChecker
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import DEFAULT_WRITE_PROBABILITY, simulate_page
 from repro.sim.parallel import mean_columns, run_study
-from repro.sim.rng import rng_for
+from repro.sim.rng import BitSource, rng_for
 from repro.sim.roster import aegis_spec
 from repro.util.stats import MeanEstimate
 
@@ -116,7 +116,7 @@ def simulate_payg_page(
     pool = GecPool(task.pool_entries)
     blocks: list[PaygChecker] = []
 
-    def make_checker(rng: np.random.Generator) -> PaygChecker:
+    def make_checker(bits: BitSource) -> PaygChecker:
         blocks.append(PaygChecker(form.rect, pool, task.lec_pointers))
         return blocks[-1]
 

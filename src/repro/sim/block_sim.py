@@ -27,7 +27,7 @@ from repro.sim.page_sim import (
     DEFAULT_WRITE_PROBABILITY,
     simulate_pages,
 )
-from repro.sim.rng import rng_for
+from repro.sim.rng import BitSource, rng_for
 from repro.sim.roster import SchemeSpec
 from repro.util.stats import MeanEstimate, mean_ci
 
@@ -61,16 +61,18 @@ def faults_at_death(
     A non-hard ``fault_model`` reshapes the arrival stream (masked partial
     faults skip the checker, drift bursts arrive together); the reported
     count stays in *original* arrivals, masked faults included.  The hard
-    model's transform is the identity and draws nothing.
+    model's transform is the identity and draws nothing.  The stuck values
+    and the checker's patterns come from one :class:`~repro.sim.rng.BitSource`
+    on ``rng``, opened after the arrival stream is drawn.
     """
     model = fault_model_for(fault_model)
-    checker = spec.make_checker(rng)
     positions = rng.permutation(spec.n_bits)
     stream, numbers = model.transform_arrivals(positions, rng)
-    for step, offset in enumerate(stream):
-        stuck_value = int(rng.integers(0, 2))
-        if not checker.add_fault(int(offset), stuck_value):
-            return step + 1 if numbers is None else int(numbers[step])
+    with BitSource(rng) as bits:
+        checker = spec.make_checker(bits)
+        for step, offset in enumerate(stream):
+            if not checker.add_fault(int(offset), bits.bit()):
+                return step + 1 if numbers is None else int(numbers[step])
     raise AssertionError(
         f"{spec.label}: block survived all {spec.n_bits} faults"
     )  # pragma: no cover - every scheme dies before saturation

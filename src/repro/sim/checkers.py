@@ -19,13 +19,14 @@ Two families exist:
 * **sampled** checkers, for schemes whose recoverability depends on the
   written data (Aegis-rw/-rw-p, SAFER-cache, RDIS, Hamming): each fault
   arrival draws ``samples`` random data patterns at the fault positions in
-  one generator call — standing in for the millions of real writes that hit
-  the block before the next fault arrives — and the block dies if any
-  pattern is unrecoverable, exactly the paper's failure criterion.  An
-  arrival's patterns are decided as a whole, in numpy passes (Aegis-rw
-  poisoned sets are ``ceil(B / 64)``-word bitsets, so ``B > 63`` works) or,
-  for RDIS, on per-fault ``samples``-bit ints; draws never run ahead of the
-  arrival, as callers share the generator.
+  one draw from the walk's :class:`~repro.sim.rng.BitSource` — standing in
+  for the millions of real writes that hit the block before the next fault
+  arrives — and the block dies if any pattern is unrecoverable, exactly the
+  paper's failure criterion.  An arrival's patterns are decided as a whole,
+  in numpy passes (Aegis-rw poisoned sets are ``ceil(B / 64)``-word bitsets,
+  so ``B > 63`` works) or, for RDIS, on per-fault ``samples``-bit ints;
+  draws never run ahead of the arrival, as callers share the source, and a
+  checker draws nothing when it is built.
   Below a fixed fault count, ``draws_from``, an arrival neither draws nor
   fails; from it on, every arrival draws (the page scheduler draws stuck
   values in runs up to the next drawing arrival, page_sim ``_draw_stuck_run``).
@@ -62,6 +63,7 @@ from repro.schemes.safer import (
     vector_value,
     vector_values,
 )
+from repro.sim.rng import BitSource
 from repro.util.bitops import ceil_log2
 
 #: default number of data patterns sampled per fault arrival
@@ -85,9 +87,9 @@ class BlockChecker(Protocol):
         Empty for schemes without group inversion."""
 
 
-def _draw_patterns(rng: np.random.Generator, samples: int, n_faults: int) -> np.ndarray:
+def _draw_patterns(bits: BitSource, samples: int, n_faults: int) -> np.ndarray:
     """Random data bits at the fault positions, shape ``(samples, n_faults)``."""
-    return rng.integers(0, 2, size=(samples, n_faults), dtype=np.uint8)
+    return bits.patterns(samples, n_faults)
 
 
 def _check_samples(samples: int) -> None:
@@ -186,12 +188,12 @@ class AegisRwChecker:
     def __init__(
         self,
         rect: Rectangle,
-        rng: np.random.Generator,
+        bits: BitSource,
         samples: int = DEFAULT_SAMPLES,
     ) -> None:
         _check_samples(samples)
         self.rect = rect
-        self.rng = rng
+        self.bits = bits
         self.samples = samples
         self._rom = collision_rom_for(rect)
         self._partition = partition_for(rect)
@@ -218,7 +220,7 @@ class AegisRwChecker:
         b = self.rect.b_size
         if f < self.draws_from:
             return True
-        wrong = _draw_patterns(self.rng, self.samples, f).view(bool)
+        wrong = _draw_patterns(self.bits, self.samples, f).view(bool)
         if self._separable():
             return True
         poisoned = _poisoned_slopes(self._rom, self.fault_offsets, wrong)
@@ -278,12 +280,12 @@ class AegisRwPChecker(AegisRwChecker):
         self,
         rect: Rectangle,
         pointers: int,
-        rng: np.random.Generator,
+        bits: BitSource,
         samples: int = DEFAULT_SAMPLES,
     ) -> None:
         if pointers < 1:
             raise ConfigurationError("Aegis-rw-p needs at least one pointer")
-        super().__init__(rect, rng, samples)
+        super().__init__(rect, bits, samples)
         self.pointers = pointers
         # past p faults a split can overflow the pointer budget
         self.draws_from = min(self.draws_from, pointers + 1)
@@ -296,7 +298,7 @@ class AegisRwPChecker(AegisRwChecker):
         b = self.rect.b_size
         if f < self.draws_from:
             return True  # every split fits the budget and leaves a free slope
-        wrong = _draw_patterns(self.rng, self.samples, f).view(bool)
+        wrong = _draw_patterns(self.bits, self.samples, f).view(bool)
         # min(f_W, f_R) <= p for every split, and a separating slope is free
         if f <= 2 * self.pointers + 1 and self._separable():
             return True
@@ -431,14 +433,14 @@ class SaferCacheChecker:
         self,
         n_bits: int,
         group_count: int,
-        rng: np.random.Generator,
+        bits: BitSource,
         samples: int = DEFAULT_SAMPLES,
     ) -> None:
         check_group_count(group_count, n_bits)
         _check_samples(samples)
         self.n_bits = n_bits
         self.group_count = group_count
-        self.rng = rng
+        self.bits = bits
         self.samples = samples
         self.addr_bits = ceil_log2(n_bits)
         self.max_positions = ceil_log2(group_count)
@@ -454,7 +456,7 @@ class SaferCacheChecker:
         f = len(self.fault_offsets)
         # no early-out even at small f: the vector must grow in response to
         # the sampled traffic, exactly as the hardware's would
-        wrong_masks = _draw_patterns(self.rng, self.samples, f).view(bool)
+        wrong_masks = _draw_patterns(self.bits, self.samples, f).view(bool)
         offs = np.asarray(self.fault_offsets, dtype=np.int64)
         start = 0
         while start < self.samples:
@@ -530,7 +532,7 @@ class RdisChecker:
         rows: int,
         cols: int,
         depth: int,
-        rng: np.random.Generator,
+        bits: BitSource,
         samples: int = DEFAULT_SAMPLES,
     ) -> None:
         if rows * cols < n_bits:
@@ -543,7 +545,7 @@ class RdisChecker:
         self.cols = cols
         self.depth = depth
         self.toggle_levels = depth - 1
-        self.rng = rng
+        self.bits = bits
         self.samples = samples
         self.fault_offsets: list[int] = []
         self.stuck_values: list[int] = []
@@ -570,7 +572,7 @@ class RdisChecker:
         self._col_faults[col] += 1
         if len(self.fault_offsets) < self.draws_from:
             return True
-        data = _draw_patterns(self.rng, self.samples, len(self.fault_offsets))
+        data = _draw_patterns(self.bits, self.samples, len(self.fault_offsets))
         # toggle 1 marks a correct fault only if it has a row-mate and a
         # column-mate; without such a fault it inverts exactly the wrong ones
         if not self._crossed:
@@ -641,13 +643,13 @@ class HammingChecker:
     def __init__(
         self,
         n_bits: int,
-        rng: np.random.Generator,
+        bits: BitSource,
         samples: int = DEFAULT_SAMPLES,
         word_bits: int = 64,
     ) -> None:
         self.n_bits = n_bits
         self.word_bits = word_bits
-        self.rng = rng
+        self.bits = bits
         self.samples = samples
         self.fault_offsets: list[int] = []
         self.alive = True
@@ -706,12 +708,12 @@ class AegisDynamicChecker:
     def __init__(
         self,
         rect: Rectangle,
-        rng: np.random.Generator,
+        bits: BitSource,
         samples: int = 32,
     ) -> None:
         _check_samples(samples)
         self.rect = rect
-        self.rng = rng
+        self.bits = bits
         self.samples = samples
         self._rom = collision_rom_for(rect)
         self._partition = partition_for(rect)
@@ -757,7 +759,7 @@ class AegisDynamicChecker:
         f = len(self.fault_offsets)
         if (f * (f - 1)) // 2 < self.rect.b_size:
             return True  # all faults separable: no pattern can fail
-        for pattern in _draw_patterns(self.rng, self.samples, f):
+        for pattern in _draw_patterns(self.bits, self.samples, f):
             if self._pattern_fails(pattern):
                 self.alive = False
                 return False

@@ -18,7 +18,7 @@ Every kernel reproduces the scalar path exactly, not just statistically:
 * Trial ``t`` consumes the same substream ``rng_for(seed, t)`` draws in
   the same order.  Static checkers never draw from the generator, and
   their survival verdict ignores the stuck-at *values*, so the scalar
-  path's per-arrival ``rng.integers(0, 2)`` draws cannot influence any
+  path's per-arrival stuck-value draws cannot influence any
   returned quantity — the kernels elide them.
 * Deaths come in one defined order, ascending ``(time, class, flat
   cell index)``: class 0 is a cell still at its base death time (the

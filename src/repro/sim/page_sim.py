@@ -36,7 +36,7 @@ from repro.pcm.lifetime import LifetimeModel, NormalLifetime
 from repro.sim import kernels
 from repro.sim.context import ExecContext
 from repro.sim.parallel import PageTask, SimExecutor
-from repro.sim.rng import rng_for
+from repro.sim.rng import BitSource, rng_for
 from repro.sim.roster import SchemeSpec
 from repro.util.stats import MeanEstimate, mean_ci
 
@@ -222,7 +222,7 @@ def _death_order(base_death: np.ndarray):
 
 
 def _draw_stuck_run(
-    rng: np.random.Generator,
+    bits: BitSource,
     cells: list[int],
     start: int,
     faults: list[int],
@@ -231,13 +231,13 @@ def _draw_stuck_run(
 ) -> list[int]:
     """Stuck values for the arrivals ``cells[start:]`` up to and including
     the first that brings its block to ``draws_from`` faults (or to the end
-    of ``cells``), from one generator call.
+    of ``cells``), in one :meth:`~repro.sim.rng.BitSource.bits` draw.
 
     ``faults`` counts each block's arrivals already given a stuck value and
     is advanced over the run.  No arrival before the run's last draws
     patterns or kills its block, so the page reaches every value drawn, and
-    ``rng.integers(0, 2, size=k)`` is the same stream as ``k`` scalar
-    ``rng.integers(0, 2)`` calls.
+    a run of ``k`` values is the same stream as ``k`` one-value draws (each
+    is the top bit of one ``next_uint32``, as ``rng.integers(0, 2)``).
     """
     end = start
     while end < len(cells):
@@ -246,9 +246,7 @@ def _draw_stuck_run(
         end += 1
         if faults[block] >= draws_from:
             break
-    if end - start == 1:
-        return [int(rng.integers(0, 2))]
-    return rng.integers(0, 2, size=end - start).tolist()
+    return bits.bits(end - start)
 
 
 def _simulate_page_scalar(
@@ -271,10 +269,16 @@ def _simulate_page_scalar(
     a heap of re-scheduled ``(time, cell)`` deaths merge the accelerated
     cells in, after any base cell of equal time; a wear-free page walks
     the base order alone.
+
+    The walk draws its stuck values and its checkers' patterns from one
+    :class:`~repro.sim.rng.BitSource` on ``rng``, closed when the walk
+    ends, so ``rng`` is left where ``Generator.integers`` calls would
+    leave it.  A block's checker is built on the block's first fault
+    (building one draws nothing).
     """
     n_bits = spec.n_bits
     base_death, baseline, masked_originals = times
-    block_checkers = [spec.make_checker(rng) for _ in range(blocks_per_page)]
+    block_checkers: list = [None] * blocks_per_page
     accel_rate = write_probability + inversion_wear_rate
     # per-cell state, only kept when the page applies inversion wear
     status = (
@@ -283,9 +287,9 @@ def _simulate_page_scalar(
         else None
     )
     # a wear-free page knows its arrival order ahead, so it draws stuck
-    # values in runs (:func:`_draw_stuck_run`); a checker without a
-    # ``draws_from`` threshold gets runs of one
-    draws_from = getattr(block_checkers[0], "draws_from", 1)
+    # values in runs (:func:`_draw_stuck_run`) once the first checker
+    # gives the threshold; a checker without a ``draws_from`` gets runs of one
+    draws_from = 0
     faults_ahead = [0] * blocks_per_page
     stuck_ahead: list[int] = []  # pre-drawn stuck values, by base-order position
     heap: list[tuple[float, int]] = []
@@ -294,67 +298,72 @@ def _simulate_page_scalar(
     cursor = 0
     deaths = 0
 
-    while True:
-        if cursor == len(cells):
-            more_cells, more_times = next(chunks)
-            cells += more_cells
-            deaths_at += more_times
-        if heap and heap[0][0] < deaths_at[cursor]:
-            now, cell = heapq.heappop(heap)
-            if status[cell] == _DEAD:
-                continue
-        else:
-            now, cell = deaths_at[cursor], cells[cursor]
-            cursor += 1
-            if cell < 0:
-                raise AssertionError(
-                    "page outlived every cell"
-                )  # pragma: no cover - checkers always fail eventually
-            if status is not None and status[cell] != _NORMAL:
-                continue  # accelerated (its death is on the heap) or dead
-        deaths += 1
-        block, offset = divmod(cell, n_bits)
-        if status is not None:  # wear reorders deaths: one value at a time
-            stuck_value = int(rng.integers(0, 2))
-        else:
-            if cursor > len(stuck_ahead):
-                stuck_ahead += _draw_stuck_run(
-                    rng, cells, len(stuck_ahead), faults_ahead, n_bits, draws_from
-                )
-            stuck_value = stuck_ahead[cursor - 1]
-        alive = block_checkers[block].add_fault(offset, stuck_value)
-        if observer is not None:
-            observer(
-                FaultEvent(
-                    time=now,
-                    block=block,
-                    offset=offset,
-                    stuck_value=stuck_value,
-                    block_fault_count=len(block_checkers[block].fault_offsets),
-                    fatal=not alive,
-                )
-            )
-        if not alive:
-            recovered = deaths - 1
-            if masked_originals is not None:
-                # masked partial faults never reached a checker but did
-                # arrive (and were survived) before the fatal fault
-                recovered += int((masked_originals <= now).sum())
-            return PageResult(
-                lifetime_writes=now,
-                faults_recovered=recovered,
-                baseline_lifetime=baseline,
-            )
-        if status is not None:
-            status[cell] = _DEAD
-            for member in block_checkers[block].group_members(offset).tolist():
-                mate = block * n_bits + member
-                if status[mate] != _NORMAL:
+    with BitSource(rng) as bits:
+        while True:
+            if cursor == len(cells):
+                more_cells, more_times = next(chunks)
+                cells += more_cells
+                deaths_at += more_times
+            if heap and heap[0][0] < deaths_at[cursor]:
+                now, cell = heapq.heappop(heap)
+                if status[cell] == _DEAD:
                     continue
-                status[mate] = _ACCELERATED
-                remaining = max(float(base_death[mate]) - now, 0.0)
-                rescheduled = now + remaining * write_probability / accel_rate
-                heapq.heappush(heap, (rescheduled, mate))
+            else:
+                now, cell = deaths_at[cursor], cells[cursor]
+                cursor += 1
+                if cell < 0:
+                    raise AssertionError(
+                        "page outlived every cell"
+                    )  # pragma: no cover - checkers always fail eventually
+                if status is not None and status[cell] != _NORMAL:
+                    continue  # accelerated (its death is on the heap) or dead
+            deaths += 1
+            block, offset = divmod(cell, n_bits)
+            checker = block_checkers[block]
+            if checker is None:
+                checker = block_checkers[block] = spec.make_checker(bits)
+                draws_from = draws_from or getattr(checker, "draws_from", 1)
+            if status is not None:  # wear reorders deaths: one value at a time
+                stuck_value = bits.bit()
+            else:
+                if cursor > len(stuck_ahead):
+                    stuck_ahead += _draw_stuck_run(
+                        bits, cells, len(stuck_ahead), faults_ahead, n_bits, draws_from
+                    )
+                stuck_value = stuck_ahead[cursor - 1]
+            alive = checker.add_fault(offset, stuck_value)
+            if observer is not None:
+                observer(
+                    FaultEvent(
+                        time=now,
+                        block=block,
+                        offset=offset,
+                        stuck_value=stuck_value,
+                        block_fault_count=len(checker.fault_offsets),
+                        fatal=not alive,
+                    )
+                )
+            if not alive:
+                recovered = deaths - 1
+                if masked_originals is not None:
+                    # masked partial faults never reached a checker but did
+                    # arrive (and were survived) before the fatal fault
+                    recovered += int((masked_originals <= now).sum())
+                return PageResult(
+                    lifetime_writes=now,
+                    faults_recovered=recovered,
+                    baseline_lifetime=baseline,
+                )
+            if status is not None:
+                status[cell] = _DEAD
+                for member in checker.group_members(offset).tolist():
+                    mate = block * n_bits + member
+                    if status[mate] != _NORMAL:
+                        continue
+                    status[mate] = _ACCELERATED
+                    remaining = max(float(base_death[mate]) - now, 0.0)
+                    rescheduled = now + remaining * write_probability / accel_rate
+                    heapq.heappush(heap, (rescheduled, mate))
 
 
 def _pages_from_death_times(

@@ -27,8 +27,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from repro.core.aegis import AegisScheme
 from repro.core.aegis_rw import AegisRwScheme
 from repro.core.aegis_rw_p import AegisRwPScheme
@@ -41,9 +39,10 @@ from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.rdis import RdisScheme
 from repro.schemes.safer import SaferCacheScheme, SaferScheme
 from repro.sim import checkers
+from repro.sim.rng import BitSource
 from repro.core.formations import ecp_cost_for_ftc, hamming_cost, rdis_dimensions
 
-CheckerFactory = Callable[[np.random.Generator], object]
+CheckerFactory = Callable[[BitSource], object]
 ControllerFactory = Callable[[CellArray], RecoveryScheme]
 
 
@@ -75,62 +74,62 @@ class SchemeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _aegis_checker(form: Formation, rng: np.random.Generator) -> object:
+def _aegis_checker(form: Formation, bits: BitSource) -> object:
     return checkers.AegisChecker(form.rect)
 
 
 def _aegis_rw_checker(
-    form: Formation, samples: int, rng: np.random.Generator
+    form: Formation, samples: int, bits: BitSource
 ) -> object:
-    return checkers.AegisRwChecker(form.rect, rng, samples)
+    return checkers.AegisRwChecker(form.rect, bits, samples)
 
 
 def _aegis_rw_p_checker(
-    form: Formation, pointers: int, samples: int, rng: np.random.Generator
+    form: Formation, pointers: int, samples: int, bits: BitSource
 ) -> object:
-    return checkers.AegisRwPChecker(form.rect, pointers, rng, samples)
+    return checkers.AegisRwPChecker(form.rect, pointers, bits, samples)
 
 
 def _aegis_dynamic_checker(
-    form: Formation, samples: int, rng: np.random.Generator
+    form: Formation, samples: int, bits: BitSource
 ) -> object:
-    return checkers.AegisDynamicChecker(form.rect, rng, samples)
+    return checkers.AegisDynamicChecker(form.rect, bits, samples)
 
 
-def _ecp_checker(pointers: int, rng: np.random.Generator) -> object:
+def _ecp_checker(pointers: int, bits: BitSource) -> object:
     return checkers.EcpChecker(pointers)
 
 
 def _safer_exhaustive_checker(
-    n_bits: int, group_count: int, rng: np.random.Generator
+    n_bits: int, group_count: int, bits: BitSource
 ) -> object:
     return checkers.SaferChecker(n_bits, group_count)
 
 
 def _safer_incremental_checker(
-    n_bits: int, group_count: int, rng: np.random.Generator
+    n_bits: int, group_count: int, bits: BitSource
 ) -> object:
     return checkers.SaferIncrementalChecker(n_bits, group_count)
 
 
 def _safer_cache_checker(
-    n_bits: int, group_count: int, samples: int, rng: np.random.Generator
+    n_bits: int, group_count: int, samples: int, bits: BitSource
 ) -> object:
-    return checkers.SaferCacheChecker(n_bits, group_count, rng, samples)
+    return checkers.SaferCacheChecker(n_bits, group_count, bits, samples)
 
 
 def _rdis_checker(
     n_bits: int, rows: int, cols: int, depth: int, samples: int,
-    rng: np.random.Generator,
+    bits: BitSource,
 ) -> object:
-    return checkers.RdisChecker(n_bits, rows, cols, depth, rng, samples)
+    return checkers.RdisChecker(n_bits, rows, cols, depth, bits, samples)
 
 
-def _hamming_checker(n_bits: int, rng: np.random.Generator) -> object:
-    return checkers.HammingChecker(n_bits, rng)
+def _hamming_checker(n_bits: int, bits: BitSource) -> object:
+    return checkers.HammingChecker(n_bits, bits)
 
 
-def _no_protection_checker(rng: np.random.Generator) -> object:
+def _no_protection_checker(bits: BitSource) -> object:
     return checkers.NoProtectionChecker()
 
 

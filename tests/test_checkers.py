@@ -16,7 +16,6 @@ compare verdicts:
   fault sets.
 """
 
-import copy
 import hashlib
 
 import numpy as np
@@ -52,7 +51,21 @@ from repro.sim.checkers import (
     _poisoned_slopes,
 )
 from repro.sim.page_sim import run_page_study
+from repro.sim.rng import BitSource
 from tests.conftest import random_data
+
+
+class RecordingSource(BitSource):
+    """A bit source that keeps every pattern draw it hands out."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.drawn = []
+
+    def patterns(self, samples, n):
+        data = super().patterns(samples, n)
+        self.drawn.append(data.copy())
+        return data
 
 
 def feed_faults(checker, faults):
@@ -211,10 +224,11 @@ class TestSampledCheckers:
         """For a fixed fault set and pattern, the checker's per-pattern
         predicate must equal 'some slope has no W/R mixing'."""
         rect = rectangle_for(512, 23)
-        checker = AegisRwChecker(rect, rng, samples=4)
         offsets = [int(o) for o in rng.choice(512, size=18, replace=False)]
-        for offset in offsets:
-            checker.add_fault(offset, 0)
+        with BitSource(rng) as bits:
+            checker = AegisRwChecker(rect, bits, samples=4)
+            for offset in offsets:
+                checker.add_fault(offset, 0)
         rom = collision_rom_for(rect)
         offs = np.asarray(checker.fault_offsets)
         for _ in range(30):
@@ -281,17 +295,19 @@ class TestSaferCacheChecker:
             ]
             d_plain = feed_faults(SaferIncrementalChecker(512, 32), faults)
             d_cache = feed_faults(
-                SaferCacheChecker(512, 32, np.random.default_rng(trial), samples=32),
+                SaferCacheChecker(512, 32, BitSource(np.random.default_rng(trial)), samples=32),
                 faults,
             )
             assert d_plain is not None
             assert d_cache is None or d_cache >= d_plain
 
     def test_vector_grows_only(self, rng):
-        checker = SaferCacheChecker(512, 32, rng, samples=16)
+        offsets = rng.permutation(512)[:20].tolist()
+        bits = BitSource(rng)
+        checker = SaferCacheChecker(512, 32, bits, samples=16)
         previous = checker.positions
-        for offset in rng.permutation(512)[:20]:
-            if not checker.add_fault(int(offset), int(rng.integers(0, 2))):
+        for offset in offsets:
+            if not checker.add_fault(offset, bits.bit()):
                 break
             assert set(previous) <= set(checker.positions)
             previous = checker.positions
@@ -302,7 +318,7 @@ class TestSaferCacheChecker:
         for trial in range(5):
             stream = np.random.default_rng(600 + trial)
             checker = SaferCacheChecker(
-                512, 32, np.random.default_rng(trial), samples=64
+                512, 32, BitSource(np.random.default_rng(trial)), samples=64
             )
             stuck_values = {}
             for offset in stream.permutation(512):
@@ -333,8 +349,7 @@ class TestSimpleCheckers:
         assert feed_faults(checker, faults) == 3  # 4th fault (index 3) kills
 
     def test_hamming_death_on_word_collision(self):
-        rng = np.random.default_rng(0)
-        checker = HammingChecker(512, rng)
+        checker = HammingChecker(512, BitSource(np.random.default_rng(0)))
         assert checker.add_fault(0, 0)     # word 0
         assert checker.add_fault(70, 1)    # word 1
         assert not checker.add_fault(63, 0)  # word 0 again -> dead
@@ -366,7 +381,7 @@ class TestDynamicAblation:
             ]
             d_static = feed_faults(AegisChecker(rect), faults)
             d_dynamic = feed_faults(
-                AegisDynamicChecker(rect, np.random.default_rng(trial), samples=16),
+                AegisDynamicChecker(rect, BitSource(np.random.default_rng(trial)), samples=16),
                 faults,
             )
             assert d_static is not None
@@ -391,17 +406,17 @@ def fault_feed(seed: int, n_bits: int = 512) -> list[tuple[int, int]]:
 
 
 def replay_draws(checker, faults):
-    """Feed ``faults`` to a sampled checker until it dies.  For every
-    arrival that drew patterns, yield ``(alive, offsets, wrong)``: the
-    verdict, the fault offsets so far, and the arrival's ``(samples, f)``
-    W-masks redrawn from a copy of the generator taken before it."""
+    """Feed ``faults`` to a sampled checker on a :class:`RecordingSource`
+    until it dies.  For every arrival that drew patterns, yield ``(alive,
+    offsets, wrong)``: the verdict, the fault offsets so far, and the
+    arrival's one ``(samples, f)`` draw of W-masks."""
     for offset, stuck in faults:
-        mirror = copy.deepcopy(checker.rng)
+        draws = len(checker.bits.drawn)
         alive = checker.add_fault(offset, stuck)
-        if checker.rng.bit_generator.state != mirror.bit_generator.state:
-            shape = (checker.samples, len(checker.fault_offsets))
-            wrong = mirror.integers(0, 2, size=shape, dtype=np.uint8).astype(bool)
-            assert mirror.bit_generator.state == checker.rng.bit_generator.state
+        if len(checker.bits.drawn) > draws:
+            assert len(checker.bits.drawn) == draws + 1
+            wrong = checker.bits.drawn[-1].astype(bool)
+            assert wrong.shape == (checker.samples, len(checker.fault_offsets))
             yield alive, list(checker.fault_offsets), wrong
         if not alive:
             return
@@ -470,7 +485,7 @@ class TestWholeSampleVerdicts:
         rect = formation(a_size, b_size, 512).rect
         rom = collision_rom_for(rect)
         for seed in range(3):
-            checker = AegisRwChecker(rect, np.random.default_rng(seed), samples=32)
+            checker = AegisRwChecker(rect, RecordingSource(np.random.default_rng(seed)), samples=32)
             for alive, offsets, wrong in replay_draws(checker, fault_feed(100 + seed)):
                 oracle = all(rom.find_rw_slope(*split(offsets, row)) is not None for row in wrong)
                 assert alive == oracle
@@ -482,7 +497,9 @@ class TestWholeSampleVerdicts:
         rect = formation(a_size, b_size, 512).rect
         pattern_verdicts, counted = set(), False
         for seed in range(3):
-            checker = AegisRwPChecker(rect, pointers, np.random.default_rng(seed), samples=32)
+            checker = AegisRwPChecker(
+                rect, pointers, RecordingSource(np.random.default_rng(seed)), samples=32
+            )
             for alive, offsets, wrong in replay_draws(checker, fault_feed(200 + seed)):
                 per_pattern = [
                     reference_rw_p_recoverable(rect, pointers, offsets, row) for row in wrong
@@ -500,7 +517,8 @@ class TestWholeSampleVerdicts:
         per pattern, in pattern order."""
         max_positions, addr_bits = group_count.bit_length() - 1, 9
         for seed in range(4):
-            checker = SaferCacheChecker(512, group_count, np.random.default_rng(seed))
+            bits = RecordingSource(np.random.default_rng(seed))
+            checker = SaferCacheChecker(512, group_count, bits)
             positions, grew = (), 0
             for alive, offsets, wrong in replay_draws(checker, fault_feed(300 + seed)):
                 oracle = True
@@ -525,11 +543,11 @@ class TestWholeSampleVerdicts:
 
         class ScriptedDraws:
             def __init__(self, patterns):
-                self.patterns = iter(patterns)
+                self.scripted = iter(patterns)
 
-            def integers(self, low, high, size, dtype):
-                pattern = np.asarray(next(self.patterns), dtype=dtype)
-                assert pattern.shape == size
+            def patterns(self, samples, n):
+                pattern = np.asarray(next(self.scripted), dtype=np.uint8)
+                assert pattern.shape == (samples, n)
                 return pattern
 
         draws = ScriptedDraws([[[0], [0]], [[0, 0], [0, 0]], [[1, 0, 1], [1, 1, 0]]])
@@ -622,13 +640,14 @@ def evaluator_calls(monkeypatch):
 
 
 def skipped_arrivals(checker, faults, calls):
-    """Feed ``faults`` until the checker dies.  Yield the fault offsets at
-    every arrival that drew patterns but called no evaluator counted in
-    ``calls``; such an arrival must leave the block alive."""
+    """Feed ``faults`` until the checker (on a :class:`RecordingSource`)
+    dies.  Yield the fault offsets at every arrival that drew patterns but
+    called no evaluator counted in ``calls``; such an arrival must leave
+    the block alive."""
     for offset, stuck in faults:
-        state, evaluated = checker.rng.bit_generator.state, len(calls)
+        draws, evaluated = len(checker.bits.drawn), len(calls)
         alive = checker.add_fault(offset, stuck)
-        if checker.rng.bit_generator.state != state and len(calls) == evaluated:
+        if len(checker.bits.drawn) > draws and len(calls) == evaluated:
             assert alive
             yield list(checker.fault_offsets)
         if not alive:
@@ -649,7 +668,8 @@ class TestStructuralSkips:
         rows, cols = rdis_dimensions(512)
         skips = shared = 0
         for seed in range(40):
-            checker = RdisChecker(512, rows, cols, depth, np.random.default_rng(seed))
+            bits = RecordingSource(np.random.default_rng(seed))
+            checker = RdisChecker(512, rows, cols, depth, bits)
             for offsets in skipped_arrivals(checker, fault_feed(700 + seed)[:10], evaluator_calls):
                 offs = np.asarray(offsets)
                 frows, fcols = offs // cols, offs % cols
@@ -669,7 +689,7 @@ class TestStructuralSkips:
         rom = collision_rom_for(rect)
         skips = 0
         for seed in range(6):
-            checker = AegisRwChecker(rect, np.random.default_rng(seed), samples=8)
+            checker = AegisRwChecker(rect, RecordingSource(np.random.default_rng(seed)), samples=8)
             for offsets in skipped_arrivals(checker, fault_feed(800 + seed), evaluator_calls):
                 if len(offsets) > 17:  # the first draw is at f = 10 to 17
                     continue
@@ -686,7 +706,9 @@ class TestStructuralSkips:
         rect = formation(a_size, b_size, 512).rect
         skips = 0
         for seed in range(4):
-            checker = AegisRwPChecker(rect, pointers, np.random.default_rng(seed), samples=8)
+            checker = AegisRwPChecker(
+                rect, pointers, RecordingSource(np.random.default_rng(seed)), samples=8
+            )
             for offsets in skipped_arrivals(checker, fault_feed(900 + seed)[:10], evaluator_calls):
                 assert all(
                     reference_rw_p_recoverable(rect, pointers, offsets, row)
@@ -700,7 +722,7 @@ class TestStructuralSkips:
         max_positions, addr_bits = group_count.bit_length() - 1, 9
         separated = 0
         for seed in range(6):
-            checker = SaferCacheChecker(512, group_count, np.random.default_rng(seed))
+            checker = SaferCacheChecker(512, group_count, BitSource(np.random.default_rng(seed)))
             for offset, stuck in fault_feed(1000 + seed)[:10]:
                 if not checker.add_fault(offset, stuck):
                     break
@@ -731,7 +753,7 @@ class TestSampledCheckerConfiguration:
     )
     def test_samples_below_one_rejected(self, make):
         with pytest.raises(ConfigurationError, match="samples >= 1"):
-            make(np.random.default_rng(0))
+            make(BitSource(np.random.default_rng(0)))
 
     @pytest.mark.parametrize(
         "spec",
@@ -751,11 +773,11 @@ class TestSampledCheckerConfiguration:
     def test_rdis_rejects_a_grid_smaller_than_the_block(self):
         """Rows past the grid would shift out of the int64 row masks."""
         with pytest.raises(ConfigurationError, match="cannot hold 512 bits"):
-            RdisChecker(512, 4, 4, 3, np.random.default_rng(0))
+            RdisChecker(512, 4, 4, 3, BitSource(np.random.default_rng(0)))
 
     def test_safer_cache_rejects_more_groups_than_bits(self):
         with pytest.raises(ConfigurationError, match="more groups than block bits"):
-            SaferCacheChecker(64, 128, np.random.default_rng(0))
+            SaferCacheChecker(64, 128, BitSource(np.random.default_rng(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -790,19 +812,47 @@ PINNED_DRAWS = {
 }
 
 
+def every_roster_spec():
+    """Each spec of the figure rosters, the pinned sampled specs, and the
+    ablation and Hamming specs no roster lists, once by key."""
+    specs = [
+        *roster.figure5_roster(512),
+        *roster.figure8_roster(),
+        *roster.figure9_roster(),
+        *roster.variants_roster(),
+        *(factory() for factory in PINNED_SPECS.values()),
+        roster.aegis_dynamic_spec(23, 23, 512),
+        roster.hamming_spec(512),
+        roster.no_protection_spec(512),
+    ]
+    return list({spec.key: spec for spec in specs}.values())
+
+
+class TestBuildDrawsNothing:
+    @pytest.mark.parametrize("spec", every_roster_spec(), ids=lambda spec: spec.key)
+    def test_building_a_checker_reads_no_bits(self, spec):
+        """The page walk builds a block's checker on the block's first
+        fault; that moves no draw only because building reads nothing."""
+        rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+        with BitSource(rng) as bits:
+            for _ in range(3):
+                spec.make_checker(bits)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestPinnedDraws:
     @pytest.mark.parametrize("key", sorted(PINNED_DRAWS))
     def test_generator_state_after_fixed_feed(self, key):
         rng = np.random.default_rng(14)
-        checker = PINNED_SPECS[key]().make_checker(rng)
-        death = feed_faults(checker, fault_feed(2013))
+        with BitSource(rng) as bits:
+            death = feed_faults(PINNED_SPECS[key]().make_checker(bits), fault_feed(2013))
         assert (death, rng.bit_generator.state["state"]["state"]) == PINNED_DRAWS[key]
 
     @pytest.mark.parametrize("key", sorted(k for k in PINNED_DRAWS if not k.startswith("safer")))
     def test_fixed_feed_has_a_skipped_arrival(self, key, evaluator_calls):
         """Without its structural skip a checker gives the same draws and
         verdicts, only slower; this keeps the skip from vanishing unseen."""
-        checker = PINNED_SPECS[key]().make_checker(np.random.default_rng(14))
+        checker = PINNED_SPECS[key]().make_checker(RecordingSource(np.random.default_rng(14)))
         assert next(skipped_arrivals(checker, fault_feed(2013), evaluator_calls), None)
 
     def test_sampled_canaries_match_recorded_scalar_digests(self):

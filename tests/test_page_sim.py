@@ -9,6 +9,8 @@ from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime
 from repro.sim import kernels, page_sim, roster
 from repro.sim.page_sim import run_page_study, simulate_page
+from repro.sim import rng as rng_module
+from repro.sim.rng import BitSource
 from repro.sim.roster import aegis_spec, ecp_spec, no_protection_spec, safer_spec
 from tests.conftest import PreparedLifetime
 
@@ -113,7 +115,7 @@ class TestWearAccelerationMechanics:
         from repro.sim.roster import aegis_spec
 
         spec = aegis_spec(9, 61, 512)
-        rect = spec.make_checker(np.random.default_rng(0)).rect
+        rect = spec.make_checker(BitSource(np.random.default_rng(0))).rect
 
         class TwoTier(LifetimeModel):
             """One early cell; its slope-0 group mates next; rest far out."""
@@ -290,15 +292,30 @@ def scheduler_events(spec, times: np.ndarray) -> "tuple[object, list[tuple]]":
     return result, [(e.time, e.block, e.offset, e.stuck_value, e.fatal) for e in events]
 
 
+class NumpyDraws:
+    """A :class:`BitSource`'s draws made as the ``Generator.integers``
+    calls they reproduce: the reference the source is held to."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def bit(self) -> int:
+        return int(self.rng.integers(0, 2))
+
+    def patterns(self, samples: int, n: int) -> np.ndarray:
+        return self.rng.integers(0, 2, size=(samples, n), dtype=np.uint8)
+
+
 def full_argsort_events(spec, times: np.ndarray) -> list[tuple]:
     """The wear-free fault timeline walked over the full stable argsort
-    of ``times`` (ties by cell index), one stuck-value draw per arrival."""
-    rng = np.random.default_rng(3)
-    block_checkers = [spec.make_checker(rng) for _ in range(PAGE_BLOCKS)]
+    of ``times`` (ties by cell index), one stuck-value draw per arrival,
+    every draw a ``Generator.integers`` call."""
+    bits = NumpyDraws(np.random.default_rng(3))
+    block_checkers = [spec.make_checker(bits) for _ in range(PAGE_BLOCKS)]
     events = []
     for cell in np.argsort(times, kind="stable").tolist():
         block, offset = divmod(cell, spec.n_bits)
-        stuck = int(rng.integers(0, 2))
+        stuck = bits.bit()
         alive = block_checkers[block].add_fault(offset, stuck)
         events.append((float(times[cell]), block, offset, stuck, not alive))
         if not alive:
@@ -369,3 +386,128 @@ class TestStuckValueRuns:
             batched.integers(0, 2, size=(128, 9), dtype=np.uint8),
             scalar.integers(0, 2, size=(128, 9), dtype=np.uint8),
         )
+
+
+class TestBitSource:
+    """:class:`BitSource` against ``Generator.integers`` on a twin
+    generator: every draw equal, and the generator left where the numpy
+    calls leave it (a numpy release that changes these draws fails here)."""
+
+    @staticmethod
+    def twins(seed: int, cached: bool):
+        source, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if cached:  # leave the high half of a 64-bit output cached
+            assert int(source.integers(0, 2)) == int(twin.integers(0, 2))
+            assert source.bit_generator.state["has_uint32"] == 1
+        return source, twin
+
+    @staticmethod
+    def assert_same_position(rng, twin):
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+        assert int(rng.integers(0, 2)) == int(twin.integers(0, 2))
+        assert rng.random() == twin.random()
+
+    @staticmethod
+    def draw(bits, twin, kind: str, size: int, samples: int) -> None:
+        if kind == "bit":
+            assert bits.bit() == int(twin.integers(0, 2))
+        elif kind == "bits":
+            assert bits.bits(size) == twin.integers(0, 2, size=size).tolist()
+        else:
+            got = bits.patterns(samples, size)
+            want = twin.integers(0, 2, size=(samples, size), dtype=np.uint8)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("samples", [3, 128])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_random_interleavings_match_integers(self, cached, samples):
+        """One-value draws, ``k``-value runs and ``(samples, f)`` pattern
+        draws in random order, over many chunk boundaries (``3 * f`` is a
+        multiple of 4 only when ``f`` is)."""
+        for seed in range(40):
+            plan = np.random.default_rng(1000 + seed)
+            rng, twin = self.twins(seed, cached)
+            with BitSource(rng) as bits:
+                for _ in range(int(plan.integers(0, 41))):
+                    kind = ("bit", "bits", "patterns")[int(plan.integers(0, 3))]
+                    self.draw(bits, twin, kind, int(plan.integers(1, 14)), samples)
+            self.assert_same_position(rng, twin)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("then", [None, "bit", "patterns"])
+    def test_chunk_used_up_exactly(self, cached, then):
+        """Reads that end exactly on the first chunk's last word, then
+        nothing, a one-value draw or a pattern draw across the refill."""
+        rng, twin = self.twins(7, cached)
+        words = 2 * rng_module._FIRST_CHUNK  # uint32 words in the first chunk
+        with BitSource(rng) as bits:
+            if cached:
+                self.draw(bits, twin, "bit", 1, 1)  # the cached half opens the stream
+            self.draw(bits, twin, "patterns", 4, words // 2)  # words // 2 words
+            self.draw(bits, twin, "bits", words - words // 2, 1)
+            assert bits._pos == len(bits._words)  # nothing left unread
+            if then is not None:
+                self.draw(bits, twin, then, 9, 128)
+        self.assert_same_position(rng, twin)
+
+    def test_draws_larger_than_a_chunk(self):
+        rng, twin = self.twins(8, True)
+        with BitSource(rng) as bits:
+            self.draw(bits, twin, "patterns", 64, 128)  # 2048 words, one fetch
+            self.draw(bits, twin, "bits", 3 * rng_module._MAX_CHUNK, 1)
+            self.draw(bits, twin, "bit", 1, 1)
+        self.assert_same_position(rng, twin)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_nothing_drawn_moves_nothing(self, cached):
+        rng, twin = self.twins(9, cached)
+        BitSource(rng).close()
+        self.assert_same_position(rng, twin)
+
+    def test_close_is_idempotent(self):
+        rng, twin = self.twins(10, False)
+        with BitSource(rng) as bits:
+            self.draw(bits, twin, "patterns", 5, 128)
+        bits.close()
+        self.assert_same_position(rng, twin)
+
+    def test_other_bit_generators_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="PCG64"):
+            BitSource(np.random.Generator(np.random.MT19937(1)))
+        with pytest.raises(ConfigurationError, match="PCG64"):
+            simulate_page(
+                roster.rdis_spec(512), 2, np.random.Generator(np.random.MT19937(1))
+            )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [roster.aegis_rw_spec(17, 31, 512), roster.rdis_spec(512), aegis_spec(9, 61, 512)],
+        ids=lambda spec: spec.key,
+    )
+    def test_page_walk_leaves_the_numpy_position(self, spec):
+        """Replaying a walk's fault timeline with ``Generator.integers``
+        draws (one stuck value per arrival, the checkers' pattern draws)
+        gives its stuck values and leaves a twin generator where the walk
+        left its own: wear-free runs and the wear path alike."""
+        times = np.random.default_rng(21).permutation(16 * 512) + 1.0
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        events = []
+        simulate_page(
+            spec,
+            16,
+            rng,
+            lifetime_model=PreparedLifetime(times),
+            write_probability=1.0,
+            observer=events.append,
+        )
+        draws = NumpyDraws(twin)
+        checkers = {}
+        for event in events:
+            if event.block not in checkers:
+                checkers[event.block] = spec.make_checker(draws)
+            checker = checkers[event.block]
+            assert draws.bit() == event.stuck_value
+            assert checker.add_fault(event.offset, event.stuck_value) != event.fatal
+        assert events[-1].fatal
+        self.assert_same_position(rng, twin)

@@ -30,7 +30,7 @@ from repro.sim.parallel import (
     run_study,
     simulate_task_pages,
 )
-from repro.sim.rng import rng_for
+from repro.sim.rng import BitSource, rng_for
 from repro.sim.roster import (
     aegis_rw_p_spec,
     aegis_spec,
@@ -73,7 +73,7 @@ class TestSpecPicklability:
         assert clone.key == spec.key
         assert clone.overhead_bits == spec.overhead_bits
         # the reconstructed factories must produce working objects
-        checker = clone.make_checker(np.random.default_rng(0))
+        checker = clone.make_checker(BitSource(np.random.default_rng(0)))
         assert checker.add_fault(1, 0) in (True, False)
 
     def test_checker_from_unpickled_spec_matches_original(self):

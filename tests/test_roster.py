@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pcm.cell import CellArray
+from repro.sim.rng import BitSource
 from repro.sim.roster import (
     RW_P_CHOICES,
     aegis_dynamic_spec,
@@ -48,8 +49,8 @@ class TestSpecConsistency:
 
     def test_checker_factories_independent(self):
         spec = aegis_spec(9, 61, 512)
-        c1 = spec.make_checker(np.random.default_rng(0))
-        c2 = spec.make_checker(np.random.default_rng(0))
+        c1 = spec.make_checker(BitSource(np.random.default_rng(0)))
+        c2 = spec.make_checker(BitSource(np.random.default_rng(0)))
         c1.add_fault(0, 0)
         assert c2.fault_offsets == []
 
