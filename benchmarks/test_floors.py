@@ -26,7 +26,11 @@ same host and asserts a fixed floor:
   running aggregate;
 * ``test_pool_speedup``: a process pool beats the serial run by the
   floor for its worker count (median of alternating pairs), with
-  identical results; skipped on hosts with fewer cores than workers.
+  identical results; skipped on hosts with fewer cores than workers;
+* ``test_bit_source_floor``: the scalar walks' ``BitSource`` hands out an
+  rdis-3-shaped sequence of stuck-value runs and ``(128, f)`` pattern
+  draws at least 1.5x faster than the ``Generator.integers`` calls it
+  reproduces (median of alternating pairs), with identical values.
 
 Regressions against an earlier commit are measured by
 ``perfbench/run.py``, not here.
@@ -50,7 +54,7 @@ from repro.pcm.lifetime import FixedLifetime, NormalLifetime
 from repro.service import MemoryArray, ServiceController, run_load
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import run_page_study
-from repro.sim.rng import rng_for
+from repro.sim.rng import BitSource, rng_for
 from repro.sim.roster import aegis_spec, ecp_spec, safer_spec
 
 SPECS = {
@@ -79,6 +83,17 @@ FIRST_TOUCH_ADDRESSES = 1024
 
 CAMPAIGN_MEMORY_FACTOR = 3.0
 CAMPAIGN_SCALE = 100
+
+BIT_SOURCE_FLOOR = 1.5
+#: (stuck-run length, faults) per drawing arrival: rdis-3 draws 128
+#: patterns from its 4th fault on, after a run of one to a few stuck values
+BIT_SOURCE_PLAN = [
+    (int(k), int(f))
+    for k, f in zip(
+        np.random.default_rng(35).integers(1, 4, 400),
+        np.random.default_rng(36).integers(4, 14, 400),
+    )
+]
 
 
 def _median_speedup(label, baseline, candidate, prepare=None):
@@ -314,3 +329,27 @@ def test_pool_speedup(case):
         pytest.skip(f"needs {workers} CPUs")
     median = _median_speedup(case, lambda: run(1), lambda: run(workers))
     assert median >= floor
+
+
+def _numpy_draws():
+    """The plan's draws as ``Generator.integers`` calls (a one-value run is
+    the scalar call the page walk made before the bit source)."""
+    rng, drawn = rng_for(2013, 35), []
+    for k, f in BIT_SOURCE_PLAN:
+        drawn.append([int(rng.integers(0, 2))] if k == 1 else rng.integers(0, 2, k).tolist())
+        drawn.append(rng.integers(0, 2, size=(128, f), dtype=np.uint8).tobytes())
+    return drawn, rng.bit_generator.state
+
+
+def _bit_source_draws():
+    rng, drawn = rng_for(2013, 35), []
+    with BitSource(rng) as bits:
+        for k, f in BIT_SOURCE_PLAN:
+            drawn.append(bits.bits(k))
+            drawn.append(bits.patterns(128, f).tobytes())
+    return drawn, rng.bit_generator.state
+
+
+def test_bit_source_floor():
+    median = _median_speedup("bit source rdis-3 draws", _numpy_draws, _bit_source_draws)
+    assert median >= BIT_SOURCE_FLOOR
