@@ -117,10 +117,8 @@ class BitSource:
         have left it: rewind the unused raw outputs and restore the cached
         ``uint32`` half.  Idempotent."""
         bitgen, self._bitgen = self._bitgen, None
-        if bitgen is None:
-            return
-        if self._base + self._pos == 0:
-            return  # nothing read: nothing moved
+        if bitgen is None or self._base + self._pos == 0:
+            return  # closed already, or nothing read: nothing moved
         words = self._base + self._pos - self._lead  # read from raw outputs
         used = -(-words // 2)
         unused = self._fetched - used
