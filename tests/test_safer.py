@@ -1,5 +1,7 @@
 """Tests for the SAFER baseline (both policies) and SAFER-cache."""
 
+import hashlib
+from dataclasses import astuple
 from itertools import permutations
 
 import numpy as np
@@ -259,3 +261,47 @@ class TestSaferCache:
             roundtrip(scheme, random_data(rng, 512)) for _ in range(20)
         )
         assert successes == 20
+
+
+#: each bit-accurate SAFER controller, walked over seeded fault and data
+#: feeds until its first uncorrectable write: the sha256 prefix of every
+#: write's receipt, partition vector and inversion flags plus the error at
+#: death.  No figure golden covers these controllers (the studies run the
+#: checkers), so a change to the partition rule must not move these
+CONTROLLERS = {
+    "safer64-incremental": lambda cells: SaferScheme(cells, 64, policy="incremental"),
+    "safer64-exhaustive": lambda cells: SaferScheme(cells, 64, policy="exhaustive"),
+    "safer32-cache": lambda cells: SaferCacheScheme(cells, 32),
+    "safer64-cache": lambda cells: SaferCacheScheme(cells, 64),
+}
+CONTROLLER_DIGESTS = {
+    "safer64-incremental": "ded09e629a983768",
+    "safer64-exhaustive": "cad1fda29b781681",
+    "safer32-cache": "677bc32a1c2e712d",
+    "safer64-cache": "bb6b91bf35a93888",
+}
+
+
+def controller_digest(make, seeds=range(20), writes_per_fault=2):
+    digest = hashlib.sha256()
+    for seed in seeds:
+        stream = np.random.default_rng(seed)
+        cells = CellArray(512)
+        scheme = make(cells)
+        for offset in stream.permutation(512):
+            cells.inject_fault(int(offset), stuck_value=int(stream.integers(0, 2)))
+            try:
+                for _ in range(writes_per_fault):
+                    receipt = scheme.write(random_data(stream, 512))
+                    digest.update(repr((astuple(receipt), scheme.positions)).encode())
+                    digest.update(scheme.inversion.tobytes())
+            except UncorrectableError as exc:
+                digest.update(repr((str(exc), exc.fault_offsets)).encode())
+                break
+    return digest.hexdigest()[:16]
+
+
+class TestControllerDigests:
+    @pytest.mark.parametrize("key", sorted(CONTROLLERS))
+    def test_walk_matches_recorded_digest(self, key):
+        assert controller_digest(CONTROLLERS[key]) == CONTROLLER_DIGESTS[key]
