@@ -9,25 +9,32 @@ its offset at the selected positions, so ``j`` selected positions induce
 Two re-partition policies are provided (DESIGN.md §4):
 
 * ``"incremental"`` — faithful to SAFER's hardware: the vector only ever
-  *grows*; when two detected faults collide, one bit-position at which their
-  addresses differ is appended.  With the vector full, any further collision
-  kills the block.  This is the behaviour the Aegis paper critiques (only
-  ``n + 1`` usable configurations).
+  *grows* (:func:`grow_vector`); when two detected faults collide, one
+  bit-position at which their addresses differ is appended.  With the
+  vector full, any further collision kills the block.  This is the
+  behaviour the Aegis paper critiques (only ``n + 1`` usable
+  configurations).
 * ``"exhaustive"`` — a generous upper bound: search every combination of at
   most ``m`` positions for one that separates all detected faults.  For
   512-bit blocks that is at most ``C(9, m) <= 126`` candidates, so the
   search is trivially cheap in software even though SAFER's hardware cannot
-  perform it.  Benchmarks default to this policy so that the reproduced
-  Aegis advantage is conservative.
+  perform it.
+
+Every figure runs the incremental policy (``safer_spec``'s default).  Only
+the rows that build ``SaferScheme(cells, n)`` bare, whose default is
+exhaustive, run the upper bound: ext-writecost, ext-latency,
+ext-intrablock and ``examples/quickstart.py``.
 
 ``SaferCacheScheme`` adds the paper's fail-cache variant (SAFER-N-cache):
 with known stuck-at values, a group may hold any number of same-type faults,
-so the vector search only needs to avoid mixing W and R faults in a group,
-and the block is programmed in a single pass.
+so the vector only has to grow when a group mixes W and R faults, and the
+block is programmed in a single pass.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import combinations
 
@@ -93,34 +100,75 @@ def separates(positions: tuple[int, ...], offsets: list[int]) -> bool:
     return len(values) == len(offsets)
 
 
-def colliding_pairs(positions: tuple[int, ...], offsets: list[int]) -> int:
-    """Number of fault pairs sharing a vector value under ``positions``."""
-    counts: dict[int, int] = {}
-    for offset in offsets:
-        value = vector_value(offset, positions)
-        counts[value] = counts.get(value, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+def check_policy(policy: str) -> None:
+    """Reject a SAFER re-partition policy other than ``incremental`` or
+    ``exhaustive``."""
+    if policy not in ("incremental", "exhaustive"):
+        raise ConfigurationError(f"unknown SAFER policy {policy!r}")
 
 
-def best_extension(
+@lru_cache(maxsize=None)
+def partition_vectors(n_bits: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Every ``size``-position partition vector of an ``n_bits`` block, in
+    lexicographic order — shared across the thousands of checkers a page
+    study constructs."""
+    return tuple(combinations(range(ceil_log2(n_bits)), size))
+
+
+def _shared_pairs(values: Iterable[int]) -> int:
+    """Number of pairs among ``values`` that are equal: faults sharing a group."""
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
+
+
+def grow_vector(
     positions: tuple[int, ...],
-    faults: list[int],
-    colliding: tuple[int, int],
-    addr_bits: int,
-) -> int | None:
-    """The position to append to a partition vector: among the positions at
-    which the colliding pair differs, the one leaving the fewest colliding
-    pairs overall (ties broken toward the lowest index)."""
-    differing = colliding[0] ^ colliding[1]
-    best: int | None = None
-    best_score = None
-    for position in range(addr_bits):
-        if position in positions or not (differing >> position) & 1:
-            continue
-        score = colliding_pairs((*positions, position), faults)
-        if best_score is None or score < best_score:
-            best, best_score = position, score
-    return best
+    offsets: Sequence[int],
+    max_positions: int,
+    wrong: Sequence[bool] | None = None,
+) -> tuple[int, ...] | None:
+    """SAFER's grow-only rule: append address bits to ``positions`` until no
+    group holds a conflict; ``None`` when the vector is full with one left.
+
+    A conflict is two ``offsets`` in one group or, given ``wrong`` (a flag
+    per offset: the fail cache's W faults), a W and an R fault in one
+    group.  Each step takes one conflicting pair — the first repeated group
+    in ``offsets`` order with its first holder, or the first R fault whose
+    group holds a W fault with the last such W fault — and appends the bit
+    at which the pair differs that leaves the fewest pairs of ``offsets``
+    sharing a group (ties toward the lowest bit; the hardware scores every
+    candidate against its fail-address registers in parallel).  The pair
+    agrees on every selected position, so each such bit is free.
+    """
+    values = [vector_value(offset, positions) for offset in offsets]
+    while True:
+        pair = None
+        if wrong is None:
+            holders: dict[int, int] = {}
+            for offset, value in zip(offsets, values):
+                if value in holders:
+                    pair = holders[value], offset
+                    break
+                holders[value] = offset
+        else:
+            last_w = {v: o for o, v, w in zip(offsets, values, wrong) if w}
+            for offset, value, is_wrong in zip(offsets, values, wrong):
+                if not is_wrong and value in last_w:
+                    pair = last_w[value], offset
+                    break
+        if pair is None:
+            return positions
+        if len(positions) >= max_positions:
+            return None
+        shift = len(positions)
+        differing = int(pair[0] ^ pair[1])
+        added = min(
+            (p for p in range(differing.bit_length()) if (differing >> p) & 1),
+            key=lambda p: _shared_pairs(
+                v | (((o >> p) & 1) << shift) for o, v in zip(offsets, values)
+            ),
+        )
+        positions = (*positions, added)
+        values = [v | (((o >> added) & 1) << shift) for o, v in zip(offsets, values)]
 
 
 class SaferScheme(RecoveryScheme):
@@ -135,11 +183,9 @@ class SaferScheme(RecoveryScheme):
     ) -> None:
         super().__init__(cells)
         check_group_count(group_count, cells.n_bits)
-        if policy not in ("incremental", "exhaustive"):
-            raise ConfigurationError(f"unknown SAFER policy {policy!r}")
+        check_policy(policy)
         self.group_count = group_count
         self.max_positions = ceil_log2(group_count)
-        self.addr_bits = ceil_log2(cells.n_bits)
         self.policy = policy
         self.positions: tuple[int, ...] = ()
         self.inversion = np.zeros(group_count, dtype=np.uint8)
@@ -170,55 +216,30 @@ class SaferScheme(RecoveryScheme):
         """Find a vector separating ``detected``; raises when none exists
         under the configured policy."""
         faults = sorted(detected)
-        if self.policy == "exhaustive":
-            for size in range(self.max_positions + 1):
-                for candidate in combinations(range(self.addr_bits), size):
-                    if separates(candidate, faults):
-                        return candidate
-            raise UncorrectableError(
-                f"{self.name}: no {self.max_positions}-position vector separates "
-                f"{len(faults)} faults",
-                fault_offsets=tuple(faults),
-            )
-        # incremental: extend the current vector one position at a time,
-        # choosing the distinguishing position that minimises remaining
-        # collisions (the hardware can evaluate all candidate positions
-        # against its fail-address registers in parallel)
-        positions = self.positions
-        while not separates(positions, faults):
-            if len(positions) >= self.max_positions:
+        if self.policy == "incremental":
+            positions = grow_vector(self.positions, faults, self.max_positions)
+            if positions is None:
                 raise UncorrectableError(
                     f"{self.name}: partition vector full with a collision remaining",
                     fault_offsets=tuple(faults),
                 )
-            colliding = self._first_colliding_pair(positions, faults)
-            added = best_extension(positions, faults, colliding, self.addr_bits)
-            if added is None:
-                raise UncorrectableError(
-                    f"{self.name}: no free position distinguishes colliding faults",
-                    fault_offsets=tuple(faults),
-                )
-            positions = (*positions, added)
-        return positions
-
-    @staticmethod
-    def _first_colliding_pair(
-        positions: tuple[int, ...], faults: list[int]
-    ) -> tuple[int, int]:
-        seen: dict[int, int] = {}
-        for offset in faults:
-            value = vector_value(offset, positions)
-            if value in seen:
-                return seen[value], offset
-            seen[value] = offset
-        raise AssertionError("no collision among separated faults")  # pragma: no cover
+            return positions
+        for size in range(self.max_positions + 1):
+            for candidate in partition_vectors(self.cells.n_bits, size):
+                if separates(candidate, faults):
+                    return candidate
+        raise UncorrectableError(
+            f"{self.name}: no {self.max_positions}-position vector separates "
+            f"{len(faults)} faults",
+            fault_offsets=tuple(faults),
+        )
 
     # -- data path -----------------------------------------------------------
 
     def _encode_write(self, data: np.ndarray) -> WriteReceipt:
         receipt = WriteReceipt()
         detected: set[int] = set()
-        max_iterations = 2 * self.cells.n_bits + self.addr_bits + 4
+        max_iterations = 2 * self.cells.n_bits + ceil_log2(self.cells.n_bits) + 4
         for _ in range(max_iterations):
             stored_form = np.bitwise_xor(data, self._inversion_mask())
             receipt.cell_writes += self.cells.write(stored_form)
@@ -252,47 +273,16 @@ class SaferScheme(RecoveryScheme):
         return np.bitwise_xor(self.cells.read(), self._inversion_mask())
 
 
-def grow_vector_for_mixing(
-    positions: tuple[int, ...],
-    wrong: list[int],
-    right: list[int],
-    max_positions: int,
-    addr_bits: int,
-) -> tuple[int, ...] | None:
-    """Extend a grow-only partition vector until no group mixes a W fault
-    with an R fault; ``None`` when the vector fills up with mixing left.
-
-    This is the cache-assisted collision rule on SAFER's actual hardware:
-    the fail cache relaxes *what counts as a collision* (same-type faults
-    may share a group) but the partition vector still only ever grows.
-    """
-    while True:
-        w_groups: dict[int, int] = {}
-        for offset in wrong:
-            w_groups[vector_value(offset, positions)] = offset
-        mixing: tuple[int, int] | None = None
-        for offset in right:
-            value = vector_value(offset, positions)
-            if value in w_groups:
-                mixing = (w_groups[value], offset)
-                break
-        if mixing is None:
-            return positions
-        if len(positions) >= max_positions:
-            return None
-        added = best_extension(positions, [*wrong, *right], mixing, addr_bits)
-        if added is None:
-            return None
-        positions = (*positions, added)
-
-
-class SaferCacheScheme(RecoveryScheme):
+class SaferCacheScheme(SaferScheme):
     """SAFER-N-cache: SAFER with a fail cache revealing stuck-at values.
 
     The cache buys two things (paper §2.4): groups may hold any number of
     *same-type* faults (only W/R mixing forces a re-partition), and writes
     complete in a single pass.  The partition vector itself remains SAFER's
-    grow-only hardware structure.
+    grow-only hardware structure, so the ``m + 1`` separation guarantee
+    carries over: separated faults are never type-mixed.  The per-block
+    cost is SAFER's; the fail cache is chip-shared SRAM whose cost the
+    paper deliberately leaves out of this accounting.
     """
 
     def __init__(
@@ -301,55 +291,33 @@ class SaferCacheScheme(RecoveryScheme):
         group_count: int,
         knowledge: FaultKnowledge | None = None,
     ) -> None:
-        super().__init__(cells)
-        check_group_count(group_count, cells.n_bits)
-        self.group_count = group_count
-        self.max_positions = ceil_log2(group_count)
-        self.addr_bits = ceil_log2(cells.n_bits)
+        super().__init__(cells, group_count, policy="incremental")
         self.knowledge = knowledge if knowledge is not None else OracleKnowledge()
-        self.positions: tuple[int, ...] = ()
-        self.inversion = np.zeros(group_count, dtype=np.uint8)
 
     @property
     def name(self) -> str:
         return f"SAFER{self.group_count}-cache"
-
-    @property
-    def overhead_bits(self) -> int:
-        """Per-block bits only; the fail cache is chip-shared SRAM whose
-        cost the paper deliberately leaves out of this accounting."""
-        return safer_cost(self.group_count, self.cells.n_bits)
-
-    @property
-    def hard_ftc(self) -> int:
-        """The grow-only separation guarantee carries over: ``m + 1``
-        faults are always fully separable, hence never type-mixed."""
-        return safer_hard_ftc(self.group_count)
-
-    def _inversion_mask(self) -> np.ndarray:
-        ids = group_ids(self.cells.n_bits, self.positions)
-        return self.inversion[ids].astype(np.uint8)
 
     def _encode_write(self, data: np.ndarray) -> WriteReceipt:
         receipt = WriteReceipt()
         max_attempts = self.cells.n_bits + 2
         for _ in range(max_attempts):
             faults = self.knowledge.known_faults(self.cells)
-            wrong = [o for o, stuck in faults.items() if stuck != int(data[o])]
-            right = [o for o, stuck in faults.items() if stuck == int(data[o])]
-            vector = grow_vector_for_mixing(
-                self.positions, wrong, right, self.max_positions, self.addr_bits
-            )
+            offsets = list(faults)
+            wrong = [stuck != int(data[o]) for o, stuck in faults.items()]
+            vector = grow_vector(self.positions, offsets, self.max_positions, wrong)
             if vector is None:
+                n_wrong = sum(wrong)
                 raise UncorrectableError(
                     f"{self.name}: partition vector full with W and R faults "
-                    f"mixed ({len(wrong)} W, {len(right)} R)",
+                    f"mixed ({n_wrong} W, {len(wrong) - n_wrong} R)",
                     fault_offsets=tuple(sorted(faults)),
                 )
             self.positions = vector
             self.inversion[:] = 0
-            for offset in wrong:
-                self.inversion[vector_value(offset, vector)] = 1
+            for offset, is_wrong in zip(offsets, wrong):
+                if is_wrong:
+                    self.inversion[vector_value(offset, vector)] = 1
             stored_form = np.bitwise_xor(data, self._inversion_mask())
             receipt.cell_writes += self.cells.write(stored_form)
             receipt.verification_reads += 1
@@ -363,6 +331,3 @@ class SaferCacheScheme(RecoveryScheme):
         raise AssertionError(
             f"{self.name}: write service did not converge"
         )  # pragma: no cover - each retry learns a new fault
-
-    def read(self) -> np.ndarray:
-        return np.bitwise_xor(self.cells.read(), self._inversion_mask())

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import combinations
 from typing import Protocol
 
 import numpy as np
@@ -56,10 +55,10 @@ from repro.core.geometry import Rectangle
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
 from repro.schemes.safer import (
-    best_extension,
     check_group_count,
     group_ids,
-    grow_vector_for_mixing,
+    grow_vector,
+    partition_vectors,
     vector_value,
     vector_values,
 )
@@ -103,13 +102,6 @@ def _pair_indices(n: int) -> np.ndarray:
     pairs = np.array(np.triu_indices(n, k=1))
     pairs.flags.writeable = False
     return pairs
-
-
-@lru_cache(maxsize=None)
-def _safer_vectors(addr_bits: int, max_positions: int) -> tuple[tuple[int, ...], ...]:
-    """All candidate SAFER partition vectors for a block geometry — shared
-    across the thousands of checkers a page study constructs."""
-    return tuple(combinations(range(addr_bits), max_positions))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +332,9 @@ class SaferChecker:
 
     def __init__(self, n_bits: int, group_count: int) -> None:
         self.n_bits = n_bits
-        self.addr_bits = ceil_log2(n_bits)
         self.max_positions = ceil_log2(group_count)
         self._live: dict[tuple[int, ...], int] = dict.fromkeys(
-            _safer_vectors(self.addr_bits, self.max_positions), 0
+            partition_vectors(n_bits, self.max_positions), 0
         )  # vector -> bitmask of used group values
         self.fault_offsets: list[int] = []
         self.alive = True
@@ -381,37 +372,20 @@ class SaferIncrementalChecker:
 
     def __init__(self, n_bits: int, group_count: int) -> None:
         self.n_bits = n_bits
-        self.addr_bits = ceil_log2(n_bits)
         self.max_positions = ceil_log2(group_count)
         self.positions: tuple[int, ...] = ()
         self.fault_offsets: list[int] = []
         self.alive = True
 
-    def _collision(self) -> tuple[int, int] | None:
-        seen: dict[int, int] = {}
-        for offset in self.fault_offsets:
-            value = vector_value(offset, self.positions)
-            if value in seen:
-                return seen[value], offset
-            seen[value] = offset
-        return None
-
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
             return False
         self.fault_offsets.append(offset)
-        while (pair := self._collision()) is not None:
-            if len(self.positions) >= self.max_positions:
-                self.alive = False
-                return False
-            added = best_extension(
-                self.positions, self.fault_offsets, pair, self.addr_bits
-            )
-            if added is None:
-                self.alive = False
-                return False
-            self.positions = (*self.positions, added)
-        return True
+        grown = grow_vector(self.positions, self.fault_offsets, self.max_positions)
+        self.alive = grown is not None
+        if self.alive:
+            self.positions = grown
+        return self.alive
 
     def group_members(self, offset: int) -> np.ndarray:
         ids = group_ids(self.n_bits, self.positions)
@@ -442,7 +416,6 @@ class SaferCacheChecker:
         self.group_count = group_count
         self.bits = bits
         self.samples = samples
-        self.addr_bits = ceil_log2(n_bits)
         self.max_positions = ceil_log2(group_count)
         self.positions: tuple[int, ...] = ()
         self.fault_offsets: list[int] = []
@@ -472,10 +445,9 @@ class SaferCacheChecker:
             if not mixing.any():
                 break
             start += int(mixing.argmax())
-            wrong = wrong_masks[start]
-            grown = grow_vector_for_mixing(
-                self.positions, offs[wrong].tolist(), offs[~wrong].tolist(),
-                self.max_positions, self.addr_bits,
+            grown = grow_vector(
+                self.positions, self.fault_offsets, self.max_positions,
+                wrong_masks[start].tolist(),
             )
             if grown is None:
                 self.alive = False

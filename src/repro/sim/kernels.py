@@ -52,7 +52,6 @@ from the first fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -60,6 +59,7 @@ from repro.core.collision import collision_rom_for
 from repro.core.formations import formation
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
+from repro.schemes.safer import partition_vectors
 from repro.sim.context import ENGINE_CHOICES
 from repro.util.bitops import ceil_log2
 
@@ -274,9 +274,9 @@ class _SaferIncrementalBatch(_BatchChecker):
       faults share a value — only the *new* fault can collide, and with
       exactly one earlier fault (the first scan match).
     * Every candidate extension position separates that unique pair, so
-      ``best_extension``'s collision score is 0 for all candidates and
-      its lowest-index tie-break always picks the lowest differing
-      address bit; one extension resolves the collision.
+      :func:`~repro.schemes.safer.grow_vector`'s collision score is 0 for
+      all candidates and its lowest-index tie-break always picks the
+      lowest differing address bit; one extension resolves the collision.
     """
 
     _row_state = ("sel_mask", "n_sel")
@@ -319,16 +319,11 @@ class _SaferExhaustiveBatch(_BatchChecker):
 
     def __init__(self, group_count: int, n_bits: int, n_trials: int) -> None:
         super().__init__(n_bits, n_trials)
-        addr_bits = ceil_log2(n_bits)
-        max_positions = ceil_log2(group_count)
-        masks = []
-        for vector in combinations(range(addr_bits), max_positions):
-            mask = 0
-            for position in vector:
-                mask |= 1 << position
-            masks.append(mask)
-        self.vector_masks = np.asarray(masks, dtype=np.int64)
-        self.alive_vectors = np.ones((n_trials, len(masks)), dtype=bool)
+        vectors = partition_vectors(n_bits, ceil_log2(group_count))
+        self.vector_masks = np.asarray(
+            [sum(1 << position for position in vector) for vector in vectors], dtype=np.int64
+        )
+        self.alive_vectors = np.ones((n_trials, len(vectors)), dtype=bool)
 
     def add_faults(self, offsets: np.ndarray, active: np.ndarray) -> np.ndarray:
         prior = self._push(offsets)

@@ -37,7 +37,7 @@ from repro.schemes.ecp import EcpScheme
 from repro.schemes.hamming import HammingScheme
 from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.rdis import RdisScheme
-from repro.schemes.safer import SaferCacheScheme, SaferScheme
+from repro.schemes.safer import SaferCacheScheme, SaferScheme, check_policy
 from repro.sim import checkers
 from repro.sim.rng import BitSource
 from repro.core.formations import ecp_cost_for_ftc, hamming_cost, rdis_dimensions
@@ -243,6 +243,7 @@ def safer_spec(group_count: int, n_bits: int, policy: str = "incremental") -> Sc
     """SAFER-N.  The default ``incremental`` policy is the paper-faithful
     grow-only partition vector; ``exhaustive`` is the generous upper bound
     (see the policy ablation benchmark)."""
+    check_policy(policy)
     suffix = "" if policy == "incremental" else "-exh"
     if policy == "exhaustive":
         checker_factory = partial(_safer_exhaustive_checker, n_bits, group_count)

@@ -32,7 +32,7 @@ from repro.pairing.sim import pairing_study
 from repro.pcm.cell import CellArray
 from repro.remap.sim import remap_page_study
 from repro.schemes.rdis import rdis_mask
-from repro.schemes.safer import SaferScheme, grow_vector_for_mixing, vector_value
+from repro.schemes.safer import SaferScheme, grow_vector, vector_value
 from repro.sim import checkers, roster
 from repro.sim.block_sim import block_lifetime_study
 from repro.sim.checkers import (
@@ -333,10 +333,8 @@ class TestSaferCacheChecker:
             found_kill = False
             kill_rng = np.random.default_rng(trial + 1000)
             for _ in range(512):
-                wrong_mask = kill_rng.integers(0, 2, size=len(offsets)).astype(bool)
-                wrong = [o for o, w in zip(offsets, wrong_mask) if w]
-                right = [o for o, w in zip(offsets, wrong_mask) if not w]
-                if grow_vector_for_mixing(checker.positions, wrong, right, 5, 9) is None:
+                wrong = kill_rng.integers(0, 2, size=len(offsets)).astype(bool)
+                if grow_vector(checker.positions, offsets, 5, wrong) is None:
                     found_kill = True
                     break
             assert found_kill
@@ -513,9 +511,9 @@ class TestWholeSampleVerdicts:
 
     @pytest.mark.parametrize("group_count", [32, 64, 128])
     def test_safer_cache_checker_matches_sequential_growth(self, group_count):
-        """The vector and the verdict equal a grow_vector_for_mixing call
-        per pattern, in pattern order."""
-        max_positions, addr_bits = group_count.bit_length() - 1, 9
+        """The vector and the verdict equal a grow_vector call per pattern,
+        in pattern order."""
+        max_positions = group_count.bit_length() - 1
         for seed in range(4):
             bits = RecordingSource(np.random.default_rng(seed))
             checker = SaferCacheChecker(512, group_count, bits)
@@ -523,9 +521,7 @@ class TestWholeSampleVerdicts:
             for alive, offsets, wrong in replay_draws(checker, fault_feed(300 + seed)):
                 oracle = True
                 for row in wrong:
-                    grown = grow_vector_for_mixing(
-                        positions, *split(offsets, row), max_positions, addr_bits
-                    )
+                    grown = grow_vector(positions, offsets, max_positions, row)
                     if grown is None:
                         oracle = False
                         break
@@ -719,7 +715,7 @@ class TestStructuralSkips:
 
     @pytest.mark.parametrize("group_count", [32, 64, 128])
     def test_safer_cache_separating_vector_mixes_no_split(self, group_count):
-        max_positions, addr_bits = group_count.bit_length() - 1, 9
+        max_positions = group_count.bit_length() - 1
         separated = 0
         for seed in range(6):
             checker = SaferCacheChecker(512, group_count, BitSource(np.random.default_rng(seed)))
@@ -731,10 +727,7 @@ class TestStructuralSkips:
                 if not positions or len(groups) < len(offsets):
                     continue
                 for row in all_splits(len(offsets)):
-                    grown = grow_vector_for_mixing(
-                        positions, *split(offsets, row), max_positions, addr_bits
-                    )
-                    assert grown == positions
+                    assert grow_vector(positions, offsets, max_positions, row) == positions
                 separated += 1
         assert separated >= 10
 

@@ -6,6 +6,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, UncorrectableError
 from repro.pcm.cell import CellArray
@@ -13,15 +15,14 @@ from repro.schemes.base import roundtrip
 from repro.schemes.safer import (
     SaferCacheScheme,
     SaferScheme,
-    best_extension,
     check_group_count,
-    colliding_pairs,
     group_ids,
-    grow_vector_for_mixing,
+    grow_vector,
     separates,
     vector_value,
     vector_values,
 )
+from repro.sim import roster
 from repro.sim.checkers import SaferCacheChecker, SaferIncrementalChecker
 from tests.conftest import random_data
 
@@ -84,20 +85,51 @@ class TestVectorMath:
         assert separates((), [7])
         assert not separates((), [1, 2])
 
-    def test_colliding_pairs(self):
-        # offsets 0,1,2,3 under vector (1,): values 0,0,1,1 -> two pairs
-        assert colliding_pairs((1,), [0, 1, 2, 3]) == 2
 
-    def test_best_extension_prefers_fewest_collisions(self):
-        # colliding pair (0, 3) differs at positions 0 and 1; with faults
-        # {0, 3, 1}: adding position 0 leaves 0|1 colliding? values:
-        # pos0 -> 0:0, 3:1, 1:1 (one pair); pos1 -> 0:0, 3:1, 1:0 (one pair)
-        choice = best_extension((), [0, 3, 1], (0, 3), 9)
-        assert choice in (0, 1)
+class TestGrowVector:
+    def test_grows_until_no_two_faults_share_a_group(self):
+        # offsets 0,1,2,3 under vector (1,): values 0,0,1,1 -> the pair
+        # (0, 1) differs only at bit 0, which separates both pairs
+        assert grow_vector((1,), [0, 1, 2, 3], 5) == (1, 0)
+        assert grow_vector((1,), [0, 2], 5) == (1,)
 
-    def test_best_extension_none_when_exhausted(self):
-        # all distinguishing positions already used
-        assert best_extension((0,), [0, 1], (0, 1), 1) is None
+    def test_full_vector_with_a_collision_left_is_none(self):
+        assert grow_vector((1,), [0, 1, 2, 3], 1) is None
+        assert grow_vector((), [0, 1], 0) is None
+
+    def test_prefers_the_bit_leaving_fewest_collisions(self):
+        # pair (0, 3) differs at bits 0 and 1; over {0, 3, 1, 7} bit 0
+        # leaves three colliding pairs and bit 1 two, so bit 1 goes first
+        assert grow_vector((), [0, 3, 1, 7], 5) == (1, 0, 2)
+
+    def test_ties_go_to_the_lowest_bit(self):
+        # bits 0 and 1 both separate the lone pair (0, 3)
+        assert grow_vector((), [0, 3], 5) == (0,)
+        assert grow_vector((), [0, 3, 2], 5) == (0, 1)
+
+    @given(st.data())
+    def test_one_new_fault_appends_its_pair_lowest_differing_bit(self, data):
+        """The batch kernel's premise: with the stored faults separated, a
+        new fault collides with at most one of them, and one step appends
+        the pair's lowest differing bit (or the full vector dies)."""
+        max_positions = data.draw(st.integers(1, 9))
+        order = data.draw(st.permutations(range(9)))
+        positions = tuple(order[: data.draw(st.integers(0, max_positions))])
+        drawn = data.draw(st.lists(st.integers(0, 511), min_size=1, max_size=40, unique=True))
+        *candidates, new = drawn
+        holders: dict[int, int] = {}
+        for offset in candidates:
+            holders.setdefault(vector_value(offset, positions), offset)
+        stored = list(holders.values())
+        partner = holders.get(vector_value(new, positions))
+        grown = grow_vector(positions, [*stored, new], max_positions)
+        if partner is None:
+            assert grown == positions
+        elif len(positions) == max_positions:
+            assert grown is None
+        else:
+            differing = partner ^ new
+            assert grown == (*positions, (differing & -differing).bit_length() - 1)
 
 
 class TestCheckGroupCount:
@@ -149,6 +181,16 @@ class TestSaferScheme:
         with pytest.raises(ConfigurationError):
             make_scheme(policy="bogus")
 
+    def test_spec_and_controller_reject_the_same_policy(self):
+        builders = [
+            lambda: SaferScheme(CellArray(512), 64, policy="exhaustve"),
+            lambda: roster.safer_spec(64, 512, policy="exhaustve"),
+        ]
+        for build in builders:
+            with pytest.raises(ConfigurationError) as info:
+                build()
+            assert str(info.value) == "unknown SAFER policy 'exhaustve'"
+
     @pytest.mark.parametrize("policy", ["incremental", "exhaustive"])
     def test_hard_ftc_recoverable(self, rng, policy):
         # any m+1 = 6 faults must be tolerated by SAFER32 under either policy
@@ -197,38 +239,40 @@ class TestSaferScheme:
             assert deaths["exhaustive"] >= deaths["incremental"]
 
 
-class TestGrowVectorForMixing:
-    def test_no_mixing_keeps_vector(self):
+class TestGrowVectorWithWrong:
+    def test_same_type_faults_keep_vector(self):
         # all faults the same type: the empty vector already works
-        assert grow_vector_for_mixing((), [3, 5, 9], [], 5, 9) == ()
-        assert grow_vector_for_mixing((), [], [3, 5], 5, 9) == ()
+        assert grow_vector((), [3, 5, 9], 5, [True, True, True]) == ()
+        assert grow_vector((), [3, 5], 5, [False, False]) == ()
 
     def test_mixing_pair_grows_once(self):
         # offsets 0 (W) and 1 (R) differ only at position 0
-        grown = grow_vector_for_mixing((), [0], [1], 5, 9)
-        assert grown == (0,)
+        assert grow_vector((), [0, 1], 5, [True, False]) == (0,)
 
     def test_grow_only(self):
-        grown = grow_vector_for_mixing((3,), [0], [1], 5, 9)
+        grown = grow_vector((3,), [0, 1], 5, [True, False])
         assert grown is not None
         assert grown[0] == 3  # existing positions preserved
 
     def test_exhaustion_returns_none(self):
         # W at 0 and R at 1 with a max of 0 positions: unrecoverable
-        assert grow_vector_for_mixing((), [0], [1], 0, 9) is None
+        assert grow_vector((), [0, 1], 0, [True, False]) is None
+
+    def test_pair_is_first_r_with_last_w_of_its_group(self):
+        # R fault 2 shares group () with W faults 0 and 6; the pair (6, 2)
+        # differs only at bit 2, then (0, 2) only at bit 1.  Pairing with
+        # the first W fault would grow (1, 2) instead
+        assert grow_vector((), [0, 6, 2], 5, [True, True, False]) == (2, 1)
 
     def test_result_has_no_mixing(self, rng):
         for _ in range(20):
-            wrong = [int(o) for o in rng.choice(512, size=5, replace=False)]
-            right = [
-                int(o) for o in rng.choice(512, size=5, replace=False)
-                if int(o) not in wrong
-            ]
-            grown = grow_vector_for_mixing((), wrong, right, 6, 9)
+            offsets = [int(o) for o in rng.choice(512, size=10, replace=False)]
+            wrong = rng.integers(0, 2, size=10).astype(bool).tolist()
+            grown = grow_vector((), offsets, 6, wrong)
             if grown is None:
                 continue
-            w_groups = {vector_value(o, grown) for o in wrong}
-            r_groups = {vector_value(o, grown) for o in right}
+            w_groups = {vector_value(o, grown) for o, w in zip(offsets, wrong) if w}
+            r_groups = {vector_value(o, grown) for o, w in zip(offsets, wrong) if not w}
             assert not (w_groups & r_groups)
 
 
