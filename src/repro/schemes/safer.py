@@ -33,8 +33,7 @@ block is programmed in a single pass.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations
 
@@ -115,9 +114,12 @@ def partition_vectors(n_bits: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(ceil_log2(n_bits)), size))
 
 
-def _shared_pairs(values: Iterable[int]) -> int:
-    """Number of pairs among ``values`` that are equal: faults sharing a group."""
-    return sum(c * (c - 1) // 2 for c in Counter(values).values())
+def _crowding(groups: list[int]) -> int:
+    """Sum of every group's size squared: the fault count plus twice the
+    pairs of faults sharing a group, so it ranks vectors as that pair
+    count does (``list.count`` beats a ``Counter`` on the few faults of a
+    typical growth step)."""
+    return sum(map(groups.count, groups))
 
 
 def grow_vector(
@@ -163,8 +165,8 @@ def grow_vector(
         differing = int(pair[0] ^ pair[1])
         added = min(
             (p for p in range(differing.bit_length()) if (differing >> p) & 1),
-            key=lambda p: _shared_pairs(
-                v | (((o >> p) & 1) << shift) for o, v in zip(offsets, values)
+            key=lambda p: _crowding(
+                [v | (((o >> p) & 1) << shift) for o, v in zip(offsets, values)]
             ),
         )
         positions = (*positions, added)
