@@ -12,13 +12,7 @@ from repro.schemes.ecp import EcpScheme
 from repro.schemes.hamming import HammingScheme
 from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.rdis import RdisScheme, rdis_mask
-from repro.schemes.safer import (
-    SaferCacheScheme,
-    SaferScheme,
-    grow_vector,
-    separates,
-    vector_value,
-)
+from repro.schemes.safer import SaferCacheScheme, SaferScheme, separates, vector_value
 
 __all__ = [
     "EcpScheme",
@@ -32,7 +26,6 @@ __all__ = [
     "SaferScheme",
     "SchemeStats",
     "WriteReceipt",
-    "grow_vector",
     "rdis_mask",
     "roundtrip",
     "separates",
