@@ -126,7 +126,7 @@ def test_ext_intrablock(benchmark, capsys):
     """The §2.1 intra-block wear-leveling side claim."""
     result = once(
         benchmark,
-        lambda: run_experiment("ext-intrablock", writes=100, trials=5, seed=2013),
+        lambda: run_experiment("ext-intrablock", writes=100, blocks=5, seed=2013),
     )
     show(result, capsys)
     rows = {(r[0], r[1]): r for r in result.rows}
@@ -142,7 +142,7 @@ def test_ext_latency(benchmark, capsys):
     result = once(
         benchmark,
         lambda: run_experiment(
-            "ext-latency", fault_counts=(0, 6, 12), writes=20, trials=4, seed=2013
+            "ext-latency", fault_counts=(0, 6, 12), writes=20, blocks=4, seed=2013
         ),
     )
     show(result, capsys)
@@ -159,7 +159,7 @@ def test_ext_writecost(benchmark, capsys):
     result = once(
         benchmark,
         lambda: run_experiment(
-            "ext-writecost", fault_counts=(0, 4, 8, 12), writes=25, trials=6, seed=2013
+            "ext-writecost", fault_counts=(0, 4, 8, 12), writes=25, blocks=6, seed=2013
         ),
     )
     show(result, capsys)

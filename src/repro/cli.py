@@ -190,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.set_defaults(handler=_cmd_run)
     run_cmd.add_argument("experiments", nargs="+", help="experiment ids or 'all'")
     run_cmd.add_argument("--pages", type=int, default=128, help="pages per Monte Carlo study")
-    run_cmd.add_argument("--trials", type=int, default=2000, help="trials for block-level studies")
+    run_cmd.add_argument("--trials", type=int, default=2000, help="Monte Carlo trials for "
+                         "the block-level studies fig8, fig10, ext-bsweep and ext-softftc")
     _add_block_bits(run_cmd)
     _add_exec_flags(
         run_cmd,

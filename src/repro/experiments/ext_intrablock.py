@@ -28,11 +28,11 @@ from repro.schemes.safer import SaferScheme
 
 
 def _wear_spread(
-    scheme_factory, n_bits: int, fault_count: int, writes: int, trials: int, seed: int
+    scheme_factory, n_bits: int, fault_count: int, writes: int, blocks: int, seed: int
 ) -> tuple[float, float]:
     """(mean CoV of healthy-cell write counts, mean hottest/mean ratio)."""
     covs, peaks = [], []
-    for trial in range(trials):
+    for trial in range(blocks):
         rng = np.random.default_rng((seed, trial))
         cells = CellArray(n_bits)
         fault_offsets = rng.choice(n_bits, size=fault_count, replace=False)
@@ -63,9 +63,10 @@ def run(
     block_bits: int = 512,
     fault_counts: tuple[int, ...] = (4, 8, 12),
     writes: int = 120,
-    trials: int = 6,
+    blocks: int = 6,
 ) -> ExperimentResult:
-    """Healthy-cell wear evenness by scheme and resident fault count."""
+    """Healthy-cell wear evenness by scheme and resident fault count, over
+    ``blocks`` faulty blocks per table row."""
     contenders = [
         ("Aegis 9x61", lambda c: AegisScheme(c, formation(9, 61, block_bits))),
         ("SAFER64", lambda c: SaferScheme(c, 64)),
@@ -75,7 +76,7 @@ def run(
     for label, factory in contenders:
         for fault_count in fault_counts:
             cov, peak = _wear_spread(
-                factory, block_bits, fault_count, writes, trials, ctx.seed
+                factory, block_bits, fault_count, writes, blocks, ctx.seed
             )
             rows.append((label, fault_count, round(cov, 3), round(peak, 2)))
     return ExperimentResult(

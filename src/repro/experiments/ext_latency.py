@@ -26,9 +26,10 @@ def run(
     block_bits: int = 512,
     fault_counts: tuple[int, ...] = (0, 6, 12),
     writes: int = 30,
-    trials: int = 6,
+    blocks: int = 6,
 ) -> ExperimentResult:
-    """Mean write latency (ns) by scheme and resident fault count."""
+    """Mean write latency (ns) by scheme and resident fault count, over
+    ``blocks`` faulty blocks per table row."""
     form = formation(9, 61, block_bits)
     model = LatencyModel()
     contenders = [
@@ -49,7 +50,7 @@ def run(
                 model=model,
                 n_bits=block_bits,
                 writes=writes,
-                trials=trials,
+                trials=blocks,
                 seed=ctx.seed,
             )
             rows.append(

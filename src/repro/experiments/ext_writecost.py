@@ -28,10 +28,11 @@ def run(
     block_bits: int = 512,
     fault_counts: tuple[int, ...] = (0, 4, 8, 12),
     writes: int = 40,
-    trials: int = 8,
+    blocks: int = 8,
 ) -> ExperimentResult:
     """Average cell writes / verification reads / inversion re-writes per
-    serviced request, by scheme and fault count."""
+    serviced request, by scheme and fault count, over ``blocks`` faulty
+    blocks per table row."""
     form = formation(9, 61, block_bits)
     contenders = [
         ("Aegis 9x61", lambda c: AegisScheme(c, form)),
@@ -50,7 +51,7 @@ def run(
                 n_bits=block_bits,
                 fault_count=fault_count,
                 writes=writes,
-                trials=trials,
+                trials=blocks,
                 seed=ctx.seed,
             )
             rows.append(

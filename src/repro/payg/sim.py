@@ -124,7 +124,7 @@ def simulate_payg_page(
         aegis_spec(form.a_size, form.b_size, form.n_bits),
         make_checker=make_checker,
         inversion_wear=False,
-        kernel=None,
+        make_batch=None,
     )
     page = simulate_page(
         spec,

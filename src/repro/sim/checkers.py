@@ -12,12 +12,13 @@ Each checker consumes fault arrivals one at a time via
 Two families exist:
 
 * **static** checkers, for schemes whose recoverability is data-independent
-  (plain Aegis, SAFER without a cache, ECP): the survival condition is an
-  exact set property of the fault locations.  For Aegis it is "some slope
-  separates all faults" — by Theorem 2 each fault pair poisons exactly one
-  slope, so the block lives while fewer than ``B`` slopes are poisoned.
+  (plain Aegis, SAFER without a cache, ECP, Hamming, no protection): the
+  survival condition is an exact set property of the fault locations.  For
+  Aegis it is "some slope separates all faults" — by Theorem 2 each fault
+  pair poisons exactly one slope, so the block lives while fewer than
+  ``B`` slopes are poisoned.
 * **sampled** checkers, for schemes whose recoverability depends on the
-  written data (Aegis-rw/-rw-p, SAFER-cache, RDIS, Hamming): each fault
+  written data (Aegis-rw/-rw-p, SAFER-cache, RDIS): each fault
   arrival draws ``samples`` random data patterns at the fault positions in
   one draw from the walk's :class:`~repro.sim.rng.BitSource` — standing in
   for the millions of real writes that hit the block before the next fault
@@ -54,6 +55,7 @@ from repro.core.collision import NO_COLLISION, CollisionROM, collision_rom_for
 from repro.core.geometry import Rectangle
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
+from repro.schemes.hamming import DATA_BITS
 from repro.schemes.safer import (
     check_group_count,
     group_ids,
@@ -84,11 +86,6 @@ class BlockChecker(Protocol):
         """Bits sharing a recovery group with ``offset`` under the current
         configuration — the cells that suffer extra inversion-write wear.
         Empty for schemes without group inversion."""
-
-
-def _draw_patterns(bits: BitSource, samples: int, n_faults: int) -> np.ndarray:
-    """Random data bits at the fault positions, shape ``(samples, n_faults)``."""
-    return bits.patterns(samples, n_faults)
 
 
 def _check_samples(samples: int) -> None:
@@ -212,7 +209,7 @@ class AegisRwChecker:
         b = self.rect.b_size
         if f < self.draws_from:
             return True
-        wrong = _draw_patterns(self.bits, self.samples, f).view(bool)
+        wrong = self.bits.patterns(self.samples, f).view(bool)
         if self._separable():
             return True
         poisoned = _poisoned_slopes(self._rom, self.fault_offsets, wrong)
@@ -290,7 +287,7 @@ class AegisRwPChecker(AegisRwChecker):
         b = self.rect.b_size
         if f < self.draws_from:
             return True  # every split fits the budget and leaves a free slope
-        wrong = _draw_patterns(self.bits, self.samples, f).view(bool)
+        wrong = self.bits.patterns(self.samples, f).view(bool)
         # min(f_W, f_R) <= p for every split, and a separating slope is free
         if f <= 2 * self.pointers + 1 and self._separable():
             return True
@@ -429,7 +426,7 @@ class SaferCacheChecker:
         f = len(self.fault_offsets)
         # no early-out even at small f: the vector must grow in response to
         # the sampled traffic, exactly as the hardware's would
-        wrong_masks = _draw_patterns(self.bits, self.samples, f).view(bool)
+        wrong_masks = self.bits.patterns(self.samples, f).view(bool)
         offs = np.asarray(self.fault_offsets, dtype=np.int64)
         start = 0
         while start < self.samples:
@@ -544,7 +541,7 @@ class RdisChecker:
         self._col_faults[col] += 1
         if len(self.fault_offsets) < self.draws_from:
             return True
-        data = _draw_patterns(self.bits, self.samples, len(self.fault_offsets))
+        data = self.bits.patterns(self.samples, len(self.fault_offsets))
         # toggle 1 marks a correct fault only if it has a row-mate and a
         # column-mate; without such a fault it inverts exactly the wrong ones
         if not self._crossed:
@@ -609,20 +606,11 @@ def _any_rdis_failure(
 
 
 class HammingChecker:
-    """Sampled survival for per-64-bit-word SEC-DED: a pattern fails when
-    two faults in one word are both stuck-at-wrong."""
+    """Static survival for per-64-bit-word SEC-DED: the block dies with the
+    second fault in one word."""
 
-    def __init__(
-        self,
-        n_bits: int,
-        bits: BitSource,
-        samples: int = DEFAULT_SAMPLES,
-        word_bits: int = 64,
-    ) -> None:
+    def __init__(self, n_bits: int) -> None:
         self.n_bits = n_bits
-        self.word_bits = word_bits
-        self.bits = bits
-        self.samples = samples
         self.fault_offsets: list[int] = []
         self.alive = True
 
@@ -630,8 +618,8 @@ class HammingChecker:
         if not self.alive:
             return False
         self.fault_offsets.append(offset)
-        words = np.asarray(self.fault_offsets, dtype=np.int64) // self.word_bits
-        new_word = offset // self.word_bits
+        words = np.asarray(self.fault_offsets, dtype=np.int64) // DATA_BITS
+        new_word = offset // DATA_BITS
         collocated = int((words == new_word).sum())
         if collocated < 2:
             return True
@@ -731,7 +719,7 @@ class AegisDynamicChecker:
         f = len(self.fault_offsets)
         if (f * (f - 1)) // 2 < self.rect.b_size:
             return True  # all faults separable: no pattern can fail
-        for pattern in _draw_patterns(self.bits, self.samples, f):
+        for pattern in self.bits.patterns(self.samples, f):
             if self._pattern_fails(pattern):
                 self.alive = False
                 return False

@@ -39,14 +39,15 @@ tie (e.g. :class:`~repro.pcm.lifetime.FixedLifetime`): the log keeps
 each death's class and cell next to its time, so the page simulator
 counts the deaths before a page's fatal one under the same order.
 
-Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec` via
-its ``kernel`` tag; :func:`resolve_engine` maps the public
+Coverage is declared on each :class:`~repro.sim.roster.SchemeSpec`: its
+constructor binds ``make_batch`` to one of the batch classes below, or
+leaves it ``None``; :func:`resolve_engine` maps the public
 ``engine="auto"|"scalar"`` switch to the path actually taken.
 Sampled (data-dependent) schemes — Aegis-rw variants, SAFER-cache,
-RDIS — carry no tag and always take the scalar path.  So do Hamming and
-the unprotected baseline.  ECP's kernel is one fault counter per row;
-ECP has no inversion wear, so its page studies run the frozen-order walk
-from the first fault.
+RDIS — bind none and always take the scalar path.  So do Hamming, the
+unprotected baseline and Aegis wider than :data:`MAX_SLOPE_BITS` slopes.
+ECP's kernel is one fault counter per row; ECP has no inversion wear, so
+its page studies run the frozen-order walk from the first fault.
 """
 
 from __future__ import annotations
@@ -70,13 +71,9 @@ _ONE = np.uint64(1)
 
 
 def kernel_supported(spec) -> bool:
-    """Whether a batch kernel covers ``spec`` (static scheme, in-range)."""
-    tag = getattr(spec, "kernel", None)
-    if not tag:
-        return False
-    if tag[0] == "aegis":
-        return tag[2] <= MAX_SLOPE_BITS  # uint64 poisoned-slope bitset
-    return tag[0] in _BUILDERS
+    """Whether a batch kernel covers ``spec``: its constructor bound a
+    ``make_batch`` (static schemes only, Aegis within the slope bitset)."""
+    return spec.make_batch is not None
 
 
 def validate_engine(engine: str) -> str:
@@ -98,7 +95,8 @@ def resolve_engine(engine: str, target, covers=kernel_supported) -> str:
 
     Returns ``"vector"`` for ``"auto"`` when ``covers(target)`` is truthy
     and ``"scalar"`` otherwise; ``"scalar"`` never consults ``covers``.
-    The simulators pass a spec and the default :func:`kernel_supported`;
+    The simulators pass a spec and the default :func:`kernel_supported`
+    (the spec bound a ``make_batch``);
     the service layer passes an array and
     :func:`repro.service.kernels.kernel_for`.
     """
@@ -211,7 +209,7 @@ class _BatchChecker:
         return None
 
 
-class _AegisBatch(_BatchChecker):
+class AegisBatch(_BatchChecker):
     """Vectorized :class:`~repro.sim.checkers.AegisChecker`.
 
     Theorem 2: each fault pair poisons exactly one slope, read off the
@@ -263,7 +261,7 @@ class _AegisBatch(_BatchChecker):
         return self._members[slope, self._part[slope, offsets]]
 
 
-class _SaferIncrementalBatch(_BatchChecker):
+class SaferIncrementalBatch(_BatchChecker):
     """Vectorized :class:`~repro.sim.checkers.SaferIncrementalChecker`.
 
     Two structural facts collapse the scalar re-partition loop into one
@@ -309,7 +307,7 @@ class _SaferIncrementalBatch(_BatchChecker):
         return ((cells[None, :] ^ offsets[:, None]) & self.sel_mask[:, None]) == 0
 
 
-class _SaferExhaustiveBatch(_BatchChecker):
+class SaferExhaustiveBatch(_BatchChecker):
     """Vectorized :class:`~repro.sim.checkers.SaferChecker` (exhaustive
     policy): a per-trial boolean row over every candidate partition
     vector; a vector dies when the new fault equals an earlier fault
@@ -344,7 +342,7 @@ class _SaferExhaustiveBatch(_BatchChecker):
         return ((cells[None, :] ^ offsets[:, None]) & first[:, None]) == 0
 
 
-class _EcpBatch(_BatchChecker):
+class EcpBatch(_BatchChecker):
     """Vectorized :class:`~repro.sim.checkers.EcpChecker`: one fault
     counter per trial; the block dies with fault ``p + 1``."""
 
@@ -361,24 +359,11 @@ class _EcpBatch(_BatchChecker):
         return self.alive
 
 
-_BUILDERS = {
-    "ecp": lambda tag, n_bits, n_trials: _EcpBatch(tag[1], n_bits, n_trials),
-    "aegis": lambda tag, n_bits, n_trials: _AegisBatch(tag[1], tag[2], n_bits, n_trials),
-    "safer-incremental": lambda tag, n_bits, n_trials: _SaferIncrementalBatch(
-        tag[1], n_bits, n_trials
-    ),
-    "safer-exhaustive": lambda tag, n_bits, n_trials: _SaferExhaustiveBatch(
-        tag[1], n_bits, n_trials
-    ),
-}
-
-
 def batch_checker_for(spec, n_trials: int) -> _BatchChecker:
     """Construct the batch checker covering ``spec`` for ``n_trials`` rows."""
     if not kernel_supported(spec):
         raise ConfigurationError(f"no batch kernel covers scheme {spec.key!r}")
-    tag = spec.kernel
-    return _BUILDERS[tag[0]](tag, spec.n_bits, n_trials)
+    return spec.make_batch(n_trials)
 
 
 # ---------------------------------------------------------------------------

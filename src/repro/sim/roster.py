@@ -7,15 +7,19 @@ drivers need to evaluate one scheme configuration:
 * the per-block ``overhead_bits`` (printed above the paper's bars),
 * a factory for the fast Monte Carlo :class:`~repro.sim.checkers.BlockChecker`,
 * a factory for the bit-accurate controller (for cross-validation and the
-  slow device model), and
+  slow device model),
 * whether the scheme performs extra *inversion writes* on fault-containing
   groups (true for the cache-less partition schemes; this drives the wear
-  amplification model, DESIGN.md §4).
+  amplification model, DESIGN.md §4), and
+* for the static schemes a batch kernel covers, a factory for the
+  :mod:`repro.sim.kernels` batch checker.
 
-Both factories are :func:`functools.partial` bindings of module-level
-functions (never lambdas or closures) so that a spec — and therefore a
-whole simulation task — can be pickled across the process boundary of
-:mod:`repro.sim.parallel`.
+Every factory is the implementing class itself, bound with
+:func:`functools.partial` (never a lambda or closure), so that a spec —
+and therefore a whole simulation task — pickles by reference across the
+process boundary of :mod:`repro.sim.parallel`.  The spec constructors
+below are the one place that says which class implements which
+configuration.
 
 ``figure5_roster`` / ``figure8_roster`` / ``variants_roster`` reproduce the
 exact scheme lists of the paper's figures.
@@ -30,7 +34,8 @@ from functools import partial
 from repro.core.aegis import AegisScheme
 from repro.core.aegis_rw import AegisRwScheme
 from repro.core.aegis_rw_p import AegisRwPScheme
-from repro.core.formations import Formation, formation, rdis_cost, safer_cost
+from repro.core.formations import formation, rdis_cost, safer_cost
+from repro.core.formations import ecp_cost_for_ftc, hamming_cost, rdis_dimensions
 from repro.pcm.cell import CellArray
 from repro.schemes.base import RecoveryScheme
 from repro.schemes.ecp import EcpScheme
@@ -38,12 +43,12 @@ from repro.schemes.hamming import HammingScheme
 from repro.schemes.ideal import NoProtectionScheme
 from repro.schemes.rdis import RdisScheme
 from repro.schemes.safer import SaferCacheScheme, SaferScheme, check_policy
-from repro.sim import checkers
+from repro.sim import checkers, kernels
 from repro.sim.rng import BitSource
-from repro.core.formations import ecp_cost_for_ftc, hamming_cost, rdis_dimensions
 
 CheckerFactory = Callable[[BitSource], object]
 ControllerFactory = Callable[[CellArray], RecoveryScheme]
+BatchFactory = Callable[[int], object]
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,9 @@ class SchemeSpec:
     make_checker: CheckerFactory
     make_controller: ControllerFactory
     inversion_wear: bool = False
-    #: declarative batch-kernel tag consumed by :mod:`repro.sim.kernels`
-    #: (``None`` for sampled schemes, which always run the scalar path)
-    kernel: tuple[object, ...] | None = None
+    #: the batch-checker class bound to everything but the trial count
+    #: (``None`` where no kernel covers the scheme: it runs the scalar path)
+    make_batch: BatchFactory | None = None
 
     @property
     def overhead_fraction(self) -> float:
@@ -68,109 +73,11 @@ class SchemeSpec:
         return self.overhead_bits / self.n_bits
 
 
-# ---------------------------------------------------------------------------
-# Picklable factory targets (bound with functools.partial by the spec
-# constructors below; module-level so the bindings survive pickling)
-# ---------------------------------------------------------------------------
-
-
-def _aegis_checker(form: Formation, bits: BitSource) -> object:
-    return checkers.AegisChecker(form.rect)
-
-
-def _aegis_rw_checker(
-    form: Formation, samples: int, bits: BitSource
-) -> object:
-    return checkers.AegisRwChecker(form.rect, bits, samples)
-
-
-def _aegis_rw_p_checker(
-    form: Formation, pointers: int, samples: int, bits: BitSource
-) -> object:
-    return checkers.AegisRwPChecker(form.rect, pointers, bits, samples)
-
-
-def _aegis_dynamic_checker(
-    form: Formation, samples: int, bits: BitSource
-) -> object:
-    return checkers.AegisDynamicChecker(form.rect, bits, samples)
-
-
-def _ecp_checker(pointers: int, bits: BitSource) -> object:
-    return checkers.EcpChecker(pointers)
-
-
-def _safer_exhaustive_checker(
-    n_bits: int, group_count: int, bits: BitSource
-) -> object:
-    return checkers.SaferChecker(n_bits, group_count)
-
-
-def _safer_incremental_checker(
-    n_bits: int, group_count: int, bits: BitSource
-) -> object:
-    return checkers.SaferIncrementalChecker(n_bits, group_count)
-
-
-def _safer_cache_checker(
-    n_bits: int, group_count: int, samples: int, bits: BitSource
-) -> object:
-    return checkers.SaferCacheChecker(n_bits, group_count, bits, samples)
-
-
-def _rdis_checker(
-    n_bits: int, rows: int, cols: int, depth: int, samples: int,
-    bits: BitSource,
-) -> object:
-    return checkers.RdisChecker(n_bits, rows, cols, depth, bits, samples)
-
-
-def _hamming_checker(n_bits: int, bits: BitSource) -> object:
-    return checkers.HammingChecker(n_bits, bits)
-
-
-def _no_protection_checker(bits: BitSource) -> object:
-    return checkers.NoProtectionChecker()
-
-
-def _aegis_controller(form: Formation, cells: CellArray) -> RecoveryScheme:
-    return AegisScheme(cells, form)
-
-
-def _aegis_rw_controller(form: Formation, cells: CellArray) -> RecoveryScheme:
-    return AegisRwScheme(cells, form)
-
-
-def _aegis_rw_p_controller(
-    form: Formation, pointers: int, cells: CellArray
-) -> RecoveryScheme:
-    return AegisRwPScheme(cells, form, pointers)
-
-
-def _ecp_controller(pointers: int, cells: CellArray) -> RecoveryScheme:
-    return EcpScheme(cells, pointers)
-
-
-def _safer_controller(
-    group_count: int, policy: str, cells: CellArray
-) -> RecoveryScheme:
-    return SaferScheme(cells, group_count, policy=policy)
-
-
-def _safer_cache_controller(group_count: int, cells: CellArray) -> RecoveryScheme:
-    return SaferCacheScheme(cells, group_count)
-
-
-def _rdis_controller(depth: int, cells: CellArray) -> RecoveryScheme:
-    return RdisScheme(cells, depth)
-
-
-def _hamming_controller(cells: CellArray) -> RecoveryScheme:
-    return HammingScheme(cells)
-
-
-def _no_protection_controller(cells: CellArray) -> RecoveryScheme:
-    return NoProtectionScheme(cells)
+def _static(checker_type: type, *args: object) -> object:
+    """Build a static checker; the trailing argument is the walk's
+    :class:`~repro.sim.rng.BitSource`, which a static checker never draws
+    from."""
+    return checker_type(*args[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +87,17 @@ def _no_protection_controller(cells: CellArray) -> RecoveryScheme:
 
 def aegis_spec(a_size: int, b_size: int, n_bits: int) -> SchemeSpec:
     form = formation(a_size, b_size, n_bits)
+    batch = partial(kernels.AegisBatch, a_size, b_size, n_bits)
     return SchemeSpec(
         key=f"aegis-{a_size}x{b_size}",
         label=f"Aegis {a_size}x{b_size}",
         n_bits=n_bits,
         overhead_bits=form.aegis_overhead_bits,
-        make_checker=partial(_aegis_checker, form),
-        make_controller=partial(_aegis_controller, form),
+        make_checker=partial(_static, checkers.AegisChecker, form.rect),
+        make_controller=partial(AegisScheme, formation=form),
         inversion_wear=True,
-        kernel=("aegis", a_size, b_size),
+        # a wider rectangle overflows the kernel's uint64 poisoned-slope bitset
+        make_batch=batch if b_size <= kernels.MAX_SLOPE_BITS else None,
     )
 
 
@@ -201,8 +110,8 @@ def aegis_rw_spec(
         label=f"Aegis-rw {a_size}x{b_size}",
         n_bits=n_bits,
         overhead_bits=form.aegis_overhead_bits,
-        make_checker=partial(_aegis_rw_checker, form, samples),
-        make_controller=partial(_aegis_rw_controller, form),
+        make_checker=partial(checkers.AegisRwChecker, form.rect, samples=samples),
+        make_controller=partial(AegisRwScheme, formation=form),
         inversion_wear=False,
     )
 
@@ -220,8 +129,8 @@ def aegis_rw_p_spec(
         label=f"Aegis-rw-p {a_size}x{b_size} (p={pointers})",
         n_bits=n_bits,
         overhead_bits=form.aegis_rw_p_overhead_bits(pointers),
-        make_checker=partial(_aegis_rw_p_checker, form, pointers, samples),
-        make_controller=partial(_aegis_rw_p_controller, form, pointers),
+        make_checker=partial(checkers.AegisRwPChecker, form.rect, pointers, samples=samples),
+        make_controller=partial(AegisRwPScheme, formation=form, pointers=pointers),
         inversion_wear=False,
     )
 
@@ -232,10 +141,10 @@ def ecp_spec(pointers: int, n_bits: int) -> SchemeSpec:
         label=f"ECP{pointers}",
         n_bits=n_bits,
         overhead_bits=ecp_cost_for_ftc(pointers, n_bits),
-        make_checker=partial(_ecp_checker, pointers),
-        make_controller=partial(_ecp_controller, pointers),
+        make_checker=partial(_static, checkers.EcpChecker, pointers),
+        make_controller=partial(EcpScheme, pointers=pointers),
         inversion_wear=False,
-        kernel=("ecp", pointers),
+        make_batch=partial(kernels.EcpBatch, pointers, n_bits),
     )
 
 
@@ -246,18 +155,18 @@ def safer_spec(group_count: int, n_bits: int, policy: str = "incremental") -> Sc
     check_policy(policy)
     suffix = "" if policy == "incremental" else "-exh"
     if policy == "exhaustive":
-        checker_factory = partial(_safer_exhaustive_checker, n_bits, group_count)
+        checker_type, batch_type = checkers.SaferChecker, kernels.SaferExhaustiveBatch
     else:
-        checker_factory = partial(_safer_incremental_checker, n_bits, group_count)
+        checker_type, batch_type = checkers.SaferIncrementalChecker, kernels.SaferIncrementalBatch
     return SchemeSpec(
         key=f"safer{group_count}{suffix}",
         label=f"SAFER{group_count}{suffix}",
         n_bits=n_bits,
         overhead_bits=safer_cost(group_count, n_bits),
-        make_checker=checker_factory,
-        make_controller=partial(_safer_controller, group_count, policy),
+        make_checker=partial(_static, checker_type, n_bits, group_count),
+        make_controller=partial(SaferScheme, group_count=group_count, policy=policy),
         inversion_wear=True,
-        kernel=(f"safer-{policy}", group_count),
+        make_batch=partial(batch_type, group_count, n_bits),
     )
 
 
@@ -269,8 +178,8 @@ def safer_cache_spec(
         label=f"SAFER{group_count}-cache",
         n_bits=n_bits,
         overhead_bits=safer_cost(group_count, n_bits),
-        make_checker=partial(_safer_cache_checker, n_bits, group_count, samples),
-        make_controller=partial(_safer_cache_controller, group_count),
+        make_checker=partial(checkers.SaferCacheChecker, n_bits, group_count, samples=samples),
+        make_controller=partial(SaferCacheScheme, group_count=group_count),
         inversion_wear=False,
     )
 
@@ -284,8 +193,8 @@ def rdis_spec(
         label=f"RDIS-{depth}",
         n_bits=n_bits,
         overhead_bits=rdis_cost(n_bits, depth),
-        make_checker=partial(_rdis_checker, n_bits, rows, cols, depth, samples),
-        make_controller=partial(_rdis_controller, depth),
+        make_checker=partial(checkers.RdisChecker, n_bits, rows, cols, depth, samples=samples),
+        make_controller=partial(RdisScheme, depth=depth),
         inversion_wear=False,
     )
 
@@ -296,8 +205,8 @@ def hamming_spec(n_bits: int) -> SchemeSpec:
         label="Hamming(72,64)",
         n_bits=n_bits,
         overhead_bits=hamming_cost(n_bits),
-        make_checker=partial(_hamming_checker, n_bits),
-        make_controller=_hamming_controller,
+        make_checker=partial(_static, checkers.HammingChecker, n_bits),
+        make_controller=HammingScheme,
         inversion_wear=False,
     )
 
@@ -308,8 +217,8 @@ def no_protection_spec(n_bits: int) -> SchemeSpec:
         label="None",
         n_bits=n_bits,
         overhead_bits=0,
-        make_checker=_no_protection_checker,
-        make_controller=_no_protection_controller,
+        make_checker=partial(_static, checkers.NoProtectionChecker),
+        make_controller=NoProtectionScheme,
         inversion_wear=False,
     )
 
@@ -325,8 +234,8 @@ def aegis_dynamic_spec(
         label=f"Aegis {a_size}x{b_size} (dynamic)",
         n_bits=n_bits,
         overhead_bits=form.aegis_overhead_bits,
-        make_checker=partial(_aegis_dynamic_checker, form, samples),
-        make_controller=partial(_aegis_controller, form),
+        make_checker=partial(checkers.AegisDynamicChecker, form.rect, samples=samples),
+        make_controller=partial(AegisScheme, formation=form),
         inversion_wear=True,
     )
 

@@ -347,7 +347,7 @@ class TestSimpleCheckers:
         assert feed_faults(checker, faults) == 3  # 4th fault (index 3) kills
 
     def test_hamming_death_on_word_collision(self):
-        checker = HammingChecker(512, BitSource(np.random.default_rng(0)))
+        checker = HammingChecker(512)
         assert checker.add_fault(0, 0)     # word 0
         assert checker.add_fault(70, 1)    # word 1
         assert not checker.add_fault(63, 0)  # word 0 again -> dead

@@ -76,7 +76,7 @@ class TestExtBsweep:
 class TestExtWriteCost:
     def test_single_pass_for_cache_variants(self):
         result = run_experiment(
-            "ext-writecost", fault_counts=(0, 6), writes=10, trials=3, seed=3
+            "ext-writecost", fault_counts=(0, 6), writes=10, blocks=3, seed=3
         )
         for row in result.rows:
             label, faults = row[0], row[1]
@@ -88,7 +88,7 @@ class TestExtWriteCost:
 class TestExtLatency:
     def test_cache_assisted_flat_latency(self):
         result = run_experiment(
-            "ext-latency", fault_counts=(0, 8), writes=8, trials=2, seed=3
+            "ext-latency", fault_counts=(0, 8), writes=8, blocks=2, seed=3
         )
         latency = {(r[0], r[1]): float(r[2]) for r in result.rows}
         assert latency[("Aegis-rw 9x61", 8)] == latency[("Aegis-rw 9x61", 0)]

@@ -114,7 +114,7 @@ class TestEngineResolution:
 
     def test_wide_aegis_exceeds_slope_bitset(self):
         spec = aegis_spec(8, 71, 512)
-        assert spec.kernel[2] == 71 > MAX_SLOPE_BITS
+        assert spec.make_batch is None and 71 > MAX_SLOPE_BITS
         with pytest.raises(ConfigurationError):
             batch_checker_for(spec, 4)
 

@@ -17,6 +17,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.tracer import Tracer, set_tracer
+from repro.pcm.cell import CellArray
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import run_page_study, simulate_page
 from repro.sim.parallel import (
@@ -32,6 +33,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.rng import BitSource, rng_for
 from repro.sim.roster import (
+    aegis_dynamic_spec,
     aegis_rw_p_spec,
     aegis_spec,
     ecp_spec,
@@ -62,6 +64,11 @@ class TestSpecPicklability:
         + variants_roster(512)
         + [
             safer_cache_spec(64, 512),
+            safer_cache_spec(32, 512),
+            safer_cache_spec(128, 512),
+            safer_spec(64, 512, policy="exhaustive"),
+            aegis_spec(8, 71, 512),
+            aegis_dynamic_spec(23, 23, 512),
             rdis_spec(512),
             hamming_spec(512),
             no_protection_spec(512),
@@ -75,6 +82,17 @@ class TestSpecPicklability:
         # the reconstructed factories must produce working objects
         checker = clone.make_checker(BitSource(np.random.default_rng(0)))
         assert checker.add_fault(1, 0) in (True, False)
+        controller = clone.make_controller(CellArray(clone.n_bits))
+        assert type(controller) is type(spec.make_controller(CellArray(spec.n_bits)))
+        assert controller.overhead_bits == spec.overhead_bits
+        data = np.random.default_rng(0).integers(0, 2, clone.n_bits, dtype=np.uint8)
+        controller.write(data)
+        assert np.array_equal(controller.read(), data)
+        assert (clone.make_batch is None) == (spec.make_batch is None)
+        if clone.make_batch is not None:
+            batch = clone.make_batch(4)
+            alive = batch.add_faults(np.arange(4, dtype=np.int64), np.ones(4, dtype=bool))
+            assert alive.shape == (4,) and alive.all()
 
     def test_checker_from_unpickled_spec_matches_original(self):
         spec = aegis_rw_p_spec(9, 61, 9, 512)
