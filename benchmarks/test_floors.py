@@ -30,7 +30,12 @@ same host and asserts a fixed floor:
 * ``test_bit_source_floor``: the scalar walks' ``BitSource`` hands out an
   rdis-3-shaped sequence of stuck-value runs and ``(128, f)`` pattern
   draws at least 1.5x faster than the ``Generator.integers`` calls it
-  reproduces (median of alternating pairs), with identical values.
+  reproduces (median of alternating pairs), with identical values;
+* ``test_safer_cache_floor``: ``SaferCacheChecker`` walks seeded
+  safer64-cache blocks to death at least 25x faster than one
+  ``grow_vector`` call per sampled pattern, the sequential rule it
+  batches (median of alternating pairs), with identical verdicts and
+  vectors.
 
 Regressions against an earlier commit are measured by
 ``perfbench/run.py``, not here.
@@ -52,6 +57,8 @@ from repro.pairing.sim import pairing_study
 from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.lifetime import FixedLifetime, NormalLifetime
 from repro.service import MemoryArray, ServiceController, run_load
+from repro.schemes.safer import grow_vector
+from repro.sim.checkers import SaferCacheChecker
 from repro.sim.context import ExecContext
 from repro.sim.page_sim import run_page_study
 from repro.sim.rng import BitSource, rng_for
@@ -93,6 +100,12 @@ BIT_SOURCE_PLAN = [
         np.random.default_rng(35).integers(1, 4, 400),
         np.random.default_rng(36).integers(4, 14, 400),
     )
+]
+
+SAFER_CACHE_FLOOR = 25.0
+#: fault orders of the seeded safer64-cache walks (each runs to death)
+SAFER_CACHE_FEEDS = [
+    np.random.default_rng(3800 + walk).permutation(512).tolist() for walk in range(40)
 ]
 
 
@@ -353,3 +366,41 @@ def _bit_source_draws():
 def test_bit_source_floor():
     median = _median_speedup("bit source rdis-3 draws", _numpy_draws, _bit_source_draws)
     assert median >= BIT_SOURCE_FLOOR
+
+
+def _safer_cache_reference():
+    """Each walk's vector after every arrival (``None`` at death), one
+    ``grow_vector`` call per sampled pattern, in pattern order."""
+    vectors = []
+    for walk, feed in enumerate(SAFER_CACHE_FEEDS):
+        with BitSource(rng_for(2013, 38, walk)) as bits:
+            positions = ()
+            for f in range(1, len(feed) + 1):
+                for row in bits.patterns(128, f).tolist():
+                    positions = grow_vector(positions, feed[:f], 6, row)
+                    if positions is None:
+                        break
+                vectors.append(positions)
+                if positions is None:
+                    break
+    return vectors
+
+
+def _safer_cache_checker():
+    vectors = []
+    for walk, feed in enumerate(SAFER_CACHE_FEEDS):
+        with BitSource(rng_for(2013, 38, walk)) as bits:
+            checker = SaferCacheChecker(512, 64, bits)
+            for offset in feed:
+                alive = checker.add_fault(offset, 0)
+                vectors.append(checker.positions if alive else None)
+                if not alive:
+                    break
+    return vectors
+
+
+def test_safer_cache_floor():
+    median = _median_speedup(
+        "safer64-cache growth loop", _safer_cache_reference, _safer_cache_checker
+    )
+    assert median >= SAFER_CACHE_FLOOR

@@ -59,25 +59,14 @@ def vector_value(offset: int, positions: tuple[int, ...]) -> int:
     return value
 
 
-def vector_values(offsets: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    """Array form of :func:`vector_value`: the group of every offset in
-    ``offsets``, as ``int64``.
-
-    >>> vector_values(np.arange(4), (1,)).tolist()
-    [0, 0, 1, 1]
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    ids = np.zeros(offsets.shape, dtype=np.int64)
-    for i, position in enumerate(positions):
-        ids |= ((offsets >> position) & 1) << i
-    return ids
-
-
 @lru_cache(maxsize=None)
 def group_ids(n_bits: int, positions: tuple[int, ...]) -> np.ndarray:
-    """:func:`vector_values` of every bit of an ``n_bits`` block, cached
-    process-wide as one shared read-only array per partition vector."""
-    ids = vector_values(np.arange(n_bits), positions)
+    """:func:`vector_value` of every bit of an ``n_bits`` block, as ``int64``,
+    cached process-wide as one shared read-only array per partition vector."""
+    offsets = np.arange(n_bits, dtype=np.int64)
+    ids = np.zeros(n_bits, dtype=np.int64)
+    for i, position in enumerate(positions):
+        ids |= ((offsets >> position) & 1) << i
     ids.flags.writeable = False
     return ids
 

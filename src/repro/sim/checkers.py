@@ -25,7 +25,8 @@ Two families exist:
   arrives — and the block dies if any pattern is unrecoverable, exactly the
   paper's failure criterion.  An arrival's patterns are decided as a whole,
   in numpy passes (Aegis-rw poisoned sets are ``ceil(B / 64)``-word bitsets,
-  so ``B > 63`` works) or, for RDIS, on per-fault ``samples``-bit ints;
+  so ``B > 63`` works) or, for RDIS and SAFER-cache, on per-fault
+  ``samples``-bit ints;
   draws never run ahead of the arrival, as callers share the source, and a
   checker draws nothing when it is built.
   Below a fixed fault count, ``draws_from``, an arrival neither draws nor
@@ -36,7 +37,7 @@ Two families exist:
   fault has both a row-mate and a column-mate (toggle 1 then inverts exactly
   the wrong faults); for Aegis-rw when plain Aegis's poisoned set, which
   holds every split's, misses a slope, and for Aegis-rw-p when also
-  ``f <= 2p + 1``; for SAFER-cache's growth loop when the vector puts every
+  ``f <= 2p + 1``; for SAFER-cache when the vector already puts every
   fault in its own group.  Proofs: ``docs/simulation_methods.md`` §2.
 
 Every checker is cross-validated against its bit-accurate controller in
@@ -62,7 +63,6 @@ from repro.schemes.safer import (
     grow_vector,
     partition_vectors,
     vector_value,
-    vector_values,
 )
 from repro.sim.rng import BitSource
 from repro.util.bitops import ceil_log2
@@ -397,7 +397,8 @@ class SaferCacheChecker:
     vector remains SAFER's append-only structure, so vector state persists
     across sampled patterns exactly as it would across real writes.  The
     block dies when a sampled pattern still has W/R mixing with the vector
-    full.
+    full.  Each fault's group is kept until the vector grows, and the
+    patterns are decided on per-fault sample bitsets (:func:`_sample_bitsets`).
     """
 
     def __init__(
@@ -416,6 +417,7 @@ class SaferCacheChecker:
         self.max_positions = ceil_log2(group_count)
         self.positions: tuple[int, ...] = ()
         self.fault_offsets: list[int] = []
+        self._groups: list[int] = []  # each fault's group under ``positions``
         self.alive = True
         self.draws_from = 1
 
@@ -423,35 +425,40 @@ class SaferCacheChecker:
         if not self.alive:
             return False
         self.fault_offsets.append(offset)
+        self._groups.append(vector_value(offset, self.positions))
         f = len(self.fault_offsets)
-        # no early-out even at small f: the vector must grow in response to
-        # the sampled traffic, exactly as the hardware's would
-        wrong_masks = self.bits.patterns(self.samples, f).view(bool)
-        offs = np.asarray(self.fault_offsets, dtype=np.int64)
+        # draw even at small f: the vector must grow in response to the
+        # sampled traffic, exactly as the hardware's would
+        data = self.bits.patterns(self.samples, f)
+        if len(set(self._groups)) == f:  # every fault in its own group: nothing mixes
+            return True
+        wrong = _sample_bitsets(data)
         start = 0
-        while start < self.samples:
+        while True:
             # a pattern without W/R mixing leaves the vector as it is, so
             # only the first mixing pattern from ``start`` can grow it
-            ids = vector_values(offs, self.positions)
-            onehot = (ids[:, None] == np.arange(1 << len(self.positions))).astype(np.float32)
-            sizes = onehot.sum(axis=0)
-            if sizes.max() < 2:  # every fault in its own group: nothing mixes
-                break
-            w_count = wrong_masks[start:].astype(np.float32) @ onehot
-            mixing = ((w_count > 0) & (w_count < sizes)).any(axis=1)
-            if not mixing.any():
-                break
-            start += int(mixing.argmax())
+            any_w: dict[int, int] = {}
+            all_w: dict[int, int] = {}
+            for group, bits in zip(self._groups, wrong):
+                any_w[group] = any_w.get(group, 0) | bits
+                all_w[group] = all_w.get(group, bits) & bits
+            mixing = 0
+            for group, bits in any_w.items():
+                mixing |= bits & ~all_w[group]
+            mixing >>= start
+            if not mixing:
+                return True
+            start += (mixing & -mixing).bit_length() - 1
             grown = grow_vector(
                 self.positions, self.fault_offsets, self.max_positions,
-                wrong_masks[start].tolist(),
+                [(bits >> start) & 1 for bits in wrong],
             )
             if grown is None:
                 self.alive = False
                 return False
             self.positions = grown
+            self._groups = [vector_value(o, grown) for o in self.fault_offsets]
             start += 1
-        return True
 
     def group_members(self, offset: int) -> np.ndarray:
         """Cache-assisted single-pass writes: no extra inversion wear."""
@@ -561,6 +568,14 @@ class RdisChecker:
         return np.empty(0, dtype=np.int64)
 
 
+def _sample_bitsets(data: np.ndarray) -> list[int]:
+    """Each fault's column of a ``(K, f)`` 0/1 draw as a ``K``-bit int, bit
+    ``k`` for pattern ``k``."""
+    width = -(-data.shape[0] // 8)
+    packed = np.packbits(data.T, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+
+
 def _any_rdis_failure(
     frows: Sequence[int],
     fcols: Sequence[int],
@@ -579,13 +594,9 @@ def _any_rdis_failure(
     faults of each row (column); then ``R &= rowmark & colmark`` and
     ``M ^= R``.  A pattern fails when some fault still has ``E != M``.
     """
-    samples = data.shape[0]
-    full = (1 << samples) - 1
-    width = -(-samples // 8)
-    packed = np.packbits(data.T, axis=1, bitorder="little").tobytes()
+    full = (1 << data.shape[0]) - 1
     wrong_at_rest = [
-        int.from_bytes(packed[i * width : (i + 1) * width], "little") ^ (full if value else 0)
-        for i, value in enumerate(stuck)
+        bits ^ (full if value else 0) for bits, value in zip(_sample_bitsets(data), stuck)
     ]
     region = [full] * len(wrong_at_rest)
     mask = [0] * len(wrong_at_rest)

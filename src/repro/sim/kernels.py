@@ -607,6 +607,13 @@ def sorted_prefix(deaths: np.ndarray, width: int) -> tuple:
     if width >= n_cols:  # the whole row: no cell is left out
         cells = np.argsort(deaths, axis=1, kind="stable")
         return cells, np.take_along_axis(deaths, cells, axis=1), np.full(n_rows, n_cols)
+    if n_rows == 1:  # the scalar scheduler's page: 1-D indexing is cheaper
+        row = deaths[0]
+        part = np.argpartition(row, width)
+        cells = np.sort(part[:width])
+        cells = cells[np.argsort(row[cells], kind="stable")]
+        times = row[cells]
+        return cells[None], times[None], np.array([np.count_nonzero(times < row[part[width]])])
     edge = np.empty((n_rows, 1))
     cells = np.empty((n_rows, width), dtype=np.int64)
     for start in range(0, n_rows, _PARTITION_ROWS):

@@ -553,6 +553,110 @@ class TestWholeSampleVerdicts:
 
 
 
+def numpy_growth(positions, offsets, wrong_masks, max_positions):
+    """Oracle for ``SaferCacheChecker``'s growth loop: the loop as it ran on
+    numpy arrays before per-fault sample bitsets.  Each pass rebuilds every
+    fault's group and finds the patterns mixing W and R with a one-hot
+    matmul; the first from ``start`` goes to ``grow_vector``.  Returns the
+    grown positions, or ``None`` when the block dies."""
+    samples = wrong_masks.shape[0]
+    offs = np.asarray(offsets, dtype=np.int64)
+    start = 0
+    while start < samples:
+        ids = np.zeros(offs.shape, dtype=np.int64)
+        for i, position in enumerate(positions):
+            ids |= ((offs >> position) & 1) << i
+        onehot = (ids[:, None] == np.arange(1 << len(positions))).astype(np.float32)
+        sizes = onehot.sum(axis=0)
+        if sizes.max() < 2:
+            break
+        w_count = wrong_masks[start:].astype(np.float32) @ onehot
+        mixing = ((w_count > 0) & (w_count < sizes)).any(axis=1)
+        if not mixing.any():
+            break
+        start += int(mixing.argmax())
+        grown = grow_vector(positions, offsets, max_positions, wrong_masks[start].tolist())
+        if grown is None:
+            return None
+        positions = grown
+        start += 1
+    return positions
+
+
+class TestSaferCacheBitsets:
+    """``SaferCacheChecker``'s growth loop on per-fault ``K``-bit sample
+    bitsets against the numpy loop it replaced, at sample counts on both
+    sides of the bitsets' byte and word edges."""
+
+    @pytest.mark.parametrize("samples", [1, 7, 8, 63, 64, 65, 128, 200])
+    @pytest.mark.parametrize("group_count", [32, 64, 128])
+    def test_matches_numpy_growth_loop(self, group_count, samples):
+        """Per arrival: the same verdict, the same vector, the same draw."""
+        max_positions = group_count.bit_length() - 1
+        grew = 0
+        for seed in range(3):
+            rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            bits, twin = RecordingSource(rng), RecordingSource(twin_rng)
+            checker = SaferCacheChecker(512, group_count, bits, samples=samples)
+            positions, offsets = (), []
+            for offset, stuck in fault_feed(1100 + seed):
+                offsets.append(offset)
+                alive = checker.add_fault(offset, stuck)
+                grown = numpy_growth(
+                    positions, offsets, twin.patterns(samples, len(offsets)).astype(bool),
+                    max_positions,
+                )
+                assert len(bits.drawn) == len(twin.drawn)
+                assert np.array_equal(bits.drawn[-1], twin.drawn[-1])
+                assert alive == (grown is not None)
+                if not alive:
+                    break
+                grew += grown != positions
+                positions = grown
+                assert checker.positions == positions
+            bits.close()
+            twin.close()
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
+        assert grew >= 3
+
+    @pytest.mark.parametrize("samples", [1, 7, 8, 63, 64, 65, 128, 200])
+    def test_sample_bitsets_hold_each_faults_column(self, samples):
+        data = np.random.default_rng(samples).integers(0, 2, size=(samples, 5), dtype=np.uint8)
+        expected = [sum(int(bit) << k for k, bit in enumerate(column)) for column in data.T]
+        assert checkers._sample_bitsets(data) == expected
+
+    @pytest.mark.parametrize("samples", [2, 7, 8, 63, 64, 65, 128, 200])
+    def test_mixing_patterns_grow_the_vector_at_any_bit(self, samples):
+        """Faults 1, 2 and 4 share the empty vector's group, and the vector
+        shows which patterns of their arrival's draw the checker grew on.
+        From pattern ``at``, W = {1, 2} then W = {2} grows bits 1 then 0,
+        and W = {2} then W = {1, 2} bits 0 then 1: the first pattern
+        decides.  W = {1} at ``at`` grows bit 0 alone, and a later W = {2}
+        bit 1: the scan resumes after each growth."""
+
+        class ScriptedDraws:
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def patterns(self, samples, n):
+                return next(self.draws)
+
+        cases = []
+        for at in sorted({0, samples // 2 - 1, samples - 2}):
+            cases.append(([(at, [1, 1, 0]), (slice(at + 1, None), [0, 1, 0])], (1, 0)))
+            cases.append(([(at, [0, 1, 0]), (slice(at + 1, None), [1, 1, 0])], (0, 1)))
+            for then in sorted({at + 1, samples - 1}):
+                cases.append(([(at, [1, 0, 0]), (then, [0, 1, 0])], (0, 1)))
+        for rows, vector in cases:
+            draw = np.zeros((samples, 3), dtype=np.uint8)
+            for index, row in rows:
+                draw[index] = row
+            quiet = [np.zeros((samples, f), dtype=np.uint8) for f in (1, 2)]
+            checker = SaferCacheChecker(512, 64, ScriptedDraws([*quiet, draw]), samples)
+            assert feed_faults(checker, [(1, 0), (2, 0), (4, 0)]) is None
+            assert checker.positions == vector, rows
+
+
 def rdis_failure_by_arrays(frows, fcols, stuck, data, levels) -> bool:
     """Oracle for ``_any_rdis_failure``: the same toggles on ``(K, f)``
     arrays, with each pattern's marked rows and columns as ``int64``
@@ -627,7 +731,7 @@ class TestRdisSampleBitsets:
 def evaluator_calls(monkeypatch):
     """Count the sampled checkers' calls to their full pattern evaluators."""
     calls = []
-    for name in ("_any_rdis_failure", "_poisoned_slopes"):
+    for name in ("_any_rdis_failure", "_poisoned_slopes", "_sample_bitsets"):
         evaluate = getattr(checkers, name)
         monkeypatch.setattr(
             checkers, name, lambda *args, _evaluate=evaluate: calls.append(1) or _evaluate(*args)
@@ -730,6 +834,31 @@ class TestStructuralSkips:
                     assert grow_vector(positions, offsets, max_positions, row) == positions
                 separated += 1
         assert separated >= 10
+
+    @pytest.mark.parametrize("group_count", [32, 64, 128])
+    def test_safer_cache_skips_mix_no_split(self, group_count, evaluator_calls):
+        """An arrival whose faults already sit in distinct groups converts
+        no bitsets; the whole growth loop over all its splits agrees."""
+        max_positions = group_count.bit_length() - 1
+        skips = 0
+        for seed in range(6):
+            bits = RecordingSource(np.random.default_rng(seed))
+            checker = SaferCacheChecker(512, group_count, bits)
+            for offsets in skipped_arrivals(checker, fault_feed(1000 + seed)[:10], evaluator_calls):
+                splits = all_splits(len(offsets))
+                assert numpy_growth(checker.positions, offsets, splits, max_positions) == (
+                    checker.positions
+                )
+                skips += len(offsets) > 2
+        assert skips >= 10
+
+    @pytest.mark.parametrize("key", ["safer64-cache", "safer128-cache"])
+    def test_safer_cache_fixed_feed_has_a_skipped_arrival(self, key, evaluator_calls):
+        """The pinned feed meets the arrival-level skip past its trivial
+        first faults; this keeps the skip from vanishing unseen."""
+        checker = PINNED_SPECS[key]().make_checker(RecordingSource(np.random.default_rng(14)))
+        skipped = skipped_arrivals(checker, fault_feed(2013), evaluator_calls)
+        assert any(len(offsets) > 2 for offsets in skipped)
 
 
 class TestSampledCheckerConfiguration:

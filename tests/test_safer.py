@@ -20,7 +20,6 @@ from repro.schemes.safer import (
     grow_vector,
     separates,
     vector_value,
-    vector_values,
 )
 from repro.sim import roster
 from repro.sim.checkers import SaferCacheChecker, SaferIncrementalChecker
@@ -40,34 +39,24 @@ class TestVectorMath:
         assert vector_value(0b101101, (1, 4)) == 0b00
 
     @pytest.mark.parametrize("n_bits", [64, 512])
-    def test_vector_values_matches_scalar_rule(self, n_bits):
+    def test_group_ids_matches_scalar_rule(self, n_bits):
         addr_bits = n_bits.bit_length() - 1
-        offsets = np.arange(n_bits)
         for size in range(4):
             for positions in permutations(range(addr_bits), size):
                 expected = [vector_value(o, positions) for o in range(n_bits)]
-                assert vector_values(offsets, positions).tolist() == expected
+                assert group_ids(n_bits, positions).tolist() == expected
 
-    def test_vector_values_empty_vector_is_one_group(self):
-        ids = vector_values(np.arange(512), ())
+    def test_group_ids_empty_vector_is_one_group(self):
+        ids = group_ids(512, ())
         assert ids.dtype == np.int64
         assert ids.shape == (512,)
         assert not ids.any()
-
-    def test_vector_values_keeps_input_shape(self):
-        offsets = np.array([[0, 5], [6, 511]])
-        ids = vector_values(offsets, (2, 0))
-        assert ids.shape == (2, 2)
-        assert ids.tolist() == [
-            [vector_value(0, (2, 0)), vector_value(5, (2, 0))],
-            [vector_value(6, (2, 0)), vector_value(511, (2, 0))],
-        ]
 
     def test_group_ids_is_one_shared_read_only_array_per_vector(self):
         ids = group_ids(512, (1, 3))
         assert ids is group_ids(512, (1, 3))
         assert not ids.flags.writeable
-        assert ids.tolist() == vector_values(np.arange(512), (1, 3)).tolist()
+        assert ids.tolist() == [vector_value(o, (1, 3)) for o in range(512)]
         assert group_ids(256, (1, 3)).shape == (256,)
 
     def test_checker_groups_come_from_group_ids(self):
