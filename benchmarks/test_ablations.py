@@ -18,7 +18,6 @@ import numpy as np
 
 from benchmarks.conftest import once
 from repro.pcm.lifetime import LogNormalLifetime
-from repro.sim.block_sim import faults_at_death
 from repro.sim.page_sim import run_page_study, simulate_page
 from repro.sim.rng import rng_for
 from repro.sim.roster import (
@@ -60,13 +59,12 @@ def test_safer_policy_ablation(benchmark, capsys):
 
 def test_static_vs_dynamic_aegis(benchmark, capsys):
     def run():
-        static = [
-            faults_at_death(aegis_spec(23, 23, 512), rng_for(3, t)) for t in range(60)
-        ]
-        dynamic = [
-            faults_at_death(aegis_dynamic_spec(23, 23, 512), rng_for(3, t))
-            for t in range(60)
-        ]
+        def fault_count_at_death(spec, trial):
+            page = simulate_page(spec, 1, rng_for(3, trial), inversion_wear_rate=0.0)
+            return page.faults_recovered + 1
+
+        static = [fault_count_at_death(aegis_spec(23, 23, 512), t) for t in range(60)]
+        dynamic = [fault_count_at_death(aegis_dynamic_spec(23, 23, 512), t) for t in range(60)]
         return float(np.mean(static)), float(np.mean(dynamic))
 
     static_mean, dynamic_mean = once(benchmark, run)

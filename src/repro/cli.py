@@ -43,6 +43,17 @@ def _add_exec_flags(
     )
 
 
+def _study_size(text: str) -> int:
+    """argparse type of a Monte Carlo study size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_block_bits(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--block-bits", type=int, default=512, choices=(256, 512))
 
@@ -189,8 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd = sub.add_parser("run", help="regenerate paper tables/figures")
     run_cmd.set_defaults(handler=_cmd_run)
     run_cmd.add_argument("experiments", nargs="+", help="experiment ids or 'all'")
-    run_cmd.add_argument("--pages", type=int, default=128, help="pages per Monte Carlo study")
-    run_cmd.add_argument("--trials", type=int, default=2000, help="Monte Carlo trials for "
+    run_cmd.add_argument(
+        "--pages", type=_study_size, default=128, help="pages per Monte Carlo study"
+    )
+    run_cmd.add_argument("--trials", type=_study_size, default=2000, help="Monte Carlo trials for "
                          "the block-level studies fig8, fig10, ext-bsweep and ext-softftc")
     _add_block_bits(run_cmd)
     _add_exec_flags(

@@ -32,14 +32,17 @@ stack:
     ``burst_span`` neighbours, and with probability ``burst_probability``
     a span's deaths collapse onto its earliest member — the whole span
     fails together (a resistance-drift avalanche).  Implemented as a pure
-    input transform on death times / arrival order, so the existing
-    scalar and vector engines stay bit-identical automatically.
+    input transform on death times, so the existing scalar and vector
+    engines stay bit-identical automatically.
 
-All model randomness is drawn *before* engine dispatch from the caller's
-substream in a fixed order, which is what keeps ``--engine auto`` and
-``--engine scalar`` (and every ``--workers`` count) bit-identical for the
-new models; the vectorized transforms themselves live in
-:mod:`repro.sim.kernels`.
+The sim layer has one hook, :meth:`FaultModel.transform_base_death`: it
+rewrites a page's cell death times (and picks its masked cells) before
+the cell-death scheduler runs, and every page, block-lifetime and
+failure-curve study goes through it.  All model randomness is drawn
+*before* engine dispatch from the caller's substream in a fixed order,
+which is what keeps ``--engine auto`` and ``--engine scalar`` (and every
+``--workers`` count) bit-identical for the new models; the vectorized
+transforms themselves live in :mod:`repro.sim.kernels`.
 """
 
 from __future__ import annotations
@@ -141,22 +144,7 @@ class FaultModel(ABC):
         """Stuck offsets this model lets a scheme mask at negligible cost."""
         return []
 
-    # -- sim layer: arrival-count domain (failure_curve) --------------------
-
-    def transform_arrivals(
-        self, positions: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Rewrite one trial's fault-arrival permutation.
-
-        Returns ``(stream, arrival_numbers)``: ``stream`` is the cell
-        order actually fed to the checker and ``arrival_numbers[j]`` the
-        fault count to report when the ``j``-th stream arrival is fatal
-        (``None`` means the identity ``1..n``).  Any model randomness is
-        drawn from ``rng`` here, before engine dispatch, in a fixed order.
-        """
-        return positions, None
-
-    # -- sim layer: time domain (page/block lifetime) -----------------------
+    # -- sim layer: time domain (every page and block study) ----------------
 
     def transform_base_death(
         self, base_death: np.ndarray, n_bits: int, rng: np.random.Generator
@@ -255,14 +243,6 @@ class PartiallyStuck(FaultModel):
     def maskable_offsets(self, cells) -> list[int]:
         return [int(i) for i in np.flatnonzero(cells._stuck & cells._partial)]
 
-    def transform_arrivals(
-        self, positions: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        from repro.sim import kernels
-
-        flags = rng.random(positions.shape[0]) < self.partial_fraction
-        return kernels.masked_arrival_order(positions, flags, self.mask_budget)
-
     def transform_base_death(
         self, base_death: np.ndarray, n_bits: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -303,8 +283,7 @@ class DriftBurst(FaultModel):
         does for every roster block width).
     burst_probability:
         Probability a span is bursty — its members' deaths collapse onto
-        the span's earliest death (time domain) or earliest arrival
-        (count domain).
+        the span's earliest death.
     """
 
     key = "drift"
@@ -322,19 +301,6 @@ class DriftBurst(FaultModel):
     def _span_flags(self, n_cells: int, rng: np.random.Generator) -> np.ndarray:
         n_spans = -(-n_cells // self.burst_span)
         return rng.random(n_spans) < self.burst_probability
-
-    def transform_arrivals(
-        self, positions: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        from repro.sim import kernels
-
-        n = positions.shape[0]
-        bursty = self._span_flags(n, rng)
-        ranks = np.empty(n, dtype=np.float64)
-        ranks[positions] = np.arange(n, dtype=np.float64)
-        collapsed = kernels.burst_collapse(ranks, self.burst_span, bursty)
-        # stable: tied (collapsed) ranks arrive in cell-index order
-        return np.argsort(collapsed, kind="stable"), None
 
     def transform_base_death(
         self, base_death: np.ndarray, n_bits: int, rng: np.random.Generator

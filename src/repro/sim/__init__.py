@@ -5,7 +5,6 @@ from repro.sim.block_sim import (
     FailureCurve,
     block_lifetime_study,
     failure_curve,
-    faults_at_death,
 )
 from repro.sim.checkers import DEFAULT_SAMPLES, BlockChecker
 from repro.sim.page_sim import (
@@ -67,7 +66,6 @@ __all__ = [
     "block_lifetime_study",
     "ecp_spec",
     "failure_curve",
-    "faults_at_death",
     "figure5_roster",
     "figure8_roster",
     "figure9_roster",

@@ -1,16 +1,18 @@
 """Block-level Monte Carlo (Figures 8 and 10).
 
+Both studies are the page Monte Carlo of :mod:`repro.sim.page_sim` on a
+page of one block: the same endurance sample, differential-write time
+scale and cell-death scheduler, so this module has no scheduler of its
+own.
+
 Figure 8 asks for the probability a single data block has failed once it
-holds ``f`` faults.  Fault *positions* arrive in uniformly random order
-(cell endurances are i.i.d., so death order is a uniform permutation) with
-uniformly random stuck-at values; each arrival is fed to the scheme's
-incremental checker and the fault count at death is recorded.
+holds ``f`` faults, so it needs only the fault count at death.  Without
+inversion wear the death order of i.i.d. endurances is a uniform
+permutation of the cells, each dying with a uniformly random stuck-at
+value, so the curve runs the scheduler with wear off.
 
 Figure 10 asks for a block's *lifetime in writes*, which additionally needs
-the death times.  That is the page Monte Carlo of
-:mod:`repro.sim.page_sim` on a page of one block: the same endurance
-sample, differential-write time scale, inversion-wear acceleration and
-cell-death scheduler, so this module has no scheduler of its own.
+the death times and the inversion-wear acceleration.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pcm.faults import FaultModel, fault_model_for
+from repro.errors import ConfigurationError
+from repro.pcm.faults import FaultModel
 from repro.pcm.lifetime import LifetimeModel
-from repro.sim import kernels
 from repro.sim.page_sim import (
     DEFAULT_INVERSION_WEAR,
     DEFAULT_WRITE_PROBABILITY,
     simulate_pages,
 )
-from repro.sim.rng import BitSource, rng_for
 from repro.sim.roster import SchemeSpec
 from repro.util.stats import MeanEstimate, mean_ci
 
@@ -50,34 +51,6 @@ class FailureCurve:
         return self.probabilities[fault_count - self.fault_counts[0]]
 
 
-def faults_at_death(
-    spec: SchemeSpec,
-    rng: np.random.Generator,
-    fault_model: "FaultModel | str | None" = None,
-) -> int:
-    """Feed uniformly random fault arrivals to one block until it dies;
-    returns the fault count at death (including the fatal fault).
-
-    A non-hard ``fault_model`` reshapes the arrival stream (masked partial
-    faults skip the checker, drift bursts arrive together); the reported
-    count stays in *original* arrivals, masked faults included.  The hard
-    model's transform is the identity and draws nothing.  The stuck values
-    and the checker's patterns come from one :class:`~repro.sim.rng.BitSource`
-    on ``rng``, opened after the arrival stream is drawn.
-    """
-    model = fault_model_for(fault_model)
-    positions = rng.permutation(spec.n_bits)
-    stream, numbers = model.transform_arrivals(positions, rng)
-    with BitSource(rng) as bits:
-        checker = spec.make_checker(bits)
-        for step, offset in enumerate(stream):
-            if not checker.add_fault(int(offset), bits.bit()):
-                return step + 1 if numbers is None else int(numbers[step])
-    raise AssertionError(
-        f"{spec.label}: block survived all {spec.n_bits} faults"
-    )  # pragma: no cover - every scheme dies before saturation
-
-
 def failure_curve(
     spec: SchemeSpec,
     *,
@@ -89,43 +62,25 @@ def failure_curve(
 ) -> FailureCurve:
     """Estimate P(block failed | f faults present) for f = 1..max_faults.
 
-    ``engine`` selects the execution path: ``"scalar"`` walks each trial
-    through the incremental checker, ``"auto"`` advances the whole trial
-    population per fault arrival with the batch kernels of
-    :mod:`repro.sim.kernels` whenever one covers the scheme (and walks
-    the checker otherwise).  Both paths
-    consume the same ``rng_for(seed, trial)`` substreams and return
-    bit-identical curves.  ``fault_model`` selects the arrival statistics
-    (:mod:`repro.pcm.faults`).
+    Trial ``t`` is :func:`~repro.sim.page_sim.simulate_pages` page ``t``
+    on a one-block page without inversion wear, so it draws from
+    ``rng_for(seed, t)`` and runs the same cell-death scheduler (batch
+    kernel or scalar walk, bit-identical across ``engine``) as the page
+    studies.  Its faults at death are the page's recovered faults plus
+    the fatal one; ``fault_model`` reshapes the death times
+    (:mod:`repro.pcm.faults`), and masked partial faults still count.
     """
-    model = fault_model_for(fault_model)
-    if trials > 0 and kernels.resolve_engine(engine, spec) == "vector":
-        # the model reshapes each trial's arrival stream from the same
-        # substream position the scalar walk uses, so the unchanged batch
-        # checker stays bit-identical to the scalar path
-        streams = []
-        number_rows = []
-        for trial in range(trials):
-            rng = rng_for(seed, trial)
-            stream, numbers = model.transform_arrivals(
-                rng.permutation(spec.n_bits), rng
-            )
-            streams.append(stream)
-            number_rows.append(numbers)
-        raw = kernels.death_indices(spec, np.stack(streams))
-        deaths = np.array(
-            [
-                int(k) if numbers is None else int(numbers[int(k) - 1])
-                for k, numbers in zip(raw, number_rows)
-            ]
-        )
-    else:
-        deaths = np.array(
-            [
-                faults_at_death(spec, rng_for(seed, trial), model)
-                for trial in range(trials)
-            ]
-        )
+    _check_trials(trials)
+    results = simulate_pages(
+        spec,
+        1,
+        range(trials),
+        seed,
+        inversion_wear_rate=0.0,
+        engine=engine,
+        fault_model=fault_model,
+    )
+    deaths = np.array([r.faults_recovered + 1 for r in results])
     counts = tuple(range(1, max_faults + 1))
     probabilities = tuple(float((deaths <= f).mean()) for f in counts)
     return FailureCurve(
@@ -135,6 +90,11 @@ def failure_curve(
         fault_counts=counts,
         probabilities=probabilities,
     )
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigurationError(f"a block study needs at least one trial, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +128,7 @@ def block_lifetime_study(
     The block's faults at death are the page's recovered faults plus the
     fatal one.
     """
+    _check_trials(trials)
     results = simulate_pages(
         spec,
         1,

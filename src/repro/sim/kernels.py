@@ -1,8 +1,8 @@
 """Vectorized batch-trial Monte Carlo kernels.
 
-The scalar engines in :mod:`repro.sim.block_sim` (fault counts) and
-:mod:`repro.sim.page_sim` (lifetimes) walk one trial and one fault
-arrival at a time through Python-level
+The scalar cell-death scheduler of :mod:`repro.sim.page_sim` (behind
+every page, block-lifetime and failure-curve study) walks one trial and
+one cell death at a time through Python-level
 :meth:`~repro.sim.checkers.BlockChecker.add_fault` calls.  For the
 *static* schemes plain Aegis, SAFER and ECP, whose survival is a pure
 set property of the fault locations, the per-arrival state update is a
@@ -461,34 +461,12 @@ class _Lockstep:
         )
 
 
-def death_indices(spec, positions: np.ndarray) -> np.ndarray:
-    """Fault count at death for every trial of a failure-curve study.
-
-    ``positions`` holds each trial's fault-arrival permutation, row ``t``
-    being ``rng_for(seed, t).permutation(n_bits)`` — the exact draw the
-    scalar path makes, so the returned counts are bit-identical to
-    looping :func:`repro.sim.block_sim.faults_at_death`.
-    """
-    trials, n_bits = positions.shape
-    lock = _Lockstep(spec, trials, blocks_per_page=1)
-    for step in range(n_bits):
-        # arrival ``step`` comes at time ``step + 1``, so a trial's death
-        # time is its fault count; one-block pages never retire a row
-        now = np.full(lock.row_ids.size, step + 1.0)
-        if not lock.step(now, positions[lock.row_ids, step], False):
-            return lock.death_time.astype(np.int64)
-        lock.compact()
-    raise AssertionError(
-        f"{spec.label}: block survived all {n_bits} faults"
-    )  # pragma: no cover - every covered scheme dies before saturation
-
-
 # ---------------------------------------------------------------------------
 # Fault-model input transforms
 #
 # The pluggable fault models (:mod:`repro.pcm.faults`) reshape a trial's
-# *inputs* — death times, arrival order, mask flags — and then run the
-# unchanged engines above.  Because the reshaping happens before engine
+# *inputs* — death times and mask flags — and then run the unchanged
+# engines above.  Because the reshaping happens before engine
 # dispatch and draws its randomness in a fixed order, scalar and vector
 # runs of the new models stay bit-identical for free; these are the
 # vectorized forms of those transforms.
@@ -498,7 +476,7 @@ def death_indices(spec, positions: np.ndarray) -> np.ndarray:
 def burst_collapse(values: np.ndarray, span: int, bursty: np.ndarray) -> np.ndarray:
     """Collapse each bursty aligned span of a flat array onto its minimum.
 
-    ``values`` is any per-cell quantity (death times, arrival ranks);
+    ``values`` is any per-cell quantity (death times, endurances);
     ``bursty`` flags each of the ``ceil(n / span)`` spans.  Cells of a
     bursty span all take the span minimum — the drift-burst avalanche —
     while other cells are untouched.  Returns a new array.
@@ -514,37 +492,6 @@ def burst_collapse(values: np.ndarray, span: int, bursty: np.ndarray) -> np.ndar
     collapse = np.asarray(bursty, dtype=bool)[span_of]
     out[collapse] = mins[span_of[collapse]]
     return out
-
-
-def masked_arrival_order(
-    positions: np.ndarray, flags: np.ndarray, budget: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rewrite one trial's arrival permutation for free partial masks.
-
-    ``positions`` is the cell-id arrival order, ``flags`` marks which
-    *arrivals* are partial; the first ``budget`` partial arrivals are
-    masked — they never reach the checker, so they move to the end of the
-    stream.  Returns ``(stream, arrival_numbers)`` where
-    ``arrival_numbers[j]`` is the 1-based *original* arrival count to
-    report when stream entry ``j`` is fatal (the masked tail saturates at
-    ``n``; a checker always dies long before reaching it).  ``None``
-    means the identity mapping — nothing was masked.
-    """
-    if budget <= 0:
-        return positions, None
-    flags = np.asarray(flags, dtype=bool)
-    masked = flags & (np.cumsum(flags) <= budget)
-    if not masked.any():
-        return positions, None
-    keep = ~masked
-    stream = np.concatenate([positions[keep], positions[masked]])
-    numbers = np.concatenate(
-        [
-            np.flatnonzero(keep) + 1,
-            np.full(int(masked.sum()), positions.shape[0], dtype=np.int64),
-        ]
-    )
-    return stream, numbers
 
 
 def mask_partial_deaths(

@@ -577,6 +577,8 @@ def run_page_study(
     if ctx is not None:
         seed, workers, engine = ctx.seed, ctx.workers, ctx.engine
         fault_model = ctx.fault_model
+    if n_pages < 1:
+        raise ConfigurationError(f"a page study needs at least one page, got {n_pages}")
     if blocks_per_page is None:
         if (4096 * 8) % spec.n_bits:
             raise ConfigurationError(f"4 KB page is not a multiple of {spec.n_bits} bits")

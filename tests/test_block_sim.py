@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.sim.block_sim import (
-    block_lifetime_study,
-    failure_curve,
-    faults_at_death,
-)
-from repro.sim.page_sim import simulate_page
+from repro.errors import ConfigurationError
+from repro.pcm.faults import PartiallyStuck
+from repro.sim.block_sim import block_lifetime_study, failure_curve
+from repro.sim.page_sim import run_page_study, simulate_page
 from repro.sim.rng import rng_for
 from repro.sim.roster import (
     aegis_rw_p_spec,
@@ -19,18 +17,50 @@ from repro.sim.roster import (
 )
 
 
-class TestFaultsAtDeath:
-    def test_ecp_exact(self, rng):
-        # ECP dies at exactly pointers + 1 faults, always
-        for _ in range(10):
-            assert faults_at_death(ecp_spec(4, 512), rng) == 5
+def _fault_count_at_death(spec, rng) -> int:
+    """One failure-curve trial: a wear-free one-block page's faults at
+    death, the fatal fault included."""
+    return simulate_page(spec, 1, rng, inversion_wear_rate=0.0).faults_recovered + 1
 
-    def test_aegis_beyond_hard_ftc(self, rng):
+
+class TestFaultsAtDeath:
+    def test_ecp_exact(self):
+        # ECP dies at exactly pointers + 1 faults, always
+        for trial in range(10):
+            assert _fault_count_at_death(ecp_spec(4, 512), rng_for(0, trial)) == 5
+
+    def test_aegis_beyond_hard_ftc(self):
         # soft FTC strictly above hard FTC almost surely
         spec = aegis_spec(9, 61, 512)
-        deaths = [faults_at_death(spec, rng) for _ in range(20)]
+        deaths = [_fault_count_at_death(spec, rng_for(0, trial)) for trial in range(20)]
         assert min(deaths) > 11  # hard FTC is guaranteed
         assert np.mean(deaths) > 15  # and soft tolerance goes well beyond
+
+    def test_curve_counts_each_trial_once(self):
+        """The curve is the empirical CDF of the trials' faults at death."""
+        spec, trials = aegis_spec(9, 61, 512), 30
+        deaths = np.array([_fault_count_at_death(spec, rng_for(4, t)) for t in range(trials)])
+        curve = failure_curve(spec, trials=trials, max_faults=40, seed=4)
+        assert curve.probabilities == tuple(
+            float((deaths <= f).mean()) for f in curve.fault_counts
+        )
+
+
+class TestStudySizes:
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_failure_curve_rejects_empty_study(self, trials):
+        with pytest.raises(ConfigurationError, match="at least one trial"):
+            failure_curve(ecp_spec(4, 512), trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_block_lifetime_study_rejects_empty_study(self, trials):
+        with pytest.raises(ConfigurationError, match="at least one trial"):
+            block_lifetime_study(ecp_spec(4, 512), trials=trials)
+
+    @pytest.mark.parametrize("n_pages", [0, -5])
+    def test_page_study_rejects_empty_study(self, n_pages):
+        with pytest.raises(ConfigurationError, match="at least one page"):
+            run_page_study(ecp_spec(4, 512), n_pages=n_pages)
 
 
 class TestFailureCurve:
@@ -49,6 +79,18 @@ class TestFailureCurve:
         curve = failure_curve(ecp_spec(6, 512), trials=100, max_faults=10, seed=5)
         assert curve.probability_at(6) == 0.0
         assert curve.probability_at(7) == 1.0
+
+    def test_ecp_partial_counts_masked_faults(self):
+        """ECP6 dies on its 7th unmasked fault; under ``partial`` the masked
+        partial faults that arrived first still count, so a block dies
+        somewhere in 7..p + 1 + mask_budget faults."""
+        budget = PartiallyStuck().mask_budget
+        curve = failure_curve(
+            ecp_spec(6, 512), trials=200, max_faults=14, seed=3, fault_model="partial"
+        )
+        assert curve.probability_at(6) == 0.0
+        assert curve.probability_at(6 + 1 + budget) == 1.0
+        assert 0.0 < curve.probability_at(6 + budget) < 1.0
 
     def test_probability_at_boundaries(self):
         curve = failure_curve(ecp_spec(2, 512), trials=50, max_faults=5, seed=5)

@@ -118,6 +118,24 @@ class TestParser:
             main(["run", "fig5", "--block-bits", "300"])
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig8", "--trials", "0"],
+            ["run", "fig8", "--trials", "-5"],
+            ["run", "fig10", "--trials", "0"],
+            ["run", "fig5", "--pages", "0"],
+            ["run", "fig5", "--pages", "two"],
+        ],
+        ids=lambda argv: " ".join(argv[1:]),
+    )
+    def test_study_sizes_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[2]}:" in err
+
+    @pytest.mark.parametrize(
         "command",
         [["run", "fig5"], ["serve-bench"], ["cluster-bench"], ["fleet-bench"]],
         ids=lambda command: command[0],

@@ -15,7 +15,7 @@ from repro.pcm.device import PCMDevice
 from repro.pcm.lifetime import NormalLifetime
 from repro.pcm.page import Page
 from repro.schemes.ecp import EcpScheme
-from repro.sim.block_sim import faults_at_death
+from repro.sim.page_sim import simulate_page
 from repro.sim.rng import rng_for
 from repro.sim.roster import aegis_spec, ecp_spec
 from tests.conftest import write_until_failure
@@ -34,6 +34,12 @@ def _drive_block_to_death(scheme_factory, rng, n_bits=512):
     return block.fault_count
 
 
+def _fault_count_at_death(spec, rng) -> int:
+    """Event-driven path: one wear-free one-block page of the cell-death
+    scheduler (a failure-curve trial), fatal fault included."""
+    return simulate_page(spec, 1, rng, inversion_wear_rate=0.0).faults_recovered + 1
+
+
 class TestDeviceVsSimulator:
     def test_ecp_fault_counts_agree(self):
         """ECP's faults-at-death is deterministic (p+1); both paths must
@@ -42,7 +48,7 @@ class TestDeviceVsSimulator:
             _drive_block_to_death(lambda c: EcpScheme(c, 4), np.random.default_rng(s))
             for s in range(8)
         ]
-        fast = [faults_at_death(ecp_spec(4, 512), rng_for(9, s)) for s in range(8)]
+        fast = [_fault_count_at_death(ecp_spec(4, 512), rng_for(9, s)) for s in range(8)]
         # at tiny endurance (mean 40, cov 25%) several cells die within the
         # same write, so the slow path overshoots p+1 = 5 by the cluster
         # that arrives with the fatal write — but never undershoots it
@@ -59,7 +65,7 @@ class TestDeviceVsSimulator:
             )
             for s in range(5)
         ]
-        fast = [faults_at_death(aegis_spec(9, 61, 512), rng_for(8, s)) for s in range(40)]
+        fast = [_fault_count_at_death(aegis_spec(9, 61, 512), rng_for(8, s)) for s in range(40)]
         lo, hi = min(fast), max(fast)
         # the slow path sees clustered deaths near end-of-life (several
         # cells die within one write), so allow a margin above the fast

@@ -15,19 +15,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.pcm.lifetime import FixedLifetime, LifetimeModel, NormalLifetime
 from repro.sim import kernels
-from repro.sim.block_sim import (
-    block_lifetime_study,
-    failure_curve,
-    faults_at_death,
-)
+from repro.sim.block_sim import block_lifetime_study, failure_curve
 from repro.sim.kernels import (
     MAX_SLOPE_BITS,
     batch_checker_for,
     burst_collapse,
-    death_indices,
     kernel_supported,
     mask_partial_deaths,
-    masked_arrival_order,
     resolve_engine,
     validate_engine,
 )
@@ -132,23 +126,6 @@ class TestFailureCurveEquivalence:
         scalar = failure_curve(spec, trials=10, seed=5, engine="scalar")
         vector = failure_curve(spec, trials=10, seed=5, engine="auto")
         assert vector == scalar
-
-    @pytest.mark.parametrize(
-        "spec",
-        [aegis_spec(9, 61, 512), safer_spec(64, 512), ecp_spec(6, 512)],
-        ids=_IDS,
-    )
-    def test_death_histogram_matches_scalar_loop(self, spec):
-        trials, seed = 60, 2013
-        positions = np.stack(
-            [rng_for(seed, t).permutation(spec.n_bits) for t in range(trials)]
-        )
-        batched = death_indices(spec, positions)
-        looped = np.array(
-            [faults_at_death(spec, rng_for(seed, t)) for t in range(trials)]
-        )
-        assert batched.tolist() == looped.tolist()
-        assert np.bincount(batched).tolist() == np.bincount(looped).tolist()
 
 
 class TestLifetimeEquivalence:
@@ -691,26 +668,6 @@ class TestBurstCollapse:
         values = np.arange(10, dtype=np.float64)[::-1]
         out = burst_collapse(values, 4, np.zeros(3, dtype=bool))
         assert out.tolist() == values.tolist()
-
-
-class TestMaskedArrivalOrder:
-    def test_first_budget_partials_move_to_the_tail(self):
-        positions = np.array([40, 41, 42, 43, 44, 45])
-        flags = np.array([False, True, False, True, True, False])
-        stream, numbers = masked_arrival_order(positions, flags, 2)
-        # arrivals 2 and 4 are masked; arrival 5 is partial but over budget
-        assert stream.tolist() == [40, 42, 44, 45, 41, 43]
-        assert numbers.tolist() == [1, 3, 5, 6, 6, 6]
-
-    def test_zero_budget_is_identity(self):
-        positions = np.array([3, 1, 2])
-        stream, numbers = masked_arrival_order(positions, np.ones(3, dtype=bool), 0)
-        assert stream is positions and numbers is None
-
-    def test_no_partial_arrival_is_identity(self):
-        positions = np.array([3, 1, 2])
-        stream, numbers = masked_arrival_order(positions, np.zeros(3, dtype=bool), 5)
-        assert stream is positions and numbers is None
 
 
 class TestMaskPartialDeaths:
